@@ -8,6 +8,9 @@ face template, moves one facial region per class, and adds per-sample noise,
 so datasets of any size are reproducible from a seed.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from megraph.landmarks import (
@@ -44,8 +47,10 @@ print(f"after x3 magnification: {boosted.max():.3f} px "
 np.testing.assert_array_equal(louder.frames[0], first.frames[0])
 
 # Datasets round-trip through JSON lines bit-exactly.
-save_samples(samples, "/tmp/demo_dataset.jsonl")
-reloaded = load_samples("/tmp/demo_dataset.jsonl")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_dataset.jsonl"
+    save_samples(samples, path)
+    reloaded = load_samples(path)
 assert all(
     np.array_equal(a.frames, b.frames) for a, b in zip(samples, reloaded)
 )

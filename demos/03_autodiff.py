@@ -16,10 +16,12 @@ from megraph.checks import run_battery, battery_passed, format_battery
 
 rng = np.random.default_rng(0)
 
-# A two-layer computation: h = relu(x @ w1), loss = sum(h @ w2).
-x = ad.tensor(rng.normal(size=(4, 3)))
-w1 = ad.tensor(rng.normal(size=(3, 5)))
-w2 = ad.tensor(rng.normal(size=(5, 2)))
+# A two-layer computation: h = relu(x @ w1), loss = sum(h @ w2). Only
+# leaves marked requires_grad get gradients; backward never visits the
+# parts of the tape that lead to constants alone.
+x = ad.tensor(rng.normal(size=(4, 3)), requires_grad=True)
+w1 = ad.tensor(rng.normal(size=(3, 5)), requires_grad=True)
+w2 = ad.tensor(rng.normal(size=(5, 2)), requires_grad=True)
 loss = ad.sum_all(ad.matmul(ad.relu(ad.matmul(x, w1)), w2))
 print(f"loss: {float(loss.data):.6f}")
 

@@ -25,6 +25,7 @@ from .graph import (
     build_graph,
     default_selection,
     normalize_adjacency,
+    stack_graphs,
 )
 from .landmarks import (
     LandmarkSample,
@@ -86,6 +87,7 @@ __all__ = [
     "autodiff",
     "balance_loss",
     "build_graph",
+    "stack_graphs",
     "classification_loss",
     "confusion_matrix",
     "crop_jitter",

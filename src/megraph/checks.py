@@ -8,13 +8,12 @@ command-line `gradcheck` entry point and the test suite run it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradCheckResult, Tensor
-from .graph import normalize_adjacency
+from .graph import normalize_adjacency, stack_graphs
 from .landmarks import synthesize_dataset
 from .losses import (
     LossWeights,
@@ -26,7 +25,7 @@ from .losses import (
     weight_center_loss,
 )
 from .model import ActionRelationNet, ModelConfig
-from .training import sample_graph
+from .training import release_cycles, sample_graph
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -54,278 +53,188 @@ def _readout(rng: np.random.Generator, shape):
     return out
 
 
-Builder = Callable[[np.random.Generator], tuple[Callable[[Tensor], Tensor], Tensor]]
+# -- random operands: each helper returns a draw(rng) -> array function
 
 
-def _op_cases() -> dict[str, Builder]:
-    cases: dict[str, Builder] = {}
+def _normal(*shape):
+    return lambda rng: rng.normal(size=shape)
 
-    def case(name: str):
-        def register(fn: Builder):
-            cases[name] = fn
-            return fn
 
-        return register
+def _kinkless(*shape):
+    return lambda rng: _off_kink(rng, shape)
 
-    @case("matmul.lhs")
-    def _(rng):
-        w = ad.constant(rng.normal(size=(3, 5)))
-        out = _readout(rng, (4, 5))
-        return lambda x: out(ad.matmul(x, w)), ad.tensor(rng.normal(size=(4, 3)))
 
-    @case("matmul.rhs")
-    def _(rng):
-        a = ad.constant(rng.normal(size=(4, 3)))
-        out = _readout(rng, (4, 5))
-        return lambda x: out(ad.matmul(a, x)), ad.tensor(rng.normal(size=(3, 5)))
+def _positive(*shape):
+    return lambda rng: rng.uniform(0.2, 1.0, size=shape)
 
-    @case("add.lhs")
-    def _(rng):
-        b = ad.constant(rng.normal(size=(3, 4)))
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.add(x, b)), ad.tensor(rng.normal(size=(3, 4)))
 
-    @case("add.scalar_rhs")
-    def _(rng):
-        a = ad.constant(rng.normal(size=(3, 4)))
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.add(a, x)), ad.tensor(rng.normal(size=(1, 1)))
+def _labels(k: int, *shape):
+    return lambda rng: rng.integers(0, k, size=shape)
 
-    @case("sub.lhs")
-    def _(rng):
-        b = ad.constant(rng.normal(size=(3, 4)))
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.sub(x, b)), ad.tensor(rng.normal(size=(3, 4)))
 
-    @case("sub.rhs")
-    def _(rng):
-        a = ad.constant(rng.normal(size=(3, 4)))
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.sub(a, x)), ad.tensor(rng.normal(size=(3, 4)))
-
-    @case("mul.lhs")
-    def _(rng):
-        b = ad.constant(rng.normal(size=(3, 4)))
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.mul(x, b)), ad.tensor(rng.normal(size=(3, 4)))
-
-    @case("mul.rhs")
-    def _(rng):
-        a = ad.constant(rng.normal(size=(3, 4)))
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.mul(a, x)), ad.tensor(rng.normal(size=(3, 4)))
-
-    @case("mul.scalar_rhs")
-    def _(rng):
-        a = ad.constant(rng.normal(size=(3, 4)))
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.mul(a, x)), ad.tensor(rng.normal(size=(1, 1)))
-
-    @case("div.lhs")
-    def _(rng):
-        b = ad.constant(_off_kink(rng, (3, 4)))
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.div(x, b)), ad.tensor(rng.normal(size=(3, 4)))
-
-    @case("div.rhs")
-    def _(rng):
-        a = ad.constant(rng.normal(size=(3, 4)))
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.div(a, x)), ad.tensor(_off_kink(rng, (3, 4)))
-
-    @case("div.scalar_rhs")
-    def _(rng):
-        a = ad.constant(rng.normal(size=(3, 4)))
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.div(a, x)), ad.tensor(_off_kink(rng, (1, 1)))
-
-    @case("scale")
-    def _(rng):
-        out = _readout(rng, (3, 4))
-        return lambda x: out(ad.scale(x, -1.7)), ad.tensor(rng.normal(size=(3, 4)))
-
-    @case("relu")
-    def _(rng):
-        out = _readout(rng, (4, 5))
-        return lambda x: out(ad.relu(x)), ad.tensor(_off_kink(rng, (4, 5)))
-
-    @case("transpose")
-    def _(rng):
-        out = _readout(rng, (4, 3))
-        return lambda x: out(ad.transpose(x)), ad.tensor(rng.normal(size=(3, 4)))
-
-    @case("concat_rows")
-    def _(rng):
-        mid = ad.constant(rng.normal(size=(2, 4)))
-        out = _readout(rng, (8, 4))
-        return (
-            lambda x: out(
-                ad.concat_rows(
-                    [ad.slice_rows(x, 0, 3), mid, ad.slice_rows(x, 3, 6)]
-                )
-            ),
-            ad.tensor(rng.normal(size=(6, 4))),
-        )
-
-    @case("slice_rows")
-    def _(rng):
-        out = _readout(rng, (2, 4))
-        return lambda x: out(ad.slice_rows(x, 1, 3)), ad.tensor(
-            rng.normal(size=(5, 4))
-        )
-
-    @case("softmax_rows")
-    def _(rng):
-        out = _readout(rng, (4, 5))
-        return lambda x: out(ad.softmax_rows(x)), ad.tensor(rng.normal(size=(4, 5)))
-
-    @case("l1_rowsum")
-    def _(rng):
-        out = _readout(rng, (4, 1))
-        return lambda x: out(ad.l1_rowsum(x)), ad.tensor(_off_kink(rng, (4, 5)))
-
-    @case("sq_frobenius")
-    def _(rng):
-        return lambda x: ad.sq_frobenius(x), ad.tensor(rng.normal(size=(3, 4)))
-
-    @case("sum_all")
-    def _(rng):
-        w = ad.constant(rng.normal(size=(3, 4)))
-        return lambda x: ad.sum_all(ad.mul(x, w)), ad.tensor(rng.normal(size=(3, 4)))
-
-    @case("mean_over_batch")
-    def _(rng):
-        out = _readout(rng, (1, 4))
-        return lambda x: out(ad.mean_over_batch(x)), ad.tensor(
-            rng.normal(size=(6, 4))
-        )
-
-    @case("affine.x")
-    def _(rng):
-        w = ad.constant(rng.normal(size=(3, 5)))
-        b = ad.constant(rng.normal(size=(1, 5)))
-        out = _readout(rng, (4, 5))
-        return lambda x: out(ad.affine(x, w, b)), ad.tensor(rng.normal(size=(4, 3)))
-
-    @case("affine.w")
-    def _(rng):
-        a = ad.constant(rng.normal(size=(4, 3)))
-        b = ad.constant(rng.normal(size=(1, 5)))
-        out = _readout(rng, (4, 5))
-        return lambda x: out(ad.affine(a, x, b)), ad.tensor(rng.normal(size=(3, 5)))
-
-    @case("affine.b")
-    def _(rng):
-        a = ad.constant(rng.normal(size=(4, 3)))
-        w = ad.constant(rng.normal(size=(3, 5)))
-        out = _readout(rng, (4, 5))
-        return lambda x: out(ad.affine(a, w, x)), ad.tensor(rng.normal(size=(1, 5)))
-
-    def random_adjacency(rng, n):
-        a = (rng.uniform(size=(n, n)) < 0.4).astype(float)
-        a = np.triu(a, 1)
+def _adjacency(n: int):
+    def draw(rng):
+        a = np.triu((rng.uniform(size=(n, n)) < 0.4).astype(float), 1)
         return normalize_adjacency(a + a.T)
 
-    @case("graph_affine.x")
-    def _(rng):
-        adj = random_adjacency(rng, 5)
-        w = ad.constant(rng.normal(size=(3, 4)))
-        b = ad.constant(rng.normal(size=(1, 4)))
-        out = _readout(rng, (5, 4))
-        return lambda x: out(ad.graph_affine(adj, x, w, b)), ad.tensor(
-            rng.normal(size=(5, 3))
-        )
-
-    @case("graph_affine.w")
-    def _(rng):
-        adj = random_adjacency(rng, 5)
-        a = ad.constant(rng.normal(size=(5, 3)))
-        b = ad.constant(rng.normal(size=(1, 4)))
-        out = _readout(rng, (5, 4))
-        return lambda x: out(ad.graph_affine(adj, a, x, b)), ad.tensor(
-            rng.normal(size=(3, 4))
-        )
-
-    @case("graph_affine.b")
-    def _(rng):
-        adj = random_adjacency(rng, 5)
-        a = ad.constant(rng.normal(size=(5, 3)))
-        w = ad.constant(rng.normal(size=(3, 4)))
-        out = _readout(rng, (5, 4))
-        return lambda x: out(ad.graph_affine(adj, a, w, x)), ad.tensor(
-            rng.normal(size=(1, 4))
-        )
-
-    def affine_sum_setup(rng):
-        xs = [ad.constant(rng.normal(size=(4, 3))) for _ in range(3)]
-        ws = [ad.constant(rng.normal(size=(3, 3))) for _ in range(3)]
-        b = ad.constant(rng.normal(size=(1, 3)))
-        out = _readout(rng, (4, 3))
-        return xs, ws, b, out
-
-    @case("affine_sum.x")
-    def _(rng):
-        xs, ws, b, out = affine_sum_setup(rng)
-        x = ad.tensor(rng.normal(size=(4, 3)))
-        return lambda t: out(ad.affine_sum([xs[0], t, xs[2]], ws, b)), x
-
-    @case("affine_sum.w")
-    def _(rng):
-        xs, ws, b, out = affine_sum_setup(rng)
-        w = ad.tensor(rng.normal(size=(3, 3)))
-        return lambda t: out(ad.affine_sum(xs, [ws[0], t, ws[2]], b)), w
-
-    @case("affine_sum.b")
-    def _(rng):
-        xs, ws, _, out = affine_sum_setup(rng)
-        b = ad.tensor(rng.normal(size=(1, 3)))
-        return lambda t: out(ad.affine_sum(xs, ws, t)), b
-
-    @case("cross_entropy.logits")
-    def _(rng):
-        labels = rng.integers(0, 5, size=6)
-        return lambda x: ad.cross_entropy(x, labels), ad.tensor(
-            rng.normal(size=(6, 5))
-        )
-
-    return cases
+    return draw
 
 
-def _loss_cases() -> dict[str, Builder]:
-    cases: dict[str, Builder] = {}
+def _op_case(op, wrt: int, *draws):
+    """Check d readout(op(*args)) / d args[wrt] with every argument drawn
+    at random and all but ``args[wrt]`` held constant. Scalar outputs are
+    checked as they are."""
+
+    def build(rng):
+        args = [ad.constant(draw(rng)) for draw in draws]
+        x = ad.tensor(args[wrt].data)
+
+        def apply(t):
+            return op(*args[:wrt], t, *args[wrt + 1 :])
+
+        shape = apply(x).shape
+        out = _readout(rng, shape) if shape else (lambda y: y)
+        return lambda t: out(apply(t)), x
+
+    return build
+
+
+def _graph_affine(adj, x, w, b):
+    return ad.graph_affine(adj.data, x, w, b)
+
+
+def _cross_entropy(logits, labels):
+    return ad.cross_entropy(logits, labels.data.astype(np.int64))
+
+
+def _split_around(x, mid):
+    """x's first two rows, then mid, then x's other rows."""
+    n = x.shape[-2]
+    return ad.concat_rows([ad.slice_rows(x, 0, 2), mid, ad.slice_rows(x, 2, n)])
+
+
+def _dead_middle(x):
+    """normalize_columns of a (3, R, C) batch whose middle sample is zeroed:
+    it falls back to uniform, passing no gradient, while the others
+    normalize."""
+    mask = ad.constant(np.array([1.0, 0.0, 1.0])[:, None, None])
+    return ad.normalize_columns(ad.mul(x, mask))
+
+
+def _conv(padding: str):
+    return lambda x, w0, w1, w2, b: ad.temporal_conv(x, [w0, w1, w2], b, padding)
+
+
+def _op_cases() -> dict:
+    """Every tape op on one-sample 2-d operands, then on batched ones: a
+    2-d operand broadcast over batch axes must get its gradient summed
+    over them."""
+    n, k, pos = _normal, _kinkless, _positive
+    specs = {
+        "matmul.lhs": (ad.matmul, 0, n(4, 3), n(3, 5)),
+        "matmul.rhs": (ad.matmul, 1, n(4, 3), n(3, 5)),
+        "add.lhs": (ad.add, 0, n(3, 4), n(3, 4)),
+        "add.scalar_rhs": (ad.add, 1, n(3, 4), n(1, 1)),
+        "sub.lhs": (ad.sub, 0, n(3, 4), n(3, 4)),
+        "sub.rhs": (ad.sub, 1, n(3, 4), n(3, 4)),
+        "mul.lhs": (ad.mul, 0, n(3, 4), n(3, 4)),
+        "mul.rhs": (ad.mul, 1, n(3, 4), n(3, 4)),
+        "mul.scalar_rhs": (ad.mul, 1, n(3, 4), n(1, 1)),
+        "div.lhs": (ad.div, 0, n(3, 4), k(3, 4)),
+        "div.rhs": (ad.div, 1, n(3, 4), k(3, 4)),
+        "div.scalar_rhs": (ad.div, 1, n(3, 4), k(1, 1)),
+        "scale": (lambda x: ad.scale(x, -1.7), 0, n(3, 4)),
+        "relu": (ad.relu, 0, k(4, 5)),
+        "transpose": (ad.transpose, 0, n(3, 4)),
+        "reshape": (lambda x: ad.reshape(x, (2, 6)), 0, n(3, 4)),
+        "concat_rows": (_split_around, 0, n(6, 4), n(2, 4)),
+        "slice_rows": (lambda x: ad.slice_rows(x, 1, 3), 0, n(5, 4)),
+        "softmax_rows": (ad.softmax_rows, 0, n(4, 5)),
+        "l1_rowsum": (ad.l1_rowsum, 0, k(4, 5)),
+        "normalize_columns": (ad.normalize_columns, 0, pos(5, 2)),
+        "sq_frobenius": (ad.sq_frobenius, 0, n(3, 4)),
+        "sum_all": (ad.sum_all, 0, n(3, 4)),
+        "mean_rows": (ad.mean_rows, 0, n(6, 4)),
+        "affine.x": (ad.affine, 0, n(4, 3), n(3, 5), n(1, 5)),
+        "affine.w": (ad.affine, 1, n(4, 3), n(3, 5), n(1, 5)),
+        "affine.b": (ad.affine, 2, n(4, 3), n(3, 5), n(1, 5)),
+        "graph_affine.x": (_graph_affine, 1, _adjacency(5), n(5, 3), n(3, 4), n(1, 4)),
+        "graph_affine.w": (_graph_affine, 2, _adjacency(5), n(5, 3), n(3, 4), n(1, 4)),
+        "graph_affine.b": (_graph_affine, 3, _adjacency(5), n(5, 3), n(3, 4), n(1, 4)),
+        "cross_entropy.logits": (_cross_entropy, 0, n(6, 5), _labels(5, 6)),
+        # batched operands
+        "matmul.lhs.batched": (ad.matmul, 0, n(2, 4, 3), n(3, 5)),
+        "matmul.rhs.batched": (ad.matmul, 1, n(2, 4, 3), n(3, 5)),
+        "matmul.both.batched": (ad.matmul, 1, n(2, 4, 3), n(2, 3, 5)),
+        "add.broadcast_rhs": (ad.add, 1, n(2, 3, 4), n(3, 4)),
+        "sub.broadcast_rhs": (ad.sub, 1, n(2, 3, 4), n(3, 4)),
+        "mul.broadcast_rhs": (ad.mul, 1, n(2, 3, 4), n(1, 4)),
+        "div.broadcast_lhs": (ad.div, 0, n(3, 1), k(2, 3, 4)),
+        "div.broadcast_rhs": (ad.div, 1, n(2, 3, 4), k(2, 1, 4)),
+        "scale.batched": (lambda x: ad.scale(x, 0.6), 0, n(2, 3, 4)),
+        "relu.batched": (ad.relu, 0, k(2, 3, 4)),
+        "transpose.batched": (ad.transpose, 0, n(2, 3, 4)),
+        "reshape.batched": (lambda x: ad.reshape(x, (2, -1)), 0, n(2, 3, 4)),
+        "concat_rows.batched": (_split_around, 0, n(2, 5, 4), n(2, 2, 4)),
+        "slice_rows.batched": (lambda x: ad.slice_rows(x, 1, 3), 0, n(2, 5, 4)),
+        "softmax_rows.batched": (ad.softmax_rows, 0, n(2, 3, 4)),
+        "l1_rowsum.batched": (ad.l1_rowsum, 0, k(2, 3, 4)),
+        "normalize_columns.batched": (ad.normalize_columns, 0, pos(3, 5, 1)),
+        "normalize_columns.fallback": (_dead_middle, 0, pos(3, 5, 1)),
+        "sq_frobenius.batched": (ad.sq_frobenius, 0, n(2, 3, 4)),
+        "sum_all.batched": (ad.sum_all, 0, n(2, 3, 4)),
+        "mean_rows.batched": (ad.mean_rows, 0, n(2, 3, 4)),
+        "affine.x.batched": (ad.affine, 0, n(2, 3, 4), n(4, 5), n(1, 5)),
+        "affine.w.batched": (ad.affine, 1, n(2, 3, 4), n(4, 5), n(1, 5)),
+        "affine.b.batched": (ad.affine, 2, n(2, 3, 4), n(4, 5), n(1, 5)),
+        "graph_affine.x.batched": (
+            _graph_affine, 1, _adjacency(5), n(2, 5, 3), n(3, 4), n(1, 4)
+        ),
+        "graph_affine.w.batched": (
+            _graph_affine, 2, _adjacency(5), n(2, 5, 3), n(3, 4), n(1, 4)
+        ),
+        "graph_affine.b.batched": (
+            _graph_affine, 3, _adjacency(5), n(2, 5, 3), n(3, 4), n(1, 4)
+        ),
+        "cross_entropy.logits.batched": (
+            _cross_entropy, 0, n(2, 3, 4), _labels(4, 2, 3)
+        ),
+    }
+    # temporal_conv over (B, T, R, C) frames: the input, the middle tap and
+    # the bias, under both paddings
+    for padding in ("same", "valid"):
+        for target, wrt in (("x", 0), ("w", 2), ("b", 4)):
+            specs[f"temporal_conv.{padding}.{target}"] = (
+                _conv(padding), wrt, n(2, 3, 4, 3), n(3, 2), n(3, 2), n(3, 2), n(1, 2)
+            )
+    return {name: _op_case(*spec) for name, spec in specs.items()}
+
+
+def _loss_cases() -> dict:
+    cases = {}
     n, rows, chans = 4, 6, 3
-
-    def slices(x: Tensor, height: int):
-        count = x.shape[0] // height
-        return [ad.slice_rows(x, i * height, (i + 1) * height) for i in range(count)]
 
     def classification(rng):
         labels = rng.integers(0, 5, size=n)
         return (
-            lambda x: classification_loss(slices(x, 1), labels),
+            lambda x: classification_loss(x, labels),
             ad.tensor(rng.normal(size=(n, 5))),
         )
 
     def feature_center(rng):
-        return (
-            lambda x: feature_center_loss(slices(x, rows)),
-            ad.tensor(rng.normal(size=(n * rows, chans))),
-        )
+        return feature_center_loss, ad.tensor(rng.normal(size=(n, rows, chans)))
 
     def weight_center(rng):
         labels = rng.integers(0, 3, size=n)
         table = WeightCenterTable(n_classes=3, n_rows=rows, rate=0.5)
         table.update(rng.dirichlet(np.ones(rows), size=3), [0, 1, 2])
         return (
-            lambda x: weight_center_loss(slices(x, rows), labels, table, update=False),
-            ad.tensor(rng.normal(size=(n * rows, 1))),
+            lambda x: weight_center_loss(x, labels, table, update=False),
+            ad.tensor(rng.normal(size=(n, rows, 1))),
         )
 
     def balance(rng):
-        return (
-            lambda x: balance_loss(slices(x, rows)),
-            ad.tensor(rng.normal(size=(n * rows, 1))),
-        )
+        return balance_loss, ad.tensor(rng.normal(size=(n, rows, 1)))
 
     cases["loss.classification"] = classification
     cases["loss.feature_center"] = feature_center
@@ -345,9 +254,14 @@ class BatteryEntry:
         return self.result.passed
 
 
+# ops whose derivative jumps where their input crosses zero
+KINKED_OPS = ("relu", "l1_rowsum")
+
+
 def kink_margin(loss: Tensor) -> float:
     """Smallest distance of any rectifier or absolute-value input to its
-    kink, found by walking the tape from ``loss``.
+    kink, found by walking the tape from ``loss`` and picking nodes by
+    their op name.
 
     Central differences are only trustworthy when the +-h probe interval
     stays on one side of every kink, so end-to-end checks must run at a
@@ -362,23 +276,8 @@ def kink_margin(loss: Tensor) -> float:
             continue
         seen.add(id(node))
         stack.extend(node._parents)
-        if len(node._parents) != 1:
-            continue
-        parent = node._parents[0]
-        if (
-            node.ndim == 2
-            and parent.shape == node.shape
-            and np.array_equal(node.data, np.maximum(parent.data, 0.0))
-        ):
-            margin = min(margin, float(np.abs(parent.data).min()))
-        elif (
-            parent.ndim == 2
-            and node.shape == (parent.shape[0], 1)
-            and np.array_equal(
-                node.data, np.abs(parent.data).sum(axis=1, keepdims=True)
-            )
-        ):
-            margin = min(margin, float(np.abs(parent.data).min()))
+        if node.op in KINKED_OPS:
+            margin = min(margin, float(np.abs(node._parents[0].data).min()))
     return margin
 
 
@@ -401,7 +300,7 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
         n_subjects=1, samples_per_subject=3, n_classes=3, noise_sigma=0.5, seed=seed
     )
     model = ActionRelationNet(SMALL_MODEL, seed=seed)
-    graphs = [sample_graph(s, 3.0, model.selection) for s in samples]
+    graph = stack_graphs([sample_graph(s, 3.0, model.selection) for s in samples])
     labels = [s.label for s in samples]
     rng = np.random.default_rng(seed)
     table = WeightCenterTable(n_classes=3, n_rows=SMALL_MODEL.n_action_rows)
@@ -409,9 +308,8 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
     weights = LossWeights(feature_center=1.0, weight_center=1.0, balance=0.1)
 
     def objective(_: Tensor) -> Tensor:
-        results = [model.forward(g) for g in graphs]
         return total_loss(
-            results, labels, weights, table=table, update_table=False
+            model.forward(graph), labels, weights, table=table, update_table=False
         ).total
 
     baseline = model.params.state_dict()
@@ -451,6 +349,7 @@ def run_battery(
 ) -> list[BatteryEntry]:
     """Check every case under every seed; model parameters under the first
     two seeds (they dominate runtime and cover every op again)."""
+    release_cycles()
     cases = {**_op_cases(), **_loss_cases()}
     entries: list[BatteryEntry] = []
     for index, (name, build) in enumerate(cases.items()):

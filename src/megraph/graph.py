@@ -10,6 +10,7 @@ convolutions, so the adjacency here is per-frame and shared across frames.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,19 @@ class NodeSelection:
                 return start, start + size
             start += size
         raise KeyError(component)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """:func:`template_edges`, built on first use."""
+        return template_edges(self)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Normalized spatial adjacency, built on first use. Every graph of
+        this selection shares it, so it is read-only."""
+        a = normalize_adjacency(spatial_adjacency(self))
+        a.setflags(write=False)
+        return a
 
     def component_of(self, landmark: int) -> str:
         for name, idx in self.component_indices.items():
@@ -164,17 +178,21 @@ def component_subgraphs(selection: NodeSelection) -> tuple[SubGraph, ...]:
 
 @dataclass
 class StGraph:
-    """Node features for three keyframes over a shared per-frame adjacency."""
+    """Node features for three keyframes over a shared per-frame adjacency.
+
+    One sample's features are (3, 31, 2); a stacked batch of B samples that
+    share the adjacency has (B, 3, 31, 2).
+    """
 
     selection: NodeSelection
     adjacency: np.ndarray  # (31, 31) normalized, shared across frames
-    node_features: np.ndarray  # (3, 31, 2)
+    node_features: np.ndarray  # (3, 31, 2) or (B, 3, 31, 2)
     edges: tuple[tuple[int, int], ...] = field(repr=False, default=())
 
     @property
     def temporal_displacements(self) -> np.ndarray:
-        """Frame-to-frame coordinate deltas, shape (2, 31, 2)."""
-        return np.diff(self.node_features, axis=0)
+        """Frame-to-frame coordinate deltas, shape (..., 2, 31, 2)."""
+        return np.diff(self.node_features, axis=-3)
 
 
 def build_graph(
@@ -204,9 +222,27 @@ def build_graph(
 
     return StGraph(
         selection=selection,
-        adjacency=normalize_adjacency(spatial_adjacency(selection)),
+        adjacency=selection.adjacency,
         node_features=coords,
-        edges=template_edges(selection),
+        edges=selection.edges,
+    )
+
+
+def stack_graphs(graphs) -> StGraph:
+    """One batched graph, node features (B, 3, 31, 2), from one-sample
+    graphs that share their selection and adjacency."""
+    first = graphs[0]
+    for g in graphs[1:]:
+        shared = g.adjacency is first.adjacency or np.array_equal(
+            g.adjacency, first.adjacency
+        )
+        if not shared or g.selection != first.selection:
+            raise ValueError("stack_graphs: graphs do not share one adjacency")
+    return StGraph(
+        selection=first.selection,
+        adjacency=first.adjacency,
+        node_features=np.stack([g.node_features for g in graphs]),
+        edges=first.edges,
     )
 
 

@@ -3,7 +3,8 @@
 All four terms are differentiable through the tape; the centers they pull
 toward (batch feature mean, per-class weight centers) are held constant
 during differentiation and maintained outside the tape, so gradients flow
-only through the model outputs.
+only through the model outputs. Every term reads one stacked batch: (B, K)
+logits, (B, R, C) action features, (B, R, 1) slot weights.
 """
 
 from __future__ import annotations
@@ -139,63 +140,62 @@ class WeightCenterTable:
         return table
 
 
-def _add_chain(terms: Sequence[Tensor]) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return total
+def _require_batch(name: str, t: Tensor) -> None:
+    if t.ndim != 3:
+        raise ad.ShapeError(f"{name}: expected a (B, R, C) batch, got shape {t.shape}")
 
 
-def classification_loss(logits: Sequence[Tensor], labels: Sequence[int]) -> Tensor:
-    """Mean cross-entropy over per-sample (1, K) logit rows."""
-    return ad.cross_entropy(ad.concat_rows(list(logits)), np.asarray(labels))
+def classification_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
+    """Mean cross-entropy of (B, K) logits."""
+    return ad.cross_entropy(logits, np.asarray(labels))
 
 
-def feature_center_loss(action_features: Sequence[Tensor]) -> Tensor:
-    """Half mean squared distance of action features to their batch mean.
+def feature_center_loss(action_features: Tensor) -> Tensor:
+    """Half mean squared distance of (B, R, C) action features to their
+    batch mean.
 
     The mean is a constant during differentiation, so each sample is pulled
     toward the current batch center rather than the center chasing itself.
     """
-    n = len(action_features)
-    center = ad.constant(np.mean([f.data for f in action_features], axis=0))
-    terms = [ad.sq_frobenius(ad.sub(f, center)) for f in action_features]
-    return ad.scale(_add_chain(terms), 1.0 / (2.0 * n))
+    _require_batch("feature_center_loss", action_features)
+    n = action_features.shape[0]
+    center = ad.constant(action_features.data.mean(axis=0))
+    return ad.scale(ad.sq_frobenius(ad.sub(action_features, center)), 1.0 / (2.0 * n))
 
 
 def weight_center_loss(
-    weights: Sequence[Tensor],
+    weights: Tensor,
     labels: Sequence[int],
     table: WeightCenterTable,
     update: bool = True,
 ) -> Tensor:
-    """Mean squared distance of each weight vector to its class center.
+    """Mean squared distance of each (B, R, 1) weight vector to its class
+    center.
 
     Uses the centers as they stand, then (when update is set) folds the
     batch into the table. Evaluation passes must not update.
     """
-    n = len(weights)
-    terms = []
-    for w, label in zip(weights, labels):
-        target = ad.constant(table.center(int(label)).reshape(w.shape))
-        terms.append(ad.sq_frobenius(ad.sub(w, target)))
-    loss = ad.scale(_add_chain(terms), 1.0 / n)
+    _require_batch("weight_center_loss", weights)
+    n = weights.shape[0]
+    labels = np.asarray(labels, dtype=np.int64)
+    targets = ad.constant(table.centers[labels].reshape(weights.shape))
+    loss = ad.scale(ad.sq_frobenius(ad.sub(weights, targets)), 1.0 / n)
     if update:
-        flat = np.concatenate([w.data.reshape(1, -1) for w in weights], axis=0)
-        table.update(flat, [int(l) for l in labels])
+        table.update(weights.data.reshape(n, -1), labels)
     return loss
 
 
-def balance_loss(weights: Sequence[Tensor]) -> Tensor:
-    """Squared distance between the batch-mean weight vector and uniform.
+def balance_loss(weights: Tensor) -> Tensor:
+    """Squared distance between the batch-mean weight vector and uniform,
+    for (B, R, 1) weights.
 
     Pushes the model to spread relation mass across action slots on average
     rather than collapsing onto a few.
     """
-    rows = [ad.transpose(w) for w in weights]
-    mean = ad.mean_over_batch(ad.concat_rows(rows))
-    n_rows = mean.shape[1]
-    target = ad.constant(np.full((1, n_rows), 1.0 / n_rows))
+    _require_batch("balance_loss", weights)
+    n = weights.shape[0]
+    mean = ad.mean_rows(ad.reshape(weights, (n, -1)))
+    target = ad.constant(np.full(mean.shape, 1.0 / mean.shape[1]))
     return ad.sq_frobenius(ad.sub(mean, target))
 
 
@@ -234,59 +234,55 @@ def _check_finite(value: Tensor, name: str) -> Tensor:
 
 
 def total_loss(
-    results,
+    result,
     labels: Sequence[int],
     weights: LossWeights,
     table: WeightCenterTable | None = None,
     update_table: bool = True,
 ) -> LossBreakdown:
-    """Weighted sum of the four terms over a batch of forward results.
+    """Weighted sum of the four terms over one batched forward result.
 
     Terms with zero weight are skipped outright, so the total is exactly the
     classification loss when all three auxiliary weights are zero.
     """
-    ce = _check_finite(
-        classification_loss([r.logits for r in results], labels), "classification"
-    )
-    terms = [ce]
+    ce = _check_finite(classification_loss(result.logits, labels), "classification")
+    total = ce
     mc_value = wc_value = b_value = 0.0
 
     if weights.feature_center != 0.0:
-        feats = [r.action_features for r in results]
-        if any(f is None for f in feats):
+        if result.action_features is None:
             raise ValueError(
                 "feature-center loss requires action features; "
                 "use a variant that produces them or zero its weight"
             )
-        mc = _check_finite(feature_center_loss(feats), "feature-center")
+        mc = _check_finite(
+            feature_center_loss(result.action_features), "feature-center"
+        )
         mc_value = float(mc.data)
-        terms.append(ad.scale(mc, weights.feature_center))
+        total = ad.add(total, ad.scale(mc, weights.feature_center))
 
     needs_w = weights.weight_center != 0.0 or weights.balance != 0.0
-    if needs_w:
-        slot_weights = [r.weights for r in results]
-        if any(w is None for w in slot_weights):
-            raise ValueError(
-                "weight-center and balance losses require slot weights; "
-                "use the full variant or zero their weights"
-            )
+    if needs_w and result.weights is None:
+        raise ValueError(
+            "weight-center and balance losses require slot weights; "
+            "use the full variant or zero their weights"
+        )
 
     if weights.weight_center != 0.0:
         if table is None:
             raise ValueError("weight-center loss requires a center table")
         wc = _check_finite(
-            weight_center_loss(slot_weights, labels, table, update=update_table),
+            weight_center_loss(result.weights, labels, table, update=update_table),
             "weight-center",
         )
         wc_value = float(wc.data)
-        terms.append(ad.scale(wc, weights.weight_center))
+        total = ad.add(total, ad.scale(wc, weights.weight_center))
 
     if weights.balance != 0.0:
-        b = _check_finite(balance_loss(slot_weights), "balance")
+        b = _check_finite(balance_loss(result.weights), "balance")
         b_value = float(b.data)
-        terms.append(ad.scale(b, weights.balance))
+        total = ad.add(total, ad.scale(b, weights.balance))
 
-    total = _add_chain(terms)
     return LossBreakdown(
         total=total,
         ce=float(ce.data),

@@ -12,8 +12,11 @@ Three stages, each optional after the first:
    action slots scores each slot; the normalized scores weight the action
    features into a single recognition feature.
 
-A linear head maps the stage output (mean-pooled when the later stages are
-disabled) to class logits.
+A linear head maps the stage output (mean-pooled over the node axis when
+the later stages are disabled) to class logits.
+
+Every stage takes one sample or a stacked batch: the forward pass of B
+samples that share an adjacency is one tape, not B of them.
 """
 
 from __future__ import annotations
@@ -93,14 +96,19 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
-    """Logits plus the intermediates the auxiliary losses consume."""
+    """Logits plus the intermediates the auxiliary losses consume.
 
-    logits: Tensor  # (1, K)
-    node_features: Tensor  # (31, C_1)
-    action_maps: dict[str, Tensor] = field(default_factory=dict)  # comp -> (N_f, N_a)
-    action_features: Tensor | None = None  # (3*N_a, C_1)
-    weights: Tensor | None = None  # (3*N_a, 1), on the simplex when normalized
-    recognition_feature: Tensor | None = None  # (1, C_1)
+    Shapes are for a stacked batch of B samples; a one-sample graph gives
+    the same shapes without the leading B, except logits and the
+    recognition feature, which keep B = 1.
+    """
+
+    logits: Tensor  # (B, K)
+    node_features: Tensor  # (B, 31, C_1)
+    action_maps: dict[str, Tensor] = field(default_factory=dict)  # comp -> (B, N_f, N_a)
+    action_features: Tensor | None = None  # (B, 3*N_a, C_1)
+    weights: Tensor | None = None  # (B, 3*N_a, 1), on the simplex when normalized
+    recognition_feature: Tensor | None = None  # (B, C_1)
 
 
 def relation_adjacency(n_rows: int) -> np.ndarray:
@@ -165,36 +173,33 @@ class ActionRelationNet:
     # -- stages ------------------------------------------------------------
 
     def backbone(self, graph: StGraph) -> Tensor:
-        """(3, 31, 2) keyframe coordinates -> (31, C_1) node features."""
+        """(..., 3, 31, 2) keyframe coordinates -> (..., 31, C_1) node features."""
         frames = graph.node_features
-        if frames.shape[0] != 3 or frames.shape[1] != self.selection.n_nodes:
+        expected = (3, self.selection.n_nodes, N_FRAME_COORDS)
+        if frames.ndim not in (3, 4) or frames.shape[-3:] != expected:
             raise ad.ShapeError(
-                f"backbone: expected (3, {self.selection.n_nodes}, 2) node "
+                f"backbone: expected {expected} or (B, *{expected}) node "
                 f"features, got {frames.shape}"
             )
-        adj = graph.adjacency
         p = self.params
-        xs = [ad.constant(frames[t]) for t in range(3)]
-
-        for name in ("l1", "l2"):
-            gc_w, gc_b = p[f"backbone.{name}.gc.w"], p[f"backbone.{name}.gc.b"]
-            xs = [ad.relu(ad.graph_affine(adj, x, gc_w, gc_b)) for x in xs]
+        x = ad.constant(frames)
+        # width-3 temporal convolutions: layer 1 keeps the three frames
+        # (missing neighbors contribute nothing), layer 2 collapses them
+        for name, padding in (("l1", "same"), ("l2", "valid")):
+            x = ad.relu(
+                ad.graph_affine(
+                    graph.adjacency,
+                    x,
+                    p[f"backbone.{name}.gc.w"],
+                    p[f"backbone.{name}.gc.b"],
+                )
+            )
             taps = [p[f"backbone.{name}.tc.w{k}"] for k in range(3)]
-            tc_b = p[f"backbone.{name}.tc.b"]
-            if name == "l1":
-                # width-3 same padding: missing neighbors contribute nothing
-                xs = [
-                    ad.affine_sum([xs[0], xs[1]], [taps[1], taps[2]], tc_b),
-                    ad.affine_sum(xs, taps, tc_b),
-                    ad.affine_sum([xs[1], xs[2]], [taps[0], taps[1]], tc_b),
-                ]
-            else:
-                # width-3 valid: collapses the three frames to one
-                xs = [ad.affine_sum(xs, taps, tc_b)]
-        return xs[0]
+            x = ad.temporal_conv(x, taps, p[f"backbone.{name}.tc.b"], padding)
+        return ad.reshape(x, x.shape[:-3] + x.shape[-2:])
 
     def decompose(self, node_features: Tensor, subgraphs=None):
-        """Map (31, C_1) node features to (3*N_a, C_1) action features.
+        """Map (..., 31, C_1) node features to (..., 3*N_a, C_1) action features.
 
         Each component's nodes are softly assigned to N_a action slots; the
         assignment matrix rows are softmax-normalized so every node spreads
@@ -221,7 +226,7 @@ class ActionRelationNet:
                 p[f"actions.{sub.component}.mix.b"],
             )
             assign = ad.softmax_rows(scores)
-            row_sums = assign.data.sum(axis=1)
+            row_sums = assign.data.sum(axis=-1)
             if np.abs(row_sums - 1.0).max() > 1e-9:
                 raise InvariantError(
                     f"assignment rows for {sub.component} do not sum to 1"
@@ -233,8 +238,10 @@ class ActionRelationNet:
     def relate(self, action_features: Tensor):
         """Score action slots over their complete graph and pool.
 
-        Returns (recognition_feature (1, C_1), weights (3*N_a, 1)). Weights
-        are each slot's L1 feature mass, normalized to sum 1 by default.
+        Returns (recognition_feature (..., 1, C_1), weights (..., 3*N_a, 1)).
+        Weights are each slot's L1 feature mass, normalized per sample to
+        sum 1 by default; a sample whose slots all carry zero mass falls
+        back to uniform weights, with one warning per such sample.
         """
         p = self.params
         hidden = ad.relu(
@@ -248,41 +255,41 @@ class ActionRelationNet:
         scored = ad.affine(hidden, p["relation.mix.w"], p["relation.mix.b"])
         weights = ad.l1_rowsum(scored)
         if self.config.normalize_weights:
-            total = ad.sum_all(weights)
-            if float(total.data) <= 0.0:
+            dead = int(np.count_nonzero(weights.data.sum(axis=-2) <= 0.0))
+            for _ in range(dead):
                 warnings.warn(
                     "relation weights are all zero; falling back to uniform",
                     RuntimeWarning,
                 )
-                n = self.config.n_action_rows
-                weights = ad.constant(np.full((n, 1), 1.0 / n))
-            else:
-                weights = ad.div(weights, total)
+            weights = ad.normalize_columns(weights)
         pooled = ad.matmul(ad.transpose(weights), action_features)
         return pooled, weights
 
     def classify(self, features: Tensor) -> Tensor:
-        """(1, C_1) pooled features -> (1, K) logits."""
+        """(B, C_1) pooled features -> (B, K) logits."""
         return ad.affine(features, self.params["head.w"], self.params["head.b"])
 
     # -- composition ---------------------------------------------------------
 
     def forward(self, graph: StGraph) -> ForwardResult:
+        """Run every stage of the variant on one sample's graph, whose node
+        features are (3, 31, 2), or on a stacked batch, (B, 3, 31, 2)."""
         node_features = self.backbone(graph)
         if self.config.variant == "backbone":
             return ForwardResult(
-                logits=self.classify(ad.mean_over_batch(node_features)),
+                logits=self.classify(_per_sample(ad.mean_rows(node_features))),
                 node_features=node_features,
             )
         action_features, maps = self.decompose(node_features)
         if self.config.variant == "actions":
             return ForwardResult(
-                logits=self.classify(ad.mean_over_batch(action_features)),
+                logits=self.classify(_per_sample(ad.mean_rows(action_features))),
                 node_features=node_features,
                 action_maps=maps,
                 action_features=action_features,
             )
-        recognition, weights = self.relate(action_features)
+        pooled, weights = self.relate(action_features)
+        recognition = _per_sample(pooled)
         return ForwardResult(
             logits=self.classify(recognition),
             node_features=node_features,
@@ -291,3 +298,8 @@ class ActionRelationNet:
             weights=weights,
             recognition_feature=recognition,
         )
+
+
+def _per_sample(pooled: Tensor) -> Tensor:
+    """(..., 1, C) pooled rows -> (B, C), one row per sample."""
+    return ad.reshape(pooled, (-1, pooled.shape[-1]))

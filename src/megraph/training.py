@@ -10,6 +10,7 @@ excluded from the canonical report form.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import time
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import AugmentConfig, ExperimentConfig, save_config
-from .graph import StGraph, build_graph
+from .graph import StGraph, build_graph, stack_graphs
 from .landmarks import (
     LandmarkSample,
     crop_jitter,
@@ -124,6 +125,17 @@ def augmented(
     return out
 
 
+def release_cycles() -> None:
+    """Collect cyclic garbage before a run builds its tapes.
+
+    Tapes are acyclic and batched, so a run allocates too few objects to
+    trigger CPython's full collections; cycles the caller left behind (for
+    example modules dropped by a re-import) would otherwise stay resident
+    across many runs and raise peak memory with every one.
+    """
+    gc.collect()
+
+
 def sample_graph(sample: LandmarkSample, magnification: float, selection) -> StGraph:
     """Preprocessing pipeline: magnify motion, then build the graph."""
     return build_graph(magnify(sample, magnification), selection=selection)
@@ -178,13 +190,12 @@ def train_fold(
             mode=config.center_mode,
         )
 
-    graphs = [
-        sample_graph(s, config.magnification, model.selection)
-        for s in train_samples
-    ]
+    stacked = stack_graphs(
+        [sample_graph(s, config.magnification, model.selection) for s in train_samples]
+    )
     labels = np.array([s.label for s in train_samples])
     opt = config.optimizer
-    n = len(graphs)
+    n = len(train_samples)
 
     curves: list[dict] = []
     step = 0
@@ -197,9 +208,10 @@ def train_fold(
         for sl in _batch_slices(n, opt.batch_size, merge_tail=needs_pairs):
             idx = order[sl]
             try:
-                results = [model.forward(graphs[i]) for i in idx]
+                batch = replace(stacked, node_features=stacked.node_features[idx])
+                result = model.forward(batch)
                 breakdown = total_loss(
-                    results, labels[idx], eff, table=table, update_table=True
+                    result, labels[idx], eff, table=table, update_table=True
                 )
                 ad.backward(breakdown.total)
                 sgd_step(model.params, lr=opt.lr, momentum=opt.momentum)
@@ -244,6 +256,11 @@ class FoldReport:
         }
 
 
+# Evaluation runs the model on stacked chunks of at most this many samples,
+# so memory stays flat however large the evaluation set is.
+EVAL_CHUNK = 64
+
+
 def evaluate(
     model: ActionRelationNet,
     samples: list[LandmarkSample],
@@ -255,13 +272,15 @@ def evaluate(
     y_true: list[int] = []
     y_pred: list[int] = []
     logit_rows: list[list[float]] = []
-    for s in samples:
-        graph = sample_graph(s, magnification, model.selection)
-        result = model.forward(graph)
-        row = result.logits.data.ravel()
-        y_true.append(int(s.label))
-        y_pred.append(int(np.argmax(row)))
-        logit_rows.append([float(v) for v in row])
+    for start in range(0, len(samples), EVAL_CHUNK):
+        chunk = samples[start : start + EVAL_CHUNK]
+        batch = stack_graphs(
+            [sample_graph(s, magnification, model.selection) for s in chunk]
+        )
+        for s, row in zip(chunk, model.forward(batch).logits.data):
+            y_true.append(int(s.label))
+            y_pred.append(int(np.argmax(row)))
+            logit_rows.append([float(v) for v in row])
     return y_true, y_pred, logit_rows
 
 
@@ -319,6 +338,7 @@ def _pool_metrics(config: ExperimentConfig, fold_reports: list[FoldReport]):
 def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
     """Train and score one model per held-out subject; pool the predictions."""
     t0 = time.perf_counter()
+    release_cycles()
     samples = prepare_samples(config)
     folds = loso_split(samples)
     children = np.random.SeedSequence(config.seed).spawn(len(folds))
@@ -382,6 +402,7 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunReport:
     checks, not an estimate of generalization.
     """
     t0 = time.perf_counter()
+    release_cycles()
     samples = prepare_samples(config)
     master = np.random.SeedSequence(config.seed)
     data_ss, model_ss = master.spawn(2)
@@ -428,6 +449,7 @@ def evaluate_checkpoint(
 ) -> RunReport:
     """Score a saved checkpoint on the configured dataset."""
     t0 = time.perf_counter()
+    release_cycles()
     samples = prepare_samples(config)
     model = ActionRelationNet(config.model, seed=0)
     model.params.load_state_dict(read_checkpoint(checkpoint_path))

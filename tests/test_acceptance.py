@@ -194,16 +194,13 @@ def oracle_balance(weights):
     return sum((mean[i] - 1.0 / n_rows) ** 2 for i in range(n_rows))
 
 
-def fake_results(logits_rows, features=None, weights=None):
-    out = []
-    for i, row in enumerate(logits_rows):
-        out.append(ForwardResult(
-            logits=ad.constant(np.asarray(row).reshape(1, -1)),
-            node_features=None,
-            action_features=None if features is None else ad.constant(features[i]),
-            weights=None if weights is None else ad.constant(weights[i]),
-        ))
-    return out
+def fake_result(logits_rows, features=None, weights=None):
+    return ForwardResult(
+        logits=ad.constant(np.stack(logits_rows)),
+        node_features=None,
+        action_features=None if features is None else ad.constant(np.stack(features)),
+        weights=None if weights is None else ad.constant(np.stack(weights)),
+    )
 
 
 class TestAcceptance:
@@ -270,16 +267,14 @@ class TestAcceptance:
                 n, k, rows, chans = 5, 4, 6, 3
                 logits = rng.normal(size=(n, k))
                 labels = rng.integers(0, k, size=n)
-                got = classification_loss(
-                    [ad.constant(r.reshape(1, -1)) for r in logits], labels
-                )
+                got = classification_loss(ad.constant(logits), labels)
                 np.testing.assert_allclose(
                     float(got.data), oracle_ce(logits, labels),
                     rtol=0, atol=1e-10,
                 )
 
                 mats = [rng.normal(size=(rows, chans)) for _ in range(n)]
-                got = feature_center_loss([ad.constant(m) for m in mats])
+                got = feature_center_loss(ad.constant(np.stack(mats)))
                 np.testing.assert_allclose(
                     float(got.data), oracle_feature_center(mats),
                     rtol=0, atol=1e-10,
@@ -290,7 +285,7 @@ class TestAcceptance:
                 weights = [rng.normal(size=(rows, 1)) for _ in range(n)]
                 w_labels = [int(v) for v in rng.integers(0, k, size=n)]
                 got = weight_center_loss(
-                    [ad.constant(w) for w in weights], w_labels, table,
+                    ad.constant(np.stack(weights)), w_labels, table,
                     update=False,
                 )
                 np.testing.assert_allclose(
@@ -299,7 +294,7 @@ class TestAcceptance:
                     rtol=0, atol=1e-10,
                 )
 
-                got = balance_loss([ad.constant(w) for w in weights])
+                got = balance_loss(ad.constant(np.stack(weights)))
                 np.testing.assert_allclose(
                     float(got.data), oracle_balance(weights),
                     rtol=0, atol=1e-10,
@@ -310,35 +305,33 @@ class TestAcceptance:
             rng = np.random.default_rng(42)
 
             shared = rng.normal(size=(6, 3))
-            value = feature_center_loss([ad.constant(shared.copy())
-                                         for _ in range(4)])
+            value = feature_center_loss(ad.constant(np.stack([shared.copy()
+                                                              for _ in range(4)])))
             assert float(value.data) == 0.0
 
             table = WeightCenterTable(n_classes=3, n_rows=6)
             table.update(rng.dirichlet(np.ones(6), size=3), [0, 1, 2])
             labels = [0, 1, 2, 1]
-            weights = [ad.constant(table.center(l).reshape(6, 1))
-                       for l in labels]
+            weights = ad.constant(np.stack([table.center(l).reshape(6, 1)
+                                            for l in labels]))
             value = weight_center_loss(weights, labels, table, update=False)
             assert float(value.data) == 0.0
 
             delta = rng.normal(size=(6, 1)) * 0.1
             uniform = np.full((6, 1), 1.0 / 6.0)
-            value = balance_loss([ad.constant(uniform + delta),
-                                  ad.constant(uniform - delta)])
+            value = balance_loss(ad.constant(np.stack([uniform + delta,
+                                                       uniform - delta])))
             assert float(value.data) < 1e-30
 
             logits = rng.normal(size=(4, 5))
-            results = fake_results(logits)
-            breakdown = total_loss(results, [0, 1, 2, 3],
+            result = fake_result(logits)
+            breakdown = total_loss(result, [0, 1, 2, 3],
                                    LossWeights(0.0, 0.0, 0.0))
             assert breakdown.total_value == breakdown.ce
 
             for k in (2, 3, 5):
                 rows = np.full((3, k), 0.7)
-                value = classification_loss(
-                    [ad.constant(r.reshape(1, -1)) for r in rows], [0, 1, 0][:3]
-                )
+                value = classification_loss(ad.constant(rows), [0, 1, 0][:3])
                 np.testing.assert_allclose(
                     float(value.data), np.log(k), rtol=0, atol=1e-12
                 )

@@ -123,7 +123,7 @@ class TestForwardValues:
         )
         np.testing.assert_allclose(ad.sum_all(ad.constant(x)).data, x.sum())
         np.testing.assert_allclose(
-            ad.mean_over_batch(ad.constant(x)).data,
+            ad.mean_rows(ad.constant(x)).data,
             x.mean(axis=0, keepdims=True),
         )
 
@@ -138,13 +138,41 @@ class TestForwardValues:
         np.testing.assert_allclose(
             ad.graph_affine(adj, tx, tw, tb).data, adj @ x @ w + b
         )
-        x2 = rng.normal(size=(5, 3))
-        w2 = rng.normal(size=(3, 2))
-        np.testing.assert_allclose(
-            ad.affine_sum(
-                [tx, ad.constant(x2)], [tw, ad.constant(w2)], tb
-            ).data,
-            x @ w + x2 @ w2 + b,
+
+    def test_temporal_conv_matches_loop(self):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(2, 3, 4, 3))
+        taps = [rng.normal(size=(3, 2)) for _ in range(3)]
+        b = rng.normal(size=(1, 2))
+        args = ([ad.constant(w) for w in taps], ad.constant(b))
+        for padding, pad in (("same", 1), ("valid", 0)):
+            got = ad.temporal_conv(ad.constant(x), *args, padding).data
+            t_out = 3 + 2 * pad - 2
+            assert got.shape == (2, t_out, 4, 2)
+            for n in range(2):
+                for t in range(t_out):
+                    want = b.copy()
+                    for k in range(3):
+                        src = t + k - pad
+                        if 0 <= src < 3:
+                            want = want + x[n, src] @ taps[k]
+                    np.testing.assert_allclose(got[n, t], want, atol=1e-12)
+
+    def test_batched_ops_match_per_matrix_calls(self):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(3, 5, 4))
+        w = ad.constant(rng.normal(size=(4, 2)))
+        b = ad.constant(rng.normal(size=(1, 2)))
+        adj = rng.normal(size=(5, 5))
+        batched = ad.graph_affine(adj, ad.constant(x), w, b).data
+        for i in range(3):
+            one = ad.graph_affine(adj, ad.constant(x[i]), w, b).data
+            np.testing.assert_allclose(batched[i], one, atol=1e-12)
+        np.testing.assert_array_equal(
+            ad.slice_rows(ad.constant(x), 1, 3).data, x[:, 1:3]
+        )
+        np.testing.assert_array_equal(
+            ad.transpose(ad.constant(x)).data, np.swapaxes(x, 1, 2)
         )
 
     def test_cross_entropy_matches_loop(self):
@@ -217,6 +245,36 @@ class TestBackwardClosedForms:
         with pytest.raises(ShapeError):
             ad.relu(x).backward()
 
+    def test_weight_gradient_sums_over_batch_axes(self):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(3, 5, 4))
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        ad.sum_all(ad.matmul(ad.constant(x), w)).backward()
+        want = sum(x[i].T @ np.ones((5, 2)) for i in range(3))
+        np.testing.assert_allclose(w.grad, want, atol=1e-12)
+        bias = Tensor(np.zeros((1, 4)), requires_grad=True)
+        ad.sum_all(ad.add(ad.constant(x), bias)).backward()
+        np.testing.assert_array_equal(bias.grad, np.full((1, 4), 15.0))
+
+    def test_backward_skips_constant_branches(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        c = ad.constant([[3.0, 4.0]])
+        scaled = ad.scale(c, 2.0)
+        y = ad.sum_all(ad.mul(x, scaled))
+        assert not scaled._needs and y._needs
+        y.backward()
+        np.testing.assert_array_equal(x.grad, [[6.0, 8.0]])
+        assert scaled.grad is None and c.grad is None
+        # nothing to differentiate: backward is a no-op
+        ad.sum_all(scaled).backward()
+        assert scaled.grad is None
+
+    def test_nodes_carry_their_op_name(self):
+        x = ad.constant(np.ones((2, 2)))
+        assert x.op == ""
+        assert ad.relu(x).op == "relu"
+        assert ad.l1_rowsum(ad.relu(x)).op == "l1_rowsum"
+
     def test_backward_is_deterministic(self):
         rng = np.random.default_rng(42)
         data = rng.normal(size=(4, 3))
@@ -249,7 +307,7 @@ class TestGradCheck:
             "cross_entropy": lambda t: ad.cross_entropy(
                 t, np.array([0, 2, 1])
             ),
-            "mean": lambda t: ad.sq_frobenius(ad.mean_over_batch(t)),
+            "mean": lambda t: ad.sq_frobenius(ad.mean_rows(t)),
         }
         for name, f in cases.items():
             x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

@@ -15,6 +15,7 @@ from megraph.graph import (
     normalize_adjacency,
     spatial_adjacency,
     split_components,
+    stack_graphs,
     template_edges,
 )
 from megraph.landmarks import LandmarkSample, neutral_face_template
@@ -216,6 +217,36 @@ class TestBuildGraph:
         assert d.shape == (2, 31, 2)
         np.testing.assert_allclose(d[0], 1.0)
         np.testing.assert_allclose(d[1], 2.0)
+
+    def test_adjacency_is_shared_and_read_only(self):
+        sel = default_selection()
+        a = build_graph(neutral_sample(), selection=sel)
+        b = build_graph(neutral_sample(label=1, subject="s02"), selection=sel)
+        assert a.adjacency is b.adjacency
+        np.testing.assert_array_equal(
+            a.adjacency, normalize_adjacency(spatial_adjacency(sel))
+        )
+        with pytest.raises(ValueError):
+            a.adjacency[0, 0] = 5.0
+        assert a.edges == template_edges(sel)
+
+
+class TestStackGraphs:
+    def test_stacks_node_features_over_a_shared_adjacency(self):
+        sel = default_selection()
+        graphs = [build_graph(neutral_sample(label=i), selection=sel) for i in range(3)]
+        batch = stack_graphs(graphs)
+        assert batch.node_features.shape == (3, 3, 31, 2)
+        assert batch.adjacency is graphs[0].adjacency
+        for i, g in enumerate(graphs):
+            np.testing.assert_array_equal(batch.node_features[i], g.node_features)
+        assert batch.temporal_displacements.shape == (3, 2, 31, 2)
+
+    def test_rejects_a_different_adjacency(self):
+        graphs = [build_graph(neutral_sample()) for _ in range(2)]
+        graphs[1].adjacency = np.eye(31)
+        with pytest.raises(ValueError, match="adjacency"):
+            stack_graphs(graphs)
 
 
 class TestSplitConcat:

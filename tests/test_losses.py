@@ -20,20 +20,21 @@ from megraph.losses import (
 from megraph.model import ForwardResult
 
 
-def fake_results(rng, n, k=3, rows=4, channels=3):
-    """Hand-built forward results so losses can be tested in isolation."""
-    out = []
+def fake_result(rng, n, k=3, rows=4, channels=3):
+    """A hand-built batched forward result, so losses can be tested in
+    isolation."""
+    logits, feats, weights = [], [], []
     for _ in range(n):
         raw = np.abs(rng.normal(size=(rows, 1))) + 0.1
-        out.append(
-            ForwardResult(
-                logits=ad.constant(rng.normal(size=(1, k))),
-                node_features=None,
-                action_features=ad.constant(rng.normal(size=(rows, channels))),
-                weights=ad.constant(raw / raw.sum()),
-            )
-        )
-    return out
+        logits.append(rng.normal(size=k))
+        feats.append(rng.normal(size=(rows, channels)))
+        weights.append(raw / raw.sum())
+    return ForwardResult(
+        logits=ad.constant(np.stack(logits)),
+        node_features=None,
+        action_features=ad.constant(np.stack(feats)),
+        weights=ad.constant(np.stack(weights)),
+    )
 
 
 def oracle_ce(logit_rows, labels):
@@ -90,80 +91,80 @@ class TestLoopOracles:
     def test_all_four_terms_match_loops(self):
         rng = np.random.default_rng(42)
         for trial in range(20):
-            results = fake_results(rng, n=int(rng.integers(2, 6)))
-            labels = [int(v) for v in rng.integers(0, 3, size=len(results))]
+            result = fake_result(rng, n=int(rng.integers(2, 6)))
+            n = result.logits.shape[0]
+            labels = [int(v) for v in rng.integers(0, 3, size=n)]
             table = WeightCenterTable(n_classes=3, n_rows=4)
             table.centers = rng.dirichlet(np.ones(4), size=3)
 
-            ce = classification_loss([r.logits for r in results], labels)
+            ce = classification_loss(result.logits, labels)
             np.testing.assert_allclose(
                 float(ce.data),
-                oracle_ce([r.logits.data for r in results], labels),
+                oracle_ce(list(result.logits.data), labels),
                 atol=1e-10,
             )
 
-            feats = [r.action_features for r in results]
-            mc = feature_center_loss(feats)
+            mc = feature_center_loss(result.action_features)
             np.testing.assert_allclose(
                 float(mc.data),
-                oracle_feature_center([f.data for f in feats]),
+                oracle_feature_center(list(result.action_features.data)),
                 atol=1e-10,
             )
 
-            ws = [r.weights for r in results]
+            ws = result.weights
             centers_before = table.centers.copy()
             wc = weight_center_loss(ws, labels, table, update=False)
             np.testing.assert_allclose(
                 float(wc.data),
-                oracle_weight_center(
-                    [w.data for w in ws], labels, centers_before
-                ),
+                oracle_weight_center(list(ws.data), labels, centers_before),
                 atol=1e-10,
             )
 
             b = balance_loss(ws)
             np.testing.assert_allclose(
-                float(b.data), oracle_balance([w.data for w in ws]), atol=1e-10
+                float(b.data), oracle_balance(list(ws.data)), atol=1e-10
             )
 
 
 class TestClosedForms:
     def test_uniform_logits_give_log_k(self):
         for k in (2, 3, 5):
-            logits = [ad.constant(np.zeros((1, k))) for _ in range(4)]
-            ce = classification_loss(logits, [0] * 4)
+            ce = classification_loss(ad.constant(np.zeros((4, k))), [0] * 4)
             np.testing.assert_allclose(float(ce.data), np.log(k), atol=1e-12)
 
     def test_identical_features_zero_center_loss(self):
-        f = ad.constant(np.random.default_rng(42).normal(size=(4, 3)))
-        mc = feature_center_loss([f, f, f])
+        f = np.random.default_rng(42).normal(size=(4, 3))
+        mc = feature_center_loss(ad.constant(np.stack([f, f, f])))
         np.testing.assert_allclose(float(mc.data), 0.0, atol=1e-15)
 
     def test_two_sample_center_loss_is_eighth_of_gap(self):
         # two samples, center at the midpoint: loss = |a - b|^2 / 8
-        a = ad.constant(np.zeros((2, 2)))
-        b = ad.constant(np.ones((2, 2)))
-        mc = feature_center_loss([a, b])
+        pair = np.stack([np.zeros((2, 2)), np.ones((2, 2))])
+        mc = feature_center_loss(ad.constant(pair))
         np.testing.assert_allclose(float(mc.data), 4.0 / 8.0)
 
     def test_weight_center_simple_value(self):
         # one sample with weights (1, 0) against center (0.5, 0.5):
         # squared distance 0.25 + 0.25 = 0.5
         table = WeightCenterTable(n_classes=2, n_rows=2)
-        w = ad.constant(np.array([[1.0], [0.0]]))
-        loss = weight_center_loss([w], [0], table, update=False)
+        w = ad.constant(np.array([[[1.0], [0.0]]]))
+        loss = weight_center_loss(w, [0], table, update=False)
         np.testing.assert_allclose(float(loss.data), 0.5, atol=1e-12)
 
     def test_uniform_weights_zero_balance(self):
-        w = ad.constant(np.full((4, 1), 0.25))
-        np.testing.assert_allclose(float(balance_loss([w, w]).data), 0.0)
+        w = ad.constant(np.full((2, 4, 1), 0.25))
+        np.testing.assert_allclose(float(balance_loss(w).data), 0.0)
 
     def test_balance_penalizes_collapse(self):
-        collapsed = ad.constant(np.array([[1.0], [0.0], [0.0], [0.0]]))
-        uniform = ad.constant(np.full((4, 1), 0.25))
-        assert float(balance_loss([collapsed]).data) > float(
-            balance_loss([uniform]).data
+        collapsed = ad.constant(np.array([[[1.0], [0.0], [0.0], [0.0]]]))
+        uniform = ad.constant(np.full((1, 4, 1), 0.25))
+        assert float(balance_loss(collapsed).data) > float(
+            balance_loss(uniform).data
         )
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ad.ShapeError):
+            balance_loss(ad.constant(np.full((4, 1), 0.25)))
 
 
 class TestCenterTable:
@@ -217,10 +218,10 @@ class TestCenterTable:
 class TestTotalLoss:
     def test_zero_weights_reduce_to_classification_exactly(self):
         rng = np.random.default_rng(42)
-        results = fake_results(rng, n=3)
+        result = fake_result(rng, n=3)
         labels = [0, 1, 2]
-        breakdown = total_loss(results, labels, LossWeights(0.0, 0.0, 0.0))
-        ce = classification_loss([r.logits for r in results], labels)
+        breakdown = total_loss(result, labels, LossWeights(0.0, 0.0, 0.0))
+        ce = classification_loss(result.logits, labels)
         assert breakdown.total_value == float(ce.data)
         assert breakdown.feature_center == 0.0
         assert breakdown.weight_center == 0.0
@@ -228,12 +229,12 @@ class TestTotalLoss:
 
     def test_weighted_sum_identity(self):
         rng = np.random.default_rng(42)
-        results = fake_results(rng, n=4)
+        result = fake_result(rng, n=4)
         labels = [0, 1, 2, 0]
         table = WeightCenterTable(n_classes=3, n_rows=4)
         w = LossWeights(feature_center=0.7, weight_center=1.3, balance=0.2)
         breakdown = total_loss(
-            results, labels, w, table=table, update_table=False
+            result, labels, w, table=table, update_table=False
         )
         expected = (
             breakdown.ce
@@ -245,13 +246,13 @@ class TestTotalLoss:
 
     def test_lambda_scaling_is_linear(self):
         rng = np.random.default_rng(42)
-        results = fake_results(rng, n=3)
+        result = fake_result(rng, n=3)
         labels = [0, 1, 2]
         base = total_loss(
-            results, labels, LossWeights(1.0, 0.0, 0.0)
+            result, labels, LossWeights(1.0, 0.0, 0.0)
         )
         doubled = total_loss(
-            results, labels, LossWeights(2.0, 0.0, 0.0)
+            result, labels, LossWeights(2.0, 0.0, 0.0)
         )
         np.testing.assert_allclose(
             doubled.total_value - doubled.ce,
@@ -261,56 +262,49 @@ class TestTotalLoss:
 
     def test_missing_inputs_rejected(self):
         rng = np.random.default_rng(42)
-        bare = [
-            ForwardResult(
-                logits=ad.constant(rng.normal(size=(1, 3))), node_features=None
-            )
-            for _ in range(2)
-        ]
+        bare = ForwardResult(
+            logits=ad.constant(rng.normal(size=(2, 3))), node_features=None
+        )
         with pytest.raises(ValueError, match="action features"):
             total_loss(bare, [0, 1], LossWeights(1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="slot weights"):
             total_loss(bare, [0, 1], LossWeights(0.0, 0.0, 0.1))
-        full = fake_results(rng, n=2)
+        full = fake_result(rng, n=2)
         with pytest.raises(ValueError, match="center table"):
             total_loss(full, [0, 1], LossWeights(0.0, 1.0, 0.0), table=None)
 
     def test_update_flag_controls_table_mutation(self):
         rng = np.random.default_rng(42)
-        results = fake_results(rng, n=3)
+        result = fake_result(rng, n=3)
         labels = [0, 1, 2]
         weights = LossWeights(0.0, 1.0, 0.0)
         frozen = WeightCenterTable(n_classes=3, n_rows=4)
         before = frozen.centers.copy()
-        total_loss(results, labels, weights, table=frozen, update_table=False)
+        total_loss(result, labels, weights, table=frozen, update_table=False)
         np.testing.assert_array_equal(frozen.centers, before)
         updated = WeightCenterTable(n_classes=3, n_rows=4)
-        total_loss(results, labels, weights, table=updated, update_table=True)
+        total_loss(result, labels, weights, table=updated, update_table=True)
         assert np.abs(updated.centers - before).max() > 1e-6
 
     def test_non_finite_term_is_named(self):
-        results = [
-            ForwardResult(
-                logits=ad.constant([[np.inf, 0.0, 0.0]]), node_features=None
-            )
-            for _ in range(2)
-        ]
+        result = ForwardResult(
+            logits=ad.constant([[np.inf, 0.0, 0.0]] * 2), node_features=None
+        )
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError, match="classification"):
-                total_loss(results, [0, 1], LossWeights(0.0, 0.0, 0.0))
+                total_loss(result, [0, 1], LossWeights(0.0, 0.0, 0.0))
 
     def test_backward_reaches_logits(self):
         rng = np.random.default_rng(42)
-        results = fake_results(rng, n=3)
-        for r in results:
-            r.logits.requires_grad = True
+        result = fake_result(rng, n=3)
+        result.logits.requires_grad = True
         labels = [0, 1, 2]
         table = WeightCenterTable(n_classes=3, n_rows=4)
         breakdown = total_loss(
-            results, labels, LossWeights(1.0, 1.0, 0.1),
+            result, labels, LossWeights(1.0, 1.0, 0.1),
             table=table, update_table=False,
         )
         breakdown.total.backward()
-        for r in results:
-            assert r.logits.grad is not None
-            assert np.abs(r.logits.grad).max() > 0
+        assert result.logits.grad is not None
+        for row in result.logits.grad:
+            assert np.abs(row).max() > 0
