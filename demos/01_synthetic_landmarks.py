@@ -40,11 +40,17 @@ print(f"peak apex displacement: {displacement.max():.3f} px")
 
 # Motion magnification scales displacements relative to the onset frame and
 # leaves the onset itself untouched. Factor 3 is the pipeline default.
-louder = magnify(first, alpha=3.0)
-boosted = np.linalg.norm(louder.frames[1] - louder.frames[0], axis=1)
+louder = magnify(first.frames, alpha=3.0)
+boosted = np.linalg.norm(louder[1] - louder[0], axis=1)
 print(f"after x3 magnification: {boosted.max():.3f} px "
       f"(ratio {boosted.max() / displacement.max():.1f})")
-np.testing.assert_array_equal(louder.frames[0], first.frames[0])
+np.testing.assert_array_equal(louder[0], first.frames[0])
+
+# magnify works on arrays of any leading shape, so a whole dataset stacked
+# into one (N, 3, 68, 2) array is magnified in one call.
+stacked = magnify(np.stack([s.frames for s in samples]), alpha=3.0)
+np.testing.assert_array_equal(stacked[0], louder)
+print("stacked magnification:", stacked.shape)
 
 # Datasets round-trip through JSON lines bit-exactly.
 with tempfile.TemporaryDirectory() as tmp:

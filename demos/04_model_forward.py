@@ -7,20 +7,20 @@ backbone over the three keyframes, a soft decomposition of each facial
 component into action slots, a relation stage that scores the slots over a
 complete graph and pools them, and a linear classifier head.
 
-The model runs on a stacked batch: per-sample graphs share one adjacency,
-so their (3, 31, 2) keyframe coordinates stack into one (B, 3, 31, 2)
-array and every stage handles all B samples in one tape operation.
+The model runs on a stacked batch: graph building takes the samples'
+keyframes stacked into one (B, 3, 68, 2) array and gives (B, 3, 31, 2)
+node coordinates over one shared adjacency, and every stage handles all B
+samples in one tape operation.
 """
 
 import numpy as np
 
-from megraph.graph import build_graph, stack_graphs
+from megraph.graph import build_graph
 from megraph.landmarks import synthesize_dataset
 from megraph.model import ActionRelationNet, ModelConfig
 
 samples = synthesize_dataset(n_subjects=1, samples_per_subject=4, seed=0)
-graphs = [build_graph(s) for s in samples]
-batch = stack_graphs(graphs)
+batch = build_graph(np.stack([s.frames for s in samples]))
 print("stacked keyframes:", batch.node_features.shape)
 
 config = ModelConfig(variant="full", channels=16, n_actions=3,
@@ -54,7 +54,7 @@ print(np.round(result.logits.data, 4))
 
 # A one-sample graph runs through the same code; its logits match the
 # sample's row of the batch.
-single = model.forward(graphs[0]).logits.data
+single = model.forward(build_graph(samples[0].frames)).logits.data
 print("one-sample logits equal batch row 0:",
       bool(np.allclose(single[0], result.logits.data[0], rtol=0, atol=1e-12)))
 

@@ -12,9 +12,9 @@ This demo uses a reduced dataset so it finishes in seconds; the acceptance
 suite runs the full 10-subject comparison over five seeds.
 """
 
+import tempfile
 import warnings
-
-import numpy as np
+from pathlib import Path
 
 from megraph.config import ExperimentConfig, OptimizerConfig, SynthSpec
 from megraph.model import ModelConfig
@@ -38,9 +38,12 @@ print(f"backbone pooled accuracy: {backbone.pooled_accuracy:.3f}")
 
 # Full model: action decomposition and relation weighting on top. The run
 # writes per-fold reports, curves, and checkpoints when out_dir is given.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
-    full = run_loso(config("full"), out_dir="/tmp/demo_loso")
+with tempfile.TemporaryDirectory() as run_dir:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        full = run_loso(config("full"), out_dir=run_dir)
+    written = sorted(p.name for p in Path(run_dir).iterdir())
+    print(f"artifacts in {run_dir}: {', '.join(written)}")
 print(f"full pooled accuracy:     {full.pooled_accuracy:.3f}")
 print()
 print(format_report(full))
@@ -52,7 +55,6 @@ weighted = sum(f.accuracy * len(f.y_true) for f in full.folds) / sum(
 )
 assert abs(full.pooled_accuracy - weighted) <= 1e-12
 print("fold subjects:", full.fold_subjects)
-print("artifacts: /tmp/demo_loso (report.json, curves.csv, checkpoints/)")
 
 # Rerunning with the same seed reproduces the report bit for bit.
 with warnings.catch_warnings():

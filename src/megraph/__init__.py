@@ -25,7 +25,6 @@ from .graph import (
     build_graph,
     default_selection,
     normalize_adjacency,
-    stack_graphs,
 )
 from .landmarks import (
     LandmarkSample,
@@ -87,7 +86,6 @@ __all__ = [
     "autodiff",
     "balance_loss",
     "build_graph",
-    "stack_graphs",
     "classification_loss",
     "confusion_matrix",
     "crop_jitter",

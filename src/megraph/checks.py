@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradCheckResult, Tensor
-from .graph import normalize_adjacency, stack_graphs
+from .graph import normalize_adjacency
 from .landmarks import synthesize_dataset
 from .losses import (
     LossWeights,
@@ -300,7 +300,7 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
         n_subjects=1, samples_per_subject=3, n_classes=3, noise_sigma=0.5, seed=seed
     )
     model = ActionRelationNet(SMALL_MODEL, seed=seed)
-    graph = stack_graphs([sample_graph(s, 3.0, model.selection) for s in samples])
+    graph = sample_graph(samples, 3.0, model.selection)
     labels = [s.label for s in samples]
     rng = np.random.default_rng(seed)
     table = WeightCenterTable(n_classes=3, n_rows=SMALL_MODEL.n_action_rows)

@@ -1,19 +1,61 @@
 """Experiment configuration: one serializable object per run.
 
 Every run report embeds its full config, and a config loaded back from JSON
-compares equal to the one that wrote it.
+compares equal to the one that wrote it. Loading is strict: :func:`decode`
+rejects unknown keys and values of the wrong JSON type at every level.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .landmarks import DEFAULT_MAGNIFICATION, PATTERN_NAMES
 from .losses import CENTER_MODES, LossWeights
 from .model import ModelConfig
 
 F1_AVERAGES = ("macro", "micro")
+
+# JSON value types each field type accepts: bool is not an int, str is not a
+# number, and an int is a valid float.
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def decode(cls, data, path: str = "config"):
+    """Build dataclass ``cls`` from a decoded JSON object.
+
+    Missing fields take their defaults and nested dataclass fields are
+    decoded in turn. An unknown key or a value of the wrong type raises
+    ValueError naming its dotted path, such as ``config.optimizer.epochs``.
+    """
+    if not isinstance(data, dict):
+        return _decode_value(cls, data, path)
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown config fields in {path}: {unknown}")
+    return cls(
+        **{k: _decode_value(hints[k], v, f"{path}.{k}") for k, v in data.items()}
+    )
+
+
+def _decode_value(hint, value, path: str):
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    for kind in kinds:
+        if is_dataclass(kind) and isinstance(value, dict):
+            return decode(kind, value, path)
+        if type(value) in _ACCEPTS.get(kind, ()):
+            return value
+    expected = " or ".join(
+        "null" if k is type(None) else "object" if is_dataclass(k) else k.__name__
+        for k in kinds
+    )
+    got = "null" if value is None else type(value).__name__
+    raise ValueError(f"{path}: expected {expected}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -46,10 +88,6 @@ class SynthSpec:
             "noise_sigma": self.noise_sigma,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
 
 @dataclass(frozen=True)
@@ -89,10 +127,6 @@ class OptimizerConfig:
             "plateau_tol": self.plateau_tol,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizerConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
-
 
 @dataclass(frozen=True)
 class AugmentConfig:
@@ -120,10 +154,6 @@ class AugmentConfig:
             "max_scale": self.max_scale,
             "max_shift": self.max_shift,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
 
 @dataclass(frozen=True)
@@ -171,21 +201,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        if known.get("synth") is not None:
-            known["synth"] = SynthSpec.from_dict(known["synth"])
-        if "model" in known:
-            known["model"] = ModelConfig.from_dict(known["model"])
-        if "loss_weights" in known:
-            known["loss_weights"] = LossWeights.from_dict(known["loss_weights"])
-        if "optimizer" in known:
-            known["optimizer"] = OptimizerConfig.from_dict(known["optimizer"])
-        if "augment" in known:
-            known["augment"] = AugmentConfig.from_dict(known["augment"])
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown config fields: {unknown}")
-        return cls(**known)
+        return decode(cls, d)
 
 
 def dumps_config(config: ExperimentConfig) -> str:

@@ -5,6 +5,8 @@ The selection covers eyebrows (10 nodes), nose (9) and mouth outer contour
 contour chains within each component plus one bridging edge per adjacent
 component pair; temporal structure is left to the model's temporal
 convolutions, so the adjacency here is per-frame and shared across frames.
+:func:`build_graph` takes keyframes of shape (..., 3, 68, 2), one sample or
+a stack of them, and every graph of a selection shares its adjacency.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-from .landmarks import LandmarkSample
 
 COMPONENTS = ("eyebrow", "nose", "mouth")
 
@@ -29,7 +29,13 @@ _COMPONENT_SIZES = {"eyebrow": 10, "nose": 9, "mouth": 12}
 
 
 class DegenerateFrameError(ValueError):
-    """Onset frame has zero spatial extent; coordinates cannot be normalized."""
+    """An onset frame has zero spatial extent, so it cannot be normalized.
+    ``index`` is the sample's position in the flattened stack."""
+
+    def __init__(self, index: int, name: str | None = None):
+        self.index = index
+        who = index if name is None else f"'{name}'"
+        super().__init__(f"sample {who}: onset frame has zero spatial extent")
 
 
 @dataclass(frozen=True)
@@ -99,18 +105,19 @@ class NodeSelection:
         a.setflags(write=False)
         return a
 
-    def component_of(self, landmark: int) -> str:
-        for name, idx in self.component_indices.items():
-            if landmark in idx:
-                return name
-        raise KeyError(f"landmark {landmark} is not selected")
+
+_DEFAULT_SELECTION = NodeSelection(
+    component_indices={"eyebrow": _EYEBROW, "nose": _NOSE, "mouth": _MOUTH}
+)
 
 
 def default_selection() -> NodeSelection:
-    """Eyebrows 17-26, nose 27-35, mouth outer contour 48-59."""
-    return NodeSelection(
-        component_indices={"eyebrow": _EYEBROW, "nose": _NOSE, "mouth": _MOUTH}
-    )
+    """Eyebrows 17-26, nose 27-35, mouth outer contour 48-59.
+
+    Always the same instance, so every model and graph built on the default
+    shares one adjacency.
+    """
+    return _DEFAULT_SELECTION
 
 
 def template_edges(selection: NodeSelection) -> tuple[tuple[int, int], ...]:
@@ -180,8 +187,8 @@ def component_subgraphs(selection: NodeSelection) -> tuple[SubGraph, ...]:
 class StGraph:
     """Node features for three keyframes over a shared per-frame adjacency.
 
-    One sample's features are (3, 31, 2); a stacked batch of B samples that
-    share the adjacency has (B, 3, 31, 2).
+    One sample's features are (3, 31, 2); a stack of B samples that share
+    the adjacency has (B, 3, 31, 2).
     """
 
     selection: NodeSelection
@@ -189,36 +196,33 @@ class StGraph:
     node_features: np.ndarray  # (3, 31, 2) or (B, 3, 31, 2)
     edges: tuple[tuple[int, int], ...] = field(repr=False, default=())
 
-    @property
-    def temporal_displacements(self) -> np.ndarray:
-        """Frame-to-frame coordinate deltas, shape (..., 2, 31, 2)."""
-        return np.diff(self.node_features, axis=-3)
-
 
 def build_graph(
-    sample: LandmarkSample,
+    frames: np.ndarray,
     selection: NodeSelection | None = None,
     normalize: bool = True,
 ) -> StGraph:
-    """Select node coordinates and build the normalized per-frame adjacency.
+    """Select node coordinates from keyframes of shape (..., 3, 68, 2).
 
-    Normalization subtracts the onset centroid of the selected points and
-    divides by their RMS distance to it, cancelling translation and uniform
-    scale.
+    The graph's node features have shape (..., 3, 31, 2), over the
+    selection's shared adjacency. Normalization subtracts each sample's
+    onset centroid of the selected points and divides by their RMS distance
+    to it, cancelling translation and uniform scale. A sample whose onset
+    frame has no extent raises :class:`DegenerateFrameError`.
     """
     selection = selection or default_selection()
-    rows = list(selection.indices)
-    coords = sample.frames[:, rows, :].astype(np.float64)
+    # take() copies in C order: each sample's onset reduces as a lone one
+    # would, where a fancy index's strided copy can move the last bit.
+    coords = np.take(np.asarray(frames, dtype=np.float64), selection.indices, axis=-2)
 
     if normalize:
-        onset = coords[0]
-        centroid = onset.mean(axis=0)
-        spread = np.sqrt(((onset - centroid) ** 2).sum(axis=1).mean())
-        if spread <= 0.0:
-            raise DegenerateFrameError(
-                f"sample '{sample.subject}': onset frame has zero spatial extent"
-            )
-        coords = (coords - centroid) / spread
+        onset = coords[..., 0, :, :]
+        centroid = onset.mean(axis=-2, keepdims=True)
+        spread = np.sqrt(((onset - centroid) ** 2).sum(axis=-1).mean(axis=-1))
+        bad = np.flatnonzero(spread <= 0.0)
+        if bad.size:
+            raise DegenerateFrameError(int(bad[0]))
+        coords = (coords - centroid[..., None, :, :]) / spread[..., None, None, None]
 
     return StGraph(
         selection=selection,
@@ -226,48 +230,3 @@ def build_graph(
         node_features=coords,
         edges=selection.edges,
     )
-
-
-def stack_graphs(graphs) -> StGraph:
-    """One batched graph, node features (B, 3, 31, 2), from one-sample
-    graphs that share their selection and adjacency."""
-    first = graphs[0]
-    for g in graphs[1:]:
-        shared = g.adjacency is first.adjacency or np.array_equal(
-            g.adjacency, first.adjacency
-        )
-        if not shared or g.selection != first.selection:
-            raise ValueError("stack_graphs: graphs do not share one adjacency")
-    return StGraph(
-        selection=first.selection,
-        adjacency=first.adjacency,
-        node_features=np.stack([g.node_features for g in graphs]),
-        edges=first.edges,
-    )
-
-
-def split_components(features: np.ndarray, selection: NodeSelection):
-    """Split an array along its 31-node axis into (eyebrow, nose, mouth).
-
-    Accepts (31, C) or (T, 31, C); the node axis is whichever matches the
-    selection size first.
-    """
-    n = selection.n_nodes
-    if features.ndim >= 1 and features.shape[0] == n:
-        axis = 0
-    elif features.ndim >= 2 and features.shape[1] == n:
-        axis = 1
-    else:
-        raise ValueError(
-            f"split_components: no axis of size {n} in shape {features.shape}"
-        )
-    parts = []
-    for name in COMPONENTS:
-        start, stop = selection.rows(name)
-        parts.append(np.take(features, range(start, stop), axis=axis))
-    return tuple(parts)
-
-
-def concat_components(parts, axis: int = 0) -> np.ndarray:
-    """Inverse of :func:`split_components` for the same axis."""
-    return np.concatenate(parts, axis=axis)

@@ -3,13 +3,16 @@ and a synthetic corpus generator.
 
 A sample is three frames of 68 facial landmarks (onset, apex, offset) in a
 standard 68-point layout, plus a subject id and a class label. Samples are
-stored one JSON object per line.
+stored one JSON object per line. :func:`magnify` works on keyframe arrays of
+shape (..., 3, 68, 2), so a stack of samples is magnified in one call.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,14 +24,19 @@ DEFAULT_MAGNIFICATION = 3.0
 
 @dataclass
 class LandmarkSample:
-    """One labelled micro-expression clip reduced to three keyframes."""
+    """One labelled micro-expression clip reduced to three keyframes.
+
+    The sample keeps a read-only copy of its frames, so :attr:`digest` never
+    goes stale.
+    """
 
     subject: str
     label: int
-    frames: np.ndarray  # (3, 68, 2) float64
+    frames: np.ndarray  # (3, 68, 2) float64, read-only
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        self.frames = np.array(self.frames, dtype=np.float64)
+        self.frames.setflags(write=False)
         if self.frames.shape != (N_FRAMES, N_LANDMARKS, 2):
             raise ValueError(
                 f"frames must have shape ({N_FRAMES}, {N_LANDMARKS}, 2), "
@@ -38,6 +46,11 @@ class LandmarkSample:
             raise ValueError(f"sample '{self.subject}': non-finite coordinates")
         if self.label < 0:
             raise ValueError(f"label must be >= 0, got {self.label}")
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the frame bytes, computed on first use."""
+        return hashlib.sha256(self.frames.tobytes()).hexdigest()
 
     def to_record(self) -> dict:
         return {
@@ -78,14 +91,15 @@ def load_samples(path) -> list[LandmarkSample]:
     return out
 
 
-def magnify(sample: LandmarkSample, alpha: float = DEFAULT_MAGNIFICATION) -> LandmarkSample:
+def magnify(frames: np.ndarray, alpha: float = DEFAULT_MAGNIFICATION) -> np.ndarray:
     """Amplify motion relative to onset: p' = onset + alpha * (p - onset).
 
-    The onset frame is a fixed point; alpha = 1 is the identity.
+    ``frames`` has shape (..., 3, 68, 2): one sample's keyframes or a stack
+    of them. The onset frame is a fixed point; alpha = 1 is the identity.
+    Coordinates that overflow come back non-finite; the caller rejects them.
     """
-    onset = sample.frames[0]
-    frames = onset[None, :, :] + alpha * (sample.frames - onset[None, :, :])
-    return LandmarkSample(subject=sample.subject, label=sample.label, frames=frames)
+    onset = frames[..., :1, :, :]
+    return onset + alpha * (frames - onset)
 
 
 def crop_jitter(

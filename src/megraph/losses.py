@@ -46,10 +46,6 @@ class LossWeights:
             "balance": self.balance,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossWeights":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
-
 
 def for_variant(weights: LossWeights, variant: str) -> LossWeights:
     """Zero out terms whose inputs a variant does not produce.

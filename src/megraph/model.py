@@ -89,10 +89,6 @@ class ModelConfig:
             "normalize_weights": self.normalize_weights,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
-
 
 @dataclass
 class ForwardResult:

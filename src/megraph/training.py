@@ -4,14 +4,15 @@ Determinism contract: given one config (seed included), repeated runs on one
 machine produce bit-identical reports and checkpoints. All randomness flows
 from seed sequences derived from the config seed; fold order is the sorted
 subject order; wall_time is the only nondeterministic report field and is
-excluded from the canonical report form.
+excluded from the canonical report form. LOSO preprocesses the dataset
+once per run (:func:`sample_graph`) and slices each fold's rows from it;
+only jittered training copies are preprocessed per fold.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
-import hashlib
 import json
 import time
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import AugmentConfig, ExperimentConfig, save_config
-from .graph import StGraph, build_graph, stack_graphs
+from .graph import DegenerateFrameError, StGraph, build_graph, default_selection
 from .landmarks import (
     LandmarkSample,
     crop_jitter,
@@ -43,10 +44,6 @@ class LeakageError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
-
-
-def frames_digest(sample: LandmarkSample) -> str:
-    return hashlib.sha256(sample.frames.tobytes()).hexdigest()
 
 
 def prepare_samples(config: ExperimentConfig) -> list[LandmarkSample]:
@@ -103,9 +100,9 @@ def check_no_leakage(train: list[LandmarkSample], test: list[LandmarkSample]) ->
             raise LeakageError(
                 f"held-out subject '{s.subject}' has samples in the training set"
             )
-    train_hashes = {frames_digest(s) for s in train}
+    train_hashes = {s.digest for s in train}
     for s in test:
-        if frames_digest(s) in train_hashes:
+        if s.digest in train_hashes:
             raise LeakageError(
                 f"a held-out sample of subject '{s.subject}' appears in the "
                 "training set"
@@ -136,9 +133,36 @@ def release_cycles() -> None:
     gc.collect()
 
 
-def sample_graph(sample: LandmarkSample, magnification: float, selection) -> StGraph:
-    """Preprocessing pipeline: magnify motion, then build the graph."""
-    return build_graph(magnify(sample, magnification), selection=selection)
+def sample_graph(samples, magnification: float, selection) -> StGraph:
+    """Preprocessing pipeline: stack the samples' keyframes, magnify motion,
+    then build one graph with node features (N, 3, 31, 2). A sample whose
+    magnified coordinates overflow or whose onset has no extent is rejected
+    by subject."""
+    frames = magnify(np.stack([s.frames for s in samples]), magnification)
+    finite = np.isfinite(frames).all(axis=(1, 2, 3))
+    if not finite.all():
+        bad = samples[finite.argmin()].subject
+        raise ValueError(f"sample '{bad}': non-finite coordinates")
+    try:
+        return build_graph(frames, selection=selection)
+    except DegenerateFrameError as exc:
+        raise DegenerateFrameError(exc.index, samples[exc.index].subject) from None
+
+
+def _rows(graph: StGraph, rows) -> StGraph:
+    """The graph of the samples at ``rows`` of a stacked graph."""
+    return replace(graph, node_features=graph.node_features[rows])
+
+
+def _with_copies(samples, graph: StGraph, cfg: ExperimentConfig, rng):
+    """:func:`augmented` samples and their graph. ``graph`` holds the
+    originals, so only the jittered copies are preprocessed here."""
+    train = augmented(samples, cfg.augment, rng)
+    if len(train) > len(samples):
+        extra = sample_graph(train[len(samples) :], cfg.magnification, graph.selection)
+        features = np.concatenate([graph.node_features, extra.node_features])
+        graph = replace(graph, node_features=features)
+    return train, graph
 
 
 def _batch_slices(n: int, batch_size: int, merge_tail: bool) -> list[slice]:
@@ -166,11 +190,14 @@ def train_fold(
     rng: np.random.Generator,
     model_rng: np.random.Generator | int,
     context: str = "training",
+    graph: StGraph | None = None,
 ) -> TrainOutcome:
     """Run epochs of mini-batch descent on one training set.
 
-    Losses the configured variant cannot produce inputs for are dropped
-    before training starts. Stops early once the epoch-mean loss plateaus.
+    ``graph`` is the samples' stacked graph when the caller has already
+    preprocessed them; otherwise they are preprocessed here. Losses the
+    configured variant cannot produce inputs for are dropped before
+    training starts. Stops early once the epoch-mean loss plateaus.
     """
     if not train_samples:
         raise ValueError(f"{context}: training set is empty")
@@ -190,9 +217,8 @@ def train_fold(
             mode=config.center_mode,
         )
 
-    stacked = stack_graphs(
-        [sample_graph(s, config.magnification, model.selection) for s in train_samples]
-    )
+    if graph is None:
+        graph = sample_graph(train_samples, config.magnification, model.selection)
     labels = np.array([s.label for s in train_samples])
     opt = config.optimizer
     n = len(train_samples)
@@ -208,8 +234,7 @@ def train_fold(
         for sl in _batch_slices(n, opt.batch_size, merge_tail=needs_pairs):
             idx = order[sl]
             try:
-                batch = replace(stacked, node_features=stacked.node_features[idx])
-                result = model.forward(batch)
+                result = model.forward(_rows(graph, idx))
                 breakdown = total_loss(
                     result, labels[idx], eff, table=table, update_table=True
                 )
@@ -265,23 +290,27 @@ def evaluate(
     model: ActionRelationNet,
     samples: list[LandmarkSample],
     magnification: float,
+    graph: StGraph | None = None,
 ):
-    """Argmax predictions without augmentation or any state mutation."""
+    """Argmax predictions without augmentation or any state mutation.
+
+    ``graph`` is the samples' stacked graph when the caller has already
+    preprocessed them; otherwise each chunk is preprocessed on its own.
+    """
     if not samples:
         raise ValueError("evaluation set is empty")
-    y_true: list[int] = []
     y_pred: list[int] = []
     logit_rows: list[list[float]] = []
     for start in range(0, len(samples), EVAL_CHUNK):
-        chunk = samples[start : start + EVAL_CHUNK]
-        batch = stack_graphs(
-            [sample_graph(s, magnification, model.selection) for s in chunk]
-        )
-        for s, row in zip(chunk, model.forward(batch).logits.data):
-            y_true.append(int(s.label))
-            y_pred.append(int(np.argmax(row)))
-            logit_rows.append([float(v) for v in row])
-    return y_true, y_pred, logit_rows
+        chunk = slice(start, start + EVAL_CHUNK)
+        if graph is None:
+            batch = sample_graph(samples[chunk], magnification, model.selection)
+        else:
+            batch = _rows(graph, chunk)
+        logits = model.forward(batch).logits.data
+        y_pred.extend(logits.argmax(axis=1).tolist())
+        logit_rows.extend(logits.tolist())
+    return [int(s.label) for s in samples], y_pred, logit_rows
 
 
 @dataclass
@@ -320,19 +349,35 @@ class RunReport:
         }
 
 
-def _pool_metrics(config: ExperimentConfig, fold_reports: list[FoldReport]):
-    pooled_true = [y for r in fold_reports for y in r.y_true]
-    pooled_pred = [y for r in fold_reports for y in r.y_pred]
+def _fold_report(subject, model, samples, config, epochs_run, graph=None):
+    """Score ``model`` on ``samples`` as one fold of a run."""
+    y_true, y_pred, logits = evaluate(model, samples, config.magnification, graph)
+    acc = accuracy(y_true, y_pred)
+    return FoldReport(subject, y_true, y_pred, logits, acc, epochs_run)
+
+
+def _run_report(config: ExperimentConfig, folds: list[FoldReport], t0: float):
+    """Pool the folds' predictions into the run report."""
+    pooled_true = [y for r in folds for y in r.y_true]
+    pooled_pred = [y for r in folds for y in r.y_pred]
     pooled_acc = accuracy(pooled_true, pooled_pred)
-    weighted = (
-        sum(r.accuracy * len(r.y_true) for r in fold_reports) / len(pooled_true)
-    )
+    weighted = sum(r.accuracy * len(r.y_true) for r in folds) / len(pooled_true)
     if abs(pooled_acc - weighted) > 1e-12:
         raise InvariantError(
             "pooled accuracy does not equal the sample-weighted fold mean"
         )
     f1 = f1_report(pooled_true, pooled_pred, config.model.n_classes)
-    return pooled_true, pooled_acc, f1
+    return RunReport(
+        config=config.to_dict(),
+        folds=folds,
+        fold_subjects=[r.subject for r in folds],
+        pooled_accuracy=pooled_acc,
+        f1_macro=f1.macro,
+        f1_micro=f1.micro,
+        f1_per_class=f1.per_class,
+        f1_undefined_classes=f1.undefined_classes,
+        wall_time=time.perf_counter() - t0,
+    )
 
 
 def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
@@ -342,6 +387,8 @@ def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
     samples = prepare_samples(config)
     folds = loso_split(samples)
     children = np.random.SeedSequence(config.seed).spawn(len(folds))
+    graph = sample_graph(samples, config.magnification, default_selection())
+    subjects = np.array([s.subject for s in samples])
 
     fold_reports: list[FoldReport] = []
     all_curves: list[tuple[str, dict]] = []
@@ -349,7 +396,10 @@ def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
     for fold, ss in zip(folds, children):
         data_ss, model_ss = ss.spawn(2)
         rng = np.random.default_rng(data_ss)
-        train_set = augmented(fold.train, config.augment, rng)
+        held_out = subjects == fold.subject
+        train_set, train_graph = _with_copies(
+            fold.train, _rows(graph, ~held_out), config, rng
+        )
         check_no_leakage(train_set, fold.test)
         outcome = train_fold(
             train_set,
@@ -357,39 +407,20 @@ def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
             rng,
             np.random.default_rng(model_ss),
             context=f"fold {fold.subject}",
-        )
-        y_true, y_pred, logits = evaluate(
-            outcome.model, fold.test, config.magnification
+            graph=train_graph,
         )
         fold_reports.append(
-            FoldReport(
-                subject=fold.subject,
-                y_true=y_true,
-                y_pred=y_pred,
-                logits=logits,
-                accuracy=accuracy(y_true, y_pred),
-                epochs_run=outcome.epochs_run,
-            )
+            _fold_report(fold.subject, outcome.model, fold.test, config,
+                         outcome.epochs_run, _rows(graph, held_out))
         )
         all_curves.extend((fold.subject, row) for row in outcome.curves)
         checkpoints[f"fold_{fold.subject}"] = outcome.model.params.state_dict()
 
-    pooled_true, pooled_acc, f1 = _pool_metrics(config, fold_reports)
-    if len(pooled_true) != len(samples):
+    run = _run_report(config, fold_reports, t0)
+    if sum(len(f.y_true) for f in fold_reports) != len(samples):
         raise InvariantError(
             "held-out samples do not partition the dataset exactly once"
         )
-    run = RunReport(
-        config=config.to_dict(),
-        folds=fold_reports,
-        fold_subjects=[f.subject for f in folds],
-        pooled_accuracy=pooled_acc,
-        f1_macro=f1.macro,
-        f1_micro=f1.micro,
-        f1_per_class=f1.per_class,
-        f1_undefined_classes=f1.undefined_classes,
-        wall_time=time.perf_counter() - t0,
-    )
     if out_dir is not None:
         write_run_dir(out_dir, config, run, all_curves, checkpoints)
     return run
@@ -407,31 +438,15 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunReport:
     master = np.random.SeedSequence(config.seed)
     data_ss, model_ss = master.spawn(2)
     rng = np.random.default_rng(data_ss)
-    train_set = augmented(samples, config.augment, rng)
+    graph = sample_graph(samples, config.magnification, default_selection())
+    train_set, train_graph = _with_copies(samples, graph, config, rng)
     outcome = train_fold(
-        train_set, config, rng, np.random.default_rng(model_ss)
+        train_set, config, rng, np.random.default_rng(model_ss), graph=train_graph
     )
-    y_true, y_pred, logits = evaluate(outcome.model, samples, config.magnification)
-    report = FoldReport(
-        subject="(all)",
-        y_true=y_true,
-        y_pred=y_pred,
-        logits=logits,
-        accuracy=accuracy(y_true, y_pred),
-        epochs_run=outcome.epochs_run,
+    report = _fold_report(
+        "(all)", outcome.model, samples, config, outcome.epochs_run, graph
     )
-    f1 = f1_report(y_true, y_pred, config.model.n_classes)
-    run = RunReport(
-        config=config.to_dict(),
-        folds=[report],
-        fold_subjects=["(all)"],
-        pooled_accuracy=report.accuracy,
-        f1_macro=f1.macro,
-        f1_micro=f1.micro,
-        f1_per_class=f1.per_class,
-        f1_undefined_classes=f1.undefined_classes,
-        wall_time=time.perf_counter() - t0,
-    )
+    run = _run_report(config, [report], t0)
     if out_dir is not None:
         curves = [("(all)", row) for row in outcome.curves]
         write_run_dir(
@@ -453,27 +468,7 @@ def evaluate_checkpoint(
     samples = prepare_samples(config)
     model = ActionRelationNet(config.model, seed=0)
     model.params.load_state_dict(read_checkpoint(checkpoint_path))
-    y_true, y_pred, logits = evaluate(model, samples, config.magnification)
-    f1 = f1_report(y_true, y_pred, config.model.n_classes)
-    report = FoldReport(
-        subject="(eval)",
-        y_true=y_true,
-        y_pred=y_pred,
-        logits=logits,
-        accuracy=accuracy(y_true, y_pred),
-        epochs_run=0,
-    )
-    run = RunReport(
-        config=config.to_dict(),
-        folds=[report],
-        fold_subjects=["(eval)"],
-        pooled_accuracy=report.accuracy,
-        f1_macro=f1.macro,
-        f1_micro=f1.micro,
-        f1_per_class=f1.per_class,
-        f1_undefined_classes=f1.undefined_classes,
-        wall_time=time.perf_counter() - t0,
-    )
+    run = _run_report(config, [_fold_report("(eval)", model, samples, config, 0)], t0)
     if out_dir is not None:
         write_run_dir(out_dir, config, run, [], {})
     return run

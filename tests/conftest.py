@@ -1,8 +1,10 @@
 """Shared fixtures: small configurations that keep the unit tests fast."""
 
+import numpy as np
 import pytest
 
 from megraph.config import ExperimentConfig, OptimizerConfig, SynthSpec
+from megraph.landmarks import LandmarkSample, synthesize_dataset
 from megraph.model import ModelConfig
 
 
@@ -35,3 +37,17 @@ def tiny_experiment(tiny_model_config):
         ),
         seed=0,
     )
+
+
+@pytest.fixture
+def unusable_samples():
+    """Three subjects of three samples and three classes, where s02's first
+    sample has an onset frame without extent and s03's first an apex that
+    overflows once magnified. Also returns each subject's first index."""
+    samples = synthesize_dataset(n_subjects=3, samples_per_subject=3, n_classes=3)
+    first = {s.subject: i for i, s in reversed(list(enumerate(samples)))}
+    huge = samples[first["s03"]].frames.copy()
+    huge[1] = 1e308
+    samples[first["s02"]] = LandmarkSample("s02", 0, np.ones((3, 68, 2)))
+    samples[first["s03"]] = LandmarkSample("s03", 0, huge)
+    return samples, first

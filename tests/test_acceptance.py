@@ -34,7 +34,6 @@ from megraph.training import (
     LOSS_ROWS,
     MODULE_ROWS,
     check_no_leakage,
-    frames_digest,
     loso_split,
     prepare_samples,
     run_ablation,
@@ -232,7 +231,7 @@ class TestAcceptance:
                     n_subjects=1, samples_per_subject=1, noise_sigma=2.0,
                     seed=seed,
                 )[0]
-                result = model.forward(build_graph(sample))
+                result = model.forward(build_graph(sample.frames))
                 assert result.logits.shape == (1, k)
                 assert result.action_features.shape == (3 * na, c1)
                 assert result.weights.shape == (3 * na, 1)
@@ -377,17 +376,17 @@ class TestAcceptance:
         with criterion(7, "protocol integrity"):
             samples = prepare_samples(comparison_config("full", 0))
             folds = loso_split(samples)
-            all_digests = sorted(frames_digest(s) for s in samples)
+            all_digests = sorted(s.digest for s in samples)
             covered = []
             for fold in folds:
                 assert {s.subject for s in fold.train}.isdisjoint(
                     {s.subject for s in fold.test}
                 )
-                train_digests = {frames_digest(s) for s in fold.train}
+                train_digests = {s.digest for s in fold.train}
                 for s in fold.test:
-                    assert frames_digest(s) not in train_digests
+                    assert s.digest not in train_digests
                 check_no_leakage(fold.train, fold.test)
-                covered.extend(frames_digest(s) for s in fold.test)
+                covered.extend(s.digest for s in fold.test)
                 assert len(fold.train) + len(fold.test) == len(samples)
             assert sorted(covered) == all_digests
 

@@ -8,7 +8,7 @@ import pytest
 
 import megraph.autodiff as ad
 from megraph.checks import kink_margin
-from megraph.graph import StGraph, build_graph, stack_graphs
+from megraph.graph import StGraph, build_graph
 from megraph.landmarks import synthesize_dataset
 from megraph.losses import LossWeights, WeightCenterTable, total_loss
 from megraph.model import VARIANTS, ActionRelationNet, ModelConfig
@@ -27,7 +27,7 @@ def graphs_with_a_dead_sample(n):
     """n one-sample graphs; for n >= 2 the second is all zero, which drives
     every relation weight of a fresh full model to zero."""
     samples = synthesize_dataset(n_subjects=1, samples_per_subject=n, seed=3)
-    graphs = [build_graph(s) for s in samples]
+    graphs = [build_graph(s.frames) for s in samples]
     if n >= 2:
         graphs[1] = StGraph(
             selection=graphs[0].selection,
@@ -35,6 +35,15 @@ def graphs_with_a_dead_sample(n):
             node_features=np.zeros((3, 31, 2)),
         )
     return graphs
+
+
+def stacked(graphs):
+    """One batched graph over the shared adjacency of one-sample graphs."""
+    return StGraph(
+        selection=graphs[0].selection,
+        adjacency=graphs[0].adjacency,
+        node_features=np.stack([g.node_features for g in graphs]),
+    )
 
 
 def forward_counting_fallbacks(model, graph):
@@ -49,7 +58,7 @@ def forward_counting_fallbacks(model, graph):
 def test_batched_forward_equals_one_sample_forwards(variant, n):
     model = ActionRelationNet(small(variant), seed=1)
     graphs = graphs_with_a_dead_sample(n)
-    batch, batch_fallbacks = forward_counting_fallbacks(model, stack_graphs(graphs))
+    batch, batch_fallbacks = forward_counting_fallbacks(model, stacked(graphs))
     assert batch.logits.shape == (n, 3)
 
     singles = [forward_counting_fallbacks(model, g) for g in graphs]
@@ -93,7 +102,7 @@ def test_chunked_evaluate_equals_per_sample_logits():
     y_true, y_pred, logits = evaluate(model, samples, magnification=3.0)
     assert y_true == [s.label for s in samples]
     for s, pred, row in zip(samples, y_pred, logits):
-        one = model.forward(sample_graph(s, 3.0, model.selection)).logits.data[0]
+        one = model.forward(sample_graph([s], 3.0, model.selection)).logits.data[0]
         np.testing.assert_allclose(row, one, atol=1e-12)
         assert pred == int(np.argmax(row))
 
@@ -103,24 +112,26 @@ def test_kink_margin_of_a_batch_is_the_smallest_per_sample_margin():
     samples = synthesize_dataset(
         n_subjects=1, samples_per_subject=4, n_classes=3, noise_sigma=0.5, seed=2
     )
-    graphs = [sample_graph(s, 3.0, model.selection) for s in samples]
     labels = [s.label for s in samples]
     table = WeightCenterTable(n_classes=3, n_rows=small("full").n_action_rows)
     loss = total_loss(
-        model.forward(stack_graphs(graphs)),
+        model.forward(sample_graph(samples, 3.0, model.selection)),
         labels,
         LossWeights(feature_center=1.0, weight_center=1.0, balance=0.1),
         table=table,
         update_table=False,
     ).total
-    per_sample = [kink_margin(model.forward(g).logits) for g in graphs]
+    per_sample = [
+        kink_margin(model.forward(sample_graph([s], 3.0, model.selection)).logits)
+        for s in samples
+    ]
     assert np.isfinite(min(per_sample))
     np.testing.assert_allclose(kink_margin(loss), min(per_sample), rtol=0, atol=1e-12)
 
 
 def test_backward_skips_the_keyframe_input():
     model = ActionRelationNet(small("full"), seed=0)
-    graph = stack_graphs(graphs_with_a_dead_sample(3)[::2])
+    graph = stacked(graphs_with_a_dead_sample(3)[::2])
     loss = ad.cross_entropy(model.forward(graph).logits, np.array([0, 1]))
     seen, stack, leaves = set(), [loss], []
     while stack:
@@ -139,7 +150,7 @@ def test_backward_skips_the_keyframe_input():
 
 def test_backbone_rejects_a_wrong_batch_shape():
     model = ActionRelationNet(small("full"), seed=0)
-    graph = stack_graphs(graphs_with_a_dead_sample(1))
+    graph = stacked(graphs_with_a_dead_sample(1))
     graph.node_features = np.zeros((2, 2, 3, 31, 2))
     with pytest.raises(ad.ShapeError):
         model.backbone(graph)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from megraph.config import (
     ExperimentConfig,
     OptimizerConfig,
     SynthSpec,
+    load_config,
     save_config,
 )
-from megraph.landmarks import load_samples
+from megraph.landmarks import load_samples, save_samples
 from megraph.model import ModelConfig
 
 
@@ -181,6 +183,41 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "not a parameter checkpoint" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ({"optimizer": {"epochs": "ten"}}, "config.optimizer.epochs"),
+            ({"optimizer": {"learning_rate": 0.5}}, "config.optimizer"),
+            ({"optimizer": {"epochs": True}}, "config.optimizer.epochs"),
+        ],
+    )
+    def test_mistyped_or_unknown_nested_config_exits_2(
+        self, tmp_path, capsys, payload, where
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["config", "show", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and where in err
+
+    @pytest.mark.parametrize("subject", ["s02", "s03"])
+    def test_loso_on_an_unusable_sample_exits_2(
+        self, tiny_config_path, unusable_samples, tmp_path, capsys, subject
+    ):
+        samples, first = unusable_samples
+        # keep only the bad sample under test
+        other = "s03" if subject == "s02" else "s02"
+        del samples[first[other]]
+        data = tmp_path / "bad.jsonl"
+        save_samples(samples, data)
+        cfg = replace(load_config(tiny_config_path), dataset=str(data), synth=None)
+        path = tmp_path / "c.json"
+        save_config(cfg, path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["loso", "--config", str(path)]) == 2
+        assert f"sample '{subject}'" in capsys.readouterr().err
 
 
 class TestEntryPoint:

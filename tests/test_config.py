@@ -94,6 +94,31 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"optimizer": {"epochs": "ten"}},
+             "config.optimizer.epochs: expected int, got str"),
+            ({"optimizer": {"learning_rate": 0.5}},
+             r"unknown config fields in config.optimizer: \['learning_rate'\]"),
+            ({"optimizer": {"epochs": True}},
+             "config.optimizer.epochs: expected int, got bool"),
+            ({"model": {"channels": 2.5}},
+             "config.model.channels: expected int, got float"),
+            ({"model": None}, "config.model: expected object, got null"),
+            ({"synth": {"noise_sigma": "1"}},
+             "config.synth.noise_sigma: expected float, got str"),
+        ],
+    )
+    def test_nested_keys_and_types_are_checked(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(payload)
+
+    def test_int_is_accepted_for_float(self):
+        cfg = ExperimentConfig.from_dict({"optimizer": {"lr": 1}, "synth": None,
+                                          "dataset": "d.jsonl"})
+        assert cfg.optimizer.lr == 1 and cfg.synth is None
+
     def test_missing_fields_take_defaults(self):
         cfg = ExperimentConfig.from_dict({"seed": 3})
         assert cfg.seed == 3

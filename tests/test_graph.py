@@ -10,15 +10,17 @@ from megraph.graph import (
     NodeSelection,
     build_graph,
     component_subgraphs,
-    concat_components,
     default_selection,
     normalize_adjacency,
     spatial_adjacency,
-    split_components,
-    stack_graphs,
     template_edges,
 )
-from megraph.landmarks import LandmarkSample, neutral_face_template
+from megraph.landmarks import (
+    LandmarkSample,
+    magnify,
+    neutral_face_template,
+    synthesize_dataset,
+)
 
 
 def neutral_sample(label=0, subject="s01"):
@@ -37,14 +39,6 @@ class TestNodeSelection:
         assert sel.rows("nose") == (10, 19)
         assert sel.rows("mouth") == (19, 31)
         assert sel.indices == tuple(range(17, 36)) + tuple(range(48, 60))
-
-    def test_component_of(self):
-        sel = default_selection()
-        assert sel.component_of(17) == "eyebrow"
-        assert sel.component_of(35) == "nose"
-        assert sel.component_of(59) == "mouth"
-        with pytest.raises(KeyError):
-            sel.component_of(40)
 
     def test_eye_region_is_rejected(self):
         bad_nose = (27, 28, 29, 30, 31, 32, 33, 34, 36)  # 36 is an eye corner
@@ -173,7 +167,7 @@ class TestComponentSubgraphs:
 
 class TestBuildGraph:
     def test_shapes_and_normalization(self):
-        graph = build_graph(neutral_sample())
+        graph = build_graph(neutral_sample().frames)
         assert graph.node_features.shape == (3, 31, 2)
         assert graph.adjacency.shape == (31, 31)
         onset = graph.node_features[0]
@@ -188,13 +182,13 @@ class TestBuildGraph:
             label=0,
             frames=base.frames * 2.5 + np.array([40.0, -7.0]),
         )
-        a = build_graph(base).node_features
-        b = build_graph(moved).node_features
+        a = build_graph(base.frames).node_features
+        b = build_graph(moved.frames).node_features
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_unnormalized_keeps_raw_coordinates(self):
         sample = neutral_sample()
-        graph = build_graph(sample, normalize=False)
+        graph = build_graph(sample.frames, normalize=False)
         sel = default_selection()
         np.testing.assert_array_equal(
             graph.node_features, sample.frames[:, list(sel.indices), :]
@@ -202,26 +196,29 @@ class TestBuildGraph:
 
     def test_degenerate_onset_rejected(self):
         frames = np.ones((3, 68, 2))
-        sample = LandmarkSample(subject="s01", label=0, frames=frames)
         with pytest.raises(DegenerateFrameError):
-            build_graph(sample)
+            build_graph(frames)
 
     def test_temporal_displacements(self):
+        # Normalization moves every frame by the same onset centroid, so
+        # frame-to-frame motion survives, divided by the onset's RMS spread.
         sample = neutral_sample()
         frames = sample.frames.copy()
         frames[1] += 1.0
         frames[2] += 3.0
-        moved = LandmarkSample(subject="s01", label=0, frames=frames)
-        graph = build_graph(moved, normalize=False)
-        d = graph.temporal_displacements
+        raw = build_graph(frames, normalize=False).node_features
+        d = np.diff(build_graph(frames).node_features, axis=-3)
         assert d.shape == (2, 31, 2)
-        np.testing.assert_allclose(d[0], 1.0)
-        np.testing.assert_allclose(d[1], 2.0)
+        onset = raw[0]
+        spread = np.sqrt(((onset - onset.mean(axis=0)) ** 2).sum(axis=1).mean())
+        np.testing.assert_allclose(d[0], 1.0 / spread, atol=1e-12)
+        np.testing.assert_allclose(d[1], 2.0 / spread, atol=1e-12)
 
     def test_adjacency_is_shared_and_read_only(self):
         sel = default_selection()
-        a = build_graph(neutral_sample(), selection=sel)
-        b = build_graph(neutral_sample(label=1, subject="s02"), selection=sel)
+        a = build_graph(neutral_sample().frames)
+        b = build_graph(neutral_sample(label=1, subject="s02").frames)
+        assert default_selection() is sel
         assert a.adjacency is b.adjacency
         np.testing.assert_array_equal(
             a.adjacency, normalize_adjacency(spatial_adjacency(sel))
@@ -231,42 +228,54 @@ class TestBuildGraph:
         assert a.edges == template_edges(sel)
 
 
+def one_sample_oracle(frames, alpha, selection):
+    """The preprocessing of one sample, written as a plain per-sample loop
+    body: magnify, select the nodes, normalize by the onset frame."""
+    onset = frames[0]
+    magnified = onset[None, :, :] + alpha * (frames - onset[None, :, :])
+    coords = magnified[:, list(selection.indices), :]
+    first = coords[0]
+    centroid = first.mean(axis=0)
+    spread = np.sqrt(((first - centroid) ** 2).sum(axis=1).mean())
+    return (coords - centroid) / spread
+
+
 class TestStackGraphs:
     def test_stacks_node_features_over_a_shared_adjacency(self):
         sel = default_selection()
-        graphs = [build_graph(neutral_sample(label=i), selection=sel) for i in range(3)]
-        batch = stack_graphs(graphs)
+        samples = [neutral_sample(label=i) for i in range(3)]
+        batch = build_graph(np.stack([s.frames for s in samples]), selection=sel)
         assert batch.node_features.shape == (3, 3, 31, 2)
-        assert batch.adjacency is graphs[0].adjacency
-        for i, g in enumerate(graphs):
-            np.testing.assert_array_equal(batch.node_features[i], g.node_features)
-        assert batch.temporal_displacements.shape == (3, 2, 31, 2)
-
-    def test_rejects_a_different_adjacency(self):
-        graphs = [build_graph(neutral_sample()) for _ in range(2)]
-        graphs[1].adjacency = np.eye(31)
-        with pytest.raises(ValueError, match="adjacency"):
-            stack_graphs(graphs)
+        assert batch.adjacency is sel.adjacency
+        for i, s in enumerate(samples):
+            one = build_graph(s.frames, selection=sel)
+            assert one.adjacency is batch.adjacency
+            np.testing.assert_array_equal(batch.node_features[i], one.node_features)
 
 
-class TestSplitConcat:
-    def test_round_trip_node_axis_first(self):
-        rng = np.random.default_rng(42)
+class TestArrayPath:
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_stack_equals_the_per_sample_loop(self, n):
         sel = default_selection()
-        x = rng.normal(size=(31, 5))
-        parts = split_components(x, sel)
-        assert [p.shape[0] for p in parts] == [10, 9, 12]
-        np.testing.assert_array_equal(concat_components(parts), x)
+        samples = synthesize_dataset(n_subjects=10, samples_per_subject=6, seed=n)[:n]
+        stack = np.stack([s.frames for s in samples])
+        want = np.stack([one_sample_oracle(s.frames, 3.0, sel) for s in samples])
 
-    def test_round_trip_time_leading(self):
-        rng = np.random.default_rng(42)
-        sel = default_selection()
-        x = rng.normal(size=(3, 31, 2))
-        parts = split_components(x, sel)
-        assert [p.shape[1] for p in parts] == [10, 9, 12]
-        np.testing.assert_array_equal(concat_components(parts, axis=1), x)
+        got = build_graph(magnify(stack, 3.0), selection=sel).node_features
+        assert got.shape == (n, 3, 31, 2)
+        assert np.array_equal(got, want)
 
-    def test_no_matching_axis_rejected(self):
-        sel = default_selection()
-        with pytest.raises(ValueError):
-            split_components(np.zeros((4, 4)), sel)
+        # a fold gathers its rows with a fancy index, which copies
+        rows = np.random.default_rng(n).permutation(n)[: max(1, n // 2)]
+        gathered = build_graph(magnify(stack[rows], 3.0), selection=sel)
+        assert np.array_equal(gathered.node_features, want[rows])
+
+        single = build_graph(magnify(stack[0], 3.0), selection=sel)
+        assert np.array_equal(single.node_features, want[0])
+
+    def test_degenerate_sample_in_a_stack_is_located(self):
+        stack = np.stack([neutral_sample().frames] * 4)
+        stack[2] = 1.0
+        with pytest.raises(DegenerateFrameError, match="sample 2") as caught:
+            build_graph(stack)
+        assert caught.value.index == 2

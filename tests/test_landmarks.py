@@ -1,5 +1,7 @@
 """Keyframe samples: validation, serialization, motion ops, synthesis."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,14 @@ class TestLandmarkSample:
         with pytest.raises(ValueError, match="label"):
             LandmarkSample(subject="s01", label=-1, frames=np.zeros((3, 68, 2)))
 
+    def test_frames_are_a_read_only_copy_with_a_stable_digest(self):
+        frames = make_sample().frames.copy()
+        s = LandmarkSample(subject="s01", label=0, frames=frames)
+        assert s.frames is not frames and frames.flags.writeable
+        with pytest.raises(ValueError):
+            s.frames[0, 0, 0] = 1.0
+        assert s.digest == hashlib.sha256(frames.tobytes()).hexdigest()
+
     def test_record_round_trip(self):
         s = make_sample(label=3)
         back = LandmarkSample.from_record(s.to_record())
@@ -77,22 +87,22 @@ class TestJsonlFiles:
 class TestMagnify:
     def test_onset_is_fixed_point(self):
         s = make_sample()
-        out = magnify(s, 3.0)
-        np.testing.assert_array_equal(out.frames[0], s.frames[0])
+        out = magnify(s.frames, 3.0)
+        np.testing.assert_array_equal(out[0], s.frames[0])
 
     def test_displacements_scale_linearly(self):
         s = make_sample()
-        out = magnify(s, 3.0)
+        out = magnify(s.frames, 3.0)
         for f in (1, 2):
             np.testing.assert_allclose(
-                out.frames[f] - out.frames[0],
+                out[f] - out[0],
                 3.0 * (s.frames[f] - s.frames[0]),
                 atol=1e-12,
             )
 
     def test_alpha_one_is_identity(self):
         s = make_sample()
-        np.testing.assert_array_equal(magnify(s, 1.0).frames, s.frames)
+        np.testing.assert_array_equal(magnify(s.frames, 1.0), s.frames)
 
 
 class TestCropJitter:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import megraph.autodiff as ad
+from megraph.config import decode
 from megraph.losses import (
     LossWeights,
     WeightCenterTable,
@@ -78,7 +79,7 @@ class TestLossWeights:
         with pytest.raises(ValueError):
             LossWeights(feature_center=-0.1)
         w = LossWeights(feature_center=0.5, weight_center=2.0, balance=0.25)
-        assert LossWeights.from_dict(w.to_dict()) == w
+        assert decode(LossWeights, w.to_dict()) == w
 
     def test_for_variant_zeroes_unavailable_terms(self):
         base = LossWeights(feature_center=1.0, weight_center=1.0, balance=0.1)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import megraph.autodiff as ad
+from megraph.config import decode
 from megraph.graph import StGraph, build_graph, default_selection
 from megraph.landmarks import synthesize_dataset
 from megraph.model import (
@@ -143,7 +144,7 @@ class TestModelConfig:
             variant="actions", channels=8, n_actions=4,
             relation_channels=6, n_classes=4, normalize_weights=False,
         )
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert decode(ModelConfig, cfg.to_dict()) == cfg
         assert cfg.n_action_rows == 12
 
 
@@ -155,7 +156,7 @@ class TestShapes:
                         relation_channels=5, n_classes=5),
             seed=0,
         )
-        result = model.forward(build_graph(samples[0]))
+        result = model.forward(build_graph(samples[0].frames))
         assert result.logits.shape == (1, 5)
         assert result.node_features.shape == (31, 6)
         assert result.action_features.shape == (9, 6)
@@ -171,7 +172,7 @@ class TestShapes:
 
     def test_variant_dataflow(self):
         samples = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=0)
-        graph = build_graph(samples[0])
+        graph = build_graph(samples[0].frames)
         for variant in VARIANTS:
             cfg = ModelConfig(
                 variant=variant, channels=4, n_actions=2,
@@ -242,7 +243,7 @@ class TestLoopOracles:
             graph = StGraph(
                 selection=model.selection,
                 adjacency=build_graph(
-                    synthesize_dataset(1, 1, seed=0)[0]
+                    synthesize_dataset(1, 1, seed=0)[0].frames
                 ).adjacency,
                 node_features=frames,
             )
@@ -366,7 +367,7 @@ class TestDeterminism:
 
     def test_forward_is_pure(self):
         samples = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=0)
-        graph = build_graph(samples[0])
+        graph = build_graph(samples[0].frames)
         model = ActionRelationNet(SMALL, seed=0)
         before = model.params.state_dict()
         first = model.forward(graph).logits.data.copy()

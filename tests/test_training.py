@@ -13,6 +13,8 @@ from megraph.config import (
     OptimizerConfig,
     SynthSpec,
 )
+import megraph.training
+from megraph.graph import DegenerateFrameError, default_selection
 from megraph.landmarks import LandmarkSample, save_samples, synthesize_dataset
 from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import read_checkpoint
@@ -32,8 +34,10 @@ from megraph.training import (
     run_ablation,
     run_loso,
     run_training,
+    sample_graph,
     train_fold,
 )
+
 
 
 class TestSplitting:
@@ -98,6 +102,47 @@ class TestLeakage:
         )
         with pytest.raises(LeakageError):
             run_loso(cfg)
+
+
+class TestPreprocessing:
+    def test_bad_samples_in_a_batch_are_rejected_by_subject(self, unusable_samples):
+        samples, first = unusable_samples
+        sel = default_selection()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="sample 's03': non-finite"):
+                sample_graph(samples, 3.0, sel)
+        del samples[first["s03"]]
+        with pytest.raises(DegenerateFrameError, match="sample 's02': onset"):
+            sample_graph(samples, 3.0, sel)
+
+    @pytest.mark.parametrize("copies", [0, 1])
+    def test_loso_preprocesses_once_per_run(self, monkeypatch, copies):
+        # The dataset is preprocessed once and each fold adds at most one
+        # call for its jittered copies, however many samples a subject has.
+        real = megraph.training.build_graph
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(megraph.training, "build_graph", counting)
+        k = 3
+        counts = []
+        for per_subject in (2, 5):
+            calls.clear()
+            run_loso(
+                ExperimentConfig(
+                    synth=SynthSpec(n_subjects=k, samples_per_subject=per_subject,
+                                    n_classes=2),
+                    model=ModelConfig(variant="backbone", channels=2, n_classes=2),
+                    optimizer=OptimizerConfig(epochs=1, batch_size=4),
+                    augment=AugmentConfig(copies=copies),
+                )
+            )
+            counts.append(len(calls))
+        assert counts == [1 + copies * k] * 2
+        assert max(counts) <= 2 * k
 
 
 class TestPrepareSamples:
