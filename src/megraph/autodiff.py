@@ -12,11 +12,14 @@ batched one, its gradient is summed over the batch axes.
 Each node records whether any parent needs a gradient; `backward` walks
 only those nodes, so constant inputs (keyframes, loss centers) cost
 nothing on the way back.
+
+Ops do not check their values for NaN or infinity. Divergence is caught
+once per step instead: ``losses.total_loss`` rejects a non-finite loss term
+and ``params.sgd_step`` a non-finite gradient.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,13 +33,10 @@ __all__ = [
     "backward",
     "grad_check",
     "GradCheckResult",
-    "finite_checks",
-    "set_check_finite",
     "matmul",
     "add",
     "sub",
     "mul",
-    "div",
     "scale",
     "relu",
     "transpose",
@@ -58,27 +58,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Operands do not satisfy an op's shape contract."""
-
-
-_CHECK_FINITE = False
-
-
-def set_check_finite(enabled: bool) -> bool:
-    """Toggle NaN/Inf checking after every op. Returns the previous setting."""
-    global _CHECK_FINITE
-    previous = _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def finite_checks():
-    """Context manager that enables the per-op NaN/Inf check."""
-    previous = set_check_finite(True)
-    try:
-        yield
-    finally:
-        set_check_finite(previous)
 
 
 class Tensor:
@@ -144,8 +123,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], back, op: str = "") -> 
     out._needs = any(p.requires_grad or p._needs for p in parents)
     out._parents = parents
     out._backward = back
-    if _CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"{op or 'op'} produced a non-finite value")
     return out
 
 
@@ -301,18 +278,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _node(out, (a, b), back, "mul")
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = _pairwise("div", np.divide, a, b)
-
-    def back(g):
-        return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        )
-
-    return _node(out, (a, b), back, "div")
 
 
 def scale(a: Tensor, factor: float) -> Tensor:

@@ -140,9 +140,6 @@ def _op_cases() -> dict:
         "mul.lhs": (ad.mul, 0, n(3, 4), n(3, 4)),
         "mul.rhs": (ad.mul, 1, n(3, 4), n(3, 4)),
         "mul.scalar_rhs": (ad.mul, 1, n(3, 4), n(1, 1)),
-        "div.lhs": (ad.div, 0, n(3, 4), k(3, 4)),
-        "div.rhs": (ad.div, 1, n(3, 4), k(3, 4)),
-        "div.scalar_rhs": (ad.div, 1, n(3, 4), k(1, 1)),
         "scale": (lambda x: ad.scale(x, -1.7), 0, n(3, 4)),
         "relu": (ad.relu, 0, k(4, 5)),
         "transpose": (ad.transpose, 0, n(3, 4)),
@@ -169,8 +166,6 @@ def _op_cases() -> dict:
         "add.broadcast_rhs": (ad.add, 1, n(2, 3, 4), n(3, 4)),
         "sub.broadcast_rhs": (ad.sub, 1, n(2, 3, 4), n(3, 4)),
         "mul.broadcast_rhs": (ad.mul, 1, n(2, 3, 4), n(1, 4)),
-        "div.broadcast_lhs": (ad.div, 0, n(3, 1), k(2, 3, 4)),
-        "div.broadcast_rhs": (ad.div, 1, n(2, 3, 4), k(2, 1, 4)),
         "scale.batched": (lambda x: ad.scale(x, 0.6), 0, n(2, 3, 4)),
         "relu.batched": (ad.relu, 0, k(2, 3, 4)),
         "transpose.batched": (ad.transpose, 0, n(2, 3, 4)),

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .autodiff import ShapeError
 from .checks import DEFAULT_SEEDS, battery_passed, format_battery, run_battery
-from .config import ExperimentConfig, dumps_config, load_config
+from .config import ExperimentConfig, dumps_config, encode, load_config
 from .graph import COMPONENTS, default_selection, spatial_adjacency, template_edges
 from .landmarks import save_samples, synthesize_dataset
 from .model import ActionRelationNet, InvariantError
@@ -158,7 +158,7 @@ def _cmd_model_inspect(args) -> int:
     cfg = _resolve_config(args)
     model = ActionRelationNet(cfg.model, seed=cfg.seed)
     payload = {
-        "config": cfg.model.to_dict(),
+        "config": encode(cfg.model),
         "parameters": {
             name: list(t.shape) for name, t in model.params.items()
         },

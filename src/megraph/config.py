@@ -1,13 +1,16 @@
 """Experiment configuration: one serializable object per run.
 
 Every run report embeds its full config, and a config loaded back from JSON
-compares equal to the one that wrote it. Loading is strict: :func:`decode`
-rejects unknown keys and values of the wrong JSON type at every level.
+compares equal to the one that wrote it. One generic codec covers every
+dataclass: :func:`encode` writes one as a dict of its fields (reports use it
+too), and :func:`decode` reads one back strictly, rejecting unknown keys,
+values of the wrong JSON type and non-finite numbers at every level.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -23,12 +26,31 @@ F1_AVERAGES = ("macro", "micro")
 _ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
+def encode(obj) -> dict:
+    """Field name -> value of dataclass ``obj``, in field order.
+
+    Nested dataclasses, alone or in a list, are encoded in turn. Every other
+    value is passed through as it is, not copied, so the result shares its
+    lists with ``obj``.
+    """
+    return {f.name: _encode_value(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _encode_value(value):
+    if is_dataclass(value):
+        return encode(value)
+    if isinstance(value, list) and value and all(map(is_dataclass, value)):
+        return [encode(v) for v in value]
+    return value
+
+
 def decode(cls, data, path: str = "config"):
     """Build dataclass ``cls`` from a decoded JSON object.
 
     Missing fields take their defaults and nested dataclass fields are
-    decoded in turn. An unknown key or a value of the wrong type raises
-    ValueError naming its dotted path, such as ``config.optimizer.epochs``.
+    decoded in turn. An unknown key, a value of the wrong type or a NaN or
+    infinite number raises ValueError naming its dotted path, such as
+    ``config.optimizer.epochs``.
     """
     if not isinstance(data, dict):
         return _decode_value(cls, data, path)
@@ -49,6 +71,8 @@ def _decode_value(hint, value, path: str):
         if is_dataclass(kind) and isinstance(value, dict):
             return decode(kind, value, path)
         if type(value) in _ACCEPTS.get(kind, ()):
+            if type(value) is float and not math.isfinite(value):
+                raise ValueError(f"{path}: expected a finite number")
             return value
     expected = " or ".join(
         "null" if k is type(None) else "object" if is_dataclass(k) else k.__name__
@@ -80,15 +104,6 @@ class SynthSpec:
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_subjects": self.n_subjects,
-            "samples_per_subject": self.samples_per_subject,
-            "n_classes": self.n_classes,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -117,16 +132,6 @@ class OptimizerConfig:
         if self.plateau_patience < 1:
             raise ValueError("plateau_patience must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "plateau_patience": self.plateau_patience,
-            "plateau_tol": self.plateau_tol,
-        }
-
 
 @dataclass(frozen=True)
 class AugmentConfig:
@@ -147,13 +152,6 @@ class AugmentConfig:
             raise ValueError("max_scale must be in [0, 1)")
         if self.max_shift < 0:
             raise ValueError("max_shift must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "copies": self.copies,
-            "max_scale": self.max_scale,
-            "max_shift": self.max_shift,
-        }
 
 
 @dataclass(frozen=True)
@@ -184,28 +182,9 @@ class ExperimentConfig:
         if self.f1_average not in F1_AVERAGES:
             raise ValueError(f"f1_average must be one of {F1_AVERAGES}")
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "synth": self.synth.to_dict() if self.synth else None,
-            "model": self.model.to_dict(),
-            "loss_weights": self.loss_weights.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "augment": self.augment.to_dict(),
-            "seed": self.seed,
-            "magnification": self.magnification,
-            "center_rate": self.center_rate,
-            "center_mode": self.center_mode,
-            "f1_average": self.f1_average,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return decode(cls, d)
-
 
 def dumps_config(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True)
+    return json.dumps(encode(config), indent=2, sort_keys=True)
 
 
 def save_config(config: ExperimentConfig, path) -> None:
@@ -215,4 +194,4 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        return decode(ExperimentConfig, json.load(fh))

@@ -6,12 +6,14 @@ contour chains within each component plus one bridging edge per adjacent
 component pair; temporal structure is left to the model's temporal
 convolutions, so the adjacency here is per-frame and shared across frames.
 :func:`build_graph` takes keyframes of shape (..., 3, 68, 2), one sample or
-a stack of them, and every graph of a selection shares its adjacency.
+a stack of them. A :class:`NodeSelection` builds its normalized adjacency
+and its per-component subgraphs once, on first use, and every graph and
+model of that selection shares them read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -93,17 +95,21 @@ class NodeSelection:
         raise KeyError(component)
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """:func:`template_edges`, built on first use."""
-        return template_edges(self)
-
-    @cached_property
     def adjacency(self) -> np.ndarray:
         """Normalized spatial adjacency, built on first use. Every graph of
         this selection shares it, so it is read-only."""
         a = normalize_adjacency(spatial_adjacency(self))
         a.setflags(write=False)
         return a
+
+    @cached_property
+    def subgraphs(self) -> tuple[SubGraph, ...]:
+        """:func:`component_subgraphs`, built on first use. Every model of
+        this selection shares them, so their adjacencies are read-only."""
+        subs = component_subgraphs(self)
+        for sub in subs:
+            sub.adjacency.setflags(write=False)
+        return subs
 
 
 _DEFAULT_SELECTION = NodeSelection(
@@ -194,7 +200,6 @@ class StGraph:
     selection: NodeSelection
     adjacency: np.ndarray  # (31, 31) normalized, shared across frames
     node_features: np.ndarray  # (3, 31, 2) or (B, 3, 31, 2)
-    edges: tuple[tuple[int, int], ...] = field(repr=False, default=())
 
 
 def build_graph(
@@ -225,8 +230,5 @@ def build_graph(
         coords = (coords - centroid[..., None, :, :]) / spread[..., None, None, None]
 
     return StGraph(
-        selection=selection,
-        adjacency=selection.adjacency,
-        node_features=coords,
-        edges=selection.edges,
+        selection=selection, adjacency=selection.adjacency, node_features=coords
     )

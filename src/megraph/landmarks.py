@@ -61,11 +61,21 @@ class LandmarkSample:
 
     @classmethod
     def from_record(cls, record: dict) -> "LandmarkSample":
-        return cls(
-            subject=str(record["subject"]),
-            label=int(record["label"]),
-            frames=np.asarray(record["frames"], dtype=np.float64),
-        )
+        """A sample from one decoded JSON record; the label must be a JSON
+        integer, so neither 1.7 nor true passes as a class."""
+        if not isinstance(record, dict):
+            raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+        missing = [k for k in ("subject", "label", "frames") if k not in record]
+        if missing:
+            raise ValueError(f"missing fields {missing}")
+        label = record["label"]
+        if type(label) is not int:
+            raise ValueError(f"label must be an integer, got {json.dumps(label)}")
+        try:
+            frames = np.asarray(record["frames"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError("frames must be nested lists of numbers") from None
+        return cls(subject=str(record["subject"]), label=label, frames=frames)
 
 
 def save_samples(samples, path) -> None:
@@ -76,7 +86,8 @@ def save_samples(samples, path) -> None:
 
 
 def load_samples(path) -> list[LandmarkSample]:
-    """Read JSON-lines samples, skipping blank lines."""
+    """Read JSON-lines samples, skipping blank lines. A malformed line
+    raises ValueError naming ``path:lineno``."""
     out: list[LandmarkSample] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -87,7 +98,10 @@ def load_samples(path) -> list[LandmarkSample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            out.append(LandmarkSample.from_record(record))
+            try:
+                out.append(LandmarkSample.from_record(record))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

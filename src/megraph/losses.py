@@ -39,13 +39,6 @@ class LossWeights:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} weight must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "feature_center": self.feature_center,
-            "weight_center": self.weight_center,
-            "balance": self.balance,
-        }
-
 
 def for_variant(weights: LossWeights, variant: str) -> LossWeights:
     """Zero out terms whose inputs a variant does not produce.
@@ -108,32 +101,6 @@ class WeightCenterTable:
                 self.centers[k] = (1.0 - self.rate) * self.centers[k] + (
                     self.rate * batch_mean
                 )
-
-    def state_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "n_rows": self.n_rows,
-            "rate": self.rate,
-            "mode": self.mode,
-            "centers": self.centers.tolist(),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "WeightCenterTable":
-        table = cls(
-            n_classes=state["n_classes"],
-            n_rows=state["n_rows"],
-            rate=state["rate"],
-            mode=state["mode"],
-        )
-        centers = np.asarray(state["centers"], dtype=np.float64)
-        if centers.shape != table.centers.shape:
-            raise ValueError(
-                f"center table shape {centers.shape} does not match "
-                f"{table.centers.shape}"
-            )
-        table.centers = centers
-        return table
 
 
 def _require_batch(name: str, t: Tensor) -> None:

@@ -32,7 +32,6 @@ from .graph import (
     COMPONENTS,
     NodeSelection,
     StGraph,
-    component_subgraphs,
     default_selection,
     normalize_adjacency,
 )
@@ -79,16 +78,6 @@ class ModelConfig:
     def n_action_rows(self) -> int:
         return 3 * self.n_actions
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "channels": self.channels,
-            "n_actions": self.n_actions,
-            "relation_channels": self.relation_channels,
-            "n_classes": self.n_classes,
-            "normalize_weights": self.normalize_weights,
-        }
-
 
 @dataclass
 class ForwardResult:
@@ -132,7 +121,7 @@ class ActionRelationNet:
     ):
         self.config = config
         self.selection = selection or default_selection()
-        self.subgraphs = component_subgraphs(self.selection)
+        self.subgraphs = self.selection.subgraphs
         self.relation_adj = relation_adjacency(config.n_action_rows)
         self.params = ParamStore()
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -194,18 +183,17 @@ class ActionRelationNet:
             x = ad.temporal_conv(x, taps, p[f"backbone.{name}.tc.b"], padding)
         return ad.reshape(x, x.shape[:-3] + x.shape[-2:])
 
-    def decompose(self, node_features: Tensor, subgraphs=None):
+    def decompose(self, node_features: Tensor):
         """Map (..., 31, C_1) node features to (..., 3*N_a, C_1) action features.
 
         Each component's nodes are softly assigned to N_a action slots; the
         assignment matrix rows are softmax-normalized so every node spreads
         unit mass over the slots.
         """
-        subgraphs = subgraphs if subgraphs is not None else self.subgraphs
         p = self.params
         maps: dict[str, Tensor] = {}
         pooled = []
-        for sub in subgraphs:
+        for sub in self.subgraphs:
             start, stop = sub.rows
             x_o = ad.slice_rows(node_features, start, stop)
             hidden = ad.relu(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -94,16 +95,6 @@ class ParamStore:
                 )
             target.data = values.copy()
 
-    # -- checkpoint files ---------------------------------------------------
-
-    def save(self, path) -> None:
-        write_checkpoint(self.state_dict(), path)
-
-    def load(self, path) -> None:
-        """Load a checkpoint into this store; rejects any shape mismatch."""
-        state = read_checkpoint(path)
-        self.load_state_dict(state)
-
 
 def write_checkpoint(state: dict[str, np.ndarray], path) -> None:
     """Write name -> array values as JSON; floats round-trip exactly."""
@@ -121,17 +112,32 @@ def write_checkpoint(state: dict[str, np.ndarray], path) -> None:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a :func:`write_checkpoint` file. A malformed file raises
+    ValueError naming the path, and the entry where there is one."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a parameter checkpoint: {path}")
-    state = {}
-    for name, entry in payload["params"].items():
-        shape = tuple(entry["shape"])
+    if not isinstance(payload.get("params"), dict):
+        raise ValueError(f"{path}: checkpoint has no 'params' object")
+    return {
+        name: _checkpoint_entry(entry, f"{path}: checkpoint entry '{name}'")
+        for name, entry in payload["params"].items()
+    }
+
+
+def _checkpoint_entry(entry, where: str) -> np.ndarray:
+    if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
+        raise ValueError(f"{where} needs 'shape' and 'values'")
+    shape = entry["shape"]
+    if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+        raise ValueError(f"{where}: shape must be a list of non-negative integers")
+    try:
         values = np.asarray(entry["values"], dtype=np.float64)
-        if values.size != int(np.prod(shape)):
-            raise ValueError(f"corrupt checkpoint entry for '{name}'")
-        state[name] = values.reshape(shape)
-    return state
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: values must be a list of numbers") from None
+    if values.size != math.prod(shape):
+        raise ValueError(f"{where}: {values.size} values do not fill shape {shape}")
+    return values.reshape(shape)
 
 
 def sgd_step(store: ParamStore, lr: float, momentum: float = 0.0) -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import AugmentConfig, ExperimentConfig, save_config
+from .config import AugmentConfig, ExperimentConfig, encode, save_config
 from .graph import DegenerateFrameError, StGraph, build_graph, default_selection
 from .landmarks import (
     LandmarkSample,
@@ -270,16 +270,6 @@ class FoldReport:
     accuracy: float
     epochs_run: int
 
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "y_true": self.y_true,
-            "y_pred": self.y_pred,
-            "logits": self.logits,
-            "accuracy": self.accuracy,
-            "epochs_run": self.epochs_run,
-        }
-
 
 # Evaluation runs the model on stacked chunks of at most this many samples,
 # so memory stays flat however large the evaluation set is.
@@ -330,23 +320,16 @@ class RunReport:
         avg = self.config.get("f1_average", "macro")
         return self.f1_micro if avg == "micro" else self.f1_macro
 
-    def to_dict(self) -> dict:
-        d = self.canonical()
-        d["wall_time"] = self.wall_time
-        return d
-
     def canonical(self) -> dict:
         """Report content minus wall time; bit-stable across repeated runs."""
-        return {
-            "config": self.config,
-            "folds": [f.to_dict() for f in self.folds],
-            "fold_subjects": self.fold_subjects,
-            "pooled_accuracy": self.pooled_accuracy,
-            "f1_macro": self.f1_macro,
-            "f1_micro": self.f1_micro,
-            "f1_per_class": self.f1_per_class,
-            "f1_undefined_classes": self.f1_undefined_classes,
-        }
+        return _without_wall_time(self)
+
+
+def _without_wall_time(report) -> dict:
+    """:func:`encode` of a report, minus its one nondeterministic field."""
+    d = encode(report)
+    del d["wall_time"]
+    return d
 
 
 def _fold_report(subject, model, samples, config, epochs_run, graph=None):
@@ -368,7 +351,7 @@ def _run_report(config: ExperimentConfig, folds: list[FoldReport], t0: float):
         )
     f1 = f1_report(pooled_true, pooled_pred, config.model.n_classes)
     return RunReport(
-        config=config.to_dict(),
+        config=encode(config),
         folds=folds,
         fold_subjects=[r.subject for r in folds],
         pooled_accuracy=pooled_acc,
@@ -526,10 +509,10 @@ def write_run_dir(out_dir, config, run, curves, checkpoints) -> None:
     for fr in run.folds:
         name = fr.subject.strip("()") or "fold"
         (out / "folds" / f"{name}.json").write_text(
-            json.dumps(fr.to_dict(), indent=2, sort_keys=True) + "\n"
+            json.dumps(encode(fr), indent=2, sort_keys=True) + "\n"
         )
     (out / "report.json").write_text(
-        json.dumps(run.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(encode(run), indent=2, sort_keys=True) + "\n"
     )
     (out / "report.txt").write_text(format_report(run))
     write_curves(out / "curves.csv", curves)
@@ -551,18 +534,8 @@ class AblationReport:
     fold_subjects: list[str]
     wall_time: float
 
-    def to_dict(self) -> dict:
-        d = self.canonical()
-        d["wall_time"] = self.wall_time
-        return d
-
     def canonical(self) -> dict:
-        return {
-            "config": self.config,
-            "modules": self.modules,
-            "losses": self.losses,
-            "fold_subjects": self.fold_subjects,
-        }
+        return _without_wall_time(self)
 
 
 def _loss_row_weights(name: str, base):
@@ -609,7 +582,7 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
         losses.append(
             {
                 "name": name,
-                "loss_weights": weights.to_dict(),
+                "loss_weights": encode(weights),
                 "accuracy": run.pooled_accuracy,
                 "f1_macro": run.f1_macro,
                 "f1_micro": run.f1_micro,
@@ -617,7 +590,7 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
         )
 
     report = AblationReport(
-        config=config.to_dict(),
+        config=encode(config),
         modules=modules,
         losses=losses,
         fold_subjects=subjects_ref or [],
@@ -628,7 +601,7 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
         out.mkdir(parents=True, exist_ok=True)
         save_config(config, out / "config.json")
         (out / "ablation.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+            json.dumps(encode(report), indent=2, sort_keys=True) + "\n"
         )
         (out / "ablation.txt").write_text(format_ablation(report))
     return report

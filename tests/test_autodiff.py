@@ -48,19 +48,17 @@ class TestForwardValues:
     def test_elementwise_pairs(self):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 5.0  # keep divisors away from zero
+        b = rng.normal(size=(3, 3))
         ta, tb = ad.constant(a), ad.constant(b)
         np.testing.assert_allclose(ad.add(ta, tb).data, a + b)
         np.testing.assert_allclose(ad.sub(ta, tb).data, a - b)
         np.testing.assert_allclose(ad.mul(ta, tb).data, a * b)
-        np.testing.assert_allclose(ad.div(ta, tb).data, a / b)
 
     def test_scalar_operands_broadcast(self):
         a = ad.constant([[1.0, 2.0], [3.0, 4.0]])
         s = ad.constant(2.0)
         np.testing.assert_allclose(ad.add(a, s).data, [[3, 4], [5, 6]])
         np.testing.assert_allclose(ad.mul(s, a).data, [[2, 4], [6, 8]])
-        np.testing.assert_allclose(ad.div(a, s).data, [[0.5, 1], [1.5, 2]])
 
     def test_mismatched_shapes_rejected(self):
         a = ad.constant(np.zeros((2, 3)))
@@ -343,18 +341,6 @@ class TestGradCheck:
         np.testing.assert_array_equal(x.data, before)
         np.testing.assert_array_equal(x.grad, [[9.0, 9.0]])
         assert x.requires_grad is False
-
-
-class TestFiniteChecks:
-    def test_non_finite_op_output_raises_when_enabled(self):
-        a = ad.constant([[1.0]])
-        z = ad.constant([[0.0]])
-        with np.errstate(divide="ignore"):
-            with ad.finite_checks():
-                with pytest.raises(FloatingPointError):
-                    ad.div(a, z)
-            # disabled again outside the context
-            assert np.isinf(ad.div(a, z).data[0, 0])
 
 
 class TestParamStore:

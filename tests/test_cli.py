@@ -16,8 +16,72 @@ from megraph.config import (
     load_config,
     save_config,
 )
-from megraph.landmarks import load_samples, save_samples
+from megraph.landmarks import load_samples, save_samples, synthesize_dataset
 from megraph.model import ModelConfig
+
+GOOD_RECORD = synthesize_dataset(n_subjects=1, samples_per_subject=1)[0].to_record()
+
+
+def _samples(*labels):
+    """JSONL text: one valid record per label, with that label."""
+    return "".join(json.dumps({**GOOD_RECORD, "label": y}) + "\n" for y in labels)
+
+
+CHECKPOINT = '{"format": "megraph-params-v1"%s}'
+
+# command ({input} is the bad file, {data} a config reading it as the
+# dataset), the bad file's text, and the one-line message it must produce
+BAD_INPUTS = [
+    pytest.param(
+        ["train", "--config", "{input}"],
+        '{"optimizer": {"lr": NaN, "epochs": 1, "batch_size": 64},'
+        ' "synth": {"n_subjects": 2, "samples_per_subject": 3}}',
+        "config.optimizer.lr: expected a finite number",
+        id="config-nan",
+    ),
+    pytest.param(
+        ["config", "show", "--config", "{input}"],
+        '{"magnification": Infinity}',
+        "config.magnification: expected a finite number",
+        id="config-infinity",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        "[]",
+        "not a parameter checkpoint: {input}",
+        id="checkpoint-not-an-object",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT % "",
+        "{input}: checkpoint has no 'params' object",
+        id="checkpoint-without-params",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT % ', "params": {"head.w": {"values": [0.5]}}',
+        "{input}: checkpoint entry 'head.w' needs 'shape' and 'values'",
+        id="checkpoint-entry-without-shape",
+    ),
+    pytest.param(
+        ["train", "--config", "{data}"],
+        _samples(0) + "[1, 2]\n",
+        "{input}:2: expected a JSON object, got list",
+        id="samples-not-an-object",
+    ),
+    pytest.param(
+        ["train", "--config", "{data}"],
+        _samples(0, 1.7),
+        "{input}:2: label must be an integer, got 1.7",
+        id="samples-float-label",
+    ),
+    pytest.param(
+        ["train", "--config", "{data}"],
+        _samples(True),
+        "{input}:1: label must be an integer, got true",
+        id="samples-bool-label",
+    ),
+]
 
 
 @pytest.fixture
@@ -184,7 +248,6 @@ class TestErrorPaths:
         assert code == 2
         assert "not a parameter checkpoint" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize(
         "payload, where",
         [
@@ -201,6 +264,20 @@ class TestErrorPaths:
         assert main(["config", "show", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and where in err
+
+    @pytest.mark.parametrize("argv, text, message", BAD_INPUTS)
+    def test_bad_input_exits_2_with_one_line(
+        self, tmp_path, capsys, argv, text, message
+    ):
+        bad = tmp_path / "input"
+        bad.write_text(text)
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"dataset": str(bad), "synth": None}))
+        paths = {"input": str(bad), "data": str(data)}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(**paths)}\n"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("subject", ["s02", "s03"])
     def test_loso_on_an_unusable_sample_exits_2(

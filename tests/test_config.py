@@ -1,5 +1,8 @@
 """Config validation and JSON round trips."""
 
+import json
+from dataclasses import dataclass
+
 import pytest
 
 from megraph.config import (
@@ -7,7 +10,9 @@ from megraph.config import (
     ExperimentConfig,
     OptimizerConfig,
     SynthSpec,
+    decode,
     dumps_config,
+    encode,
     load_config,
     save_config,
 )
@@ -72,7 +77,7 @@ class TestRoundTrips:
 
     def test_dict_round_trip_compares_equal(self):
         cfg = self.full_config()
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert decode(ExperimentConfig, encode(cfg)) == cfg
 
     def test_file_round_trip(self, tmp_path):
         cfg = self.full_config()
@@ -84,15 +89,15 @@ class TestRoundTrips:
 
     def test_dataset_path_survives(self, tmp_path):
         cfg = ExperimentConfig(dataset="data/train.jsonl", synth=None)
-        back = ExperimentConfig.from_dict(cfg.to_dict())
+        back = decode(ExperimentConfig, encode(cfg))
         assert back.dataset == "data/train.jsonl"
         assert back.synth is None
 
     def test_unknown_fields_rejected(self):
-        payload = ExperimentConfig().to_dict()
+        payload = encode(ExperimentConfig())
         payload["learning_rate"] = 0.1
         with pytest.raises(ValueError, match="unknown config fields"):
-            ExperimentConfig.from_dict(payload)
+            decode(ExperimentConfig, payload)
 
     @pytest.mark.parametrize(
         "payload, message",
@@ -108,19 +113,82 @@ class TestRoundTrips:
             ({"model": None}, "config.model: expected object, got null"),
             ({"synth": {"noise_sigma": "1"}},
              "config.synth.noise_sigma: expected float, got str"),
+            ({"optimizer": {"lr": float("nan")}},
+             "config.optimizer.lr: expected a finite number"),
+            ({"magnification": float("inf")},
+             "config.magnification: expected a finite number"),
+            ({"synth": {"noise_sigma": float("-inf")}},
+             "config.synth.noise_sigma: expected a finite number"),
         ],
     )
     def test_nested_keys_and_types_are_checked(self, payload, message):
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig.from_dict(payload)
+            decode(ExperimentConfig, payload)
 
     def test_int_is_accepted_for_float(self):
-        cfg = ExperimentConfig.from_dict({"optimizer": {"lr": 1}, "synth": None,
-                                          "dataset": "d.jsonl"})
+        cfg = decode(ExperimentConfig, {"optimizer": {"lr": 1}, "synth": None,
+                                        "dataset": "d.jsonl"})
         assert cfg.optimizer.lr == 1 and cfg.synth is None
 
     def test_missing_fields_take_defaults(self):
-        cfg = ExperimentConfig.from_dict({"seed": 3})
+        cfg = decode(ExperimentConfig, {"seed": 3})
         assert cfg.seed == 3
         assert cfg.model == ModelConfig()
         assert cfg.optimizer == OptimizerConfig()
+
+
+FULL = TestRoundTrips().full_config()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(SynthSpec(n_subjects=4, noise_sigma=2.0, seed=11), id="synth"),
+        pytest.param(OptimizerConfig(lr=0.02, epochs=40, plateau_tol=1e-3),
+                     id="optimizer"),
+        pytest.param(AugmentConfig(copies=2, max_scale=0.03), id="augment"),
+        pytest.param(ModelConfig(variant="actions", channels=8,
+                                 normalize_weights=False), id="model"),
+        pytest.param(LossWeights(0.5, 1.5, 0.05), id="loss_weights"),
+        pytest.param(ExperimentConfig(), id="experiment_defaults"),
+        pytest.param(FULL, id="experiment_full"),
+        pytest.param(ExperimentConfig(dataset="data/train.jsonl", synth=None),
+                     id="experiment_without_synth"),
+        pytest.param(OptimizerConfig(lr=1, momentum=0), id="int_for_float"),
+    ],
+)
+def test_decode_inverts_encode(config):
+    assert decode(type(config), encode(config)) == config
+    text = json.dumps(encode(config))
+    assert decode(type(config), json.loads(text)) == config
+
+
+class TestEncode:
+    def test_fields_in_declaration_order(self):
+        payload = encode(FULL)
+        assert list(payload) == [
+            "dataset", "synth", "model", "loss_weights", "optimizer",
+            "augment", "seed", "magnification", "center_rate", "center_mode",
+            "f1_average",
+        ]
+        assert payload["synth"] == {
+            "n_subjects": 4, "samples_per_subject": 4, "n_classes": 3,
+            "noise_sigma": 2.0, "seed": 11,
+        }
+        assert encode(ExperimentConfig(dataset="d", synth=None))["synth"] is None
+
+    def test_lists_of_dataclasses_are_encoded_and_others_shared(self):
+        @dataclass
+        class Row:
+            values: list
+
+        @dataclass
+        class Table:
+            rows: list
+            extra: list
+
+        values, extra = [[0.5, 1.5]], [1, 2]
+        payload = encode(Table(rows=[Row(values)], extra=extra))
+        assert payload == {"rows": [{"values": [[0.5, 1.5]]}], "extra": [1, 2]}
+        assert payload["rows"][0]["values"] is values
+        assert payload["extra"] is extra

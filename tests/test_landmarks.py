@@ -1,6 +1,7 @@
 """Keyframe samples: validation, serialization, motion ops, synthesis."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ def make_sample(subject="s01", label=0, seed=42):
     rng = np.random.default_rng(seed)
     frames = neutral_face_template() + rng.normal(0.0, 1.0, (3, 68, 2))
     return LandmarkSample(subject=subject, label=label, frames=frames)
+
+
+GOOD_RECORD = make_sample().to_record()
 
 
 class TestLandmarkSample:
@@ -75,6 +79,25 @@ class TestJsonlFiles:
         save_samples([make_sample()], path)
         path.write_text(path.read_text() + "\n\n")
         assert len(load_samples(path)) == 1
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([1, 2], "expected a JSON object, got list"),
+            ({"subject": "s01", "label": 0}, r"missing fields \['frames'\]"),
+            ({**GOOD_RECORD, "label": 1.7}, "label must be an integer, got 1.7"),
+            ({**GOOD_RECORD, "label": True}, "label must be an integer, got true"),
+            ({**GOOD_RECORD, "label": "1"}, 'label must be an integer, got "1"'),
+            ({**GOOD_RECORD, "frames": {"x": 1}},
+             "frames must be nested lists of numbers"),
+        ],
+    )
+    def test_malformed_record_reports_line_number(self, tmp_path, record, message):
+        path = tmp_path / "data.jsonl"
+        save_samples([make_sample()], path)
+        path.write_text(path.read_text() + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=f"data.jsonl:2: {message}"):
+            load_samples(path)
 
     def test_bad_line_reports_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"

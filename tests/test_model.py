@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import megraph.autodiff as ad
-from megraph.config import decode
+from megraph.config import decode, encode
 from megraph.graph import StGraph, build_graph, default_selection
 from megraph.landmarks import synthesize_dataset
 from megraph.model import (
@@ -144,7 +144,7 @@ class TestModelConfig:
             variant="actions", channels=8, n_actions=4,
             relation_channels=6, n_classes=4, normalize_weights=False,
         )
-        assert decode(ModelConfig, cfg.to_dict()) == cfg
+        assert decode(ModelConfig, encode(cfg)) == cfg
         assert cfg.n_action_rows == 12
 
 
@@ -364,6 +364,10 @@ class TestDeterminism:
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
         assert any(not np.array_equal(a[n], c[n]) for n in a)
+
+    def test_models_of_one_selection_share_its_subgraphs(self):
+        a, b = ActionRelationNet(SMALL, seed=5), ActionRelationNet(SMALL, seed=6)
+        assert a.subgraphs is b.subgraphs is default_selection().subgraphs
 
     def test_forward_is_pure(self):
         samples = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=0)
