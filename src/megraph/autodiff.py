@@ -11,7 +11,9 @@ batched one, its gradient is summed over the batch axes.
 
 Each node records whether any parent needs a gradient; `backward` walks
 only those nodes, so constant inputs (keyframes, loss centers) cost
-nothing on the way back.
+nothing on the way back. One post-order walk marks them with a token new
+to the call, which also clears their gradient sums, held on the nodes, so
+a backward cut short by an exception leaves nothing for the next one.
 
 Ops do not check their values for NaN or infinity. Divergence is caught
 once per step instead: ``losses.total_loss`` rejects a non-finite loss term
@@ -32,6 +34,7 @@ __all__ = [
     "constant",
     "backward",
     "grad_check",
+    "compare_gradient",
     "GradCheckResult",
     "matmul",
     "add",
@@ -71,7 +74,8 @@ class Tensor:
     """
 
     __slots__ = (
-        "data", "grad", "requires_grad", "op", "_needs", "_parents", "_backward"
+        "data", "grad", "requires_grad", "op", "_needs", "_parents", "_backward",
+        "_mark", "_g",
     )
 
     def __init__(self, data, requires_grad: bool = False):
@@ -82,6 +86,8 @@ class Tensor:
         self._needs = False
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
+        self._mark: object | None = None  # token of the last backward to reach it
+        self._g: np.ndarray | None = None  # that backward's gradient sum
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,20 +126,25 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], back, op: str = "") -> 
     out.grad = None
     out.requires_grad = False
     out.op = op
-    out._needs = any(p.requires_grad or p._needs for p in parents)
+    needs = False
+    for p in parents:
+        needs = needs or p.requires_grad or p._needs
+    out._needs = needs
     out._parents = parents
     out._backward = back
+    out._mark = None
+    out._g = None
     return out
+
+
+def _not_matrix(op: str, shape: tuple[int, ...]) -> ShapeError:
+    return ShapeError(f"{op}: expected a (..., R, C) tensor, got shape {shape}")
 
 
 def _require_matrix(op: str, *tensors: Tensor) -> None:
     for t in tensors:
         if t.data.ndim < 2:
-            raise ShapeError(f"{op}: expected a (..., R, C) tensor, got shape {t.shape}")
-
-
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._needs
+            raise _not_matrix(op, t.data.shape)
 
 
 def backward(loss: Tensor) -> None:
@@ -145,42 +156,42 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not _needs_grad(loss):
+    if not (loss.requires_grad or loss._needs):
         return
 
-    # Iterative post-order DFS; `seen` marks first visit so each node is
-    # appended exactly once, after all of its parents' subtrees.
+    # Iterative post-order DFS; the call's token marks first visit so each
+    # node is appended exactly once, after all of its parents' subtrees.
+    token = object()
     topo: list[Tensor] = []
-    seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node._mark is token:
             continue
-        seen.add(id(node))
+        node._mark = token
+        node._g = None
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen and _needs_grad(parent):
+            if parent._mark is not token and (parent.requires_grad or parent._needs):
                 stack.append((parent, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    loss._g = np.ones_like(loss.data)
     for node in reversed(topo):
-        g = grads.get(id(node))
+        g = node._g
         if g is None or node._backward is None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if not _needs_grad(parent):
-                continue
-            key = id(parent)
-            grads[key] = grads[key] + pg if key in grads else pg
+            if parent.requires_grad or parent._needs:
+                parent._g = pg if parent._g is None else parent._g + pg
 
     for node in topo:
-        g = grads.get(id(node))
+        g = node._g
         if g is None:
             continue
+        node._g = None
         if node.requires_grad:
             node.grad = g if node.grad is None else node.grad + g
         else:
@@ -215,8 +226,8 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
 
 
 def _check_bias(op: str, b: Tensor, d: int) -> None:
-    if b.shape != (1, d):
-        raise ShapeError(f"{op}: bias shape {b.shape}, expected (1, {d})")
+    if b.data.shape != (1, d):
+        raise ShapeError(f"{op}: bias shape {b.data.shape}, expected (1, {d})")
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +236,22 @@ def _check_bias(op: str, b: Tensor, d: int) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product; leading axes broadcast as in ``np.matmul``."""
-    _require_matrix("matmul", a, b)
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2:
+        raise _not_matrix("matmul", sa if len(sa) < 2 else sb)
+    if sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul: incompatible shapes {sa} @ {sb}")
     try:
         out = a.data @ b.data
     except ValueError:
-        raise ShapeError(
-            f"matmul: batch axes of {a.shape} and {b.shape} differ"
-        ) from None
+        raise ShapeError(f"matmul: batch axes of {sa} and {sb} differ") from None
 
     def back(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.ndim == 2:
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), sa)
+        if len(sb) == 2:
             gb = _weight_grad(a.data, g)
         else:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, sb)
         return ga, gb
 
     return _node(out, (a, b), back, "matmul")
@@ -437,10 +448,12 @@ def mean_rows(a: Tensor) -> Tensor:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for (..., R, K) x, (K, D) weight and (1, D) bias."""
-    _require_matrix("affine", x)
-    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"affine: shapes {x.shape} @ {w.shape} + {b.shape}")
-    _check_bias("affine", b, w.shape[1])
+    xs, ws = x.data.shape, w.data.shape
+    if len(xs) < 2:
+        raise _not_matrix("affine", xs)
+    if len(ws) != 2 or xs[-1] != ws[0]:
+        raise ShapeError(f"affine: shapes {xs} @ {ws} + {b.data.shape}")
+    _check_bias("affine", b, ws[1])
     out = x.data @ w.data + b.data
 
     def back(g):
@@ -452,12 +465,14 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def graph_affine(adj: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """adj @ x @ w + b with a constant (non-differentiated) (R, R) adjacency
     shared by every matrix of a (..., R, K) x."""
-    _require_matrix("graph_affine", x)
-    if adj.ndim != 2 or adj.shape[1] != x.shape[-2]:
-        raise ShapeError(f"graph_affine: adjacency {adj.shape} vs features {x.shape}")
-    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"graph_affine: shapes {x.shape} @ {w.shape} + {b.shape}")
-    _check_bias("graph_affine", b, w.shape[1])
+    xs, ws = x.data.shape, w.data.shape
+    if len(xs) < 2:
+        raise _not_matrix("graph_affine", xs)
+    if adj.ndim != 2 or adj.shape[1] != xs[-2]:
+        raise ShapeError(f"graph_affine: adjacency {adj.shape} vs features {xs}")
+    if len(ws) != 2 or xs[-1] != ws[0]:
+        raise ShapeError(f"graph_affine: shapes {xs} @ {ws} + {b.data.shape}")
+    _check_bias("graph_affine", b, ws[1])
     pooled = adj @ x.data
     out = pooled @ w.data + b.data
 
@@ -476,45 +491,45 @@ def temporal_conv(
     ``"same"`` pads p = len(taps) // 2 zero frames on each side and keeps T
     frames; ``"valid"`` pads none and keeps T - len(taps) + 1.
     """
-    if x.ndim < 3:
-        raise ShapeError(f"temporal_conv: expected (..., T, R, K) input, got {x.shape}")
+    xd, xs = x.data, x.data.shape
+    if len(xs) < 3:
+        raise ShapeError(f"temporal_conv: expected (..., T, R, K) input, got {xs}")
     if padding not in ("same", "valid"):
         raise ValueError(
             f"temporal_conv: padding must be 'same' or 'valid', got {padding!r}"
         )
     k = len(taps)
-    if k == 0 or any(w.ndim != 2 or w.shape != taps[0].shape for w in taps):
+    ws = [w.data for w in taps]
+    w_shape = ws[0].shape if ws else ()
+    if len(w_shape) != 2 or [w.shape for w in ws].count(w_shape) != k:
         raise ShapeError("temporal_conv: need non-empty, equally shaped 2-d taps")
-    if taps[0].shape[0] != x.shape[-1]:
-        raise ShapeError(f"temporal_conv: taps {taps[0].shape} vs features {x.shape}")
-    _check_bias("temporal_conv", b, taps[0].shape[1])
-    frames = x.shape[-3]
+    if w_shape[0] != xs[-1]:
+        raise ShapeError(f"temporal_conv: taps {w_shape} vs features {xs}")
+    _check_bias("temporal_conv", b, w_shape[1])
+    frames = xs[-3]
     pad = k // 2 if padding == "same" else 0
     t_out = frames + 2 * pad - k + 1
     if t_out < 1:
         raise ShapeError(f"temporal_conv: {k} taps exceed {frames} frames")
     # tap j maps input frames lo+d:hi+d onto output frames lo:hi, d = j - pad;
     # the zero padding frames are never materialized
-    spans = []
-    for j in range(k):
-        d = j - pad
-        spans.append((max(0, -d), min(t_out, frames - d), d))
-    out = np.zeros(x.shape[:-3] + (t_out, x.shape[-2], b.shape[1]))
-    for (lo, hi, d), w in zip(spans, taps):
+    spans = [(max(0, pad - j), min(t_out, frames + pad - j), j - pad) for j in range(k)]
+    out = np.zeros(xs[:-3] + (t_out, xs[-2], w_shape[1]))
+    for (lo, hi, d), w in zip(spans, ws):
         if lo < hi:
-            out[..., lo:hi, :, :] += x.data[..., lo + d : hi + d, :, :] @ w.data
+            out[..., lo:hi, :, :] += xd[..., lo + d : hi + d, :, :] @ w
     out += b.data
 
     def back(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros_like(xd)
         gws = []
-        for (lo, hi, d), w in zip(spans, taps):
+        for (lo, hi, d), w in zip(spans, ws):
             if lo >= hi:
-                gws.append(np.zeros_like(w.data))
+                gws.append(np.zeros_like(w))
                 continue
             g_span = g[..., lo:hi, :, :]
-            gx[..., lo + d : hi + d, :, :] += g_span @ w.data.T
-            gws.append(_weight_grad(x.data[..., lo + d : hi + d, :, :], g_span))
+            gx[..., lo + d : hi + d, :, :] += g_span @ w.T
+            gws.append(_weight_grad(xd[..., lo + d : hi + d, :, :], g_span))
         return (gx, *gws, _bias_grad(g))
 
     return _node(out, (x, *taps, b), back, "temporal_conv")
@@ -523,25 +538,25 @@ def temporal_conv(
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross-entropy of (..., N, K) logits against integer
     labels of shape (..., N)."""
-    _require_matrix("cross_entropy", logits)
+    data, shape = logits.data, logits.data.shape
+    if len(shape) < 2:
+        raise _not_matrix("cross_entropy", shape)
     y = np.asarray(labels)
-    if y.shape != logits.shape[:-1]:
-        raise ShapeError(
-            f"cross_entropy: labels shape {y.shape} vs logits {logits.shape}"
-        )
+    if y.shape != shape[:-1]:
+        raise ShapeError(f"cross_entropy: labels shape {y.shape} vs logits {shape}")
     if not np.issubdtype(y.dtype, np.integer):
         raise ShapeError("cross_entropy: labels must be integers")
-    k = logits.shape[-1]
+    k = shape[-1]
     if y.min() < 0 or y.max() >= k:
         raise ValueError(f"cross_entropy: label out of range [0, {k})")
     n = y.size
-    picks = y[..., None]
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    z = data - data.max(axis=-1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = np.asarray(-np.take_along_axis(log_probs, picks, axis=-1).mean())
+    picked = log_probs.reshape(n, k)[np.arange(n), y.reshape(n)]
+    out = np.asarray(-(picked.sum() / n))
 
     def back(g):
-        onehot = np.arange(k) == picks
+        onehot = np.arange(k) == y[..., None]
         return ((np.exp(log_probs) - onehot) * (g / n),)
 
     return _node(out, (logits,), back, "cross_entropy")
@@ -571,13 +586,7 @@ class GradCheckResult:
 
 def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckResult:
     """Compare the tape gradient of scalar-valued ``f`` at ``x`` to central
-    differences ``(f(x + h e_i) - f(x - h e_i)) / 2h``.
-
-    Relative error per coordinate is ``|a - n| / max(|a|, |n|, 1)``; the floor
-    keeps near-zero gradients from inflating rounding noise.
-    """
-    if h <= 0:
-        raise ValueError("grad_check: h must be positive")
+    differences, by one backward and then :func:`compare_gradient`."""
     was_leaf = x.requires_grad
     x.requires_grad = True
     saved_grad = x.grad
@@ -587,13 +596,24 @@ def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckRes
         if out.data.size != 1:
             raise ShapeError(f"grad_check: f must be scalar-valued, got {out.shape}")
         backward(out)
-        analytic = (
-            np.zeros_like(x.data) if x.grad is None else np.array(x.grad, copy=True)
-        )
+        analytic = x.grad
     finally:
         x.grad = saved_grad
         x.requires_grad = was_leaf
+    return compare_gradient(f, x, analytic, h=h, tol=tol)
 
+
+def compare_gradient(f, x: Tensor, analytic, h: float, tol: float) -> GradCheckResult:
+    """Compare ``analytic``, the tape gradient of scalar-valued ``f`` at ``x``
+    (None for zero), to central differences ``(f(x + h e_i) - f(x - h e_i)) / 2h``.
+
+    Relative error per coordinate is ``|a - n| / max(|a|, |n|, 1)``; the floor
+    keeps near-zero gradients from inflating rounding noise.
+    """
+    if h <= 0:
+        raise ValueError("grad_check: h must be positive")
+    if analytic is None:
+        analytic = np.zeros_like(x.data)
     if not np.all(np.isfinite(analytic)):
         bad = np.unravel_index(int(np.argmin(np.isfinite(analytic))), x.shape)
         return GradCheckResult(

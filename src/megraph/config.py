@@ -93,15 +93,16 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_subjects < 1:
+        # every bound is written so that NaN fails it
+        if not self.n_subjects >= 1:
             raise ValueError("n_subjects must be >= 1")
-        if self.samples_per_subject < 1:
+        if not self.samples_per_subject >= 1:
             raise ValueError("samples_per_subject must be >= 1")
         if not 2 <= self.n_classes <= len(PATTERN_NAMES):
             raise ValueError(
                 f"n_classes must be in [2, {len(PATTERN_NAMES)}]"
             )
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
 
 
@@ -121,16 +122,18 @@ class OptimizerConfig:
     plateau_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("lr must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.epochs < 0:
+        if not self.epochs >= 0:
             raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ValueError("batch_size must be >= 1")
-        if self.plateau_patience < 1:
+        if not self.plateau_patience >= 1:
             raise ValueError("plateau_patience must be >= 1")
+        if not self.plateau_tol >= 0:
+            raise ValueError("plateau_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,11 @@ class AugmentConfig:
     max_shift: float = 3.0
 
     def __post_init__(self):
-        if self.copies < 0:
+        if not self.copies >= 0:
             raise ValueError("copies must be >= 0")
-        if self.max_scale < 0 or self.max_scale >= 1:
+        if not 0 <= self.max_scale < 1:
             raise ValueError("max_scale must be in [0, 1)")
-        if self.max_shift < 0:
+        if not self.max_shift >= 0:
             raise ValueError("max_shift must be >= 0")
 
 
@@ -173,7 +176,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset is None and self.synth is None:
             raise ValueError("config needs a dataset path or a synth spec")
-        if self.magnification <= 0:
+        if not self.magnification > 0:
             raise ValueError("magnification must be > 0")
         if not 0.0 < self.center_rate <= 1.0:
             raise ValueError("center_rate must be in (0, 1]")
@@ -193,5 +196,8 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return decode(ExperimentConfig, json.load(fh))
+    try:
+        with open(path) as fh:
+            return decode(ExperimentConfig, json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc

@@ -68,6 +68,11 @@ class LandmarkSample:
         missing = [k for k in ("subject", "label", "frames") if k not in record]
         if missing:
             raise ValueError(f"missing fields {missing}")
+        subject = record["subject"]
+        if not isinstance(subject, str) or not subject:
+            raise ValueError(
+                f"subject must be a non-empty string, got {json.dumps(subject)}"
+            )
         label = record["label"]
         if type(label) is not int:
             raise ValueError(f"label must be an integer, got {json.dumps(label)}")
@@ -75,7 +80,7 @@ class LandmarkSample:
             frames = np.asarray(record["frames"], dtype=np.float64)
         except (TypeError, ValueError):
             raise ValueError("frames must be nested lists of numbers") from None
-        return cls(subject=str(record["subject"]), label=label, frames=frames)
+        return cls(subject=subject, label=label, frames=frames)
 
 
 def save_samples(samples, path) -> None:

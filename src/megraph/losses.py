@@ -36,7 +36,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("feature_center", "weight_center", "balance"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} weight must be >= 0")
 
 

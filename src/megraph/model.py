@@ -65,13 +65,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.channels < 1:
+        if not self.channels >= 1:
             raise ValueError("channels must be >= 1")
-        if self.n_actions < 2:
+        if not self.n_actions >= 2:
             raise ValueError("n_actions must be >= 2")
-        if self.relation_channels < 1:
+        if not self.relation_channels >= 1:
             raise ValueError("relation_channels must be >= 1")
-        if self.n_classes < 2:
+        if not self.n_classes >= 2:
             raise ValueError("n_classes must be >= 2")
 
     @property
@@ -126,6 +126,13 @@ class ActionRelationNet:
         self.params = ParamStore()
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         self._init_params(rng)
+        # per backbone layer: padding, gc.w, gc.b, tc taps, tc.b, looked up once
+        p = self.params
+        self._backbone_layers = [
+            (padding, p[f"backbone.{n}.gc.w"], p[f"backbone.{n}.gc.b"],
+             [p[f"backbone.{n}.tc.w{k}"] for k in range(3)], p[f"backbone.{n}.tc.b"])
+            for n, padding in (("l1", "same"), ("l2", "valid"))
+        ]
 
     def _init_params(self, rng: np.random.Generator) -> None:
         c1 = self.config.channels
@@ -166,21 +173,12 @@ class ActionRelationNet:
                 f"backbone: expected {expected} or (B, *{expected}) node "
                 f"features, got {frames.shape}"
             )
-        p = self.params
         x = ad.constant(frames)
         # width-3 temporal convolutions: layer 1 keeps the three frames
         # (missing neighbors contribute nothing), layer 2 collapses them
-        for name, padding in (("l1", "same"), ("l2", "valid")):
-            x = ad.relu(
-                ad.graph_affine(
-                    graph.adjacency,
-                    x,
-                    p[f"backbone.{name}.gc.w"],
-                    p[f"backbone.{name}.gc.b"],
-                )
-            )
-            taps = [p[f"backbone.{name}.tc.w{k}"] for k in range(3)]
-            x = ad.temporal_conv(x, taps, p[f"backbone.{name}.tc.b"], padding)
+        for padding, gc_w, gc_b, taps, tc_b in self._backbone_layers:
+            x = ad.relu(ad.graph_affine(graph.adjacency, x, gc_w, gc_b))
+            x = ad.temporal_conv(x, taps, tc_b, padding)
         return ad.reshape(x, x.shape[:-3] + x.shape[-2:])
 
     def decompose(self, node_features: Tensor):

@@ -114,7 +114,10 @@ def write_checkpoint(state: dict[str, np.ndarray], path) -> None:
 def read_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a :func:`write_checkpoint` file. A malformed file raises
     ValueError naming the path, and the entry where there is one."""
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a parameter checkpoint: {path}")
     if not isinstance(payload.get("params"), dict):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import megraph.autodiff as ad
+from megraph import checks
 from megraph.autodiff import ShapeError, Tensor
 from megraph.params import ParamStore, read_checkpoint, sgd_step, write_checkpoint
 
@@ -197,6 +198,86 @@ class TestForwardValues:
             ad.slice_rows(x, 0, 4)
 
 
+def _c(*shape):
+    return ad.constant(np.zeros(shape))
+
+
+def _conv(x_shape, tap_shapes=((4, 2),) * 3, b_shape=(1, 2), padding="same"):
+    taps = [_c(*s) for s in tap_shapes]
+    return lambda: ad.temporal_conv(_c(*x_shape), taps, _c(*b_shape), padding)
+
+
+# case -> (start of the message it must raise, a call with one bad operand)
+SHAPE_CONTRACTS = {
+    "matmul.lhs_rank": ("matmul: expected a", lambda: ad.matmul(_c(3), _c(3, 2))),
+    "matmul.rhs_rank": ("matmul: expected a", lambda: ad.matmul(_c(2, 3), _c(3))),
+    "matmul.inner": ("matmul: incompatible", lambda: ad.matmul(_c(2, 3), _c(4, 2))),
+    "matmul.batch": (
+        "matmul: batch axes", lambda: ad.matmul(_c(2, 2, 3), _c(3, 3, 4))
+    ),
+    "affine.rank": ("affine: expected a", lambda: ad.affine(_c(3), _c(3, 2), _c(1, 2))),
+    "affine.weight_rank": (
+        "affine: shapes", lambda: ad.affine(_c(2, 3), _c(3, 2, 1), _c(1, 2))
+    ),
+    "affine.inner": ("affine: shapes", lambda: ad.affine(_c(2, 3), _c(4, 2), _c(1, 2))),
+    "affine.bias": (
+        "affine: bias shape", lambda: ad.affine(_c(2, 3), _c(3, 2), _c(2, 1))
+    ),
+    "graph_affine.rank": (
+        "graph_affine: expected a",
+        lambda: ad.graph_affine(np.eye(3), _c(3), _c(3, 2), _c(1, 2)),
+    ),
+    "graph_affine.adjacency": (
+        "graph_affine: adjacency",
+        lambda: ad.graph_affine(np.eye(4), _c(5, 3), _c(3, 2), _c(1, 2)),
+    ),
+    "graph_affine.adjacency_rank": (
+        "graph_affine: adjacency",
+        lambda: ad.graph_affine(np.ones(5), _c(5, 3), _c(3, 2), _c(1, 2)),
+    ),
+    "graph_affine.inner": (
+        "graph_affine: shapes",
+        lambda: ad.graph_affine(np.eye(5), _c(5, 3), _c(4, 2), _c(1, 2)),
+    ),
+    "graph_affine.bias": (
+        "graph_affine: bias shape",
+        lambda: ad.graph_affine(np.eye(5), _c(5, 3), _c(3, 2), _c(1, 3)),
+    ),
+    "temporal_conv.rank": ("temporal_conv: expected", _conv((5, 4))),
+    "temporal_conv.no_taps": ("equally shaped 2-d taps", _conv((3, 5, 4), ())),
+    "temporal_conv.unequal_taps": (
+        "equally shaped 2-d taps", _conv((3, 5, 4), ((4, 2), (4, 3), (4, 2)))
+    ),
+    "temporal_conv.tap_rank": (
+        "equally shaped 2-d taps", _conv((3, 5, 4), ((4, 2, 1),) * 3)
+    ),
+    "temporal_conv.later_tap_rank": (
+        "equally shaped 2-d taps", _conv((3, 5, 4), ((4, 2), (4, 2), (4,)))
+    ),
+    "temporal_conv.features": ("temporal_conv: taps", _conv((3, 5, 3))),
+    "temporal_conv.bias": ("temporal_conv: bias shape", _conv((3, 5, 4), b_shape=(2,))),
+    "temporal_conv.too_few_frames": (
+        "taps exceed 2 frames", _conv((2, 5, 4), padding="valid")
+    ),
+    "cross_entropy.rank": (
+        "cross_entropy: expected a", lambda: ad.cross_entropy(_c(3), np.array([0]))
+    ),
+    "cross_entropy.labels": (
+        "cross_entropy: labels shape",
+        lambda: ad.cross_entropy(_c(2, 3), np.array([0, 1, 2])),
+    ),
+    "cross_entropy.label_dtype": (
+        "cross_entropy: labels must", lambda: ad.cross_entropy(_c(2, 3), [0.5, 1.5])
+    ),
+}
+
+
+@pytest.mark.parametrize("message, call", SHAPE_CONTRACTS.values(), ids=SHAPE_CONTRACTS)
+def test_shape_contract(message, call):
+    with pytest.raises(ShapeError, match=message):
+        call()
+
+
 class TestBackwardClosedForms:
     """Hand-derived gradients for a few ops with known closed forms."""
 
@@ -237,6 +318,34 @@ class TestBackwardClosedForms:
         np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
         x.zero_grad()
         assert x.grad is None
+
+    def test_repeated_backward_through_a_shared_node(self):
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        h = ad.mul(x, x)  # read twice below
+        y = ad.sum_all(ad.add(h, h))  # dy/dh = 2, dy/dx = 4x
+        y.backward()
+        np.testing.assert_array_equal(h.grad, [[2.0, 2.0]])
+        np.testing.assert_array_equal(x.grad, [[4.0, 8.0]])
+        y.backward()
+        # the interior node holds this pass's gradient, the leaf the sum
+        np.testing.assert_array_equal(h.grad, [[2.0, 2.0]])
+        np.testing.assert_array_equal(x.grad, [[8.0, 16.0]])
+
+    def test_interrupted_backward_leaves_nothing_behind(self):
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        h = ad.mul(x, x)
+
+        def fail(g):
+            raise RuntimeError("backward rule failed")
+
+        broken = ad._node(h.data.copy(), (h,), fail)
+        # h takes add's share of the gradient, then broken's rule raises
+        with pytest.raises(RuntimeError):
+            ad.sum_all(ad.add(h, broken)).backward()
+        assert h.grad is None and x.grad is None
+        ad.sum_all(h).backward()
+        np.testing.assert_array_equal(h.grad, [[1.0, 1.0]])
+        np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
@@ -332,6 +441,39 @@ class TestGradCheck:
         result = ad.grad_check(lambda t: ad.sum_all(ad.relu(t)), x)
         assert not result.passed
         assert result.worst_coord == (0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_model_check_matches_one_grad_check_per_parameter(self, monkeypatch, seed):
+        # the battery takes every parameter's gradient from one backward;
+        # each must equal a grad_check of that parameter alone at the same
+        # check point, bit for bit
+        models, objectives = [], []
+        make_model, compare = checks.ActionRelationNet, ad.compare_gradient
+
+        def spy_model(*args, **kwargs):
+            models.append(make_model(*args, **kwargs))
+            return models[-1]
+
+        def spy_compare(f, x, analytic, h, tol):
+            objectives.append(f)
+            return compare(f, x, analytic, h=h, tol=tol)
+
+        monkeypatch.setattr(checks, "ActionRelationNet", spy_model)
+        monkeypatch.setattr(ad, "compare_gradient", spy_compare)
+        entries = checks._model_entries(seed, h=1e-5, tol=1e-4)
+        (model,) = models
+        objective = objectives[-1]
+        # the parameters stay at the accepted check point
+        expected = [
+            ad.grad_check(objective, p, h=1e-5, tol=1e-4)
+            for _, p in model.params.items()
+        ]
+        assert len(entries) == len(model.params)
+        for entry, want in zip(entries, expected):
+            assert entry.result.passed
+            assert entry.result.max_rel_err == want.max_rel_err
+            assert entry.result.n_coords == want.n_coords
+            assert entry.result.worst_coord == want.worst_coord
 
     def test_check_restores_tensor_state(self):
         x = Tensor([[1.0, -2.0]], requires_grad=False)

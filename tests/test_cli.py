@@ -46,6 +46,19 @@ BAD_INPUTS = [
         id="config-infinity",
     ),
     pytest.param(
+        ["config", "show", "--config", "{input}"],
+        '{"optimizer": {"lr": 0.1,',
+        "{input}: invalid JSON: Expecting property name enclosed in double "
+        "quotes: line 1 column 26 (char 25)",
+        id="config-truncated",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        '{"format": "megraph-params-v1", "params": {"head.w": {"shape": [1',
+        "{input}: invalid JSON: Expecting ',' delimiter: line 1 column 66 (char 65)",
+        id="checkpoint-truncated",
+    ),
+    pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
         "[]",
         "not a parameter checkpoint: {input}",
@@ -80,6 +93,17 @@ BAD_INPUTS = [
         _samples(True),
         "{input}:1: label must be an integer, got true",
         id="samples-bool-label",
+    ),
+    *(
+        pytest.param(
+            ["train", "--config", "{data}"],
+            json.dumps({**GOOD_RECORD, "subject": subject}) + "\n",
+            f"{{input}}:1: subject must be a non-empty string, got {shown}",
+            id=f"samples-subject-{shown}",
+        )
+        for subject, shown in (
+            (3, "3"), (None, "null"), ("", '""'), (["s01"], '["s01"]')
+        )
     ),
 ]
 

@@ -1,7 +1,8 @@
 """Config validation and JSON round trips."""
 
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -18,6 +19,14 @@ from megraph.config import (
 )
 from megraph.losses import LossWeights
 from megraph.model import ModelConfig
+
+FLOAT_FIELDS = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (SynthSpec, OptimizerConfig, AugmentConfig, ExperimentConfig,
+                ModelConfig, LossWeights)
+    for f in fields(cls)
+    if typing.get_type_hints(cls)[f.name] is float
+]
 
 
 class TestValidation:
@@ -54,6 +63,13 @@ class TestValidation:
             ExperimentConfig(center_mode="other")
         with pytest.raises(ValueError):
             ExperimentConfig(f1_average="weighted")
+
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
+    def test_nan_fails_every_float_bound(self, cls, name):
+        # only JSON decoding rejects non-finite numbers; a config built in
+        # Python must still fail its bounds
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: float("nan")})
 
 
 class TestRoundTrips:
