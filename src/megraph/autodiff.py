@@ -9,6 +9,13 @@ leading axes are batch axes, and the one-sample 2-d case is the same code
 path. Where a 2-d operand (a weight, a bias, a constant adjacency) meets a
 batched one, its gradient is summed over the batch axes.
 
+Weights and biases may also carry a leading member axis: a ``(P, 1..., K, D)``
+weight or ``(P, 1..., 1, D)`` bias holds P variants of one parameter, with
+one singleton per batch axis of the operand it meets, and its leading axes
+broadcast against that operand's. One forward then evaluates P members at
+once, each bit-identical to a forward with that member alone; the gradient
+check uses this to run every probe of a parameter tensor in one pass.
+
 Each node records whether any parent needs a gradient; `backward` walks
 only those nodes, so constant inputs (keyframes, loss centers) cost
 nothing on the way back. One post-order walk marks them with a token new
@@ -215,19 +222,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.asarray(g).reshape(shape)
 
 
-def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """x^T g summed over the batch axes: the gradient of a 2-d weight."""
-    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+def _weight_grad(x: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """x^T g summed down to a weight of ``shape``. A 2-d weight whose
+    operand has every batch axis of ``g`` takes one flat product."""
+    if len(shape) == 2 and x.shape[:-1] == g.shape[:-1]:
+        return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return _unbroadcast(x.swapaxes(-1, -2) @ g, shape)
 
 
-def _bias_grad(g: np.ndarray) -> np.ndarray:
-    """g summed over every axis but the last: the gradient of a (1, D) bias."""
-    return g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True)
+def _bias_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """g summed down to a bias of ``shape``: over every axis but the last
+    for a (1, D) bias."""
+    if len(shape) == 2:
+        return g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True)
+    return _unbroadcast(g, shape)
 
 
 def _check_bias(op: str, b: Tensor, d: int) -> None:
-    if b.data.shape != (1, d):
-        raise ShapeError(f"{op}: bias shape {b.data.shape}, expected (1, {d})")
+    if b.data.shape[-2:] != (1, d):
+        raise ShapeError(
+            f"{op}: bias shape {b.data.shape}, expected (1, {d}) or (P, 1..., 1, {d})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +263,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), sa)
-        if len(sb) == 2:
-            gb = _weight_grad(a.data, g)
-        else:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, sb)
-        return ga, gb
+        return ga, _weight_grad(a.data, g, sb)
 
     return _node(out, (a, b), back, "matmul")
 
@@ -336,19 +347,32 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Join along the row axis (-2); batch axes and columns must match."""
+    """Join along the row axis (-2); columns must match and batch axes
+    broadcast, each part's gradient summed back over the axes it gained."""
     if not parts:
         raise ShapeError("concat_rows: need at least one tensor")
     _require_matrix("concat_rows", *parts)
     first = parts[0].shape
+    leads = [p.shape[:-2] for p in parts]
+    lead = leads[0]
+    try:
+        if leads.count(lead) != len(leads):
+            lead = np.broadcast_shapes(*leads)
+    except ValueError:
+        lead = None
     for p in parts:
-        if p.shape[:-2] != first[:-2] or p.shape[-1] != first[-1]:
+        if lead is None or p.shape[-1] != first[-1]:
             raise ShapeError(f"concat_rows: shape {p.shape} does not stack on {first}")
     boundaries = np.cumsum([p.shape[-2] for p in parts])[:-1]
-    out = np.concatenate([p.data for p in parts], axis=-2)
+    blocks = [
+        p.data if p.shape[:-2] == lead else np.broadcast_to(p.data, lead + p.shape[-2:])
+        for p in parts
+    ]
+    out = np.concatenate(blocks, axis=-2)
 
     def back(g):
-        return tuple(np.split(g, boundaries, axis=-2))
+        pieces = np.split(g, boundaries, axis=-2)
+        return tuple(_unbroadcast(gp, p.shape) for gp, p in zip(pieces, parts))
 
     return _node(out, tuple(parts), back, "concat_rows")
 
@@ -411,12 +435,19 @@ def normalize_columns(a: Tensor) -> Tensor:
     return _node(out, (a,), back, "normalize_columns")
 
 
-def sq_frobenius(a: Tensor) -> Tensor:
-    """Sum of squared entries, as a 0-d scalar."""
-    out = np.asarray((a.data * a.data).sum())
+def sq_frobenius(a: Tensor, keep: int = 0) -> Tensor:
+    """Sum of squared entries over all but the first ``keep`` axes: a 0-d
+    scalar by default, one sum per member when ``keep`` axes are members."""
+    sq = a.data * a.data
+    if keep:
+        out = sq.reshape(a.shape[:keep] + (-1,)).sum(axis=-1)
+    else:
+        out = np.asarray(sq.sum())
+
+    per_member = out.shape + (1,) * (a.ndim - keep)
 
     def back(g):
-        return (2.0 * a.data * g,)
+        return (2.0 * a.data * g.reshape(per_member),)
 
     return _node(out, (a,), back, "sq_frobenius")
 
@@ -447,37 +478,46 @@ def mean_rows(a: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for (..., R, K) x, (K, D) weight and (1, D) bias."""
-    xs, ws = x.data.shape, w.data.shape
+    """x @ w + b for (..., R, K) x, (K, D) weight and (1, D) bias, either of
+    them possibly a member stack."""
+    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
     if len(xs) < 2:
         raise _not_matrix("affine", xs)
-    if len(ws) != 2 or xs[-1] != ws[0]:
-        raise ShapeError(f"affine: shapes {xs} @ {ws} + {b.data.shape}")
-    _check_bias("affine", b, ws[1])
-    out = x.data @ w.data + b.data
+    if len(ws) < 2 or xs[-1] != ws[-2]:
+        raise ShapeError(f"affine: shapes {xs} @ {ws} + {bs}")
+    _check_bias("affine", b, ws[-1])
+    try:
+        out = x.data @ w.data + b.data
+    except ValueError:
+        raise ShapeError(f"affine: shapes {xs} @ {ws} + {bs}") from None
 
     def back(g):
-        return g @ w.data.T, _weight_grad(x.data, g), _bias_grad(g)
+        gx = _unbroadcast(g @ w.data.swapaxes(-1, -2), xs)
+        return gx, _weight_grad(x.data, g, ws), _bias_grad(g, bs)
 
     return _node(out, (x, w, b), back, "affine")
 
 
 def graph_affine(adj: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """adj @ x @ w + b with a constant (non-differentiated) (R, R) adjacency
-    shared by every matrix of a (..., R, K) x."""
-    xs, ws = x.data.shape, w.data.shape
+    shared by every matrix of a (..., R, K) x; w and b as in :func:`affine`."""
+    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
     if len(xs) < 2:
         raise _not_matrix("graph_affine", xs)
     if adj.ndim != 2 or adj.shape[1] != xs[-2]:
         raise ShapeError(f"graph_affine: adjacency {adj.shape} vs features {xs}")
-    if len(ws) != 2 or xs[-1] != ws[0]:
-        raise ShapeError(f"graph_affine: shapes {xs} @ {ws} + {b.data.shape}")
-    _check_bias("graph_affine", b, ws[1])
+    if len(ws) < 2 or xs[-1] != ws[-2]:
+        raise ShapeError(f"graph_affine: shapes {xs} @ {ws} + {bs}")
+    _check_bias("graph_affine", b, ws[-1])
     pooled = adj @ x.data
-    out = pooled @ w.data + b.data
+    try:
+        out = pooled @ w.data + b.data
+    except ValueError:
+        raise ShapeError(f"graph_affine: shapes {xs} @ {ws} + {bs}") from None
 
     def back(g):
-        return adj.T @ (g @ w.data.T), _weight_grad(pooled, g), _bias_grad(g)
+        gx = _unbroadcast(adj.T @ (g @ w.data.swapaxes(-1, -2)), xs)
+        return gx, _weight_grad(pooled, g, ws), _bias_grad(g, bs)
 
     return _node(out, (x, w, b), back, "graph_affine")
 
@@ -489,9 +529,10 @@ def temporal_conv(
 
     Output frame t is ``b + sum_k x[t + k - p] @ taps[k]`` with (K, D) taps.
     ``"same"`` pads p = len(taps) // 2 zero frames on each side and keeps T
-    frames; ``"valid"`` pads none and keeps T - len(taps) + 1.
+    frames; ``"valid"`` pads none and keeps T - len(taps) + 1. Any tap and
+    the bias may be a member stack; a tap's frame axis is a singleton.
     """
-    xd, xs = x.data, x.data.shape
+    xd, xs, bs = x.data, x.data.shape, b.data.shape
     if len(xs) < 3:
         raise ShapeError(f"temporal_conv: expected (..., T, R, K) input, got {xs}")
     if padding not in ("same", "valid"):
@@ -500,9 +541,16 @@ def temporal_conv(
         )
     k = len(taps)
     ws = [w.data for w in taps]
-    w_shape = ws[0].shape if ws else ()
-    if len(w_shape) != 2 or [w.shape for w in ws].count(w_shape) != k:
-        raise ShapeError("temporal_conv: need non-empty, equally shaped 2-d taps")
+    w_shape = ws[0].shape[-2:] if ws else ()
+    bad, stacked = len(w_shape) != 2, len(bs) > 2
+    for w in ws:
+        bad = bad or w.shape[-2:] != w_shape or (w.ndim > 2 and w.shape[-3] != 1)
+        stacked = stacked or w.ndim > 2
+    if bad:
+        raise ShapeError(
+            "temporal_conv: need non-empty, equally shaped 2-d taps, each alone "
+            "or as a (P, 1..., 1, K, D) member stack"
+        )
     if w_shape[0] != xs[-1]:
         raise ShapeError(f"temporal_conv: taps {w_shape} vs features {xs}")
     _check_bias("temporal_conv", b, w_shape[1])
@@ -511,39 +559,53 @@ def temporal_conv(
     t_out = frames + 2 * pad - k + 1
     if t_out < 1:
         raise ShapeError(f"temporal_conv: {k} taps exceed {frames} frames")
+    lead = xs[:-3]
+    if stacked:
+        try:
+            lead = np.broadcast_shapes(lead, bs[:-3], *[w.shape[:-3] for w in ws])
+        except ValueError:
+            raise ShapeError(
+                f"temporal_conv: member axes of taps or bias {bs} vs features {xs}"
+            ) from None
     # tap j maps input frames lo+d:hi+d onto output frames lo:hi, d = j - pad;
     # the zero padding frames are never materialized
     spans = [(max(0, pad - j), min(t_out, frames + pad - j), j - pad) for j in range(k)]
-    out = np.zeros(xs[:-3] + (t_out, xs[-2], w_shape[1]))
+    out = np.zeros(lead + (t_out, xs[-2], w_shape[1]))
     for (lo, hi, d), w in zip(spans, ws):
         if lo < hi:
             out[..., lo:hi, :, :] += xd[..., lo + d : hi + d, :, :] @ w
     out += b.data
 
     def back(g):
-        gx = np.zeros_like(xd)
+        gx = np.zeros(g.shape[:-3] + xs[-3:])
         gws = []
         for (lo, hi, d), w in zip(spans, ws):
             if lo >= hi:
                 gws.append(np.zeros_like(w))
                 continue
             g_span = g[..., lo:hi, :, :]
-            gx[..., lo + d : hi + d, :, :] += g_span @ w.T
-            gws.append(_weight_grad(xd[..., lo + d : hi + d, :, :], g_span))
-        return (gx, *gws, _bias_grad(g))
+            gx[..., lo + d : hi + d, :, :] += g_span @ w.swapaxes(-1, -2)
+            gws.append(_weight_grad(xd[..., lo + d : hi + d, :, :], g_span, w.shape))
+        return (_unbroadcast(gx, xs), *gws, _bias_grad(g, bs))
 
     return _node(out, (x, *taps, b), back, "temporal_conv")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross-entropy of (..., N, K) logits against integer
-    labels of shape (..., N)."""
+    labels of shape (..., N), over every axis of the labels.
+
+    Logit axes before those are member axes, each member getting its own
+    mean: (P, N, K) logits and (N,) labels give P values.
+    """
     data, shape = logits.data, logits.data.shape
     if len(shape) < 2:
         raise _not_matrix("cross_entropy", shape)
     y = np.asarray(labels)
-    if y.shape != shape[:-1]:
+    m = len(shape) - 1 - y.ndim
+    if y.ndim < 1 or m < 0 or y.shape != shape[m:-1]:
         raise ShapeError(f"cross_entropy: labels shape {y.shape} vs logits {shape}")
+    members = shape[:m]
     if not np.issubdtype(y.dtype, np.integer):
         raise ShapeError("cross_entropy: labels must be integers")
     k = shape[-1]
@@ -552,12 +614,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n = y.size
     z = data - data.max(axis=-1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    picked = log_probs.reshape(n, k)[np.arange(n), y.reshape(n)]
-    out = np.asarray(-(picked.sum() / n))
+    picked = log_probs.reshape(-1, n, k)[:, np.arange(n), y.reshape(n)]
+    out = (-(picked.sum(axis=-1) / n)).reshape(members)
 
     def back(g):
         onehot = np.arange(k) == y[..., None]
-        return ((np.exp(log_probs) - onehot) * (g / n),)
+        per_member = (g / n).reshape(members + (1,) * (y.ndim + 1))
+        return ((np.exp(log_probs) - onehot) * per_member,)
 
     return _node(out, (logits,), back, "cross_entropy")
 
@@ -587,6 +650,8 @@ class GradCheckResult:
 def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckResult:
     """Compare the tape gradient of scalar-valued ``f`` at ``x`` to central
     differences, by one backward and then :func:`compare_gradient`."""
+    if h <= 0:
+        raise ValueError("grad_check: h must be positive")
     was_leaf = x.requires_grad
     x.requires_grad = True
     saved_grad = x.grad
@@ -603,15 +668,26 @@ def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckRes
     return compare_gradient(f, x, analytic, h=h, tol=tol)
 
 
-def compare_gradient(f, x: Tensor, analytic, h: float, tol: float) -> GradCheckResult:
+def compare_gradient(
+    f, x: Tensor, analytic, h: float, tol: float, stacked=None
+) -> GradCheckResult:
     """Compare ``analytic``, the tape gradient of scalar-valued ``f`` at ``x``
     (None for zero), to central differences ``(f(x + h e_i) - f(x - h e_i)) / 2h``.
+
+    By default each coordinate in turn is moved to ``x_i + h`` and
+    ``x_i - h`` in place and ``f(x)`` evaluated, then restored: the
+    reference loop. ``stacked``, when given, takes all 2n probes at once as
+    one ``(2n, *x.shape)`` stack, member 2i being ``x + h e_i`` and member
+    2i + 1 ``x - h e_i``, and returns their 2n values of ``f`` from one
+    evaluation, such as a forward whose parameter carries the stack on a
+    leading member axis; each value must be the one the loop would give.
 
     Relative error per coordinate is ``|a - n| / max(|a|, |n|, 1)``; the floor
     keeps near-zero gradients from inflating rounding noise.
     """
     if h <= 0:
         raise ValueError("grad_check: h must be positive")
+    n = x.data.size
     if analytic is None:
         analytic = np.zeros_like(x.data)
     if not np.all(np.isfinite(analytic)):
@@ -619,31 +695,40 @@ def compare_gradient(f, x: Tensor, analytic, h: float, tol: float) -> GradCheckR
         return GradCheckResult(
             max_rel_err=np.inf,
             passed=False,
-            n_coords=x.data.size,
+            n_coords=n,
             worst_coord=bad,
             failure=f"non-finite analytic gradient at {bad}",
         )
 
-    numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + h
-        fp = float(f(x).data)
-        flat[i] = original - h
-        fm = float(f(x).data)
-        flat[i] = original
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            coord = np.unravel_index(i, x.shape)
-            return GradCheckResult(
-                max_rel_err=np.inf,
-                passed=False,
-                n_coords=flat.size,
-                worst_coord=coord,
-                failure=f"non-finite finite-difference value at {coord}",
-            )
-        num_flat[i] = (fp - fm) / (2.0 * h)
+    values = np.empty(2 * n)
+    if stacked is not None:
+        probes = np.repeat(x.data.reshape(1, n), 2 * n, axis=0)
+        coords = np.arange(n)
+        probes[2 * coords, coords] += h
+        probes[2 * coords + 1, coords] -= h
+        values[:] = stacked(probes.reshape((2 * n,) + x.shape))
+    else:
+        for i, coord in enumerate(np.ndindex(x.shape)):
+            original = x.data[coord]
+            try:
+                x.data[coord] = original + h
+                values[2 * i] = float(f(x).data)
+                x.data[coord] = original - h
+                values[2 * i + 1] = float(f(x).data)
+            finally:
+                x.data[coord] = original
+    fp, fm = values[0::2], values[1::2]
+    finite = np.isfinite(fp) & np.isfinite(fm)
+    if not finite.all():
+        coord = np.unravel_index(int(np.argmin(finite)), x.shape)
+        return GradCheckResult(
+            max_rel_err=np.inf,
+            passed=False,
+            n_coords=n,
+            worst_coord=coord,
+            failure=f"non-finite finite-difference value at {coord}",
+        )
+    numeric = ((fp - fm) / (2.0 * h)).reshape(x.shape)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
     rel = np.abs(analytic - numeric) / denom
@@ -652,6 +737,6 @@ def compare_gradient(f, x: Tensor, analytic, h: float, tol: float) -> GradCheckR
     return GradCheckResult(
         max_rel_err=max_rel,
         passed=max_rel <= tol,
-        n_coords=flat.size,
-        worst_coord=np.unravel_index(worst, x.shape) if flat.size else None,
+        n_coords=n,
+        worst_coord=np.unravel_index(worst, x.shape) if n else None,
     )

@@ -205,6 +205,53 @@ def _op_cases() -> dict:
     return {name: _op_case(*spec) for name, spec in specs.items()}
 
 
+def _stacked_cases() -> dict:
+    """Ops whose weight, bias or row block carries a leading member axis of
+    three, each with respect to the stacked operand, to x, whose gradient
+    sums over the members, and to a 2-d operand beside a stacked one."""
+    n = _normal
+    specs = {
+        "matmul.lhs.stacked": (ad.matmul, 0, n(2, 4, 3), n(3, 1, 3, 5)),
+        "matmul.rhs.stacked": (ad.matmul, 1, n(2, 4, 3), n(3, 1, 3, 5)),
+        "concat_rows.stacked": (_split_around, 0, n(2, 5, 4), n(3, 1, 2, 4)),
+        "concat_rows.mid.stacked": (_split_around, 1, n(2, 5, 4), n(3, 1, 2, 4)),
+    }
+
+    def operands(k, d, w_stacked, b_stacked):
+        """(K, D) weight and (1, D) bias draws for a (2, R, K) x; a stacked
+        one is (3, 1, K, D) or (3, 1, 1, D)."""
+        w = n(3, 1, k, d) if w_stacked else n(k, d)
+        return w, n(3, 1, 1, d) if b_stacked else n(1, d)
+
+    for target, wrt, w_stacked, b_stacked in (
+        ("x", 0, True, True),
+        ("w", 1, True, False),
+        ("b", 2, False, True),
+        ("w.shared", 1, False, True),
+    ):
+        specs[f"affine.{target}.stacked"] = (
+            ad.affine, wrt, n(2, 3, 4), *operands(4, 5, w_stacked, b_stacked)
+        )
+        specs[f"graph_affine.{target}.stacked"] = (
+            _graph_affine, wrt + 1, _adjacency(5), n(2, 5, 3),
+            *operands(3, 4, w_stacked, b_stacked),
+        )
+    # temporal_conv over (B, T, R, C) frames with (P, 1, 1, K, D) taps and a
+    # (P, 1, 1, 1, D) bias; "w.shared" is a 2-d tap beside a stacked one
+    tap, tap_p, cb, cb_p = n(3, 2), n(3, 1, 1, 3, 2), n(1, 2), n(3, 1, 1, 1, 2)
+    for padding in ("same", "valid"):
+        for target, wrt, draws in (
+            ("x", 0, (tap, tap_p, tap, cb_p)),
+            ("w", 2, (tap, tap_p, tap, cb)),
+            ("b", 4, (tap, tap, tap, cb_p)),
+            ("w.shared", 1, (tap, tap, tap_p, cb)),
+        ):
+            specs[f"temporal_conv.{padding}.{target}.stacked"] = (
+                _conv(padding), wrt, n(2, 3, 4, 3), *draws
+            )
+    return {name: _op_case(*spec) for name, spec in specs.items()}
+
+
 def _loss_cases() -> dict:
     cases = {}
     n, rows, chans = 4, 6, 3
@@ -262,18 +309,40 @@ def kink_margin(loss: Tensor) -> float:
     stays on one side of every kink, so end-to-end checks must run at a
     point whose margin comfortably exceeds the probe's reach.
     """
+    margin = np.inf
+    for node in _tape(loss):
+        if node.op in KINKED_OPS:
+            margin = min(margin, float(np.abs(node._parents[0].data).min()))
+    return margin
+
+
+def _tape(loss: Tensor):
+    """Every node reachable from ``loss``, each once."""
     seen: set[int] = set()
     stack = [loss]
-    margin = np.inf
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
         stack.extend(node._parents)
-        if node.op in KINKED_OPS:
-            margin = min(margin, float(np.abs(node._parents[0].data).min()))
-    return margin
+        yield node
+
+
+# ops whose weight and bias operands broadcast against their first operand
+WEIGHTED_OPS = ("affine", "graph_affine", "temporal_conv")
+
+
+def _batch_axes(loss: Tensor) -> dict[int, int]:
+    """id of every weight and bias on the tape -> the number of batch axes
+    of the operand it meets: the singletons a member stack of it needs."""
+    axes = {}
+    for node in _tape(loss):
+        if node.op in WEIGHTED_OPS:
+            x, *operands = node._parents
+            for p in operands:
+                axes[id(p)] = x.ndim - 2
+    return axes
 
 
 MIN_KINK_MARGIN = 2e-4
@@ -291,7 +360,9 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
     parameter passes. A wrong backward rule fails at every point, so the
     redraws cannot hide one; they only steer the probe onto valid ground.
     At a point that clears the kink margin, one backward over the tape the
-    margin was read from gives every parameter's analytic gradient.
+    margin was read from gives every parameter's analytic gradient, and one
+    forward per parameter tensor, with the tensor's probes stacked on a
+    leading member axis, gives all of its central differences.
     """
     samples = synthesize_dataset(
         n_subjects=1, samples_per_subject=3, n_classes=3, noise_sigma=0.5, seed=seed
@@ -309,6 +380,20 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
             model.forward(graph), labels, weights, table=table, update_table=False
         ).total
 
+    def stacked(p: Tensor, batch_axes: int):
+        """The objective at every probe of ``p`` in one forward, ``p`` holding
+        the probes on a member axis in front of its operand's batch axes."""
+
+        def values(probes: np.ndarray) -> np.ndarray:
+            value = p.data
+            p.data = probes.reshape(probes.shape[:1] + (1,) * batch_axes + value.shape)
+            try:
+                return objective(p).data
+            finally:
+                p.data = value
+
+        return values
+
     baseline = model.params.state_dict()
     entries: list[BatteryEntry] = []
     for attempt in range(_JITTER_ATTEMPTS):
@@ -320,11 +405,15 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
             continue
         model.params.zero_grad()
         ad.backward(loss)
+        batch_axes = _batch_axes(loss)
         entries = [
             BatteryEntry(
                 name=f"model.full[{name}]",
                 seed=seed,
-                result=ad.compare_gradient(objective, p, p.grad, h=h, tol=tol),
+                result=ad.compare_gradient(
+                    objective, p, p.grad, h=h, tol=tol,
+                    stacked=stacked(p, batch_axes[id(p)]),
+                ),
             )
             for name, p in model.params.items()
         ]
@@ -350,7 +439,9 @@ def run_battery(
     """Check every case under every seed; model parameters under the first
     two seeds (they dominate runtime and cover every op again)."""
     release_cycles()
-    cases = {**_op_cases(), **_loss_cases()}
+    # each case draws from a generator keyed by its position: new cases go
+    # last so that earlier ones keep their draws
+    cases = {**_op_cases(), **_loss_cases(), **_stacked_cases()}
     entries: list[BatteryEntry] = []
     for index, (name, build) in enumerate(cases.items()):
         for seed in seeds:

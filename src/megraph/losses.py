@@ -4,7 +4,10 @@ All four terms are differentiable through the tape; the centers they pull
 toward (batch feature mean, per-class weight centers) are held constant
 during differentiation and maintained outside the tape, so gradients flow
 only through the model outputs. Every term reads one stacked batch: (B, K)
-logits, (B, R, C) action features, (B, R, 1) slot weights.
+logits, (B, R, C) action features, (B, R, 1) slot weights, and reduces
+over those sample axes alone. Inputs with leading member axes, from a
+member-stacked parameter, give one value per member: batch statistics are
+taken over B within each member, never across members.
 """
 
 from __future__ import annotations
@@ -103,9 +106,11 @@ class WeightCenterTable:
                 )
 
 
-def _require_batch(name: str, t: Tensor) -> None:
-    if t.ndim != 3:
+def _require_batch(name: str, t: Tensor) -> int:
+    """Check for a (..., B, R, C) batch; return its number of member axes."""
+    if t.ndim < 3:
         raise ad.ShapeError(f"{name}: expected a (B, R, C) batch, got shape {t.shape}")
+    return t.ndim - 3
 
 
 def classification_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
@@ -120,10 +125,12 @@ def feature_center_loss(action_features: Tensor) -> Tensor:
     The mean is a constant during differentiation, so each sample is pulled
     toward the current batch center rather than the center chasing itself.
     """
-    _require_batch("feature_center_loss", action_features)
-    n = action_features.shape[0]
-    center = ad.constant(action_features.data.mean(axis=0))
-    return ad.scale(ad.sq_frobenius(ad.sub(action_features, center)), 1.0 / (2.0 * n))
+    members = _require_batch("feature_center_loss", action_features)
+    n = action_features.shape[-3]
+    center = ad.constant(action_features.data.mean(axis=-3, keepdims=True))
+    return ad.scale(
+        ad.sq_frobenius(ad.sub(action_features, center), members), 1.0 / (2.0 * n)
+    )
 
 
 def weight_center_loss(
@@ -138,11 +145,11 @@ def weight_center_loss(
     Uses the centers as they stand, then (when update is set) folds the
     batch into the table. Evaluation passes must not update.
     """
-    _require_batch("weight_center_loss", weights)
-    n = weights.shape[0]
+    members = _require_batch("weight_center_loss", weights)
+    n = weights.shape[-3]
     labels = np.asarray(labels, dtype=np.int64)
-    targets = ad.constant(table.centers[labels].reshape(weights.shape))
-    loss = ad.scale(ad.sq_frobenius(ad.sub(weights, targets)), 1.0 / n)
+    targets = ad.constant(table.centers[labels].reshape(weights.shape[-3:]))
+    loss = ad.scale(ad.sq_frobenius(ad.sub(weights, targets), members), 1.0 / n)
     if update:
         table.update(weights.data.reshape(n, -1), labels)
     return loss
@@ -155,26 +162,26 @@ def balance_loss(weights: Tensor) -> Tensor:
     Pushes the model to spread relation mass across action slots on average
     rather than collapsing onto a few.
     """
-    _require_batch("balance_loss", weights)
-    n = weights.shape[0]
-    mean = ad.mean_rows(ad.reshape(weights, (n, -1)))
-    target = ad.constant(np.full(mean.shape, 1.0 / mean.shape[1]))
-    return ad.sq_frobenius(ad.sub(mean, target))
+    members = _require_batch("balance_loss", weights)
+    mean = ad.mean_rows(ad.reshape(weights, weights.shape[:-2] + (-1,)))
+    target = ad.constant(np.full(mean.shape[-2:], 1.0 / mean.shape[-1]))
+    return ad.sq_frobenius(ad.sub(mean, target), members)
 
 
 @dataclass
 class LossBreakdown:
-    """Total loss tensor plus the scalar value of each component.
+    """Total loss tensor plus the value of each component.
 
-    Component values are the unweighted terms; skipped terms (zero weight or
-    unavailable inputs) are reported as 0.
+    Component values are the unweighted terms, as floats, or as arrays of
+    one value per member when the forward result has member axes; skipped
+    terms (zero weight or unavailable inputs) are reported as 0.
     """
 
     total: Tensor
-    ce: float
-    feature_center: float
-    weight_center: float
-    balance: float
+    ce: float | np.ndarray
+    feature_center: float | np.ndarray
+    weight_center: float | np.ndarray
+    balance: float | np.ndarray
 
     @property
     def total_value(self) -> float:
@@ -191,9 +198,14 @@ class LossBreakdown:
 
 
 def _check_finite(value: Tensor, name: str) -> Tensor:
-    if not np.isfinite(value.data):
+    if not np.isfinite(value.data).all():
         raise FloatingPointError(f"{name} loss is not finite")
     return value
+
+
+def _value(term: Tensor):
+    """A term's value: a float, or one value per member as an array."""
+    return float(term.data) if term.ndim == 0 else term.data
 
 
 def total_loss(
@@ -203,7 +215,8 @@ def total_loss(
     table: WeightCenterTable | None = None,
     update_table: bool = True,
 ) -> LossBreakdown:
-    """Weighted sum of the four terms over one batched forward result.
+    """Weighted sum of the four terms over one batched forward result: a
+    0-d total, or one total per member of a member-stacked result.
 
     Terms with zero weight are skipped outright, so the total is exactly the
     classification loss when all three auxiliary weights are zero.
@@ -221,7 +234,7 @@ def total_loss(
         mc = _check_finite(
             feature_center_loss(result.action_features), "feature-center"
         )
-        mc_value = float(mc.data)
+        mc_value = _value(mc)
         total = ad.add(total, ad.scale(mc, weights.feature_center))
 
     needs_w = weights.weight_center != 0.0 or weights.balance != 0.0
@@ -238,17 +251,17 @@ def total_loss(
             weight_center_loss(result.weights, labels, table, update=update_table),
             "weight-center",
         )
-        wc_value = float(wc.data)
+        wc_value = _value(wc)
         total = ad.add(total, ad.scale(wc, weights.weight_center))
 
     if weights.balance != 0.0:
         b = _check_finite(balance_loss(result.weights), "balance")
-        b_value = float(b.data)
+        b_value = _value(b)
         total = ad.add(total, ad.scale(b, weights.balance))
 
     return LossBreakdown(
         total=total,
-        ce=float(ce.data),
+        ce=_value(ce),
         feature_center=mc_value,
         weight_center=wc_value,
         balance=b_value,

@@ -16,7 +16,10 @@ A linear head maps the stage output (mean-pooled over the node axis when
 the later stages are disabled) to class logits.
 
 Every stage takes one sample or a stacked batch: the forward pass of B
-samples that share an adjacency is one tape, not B of them.
+samples that share an adjacency is one tape, not B of them. A parameter
+whose value is a member stack (see ``autodiff``) carries its leading member
+axes through every later stage of a stacked batch, down to (P, B, K)
+logits: one forward evaluates P variants of the model.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ class ForwardResult:
 
     Shapes are for a stacked batch of B samples; a one-sample graph gives
     the same shapes without the leading B, except logits and the
-    recognition feature, which keep B = 1.
+    recognition feature, which keep B = 1. A member-stacked parameter puts
+    its member axes in front of every output it reaches.
     """
 
     logits: Tensor  # (B, K)
@@ -283,5 +287,6 @@ class ActionRelationNet:
 
 
 def _per_sample(pooled: Tensor) -> Tensor:
-    """(..., 1, C) pooled rows -> (B, C), one row per sample."""
-    return ad.reshape(pooled, (-1, pooled.shape[-1]))
+    """(..., B, 1, C) pooled rows -> (..., B, C), one row per sample and any
+    member axes kept; one sample's (1, C) row stays (1, C)."""
+    return ad.reshape(pooled, (pooled.shape[:-2] or (1,)) + pooled.shape[-1:])

@@ -547,7 +547,7 @@ def _loss_row_weights(name: str, base):
 
 def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
     """Module rows (backbone, actions, full) and loss-removal rows, all on
-    identical splits and seeds."""
+    identical splits and seeds; the two "full" rows share one run."""
     t0 = time.perf_counter()
     subjects_ref: list[str] | None = None
 
@@ -561,9 +561,10 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
         return run
 
     modules = []
+    module_runs = {}
     for variant in MODULE_ROWS:
         cfg = replace(config, model=replace(config.model, variant=variant))
-        run = one_row(cfg)
+        run = module_runs[variant] = one_row(cfg)
         modules.append(
             {
                 "name": variant,
@@ -578,7 +579,11 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
     full_cfg = replace(config, model=replace(config.model, variant="full"))
     for name in LOSS_ROWS:
         weights = _loss_row_weights(name, full_cfg.loss_weights)
-        run = one_row(replace(full_cfg, loss_weights=weights))
+        # the "full" loss row is the "full" module row's configuration
+        if name == "full":
+            run = module_runs["full"]
+        else:
+            run = one_row(replace(full_cfg, loss_weights=weights))
         losses.append(
             {
                 "name": name,

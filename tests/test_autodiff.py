@@ -174,6 +174,65 @@ class TestForwardValues:
             ad.transpose(ad.constant(x)).data, np.swapaxes(x, 1, 2)
         )
 
+    def test_stacked_operands_match_per_member_calls(self):
+        # a (P, 1..., K, D) weight or (P, 1..., 1, D) bias evaluates P
+        # members in one call, each bit-identical to that member alone
+        rng = np.random.default_rng(7)
+        c = ad.constant
+        x = c(rng.normal(size=(2, 5, 4)))
+        w, b = rng.normal(size=(3, 1, 4, 2)), rng.normal(size=(3, 1, 1, 2))
+        w2, b2 = rng.normal(size=(4, 2)), rng.normal(size=(1, 2))
+        adj = rng.normal(size=(5, 5))
+        stacked = {
+            "affine": ad.affine(x, c(w), c(b)).data,
+            "affine.bias": ad.affine(x, c(w2), c(b)).data,
+            "graph_affine": ad.graph_affine(adj, x, c(w), c(b)).data,
+            "graph_affine.weight": ad.graph_affine(adj, x, c(w), c(b2)).data,
+            "matmul": ad.matmul(x, c(w)).data,
+        }
+        for m in range(3):
+            wm, bm = c(w[m, 0]), c(b[m, 0])
+            one = {
+                "affine": ad.affine(x, wm, bm).data,
+                "affine.bias": ad.affine(x, c(w2), bm).data,
+                "graph_affine": ad.graph_affine(adj, x, wm, bm).data,
+                "graph_affine.weight": ad.graph_affine(adj, x, wm, c(b2)).data,
+                "matmul": ad.matmul(x, wm).data,
+            }
+            for name, got in stacked.items():
+                assert got.shape == (3, 2, 5, 2), name
+                assert np.array_equal(got[m], one[name]), name
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_stacked_temporal_conv_matches_per_member_calls(self, padding):
+        rng = np.random.default_rng(7)
+        c = ad.constant
+        x = c(rng.normal(size=(2, 3, 4, 3)))
+        w0, w2 = c(rng.normal(size=(3, 2))), c(rng.normal(size=(3, 2)))
+        w1 = rng.normal(size=(4, 1, 1, 3, 2))
+        b = rng.normal(size=(4, 1, 1, 1, 2))
+        got = ad.temporal_conv(x, [w0, c(w1), w2], c(b), padding).data
+        assert got.shape[:2] == (4, 2)
+        for m in range(4):
+            one = ad.temporal_conv(x, [w0, c(w1[m, 0, 0]), w2], c(b[m, 0, 0]), padding)
+            assert np.array_equal(got[m], one.data)
+
+    def test_concat_rows_broadcasts_batch_axes(self):
+        rng = np.random.default_rng(7)
+        a, mid, z = (rng.normal(size=s) for s in ((2, 2, 4), (3, 1, 3, 4), (2, 1, 4)))
+        parts = [ad.tensor(v, requires_grad=True) for v in (a, mid, z)]
+        out = ad.concat_rows(parts)
+        assert out.shape == (3, 2, 6, 4)
+        for m in range(3):
+            for i in range(2):
+                want = np.concatenate([a[i], mid[m, 0], z[i]])
+                assert np.array_equal(out.data[m, i], want)
+        ad.backward(ad.sum_all(out))
+        # each part's gradient sums over the axes it was broadcast along
+        np.testing.assert_array_equal(parts[0].grad, np.full(a.shape, 3.0))
+        np.testing.assert_array_equal(parts[1].grad, np.full(mid.shape, 2.0))
+        np.testing.assert_array_equal(parts[2].grad, np.full(z.shape, 3.0))
+
     def test_cross_entropy_matches_loop(self):
         rng = np.random.default_rng(42)
         logits = rng.normal(size=(6, 4))
@@ -258,6 +317,27 @@ SHAPE_CONTRACTS = {
     "temporal_conv.bias": ("temporal_conv: bias shape", _conv((3, 5, 4), b_shape=(2,))),
     "temporal_conv.too_few_frames": (
         "taps exceed 2 frames", _conv((2, 5, 4), padding="valid")
+    ),
+    "affine.members": (
+        "affine: shapes", lambda: ad.affine(_c(2, 3, 4), _c(3, 4, 2), _c(1, 2))
+    ),
+    "graph_affine.bias_members": (
+        "graph_affine: shapes",
+        lambda: ad.graph_affine(np.eye(5), _c(2, 5, 3), _c(3, 2), _c(3, 3, 1, 2)),
+    ),
+    "temporal_conv.stacked_frames": (
+        "equally shaped 2-d taps", _conv((3, 5, 4), ((4, 2), (2, 3, 4, 2), (4, 2)))
+    ),
+    "temporal_conv.members": (
+        "temporal_conv: member axes",
+        _conv((2, 3, 5, 4), ((3, 1, 1, 4, 2),) * 3, b_shape=(2, 1, 1, 1, 2)),
+    ),
+    "concat_rows.batch": (
+        "concat_rows: shape", lambda: ad.concat_rows([_c(2, 5, 4), _c(3, 2, 4)])
+    ),
+    "cross_entropy.label_rank": (
+        "cross_entropy: labels shape",
+        lambda: ad.cross_entropy(_c(2, 3), np.zeros((1, 2), dtype=int)),
     ),
     "cross_entropy.rank": (
         "cross_entropy: expected a", lambda: ad.cross_entropy(_c(3), np.array([0]))
@@ -444,9 +524,10 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_model_check_matches_one_grad_check_per_parameter(self, monkeypatch, seed):
-        # the battery takes every parameter's gradient from one backward;
-        # each must equal a grad_check of that parameter alone at the same
-        # check point, bit for bit
+        # the battery takes every parameter's gradient from one backward and
+        # its central differences from one stacked forward; each must equal a
+        # grad_check of that parameter alone at the same check point, bit for
+        # bit
         models, objectives = [], []
         make_model, compare = checks.ActionRelationNet, ad.compare_gradient
 
@@ -454,16 +535,20 @@ class TestGradCheck:
             models.append(make_model(*args, **kwargs))
             return models[-1]
 
-        def spy_compare(f, x, analytic, h, tol):
+        def spy_compare(f, x, analytic, h, tol, stacked=None):
+            # every parameter's probes run as one stacked forward
+            assert stacked is not None
             objectives.append(f)
-            return compare(f, x, analytic, h=h, tol=tol)
+            return compare(f, x, analytic, h=h, tol=tol, stacked=stacked)
 
         monkeypatch.setattr(checks, "ActionRelationNet", spy_model)
         monkeypatch.setattr(ad, "compare_gradient", spy_compare)
         entries = checks._model_entries(seed, h=1e-5, tol=1e-4)
+        monkeypatch.undo()
         (model,) = models
         objective = objectives[-1]
-        # the parameters stay at the accepted check point
+        # the parameters stay at the accepted check point; grad_check probes
+        # them one forward at a time
         expected = [
             ad.grad_check(objective, p, h=1e-5, tol=1e-4)
             for _, p in model.params.items()
@@ -474,6 +559,35 @@ class TestGradCheck:
             assert entry.result.max_rel_err == want.max_rel_err
             assert entry.result.n_coords == want.n_coords
             assert entry.result.worst_coord == want.worst_coord
+
+    def test_model_check_runs_one_forward_per_parameter_tensor(self, monkeypatch):
+        forwards, margins = [], []
+        forward, margin = checks.ActionRelationNet.forward, checks.kink_margin
+
+        def counting_forward(self, graph):
+            forwards.append(graph)
+            return forward(self, graph)
+
+        def counting_margin(loss):
+            margins.append(loss)
+            return margin(loss)
+
+        monkeypatch.setattr(checks.ActionRelationNet, "forward", counting_forward)
+        monkeypatch.setattr(checks, "kink_margin", counting_margin)
+        entries = checks._model_entries(0, h=1e-5, tol=1e-4)
+        assert len(forwards) == len(margins) + len(entries)
+
+    def test_invalid_step_is_rejected_before_any_evaluation(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return ad.sq_frobenius(t)
+
+        for h in (0.0, -1e-5):
+            with pytest.raises(ValueError, match="h must be positive"):
+                ad.grad_check(f, Tensor([[1.0, 2.0]]), h=h)
+        assert calls == []
 
     def test_check_restores_tensor_state(self):
         x = Tensor([[1.0, -2.0]], requires_grad=False)

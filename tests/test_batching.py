@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import megraph.autodiff as ad
-from megraph.checks import kink_margin
+from megraph.checks import _batch_axes, kink_margin
 from megraph.graph import StGraph, build_graph
 from megraph.landmarks import synthesize_dataset
 from megraph.losses import LossWeights, WeightCenterTable, total_loss
@@ -154,3 +154,61 @@ def test_backbone_rejects_a_wrong_batch_shape():
     graph.node_features = np.zeros((2, 2, 3, 31, 2))
     with pytest.raises(ad.ShapeError):
         model.backbone(graph)
+
+
+# parameters at every stage, with the batch axes of the operand each meets
+MEMBER_PARAMS = {
+    "backbone.l1.gc.w": 2,
+    "backbone.l2.tc.w1": 2,
+    "actions.nose.gc.b": 1,
+    "relation.mix.w": 1,
+    "head.b": 0,
+}
+
+
+@pytest.mark.parametrize("name", MEMBER_PARAMS)
+def test_member_stacked_loss_equals_one_evaluation_per_member(name):
+    # one forward with a parameter stacked on a member axis gives every
+    # member's loss terms bit for bit: batch statistics stay within a member
+    model = ActionRelationNet(small("full"), seed=2)
+    samples = synthesize_dataset(
+        n_subjects=1, samples_per_subject=3, n_classes=3, seed=2
+    )
+    graph = sample_graph(samples, 3.0, model.selection)
+    labels = [s.label for s in samples]
+    table = WeightCenterTable(n_classes=3, n_rows=6)
+    table.update(np.random.default_rng(2).dirichlet(np.ones(6), size=3), [0, 1, 2])
+    weights = LossWeights(feature_center=1.0, weight_center=1.0, balance=0.1)
+
+    def loss():
+        return total_loss(
+            model.forward(graph), labels, weights, table=table, update_table=False
+        )
+
+    p = model.params[name]
+    base = p.data
+    members = base + np.random.default_rng(5).normal(0.0, 0.3, size=(4,) + base.shape)
+    p.data = members.reshape((4,) + (1,) * MEMBER_PARAMS[name] + base.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        both = loss()
+        assert both.total.shape == (4,)
+        for m in range(4):
+            p.data = members[m]
+            one = loss()
+            for term in ("ce", "feature_center", "weight_center", "balance"):
+                assert np.asarray(getattr(both, term)).shape in ((), (4,))
+                assert np.broadcast_to(getattr(both, term), 4)[m] == getattr(one, term)
+            assert both.total.data[m] == one.total_value
+
+
+def test_member_axes_follow_the_operand_each_parameter_meets():
+    model = ActionRelationNet(small("full"), seed=2)
+    samples = synthesize_dataset(
+        n_subjects=1, samples_per_subject=3, n_classes=3, seed=2
+    )
+    logits = model.forward(sample_graph(samples, 3.0, model.selection)).logits
+    axes = _batch_axes(ad.sum_all(logits))
+    for name, n in MEMBER_PARAMS.items():
+        assert axes[id(model.params[name])] == n
+    assert len(axes) == len(model.params)

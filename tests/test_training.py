@@ -430,3 +430,24 @@ class TestAblation:
         assert len(payload["modules"]) == 3
         assert len(payload["losses"]) == 4
         assert (out / "ablation.txt").read_text().startswith("module ablation")
+
+    def test_full_configuration_trains_once(self, monkeypatch):
+        # the module row "full" and the loss row "full" are one configuration
+        configs = []
+        run_loso = megraph.training.run_loso
+
+        def counting_run_loso(cfg, *args, **kwargs):
+            configs.append(cfg)
+            return run_loso(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(megraph.training, "run_loso", counting_run_loso)
+        cfg = tiny_loso_config(
+            optimizer=OptimizerConfig(lr=0.05, momentum=0.9, epochs=1, batch_size=4)
+        )
+        report = run_ablation(cfg)
+        assert len(configs) == len(MODULE_ROWS) + len(LOSS_ROWS) - 1 == 6
+        assert len(set(configs)) == 6
+        metrics = ("accuracy", "f1_macro", "f1_micro")
+        module_full, loss_full = report.modules[-1], report.losses[0]
+        assert module_full["name"] == loss_full["name"] == "full"
+        assert [module_full[m] for m in metrics] == [loss_full[m] for m in metrics]
