@@ -647,9 +647,13 @@ class GradCheckResult:
         return f"{status} {detail}"
 
 
-def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckResult:
+def grad_check(
+    f, x: Tensor, h: float = 1e-5, tol: float = 1e-4, stacked=None
+) -> GradCheckResult:
     """Compare the tape gradient of scalar-valued ``f`` at ``x`` to central
-    differences, by one backward and then :func:`compare_gradient`."""
+    differences, by one backward and then :func:`compare_gradient`, which
+    takes the probe values from ``stacked`` when given and from the
+    reference loop over ``f`` otherwise."""
     if h <= 0:
         raise ValueError("grad_check: h must be positive")
     was_leaf = x.requires_grad
@@ -665,7 +669,7 @@ def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckRes
     finally:
         x.grad = saved_grad
         x.requires_grad = was_leaf
-    return compare_gradient(f, x, analytic, h=h, tol=tol)
+    return compare_gradient(f, x, analytic, h=h, tol=tol, stacked=stacked)
 
 
 def compare_gradient(
@@ -676,11 +680,14 @@ def compare_gradient(
 
     By default each coordinate in turn is moved to ``x_i + h`` and
     ``x_i - h`` in place and ``f(x)`` evaluated, then restored: the
-    reference loop. ``stacked``, when given, takes all 2n probes at once as
-    one ``(2n, *x.shape)`` stack, member 2i being ``x + h e_i`` and member
-    2i + 1 ``x - h e_i``, and returns their 2n values of ``f`` from one
-    evaluation, such as a forward whose parameter carries the stack on a
-    leading member axis; each value must be the one the loop would give.
+    reference loop, which a plain :func:`grad_check` uses. ``stacked``, when
+    given, takes all 2n probes at once as one ``(2n, *x.shape)`` stack,
+    member 2i being ``x + h e_i`` and member 2i + 1 ``x - h e_i``, and
+    returns their 2n values of ``f`` from one evaluation, such as an op or a
+    forward whose operand carries the stack on a leading member axis; each
+    value must be the one the loop would give, and any result other than
+    ``(2n,)`` values is a :class:`ShapeError`. The battery in ``checks``
+    runs its op, loss and model entries stacked.
 
     Relative error per coordinate is ``|a - n| / max(|a|, |n|, 1)``; the floor
     keeps near-zero gradients from inflating rounding noise.
@@ -706,7 +713,13 @@ def compare_gradient(
         coords = np.arange(n)
         probes[2 * coords, coords] += h
         probes[2 * coords + 1, coords] -= h
-        values[:] = stacked(probes.reshape((2 * n,) + x.shape))
+        got = stacked(probes.reshape((2 * n,) + x.shape))
+        if np.shape(got) != (2 * n,):
+            raise ShapeError(
+                f"compare_gradient: stacked must return {(2 * n,)} values, "
+                f"got shape {np.shape(got)}"
+            )
+        values[:] = got
     else:
         for i, coord in enumerate(np.ndindex(x.shape)):
             original = x.data[coord]

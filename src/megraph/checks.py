@@ -2,17 +2,25 @@
 assembled model, against central differences.
 
 The battery is the single source of truth for gradient correctness; both the
-command-line `gradcheck` entry point and the test suite run it.
+command-line `gradcheck` entry point and the test suite run it. Each op and
+loss entry takes its analytic gradient from one backward and evaluates all
+2n +-h probes of its operand as one member stack; the six whole-array cases
+(`sum_all`, `sq_frobenius` and `reshape`, each also batched) run the
+reference loop of :func:`autodiff.compare_gradient`, which the stacked path
+must match bit for bit. A stacked evaluation that raises a shape error or
+returns the wrong number of values is a failed entry, not a fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradCheckResult, Tensor
+from .autodiff import GradCheckResult, ShapeError, Tensor
 from .graph import normalize_adjacency
 from .landmarks import synthesize_dataset
 from .losses import (
@@ -43,16 +51,6 @@ def _off_kink(rng: np.random.Generator, shape) -> np.ndarray:
     return x + np.where(x >= 0.0, KINK_MARGIN, -KINK_MARGIN)
 
 
-def _readout(rng: np.random.Generator, shape):
-    """Random linear functional, so output gradients are non-trivial."""
-    w = ad.constant(rng.normal(size=shape))
-
-    def out(y: Tensor) -> Tensor:
-        return ad.sum_all(ad.mul(y, w))
-
-    return out
-
-
 # -- random operands: each helper returns a draw(rng) -> array function
 
 
@@ -80,10 +78,41 @@ def _adjacency(n: int):
     return draw
 
 
+@dataclass(frozen=True)
+class _Whole:
+    """Marks an op that reads its operand as one whole array (a full sum, or
+    a reshape to a fixed shape), so a member stack of probes cannot pass
+    through it: its case runs the reference loop."""
+
+    op: Callable
+
+
+def _members(apply, lead: int = 0, readout: np.ndarray | None = None):
+    """Evaluator of all 2n probes in one call: ``apply`` receives them as a
+    member stack in front of ``lead`` singleton batch axes, and ``readout``
+    (None for an output with one value per member) is taken per member on
+    values."""
+
+    def values(probes: np.ndarray) -> np.ndarray:
+        stack = probes.reshape(probes.shape[:1] + (1,) * lead + probes.shape[1:])
+        y = apply(ad.constant(stack)).data
+        if readout is None:
+            return y
+        return (y * readout).reshape(len(probes), -1).sum(axis=1)
+
+    return values
+
+
 def _op_case(op, wrt: int, *draws):
     """Check d readout(op(*args)) / d args[wrt] with every argument drawn
-    at random and all but ``args[wrt]`` held constant. Scalar outputs are
-    checked as they are."""
+    at random and all but ``args[wrt]`` held constant; the readout is a
+    random linear functional, so output gradients are non-trivial. Scalar
+    outputs are checked as they are.
+
+    The probes of ``args[wrt]`` run as one member stack placed in front of
+    every batch axis of the output, unless ``op`` is a :class:`_Whole`."""
+    loop = isinstance(op, _Whole)
+    op = op.op if loop else op
 
     def build(rng):
         args = [ad.constant(draw(rng)) for draw in draws]
@@ -92,9 +121,17 @@ def _op_case(op, wrt: int, *draws):
         def apply(t):
             return op(*args[:wrt], t, *args[wrt + 1 :])
 
-        shape = apply(x).shape
-        out = _readout(rng, shape) if shape else (lambda y: y)
-        return lambda t: out(apply(t)), x
+        y = apply(x)
+        if not y.shape:
+            return apply, x, None if loop else _members(apply)
+        readout = rng.normal(size=y.shape)
+        w = ad.constant(readout)
+
+        def f(t):
+            return ad.sum_all(ad.mul(apply(t), w))
+
+        stacked = _members(apply, max(0, y.ndim - x.ndim), readout)
+        return f, x, None if loop else stacked
 
     return build
 
@@ -143,14 +180,14 @@ def _op_cases() -> dict:
         "scale": (lambda x: ad.scale(x, -1.7), 0, n(3, 4)),
         "relu": (ad.relu, 0, k(4, 5)),
         "transpose": (ad.transpose, 0, n(3, 4)),
-        "reshape": (lambda x: ad.reshape(x, (2, 6)), 0, n(3, 4)),
+        "reshape": (_Whole(lambda x: ad.reshape(x, (2, 6))), 0, n(3, 4)),
         "concat_rows": (_split_around, 0, n(6, 4), n(2, 4)),
         "slice_rows": (lambda x: ad.slice_rows(x, 1, 3), 0, n(5, 4)),
         "softmax_rows": (ad.softmax_rows, 0, n(4, 5)),
         "l1_rowsum": (ad.l1_rowsum, 0, k(4, 5)),
         "normalize_columns": (ad.normalize_columns, 0, pos(5, 2)),
-        "sq_frobenius": (ad.sq_frobenius, 0, n(3, 4)),
-        "sum_all": (ad.sum_all, 0, n(3, 4)),
+        "sq_frobenius": (_Whole(ad.sq_frobenius), 0, n(3, 4)),
+        "sum_all": (_Whole(ad.sum_all), 0, n(3, 4)),
         "mean_rows": (ad.mean_rows, 0, n(6, 4)),
         "affine.x": (ad.affine, 0, n(4, 3), n(3, 5), n(1, 5)),
         "affine.w": (ad.affine, 1, n(4, 3), n(3, 5), n(1, 5)),
@@ -169,15 +206,15 @@ def _op_cases() -> dict:
         "scale.batched": (lambda x: ad.scale(x, 0.6), 0, n(2, 3, 4)),
         "relu.batched": (ad.relu, 0, k(2, 3, 4)),
         "transpose.batched": (ad.transpose, 0, n(2, 3, 4)),
-        "reshape.batched": (lambda x: ad.reshape(x, (2, -1)), 0, n(2, 3, 4)),
+        "reshape.batched": (_Whole(lambda x: ad.reshape(x, (2, -1))), 0, n(2, 3, 4)),
         "concat_rows.batched": (_split_around, 0, n(2, 5, 4), n(2, 2, 4)),
         "slice_rows.batched": (lambda x: ad.slice_rows(x, 1, 3), 0, n(2, 5, 4)),
         "softmax_rows.batched": (ad.softmax_rows, 0, n(2, 3, 4)),
         "l1_rowsum.batched": (ad.l1_rowsum, 0, k(2, 3, 4)),
         "normalize_columns.batched": (ad.normalize_columns, 0, pos(3, 5, 1)),
         "normalize_columns.fallback": (_dead_middle, 0, pos(3, 5, 1)),
-        "sq_frobenius.batched": (ad.sq_frobenius, 0, n(2, 3, 4)),
-        "sum_all.batched": (ad.sum_all, 0, n(2, 3, 4)),
+        "sq_frobenius.batched": (_Whole(ad.sq_frobenius), 0, n(2, 3, 4)),
+        "sum_all.batched": (_Whole(ad.sum_all), 0, n(2, 3, 4)),
         "mean_rows.batched": (ad.mean_rows, 0, n(2, 3, 4)),
         "affine.x.batched": (ad.affine, 0, n(2, 3, 4), n(4, 5), n(1, 5)),
         "affine.w.batched": (ad.affine, 1, n(2, 3, 4), n(4, 5), n(1, 5)),
@@ -253,36 +290,40 @@ def _stacked_cases() -> dict:
 
 
 def _loss_cases() -> dict:
-    cases = {}
+    """Each loss term with respect to its input. Every term gives one value
+    per leading member axis of its input, so its probes run as one stack."""
     n, rows, chans = 4, 6, 3
 
-    def classification(rng):
-        labels = rng.integers(0, 5, size=n)
-        return (
-            lambda x: classification_loss(x, labels),
-            ad.tensor(rng.normal(size=(n, 5))),
-        )
+    def case(draw_term, shape):
+        def build(rng):
+            f = draw_term(rng)
+            return f, ad.tensor(rng.normal(size=shape)), _members(f)
 
-    def feature_center(rng):
-        return feature_center_loss, ad.tensor(rng.normal(size=(n, rows, chans)))
+        return build
+
+    def classification(rng):
+        return partial(classification_loss, labels=rng.integers(0, 5, size=n))
 
     def weight_center(rng):
         labels = rng.integers(0, 3, size=n)
         table = WeightCenterTable(n_classes=3, n_rows=rows, rate=0.5)
         table.update(rng.dirichlet(np.ones(rows), size=3), [0, 1, 2])
-        return (
-            lambda x: weight_center_loss(x, labels, table, update=False),
-            ad.tensor(rng.normal(size=(n, rows, 1))),
-        )
+        return partial(weight_center_loss, labels=labels, table=table, update=False)
 
-    def balance(rng):
-        return balance_loss, ad.tensor(rng.normal(size=(n, rows, 1)))
+    return {
+        "loss.classification": case(classification, (n, 5)),
+        "loss.feature_center": case(lambda rng: feature_center_loss, (n, rows, chans)),
+        "loss.weight_center": case(weight_center, (n, rows, 1)),
+        "loss.balance": case(lambda rng: balance_loss, (n, rows, 1)),
+    }
 
-    cases["loss.classification"] = classification
-    cases["loss.feature_center"] = feature_center
-    cases["loss.weight_center"] = weight_center
-    cases["loss.balance"] = balance
-    return cases
+
+def _cases() -> dict:
+    """Every op and loss case by name, each a ``build(rng) -> (f, x,
+    stacked)`` with ``stacked`` None for a case that runs the loop."""
+    # each case draws from a generator keyed by its position: new cases go
+    # last so that earlier ones keep their draws
+    return {**_op_cases(), **_loss_cases(), **_stacked_cases()}
 
 
 @dataclass
@@ -384,15 +425,15 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
         """The objective at every probe of ``p`` in one forward, ``p`` holding
         the probes on a member axis in front of its operand's batch axes."""
 
-        def values(probes: np.ndarray) -> np.ndarray:
+        def swapped(stack: Tensor) -> Tensor:
             value = p.data
-            p.data = probes.reshape(probes.shape[:1] + (1,) * batch_axes + value.shape)
+            p.data = stack.data
             try:
-                return objective(p).data
+                return objective(p)
             finally:
                 p.data = value
 
-        return values
+        return _members(swapped, batch_axes)
 
     baseline = model.params.state_dict()
     entries: list[BatteryEntry] = []
@@ -439,16 +480,20 @@ def run_battery(
     """Check every case under every seed; model parameters under the first
     two seeds (they dominate runtime and cover every op again)."""
     release_cycles()
-    # each case draws from a generator keyed by its position: new cases go
-    # last so that earlier ones keep their draws
-    cases = {**_op_cases(), **_loss_cases(), **_stacked_cases()}
     entries: list[BatteryEntry] = []
-    for index, (name, build) in enumerate(cases.items()):
+    for index, (name, build) in enumerate(_cases().items()):
         for seed in seeds:
-            f, x = build(np.random.default_rng([index, seed]))
-            entries.append(
-                BatteryEntry(name=name, seed=seed, result=ad.grad_check(f, x, h=h, tol=tol))
-            )
+            f, x, stacked = build(np.random.default_rng([index, seed]))
+            try:
+                result = ad.grad_check(f, x, h=h, tol=tol, stacked=stacked)
+            except ShapeError as exc:
+                # an op that cannot take the member stack fails its entry;
+                # nothing falls back to the loop
+                result = GradCheckResult(
+                    max_rel_err=np.inf, passed=False, n_coords=x.data.size,
+                    failure=str(exc),
+                )
+            entries.append(BatteryEntry(name=name, seed=seed, result=result))
     if include_model:
         for seed in seeds[:2]:
             entries.extend(_model_entries(seed, h=h, tol=tol))

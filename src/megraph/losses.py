@@ -143,9 +143,15 @@ def weight_center_loss(
     center.
 
     Uses the centers as they stand, then (when update is set) folds the
-    batch into the table. Evaluation passes must not update.
+    batch into the table. Evaluation passes must not update, and neither
+    can weights with member axes: the table holds one set of centers.
     """
     members = _require_batch("weight_center_loss", weights)
+    if update and members:
+        raise ValueError(
+            f"weight_center_loss: cannot update the centers from weights with "
+            f"member axes {weights.shape[:members]} (shape {weights.shape})"
+        )
     n = weights.shape[-3]
     labels = np.asarray(labels, dtype=np.int64)
     targets = ad.constant(table.centers[labels].reshape(weights.shape[-3:]))

@@ -260,22 +260,25 @@ class ActionRelationNet:
     def forward(self, graph: StGraph) -> ForwardResult:
         """Run every stage of the variant on one sample's graph, whose node
         features are (3, 31, 2), or on a stacked batch, (B, 3, 31, 2)."""
+        batched = graph.node_features.ndim == 4
         node_features = self.backbone(graph)
         if self.config.variant == "backbone":
+            pooled = _per_sample(ad.mean_rows(node_features), batched)
             return ForwardResult(
-                logits=self.classify(_per_sample(ad.mean_rows(node_features))),
+                logits=self.classify(pooled),
                 node_features=node_features,
             )
         action_features, maps = self.decompose(node_features)
         if self.config.variant == "actions":
+            pooled = _per_sample(ad.mean_rows(action_features), batched)
             return ForwardResult(
-                logits=self.classify(_per_sample(ad.mean_rows(action_features))),
+                logits=self.classify(pooled),
                 node_features=node_features,
                 action_maps=maps,
                 action_features=action_features,
             )
         pooled, weights = self.relate(action_features)
-        recognition = _per_sample(pooled)
+        recognition = _per_sample(pooled, batched)
         return ForwardResult(
             logits=self.classify(recognition),
             node_features=node_features,
@@ -286,7 +289,10 @@ class ActionRelationNet:
         )
 
 
-def _per_sample(pooled: Tensor) -> Tensor:
-    """(..., B, 1, C) pooled rows -> (..., B, C), one row per sample and any
-    member axes kept; one sample's (1, C) row stays (1, C)."""
-    return ad.reshape(pooled, (pooled.shape[:-2] or (1,)) + pooled.shape[-1:])
+def _per_sample(pooled: Tensor, batched: bool) -> Tensor:
+    """(..., B, 1, C) pooled rows of a batch -> (..., B, C), one row per
+    sample and any member axes kept; one sample's (..., 1, C) row already
+    has that form, B being 1."""
+    if not batched:
+        return pooled
+    return ad.reshape(pooled, pooled.shape[:-2] + pooled.shape[-1:])

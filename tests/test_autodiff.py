@@ -510,17 +510,118 @@ class TestGradCheck:
             return ad._node(t.data * 2.0, (t,), back)
 
         x = Tensor(np.random.default_rng(42).normal(size=(2, 2)))
-        result = ad.grad_check(lambda t: ad.sum_all(buggy_double(t)), x)
-        assert not result.passed
-        assert result.max_rel_err > 0.1
+        # the reference loop, then every probe as one member stack
+        for stacked in (None, checks._members(buggy_double, readout=np.ones((2, 2)))):
+            result = ad.grad_check(
+                lambda t: ad.sum_all(buggy_double(t)), x, stacked=stacked
+            )
+            assert not result.passed
+            assert result.max_rel_err > 0.1
 
     def test_kink_straddling_probe_is_caught(self):
         # A coordinate exactly at the rectifier kink has no two-sided
         # derivative; the checker must report the disagreement, not hide it.
         x = Tensor([[0.0, 1.0]])
-        result = ad.grad_check(lambda t: ad.sum_all(ad.relu(t)), x)
-        assert not result.passed
-        assert result.worst_coord == (0, 0)
+        for stacked in (None, checks._members(ad.relu, readout=np.ones((1, 2)))):
+            result = ad.grad_check(
+                lambda t: ad.sum_all(ad.relu(t)), x, stacked=stacked
+            )
+            assert not result.passed
+            assert result.worst_coord == (0, 0)
+
+    def test_stacked_values_must_be_one_per_probe(self):
+        # 3 coordinates give 6 probes; any other result is a shape error
+        x = Tensor([[1.0, -2.0, 0.5]])
+        for wrong in (np.zeros((6, 1)), np.zeros(3), np.float64(0.0), [0.0] * 7):
+            with pytest.raises(ShapeError, match=r"\(6,\) values, got shape"):
+                ad.compare_gradient(
+                    ad.sum_all, x, np.ones((1, 3)), h=1e-5, tol=1e-4,
+                    stacked=lambda probes, wrong=wrong: wrong,
+                )
+
+    def test_failed_stacked_evaluation_is_a_failed_entry(self, monkeypatch):
+        # a stacked evaluation that raises or returns the wrong shape fails
+        # its entry; nothing falls back to the loop
+        def case(stacked):
+            def build(rng):
+                return ad.sum_all, ad.tensor(rng.normal(size=(2, 3))), stacked
+
+            return build
+
+        def raises(probes):
+            raise ShapeError("op cannot take a member stack")
+
+        monkeypatch.setattr(
+            checks, "_cases",
+            lambda: {"raises": case(raises), "short": case(lambda probes: np.zeros(3))},
+        )
+        entries = checks.run_battery(seeds=(0,), include_model=False)
+        assert [(e.name, e.passed) for e in entries] == [
+            ("raises", False), ("short", False)
+        ]
+        assert "member stack" in entries[0].result.failure
+        assert "(12,) values" in entries[1].result.failure
+        assert not checks.battery_passed(entries)
+
+    @staticmethod
+    def battery_calls(monkeypatch, seeds):
+        """Run the op and loss battery with every objective and stacked
+        evaluator counted: (entry, f, x, stacked, calls) per entry."""
+        calls, check = [], ad.grad_check
+
+        def counted(fn, tally, key):
+            def wrapped(*args):
+                tally[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        def spy_check(f, x, h, tol, stacked=None):
+            tally = {"f": 0, "stacked": 0}
+            f = counted(f, tally, "f")
+            if stacked is not None:
+                stacked = counted(stacked, tally, "stacked")
+            result = check(f, x, h=h, tol=tol, stacked=stacked)
+            calls.append((f, x, stacked, tally))
+            return result
+
+        monkeypatch.setattr(ad, "grad_check", spy_check)
+        entries = checks.run_battery(seeds=seeds, include_model=False)
+        monkeypatch.undo()
+        assert len(entries) == len(calls)
+        return [(e, *c) for e, c in zip(entries, calls)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stacked_entries_match_one_loop_grad_check_each(self, monkeypatch, seed):
+        # every op and loss entry that runs its probes as one member stack
+        # equals a grad_check of the same objective and operand through the
+        # reference loop, bit for bit
+        stacked_entries = 0
+        for entry, f, x, stacked, _ in self.battery_calls(monkeypatch, (seed,)):
+            if stacked is None:
+                continue
+            stacked_entries += 1
+            want = ad.grad_check(f, x, h=1e-5, tol=1e-4)
+            assert entry.result.passed, entry.name
+            assert entry.result.max_rel_err == want.max_rel_err, entry.name
+            assert entry.result.n_coords == want.n_coords, entry.name
+            assert entry.result.worst_coord == want.worst_coord, entry.name
+        assert stacked_entries == len(checks._cases()) - 6
+
+    def test_stacked_case_evaluates_its_objective_twice(self, monkeypatch):
+        # once for the analytic side and once for all probes; the six
+        # whole-array cases run 1 + 2n scalar evaluations
+        loop_cases = {
+            f"{op}{suffix}"
+            for op in ("sum_all", "sq_frobenius", "reshape")
+            for suffix in ("", ".batched")
+        }
+        for entry, _, x, stacked, tally in self.battery_calls(monkeypatch, (0,)):
+            if entry.name in loop_cases:
+                assert stacked is None
+                assert tally == {"f": 1 + 2 * x.data.size, "stacked": 0}
+            else:
+                assert tally == {"f": 1, "stacked": 1}, entry.name
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_model_check_matches_one_grad_check_per_parameter(self, monkeypatch, seed):

@@ -202,6 +202,27 @@ def test_member_stacked_loss_equals_one_evaluation_per_member(name):
             assert both.total.data[m] == one.total_value
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_sample_member_stack_keeps_its_sample_axis(variant):
+    # members of a parameter stack on a one-sample (3, 31, 2) graph are not
+    # samples: the logits are (P, 1, K), member m equal to its own forward
+    model = ActionRelationNet(small(variant), seed=2)
+    (sample,) = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=2)
+    graph = build_graph(sample.frames)
+    p = model.params["backbone.l1.gc.w"]
+    base = p.data
+    assert model.forward(graph).logits.shape == (1, 3)
+    members = base + np.random.default_rng(5).normal(0.0, 0.3, size=(5,) + base.shape)
+    p.data = members[:, None]  # one singleton for the frame axis
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        logits = model.forward(graph).logits.data
+        assert logits.shape == (5, 1, 3)
+        for m in range(5):
+            p.data = members[m]
+            assert np.array_equal(logits[m], model.forward(graph).logits.data)
+
+
 def test_member_axes_follow_the_operand_each_parameter_meets():
     model = ActionRelationNet(small("full"), seed=2)
     samples = synthesize_dataset(

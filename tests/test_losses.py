@@ -278,6 +278,26 @@ class TestTotalLoss:
         total_loss(result, labels, weights, table=updated, update_table=True)
         assert np.abs(updated.centers - before).max() > 1e-6
 
+    def test_member_stacked_update_leaves_the_table_untouched(self):
+        # one table holds one set of centers, so member-stacked weights
+        # cannot update it; the error names the member axes
+        rng = np.random.default_rng(42)
+        weights = ad.constant(rng.dirichlet(np.ones(4), size=(2, 3))[..., None])
+        table = WeightCenterTable(n_classes=3, n_rows=4)
+        table.update(rng.dirichlet(np.ones(4), size=3), [0, 1, 2])
+        before = table.centers.copy()
+        with pytest.raises(ValueError, match=r"member axes \(2,\)"):
+            weight_center_loss(weights, [0, 1, 2], table, update=True)
+        result = replace(fake_result(rng, n=3), weights=weights)
+        with pytest.raises(ValueError, match=r"member axes \(2,\)"):
+            total_loss(
+                result, [0, 1, 2], LossWeights(0.0, 1.0, 0.0),
+                table=table, update_table=True,
+            )
+        np.testing.assert_array_equal(table.centers, before)
+        loss = weight_center_loss(weights, [0, 1, 2], table, update=False)
+        assert loss.shape == (2,)
+
     def test_non_finite_term_is_named(self):
         result = ForwardResult(
             logits=ad.constant([[np.inf, 0.0, 0.0]] * 2), node_features=None
