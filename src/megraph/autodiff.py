@@ -29,6 +29,7 @@ and ``params.sgd_step`` a non-finite gradient.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,6 +65,46 @@ __all__ = [
     "temporal_conv",
     "cross_entropy",
 ]
+
+
+# glibc mallopt parameters, and the values that keep freed tape arrays in
+# the heap: 32 MiB is the largest mmap threshold glibc takes on 64-bit.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_BYTES = 64 << 20
+_MMAP_BYTES = 32 << 20
+
+
+def _keep_heap() -> bool:
+    """Keep freed tape memory in the heap for the next step to reuse.
+
+    A training step frees several MiB of activations and gradients, in
+    arrays of 190-760 KiB. glibc's dynamic thresholds hand that memory
+    back to the OS (heap trim or munmap), and the next step page-faults
+    it all back in as zeroed memory. Fixing both thresholds switches that
+    off; fixing the trim threshold alone would send every array of
+    128 KiB or more through mmap/munmap instead.
+
+    The setting is process-wide and applies only under glibc; it runs once
+    when ``megraph`` is imported. Where ``mallopt`` is missing or refuses
+    (macOS, musl, Windows, 32-bit glibc) nothing changes and this returns
+    False. To observe it, compare ``resource.getrusage(RUSAGE_SELF).ru_minflt``
+    before and after a second identical training call: with the setting it
+    grows by a handful of faults, without it by hundreds to thousands.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        return bool(
+            mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+        )
+    except (OSError, AttributeError, TypeError):
+        return False
+
+
+_keep_heap()
 
 
 class ShapeError(ValueError):

@@ -1,6 +1,8 @@
 """Splitting, leakage detection, fold training, reports, and ablations."""
 
+import ctypes
 import json
+import resource
 import warnings
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ from megraph.config import (
     OptimizerConfig,
     SynthSpec,
 )
+import megraph.autodiff
 import megraph.training
 from megraph.graph import DegenerateFrameError, default_selection
 from megraph.landmarks import LandmarkSample, save_samples, synthesize_dataset
@@ -451,3 +454,42 @@ class TestAblation:
         module_full, loss_full = report.modules[-1], report.losses[0]
         assert module_full["name"] == loss_full["name"] == "full"
         assert [module_full[m] for m in metrics] == [loss_full[m] for m in metrics]
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+class TestKeepHeap:
+    # Under glibc's dynamic thresholds the second call takes 700-1,400
+    # minor faults; with the heap kept, 0-2. The bound leaves room for
+    # pymalloc arenas, which mmap on their own.
+    MAX_FAULTS = 250
+
+    def test_second_training_call_reuses_the_heap(self):
+        if not megraph.autodiff._keep_heap():
+            pytest.skip("mallopt is not available")
+        cfg = ExperimentConfig(
+            synth=SynthSpec(n_subjects=3, samples_per_subject=16, n_classes=3,
+                            seed=0),
+            model=ModelConfig(variant="backbone", channels=16, n_classes=3),
+            optimizer=OptimizerConfig(epochs=2, batch_size=16),
+            seed=0,
+        )
+        samples = prepare_samples(cfg)
+
+        def train():
+            train_fold(samples, cfg, np.random.default_rng(0),
+                       np.random.default_rng(1))
+
+        train()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < self.MAX_FAULTS
+
+    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                             ids=["no_libc", "no_mallopt"])
+    def test_missing_mallopt_is_a_no_op(self, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert megraph.autodiff._keep_heap() is False
