@@ -275,8 +275,17 @@ def _bias_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """g summed down to a bias of ``shape``: over every axis but the last
     for a (1, D) bias."""
     if len(shape) == 2:
-        return g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True)
+        g = g.reshape(-1, g.shape[-1])  # einsum adds C-ordered rows in .sum's order
+        if g.flags.c_contiguous:
+            return np.einsum("ij->j", g).reshape(shape)
+        return g.sum(axis=0, keepdims=True)  # may add pairwise: keep its bits
     return _unbroadcast(g, shape)
+
+
+def _transposed(w: np.ndarray) -> np.ndarray:
+    """w with its last two axes swapped; a 2-d weight as a contiguous copy,
+    which a batched product takes faster and with the same bits."""
+    return w.T.copy() if w.ndim == 2 else w.swapaxes(-1, -2)
 
 
 def _check_bias(op: str, b: Tensor, d: int) -> None:
@@ -355,11 +364,11 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    out = np.where(mask, a.data, 0.0)
+    """max(a, 0) with NaN and -0.0 going to +0.0, as ``np.where(a > 0, a, 0.0)``."""
+    out = np.fmax(a.data, 0.0)  # fmax(0.0, a) would keep -0.0; maximum keeps NaN
 
     def back(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
     return _node(out, (a,), back, "relu")
 
@@ -528,12 +537,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"affine: shapes {xs} @ {ws} + {bs}")
     _check_bias("affine", b, ws[-1])
     try:
-        out = x.data @ w.data + b.data
+        out = x.data @ w.data  # + b in place, unless a stacked bias widens it
+        out = out + b.data if len(bs) > 2 else np.add(out, b.data, out=out)
     except ValueError:
         raise ShapeError(f"affine: shapes {xs} @ {ws} + {bs}") from None
 
     def back(g):
-        gx = _unbroadcast(g @ w.data.swapaxes(-1, -2), xs)
+        gx = _unbroadcast(g @ _transposed(w.data), xs)
         return gx, _weight_grad(x.data, g, ws), _bias_grad(g, bs)
 
     return _node(out, (x, w, b), back, "affine")
@@ -552,12 +562,13 @@ def graph_affine(adj: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_bias("graph_affine", b, ws[-1])
     pooled = adj @ x.data
     try:
-        out = pooled @ w.data + b.data
+        out = pooled @ w.data
+        out = out + b.data if len(bs) > 2 else np.add(out, b.data, out=out)
     except ValueError:
         raise ShapeError(f"graph_affine: shapes {xs} @ {ws} + {bs}") from None
 
     def back(g):
-        gx = _unbroadcast(adj.T @ (g @ w.data.swapaxes(-1, -2)), xs)
+        gx = _unbroadcast(adj.T @ (g @ _transposed(w.data)), xs)
         return gx, _weight_grad(pooled, g, ws), _bias_grad(g, bs)
 
     return _node(out, (x, w, b), back, "graph_affine")
@@ -625,7 +636,7 @@ def temporal_conv(
                 gws.append(np.zeros_like(w))
                 continue
             g_span = g[..., lo:hi, :, :]
-            gx[..., lo + d : hi + d, :, :] += g_span @ w.swapaxes(-1, -2)
+            gx[..., lo + d : hi + d, :, :] += g_span @ _transposed(w)
             gws.append(_weight_grad(xd[..., lo + d : hi + d, :, :], g_span, w.shape))
         return (_unbroadcast(gx, xs), *gws, _bias_grad(g, bs))
 

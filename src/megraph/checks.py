@@ -435,12 +435,11 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
 
         return _members(swapped, batch_axes)
 
-    baseline = model.params.state_dict()
+    baseline = model.params.flat().copy()
     entries: list[BatteryEntry] = []
     for attempt in range(_JITTER_ATTEMPTS):
         jitter = np.random.default_rng([seed, attempt])
-        for name, p in model.params.items():
-            p.data = baseline[name] + jitter.normal(0.0, 0.15, size=p.shape)
+        model.params.flat()[:] = baseline + jitter.normal(0.0, 0.15, size=baseline.size)
         loss = objective(None)
         if kink_margin(loss) < MIN_KINK_MARGIN:
             continue

@@ -80,6 +80,8 @@ class LandmarkSample:
             frames = np.asarray(record["frames"], dtype=np.float64)
         except (TypeError, ValueError):
             raise ValueError("frames must be nested lists of numbers") from None
+        except OverflowError:
+            raise ValueError("frames: a value is too large for float64") from None
         return cls(subject=subject, label=label, frames=frames)
 
 

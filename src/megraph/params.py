@@ -21,15 +21,17 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 
 
 class ParamStore:
-    """Registry of named parameter tensors plus per-parameter velocity.
+    """Registry of named parameter tensors over one flat value vector.
 
     Names are unique and shapes are fixed at creation; iteration follows
-    insertion order, which keeps optimizer updates deterministic.
+    insertion order, which keeps optimizer updates deterministic. Each
+    ``.data`` is a view into one float64 vector, kept in that order.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._velocity: dict[str, np.ndarray] = {}
+        self._views: list[np.ndarray] = []  # the .data each parameter holds
+        self._flat, self._velocity = np.zeros(0), np.zeros(0)
 
     def create(
         self,
@@ -48,9 +50,15 @@ class ParamStore:
             data = np.zeros(shape)
         else:
             raise ValueError(f"unknown init '{init}'")
-        t = Tensor(data, requires_grad=True)
-        self._params[name] = t
-        return t
+        self._flat = np.concatenate([self.flat(), data.ravel()])
+        self._velocity = np.concatenate([self._velocity, np.zeros(data.size)])
+        self._params[name] = Tensor(data, requires_grad=True)
+        self._views, start = [], 0
+        for p in self._params.values():
+            self._views.append(self._flat[start : start + p.data.size].reshape(p.shape))
+            start += p.data.size
+            p.data = self._views[-1]
+        return self._params[name]
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -67,8 +75,21 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
+    def flat(self) -> np.ndarray:
+        """The value vector. A ``.data`` rebound to a same-shaped array is
+        copied into it and viewed again; any other shape is a ValueError."""
+        for (name, p), view in zip(self._params.items(), self._views):
+            if p.data is not view:
+                if np.shape(p.data) != view.shape:
+                    raise ValueError(
+                        f"parameter '{name}' has shape {np.shape(p.data)}, "
+                        f"expected {view.shape}"
+                    )
+                view[...], p.data = p.data, view
+        return self._flat
+
     def n_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
+        return self._flat.size
 
     def zero_grad(self) -> None:
         for t in self._params.values():
@@ -78,6 +99,7 @@ class ParamStore:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the value vector once every entry checks out."""
         if set(state) != set(self._params):
             missing = set(self._params) - set(state)
             extra = set(state) - set(self._params)
@@ -85,15 +107,15 @@ class ParamStore:
                 f"parameter name mismatch: missing={sorted(missing)} "
                 f"extra={sorted(extra)}"
             )
-        for name, values in state.items():
-            target = self._params[name]
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != target.data.shape:
+        checked = [np.asarray(state[name], dtype=np.float64) for name in self._params]
+        for name, values, view in zip(self._params, checked, self._views):
+            if values.shape != view.shape:
                 raise ValueError(
                     f"shape mismatch for '{name}': checkpoint {values.shape}, "
-                    f"expected {target.data.shape}"
+                    f"expected {view.shape}"
                 )
-            target.data = values.copy()
+        for p, view, values in zip(self._params.values(), self._views, checked):
+            view[...], p.data = values, view
 
 
 def write_checkpoint(state: dict[str, np.ndarray], path) -> None:
@@ -138,23 +160,29 @@ def _checkpoint_entry(entry, where: str) -> np.ndarray:
         values = np.asarray(entry["values"], dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError(f"{where}: values must be a list of numbers") from None
+    except OverflowError:
+        raise ValueError(f"{where}: a value is too large for float64") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"{where}: values must be finite")
     if values.size != math.prod(shape):
         raise ValueError(f"{where}: {values.size} values do not fill shape {shape}")
     return values.reshape(shape)
 
 
 def sgd_step(store: ParamStore, lr: float, momentum: float = 0.0) -> None:
-    """p <- p - lr * v with v <- momentum * v + grad; zeroes grads afterwards."""
-    for name, p in store.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"sgd_step: non-finite gradient for parameter '{name}'"
-            )
-        v = store._velocity.get(name)
-        if v is None:
-            v = np.zeros_like(p.data)
-        v = momentum * v + g
-        store._velocity[name] = v
-        p.data = p.data - lr * v
-        p.grad = None
+    """p <- p - lr * v with v <- momentum * v + grad, as in-place updates of
+    the store's value and velocity vectors; zeroes grads afterwards."""
+    flat, params = store.flat(), store._params.values()
+    g = np.concatenate(
+        [np.zeros(p.data.size) if p.grad is None else p.grad.ravel() for p in params]
+    )
+    if not np.isfinite(g).all():
+        for name, p in store.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise FloatingPointError(
+                    f"sgd_step: non-finite gradient for parameter '{name}'"
+                )
+    store._velocity *= momentum
+    store._velocity += g
+    flat -= lr * store._velocity
+    store.zero_grad()

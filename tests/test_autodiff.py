@@ -479,6 +479,66 @@ class TestBackwardClosedForms:
             np.testing.assert_array_equal(run(), first)
 
 
+def _wide_range(rng, *shape):
+    """Normal draws scaled over 24 decades, so any change of summation
+    order shows in the last bits."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-12, 12, size=shape)
+
+
+class TestKernelEquivalences:
+    """The fast kernels against the plain forms they replaced, bit for bit."""
+
+    def test_relu_matches_where_oracle_including_signs(self):
+        rng = np.random.default_rng(42)
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300]
+        for a in (np.array([special]), rng.normal(size=(16, 3, 31, 16))):
+            got = ad.relu(ad.constant(a)).data
+            want = np.where(a > 0, a, 0.0)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            x = Tensor(a, requires_grad=True)
+            g = rng.normal(size=a.shape)
+            ad.sum_all(ad.mul(ad.relu(x), ad.constant(g))).backward()
+            assert np.array_equal(x.grad, g * (a > 0))
+
+    @pytest.mark.parametrize("shape", [(1, 16), (496, 16), (16, 3, 31, 16)])
+    def test_bias_grad_matches_row_sum(self, shape):
+        rng = np.random.default_rng(42)
+        g = _wide_range(rng, *shape)
+        for layout in (g, np.asfortranarray(g)):
+            want = layout.reshape(-1, shape[-1]).sum(axis=0, keepdims=True)
+            assert np.array_equal(ad._bias_grad(layout, (1, shape[-1])), want)
+
+    @pytest.mark.parametrize("x_shape", [(31, 16), (16, 3, 31, 16)])
+    def test_weight_op_backward_matches_swapaxes_form(self, x_shape):
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 8)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
+        adj = checks._adjacency(31)(rng)
+        g = _wide_range(rng, *x_shape[:-1], 8)
+        gx = ad.affine(x, w, b)._backward(g)[0]
+        assert np.array_equal(gx, g @ w.data.swapaxes(-1, -2))
+        gx = ad.graph_affine(adj, x, w, b)._backward(g)[0]
+        assert np.array_equal(gx, adj.T @ (g @ w.data.swapaxes(-1, -2)))
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_temporal_conv_backward_matches_swapaxes_form(self, padding):
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.normal(size=(16, 3, 31, 16)), requires_grad=True)
+        taps = [Tensor(rng.normal(size=(16, 16)), requires_grad=True) for _ in range(3)]
+        b = Tensor(np.zeros((1, 16)), requires_grad=True)
+        out = ad.temporal_conv(x, taps, b, padding)
+        g = _wide_range(rng, *out.shape)
+        pad, t_out = (1, 3) if padding == "same" else (0, 1)
+        want = np.zeros(x.shape)
+        for j, w in enumerate(taps):  # output frames lo:hi read input frames lo+d:hi+d
+            lo, hi, d = max(0, pad - j), min(t_out, 3 + pad - j), j - pad
+            wt = w.data.swapaxes(-1, -2)
+            want[..., lo + d : hi + d, :, :] += g[..., lo:hi, :, :] @ wt
+        assert np.array_equal(out._backward(g)[0], want)
+
+
 class TestGradCheck:
     """The finite-difference checker on smooth ops, plus negative controls."""
 
@@ -700,6 +760,17 @@ class TestGradCheck:
         assert x.requires_grad is False
 
 
+def assert_views(store: ParamStore) -> None:
+    """Every parameter's .data is a view into one vector, in creation order."""
+    base = store[store.names()[0]].data.base
+    assert base.ndim == 1 and base.size == store.n_values()
+    for _, p in store.items():
+        assert p.data.base is base
+    values = [p.data.ravel() for _, p in store.items()]
+    assert np.array_equal(np.concatenate(values), base)
+    assert store.flat() is base
+
+
 class TestParamStore:
     def test_create_and_lookup(self):
         rng = np.random.default_rng(42)
@@ -726,6 +797,42 @@ class TestParamStore:
             store.load_state_dict({"other": np.zeros((2, 2))})
         with pytest.raises(ValueError):
             store.load_state_dict({"w": np.zeros((3, 3))})
+        assert_views(store)
+
+    def test_failed_load_changes_nothing(self):
+        rng = np.random.default_rng(42)
+        store = ParamStore()
+        store.create("w", (2, 2), rng=rng)
+        store.create("b", (1, 2), rng=rng)
+        before = store.state_dict()
+        with pytest.raises(ValueError, match="'b'"):
+            store.load_state_dict({"w": np.ones((2, 2)), "b": np.ones((2, 1))})
+        for name, values in store.state_dict().items():
+            assert np.array_equal(values, before[name])
+        assert_views(store)
+
+    def test_parameters_stay_views_through_a_model_battery(self, monkeypatch):
+        models = []
+
+        class Recorded(checks.ActionRelationNet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                models.append(self)
+
+        monkeypatch.setattr(checks, "ActionRelationNet", Recorded)
+        checks.run_battery(seeds=(0,))
+        assert len(models) == 1
+        assert_views(models[0].params)
+
+    def test_rebound_data_is_copied_in_or_named(self):
+        store = ParamStore()
+        p = store.create("layer.w", (2, 2), init="zeros")
+        p.data = np.ones((2, 2))
+        assert np.array_equal(store.flat(), np.ones(4))
+        assert_views(store)
+        p.data = np.ones((3, 2, 2))
+        with pytest.raises(ValueError, match="layer.w"):
+            sgd_step(store, lr=0.1)
 
     def test_checkpoint_file_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -765,6 +872,7 @@ class TestSgd:
         v2 = mom * v1 + 1.0
         np.testing.assert_allclose(p.data, [[1.0 - lr * v1 - lr * v2]])
         assert p.grad is None
+        assert_views(store)
 
     def test_quadratic_bowl_converges(self):
         rng = np.random.default_rng(42)

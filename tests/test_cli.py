@@ -77,6 +77,24 @@ BAD_INPUTS = [
         id="checkpoint-entry-without-shape",
     ),
     pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT % ', "params": {"head.b": {"shape": [1], "values": [NaN]}}',
+        "{input}: checkpoint entry 'head.b': values must be finite",
+        id="checkpoint-nan",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT % f', "params": {{"head.b": {{"shape": [1], "values": [1{"0" * 400}]}}}}',
+        "{input}: checkpoint entry 'head.b': a value is too large for float64",
+        id="checkpoint-huge-integer",
+    ),
+    pytest.param(
+        ["train", "--config", "{data}"],
+        _samples(0) + json.dumps({**GOOD_RECORD, "frames": [[[10**400, 0]] * 68] * 3}),
+        "{input}:2: frames: a value is too large for float64",
+        id="samples-huge-integer",
+    ),
+    pytest.param(
         ["train", "--config", "{data}"],
         _samples(0) + "[1, 2]\n",
         "{input}:2: expected a JSON object, got list",
