@@ -19,6 +19,7 @@ from pathlib import Path
 from .autodiff import ShapeError
 from .checks import DEFAULT_SEEDS, battery_passed, format_battery, run_battery
 from .config import ExperimentConfig, dumps_config, encode, load_config
+from .files import atomic_write_text
 from .graph import COMPONENTS, default_selection, spatial_adjacency, template_edges
 from .landmarks import save_samples, synthesize_dataset
 from .model import ActionRelationNet, InvariantError
@@ -104,7 +105,7 @@ def _cmd_gradcheck(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "gradcheck.txt").write_text(text + "\n")
+        atomic_write_text(out / "gradcheck.txt", text + "\n")
     return 0 if battery_passed(entries) else 1
 
 
@@ -150,7 +151,7 @@ def _cmd_graph_dump(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "graph.json").write_text(text + "\n")
+        atomic_write_text(out / "graph.json", text + "\n")
     return 0
 
 
@@ -169,7 +170,7 @@ def _cmd_model_inspect(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "model.json").write_text(text + "\n")
+        atomic_write_text(out / "model.json", text + "\n")
     return 0
 
 

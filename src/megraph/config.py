@@ -15,6 +15,7 @@ import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
+from .files import atomic_write_text, read_text
 from .landmarks import DEFAULT_MAGNIFICATION, PATTERN_NAMES
 from .losses import CENTER_MODES, LossWeights
 from .model import ModelConfig
@@ -191,13 +192,11 @@ def dumps_config(config: ExperimentConfig) -> str:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_config(config) + "\n")
+    atomic_write_text(path, dumps_config(config) + "\n")
 
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
-            return decode(ExperimentConfig, json.load(fh))
+        return decode(ExperimentConfig, json.loads(read_text(path)))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc

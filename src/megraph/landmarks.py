@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .files import atomic_write
+
 N_LANDMARKS = 68
 N_FRAMES = 3
 
@@ -87,22 +89,24 @@ class LandmarkSample:
 
 def save_samples(samples, path) -> None:
     """Write samples as JSON lines."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for s in samples:
             fh.write(json.dumps(s.to_record()) + "\n")
 
 
 def load_samples(path) -> list[LandmarkSample]:
-    """Read JSON-lines samples, skipping blank lines. A malformed line
-    raises ValueError naming ``path:lineno``."""
+    """Read UTF-8 JSON-lines samples, skipping blank lines. A malformed
+    line raises ValueError naming ``path:lineno``."""
     out: list[LandmarkSample] = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:

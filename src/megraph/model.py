@@ -140,17 +140,17 @@ class ActionRelationNet:
 
     def _init_params(self, rng: np.random.Generator) -> None:
         c1 = self.config.channels
-        p = self.params
+        specs = []  # (name, shape, init), in the order rng draws them
 
         def block(prefix: str, d_in: int, d_out: int) -> None:
-            p.create(f"{prefix}.w", (d_in, d_out), rng=rng)
-            p.create(f"{prefix}.b", (1, d_out), init="zeros")
+            specs.append((f"{prefix}.w", (d_in, d_out), "glorot"))
+            specs.append((f"{prefix}.b", (1, d_out), "zeros"))
 
         def layer(name: str, d_in: int) -> None:
             block(f"backbone.{name}.gc", d_in, c1)
             for tap in range(3):
-                p.create(f"backbone.{name}.tc.w{tap}", (c1, c1), rng=rng)
-            p.create(f"backbone.{name}.tc.b", (1, c1), init="zeros")
+                specs.append((f"backbone.{name}.tc.w{tap}", (c1, c1), "glorot"))
+            specs.append((f"backbone.{name}.tc.b", (1, c1), "zeros"))
 
         layer("l1", N_FRAME_COORDS)
         layer("l2", c1)
@@ -165,6 +165,7 @@ class ActionRelationNet:
             block("relation.gc", c1, c2)
             block("relation.mix", c2, c2)
         block("head", c1, self.config.n_classes)
+        self.params.create_many(specs, rng)
 
     # -- stages ------------------------------------------------------------
 

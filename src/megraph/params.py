@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
+from .files import atomic_write_text, read_text
 
-CHECKPOINT_FORMAT = "megraph-params-v1"
+CHECKPOINT_FORMAT = "megraph-params-v2"
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -33,32 +34,35 @@ class ParamStore:
         self._views: list[np.ndarray] = []  # the .data each parameter holds
         self._flat, self._velocity = np.zeros(0), np.zeros(0)
 
-    def create(
-        self,
-        name: str,
-        shape: tuple[int, ...],
-        rng: np.random.Generator | None = None,
-        init: str = "glorot",
-    ) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"parameter '{name}' already exists")
-        if init == "glorot":
-            if rng is None:
-                raise ValueError("glorot init needs an rng")
-            data = glorot_uniform(rng, shape)
-        elif init == "zeros":
-            data = np.zeros(shape)
-        else:
-            raise ValueError(f"unknown init '{init}'")
-        self._flat = np.concatenate([self.flat(), data.ravel()])
-        self._velocity = np.concatenate([self._velocity, np.zeros(data.size)])
-        self._params[name] = Tensor(data, requires_grad=True)
+    def create(self, name: str, shape, rng=None, init: str = "glorot") -> Tensor:
+        return self.create_many([(name, shape, init)], rng)[0]
+
+    def create_many(self, specs, rng: np.random.Generator | None = None) -> list[Tensor]:
+        """Create one parameter per ``(name, shape, init)`` spec, drawing
+        from ``rng`` in spec order, and grow the vectors once."""
+        new: dict[str, Tensor] = {}
+        for name, shape, init in specs:
+            if name in self._params or name in new:
+                raise ValueError(f"parameter '{name}' already exists")
+            if init == "glorot":
+                if rng is None:
+                    raise ValueError("glorot init needs an rng")
+                data = glorot_uniform(rng, shape)
+            elif init == "zeros":
+                data = np.zeros(shape)
+            else:
+                raise ValueError(f"unknown init '{init}'")
+            new[name] = Tensor(data, requires_grad=True)
+        grown = [t.data.ravel() for t in new.values()]
+        self._flat = np.concatenate([self.flat(), *grown])
+        self._velocity = np.concatenate([self._velocity, np.zeros(sum(map(len, grown)))])
+        self._params.update(new)
         self._views, start = [], 0
         for p in self._params.values():
             self._views.append(self._flat[start : start + p.data.size].reshape(p.shape))
             start += p.data.size
             p.data = self._views[-1]
-        return self._params[name]
+        return list(new.values())
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -119,54 +123,69 @@ class ParamStore:
 
 
 def write_checkpoint(state: dict[str, np.ndarray], path) -> None:
-    """Write name -> array values as JSON; floats round-trip exactly."""
+    """Write name -> array values as JSON, each array as the base64 of its
+    C-order little-endian float64 bytes, so values round-trip exactly."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "params": {
             name: {
-                "shape": list(np.asarray(values).shape),
-                "values": np.asarray(values).ravel().tolist(),
+                "shape": list(np.shape(values)),
+                "values": base64.b64encode(np.asarray(values, "<f8").tobytes()).decode(),
             }
             for name, values in state.items()
         },
     }
-    Path(path).write_text(json.dumps(payload))
+    atomic_write_text(path, json.dumps(payload))
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a :func:`write_checkpoint` file. A malformed file raises
-    ValueError naming the path, and the entry where there is one."""
+    """Read a :func:`write_checkpoint` file or a v1 one (lists of numbers). A
+    malformed file raises ValueError naming the path, and the entry if any."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt not in (CHECKPOINT_FORMAT, "megraph-params-v1"):
         raise ValueError(f"not a parameter checkpoint: {path}")
     if not isinstance(payload.get("params"), dict):
         raise ValueError(f"{path}: checkpoint has no 'params' object")
     return {
-        name: _checkpoint_entry(entry, f"{path}: checkpoint entry '{name}'")
+        name: _checkpoint_entry(entry, f"{path}: checkpoint entry '{name}'", fmt)
         for name, entry in payload["params"].items()
     }
 
 
-def _checkpoint_entry(entry, where: str) -> np.ndarray:
+def _checkpoint_entry(entry, where: str, fmt: str) -> np.ndarray:
     if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
         raise ValueError(f"{where} needs 'shape' and 'values'")
     shape = entry["shape"]
     if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
         raise ValueError(f"{where}: shape must be a list of non-negative integers")
-    try:
-        values = np.asarray(entry["values"], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}: values must be a list of numbers") from None
-    except OverflowError:
-        raise ValueError(f"{where}: a value is too large for float64") from None
+    if fmt == CHECKPOINT_FORMAT:
+        values = _v2_values(entry["values"], shape, where)
+    else:
+        try:
+            values = np.asarray(entry["values"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: values must be a list of numbers") from None
+        except OverflowError:
+            raise ValueError(f"{where}: a value is too large for float64") from None
     if not np.isfinite(values).all():
         raise ValueError(f"{where}: values must be finite")
     if values.size != math.prod(shape):
         raise ValueError(f"{where}: {values.size} values do not fill shape {shape}")
     return values.reshape(shape)
+
+
+def _v2_values(values, shape, where: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(values, validate=True)  # a list is a TypeError
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: values must be a strict base64 string") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{where}: {len(raw)} bytes do not fill float64 shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def sgd_step(store: ParamStore, lr: float, momentum: float = 0.0) -> None:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import AugmentConfig, ExperimentConfig, encode, save_config
+from .files import atomic_write, atomic_write_text
 from .graph import DegenerateFrameError, StGraph, build_graph, default_selection
 from .landmarks import (
     LandmarkSample,
@@ -450,7 +451,11 @@ def evaluate_checkpoint(
     release_cycles()
     samples = prepare_samples(config)
     model = ActionRelationNet(config.model, seed=0)
-    model.params.load_state_dict(read_checkpoint(checkpoint_path))
+    state = read_checkpoint(checkpoint_path)
+    try:
+        model.params.load_state_dict(state)
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint_path}: {exc}") from None
     run = _run_report(config, [_fold_report("(eval)", model, samples, config, 0)], t0)
     if out_dir is not None:
         write_run_dir(out_dir, config, run, [], {})
@@ -492,29 +497,29 @@ def format_report(run: RunReport) -> str:
 
 
 def write_curves(path, curves: list[tuple[str, dict]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("fold",) + CURVE_COLUMNS)
         for subject, row in curves:
             writer.writerow([subject] + [repr(row[c]) for c in CURVE_COLUMNS])
 
 
+def _dumps(obj) -> str:
+    return json.dumps(encode(obj), indent=2, sort_keys=True) + "\n"
+
+
 def write_run_dir(out_dir, config, run, curves, checkpoints) -> None:
     """Lay out config.json, folds/, report.json, report.txt, curves.csv,
-    checkpoints/ under one directory."""
+    checkpoints/ under one directory; each file is written atomically."""
     out = Path(out_dir)
     (out / "folds").mkdir(parents=True, exist_ok=True)
     (out / "checkpoints").mkdir(exist_ok=True)
     save_config(config, out / "config.json")
     for fr in run.folds:
         name = fr.subject.strip("()") or "fold"
-        (out / "folds" / f"{name}.json").write_text(
-            json.dumps(encode(fr), indent=2, sort_keys=True) + "\n"
-        )
-    (out / "report.json").write_text(
-        json.dumps(encode(run), indent=2, sort_keys=True) + "\n"
-    )
-    (out / "report.txt").write_text(format_report(run))
+        atomic_write_text(out / "folds" / f"{name}.json", _dumps(fr))
+    atomic_write_text(out / "report.json", _dumps(run))
+    atomic_write_text(out / "report.txt", format_report(run))
     write_curves(out / "curves.csv", curves)
     for name, state in checkpoints.items():
         write_checkpoint(state, out / "checkpoints" / f"{name}.json")
@@ -605,10 +610,8 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_config(config, out / "config.json")
-        (out / "ablation.json").write_text(
-            json.dumps(encode(report), indent=2, sort_keys=True) + "\n"
-        )
-        (out / "ablation.txt").write_text(format_ablation(report))
+        atomic_write_text(out / "ablation.json", _dumps(report))
+        atomic_write_text(out / "ablation.txt", format_ablation(report))
     return report
 
 

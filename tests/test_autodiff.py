@@ -5,13 +5,21 @@ against closed forms and central differences, and the checker itself
 against a deliberately wrong gradient (it must fail).
 """
 
+import base64
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import megraph.autodiff as ad
 from megraph import checks
 from megraph.autodiff import ShapeError, Tensor
+from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import ParamStore, read_checkpoint, sgd_step, write_checkpoint
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.json"
 
 
 def softmax_rows_oracle(x: np.ndarray) -> np.ndarray:
@@ -847,6 +855,97 @@ class TestParamStore:
         for name in state:
             assert loaded[name].shape == state[name].shape
             np.testing.assert_array_equal(loaded[name], state[name])
+
+    def test_create_many_equals_a_sequence_of_creates(self):
+        specs = [("a.w", (3, 2), "glorot"), ("a.b", (1, 2), "zeros"),
+                 ("c.w", (2, 4), "glorot"), ("d", (4,), "glorot")]
+        one = ParamStore()
+        one.create("first", (2, 2), rng=np.random.default_rng(5))
+        made = one.create_many(specs, np.random.default_rng(7))
+        seq = ParamStore()
+        seq.create("first", (2, 2), rng=np.random.default_rng(5))
+        rng = np.random.default_rng(7)
+        for name, shape, init in specs:
+            seq.create(name, shape, rng=rng, init=init)
+        assert made == [one[name] for name, _, _ in specs]
+        assert one.names() == seq.names()
+        assert one.flat().tobytes() == seq.flat().tobytes()
+        assert one._velocity.size == seq._velocity.size == one.n_values()
+        assert_views(one)
+        assert_views(seq)
+
+    def test_create_many_checks_every_spec_before_changing_anything(self):
+        store = ParamStore()
+        store.create("w", (2, 2), rng=np.random.default_rng(0))
+        before = store.flat().copy()
+        rng = np.random.default_rng(1)
+        for specs in ([("x", (1, 1), "glorot"), ("w", (1, 1), "zeros")],
+                      [("x", (1, 1), "zeros"), ("x", (1, 1), "zeros")],
+                      [("x", (1, 1), "zeros"), ("y", (1, 1), "uniform")]):
+            with pytest.raises(ValueError):
+                store.create_many(specs, rng)
+        with pytest.raises(ValueError, match="needs an rng"):
+            store.create_many([("x", (1, 1), "glorot")])
+        assert store.names() == ["w"]
+        assert np.array_equal(store.flat(), before)
+        assert_views(store)
+
+    @pytest.mark.parametrize("variant", ["backbone", "actions", "full"])
+    def test_a_model_build_allocates_its_vector_once(self, monkeypatch, variant):
+        calls = []
+        create_many = ParamStore.create_many
+
+        def counted(store, specs, rng=None):
+            calls.append(len(specs))
+            return create_many(store, specs, rng)
+
+        monkeypatch.setattr(ParamStore, "create_many", counted)
+        model = ActionRelationNet(ModelConfig(variant=variant), seed=3)
+        assert calls == [len(model.params)]
+        assert_views(model.params)
+        assert model.params.flat().base is None  # owns its memory, no spare room
+
+    def test_checkpoint_is_v2_base64_of_little_endian_float64(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        values = np.array([[1.5, -2.0, 0.1]])
+        write_checkpoint({"w": values}, path)
+        payload = json.loads(path.read_text())
+        assert payload["format"] == "megraph-params-v2"
+        entry = payload["params"]["w"]
+        assert entry["shape"] == [1, 3]
+        assert base64.b64decode(entry["values"]) == values.astype("<f8").tobytes()
+
+    def test_v2_round_trip_is_byte_exact(self, tmp_path):
+        rng = np.random.default_rng(0)
+        state = {
+            "edge": np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                              -1.7976931348623157e308, 2.2250738585072014e-308]),
+            "random": rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-300, 300, (4, 3)),
+            "fortran": np.asfortranarray(rng.normal(size=(3, 5))),
+            "scalar": np.array(0.1 + 0.2),
+            "empty": np.zeros((0, 3)),
+        }
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(state, path)
+        loaded = read_checkpoint(path)
+        assert list(loaded) == list(state)
+        for name, values in state.items():
+            got = loaded[name]
+            assert got.shape == values.shape
+            assert got.dtype == np.float64 and got.dtype.isnative
+            assert got.flags.writeable and got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(values).tobytes()
+        assert np.signbit(loaded["edge"][0]) and not np.signbit(loaded["edge"][1])
+
+    def test_v1_fixture_loads_bit_identically(self):
+        loaded = read_checkpoint(V1_FIXTURE)
+        expected = ActionRelationNet(checks.SMALL_MODEL, seed=9).params.state_dict()
+        assert list(loaded) == list(expected)
+        for name, values in expected.items():
+            assert loaded[name].tobytes() == values.tobytes(), name
+        payload = json.loads(V1_FIXTURE.read_text())
+        assert payload["format"] == "megraph-params-v1"
+        assert all(isinstance(e["values"], list) for e in payload["params"].values())
 
     def test_read_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"

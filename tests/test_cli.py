@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, artifacts, and error reporting."""
 
+import base64
 import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from megraph.checks import SMALL_MODEL
 from megraph.cli import main
 from megraph.config import (
     ExperimentConfig,
@@ -17,8 +20,10 @@ from megraph.config import (
     save_config,
 )
 from megraph.landmarks import load_samples, save_samples, synthesize_dataset
-from megraph.model import ModelConfig
+from megraph.model import ActionRelationNet, ModelConfig
+from megraph.params import read_checkpoint, write_checkpoint
 
+V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.json"
 GOOD_RECORD = synthesize_dataset(n_subjects=1, samples_per_subject=1)[0].to_record()
 
 
@@ -28,6 +33,13 @@ def _samples(*labels):
 
 
 CHECKPOINT = '{"format": "megraph-params-v1"%s}'
+CHECKPOINT_V2 = '{"format": "megraph-params-v2", "params": %s}'
+
+
+def _b64(*values) -> str:
+    """base64 of little-endian float64 values, as a v2 checkpoint holds them."""
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
+
 
 # command ({input} is the bad file, {data} a config reading it as the
 # dataset), the bad file's text, and the one-line message it must produce
@@ -87,6 +99,59 @@ BAD_INPUTS = [
         CHECKPOINT % f', "params": {{"head.b": {{"shape": [1], "values": [1{"0" * 400}]}}}}',
         "{input}: checkpoint entry 'head.b': a value is too large for float64",
         id="checkpoint-huge-integer",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        # lenient decoding would drop the "!" and read 1.0
+        CHECKPOINT_V2 % '{"head.b": {"shape": [1], "values": "AAAA!AAAA8D8="}}',
+        "{input}: checkpoint entry 'head.b': values must be a strict base64 string",
+        id="checkpoint-v2-not-base64",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT_V2 % '{"head.b": {"shape": [2], "values": "%s"}}' % _b64(1.0),
+        "{input}: checkpoint entry 'head.b': 8 bytes do not fill float64 shape [2]",
+        id="checkpoint-v2-wrong-byte-count",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT_V2 % '{"head.b": {"shape": [2], "values": "%s"}}' % _b64(0.5, "nan"),
+        "{input}: checkpoint entry 'head.b': values must be finite",
+        id="checkpoint-v2-nan",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT_V2 % '{"head.b": {"shape": [1], "values": [0.5]}}',
+        "{input}: checkpoint entry 'head.b': values must be a strict base64 string",
+        id="checkpoint-v2-list",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT_V2 % '{"head.w": {"shape": [1], "values": "%s"}}' % _b64(0.5),
+        "{input}: parameter name mismatch: missing=%s extra=[]"
+        % sorted(set(ActionRelationNet(ModelConfig()).params.names()) - {"head.w"}),
+        id="checkpoint-name-mismatch",
+    ),
+    pytest.param(
+        ["config", "show", "--config", "{input}"],
+        b'{"seed": 1, "dataset": "\xff"}',
+        "{input}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+        "position 24: invalid start byte",
+        id="config-not-utf8",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        (CHECKPOINT_V2 % "{}").encode() + b"\xff",
+        "{input}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+        "position 45: invalid start byte",
+        id="checkpoint-not-utf8",
+    ),
+    pytest.param(
+        ["train", "--config", "{data}"],
+        _samples(0).encode() + b'{"subject": "\xff"}\n',
+        "{input}:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+        "position 13: invalid start byte",
+        id="samples-not-utf8",
     ),
     pytest.param(
         ["train", "--config", "{data}"],
@@ -216,6 +281,24 @@ class TestRunCommands:
         assert code == 0
         assert "pooled accuracy" in capsys.readouterr().out
 
+    def test_evaluate_scores_a_v1_checkpoint_like_its_v2_rewrite(
+        self, tmp_path, capsys
+    ):
+        cfg = ExperimentConfig(
+            synth=SynthSpec(n_subjects=2, samples_per_subject=3, n_classes=3),
+            model=SMALL_MODEL,
+        )
+        path = tmp_path / "c.json"
+        save_config(cfg, path)
+        v2 = tmp_path / "v2.json"
+        write_checkpoint(read_checkpoint(V1_FIXTURE), v2)
+        outputs = []
+        for ckpt in (V1_FIXTURE, v2):
+            argv = ["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "pooled accuracy" in outputs[0] and outputs[0] == outputs[1]
+
     def test_loso_writes_run_dir(self, tiny_config_path, tmp_path, capsys):
         out = tmp_path / "loso"
         code = main(
@@ -312,7 +395,7 @@ class TestErrorPaths:
         self, tmp_path, capsys, argv, text, message
     ):
         bad = tmp_path / "input"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         data = tmp_path / "data.json"
         data.write_text(json.dumps({"dataset": str(bad), "synth": None}))
         paths = {"input": str(bad), "data": str(data)}

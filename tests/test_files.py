@@ -1,0 +1,181 @@
+"""Artifact files: atomic writes leave the old file or the whole new one,
+and no module writes a file any other way."""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+import megraph.files
+from megraph.config import ExperimentConfig, load_config, save_config
+from megraph.files import atomic_write, atomic_write_text, read_text
+from megraph.landmarks import load_samples, save_samples, synthesize_dataset
+from megraph.params import read_checkpoint, write_checkpoint
+from megraph.training import CURVE_COLUMNS, write_curves
+
+SRC = Path(megraph.files.__file__).parent
+
+
+class Injected(Exception):
+    pass
+
+
+def leftovers(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
+
+
+class TestAtomicWrite:
+    def test_success_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        atomic_write_text(path, "new é\n")
+        assert path.read_bytes() == "new é\n".encode("utf-8")
+        assert leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("existed", [True, False])
+    def test_failure_mid_write_keeps_the_old_file(self, tmp_path, existed):
+        path = tmp_path / "out.txt"
+        if existed:
+            path.write_text("old\n")
+        with pytest.raises(Injected):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                assert leftovers(tmp_path)  # the write goes to a temporary file
+                raise Injected
+        if existed:
+            assert path.read_text() == "old\n"
+        else:
+            assert not path.exists()
+        assert leftovers(tmp_path) == []
+
+    def test_failed_replace_removes_the_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(megraph.files.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            atomic_write_text(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert leftovers(tmp_path) == []
+
+    def test_a_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "absent" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            atomic_write_text(path, "new\n")
+        assert info.value.filename == str(path) and str(path) in str(info.value)
+
+    def test_writers_fail_without_touching_their_file(self, tmp_path):
+        samples = synthesize_dataset(n_subjects=2, samples_per_subject=2)
+        data, curves, ckpt = (tmp_path / n for n in ("d.jsonl", "c.csv", "w.json"))
+        save_samples(samples, data)
+        write_curves(curves, [("s01", dict.fromkeys(CURVE_COLUMNS, 1.0))])
+        write_checkpoint({"w": [[1.0, 2.0]]}, ckpt)
+        before = {p: p.read_bytes() for p in (data, curves, ckpt)}
+
+        class Broken:
+            def to_record(self):
+                raise Injected
+
+        with pytest.raises(Injected):
+            save_samples([samples[0], Broken()], data)
+        with pytest.raises(KeyError):  # a row without its "total" column
+            write_curves(curves, [("s01", dict.fromkeys(CURVE_COLUMNS, 2.0)),
+                                  ("s02", {"step": 1})])
+        with pytest.raises(TypeError):
+            write_checkpoint({"w": [[3.0, 4.0]], "x": object()}, ckpt)
+        assert {p: p.read_bytes() for p in before} == before
+        assert leftovers(tmp_path) == []
+
+
+class TestUndecodableBytes:
+    def test_each_reader_names_the_file(self, tmp_path):
+        config, ckpt, data = (tmp_path / n for n in ("c.json", "w.json", "d.jsonl"))
+        save_config(ExperimentConfig(), config)
+        write_checkpoint({"w": [[1.0]]}, ckpt)
+        save_samples(synthesize_dataset(n_subjects=1, samples_per_subject=2), data)
+        for path in (config, ckpt, data):
+            raw = path.read_bytes()
+            path.write_bytes(raw[:-2] + b"\xff" + raw[-1:])
+        for read, path, where in ((load_config, config, f"{config}"),
+                                  (read_checkpoint, ckpt, f"{ckpt}"),
+                                  (load_samples, data, f"{data}:2")):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert str(info.value).startswith(f"{where}: not UTF-8 text: ")
+
+    def test_text_is_read_as_utf8(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_bytes(json.dumps({"name": "é"}, ensure_ascii=False).encode())
+        assert json.loads(read_text(path)) == {"name": "é"}
+
+
+WRITE_ATTRS = {"write_text", "write_bytes"}
+
+
+def _mode(call: ast.Call, index: int):
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            return kw.value
+    return call.args[index] if len(call.args) > index else None
+
+
+def direct_writes(tree: ast.AST, exempt: str | None = None) -> list[int]:
+    """Line numbers of file writes that bypass ``exempt`` (a function name):
+    ``open`` or ``.open`` with a write mode, ``.write_text`` or ``.write_bytes``."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == exempt:
+            skip.update(id(n) for n in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in skip:
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in WRITE_ATTRS:
+            found.append(node.lineno)
+            continue
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = _mode(node, 1)
+        elif isinstance(func, ast.Attribute) and func.attr in ("open", "fdopen"):
+            mode = _mode(node, 1 if func.attr == "fdopen" else 0)
+        else:
+            continue
+        if mode is None:
+            continue  # read-only default
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            found.append(node.lineno)  # a mode that cannot be checked
+        elif set(mode.value) & set("wax+"):
+            found.append(node.lineno)
+    return found
+
+
+class TestNoDirectWrites:
+    def test_the_scan_sees_every_form(self):
+        source = """
+open(p, "w"); open(p, mode="a"); open(p, "r+"); open(p, m)
+p.open("wb"); os.fdopen(fd, "x"); p.write_text(s); p.write_bytes(b)
+open(p); open(p, "rb"); p.open(); p.read_text()
+def atomic_write(path):
+    open(path, "w")
+"""
+        assert direct_writes(ast.parse(source), exempt="atomic_write") == (
+            [2, 2, 2, 2, 3, 3, 3, 3]
+        )
+
+    def test_only_the_atomic_helper_writes_files(self):
+        files = sorted(SRC.glob("*.py"))
+        assert SRC / "files.py" in files
+        offenders = {
+            path.name: lines
+            for path in files
+            if (lines := direct_writes(
+                ast.parse(path.read_text(encoding="utf-8")),
+                exempt="atomic_write" if path.name == "files.py" else None,
+            ))
+        }
+        assert offenders == {}

@@ -20,7 +20,7 @@ import megraph.training
 from megraph.graph import DegenerateFrameError, default_selection
 from megraph.landmarks import LandmarkSample, save_samples, synthesize_dataset
 from megraph.model import ActionRelationNet, ModelConfig
-from megraph.params import read_checkpoint
+from megraph.params import read_checkpoint, write_checkpoint
 from megraph.training import (
     CURVE_COLUMNS,
     LOSS_ROWS,
@@ -401,6 +401,21 @@ class TestRunTraining:
         )
         got = float(np.mean(np.asarray(y_true) == np.asarray(y_pred)))
         assert got == run.pooled_accuracy
+
+    def test_evaluate_checkpoint_names_the_checkpoint_on_a_mismatch(self, tmp_path):
+        cfg = tiny_loso_config()
+        wider = ActionRelationNet(replace(cfg.model, channels=5), seed=0)
+        path = tmp_path / "wider.json"
+        write_checkpoint(wider.params.state_dict(), path)
+        with pytest.raises(ValueError) as info:
+            evaluate_checkpoint(cfg, path)
+        assert str(info.value).startswith(
+            f"{path}: shape mismatch for 'backbone.l1.gc.w': checkpoint (2, 5)"
+        )
+        write_checkpoint({"head.w": np.zeros((4, 3))}, path)
+        with pytest.raises(ValueError) as info:
+            evaluate_checkpoint(cfg, path)
+        assert str(info.value).startswith(f"{path}: parameter name mismatch: missing=")
 
     def test_evaluate_checkpoint_matches(self, tmp_path):
         out = tmp_path / "train"
