@@ -7,14 +7,16 @@ topological order. Scalars are 0-d tensors. Every other op works on arrays
 of shape ``(..., R, C)``: the last two axes are one sample's matrix, any
 leading axes are batch axes, and the one-sample 2-d case is the same code
 path. Where a 2-d operand (a weight, a bias, a constant adjacency) meets a
-batched one, its gradient is summed over the batch axes.
+batched one, its gradient is summed over the batch axes; a ``(3, K, D)``
+:func:`stack` of weights meets a ``(..., 3, R, K)`` block matrix by matrix.
 
 Weights and biases may also carry a leading member axis: a ``(P, 1..., K, D)``
 weight or ``(P, 1..., 1, D)`` bias holds P variants of one parameter, with
-one singleton per batch axis of the operand it meets, and its leading axes
-broadcast against that operand's. One forward then evaluates P members at
-once, each bit-identical to a forward with that member alone; the gradient
-check uses this to run every probe of a parameter tensor in one pass.
+one singleton per axis by which the operand it (or its stack) meets
+outnumbers it, and its leading axes broadcast against that operand's. One
+forward then evaluates P members at once, each bit-identical to a forward
+with that member alone; the gradient check uses this to run every probe of
+a parameter tensor in one pass.
 
 Each node records whether any parent needs a gradient; `backward` walks
 only those nodes, so constant inputs (keyframes, loss centers) cost
@@ -52,8 +54,8 @@ __all__ = [
     "relu",
     "transpose",
     "reshape",
-    "concat_rows",
-    "slice_rows",
+    "gather_rows",
+    "stack",
     "softmax_rows",
     "l1_rowsum",
     "normalize_columns",
@@ -396,50 +398,42 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(out, (a,), back, "reshape")
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Join along the row axis (-2); columns must match and batch axes
-    broadcast, each part's gradient summed back over the axes it gained."""
-    if not parts:
-        raise ShapeError("concat_rows: need at least one tensor")
-    _require_matrix("concat_rows", *parts)
-    first = parts[0].shape
-    leads = [p.shape[:-2] for p in parts]
-    lead = leads[0]
-    try:
-        if leads.count(lead) != len(leads):
-            lead = np.broadcast_shapes(*leads)
-    except ValueError:
-        lead = None
-    for p in parts:
-        if lead is None or p.shape[-1] != first[-1]:
-            raise ShapeError(f"concat_rows: shape {p.shape} does not stack on {first}")
-    boundaries = np.cumsum([p.shape[-2] for p in parts])[:-1]
-    blocks = [
-        p.data if p.shape[:-2] == lead else np.broadcast_to(p.data, lead + p.shape[-2:])
-        for p in parts
-    ]
-    out = np.concatenate(blocks, axis=-2)
+def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """(..., *S, C) rows of a (..., R, C) tensor by an integer index of shape
+    S; -1 picks a zero row, and no row may be picked twice."""
+    _require_matrix("gather_rows", a)
+    n, flat = a.shape[-2], rows.ravel()
+    kept = np.flatnonzero(flat >= 0)
+    bad = flat.min(initial=-1) < -1 or flat.max(initial=-1) >= n
+    if bad or np.bincount(flat[kept]).max(initial=0) > 1:
+        raise ShapeError(f"gather_rows: rows {rows.tolist()} not unique in [-1, {n})")
+    out = np.take(a.data, flat, axis=-2)
+    out[..., flat < 0, :] = 0.0
 
     def back(g):
-        pieces = np.split(g, boundaries, axis=-2)
-        return tuple(_unbroadcast(gp, p.shape) for gp, p in zip(pieces, parts))
+        ga = np.zeros(a.shape)
+        ga[..., flat[kept], :] = g.reshape(out.shape)[..., kept, :]
+        return (ga,)
 
-    return _node(out, tuple(parts), back, "concat_rows")
+    shape = a.shape[:-2] + rows.shape + a.shape[-1:]
+    return _node(out.reshape(shape), (a,), back, "gather_rows")
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop`` of the row axis (-2)."""
-    _require_matrix("slice_rows", a)
-    if not (0 <= start < stop <= a.shape[-2]):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.shape}")
-    out = a.data[..., start:stop, :]
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """(..., K, D) tensors stacked on a new axis -3, their leading (member)
+    axes broadcast; each part's gradient sums over the axes it gained."""
+    shapes, blocks = [p.shape for p in parts], [p.data for p in parts]
+    if shapes.count(shapes[0]) != len(shapes):  # broadcast only when they differ
+        try:
+            lead = np.broadcast_shapes(*[s[:-2] for s in shapes])
+            blocks = [np.broadcast_to(b, lead + shapes[0][-2:]) for b in blocks]
+        except ValueError:
+            raise ShapeError(f"stack: shapes {shapes} do not stack") from None
 
     def back(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop, :] = g
-        return (full,)
+        return tuple(_unbroadcast(g[..., i, :, :], s) for i, s in enumerate(shapes))
 
-    return _node(out, (a,), back, "slice_rows")
+    return _node(np.stack(blocks, axis=-3), tuple(parts), back, "stack")
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -550,25 +544,25 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def graph_affine(adj: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """adj @ x @ w + b with a constant (non-differentiated) (R, R) adjacency
-    shared by every matrix of a (..., R, K) x; w and b as in :func:`affine`."""
+    """adj @ x @ w + b with a constant (non-differentiated) (..., R, R)
+    adjacency broadcast against a (..., R, K) x; w and b as in :func:`affine`."""
     xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
     if len(xs) < 2:
         raise _not_matrix("graph_affine", xs)
-    if adj.ndim != 2 or adj.shape[1] != xs[-2]:
+    if adj.ndim < 2 or adj.shape[-1] != xs[-2]:
         raise ShapeError(f"graph_affine: adjacency {adj.shape} vs features {xs}")
     if len(ws) < 2 or xs[-1] != ws[-2]:
         raise ShapeError(f"graph_affine: shapes {xs} @ {ws} + {bs}")
     _check_bias("graph_affine", b, ws[-1])
-    pooled = adj @ x.data
     try:
+        pooled = adj @ x.data
         out = pooled @ w.data
         out = out + b.data if len(bs) > 2 else np.add(out, b.data, out=out)
     except ValueError:
         raise ShapeError(f"graph_affine: shapes {xs} @ {ws} + {bs}") from None
 
     def back(g):
-        gx = _unbroadcast(adj.T @ (g @ _transposed(w.data)), xs)
+        gx = _unbroadcast(adj.swapaxes(-1, -2) @ (g @ _transposed(w.data)), xs)
         return gx, _weight_grad(pooled, g, ws), _bias_grad(g, bs)
 
     return _node(out, (x, w, b), back, "graph_affine")

@@ -144,10 +144,8 @@ def _cross_entropy(logits, labels):
     return ad.cross_entropy(logits, labels.data.astype(np.int64))
 
 
-def _split_around(x, mid):
-    """x's first two rows, then mid, then x's other rows."""
-    n = x.shape[-2]
-    return ad.concat_rows([ad.slice_rows(x, 0, 2), mid, ad.slice_rows(x, 2, n)])
+# two (3, C) blocks from five rows: row 2 left out, two zero rows
+_ROWS = np.array([[3, -1, 0], [4, 1, -1]])
 
 
 def _dead_middle(x):
@@ -181,8 +179,8 @@ def _op_cases() -> dict:
         "relu": (ad.relu, 0, k(4, 5)),
         "transpose": (ad.transpose, 0, n(3, 4)),
         "reshape": (_Whole(lambda x: ad.reshape(x, (2, 6))), 0, n(3, 4)),
-        "concat_rows": (_split_around, 0, n(6, 4), n(2, 4)),
-        "slice_rows": (lambda x: ad.slice_rows(x, 1, 3), 0, n(5, 4)),
+        "stack": (lambda *p: ad.stack(p), 1, n(3, 4), n(3, 4), n(3, 4)),
+        "gather_rows": (lambda x: ad.gather_rows(x, _ROWS), 0, n(5, 4)),
         "softmax_rows": (ad.softmax_rows, 0, n(4, 5)),
         "l1_rowsum": (ad.l1_rowsum, 0, k(4, 5)),
         "normalize_columns": (ad.normalize_columns, 0, pos(5, 2)),
@@ -207,8 +205,8 @@ def _op_cases() -> dict:
         "relu.batched": (ad.relu, 0, k(2, 3, 4)),
         "transpose.batched": (ad.transpose, 0, n(2, 3, 4)),
         "reshape.batched": (_Whole(lambda x: ad.reshape(x, (2, -1))), 0, n(2, 3, 4)),
-        "concat_rows.batched": (_split_around, 0, n(2, 5, 4), n(2, 2, 4)),
-        "slice_rows.batched": (lambda x: ad.slice_rows(x, 1, 3), 0, n(2, 5, 4)),
+        "stack.batched": (lambda *p: ad.stack(p), 1, n(2, 3, 4), n(3, 4), n(2, 3, 4)),
+        "gather_rows.batched": (lambda x: ad.gather_rows(x, _ROWS), 0, n(2, 5, 4)),
         "softmax_rows.batched": (ad.softmax_rows, 0, n(2, 3, 4)),
         "l1_rowsum.batched": (ad.l1_rowsum, 0, k(2, 3, 4)),
         "normalize_columns.batched": (ad.normalize_columns, 0, pos(3, 5, 1)),
@@ -250,8 +248,8 @@ def _stacked_cases() -> dict:
     specs = {
         "matmul.lhs.stacked": (ad.matmul, 0, n(2, 4, 3), n(3, 1, 3, 5)),
         "matmul.rhs.stacked": (ad.matmul, 1, n(2, 4, 3), n(3, 1, 3, 5)),
-        "concat_rows.stacked": (_split_around, 0, n(2, 5, 4), n(3, 1, 2, 4)),
-        "concat_rows.mid.stacked": (_split_around, 1, n(2, 5, 4), n(3, 1, 2, 4)),
+        "stack.stacked": (lambda *p: ad.stack(p), 0, n(2, 3, 4), n(3, 1, 3, 4), n(3, 4)),
+        "gather_rows.stacked": (lambda x: ad.gather_rows(x, _ROWS), 0, n(3, 2, 5, 4)),
     }
 
     def operands(k, d, w_stacked, b_stacked):
@@ -286,6 +284,11 @@ def _stacked_cases() -> dict:
             specs[f"temporal_conv.{padding}.{target}.stacked"] = (
                 _conv(padding), wrt, n(2, 3, 4, 3), *draws
             )
+    # a (3, R, R) block of adjacencies with (3, K, D) weights, as in decompose
+    for target, wrt in (("x", 1), ("w", 2), ("b", 3)):
+        specs[f"graph_affine.{target}.block"] = (
+            _graph_affine, wrt, n(3, 5, 5), n(2, 3, 5, 3), n(3, 3, 4), n(3, 1, 4)
+        )
     return {name: _op_case(*spec) for name, spec in specs.items()}
 
 
@@ -375,14 +378,17 @@ WEIGHTED_OPS = ("affine", "graph_affine", "temporal_conv")
 
 
 def _batch_axes(loss: Tensor) -> dict[int, int]:
-    """id of every weight and bias on the tape -> the number of batch axes
-    of the operand it meets: the singletons a member stack of it needs."""
+    """id of every weight and bias on the tape -> the singletons a member stack
+    of it needs: how many more axes the operand it (or its stack) meets has."""
     axes = {}
     for node in _tape(loss):
         if node.op in WEIGHTED_OPS:
             x, *operands = node._parents
             for p in operands:
-                axes[id(p)] = x.ndim - 2
+                axes[id(p)] = x.ndim - p.ndim
+        elif node.op == "stack" and id(node) in axes:
+            for part in node._parents:
+                axes[id(part)] = axes[id(node)]
     return axes
 
 

@@ -6,9 +6,9 @@ contour chains within each component plus one bridging edge per adjacent
 component pair; temporal structure is left to the model's temporal
 convolutions, so the adjacency here is per-frame and shared across frames.
 :func:`build_graph` takes keyframes of shape (..., 3, 68, 2), one sample or
-a stack of them. A :class:`NodeSelection` builds its normalized adjacency
-and its per-component subgraphs once, on first use, and every graph and
-model of that selection shares them read-only.
+a stack of them. A :class:`NodeSelection` builds its normalized adjacency,
+its per-component subgraphs and their zero-padded block once, on first use,
+and every graph and model of that selection shares them read-only.
 """
 
 from __future__ import annotations
@@ -110,6 +110,19 @@ class NodeSelection:
         for sub in subs:
             sub.adjacency.setflags(write=False)
         return subs
+
+    @cached_property
+    def component_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """The subgraphs zero-padded to the widest, W nodes: a (3, W) row index,
+        -1 past a component's nodes, and their (3, W, W) adjacencies."""
+        rows = np.full((len(COMPONENTS), max(_COMPONENT_SIZES.values())), -1)
+        adj = np.zeros(rows.shape + rows.shape[-1:])
+        for i, sub in enumerate(self.subgraphs):
+            n = len(sub.indices)
+            rows[i, :n], adj[i, :n, :n] = np.arange(*sub.rows), sub.adjacency
+        rows.setflags(write=False)
+        adj.setflags(write=False)
+        return rows, adj
 
 
 _DEFAULT_SELECTION = NodeSelection(

@@ -7,7 +7,8 @@ Three stages, each optional after the first:
    step collapses the frame axis, leaving one feature row per node.
 2. Action decomposition: per facial component, a learned soft assignment
    matrix distributes the component's node features onto a small set of
-   action slots; each slot becomes one pooled feature row.
+   action slots; each slot becomes one pooled feature row. The components
+   run as one block, padded to the widest, with their weights stacked.
 3. Relation reconstruction: a graph convolution over the complete graph of
    action slots scores each slot; the normalized scores weight the action
    features into a single recognition feature.
@@ -94,7 +95,8 @@ class ForwardResult:
 
     logits: Tensor  # (B, K)
     node_features: Tensor  # (B, 31, C_1)
-    action_maps: dict[str, Tensor] = field(default_factory=dict)  # comp -> (B, N_f, N_a)
+    # comp -> (B, N_f, N_a), a constant view of the padded assignment
+    action_maps: dict[str, Tensor] = field(default_factory=dict)
     action_features: Tensor | None = None  # (B, 3*N_a, C_1)
     weights: Tensor | None = None  # (B, 3*N_a, 1), on the simplex when normalized
     recognition_feature: Tensor | None = None  # (B, C_1)
@@ -191,36 +193,25 @@ class ActionRelationNet:
 
         Each component's nodes are softly assigned to N_a action slots; the
         assignment matrix rows are softmax-normalized so every node spreads
-        unit mass over the slots.
+        unit mass over the slots. All components run as one block whose
+        zero padding rows add exact zeros to the slots and take no gradient.
         """
-        p = self.params
-        maps: dict[str, Tensor] = {}
-        pooled = []
-        for sub in self.subgraphs:
-            start, stop = sub.rows
-            x_o = ad.slice_rows(node_features, start, stop)
-            hidden = ad.relu(
-                ad.graph_affine(
-                    sub.adjacency,
-                    x_o,
-                    p[f"actions.{sub.component}.gc.w"],
-                    p[f"actions.{sub.component}.gc.b"],
-                )
-            )
-            scores = ad.affine(
-                hidden,
-                p[f"actions.{sub.component}.mix.w"],
-                p[f"actions.{sub.component}.mix.b"],
-            )
-            assign = ad.softmax_rows(scores)
-            row_sums = assign.data.sum(axis=-1)
-            if np.abs(row_sums - 1.0).max() > 1e-9:
-                raise InvariantError(
-                    f"assignment rows for {sub.component} do not sum to 1"
-                )
-            maps[sub.component] = assign
-            pooled.append(ad.matmul(ad.transpose(assign), x_o))
-        return ad.concat_rows(pooled), maps
+        p, (rows, adj) = self.params, self.selection.component_block
+        gc_w, gc_b, mix_w, mix_b = (
+            ad.stack([p[f"actions.{comp}.{name}"] for comp in COMPONENTS])
+            for name in ("gc.w", "gc.b", "mix.w", "mix.b")
+        )
+        x = ad.gather_rows(node_features, rows)  # (..., 3, W, C_1)
+        hidden = ad.relu(ad.graph_affine(adj, x, gc_w, gc_b))
+        assign = ad.softmax_rows(ad.affine(hidden, mix_w, mix_b))
+        if np.abs(assign.data.sum(axis=-1) - 1.0).max() > 1e-9:
+            raise InvariantError("assignment rows do not sum to 1")
+        maps = {
+            sub.component: ad.constant(assign.data[..., i, : len(sub.indices), :])
+            for i, sub in enumerate(self.subgraphs)
+        }
+        pooled = ad.matmul(ad.transpose(assign), x)  # (..., 3, N_a, C_1)
+        return ad.reshape(pooled, pooled.shape[:-3] + (-1, pooled.shape[-1])), maps
 
     def relate(self, action_features: Tensor):
         """Score action slots over their complete graph and pool.

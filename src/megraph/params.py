@@ -47,6 +47,10 @@ class ParamStore:
             if init == "glorot":
                 if rng is None:
                     raise ValueError("glorot init needs an rng")
+                if not shape or shape[0] + shape[-1] == 0:
+                    raise ValueError(
+                        f"parameter '{name}': glorot init needs fans, got shape {shape}"
+                    )
                 data = glorot_uniform(rng, shape)
             elif init == "zeros":
                 data = np.zeros(shape)

@@ -111,6 +111,25 @@ def loop_softmax_rows(x):
     return out
 
 
+def loop_gather_rows(x, rows):
+    out = np.zeros(rows.shape + x.shape[1:])
+    for i in range(rows.shape[0]):
+        for j in range(rows.shape[1]):
+            if rows[i, j] >= 0:
+                for c in range(x.shape[1]):
+                    out[i, j, c] = x[rows[i, j], c]
+    return out
+
+
+def loop_stack(parts):
+    out = np.zeros((len(parts),) + parts[0].shape)
+    for k, part in enumerate(parts):
+        for i in range(part.shape[0]):
+            for j in range(part.shape[1]):
+                out[k, i, j] = part[i, j]
+    return out
+
+
 def loop_affine(adj, x, w, b):
     return loop_matmul(loop_matmul(adj, x), w) + b
 
@@ -261,6 +280,17 @@ class TestAcceptance:
                 np.testing.assert_allclose(pooled.data, want_pooled,
                                            rtol=0, atol=1e-10)
                 np.testing.assert_allclose(w.data, want_w, rtol=0, atol=1e-10)
+
+            for trial in range(20):
+                # 31 rows and five -1 (zero-row) entries in a random (3, 12) layout
+                x = rng.normal(size=(31, 4))
+                index = rng.permutation(np.r_[np.arange(31), np.full(5, -1)])
+                index = index.reshape(3, 12)
+                got = ad.gather_rows(ad.constant(x), index)
+                np.testing.assert_array_equal(got.data, loop_gather_rows(x, index))
+                parts = [rng.normal(size=(4, 3)) for _ in range(3)]
+                got = ad.stack([ad.constant(p) for p in parts])
+                np.testing.assert_array_equal(got.data, loop_stack(parts))
 
             for trial in range(20):
                 n, k, rows, chans = 5, 4, 6, 3

@@ -86,20 +86,27 @@ class TestForwardValues:
         x = rng.normal(size=(4, 3))
         t = ad.constant(x)
         np.testing.assert_array_equal(ad.transpose(ad.transpose(t)).data, x)
-        np.testing.assert_array_equal(ad.slice_rows(t, 1, 3).data, x[1:3])
+        np.testing.assert_array_equal(ad.gather_rows(t, np.arange(1, 3)).data, x[1:3])
 
-    def test_concat_then_slice_recovers_parts(self):
+    def test_gather_rows_matches_loop(self):
         rng = np.random.default_rng(42)
-        parts = [rng.normal(size=(n, 3)) for n in (2, 1, 4)]
-        cat = ad.concat_rows([ad.constant(p) for p in parts])
-        assert cat.shape == (7, 3)
-        start = 0
-        for p in parts:
-            stop = start + p.shape[0]
-            np.testing.assert_array_equal(
-                ad.slice_rows(cat, start, stop).data, p
-            )
-            start = stop
+        x = rng.normal(size=(2, 6, 3))
+        rows = np.array([[4, 0, -1], [-1, 2, 5]])
+        t = Tensor(x, requires_grad=True)
+        out = ad.gather_rows(t, rows)
+        assert out.shape == (2, 2, 3, 3)
+        g = rng.normal(size=out.shape)
+        want, want_grad = np.zeros(out.shape), np.zeros(x.shape)
+        for n in range(2):
+            for i in range(2):
+                for j in range(3):
+                    if rows[i, j] >= 0:
+                        want[n, i, j] = x[n, rows[i, j]]
+                        want_grad[n, rows[i, j]] = g[n, i, j]
+        assert np.array_equal(out.data, want)
+        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        # rows 1 and 3 are never taken, and a -1 position passes nothing back
+        assert np.array_equal(t.grad, want_grad)
 
     def test_softmax_rows_matches_loop_and_sums_to_one(self):
         rng = np.random.default_rng(42)
@@ -145,6 +152,15 @@ class TestForwardValues:
         np.testing.assert_allclose(
             ad.graph_affine(adj, tx, tw, tb).data, adj @ x @ w + b
         )
+        # a (3, R, R) block of adjacencies, one per (3, K, D) weight and
+        # (3, 1, D) bias, over (B, 3, R, K) features
+        adj, x = rng.normal(size=(3, 5, 5)), rng.normal(size=(2, 3, 5, 3))
+        w, b = rng.normal(size=(3, 3, 2)), rng.normal(size=(3, 1, 2))
+        got = ad.graph_affine(adj, ad.constant(x), ad.constant(w), ad.constant(b)).data
+        assert got.shape == (2, 3, 5, 2)
+        for n in range(2):
+            for i in range(3):
+                np.testing.assert_allclose(got[n, i], adj[i] @ x[n, i] @ w[i] + b[i])
 
     def test_temporal_conv_matches_loop(self):
         rng = np.random.default_rng(42)
@@ -176,7 +192,7 @@ class TestForwardValues:
             one = ad.graph_affine(adj, ad.constant(x[i]), w, b).data
             np.testing.assert_allclose(batched[i], one, atol=1e-12)
         np.testing.assert_array_equal(
-            ad.slice_rows(ad.constant(x), 1, 3).data, x[:, 1:3]
+            ad.gather_rows(ad.constant(x), np.arange(1, 3)).data, x[:, 1:3]
         )
         np.testing.assert_array_equal(
             ad.transpose(ad.constant(x)).data, np.swapaxes(x, 1, 2)
@@ -225,21 +241,34 @@ class TestForwardValues:
             one = ad.temporal_conv(x, [w0, c(w1[m, 0, 0]), w2], c(b[m, 0, 0]), padding)
             assert np.array_equal(got[m], one.data)
 
-    def test_concat_rows_broadcasts_batch_axes(self):
+    def test_stack_broadcasts_member_axes(self):
         rng = np.random.default_rng(7)
-        a, mid, z = (rng.normal(size=s) for s in ((2, 2, 4), (3, 1, 3, 4), (2, 1, 4)))
+        a, mid, z = (rng.normal(size=s) for s in ((2, 3, 4), (3, 1, 3, 4), (3, 4)))
         parts = [ad.tensor(v, requires_grad=True) for v in (a, mid, z)]
-        out = ad.concat_rows(parts)
-        assert out.shape == (3, 2, 6, 4)
+        out = ad.stack(parts)
+        assert out.shape == (3, 2, 3, 3, 4)
         for m in range(3):
             for i in range(2):
-                want = np.concatenate([a[i], mid[m, 0], z[i]])
+                want = np.stack([a[i], mid[m, 0], z])
                 assert np.array_equal(out.data[m, i], want)
         ad.backward(ad.sum_all(out))
         # each part's gradient sums over the axes it was broadcast along
         np.testing.assert_array_equal(parts[0].grad, np.full(a.shape, 3.0))
         np.testing.assert_array_equal(parts[1].grad, np.full(mid.shape, 2.0))
-        np.testing.assert_array_equal(parts[2].grad, np.full(z.shape, 3.0))
+        np.testing.assert_array_equal(parts[2].grad, np.full(z.shape, 6.0))
+
+    def test_stack_of_equal_shapes_skips_broadcasting(self, monkeypatch):
+        # every training step stacks equally shaped parameters: one copy,
+        # no broadcast of the parts
+        def refuse(*args, **kwargs):
+            raise AssertionError("broadcast on equal shapes")
+
+        rng = np.random.default_rng(7)
+        parts = [ad.constant(rng.normal(size=(4, 2))) for _ in range(3)]
+        monkeypatch.setattr(ad.np, "broadcast_shapes", refuse)
+        monkeypatch.setattr(ad.np, "broadcast_to", refuse)
+        out = ad.stack(parts)
+        assert np.array_equal(out.data, np.stack([p.data for p in parts]))
 
     def test_cross_entropy_matches_loop(self):
         rng = np.random.default_rng(42)
@@ -257,12 +286,12 @@ class TestForwardValues:
         with pytest.raises(ValueError):
             ad.cross_entropy(logits, np.array([0, 3]))
 
-    def test_slice_rows_bounds_checked(self):
+    def test_gather_rows_index_checked(self):
         x = ad.constant(np.zeros((3, 2)))
-        with pytest.raises(ShapeError):
-            ad.slice_rows(x, 2, 2)
-        with pytest.raises(ShapeError):
-            ad.slice_rows(x, 0, 4)
+        for rows in ([0, 3], [-2, 0], [[1, -1], [-1, 1]]):
+            with pytest.raises(ShapeError, match="not unique in"):
+                ad.gather_rows(x, np.array(rows))
+        assert ad.gather_rows(x, np.array([-1, -1])).shape == (2, 2)
 
 
 def _c(*shape):
@@ -340,8 +369,18 @@ SHAPE_CONTRACTS = {
         "temporal_conv: member axes",
         _conv((2, 3, 5, 4), ((3, 1, 1, 4, 2),) * 3, b_shape=(2, 1, 1, 1, 2)),
     ),
-    "concat_rows.batch": (
-        "concat_rows: shape", lambda: ad.concat_rows([_c(2, 5, 4), _c(3, 2, 4)])
+    "stack.batch": ("stack: shape", lambda: ad.stack([_c(2, 5, 4), _c(3, 5, 4)])),
+    "stack.matrix": ("stack: shape", lambda: ad.stack([_c(5, 4), _c(4, 5)])),
+    "gather_rows.rank": (
+        "gather_rows: expected a", lambda: ad.gather_rows(_c(5), np.arange(2))
+    ),
+    "graph_affine.block_adjacency": (
+        "graph_affine: adjacency",
+        lambda: ad.graph_affine(np.ones((3, 5, 4)), _c(3, 5, 3), _c(3, 2), _c(1, 2)),
+    ),
+    "graph_affine.block_members": (
+        "graph_affine: shapes",
+        lambda: ad.graph_affine(np.ones((3, 5, 5)), _c(2, 5, 3), _c(3, 2), _c(1, 2)),
     ),
     "cross_entropy.label_rank": (
         "cross_entropy: labels shape",
@@ -889,6 +928,14 @@ class TestParamStore:
         assert store.names() == ["w"]
         assert np.array_equal(store.flat(), before)
         assert_views(store)
+
+    @pytest.mark.parametrize("shape", [(), (0, 0)])
+    def test_glorot_without_fans_names_the_parameter(self, shape):
+        store = ParamStore()
+        with pytest.raises(ValueError, match="parameter 'layer.w'"):
+            store.create("layer.w", shape, rng=np.random.default_rng(0))
+        assert len(store) == 0
+        assert store.create("layer.b", shape, init="zeros").shape == shape
 
     @pytest.mark.parametrize("variant", ["backbone", "actions", "full"])
     def test_a_model_build_allocates_its_vector_once(self, monkeypatch, variant):

@@ -13,12 +13,14 @@ import megraph.autodiff as ad
 from megraph.config import decode, encode
 from megraph.graph import StGraph, build_graph, default_selection
 from megraph.landmarks import synthesize_dataset
+from megraph.losses import LossWeights, WeightCenterTable, total_loss
 from megraph.model import (
     VARIANTS,
     ActionRelationNet,
     ModelConfig,
     relation_adjacency,
 )
+from megraph.training import sample_graph
 
 SMALL = ModelConfig(
     variant="full", channels=4, n_actions=2, relation_channels=3, n_classes=3
@@ -205,6 +207,24 @@ class TestShapes:
         assert any(n.startswith("actions.") for n in names["actions"])
         assert not any(n.startswith("relation.") for n in names["actions"])
         assert any(n.startswith("relation.") for n in names["full"])
+
+    def test_default_step_tape_has_at_most_79_nodes(self):
+        # one training step of the default model at B = 16; the three
+        # per-component decomposition chains made it 89
+        model = ActionRelationNet(ModelConfig(), seed=0)
+        samples = synthesize_dataset(n_subjects=2, samples_per_subject=8, seed=0)
+        graph = sample_graph(samples, 3.0, model.selection)
+        table = WeightCenterTable(n_classes=5, n_rows=9)
+        loss = total_loss(
+            model.forward(graph), [s.label for s in samples], LossWeights(), table=table
+        ).total
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen) <= 79
 
 
 class TestLoopOracles:
