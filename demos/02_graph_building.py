@@ -47,15 +47,15 @@ print(f"normalized spectrum: [{eigenvalues.min():.4f}, "
 
 # Build the spatial-temporal graph for one sample: three frames of the 31
 # selected nodes, centred on the onset centroid and scaled to unit RMS.
-sample = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=0)[0]
-graph = build_graph(sample.frames)
+frames = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=0).frames[0]
+graph = build_graph(frames)
 print("graph node features:", graph.node_features.shape)
 onset = graph.node_features[0]
 print(f"onset centroid after normalization: {onset.mean(axis=0).round(12)}")
 print(f"onset RMS radius: {np.sqrt((onset ** 2).sum(axis=1).mean()):.12f}")
 
 # Translating or uniformly scaling the raw frames changes nothing.
-shifted = sample.frames + np.array([37.0, -12.0])
+shifted = frames + np.array([37.0, -12.0])
 scaled_graph = build_graph(shifted * 1.7)
 np.testing.assert_allclose(
     graph.node_features, scaled_graph.node_features, atol=1e-12

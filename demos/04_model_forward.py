@@ -8,7 +8,7 @@ component into action slots, a relation stage that scores the slots over a
 complete graph and pools them, and a linear classifier head.
 
 The model runs on a stacked batch: graph building takes the samples'
-keyframes stacked into one (B, 3, 68, 2) array and gives (B, 3, 31, 2)
+(B, 3, 68, 2) frames column and gives (B, 3, 31, 2)
 node coordinates over one shared adjacency, and every stage handles all B
 samples in one tape operation.
 """
@@ -20,7 +20,7 @@ from megraph.landmarks import synthesize_dataset
 from megraph.model import ActionRelationNet, ModelConfig
 
 samples = synthesize_dataset(n_subjects=1, samples_per_subject=4, seed=0)
-batch = build_graph(np.stack([s.frames for s in samples]))
+batch = build_graph(samples.frames)
 print("stacked keyframes:", batch.node_features.shape)
 
 config = ModelConfig(variant="full", channels=16, n_actions=3,
@@ -54,7 +54,7 @@ print(np.round(result.logits.data, 4))
 
 # A one-sample graph runs through the same code; its logits match the
 # sample's row of the batch.
-single = model.forward(build_graph(samples[0].frames)).logits.data
+single = model.forward(build_graph(samples.frames[0])).logits.data
 print("one-sample logits equal batch row 0:",
       bool(np.allclose(single[0], result.logits.data[0], rtol=0, atol=1e-12)))
 

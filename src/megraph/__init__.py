@@ -27,8 +27,7 @@ from .graph import (
     normalize_adjacency,
 )
 from .landmarks import (
-    LandmarkSample,
-    crop_jitter,
+    SampleSet,
     load_samples,
     magnify,
     save_samples,
@@ -69,7 +68,6 @@ __all__ = [
     "ForwardResult",
     "GradCheckResult",
     "InvariantError",
-    "LandmarkSample",
     "LeakageError",
     "LossWeights",
     "ModelConfig",
@@ -77,6 +75,7 @@ __all__ = [
     "OptimizerConfig",
     "ParamStore",
     "RunReport",
+    "SampleSet",
     "ShapeError",
     "StGraph",
     "SynthSpec",
@@ -88,7 +87,6 @@ __all__ = [
     "build_graph",
     "classification_loss",
     "confusion_matrix",
-    "crop_jitter",
     "default_selection",
     "evaluate",
     "f1_report",

@@ -416,7 +416,7 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
     )
     model = ActionRelationNet(SMALL_MODEL, seed=seed)
     graph = sample_graph(samples, 3.0, model.selection)
-    labels = [s.label for s in samples]
+    labels = samples.labels
     rng = np.random.default_rng(seed)
     table = WeightCenterTable(n_classes=3, n_rows=SMALL_MODEL.n_action_rows)
     table.update(rng.dirichlet(np.ones(SMALL_MODEL.n_action_rows), size=3), [0, 1, 2])

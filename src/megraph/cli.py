@@ -115,13 +115,7 @@ def _cmd_synth_data(args) -> int:
     if spec is None:
         raise ValueError("config has no synth spec to generate from")
     seed = args.seed if args.seed is not None else spec.seed
-    samples = synthesize_dataset(
-        n_subjects=spec.n_subjects,
-        samples_per_subject=spec.samples_per_subject,
-        n_classes=spec.n_classes,
-        noise_sigma=spec.noise_sigma,
-        seed=seed,
-    )
+    samples = synthesize_dataset(**encode(replace(spec, seed=seed)))
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "dataset.jsonl"

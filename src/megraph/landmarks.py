@@ -2,16 +2,16 @@
 and a synthetic corpus generator.
 
 A sample is three frames of 68 facial landmarks (onset, apex, offset) in a
-standard 68-point layout, plus a subject id and a class label. Samples are
-stored one JSON object per line. :func:`magnify` works on keyframe arrays of
-shape (..., 3, 68, 2), so a stack of samples is magnified in one call.
+standard 68-point layout, plus a subject id and a class label. A dataset is
+one :class:`SampleSet`, stored one JSON object per sample and line.
+:func:`magnify` works on keyframe arrays of shape (..., 3, 68, 2), so a
+stack of samples is magnified in one call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,80 +24,112 @@ N_FRAMES = 3
 DEFAULT_MAGNIFICATION = 3.0
 
 
-@dataclass
-class LandmarkSample:
-    """One labelled micro-expression clip reduced to three keyframes.
+class SampleError(ValueError):
+    """A sample fails validation; ``index`` is its row in the set."""
 
-    The sample keeps a read-only copy of its frames, so :attr:`digest` never
-    goes stale.
-    """
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
 
-    subject: str
-    label: int
-    frames: np.ndarray  # (3, 68, 2) float64, read-only
 
-    def __post_init__(self):
-        self.frames = np.array(self.frames, dtype=np.float64)
-        self.frames.setflags(write=False)
-        if self.frames.shape != (N_FRAMES, N_LANDMARKS, 2):
+class SampleSet:
+    """Labelled clips reduced to three keyframes each, as read-only columns
+    ``frames`` (N, 3, 68, 2) float64, ``labels`` (N,) int64 and ``subjects``
+    (N,) str, copied and validated when the set is built."""
+
+    def __init__(self, frames, labels, subjects):
+        frames = np.array(frames, dtype=np.float64)
+        labels = np.array(labels, dtype=np.int64)
+        subjects = np.array(subjects, dtype=str)
+        if frames.shape[1:] != (N_FRAMES, N_LANDMARKS, 2):
             raise ValueError(
-                f"frames must have shape ({N_FRAMES}, {N_LANDMARKS}, 2), "
-                f"got {self.frames.shape}"
+                f"frames must have shape (N, 3, 68, 2), got {frames.shape}"
             )
-        if not np.all(np.isfinite(self.frames)):
-            raise ValueError(f"sample '{self.subject}': non-finite coordinates")
-        if self.label < 0:
-            raise ValueError(f"label must be >= 0, got {self.label}")
+        if not labels.shape == subjects.shape == (len(frames),):
+            raise ValueError("every sample needs one label and one subject")
+        finite = np.isfinite(frames).all(axis=(1, 2, 3))
+        bad = ~finite | (labels < 0)
+        if bad.any():
+            i = int(bad.argmax())
+            if not finite[i]:
+                raise SampleError(i, f"sample '{subjects[i]}': non-finite coordinates")
+            raise SampleError(i, f"label must be >= 0, got {labels[i]}")
+        for column in (frames, labels, subjects):
+            column.setflags(write=False)
+        self.frames, self.labels, self.subjects = frames, labels, subjects
+        self._digests = None
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, rows) -> "SampleSet":
+        """The samples at ``rows``: a slice, a boolean mask or an index array."""
+        out = SampleSet(self.frames[rows], self.labels[rows], self.subjects[rows])
+        out._digests = lambda: self.digests[rows]
+        return out
+
+    def concat(self, other: "SampleSet") -> "SampleSet":
+        """This set's samples followed by ``other``'s."""
+        out = SampleSet(
+            np.concatenate([self.frames, other.frames]),
+            np.concatenate([self.labels, other.labels]),
+            np.concatenate([self.subjects, other.subjects]),
+        )
+        out._digests = lambda: np.concatenate([self.digests, other.digests])
+        return out
 
     @cached_property
-    def digest(self) -> str:
-        """sha256 of the frame bytes, computed on first use."""
-        return hashlib.sha256(self.frames.tobytes()).hexdigest()
-
-    def to_record(self) -> dict:
-        return {
-            "subject": self.subject,
-            "label": int(self.label),
-            "frames": self.frames.tolist(),
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "LandmarkSample":
-        """A sample from one decoded JSON record; the label must be a JSON
-        integer, so neither 1.7 nor true passes as a class."""
-        if not isinstance(record, dict):
-            raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-        missing = [k for k in ("subject", "label", "frames") if k not in record]
-        if missing:
-            raise ValueError(f"missing fields {missing}")
-        subject = record["subject"]
-        if not isinstance(subject, str) or not subject:
-            raise ValueError(
-                f"subject must be a non-empty string, got {json.dumps(subject)}"
-            )
-        label = record["label"]
-        if type(label) is not int:
-            raise ValueError(f"label must be an integer, got {json.dumps(label)}")
-        try:
-            frames = np.asarray(record["frames"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError("frames must be nested lists of numbers") from None
-        except OverflowError:
-            raise ValueError("frames: a value is too large for float64") from None
-        return cls(subject=subject, label=label, frames=frames)
+    def digests(self) -> np.ndarray:
+        """sha256 hex digest of each sample's frame bytes, computed on first
+        use; a set built from another set's rows reuses its digests."""
+        if self._digests is not None:
+            return self._digests()
+        hashes = [hashlib.sha256(f.tobytes()).hexdigest() for f in self.frames]
+        return np.array(hashes, dtype=str)
 
 
-def save_samples(samples, path) -> None:
+def save_samples(samples: SampleSet, path) -> None:
     """Write samples as JSON lines."""
+    columns = samples.subjects.tolist(), samples.labels.tolist(), samples.frames
     with atomic_write(path) as fh:
-        for s in samples:
-            fh.write(json.dumps(s.to_record()) + "\n")
+        for subject, label, frames in zip(*columns):
+            record = {"subject": subject, "label": label, "frames": frames.tolist()}
+            fh.write(json.dumps(record) + "\n")
 
 
-def load_samples(path) -> list[LandmarkSample]:
+def _parse_record(record) -> tuple[str, int, np.ndarray]:
+    """Subject, label and frames of one decoded JSON record; the label must
+    be a JSON integer, so neither 1.7 nor true passes as a class."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    missing = [k for k in ("subject", "label", "frames") if k not in record]
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    subject = record["subject"]
+    if not isinstance(subject, str) or not subject:
+        raise ValueError(
+            f"subject must be a non-empty string, got {json.dumps(subject)}"
+        )
+    label = record["label"]
+    if type(label) is not int:
+        raise ValueError(f"label must be an integer, got {json.dumps(label)}")
+    if label.bit_length() > 63:
+        raise ValueError(f"label does not fit in int64, got {label}")
+    try:
+        frames = np.asarray(record["frames"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("frames must be nested lists of numbers") from None
+    except OverflowError:
+        raise ValueError("frames: a value is too large for float64") from None
+    if frames.shape != (N_FRAMES, N_LANDMARKS, 2):
+        raise ValueError(f"frames must have shape (3, 68, 2), got {frames.shape}")
+    return subject, label, frames
+
+
+def load_samples(path) -> SampleSet:
     """Read UTF-8 JSON-lines samples, skipping blank lines. A malformed
     line raises ValueError naming ``path:lineno``."""
-    out: list[LandmarkSample] = []
+    rows: list[tuple[int, str, int, np.ndarray]] = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -107,13 +139,19 @@ def load_samples(path) -> list[LandmarkSample]:
                 record = json.loads(line)
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                out.append(LandmarkSample.from_record(record))
+                rows.append((lineno, *_parse_record(record)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+    linenos, subjects, labels, frames = zip(*rows) if rows else ((),) * 4
+    del rows  # the per-line arrays now live only in the tuple the stack replaces
+    frames = np.reshape(frames, (-1, N_FRAMES, N_LANDMARKS, 2))
+    try:
+        return SampleSet(frames, labels, subjects)
+    except SampleError as exc:
+        raise ValueError(f"{path}:{linenos[exc.index]}: {exc}") from None
 
 
 def magnify(frames: np.ndarray, alpha: float = DEFAULT_MAGNIFICATION) -> np.ndarray:
@@ -128,22 +166,29 @@ def magnify(frames: np.ndarray, alpha: float = DEFAULT_MAGNIFICATION) -> np.ndar
 
 
 def crop_jitter(
-    sample: LandmarkSample,
+    samples: SampleSet,
     rng: np.random.Generator,
+    copies: int = 1,
     max_scale: float = 0.05,
     max_shift: float = 3.0,
-) -> LandmarkSample:
-    """Apply one random similarity transform to all three frames.
+) -> SampleSet:
+    """``copies`` re-cropped duplicates of each sample, next to each other.
 
-    The same scale and shift hit every frame so relative motion between
-    frames is preserved up to the scale factor; this mimics re-cropping the
-    source clip rather than perturbing frames independently.
+    A copy's three frames get one scale in 1 ± max_scale about the onset
+    centroid and one shift in ± max_shift per axis, as re-cropping the
+    clip would. Draws follow a per-sample loop: scale, then both shifts.
     """
-    scale = 1.0 + rng.uniform(-max_scale, max_scale)
-    shift = rng.uniform(-max_shift, max_shift, size=2)
-    center = sample.frames[0].mean(axis=0)
-    frames = (sample.frames - center) * scale + center + shift
-    return LandmarkSample(subject=sample.subject, label=sample.label, frames=frames)
+    frames = np.repeat(samples.frames, copies, axis=0)
+    bounds = np.array([max_scale, max_shift, max_shift])
+    draws = rng.uniform(-bounds, bounds, size=(len(frames), 3))
+    scale = 1.0 + draws[:, :1, None, None]
+    shift = draws[:, None, None, 1:]
+    center = frames[:, :1].mean(axis=2, keepdims=True)
+    return SampleSet(
+        (frames - center) * scale + center + shift,
+        np.repeat(samples.labels, copies),
+        np.repeat(samples.subjects, copies),
+    )
 
 
 def neutral_face_template() -> np.ndarray:
@@ -274,7 +319,7 @@ def synthesize_dataset(
     n_classes: int = 5,
     noise_sigma: float = 1.0,
     seed: int = 0,
-) -> list[LandmarkSample]:
+) -> SampleSet:
     """Generate a labelled synthetic corpus with per-subject identity.
 
     Each class is one motion pattern applied on top of a subject-specific
@@ -291,9 +336,8 @@ def synthesize_dataset(
     template = neutral_face_template()
     patterns = [MOTION_PATTERNS[name]() for name in PATTERN_NAMES[:n_classes]]
 
-    samples: list[LandmarkSample] = []
-    for si in range(n_subjects):
-        subject = f"s{si + 1:02d}"
+    frames = []
+    for _ in range(n_subjects):
         # identity: global scale, slight aspect change, smooth per-point warp
         scale = 1.0 + rng.uniform(-0.08, 0.08)
         aspect = 1.0 + rng.uniform(-0.05, 0.05)
@@ -311,11 +355,10 @@ def synthesize_dataset(
             offset = onset + 0.4 * (apex - onset) + rng.normal(
                 0.0, 0.5 * noise_sigma, size=(N_LANDMARKS, 2)
             )
-            samples.append(
-                LandmarkSample(
-                    subject=subject,
-                    label=label,
-                    frames=np.stack([onset, apex, offset]),
-                )
-            )
-    return samples
+            frames.append(np.stack([onset, apex, offset]))
+    subjects = [f"s{si + 1:02d}" for si in range(n_subjects)]
+    return SampleSet(
+        np.reshape(frames, (-1, N_FRAMES, N_LANDMARKS, 2)),
+        np.tile(np.arange(samples_per_subject) % n_classes, n_subjects),
+        np.repeat(subjects, samples_per_subject),
+    )

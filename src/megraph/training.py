@@ -4,9 +4,10 @@ Determinism contract: given one config (seed included), repeated runs on one
 machine produce bit-identical reports and checkpoints. All randomness flows
 from seed sequences derived from the config seed; fold order is the sorted
 subject order; wall_time is the only nondeterministic report field and is
-excluded from the canonical report form. LOSO preprocesses the dataset
-once per run (:func:`sample_graph`) and slices each fold's rows from it;
-only jittered training copies are preprocessed per fold.
+excluded from the canonical report form. A run preprocesses its
+:class:`~megraph.landmarks.SampleSet` once (:func:`sample_graph`); a LOSO
+fold is a held-out mask over that stack, and only its jittered training
+copies are preprocessed and hashed for the leakage check per fold.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import AugmentConfig, ExperimentConfig, encode, save_config
+from .config import ExperimentConfig, encode, save_config
 from .files import atomic_write, atomic_write_text
 from .graph import DegenerateFrameError, StGraph, build_graph, default_selection
 from .landmarks import (
-    LandmarkSample,
+    SampleSet,
     crop_jitter,
     load_samples,
     magnify,
@@ -47,22 +48,15 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
 
 
-def prepare_samples(config: ExperimentConfig) -> list[LandmarkSample]:
+def prepare_samples(config: ExperimentConfig) -> SampleSet:
     """Load the configured dataset or synthesize one; validate labels."""
     if config.dataset is not None:
         samples = load_samples(config.dataset)
     else:
-        spec = config.synth
-        samples = synthesize_dataset(
-            n_subjects=spec.n_subjects,
-            samples_per_subject=spec.samples_per_subject,
-            n_classes=spec.n_classes,
-            noise_sigma=spec.noise_sigma,
-            seed=spec.seed,
-        )
-    if not samples:
+        samples = synthesize_dataset(**encode(config.synth))
+    if not len(samples):
         raise ValueError("dataset is empty")
-    max_label = max(s.label for s in samples)
+    max_label = int(samples.labels.max())
     if max_label >= config.model.n_classes:
         raise ValueError(
             f"dataset has label {max_label} but the model is configured "
@@ -71,56 +65,32 @@ def prepare_samples(config: ExperimentConfig) -> list[LandmarkSample]:
     return samples
 
 
-@dataclass
-class Fold:
-    subject: str
-    train: list[LandmarkSample]
-    test: list[LandmarkSample]
-
-
-def loso_split(samples: list[LandmarkSample]) -> list[Fold]:
-    """One fold per subject, ordered by subject id."""
-    subjects = sorted({s.subject for s in samples})
+def loso_split(samples: SampleSet) -> list[tuple[str, np.ndarray]]:
+    """One (subject, held-out mask) pair per subject, ordered by subject id."""
+    subjects = sorted(set(samples.subjects.tolist()))
     if len(subjects) < 2:
         raise ValueError("leave-one-subject-out needs at least 2 subjects")
-    return [
-        Fold(
-            subject=subj,
-            train=[s for s in samples if s.subject != subj],
-            test=[s for s in samples if s.subject == subj],
-        )
-        for subj in subjects
-    ]
+    return [(subject, samples.subjects == subject) for subject in subjects]
 
 
-def check_no_leakage(train: list[LandmarkSample], test: list[LandmarkSample]) -> None:
-    """Reject subject overlap or any shared landmark tensor."""
-    train_subjects = {s.subject for s in train}
-    for s in test:
-        if s.subject in train_subjects:
-            raise LeakageError(
-                f"held-out subject '{s.subject}' has samples in the training set"
-            )
-    train_hashes = {s.digest for s in train}
-    for s in test:
-        if s.digest in train_hashes:
-            raise LeakageError(
-                f"a held-out sample of subject '{s.subject}' appears in the "
-                "training set"
-            )
+def _found_in(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Mask of the ``values`` that occur in ``pool``, by binary search of the
+    sorted pool; ``np.isin`` runs ``np.unique`` on both sides, which costs
+    several times more at fold sizes."""
+    pool = np.sort(pool)
+    at = np.searchsorted(pool, values).clip(max=len(pool) - 1)
+    return pool[at] == values if len(pool) else np.zeros(len(values), dtype=bool)
 
 
-def augmented(
-    train: list[LandmarkSample],
-    cfg: AugmentConfig,
-    rng: np.random.Generator,
-) -> list[LandmarkSample]:
-    """Originals plus cfg.copies jittered duplicates of each train sample."""
-    out = list(train)
-    for s in train:
-        for _ in range(cfg.copies):
-            out.append(crop_jitter(s, rng, cfg.max_scale, cfg.max_shift))
-    return out
+def check_no_leakage(train: SampleSet, test: SampleSet) -> None:
+    """Reject subject overlap, then any shared landmark tensor."""
+    for column, message in (
+        ("subjects", "held-out subject '{}' has samples in the training set"),
+        ("digests", "a held-out sample of subject '{}' appears in the training set"),
+    ):
+        shared = _found_in(getattr(test, column), getattr(train, column))
+        if shared.any():
+            raise LeakageError(message.format(test.subjects[shared.argmax()]))
 
 
 def release_cycles() -> None:
@@ -134,20 +104,19 @@ def release_cycles() -> None:
     gc.collect()
 
 
-def sample_graph(samples, magnification: float, selection) -> StGraph:
-    """Preprocessing pipeline: stack the samples' keyframes, magnify motion,
-    then build one graph with node features (N, 3, 31, 2). A sample whose
-    magnified coordinates overflow or whose onset has no extent is rejected
-    by subject."""
-    frames = magnify(np.stack([s.frames for s in samples]), magnification)
+def sample_graph(samples: SampleSet, magnification: float, selection) -> StGraph:
+    """Preprocessing pipeline: magnify motion, then build one graph with node
+    features (N, 3, 31, 2). A sample whose magnified coordinates overflow or
+    whose onset has no extent is rejected by subject."""
+    frames = magnify(samples.frames, magnification)
     finite = np.isfinite(frames).all(axis=(1, 2, 3))
     if not finite.all():
-        bad = samples[finite.argmin()].subject
+        bad = samples.subjects[finite.argmin()]
         raise ValueError(f"sample '{bad}': non-finite coordinates")
     try:
         return build_graph(frames, selection=selection)
     except DegenerateFrameError as exc:
-        raise DegenerateFrameError(exc.index, samples[exc.index].subject) from None
+        raise DegenerateFrameError(exc.index, samples.subjects[exc.index]) from None
 
 
 def _rows(graph: StGraph, rows) -> StGraph:
@@ -155,15 +124,16 @@ def _rows(graph: StGraph, rows) -> StGraph:
     return replace(graph, node_features=graph.node_features[rows])
 
 
-def _with_copies(samples, graph: StGraph, cfg: ExperimentConfig, rng):
-    """:func:`augmented` samples and their graph. ``graph`` holds the
-    originals, so only the jittered copies are preprocessed here."""
-    train = augmented(samples, cfg.augment, rng)
-    if len(train) > len(samples):
-        extra = sample_graph(train[len(samples) :], cfg.magnification, graph.selection)
-        features = np.concatenate([graph.node_features, extra.node_features])
-        graph = replace(graph, node_features=features)
-    return train, graph
+def _with_copies(samples: SampleSet, graph: StGraph, cfg: ExperimentConfig, rng):
+    """The samples followed by ``cfg.augment.copies`` jittered copies of
+    each, and their graph. ``graph`` holds the originals, so only the
+    copies are preprocessed here."""
+    if cfg.augment.copies == 0:
+        return samples, graph
+    copies = crop_jitter(samples, rng, **encode(cfg.augment))
+    extra = sample_graph(copies, cfg.magnification, graph.selection)
+    features = np.concatenate([graph.node_features, extra.node_features])
+    return samples.concat(copies), replace(graph, node_features=features)
 
 
 def _batch_slices(n: int, batch_size: int, merge_tail: bool) -> list[slice]:
@@ -186,26 +156,26 @@ class TrainOutcome:
 
 
 def train_fold(
-    train_samples: list[LandmarkSample],
+    graph: StGraph,
+    labels: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
     model_rng: np.random.Generator | int,
     context: str = "training",
-    graph: StGraph | None = None,
 ) -> TrainOutcome:
-    """Run epochs of mini-batch descent on one training set.
+    """Run epochs of mini-batch descent on one training set, given as its
+    preprocessed graph (see :func:`sample_graph`) and its labels.
 
-    ``graph`` is the samples' stacked graph when the caller has already
-    preprocessed them; otherwise they are preprocessed here. Losses the
-    configured variant cannot produce inputs for are dropped before
-    training starts. Stops early once the epoch-mean loss plateaus.
+    Losses the configured variant cannot produce inputs for are dropped
+    before training starts. Stops early once the epoch-mean loss plateaus.
     """
-    if not train_samples:
+    n = len(labels)
+    if not n:
         raise ValueError(f"{context}: training set is empty")
     model = ActionRelationNet(config.model, seed=model_rng)
     eff = for_variant(config.loss_weights, config.model.variant)
     needs_pairs = eff.feature_center != 0.0
-    if needs_pairs and len(train_samples) < 2:
+    if needs_pairs and n < 2:
         raise ValueError(
             f"{context}: the feature-center loss needs at least 2 samples"
         )
@@ -218,11 +188,7 @@ def train_fold(
             mode=config.center_mode,
         )
 
-    if graph is None:
-        graph = sample_graph(train_samples, config.magnification, model.selection)
-    labels = np.array([s.label for s in train_samples])
     opt = config.optimizer
-    n = len(train_samples)
 
     curves: list[dict] = []
     step = 0
@@ -279,7 +245,7 @@ EVAL_CHUNK = 64
 
 def evaluate(
     model: ActionRelationNet,
-    samples: list[LandmarkSample],
+    samples: SampleSet,
     magnification: float,
     graph: StGraph | None = None,
 ):
@@ -288,20 +254,18 @@ def evaluate(
     ``graph`` is the samples' stacked graph when the caller has already
     preprocessed them; otherwise each chunk is preprocessed on its own.
     """
-    if not samples:
+    if not len(samples):
         raise ValueError("evaluation set is empty")
-    y_pred: list[int] = []
-    logit_rows: list[list[float]] = []
+    chunks = []
     for start in range(0, len(samples), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
         if graph is None:
             batch = sample_graph(samples[chunk], magnification, model.selection)
         else:
             batch = _rows(graph, chunk)
-        logits = model.forward(batch).logits.data
-        y_pred.extend(logits.argmax(axis=1).tolist())
-        logit_rows.extend(logits.tolist())
-    return [int(s.label) for s in samples], y_pred, logit_rows
+        chunks.append(model.forward(batch).logits.data)
+    logits = np.concatenate(chunks)
+    return samples.labels.tolist(), logits.argmax(axis=1).tolist(), logits.tolist()
 
 
 @dataclass
@@ -342,8 +306,8 @@ def _fold_report(subject, model, samples, config, epochs_run, graph=None):
 
 def _run_report(config: ExperimentConfig, folds: list[FoldReport], t0: float):
     """Pool the folds' predictions into the run report."""
-    pooled_true = [y for r in folds for y in r.y_true]
-    pooled_pred = [y for r in folds for y in r.y_pred]
+    pooled_true = np.concatenate([r.y_true for r in folds])
+    pooled_pred = np.concatenate([r.y_pred for r in folds])
     pooled_acc = accuracy(pooled_true, pooled_pred)
     weighted = sum(r.accuracy * len(r.y_true) for r in folds) / len(pooled_true)
     if abs(pooled_acc - weighted) > 1e-12:
@@ -372,33 +336,32 @@ def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
     folds = loso_split(samples)
     children = np.random.SeedSequence(config.seed).spawn(len(folds))
     graph = sample_graph(samples, config.magnification, default_selection())
-    subjects = np.array([s.subject for s in samples])
 
     fold_reports: list[FoldReport] = []
     all_curves: list[tuple[str, dict]] = []
     checkpoints: dict[str, dict] = {}
-    for fold, ss in zip(folds, children):
+    for (subject, held_out), ss in zip(folds, children):
         data_ss, model_ss = ss.spawn(2)
         rng = np.random.default_rng(data_ss)
-        held_out = subjects == fold.subject
-        train_set, train_graph = _with_copies(
-            fold.train, _rows(graph, ~held_out), config, rng
+        test = samples[held_out]
+        train, train_graph = _with_copies(
+            samples[~held_out], _rows(graph, ~held_out), config, rng
         )
-        check_no_leakage(train_set, fold.test)
+        check_no_leakage(train, test)
         outcome = train_fold(
-            train_set,
+            train_graph,
+            train.labels,
             config,
             rng,
             np.random.default_rng(model_ss),
-            context=f"fold {fold.subject}",
-            graph=train_graph,
+            context=f"fold {subject}",
         )
         fold_reports.append(
-            _fold_report(fold.subject, outcome.model, fold.test, config,
+            _fold_report(subject, outcome.model, test, config,
                          outcome.epochs_run, _rows(graph, held_out))
         )
-        all_curves.extend((fold.subject, row) for row in outcome.curves)
-        checkpoints[f"fold_{fold.subject}"] = outcome.model.params.state_dict()
+        all_curves.extend((subject, row) for row in outcome.curves)
+        checkpoints[f"fold_{subject}"] = outcome.model.params.state_dict()
 
     run = _run_report(config, fold_reports, t0)
     if sum(len(f.y_true) for f in fold_reports) != len(samples):
@@ -423,9 +386,9 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunReport:
     data_ss, model_ss = master.spawn(2)
     rng = np.random.default_rng(data_ss)
     graph = sample_graph(samples, config.magnification, default_selection())
-    train_set, train_graph = _with_copies(samples, graph, config, rng)
+    train, train_graph = _with_copies(samples, graph, config, rng)
     outcome = train_fold(
-        train_set, config, rng, np.random.default_rng(model_ss), graph=train_graph
+        train_graph, train.labels, config, rng, np.random.default_rng(model_ss)
     )
     report = _fold_report(
         "(all)", outcome.model, samples, config, outcome.epochs_run, graph

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from megraph.config import ExperimentConfig, OptimizerConfig, SynthSpec
-from megraph.landmarks import LandmarkSample, synthesize_dataset
+from megraph.landmarks import SampleSet, synthesize_dataset
 from megraph.model import ModelConfig
 
 
@@ -45,9 +45,8 @@ def unusable_samples():
     sample has an onset frame without extent and s03's first an apex that
     overflows once magnified. Also returns each subject's first index."""
     samples = synthesize_dataset(n_subjects=3, samples_per_subject=3, n_classes=3)
-    first = {s.subject: i for i, s in reversed(list(enumerate(samples)))}
-    huge = samples[first["s03"]].frames.copy()
-    huge[1] = 1e308
-    samples[first["s02"]] = LandmarkSample("s02", 0, np.ones((3, 68, 2)))
-    samples[first["s03"]] = LandmarkSample("s03", 0, huge)
-    return samples, first
+    first = {s: int(np.argmax(samples.subjects == s)) for s in ("s01", "s02", "s03")}
+    frames = samples.frames.copy()
+    frames[first["s02"]] = 1.0
+    frames[first["s03"], 1] = 1e308
+    return SampleSet(frames, samples.labels, samples.subjects), first

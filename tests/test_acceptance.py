@@ -6,6 +6,7 @@ and rely on nothing from the other test files, so this file alone decides
 whether a build is acceptable.
 """
 
+import hashlib
 import json
 import time
 import warnings
@@ -18,7 +19,12 @@ import megraph.autodiff as ad
 from megraph.checks import DEFAULT_SEEDS, battery_passed, run_battery
 from megraph.config import ExperimentConfig, OptimizerConfig, SynthSpec
 from megraph.graph import build_graph
-from megraph.landmarks import load_samples, save_samples, synthesize_dataset
+from megraph.landmarks import (
+    crop_jitter,
+    load_samples,
+    save_samples,
+    synthesize_dataset,
+)
 from megraph.losses import (
     LossWeights,
     WeightCenterTable,
@@ -128,6 +134,18 @@ def loop_stack(parts):
             for j in range(part.shape[1]):
                 out[k, i, j] = part[i, j]
     return out
+
+
+def loop_crop_jitter(frames, rng, copies, max_scale, max_shift):
+    """Per sample and per copy: draw the scale, then the two shifts."""
+    out = []
+    for sample in frames:
+        for _ in range(copies):
+            scale = 1.0 + rng.uniform(-max_scale, max_scale)
+            shift = rng.uniform(-max_shift, max_shift, size=2)
+            center = sample[0].mean(axis=0)
+            out.append((sample - center) * scale + center + shift)
+    return np.array(out)
 
 
 def loop_affine(adj, x, w, b):
@@ -246,11 +264,11 @@ class TestAcceptance:
             spans = [sub.rows[1] - sub.rows[0] for sub in model.subgraphs]
             assert spans == [10, 9, 12]
             for seed in range(10):
-                sample = synthesize_dataset(
+                frames = synthesize_dataset(
                     n_subjects=1, samples_per_subject=1, noise_sigma=2.0,
                     seed=seed,
-                )[0]
-                result = model.forward(build_graph(sample.frames))
+                ).frames[0]
+                result = model.forward(build_graph(frames))
                 assert result.logits.shape == (1, k)
                 assert result.action_features.shape == (3 * na, c1)
                 assert result.weights.shape == (3 * na, 1)
@@ -291,6 +309,27 @@ class TestAcceptance:
                 parts = [rng.normal(size=(4, 3)) for _ in range(3)]
                 got = ad.stack([ad.constant(p) for p in parts])
                 np.testing.assert_array_equal(got.data, loop_stack(parts))
+
+            for seed in range(5):
+                samples = synthesize_dataset(n_subjects=2, samples_per_subject=3,
+                                             seed=seed)
+                for copies in (1, 2, 3):
+                    for max_scale, max_shift in ((0.05, 3.0), (0.0, 3.0), (0.05, 0.0)):
+                        got_rng = np.random.default_rng(seed)
+                        want_rng = np.random.default_rng(seed)
+                        got = crop_jitter(samples, got_rng, copies, max_scale, max_shift)
+                        want = loop_crop_jitter(samples.frames, want_rng, copies,
+                                                max_scale, max_shift)
+                        np.testing.assert_array_equal(
+                            got.frames.view(np.uint64), want.view(np.uint64)
+                        )
+                        assert got_rng.random() == want_rng.random()
+                        assert got.subjects.tolist() == [
+                            s for s in samples.subjects.tolist() for _ in range(copies)
+                        ]
+                        assert got.labels.tolist() == [
+                            y for y in samples.labels.tolist() for _ in range(copies)
+                        ]
 
             for trial in range(20):
                 n, k, rows, chans = 5, 4, 6, 3
@@ -406,19 +445,23 @@ class TestAcceptance:
         with criterion(7, "protocol integrity"):
             samples = prepare_samples(comparison_config("full", 0))
             folds = loso_split(samples)
-            all_digests = sorted(s.digest for s in samples)
+            subjects = samples.subjects.tolist()
+            digests = [hashlib.sha256(f.tobytes()).hexdigest() for f in samples.frames]
+            assert samples.digests.tolist() == digests
+            assert [subject for subject, _ in folds] == sorted(set(subjects))
             covered = []
-            for fold in folds:
-                assert {s.subject for s in fold.train}.isdisjoint(
-                    {s.subject for s in fold.test}
-                )
-                train_digests = {s.digest for s in fold.train}
-                for s in fold.test:
-                    assert s.digest not in train_digests
-                check_no_leakage(fold.train, fold.test)
-                covered.extend(s.digest for s in fold.test)
-                assert len(fold.train) + len(fold.test) == len(samples)
-            assert sorted(covered) == all_digests
+            for subject, held_out in folds:
+                train = [i for i in range(len(samples)) if not held_out[i]]
+                test = [i for i in range(len(samples)) if held_out[i]]
+                assert {subjects[i] for i in test} == {subject}
+                assert {subjects[i] for i in train}.isdisjoint({subject})
+                train_digests = {digests[i] for i in train}
+                for i in test:
+                    assert digests[i] not in train_digests
+                check_no_leakage(samples[~held_out], samples[held_out])
+                covered.extend(digests[i] for i in test)
+                assert len(train) + len(test) == len(samples)
+            assert sorted(covered) == sorted(digests)
 
             cfg = ExperimentConfig(
                 synth=SynthSpec(n_subjects=3, samples_per_subject=3,
@@ -450,9 +493,10 @@ class TestAcceptance:
             save_samples(samples, path)
             loaded = load_samples(path)
             assert len(loaded) == len(samples)
-            for a, b in zip(samples, loaded):
-                assert a.subject == b.subject and a.label == b.label
-                np.testing.assert_array_equal(a.frames, b.frames)
+            for i in range(len(samples)):
+                assert loaded.subjects[i] == samples.subjects[i]
+                assert loaded.labels[i] == samples.labels[i]
+                np.testing.assert_array_equal(loaded.frames[i], samples.frames[i])
 
             model = ActionRelationNet(SMALL, seed=9)
             state = model.params.state_dict()

@@ -27,7 +27,7 @@ def graphs_with_a_dead_sample(n):
     """n one-sample graphs; for n >= 2 the second is all zero, which drives
     every relation weight of a fresh full model to zero."""
     samples = synthesize_dataset(n_subjects=1, samples_per_subject=n, seed=3)
-    graphs = [build_graph(s.frames) for s in samples]
+    graphs = [build_graph(f) for f in samples.frames]
     if n >= 2:
         graphs[1] = StGraph(
             selection=graphs[0].selection,
@@ -100,9 +100,10 @@ def test_chunked_evaluate_equals_per_sample_logits():
     assert len(samples) > 2 * EVAL_CHUNK
     model = ActionRelationNet(ModelConfig(), seed=0)
     y_true, y_pred, logits = evaluate(model, samples, magnification=3.0)
-    assert y_true == [s.label for s in samples]
-    for s, pred, row in zip(samples, y_pred, logits):
-        one = model.forward(sample_graph([s], 3.0, model.selection)).logits.data[0]
+    assert y_true == samples.labels.tolist()
+    for i, (pred, row) in enumerate(zip(y_pred, logits)):
+        one = model.forward(sample_graph(samples[i : i + 1], 3.0, model.selection))
+        one = one.logits.data[0]
         np.testing.assert_allclose(row, one, atol=1e-12)
         assert pred == int(np.argmax(row))
 
@@ -112,7 +113,7 @@ def test_kink_margin_of_a_batch_is_the_smallest_per_sample_margin():
     samples = synthesize_dataset(
         n_subjects=1, samples_per_subject=4, n_classes=3, noise_sigma=0.5, seed=2
     )
-    labels = [s.label for s in samples]
+    labels = samples.labels
     table = WeightCenterTable(n_classes=3, n_rows=small("full").n_action_rows)
     loss = total_loss(
         model.forward(sample_graph(samples, 3.0, model.selection)),
@@ -122,8 +123,9 @@ def test_kink_margin_of_a_batch_is_the_smallest_per_sample_margin():
         update_table=False,
     ).total
     per_sample = [
-        kink_margin(model.forward(sample_graph([s], 3.0, model.selection)).logits)
-        for s in samples
+        kink_margin(model.forward(sample_graph(samples[i : i + 1], 3.0,
+                                                model.selection)).logits)
+        for i in range(len(samples))
     ]
     assert np.isfinite(min(per_sample))
     np.testing.assert_allclose(kink_margin(loss), min(per_sample), rtol=0, atol=1e-12)
@@ -176,7 +178,7 @@ def test_member_stacked_loss_equals_one_evaluation_per_member(name):
         n_subjects=1, samples_per_subject=3, n_classes=3, seed=2
     )
     graph = sample_graph(samples, 3.0, model.selection)
-    labels = [s.label for s in samples]
+    labels = samples.labels
     table = WeightCenterTable(n_classes=3, n_rows=6)
     table.update(np.random.default_rng(2).dirichlet(np.ones(6), size=3), [0, 1, 2])
     weights = LossWeights(feature_center=1.0, weight_center=1.0, balance=0.1)
@@ -208,8 +210,8 @@ def test_one_sample_member_stack_keeps_its_sample_axis(variant):
     # members of a parameter stack on a one-sample (3, 31, 2) graph are not
     # samples: the logits are (P, 1, K), member m equal to its own forward
     model = ActionRelationNet(small(variant), seed=2)
-    (sample,) = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=2)
-    graph = build_graph(sample.frames)
+    samples = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=2)
+    graph = build_graph(samples.frames[0])
     p = model.params["backbone.l1.gc.w"]
     base = p.data
     assert model.forward(graph).logits.shape == (1, 3)

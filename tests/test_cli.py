@@ -24,7 +24,11 @@ from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import read_checkpoint, write_checkpoint
 
 V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.json"
-GOOD_RECORD = synthesize_dataset(n_subjects=1, samples_per_subject=1)[0].to_record()
+GOOD_RECORD = {
+    "subject": "s01",
+    "label": 0,
+    "frames": synthesize_dataset(n_subjects=1, samples_per_subject=1).frames[0].tolist(),
+}
 
 
 def _samples(*labels):
@@ -411,7 +415,7 @@ class TestErrorPaths:
         samples, first = unusable_samples
         # keep only the bad sample under test
         other = "s03" if subject == "s02" else "s02"
-        del samples[first[other]]
+        samples = samples[np.arange(len(samples)) != first[other]]
         data = tmp_path / "bad.jsonl"
         save_samples(samples, data)
         cfg = replace(load_config(tiny_config_path), dataset=str(data), synth=None)

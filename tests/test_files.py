@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import megraph.files
+import megraph.landmarks
 from megraph.config import ExperimentConfig, load_config, save_config
 from megraph.files import atomic_write, atomic_write_text, read_text
 from megraph.landmarks import load_samples, save_samples, synthesize_dataset
@@ -69,7 +70,7 @@ class TestAtomicWrite:
             atomic_write_text(path, "new\n")
         assert info.value.filename == str(path) and str(path) in str(info.value)
 
-    def test_writers_fail_without_touching_their_file(self, tmp_path):
+    def test_writers_fail_without_touching_their_file(self, tmp_path, monkeypatch):
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=2)
         data, curves, ckpt = (tmp_path / n for n in ("d.jsonl", "c.csv", "w.json"))
         save_samples(samples, data)
@@ -77,12 +78,19 @@ class TestAtomicWrite:
         write_checkpoint({"w": [[1.0, 2.0]]}, ckpt)
         before = {p: p.read_bytes() for p in (data, curves, ckpt)}
 
-        class Broken:
-            def to_record(self):
-                raise Injected
+        real_dumps = json.dumps
+        written = []
 
-        with pytest.raises(Injected):
-            save_samples([samples[0], Broken()], data)
+        def fail_on_the_second_record(obj, *args, **kwargs):
+            written.append(obj)
+            if len(written) == 2:
+                raise Injected
+            return real_dumps(obj, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(megraph.landmarks.json, "dumps", fail_on_the_second_record)
+            with pytest.raises(Injected):
+                save_samples(samples, data)
         with pytest.raises(KeyError):  # a row without its "total" column
             write_curves(curves, [("s01", dict.fromkeys(CURVE_COLUMNS, 2.0)),
                                   ("s02", {"step": 1})])

@@ -15,17 +15,11 @@ from megraph.graph import (
     spatial_adjacency,
     template_edges,
 )
-from megraph.landmarks import (
-    LandmarkSample,
-    magnify,
-    neutral_face_template,
-    synthesize_dataset,
-)
+from megraph.landmarks import magnify, neutral_face_template, synthesize_dataset
 
 
-def neutral_sample(label=0, subject="s01"):
-    frames = np.stack([neutral_face_template()] * 3)
-    return LandmarkSample(subject=subject, label=label, frames=frames)
+def neutral_frames():
+    return np.stack([neutral_face_template()] * 3)
 
 
 class TestNodeSelection:
@@ -177,7 +171,7 @@ class TestComponentSubgraphs:
 
 class TestBuildGraph:
     def test_shapes_and_normalization(self):
-        graph = build_graph(neutral_sample().frames)
+        graph = build_graph(neutral_frames())
         assert graph.node_features.shape == (3, 31, 2)
         assert graph.adjacency.shape == (31, 31)
         onset = graph.node_features[0]
@@ -186,22 +180,18 @@ class TestBuildGraph:
         np.testing.assert_allclose(rms, 1.0, atol=1e-12)
 
     def test_translation_and_scale_invariance(self):
-        base = neutral_sample()
-        moved = LandmarkSample(
-            subject="s01",
-            label=0,
-            frames=base.frames * 2.5 + np.array([40.0, -7.0]),
-        )
-        a = build_graph(base.frames).node_features
-        b = build_graph(moved.frames).node_features
+        base = neutral_frames()
+        moved = base * 2.5 + np.array([40.0, -7.0])
+        a = build_graph(base).node_features
+        b = build_graph(moved).node_features
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_unnormalized_keeps_raw_coordinates(self):
-        sample = neutral_sample()
-        graph = build_graph(sample.frames, normalize=False)
+        frames = neutral_frames()
+        graph = build_graph(frames, normalize=False)
         sel = default_selection()
         np.testing.assert_array_equal(
-            graph.node_features, sample.frames[:, list(sel.indices), :]
+            graph.node_features, frames[:, list(sel.indices), :]
         )
 
     def test_degenerate_onset_rejected(self):
@@ -212,8 +202,7 @@ class TestBuildGraph:
     def test_temporal_displacements(self):
         # Normalization moves every frame by the same onset centroid, so
         # frame-to-frame motion survives, divided by the onset's RMS spread.
-        sample = neutral_sample()
-        frames = sample.frames.copy()
+        frames = neutral_frames()
         frames[1] += 1.0
         frames[2] += 3.0
         raw = build_graph(frames, normalize=False).node_features
@@ -226,8 +215,8 @@ class TestBuildGraph:
 
     def test_adjacency_is_shared_and_read_only(self):
         sel = default_selection()
-        a = build_graph(neutral_sample().frames)
-        b = build_graph(neutral_sample(label=1, subject="s02").frames)
+        a = build_graph(neutral_frames())
+        b = build_graph(neutral_frames() + 1.0)
         assert default_selection() is sel
         assert a.adjacency is b.adjacency
         np.testing.assert_array_equal(
@@ -252,12 +241,12 @@ def one_sample_oracle(frames, alpha, selection):
 class TestStackGraphs:
     def test_stacks_node_features_over_a_shared_adjacency(self):
         sel = default_selection()
-        samples = [neutral_sample(label=i) for i in range(3)]
-        batch = build_graph(np.stack([s.frames for s in samples]), selection=sel)
+        stack = np.stack([neutral_frames() * (i + 1) for i in range(3)])
+        batch = build_graph(stack, selection=sel)
         assert batch.node_features.shape == (3, 3, 31, 2)
         assert batch.adjacency is sel.adjacency
-        for i, s in enumerate(samples):
-            one = build_graph(s.frames, selection=sel)
+        for i, frames in enumerate(stack):
+            one = build_graph(frames, selection=sel)
             assert one.adjacency is batch.adjacency
             np.testing.assert_array_equal(batch.node_features[i], one.node_features)
 
@@ -267,8 +256,8 @@ class TestArrayPath:
     def test_stack_equals_the_per_sample_loop(self, n):
         sel = default_selection()
         samples = synthesize_dataset(n_subjects=10, samples_per_subject=6, seed=n)[:n]
-        stack = np.stack([s.frames for s in samples])
-        want = np.stack([one_sample_oracle(s.frames, 3.0, sel) for s in samples])
+        stack = samples.frames
+        want = np.stack([one_sample_oracle(f, 3.0, sel) for f in stack])
 
         got = build_graph(magnify(stack, 3.0), selection=sel).node_features
         assert got.shape == (n, 3, 31, 2)
@@ -283,7 +272,7 @@ class TestArrayPath:
         assert np.array_equal(single.node_features, want[0])
 
     def test_degenerate_sample_in_a_stack_is_located(self):
-        stack = np.stack([neutral_sample().frames] * 4)
+        stack = np.stack([neutral_frames()] * 4)
         stack[2] = 1.0
         with pytest.raises(DegenerateFrameError, match="sample 2") as caught:
             build_graph(stack)

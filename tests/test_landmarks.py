@@ -5,13 +5,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import megraph.landmarks
 from megraph.landmarks import (
     MOTION_PATTERNS,
     N_FRAMES,
     N_LANDMARKS,
     PATTERN_NAMES,
-    LandmarkSample,
+    SampleError,
+    SampleSet,
     crop_jitter,
     load_samples,
     magnify,
@@ -21,64 +25,118 @@ from megraph.landmarks import (
 )
 
 
-def make_sample(subject="s01", label=0, seed=42):
+def make_frames(seed=42):
     rng = np.random.default_rng(seed)
-    frames = neutral_face_template() + rng.normal(0.0, 1.0, (3, 68, 2))
-    return LandmarkSample(subject=subject, label=label, frames=frames)
+    return neutral_face_template() + rng.normal(0.0, 1.0, (3, 68, 2))
 
 
-GOOD_RECORD = make_sample().to_record()
+def make_samples(subjects=("s01",), labels=None, seed=42):
+    """One sample per subject; sample i has label i % 2 and frames drawn
+    from seed + i."""
+    labels = [i % 2 for i in range(len(subjects))] if labels is None else labels
+    frames = [make_frames(seed + i) for i in range(len(subjects))]
+    return SampleSet(frames, labels, subjects)
+
+
+GOOD_RECORD = {"subject": "s01", "label": 0, "frames": make_frames().tolist()}
 
 
 class TestLandmarkSample:
     def test_shape_enforced(self):
-        with pytest.raises(ValueError, match="shape"):
-            LandmarkSample(subject="s01", label=0, frames=np.zeros((3, 67, 2)))
-        with pytest.raises(ValueError, match="shape"):
-            LandmarkSample(subject="s01", label=0, frames=np.zeros((2, 68, 2)))
+        for shape in ((1, 3, 67, 2), (1, 2, 68, 2), (3, 68, 2)):
+            with pytest.raises(ValueError, match="shape"):
+                SampleSet(np.zeros(shape), [0], ["s01"])
+
+    def test_columns_must_have_one_entry_per_sample(self):
+        frames = np.zeros((2, 3, 68, 2))
+        for labels, subjects in (([0], ["s01", "s02"]), ([0, 1], ["s01"])):
+            with pytest.raises(ValueError, match="one label and one subject"):
+                SampleSet(frames, labels, subjects)
 
     def test_non_finite_rejected(self):
-        frames = np.zeros((3, 68, 2))
-        frames[1, 5, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            LandmarkSample(subject="s01", label=0, frames=frames)
+        frames = np.zeros((3, 3, 68, 2))
+        frames[1, 1, 5, 0] = np.nan
+        with pytest.raises(SampleError, match="sample 's02': non-finite") as info:
+            SampleSet(frames, [0, 0, 0], ["s01", "s02", "s03"])
+        assert info.value.index == 1
 
     def test_negative_label_rejected(self):
-        with pytest.raises(ValueError, match="label"):
-            LandmarkSample(subject="s01", label=-1, frames=np.zeros((3, 68, 2)))
+        with pytest.raises(SampleError, match="label must be >= 0, got -1") as info:
+            SampleSet(np.zeros((2, 3, 68, 2)), [0, -1], ["s01", "s01"])
+        assert info.value.index == 1
 
     def test_frames_are_a_read_only_copy_with_a_stable_digest(self):
-        frames = make_sample().frames.copy()
-        s = LandmarkSample(subject="s01", label=0, frames=frames)
+        frames = np.stack([make_frames(1), make_frames(2)])
+        s = SampleSet(frames, np.array([0, 1]), ["s01", "s02"])
         assert s.frames is not frames and frames.flags.writeable
-        with pytest.raises(ValueError):
-            s.frames[0, 0, 0] = 1.0
-        assert s.digest == hashlib.sha256(frames.tobytes()).hexdigest()
+        assert s.labels.dtype == np.int64 and s.subjects.dtype.kind == "U"
+        for column in (s.frames, s.labels, s.subjects, s[[1]].frames, s[:1].labels):
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
+        assert s.digests.tolist() == [
+            hashlib.sha256(f.tobytes()).hexdigest() for f in frames
+        ]
 
-    def test_record_round_trip(self):
-        s = make_sample(label=3)
-        back = LandmarkSample.from_record(s.to_record())
-        assert back.subject == s.subject
-        assert back.label == s.label
+    def test_record_round_trip(self, tmp_path):
+        s = make_samples(("s01",), labels=[3])
+        path = tmp_path / "one.jsonl"
+        save_samples(s, path)
+        record = json.loads(path.read_text())
+        assert record == {"subject": "s01", "label": 3, "frames": s.frames[0].tolist()}
+        back = load_samples(path)
+        assert back.subjects.tolist() == ["s01"] and back.labels.tolist() == [3]
         np.testing.assert_array_equal(back.frames, s.frames)
+
+    def test_digests_hash_each_sample_once(self, monkeypatch):
+        samples = make_samples(("s01", "s01", "s02", "s03"))
+        want = [hashlib.sha256(f.tobytes()).hexdigest() for f in samples.frames]
+        calls = []
+        real = hashlib.sha256
+
+        def counting(data):
+            calls.append(1)
+            return real(data)
+
+        monkeypatch.setattr(megraph.landmarks.hashlib, "sha256", counting)
+        held_out = samples.subjects == "s01"
+        train, test = samples[~held_out], samples[held_out]
+        assert test.digests.tolist() == want[:2]
+        assert train.digests.tolist() == want[2:]
+        assert train.concat(test).digests.tolist() == want[2:] + want[:2]
+        assert samples.digests.tolist() == want
+        assert len(calls) == len(samples)
+
+    def test_rows_and_concat_keep_columns_aligned(self):
+        samples = make_samples(("s01", "s02", "s03"), labels=[2, 0, 1])
+        picked = samples[np.array([2, 0])]
+        assert picked.subjects.tolist() == ["s03", "s01"]
+        assert picked.labels.tolist() == [1, 2]
+        np.testing.assert_array_equal(picked.frames[1], samples.frames[0])
+        both = picked.concat(samples[1:2])
+        assert len(both) == 3 and both.subjects.tolist() == ["s03", "s01", "s02"]
 
 
 class TestJsonlFiles:
     def test_save_load_round_trip(self, tmp_path):
-        samples = [make_sample(subject=f"s{i:02d}", label=i % 2, seed=i) for i in range(4)]
+        samples = make_samples(("s00", "s01", "s02", "s03"))
         path = tmp_path / "data.jsonl"
         save_samples(samples, path)
         loaded = load_samples(path)
         assert len(loaded) == 4
-        for a, b in zip(samples, loaded):
-            assert (a.subject, a.label) == (b.subject, b.label)
-            np.testing.assert_array_equal(a.frames, b.frames)
+        assert loaded.subjects.tolist() == samples.subjects.tolist()
+        assert loaded.labels.tolist() == samples.labels.tolist()
+        np.testing.assert_array_equal(loaded.frames, samples.frames)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        save_samples([make_sample()], path)
+        save_samples(make_samples(), path)
         path.write_text(path.read_text() + "\n\n")
         assert len(load_samples(path)) == 1
+
+    def test_empty_file_gives_an_empty_set(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n")
+        assert len(load_samples(path)) == 0
 
     @pytest.mark.parametrize(
         "record, message",
@@ -90,72 +148,149 @@ class TestJsonlFiles:
             ({**GOOD_RECORD, "label": "1"}, 'label must be an integer, got "1"'),
             ({**GOOD_RECORD, "frames": {"x": 1}},
              "frames must be nested lists of numbers"),
+            ({**GOOD_RECORD, "label": 2**63},
+             f"label does not fit in int64, got {2**63}"),
+            ({**GOOD_RECORD, "frames": GOOD_RECORD["frames"][:2]},
+             r"frames must have shape \(3, 68, 2\), got \(2, 68, 2\)"),
+            # rows checked once the lines are stacked keep their line number
+            ({**GOOD_RECORD, "label": -1}, "label must be >= 0, got -1"),
+            ({**GOOD_RECORD, "subject": "s07",
+              "frames": [[[float("nan"), 0.0]] * 68] * 3},
+             "sample 's07': non-finite coordinates"),
         ],
     )
     def test_malformed_record_reports_line_number(self, tmp_path, record, message):
         path = tmp_path / "data.jsonl"
-        save_samples([make_sample()], path)
-        path.write_text(path.read_text() + json.dumps(record) + "\n")
+        save_samples(make_samples(), path)
+        path.write_text(path.read_text() + json.dumps(record) + "\n"
+                        + json.dumps(GOOD_RECORD) + "\n")
         with pytest.raises(ValueError, match=f"data.jsonl:2: {message}"):
             load_samples(path)
 
     def test_bad_line_reports_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        save_samples([make_sample()], path)
+        save_samples(make_samples(), path)
         path.write_text(path.read_text() + "{not json\n")
         with pytest.raises(ValueError, match=":2:"):
             load_samples(path)
 
+    def test_too_deeply_nested_line_reports_line_number(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_samples(make_samples(), path)
+        path.write_text(path.read_text() + "[" * 100_000 + "\n")
+        with pytest.raises(ValueError, match=":2: invalid JSON: maximum recursion"):
+            load_samples(path)
+
+
+# Any JSON value, and records whose fields take any JSON value or a frames
+# array of the wrong nesting, shape or size.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3)
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.integers(min_value=-(10**400), max_value=10**400) | st.floats()
+FRAMES = (
+    JSON_VALUES
+    | st.sampled_from([GOOD_RECORD["frames"], [[[float("nan"), 0.0]] * 68] * 3])
+    | st.lists(
+        st.lists(st.lists(NUMBERS, min_size=1, max_size=3), min_size=1, max_size=3),
+        min_size=1, max_size=4,
+    )
+)
+FIELDS = {
+    "subject": JSON_VALUES | st.sampled_from(["", "s01"]),
+    "label": JSON_VALUES
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.sampled_from([-1, 2**63 - 1, 2**63, -(2**63) - 1]),
+    "frames": FRAMES,
+}
+RECORDS = (
+    JSON_VALUES
+    | st.fixed_dictionaries({}, optional=FIELDS)
+    # a valid record with one field replaced
+    | st.sampled_from(sorted(FIELDS)).flatmap(
+        lambda key: FIELDS[key].map(lambda value: {**GOOD_RECORD, key: value})
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(record=RECORDS)
+@example(record={**GOOD_RECORD, "label": 2**63})
+@example(record={**GOOD_RECORD, "label": -(2**70)})
+@example(record={**GOOD_RECORD, "label": True})
+@example(record={**GOOD_RECORD, "subject": ""})
+@example(record={**GOOD_RECORD, "frames": [[[float("nan"), 0.0]] * 68] * 3})
+@example(record="s01")
+def test_any_malformed_record_is_a_one_line_value_error(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(record) + "\n")
+    try:
+        samples = load_samples(path)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}:2: ") and "\n" not in message
+    else:
+        # only a record that is a valid sample loads
+        assert len(samples) == 2 and samples.labels[1] == record["label"]
+
 
 class TestMagnify:
     def test_onset_is_fixed_point(self):
-        s = make_sample()
-        out = magnify(s.frames, 3.0)
-        np.testing.assert_array_equal(out[0], s.frames[0])
+        frames = make_frames()
+        out = magnify(frames, 3.0)
+        np.testing.assert_array_equal(out[0], frames[0])
 
     def test_displacements_scale_linearly(self):
-        s = make_sample()
-        out = magnify(s.frames, 3.0)
+        frames = make_frames()
+        out = magnify(frames, 3.0)
         for f in (1, 2):
             np.testing.assert_allclose(
                 out[f] - out[0],
-                3.0 * (s.frames[f] - s.frames[0]),
+                3.0 * (frames[f] - frames[0]),
                 atol=1e-12,
             )
 
     def test_alpha_one_is_identity(self):
-        s = make_sample()
-        np.testing.assert_array_equal(magnify(s.frames, 1.0), s.frames)
+        frames = make_frames()
+        np.testing.assert_array_equal(magnify(frames, 1.0), frames)
 
 
 class TestCropJitter:
     def test_same_transform_for_all_frames(self):
         # Frame-to-frame displacement directions survive; only the shared
         # scale rescales them.
-        s = make_sample()
+        s = make_samples()
         out = crop_jitter(s, np.random.default_rng(42))
-        d_in = s.frames[1] - s.frames[0]
-        d_out = out.frames[1] - out.frames[0]
+        d_in = s.frames[0, 1] - s.frames[0, 0]
+        d_out = out.frames[0, 1] - out.frames[0, 0]
         ratio = d_out / d_in
         np.testing.assert_allclose(ratio, ratio.ravel()[0], atol=1e-9)
 
     def test_bounds_respected(self):
-        s = make_sample()
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            out = crop_jitter(s, rng, max_scale=0.05, max_shift=3.0)
-            d_in = s.frames[2] - s.frames[0]
-            d_out = out.frames[2] - out.frames[0]
+        s = make_samples()
+        out = crop_jitter(s, np.random.default_rng(42), copies=20,
+                          max_scale=0.05, max_shift=3.0)
+        d_in = s.frames[0, 2] - s.frames[0, 0]
+        for frames in out.frames:
+            d_out = frames[2] - frames[0]
             scale = np.linalg.norm(d_out) / np.linalg.norm(d_in)
             assert 0.95 <= scale <= 1.05
-            center_shift = out.frames[0].mean(axis=0) - s.frames[0].mean(axis=0)
+            center_shift = frames[0].mean(axis=0) - s.frames[0, 0].mean(axis=0)
             assert np.all(np.abs(center_shift) <= 3.0 * 1.05 + 1e-9)
 
     def test_identity_and_label_preserved(self):
-        s = make_sample(subject="s07", label=4)
-        out = crop_jitter(s, np.random.default_rng(0))
-        assert out.subject == "s07"
-        assert out.label == 4
+        s = make_samples(("s07", "s08"), labels=[4, 1])
+        out = crop_jitter(s, np.random.default_rng(0), copies=3)
+        assert out.subjects.tolist() == ["s07"] * 3 + ["s08"] * 3
+        assert out.labels.tolist() == [4] * 3 + [1] * 3
+        for i, frames in enumerate(out.frames):
+            assert not np.array_equal(frames, s.frames[i // 3])
+        assert len(crop_jitter(s, np.random.default_rng(0), copies=0)) == 0
 
 
 class TestTemplate:
@@ -202,24 +337,20 @@ class TestSynthesizeDataset:
             n_subjects=4, samples_per_subject=6, n_classes=3, seed=0
         )
         assert len(samples) == 24
-        assert {s.subject for s in samples} == {"s01", "s02", "s03", "s04"}
-        for s in samples:
-            assert 0 <= s.label < 3
-            assert s.frames.shape == (N_FRAMES, N_LANDMARKS, 2)
+        assert set(samples.subjects.tolist()) == {"s01", "s02", "s03", "s04"}
+        assert samples.frames.shape == (24, N_FRAMES, N_LANDMARKS, 2)
+        assert samples.labels.min() >= 0 and samples.labels.max() < 3
         # every subject sees every class
         for subject in ("s01", "s04"):
-            labels = {s.label for s in samples if s.subject == subject}
+            labels = set(samples.labels[samples.subjects == subject].tolist())
             assert labels == {0, 1, 2}
 
     def test_deterministic_per_seed(self):
         a = synthesize_dataset(n_subjects=2, samples_per_subject=2, seed=7)
         b = synthesize_dataset(n_subjects=2, samples_per_subject=2, seed=7)
         c = synthesize_dataset(n_subjects=2, samples_per_subject=2, seed=8)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.frames, y.frames)
-        assert any(
-            not np.array_equal(x.frames, y.frames) for x, y in zip(a, c)
-        )
+        np.testing.assert_array_equal(a.frames, b.frames)
+        assert not np.array_equal(a.frames, c.frames)
 
     def test_class_count_bounds(self):
         with pytest.raises(ValueError):
@@ -235,10 +366,10 @@ class TestSynthesizeDataset:
             noise_sigma=0.01, seed=3,
         )
         patterns = [MOTION_PATTERNS[n]().ravel() for n in PATTERN_NAMES]
-        for s in samples:
-            d = (s.frames[1] - s.frames[0]).ravel()
+        for frames, label in zip(samples.frames, samples.labels):
+            d = (frames[1] - frames[0]).ravel()
             sims = [
                 float(d @ p) / (np.linalg.norm(d) * np.linalg.norm(p))
                 for p in patterns
             ]
-            assert int(np.argmax(sims)) == s.label
+            assert int(np.argmax(sims)) == label

@@ -158,7 +158,7 @@ class TestShapes:
                         relation_channels=5, n_classes=5),
             seed=0,
         )
-        result = model.forward(build_graph(samples[0].frames))
+        result = model.forward(build_graph(samples.frames[0]))
         assert result.logits.shape == (1, 5)
         assert result.node_features.shape == (31, 6)
         assert result.action_features.shape == (9, 6)
@@ -174,7 +174,7 @@ class TestShapes:
 
     def test_variant_dataflow(self):
         samples = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=0)
-        graph = build_graph(samples[0].frames)
+        graph = build_graph(samples.frames[0])
         for variant in VARIANTS:
             cfg = ModelConfig(
                 variant=variant, channels=4, n_actions=2,
@@ -216,7 +216,7 @@ class TestShapes:
         graph = sample_graph(samples, 3.0, model.selection)
         table = WeightCenterTable(n_classes=5, n_rows=9)
         loss = total_loss(
-            model.forward(graph), [s.label for s in samples], LossWeights(), table=table
+            model.forward(graph), samples.labels, LossWeights(), table=table
         ).total
         seen, stack = set(), [loss]
         while stack:
@@ -263,7 +263,7 @@ class TestLoopOracles:
             graph = StGraph(
                 selection=model.selection,
                 adjacency=build_graph(
-                    synthesize_dataset(1, 1, seed=0)[0].frames
+                    synthesize_dataset(1, 1, seed=0).frames[0]
                 ).adjacency,
                 node_features=frames,
             )
@@ -391,7 +391,7 @@ class TestDeterminism:
 
     def test_forward_is_pure(self):
         samples = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=0)
-        graph = build_graph(samples[0].frames)
+        graph = build_graph(samples.frames[0])
         model = ActionRelationNet(SMALL, seed=0)
         before = model.params.state_dict()
         first = model.forward(graph).logits.data.copy()

@@ -1,6 +1,7 @@
 """Splitting, leakage detection, fold training, reports, and ablations."""
 
 import ctypes
+import hashlib
 import json
 import resource
 import warnings
@@ -8,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from megraph.config import (
     AugmentConfig,
@@ -16,9 +19,10 @@ from megraph.config import (
     SynthSpec,
 )
 import megraph.autodiff
+import megraph.landmarks
 import megraph.training
 from megraph.graph import DegenerateFrameError, default_selection
-from megraph.landmarks import LandmarkSample, save_samples, synthesize_dataset
+from megraph.landmarks import SampleSet, save_samples, synthesize_dataset
 from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import read_checkpoint, write_checkpoint
 from megraph.training import (
@@ -28,7 +32,8 @@ from megraph.training import (
     DivergenceError,
     LeakageError,
     _batch_slices,
-    augmented,
+    _found_in,
+    _with_copies,
     check_no_leakage,
     evaluate,
     evaluate_checkpoint,
@@ -42,16 +47,23 @@ from megraph.training import (
 )
 
 
+def subject_set(subjects) -> SampleSet:
+    """Distinct samples (sample i has every coordinate i) of the given
+    subjects, all labelled 0."""
+    n = len(subjects)
+    frames = np.arange(n, dtype=np.float64)[:, None, None, None] + np.zeros((3, 68, 2))
+    return SampleSet(frames, np.zeros(n, dtype=np.int64), subjects)
+
 
 class TestSplitting:
     def test_one_fold_per_subject_in_sorted_order(self):
         samples = synthesize_dataset(n_subjects=4, samples_per_subject=3, seed=0)
         folds = loso_split(samples)
-        assert [f.subject for f in folds] == ["s01", "s02", "s03", "s04"]
-        for fold in folds:
-            assert all(s.subject == fold.subject for s in fold.test)
-            assert all(s.subject != fold.subject for s in fold.train)
-            assert len(fold.train) + len(fold.test) == len(samples)
+        assert [subject for subject, _ in folds] == ["s01", "s02", "s03", "s04"]
+        for subject, held_out in folds:
+            assert held_out.shape == (len(samples),)
+            assert (samples.subjects[held_out] == subject).all()
+            assert (samples.subjects[~held_out] != subject).all()
 
     def test_needs_two_subjects(self):
         samples = synthesize_dataset(n_subjects=1, samples_per_subject=3, seed=0)
@@ -60,42 +72,86 @@ class TestSplitting:
 
     def test_folds_partition_the_dataset(self):
         samples = synthesize_dataset(n_subjects=5, samples_per_subject=4, seed=1)
+        masks = np.stack([held_out for _, held_out in loso_split(samples)])
+        assert (masks.sum(axis=0) == 1).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(subjects=st.lists(st.sampled_from(["a", "b", "B", "s10", "s2", "é"]),
+                             min_size=2, max_size=12))
+    def test_masks_hold_out_every_sample_once_in_subject_order(self, subjects):
+        samples = subject_set(subjects)
+        if len(set(subjects)) < 2:
+            with pytest.raises(ValueError, match="at least 2"):
+                loso_split(samples)
+            return
         folds = loso_split(samples)
-        held_out = [id(s) for f in folds for s in f.test]
-        assert sorted(held_out) == sorted(id(s) for s in samples)
+        assert [subject for subject, _ in folds] == sorted(set(subjects))
+        masks = np.stack([held_out for _, held_out in folds])
+        assert (masks.sum(axis=0) == 1).all()
+        for subject, held_out in folds:
+            assert held_out.tolist() == [s == subject for s in subjects]
 
 
 class TestLeakage:
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.sampled_from(["a", "b", "c", "é"]), max_size=6),
+           pool=st.lists(st.sampled_from(["a", "b", "c", "é"]), max_size=6))
+    def test_membership_matches_isin(self, values, pool):
+        values, pool = np.array(values, dtype=str), np.array(pool, dtype=str)
+        assert _found_in(values, pool).tolist() == np.isin(values, pool).tolist()
+
     def test_subject_overlap_detected(self):
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=2, seed=0)
-        s01 = [s for s in samples if s.subject == "s01"]
-        s02 = [s for s in samples if s.subject == "s02"]
+        s01 = samples[samples.subjects == "s01"]
         with pytest.raises(LeakageError, match="subject"):
-            check_no_leakage(s01 + s02, s01[:1])
+            check_no_leakage(samples, s01[:1])
 
     def test_shared_frames_detected(self):
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=2, seed=0)
-        s01 = [s for s in samples if s.subject == "s01"]
-        s02 = [s for s in samples if s.subject == "s02"]
-        twin = LandmarkSample(
-            subject="s02", label=s01[0].label, frames=s01[0].frames.copy()
-        )
+        s01 = samples[samples.subjects == "s01"]
+        s02 = samples[samples.subjects == "s02"]
+        twin = SampleSet(s01.frames[:1], s01.labels[:1], ["s02"])
         with pytest.raises(LeakageError, match="appears in the"):
-            check_no_leakage(s02 + [twin], s01)
+            check_no_leakage(s02.concat(twin), s01)
 
     def test_clean_split_passes(self):
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=2, seed=0)
-        fold = loso_split(samples)[0]
-        check_no_leakage(fold.train, fold.test)
+        _, held_out = loso_split(samples)[0]
+        check_no_leakage(samples[~held_out], samples[held_out])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        subjects=st.lists(st.sampled_from(["s01", "s02", "s03", "s04"]),
+                          min_size=2, max_size=10),
+        data=st.data(),
+    )
+    def test_any_planted_subject_or_digest_is_caught(self, subjects, data):
+        assume(len(set(subjects)) >= 2)
+        samples = subject_set(subjects)
+        folds = loso_split(samples)
+        subject, held_out = folds[data.draw(st.integers(0, len(folds) - 1))]
+        train, test = samples[~held_out], samples[held_out]
+        check_no_leakage(train, test)
+        row = data.draw(st.integers(0, len(test) - 1))
+        planted = test[[row]]
+        at = data.draw(st.integers(0, len(train)))
+        with pytest.raises(LeakageError, match=f"held-out subject '{subject}'"):
+            check_no_leakage(train[:at].concat(planted).concat(train[at:]), test)
+        # the same frames under a training subject's name
+        other = train.subjects[0]
+        twin = SampleSet(planted.frames, planted.labels, [other])
+        with pytest.raises(
+            LeakageError,
+            match=f"a held-out sample of subject '{subject}' appears in the",
+        ):
+            check_no_leakage(train[:at].concat(twin).concat(train[at:]), test)
 
     def test_duplicated_frames_across_subjects_fail_a_run(self, tmp_path):
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=2,
                                      n_classes=2, seed=0)
-        clone = LandmarkSample(
-            subject="s02", label=samples[0].label, frames=samples[0].frames.copy()
-        )
+        clone = SampleSet(samples.frames[:1], samples.labels[:1], ["s02"])
         path = tmp_path / "leaky.jsonl"
-        save_samples(samples + [clone], path)
+        save_samples(samples.concat(clone), path)
         cfg = ExperimentConfig(
             dataset=str(path),
             synth=None,
@@ -114,7 +170,7 @@ class TestPreprocessing:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="sample 's03': non-finite"):
                 sample_graph(samples, 3.0, sel)
-        del samples[first["s03"]]
+        samples = samples[np.arange(len(samples)) != first["s03"]]
         with pytest.raises(DegenerateFrameError, match="sample 's02': onset"):
             sample_graph(samples, 3.0, sel)
 
@@ -147,6 +203,31 @@ class TestPreprocessing:
         assert counts == [1 + copies * k] * 2
         assert max(counts) <= 2 * k
 
+    @pytest.mark.parametrize("copies", [0, 1, 2])
+    def test_loso_hashes_each_sample_and_copy_once(self, monkeypatch, copies):
+        # The dataset is hashed once per run; each fold hashes only its
+        # jittered training copies.
+        real = hashlib.sha256
+        calls = []
+
+        def counting(data):
+            calls.append(1)
+            return real(data)
+
+        monkeypatch.setattr(megraph.landmarks.hashlib, "sha256", counting)
+        k, per_subject = 3, 4
+        run_loso(
+            ExperimentConfig(
+                synth=SynthSpec(n_subjects=k, samples_per_subject=per_subject,
+                                n_classes=2),
+                model=ModelConfig(variant="backbone", channels=2, n_classes=2),
+                optimizer=OptimizerConfig(epochs=1, batch_size=4),
+                augment=AugmentConfig(copies=copies),
+            )
+        )
+        n = k * per_subject
+        assert len(calls) == n + k * copies * (n - per_subject)
+
 
 class TestPrepareSamples:
     def test_synth_and_file_sources(self, tmp_path):
@@ -171,20 +252,35 @@ class TestPrepareSamples:
 class TestAugmentation:
     def test_copy_count_and_identity(self):
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=2, seed=0)
-        rng = np.random.default_rng(0)
-        out = augmented(samples, AugmentConfig(copies=2), rng)
-        assert len(out) == len(samples) * 3
-        assert out[: len(samples)] == samples  # originals first, untouched
-        for i, s in enumerate(out[len(samples) :]):
-            src = samples[i // 2]
-            assert s.subject == src.subject
-            assert s.label == src.label
-            assert not np.array_equal(s.frames, src.frames)
+        cfg = ExperimentConfig(augment=AugmentConfig(copies=2))
+        graph = sample_graph(samples, cfg.magnification, default_selection())
+        train, train_graph = _with_copies(samples, graph, cfg,
+                                          np.random.default_rng(0))
+        assert len(train) == len(samples) * 3
+        np.testing.assert_array_equal(train.frames[: len(samples)], samples.frames)
+        assert train.subjects.tolist() == samples.subjects.tolist() + [
+            s for s in samples.subjects.tolist() for _ in range(2)
+        ]
+        assert train.labels.tolist() == samples.labels.tolist() + [
+            y for y in samples.labels.tolist() for _ in range(2)
+        ]
+        for i, frames in enumerate(train.frames[len(samples):]):
+            assert not np.array_equal(frames, samples.frames[i // 2])
+        copies = train[len(samples):]
+        want = sample_graph(copies, cfg.magnification, graph.selection)
+        np.testing.assert_array_equal(
+            train_graph.node_features,
+            np.concatenate([graph.node_features, want.node_features]),
+        )
 
     def test_zero_copies_is_identity(self):
         samples = synthesize_dataset(n_subjects=1, samples_per_subject=2, seed=0)
+        graph = sample_graph(samples, 3.0, default_selection())
         rng = np.random.default_rng(0)
-        assert augmented(samples, AugmentConfig(copies=0), rng) == samples
+        state = rng.bit_generator.state
+        train, train_graph = _with_copies(samples, graph, ExperimentConfig(), rng)
+        assert train is samples and train_graph is graph
+        assert rng.bit_generator.state == state
 
 
 class TestBatchSlices:
@@ -199,6 +295,12 @@ class TestBatchSlices:
         ]
         # a lone batch is never merged away
         assert _batch_slices(1, 4, merge_tail=True) == [slice(0, 1)]
+
+
+def fold_inputs(cfg):
+    """The configured dataset's graph and labels, as train_fold takes them."""
+    samples = prepare_samples(cfg)
+    return sample_graph(samples, cfg.magnification, default_selection()), samples.labels
 
 
 class TestTrainFold:
@@ -218,9 +320,8 @@ class TestTrainFold:
         cfg = self.small_config(
             optimizer=OptimizerConfig(lr=0.05, epochs=0, batch_size=4)
         )
-        samples = prepare_samples(cfg)
         outcome = train_fold(
-            samples, cfg, np.random.default_rng(0), np.random.default_rng(7)
+            *fold_inputs(cfg), cfg, np.random.default_rng(0), np.random.default_rng(7)
         )
         assert outcome.epochs_run == 0
         assert outcome.curves == []
@@ -234,9 +335,8 @@ class TestTrainFold:
             optimizer=OptimizerConfig(lr=0.05, momentum=0.9, epochs=30,
                                       batch_size=8)
         )
-        samples = prepare_samples(cfg)
         outcome = train_fold(
-            samples, cfg, np.random.default_rng(0), np.random.default_rng(1)
+            *fold_inputs(cfg), cfg, np.random.default_rng(0), np.random.default_rng(1)
         )
         assert outcome.curves[-1]["total"] < outcome.curves[0]["total"]
         assert outcome.curves[0]["step"] == 1
@@ -248,19 +348,20 @@ class TestTrainFold:
 
     def test_empty_training_set_rejected(self):
         cfg = self.small_config()
+        graph, labels = fold_inputs(cfg)
+        empty = replace(graph, node_features=graph.node_features[:0])
         with pytest.raises(ValueError, match="empty"):
-            train_fold([], cfg, np.random.default_rng(0), 0)
+            train_fold(empty, labels[:0], cfg, np.random.default_rng(0), 0)
 
     def test_divergence_is_reported_with_position(self):
         cfg = self.small_config(
             optimizer=OptimizerConfig(lr=1e12, momentum=0.9, epochs=10,
                                       batch_size=4)
         )
-        samples = prepare_samples(cfg)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="epoch"):
                 train_fold(
-                    samples, cfg,
+                    *fold_inputs(cfg), cfg,
                     np.random.default_rng(0), np.random.default_rng(1),
                 )
 
@@ -274,9 +375,8 @@ class TestTrainFold:
                                       batch_size=8, plateau_patience=3,
                                       plateau_tol=1e-4),
         )
-        samples = prepare_samples(cfg)
         outcome = train_fold(
-            samples, cfg, np.random.default_rng(0), np.random.default_rng(1)
+            *fold_inputs(cfg), cfg, np.random.default_rng(0), np.random.default_rng(1)
         )
         # first epoch sets the best, then 3 stalled epochs trip the stop
         assert outcome.epochs_run == 4
@@ -293,7 +393,7 @@ class TestEvaluate:
         )
         before = model.params.state_dict()
         y_true, y_pred, logits = evaluate(model, samples, magnification=3.0)
-        assert y_true == [s.label for s in samples]
+        assert y_true == samples.labels.tolist()
         assert len(y_pred) == len(samples)
         assert all(0 <= p < 3 for p in y_pred)
         assert [int(np.argmax(row)) for row in logits] == y_pred
@@ -301,7 +401,7 @@ class TestEvaluate:
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
         with pytest.raises(ValueError):
-            evaluate(model, [], magnification=3.0)
+            evaluate(model, samples[:0], magnification=3.0)
 
 
 def tiny_loso_config(**kwargs):
@@ -491,10 +591,10 @@ class TestKeepHeap:
             optimizer=OptimizerConfig(epochs=2, batch_size=16),
             seed=0,
         )
-        samples = prepare_samples(cfg)
+        graph, labels = fold_inputs(cfg)
 
         def train():
-            train_fold(samples, cfg, np.random.default_rng(0),
+            train_fold(graph, labels, cfg, np.random.default_rng(0),
                        np.random.default_rng(1))
 
         train()
