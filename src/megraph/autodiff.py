@@ -18,11 +18,14 @@ forward then evaluates P members at once, each bit-identical to a forward
 with that member alone; the gradient check uses this to run every probe of
 a parameter tensor in one pass.
 
-Each node records whether any parent needs a gradient; `backward` walks
-only those nodes, so constant inputs (keyframes, loss centers) cost
-nothing on the way back. One post-order walk marks them with a token new
-to the call, which also clears their gradient sums, held on the nodes, so
-a backward cut short by an exception leaves nothing for the next one.
+A node records whether any parent needs a gradient. Only a node that does
+keeps its parents and its backward rule, so a graph no gradient can flow
+through (a forward with frozen parameters, a constant branch) records no
+tape: each activation lives only as long as the caller holds it.
+`backward` walks only the nodes that need a gradient, marking them with a
+token new to the call, and drops each interior gradient as soon as its
+node's rule has used it. Only leaves keep gradients, assigned once the
+whole pass has succeeded; a pass cut short by an exception changes none.
 
 Ops do not check their values for NaN or infinity. Divergence is caught
 once per step instead: ``losses.total_loss`` rejects a non-finite loss term
@@ -117,10 +120,10 @@ class Tensor:
     """Array value plus an optional gradient accumulator.
 
     Leaves created with ``requires_grad=True`` accumulate gradients across
-    ``backward`` calls until :meth:`zero_grad`. Interior nodes hold the
-    gradient of the most recent backward pass, for inspection, when some
-    leaf below them requires one. ``op`` names the operation that made an
-    interior node ("" for leaves).
+    ``backward`` calls until :meth:`zero_grad`; interior nodes never hold
+    one. ``op`` names the operation that made an interior node ("" for
+    leaves). An interior node keeps its parents, and with them the tape
+    below it, only while a gradient can flow through it.
     """
 
     __slots__ = (
@@ -180,8 +183,8 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], back, op: str = "") -> 
     for p in parents:
         needs = needs or p.requires_grad or p._needs
     out._needs = needs
-    out._parents = parents
-    out._backward = back
+    out._parents = parents if needs else ()
+    out._backward = back if needs else None
     out._mark = None
     out._g = None
     return out
@@ -198,11 +201,12 @@ def _require_matrix(op: str, *tensors: Tensor) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of everything reachable from a scalar loss.
+    """Add the gradient of a scalar loss to every ``requires_grad`` leaf
+    reachable from it.
 
-    Only nodes that lead to a ``requires_grad`` leaf are visited. Gradients
-    of ``requires_grad`` leaves accumulate across calls; interior nodes are
-    overwritten with this call's gradient.
+    Only nodes that lead to such a leaf are visited. Leaf gradients
+    accumulate across calls; they change only once the whole pass has
+    succeeded.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -222,30 +226,31 @@ def backward(loss: Tensor) -> None:
         if node._mark is token:
             continue
         node._mark = token
-        node._g = None
         stack.append((node, True))
         for parent in node._parents:
             if parent._mark is not token and (parent.requires_grad or parent._needs):
                 stack.append((parent, False))
 
     loss._g = np.ones_like(loss.data)
-    for node in reversed(topo):
-        g = node._g
-        if g is None or node._backward is None:
-            continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if parent.requires_grad or parent._needs:
-                parent._g = pg if parent._g is None else parent._g + pg
+    try:
+        for node in reversed(topo):
+            g = node._g
+            if not node.requires_grad:
+                node._g = None  # an interior sum is spent once its rule has run
+            if g is None or node._backward is None:
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if parent.requires_grad or parent._needs:
+                    parent._g = pg if parent._g is None else parent._g + pg
+    except BaseException:
+        for node in topo:
+            node._g = None
+        raise
 
     for node in topo:
-        g = node._g
-        if g is None:
-            continue
-        node._g = None
-        if node.requires_grad:
+        if node.requires_grad and node._g is not None:
+            g, node._g = node._g, None
             node.grad = g if node.grad is None else node.grad + g
-        else:
-            node.grad = g
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradCheckResult, ShapeError, Tensor
-from .graph import normalize_adjacency
+from .graph import NodeSelection, normalize_adjacency
 from .landmarks import synthesize_dataset
 from .losses import (
     LossWeights,
@@ -344,19 +344,28 @@ class BatteryEntry:
 KINKED_OPS = ("relu", "l1_rowsum")
 
 
-def kink_margin(loss: Tensor) -> float:
+def kink_margin(loss: Tensor, selection: NodeSelection | None = None) -> float:
     """Smallest distance of any rectifier or absolute-value input to its
     kink, found by walking the tape from ``loss`` and picking nodes by
     their op name.
 
     Central differences are only trustworthy when the +-h probe interval
     stays on one side of every kink, so end-to-end checks must run at a
-    point whose margin comfortably exceeds the probe's reach.
+    point whose margin comfortably exceeds the probe's reach. Given the
+    model's node ``selection``, a kinked op over the decomposition block (a
+    ``graph_affine`` of ``gather_rows``) leaves out the block's zero padding
+    rows: they take no gradient, so their side of the kink changes nothing.
     """
+    padding = None if selection is None else selection.component_block[0] < 0
     margin = np.inf
     for node in _tape(loss):
         if node.op in KINKED_OPS:
-            margin = min(margin, float(np.abs(node._parents[0].data).min()))
+            x = node._parents[0]
+            values = x.data
+            over_block = x.op == "graph_affine" and x._parents[0].op == "gather_rows"
+            if padding is not None and over_block:
+                values = values[..., ~padding, :]
+            margin = min(margin, float(np.abs(values).min()))
     return margin
 
 
@@ -395,6 +404,10 @@ def _batch_axes(loss: Tensor) -> dict[int, int]:
 MIN_KINK_MARGIN = 2e-4
 _JITTER_ATTEMPTS = 12
 
+# most probes of one parameter tensor that a model check stacks into one
+# forward: a (16, 16) tap of the default model has 512
+PROBE_CHUNK = 64
+
 
 def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
     """End-to-end check: d(total loss)/d(parameter) for every parameter.
@@ -407,9 +420,10 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
     parameter passes. A wrong backward rule fails at every point, so the
     redraws cannot hide one; they only steer the probe onto valid ground.
     At a point that clears the kink margin, one backward over the tape the
-    margin was read from gives every parameter's analytic gradient, and one
-    forward per parameter tensor, with the tensor's probes stacked on a
-    leading member axis, gives all of its central differences.
+    margin was read from gives every parameter's analytic gradient, and
+    forwards with the parameters frozen, each stacking up to
+    :data:`PROBE_CHUNK` of a tensor's probes on a leading member axis, give
+    all of its central differences.
     """
     samples = synthesize_dataset(
         n_subjects=1, samples_per_subject=3, n_classes=3, noise_sigma=0.5, seed=seed
@@ -428,8 +442,8 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
         ).total
 
     def stacked(p: Tensor, batch_axes: int):
-        """The objective at every probe of ``p`` in one forward, ``p`` holding
-        the probes on a member axis in front of its operand's batch axes."""
+        """The objective at every probe of ``p``, ``p`` holding a chunk of the
+        probes on a member axis in front of its operand's batch axes."""
 
         def swapped(stack: Tensor) -> Tensor:
             value = p.data
@@ -439,7 +453,16 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
             finally:
                 p.data = value
 
-        return _members(swapped, batch_axes)
+        values = _members(swapped, batch_axes)
+
+        def chunked(probes: np.ndarray) -> np.ndarray:
+            with model.params.frozen():
+                return np.concatenate([
+                    values(probes[i : i + PROBE_CHUNK])
+                    for i in range(0, len(probes), PROBE_CHUNK)
+                ])
+
+        return chunked
 
     baseline = model.params.flat().copy()
     entries: list[BatteryEntry] = []
@@ -447,7 +470,7 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
         jitter = np.random.default_rng([seed, attempt])
         model.params.flat()[:] = baseline + jitter.normal(0.0, 0.15, size=baseline.size)
         loss = objective(None)
-        if kink_margin(loss) < MIN_KINK_MARGIN:
+        if kink_margin(loss, model.selection) < MIN_KINK_MARGIN:
             continue
         model.params.zero_grad()
         ad.backward(loss)

@@ -15,7 +15,7 @@ import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
-from .files import atomic_write_text, read_text
+from .files import atomic_write_text, read_json
 from .landmarks import DEFAULT_MAGNIFICATION, PATTERN_NAMES
 from .losses import CENTER_MODES, LossWeights
 from .model import ModelConfig
@@ -196,7 +196,4 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        return decode(ExperimentConfig, json.loads(read_text(path)))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    return decode(ExperimentConfig, read_json(path))

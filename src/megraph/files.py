@@ -1,5 +1,6 @@
 """Artifact files: atomic UTF-8 writes, and reads that name an undecodable file."""
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -31,3 +32,12 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_json(path):
+    """The JSON value of a UTF-8 file; text that does not parse, or nests
+    deeper than the parser can recurse, is a ValueError naming the file."""
+    try:
+        return json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc

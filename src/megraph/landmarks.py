@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -32,51 +33,64 @@ class SampleError(ValueError):
         super().__init__(message)
 
 
+def _checked(frames: np.ndarray, labels: np.ndarray, subjects: np.ndarray):
+    """The three columns of a set, once their shapes, coordinates and labels
+    pass; a failing sample raises :class:`SampleError` with its row."""
+    if frames.shape[1:] != (N_FRAMES, N_LANDMARKS, 2):
+        raise ValueError(f"frames must have shape (N, 3, 68, 2), got {frames.shape}")
+    if not labels.shape == subjects.shape == (len(frames),):
+        raise ValueError("every sample needs one label and one subject")
+    finite = np.isfinite(frames).all(axis=(1, 2, 3))
+    bad = ~finite | (labels < 0)
+    if bad.any():
+        i = int(bad.argmax())
+        if not finite[i]:
+            raise SampleError(i, f"sample '{subjects[i]}': non-finite coordinates")
+        raise SampleError(i, f"label must be >= 0, got {labels[i]}")
+    return frames, labels, subjects
+
+
 class SampleSet:
     """Labelled clips reduced to three keyframes each, as read-only columns
     ``frames`` (N, 3, 68, 2) float64, ``labels`` (N,) int64 and ``subjects``
-    (N,) str, copied and validated when the set is built."""
+    (N,) str. The constructor copies and validates what it is handed; the
+    sets this module builds (loaded, generated, selected or joined) adopt
+    the one array they fill, so each holds its frames once."""
 
     def __init__(self, frames, labels, subjects):
-        frames = np.array(frames, dtype=np.float64)
-        labels = np.array(labels, dtype=np.int64)
-        subjects = np.array(subjects, dtype=str)
-        if frames.shape[1:] != (N_FRAMES, N_LANDMARKS, 2):
-            raise ValueError(
-                f"frames must have shape (N, 3, 68, 2), got {frames.shape}"
-            )
-        if not labels.shape == subjects.shape == (len(frames),):
-            raise ValueError("every sample needs one label and one subject")
-        finite = np.isfinite(frames).all(axis=(1, 2, 3))
-        bad = ~finite | (labels < 0)
-        if bad.any():
-            i = int(bad.argmax())
-            if not finite[i]:
-                raise SampleError(i, f"sample '{subjects[i]}': non-finite coordinates")
-            raise SampleError(i, f"label must be >= 0, got {labels[i]}")
+        self._adopt(*_checked(
+            np.array(frames, dtype=np.float64),
+            np.array(labels, dtype=np.int64),
+            np.array(subjects, dtype=str),
+        ))
+
+    def _adopt(self, frames, labels, subjects, digests=None) -> "SampleSet":
+        """Take checked columns that nothing else writes to as they are."""
         for column in (frames, labels, subjects):
             column.setflags(write=False)
         self.frames, self.labels, self.subjects = frames, labels, subjects
-        self._digests = None
+        self._digests = digests
+        return self
 
     def __len__(self) -> int:
         return len(self.frames)
 
     def __getitem__(self, rows) -> "SampleSet":
-        """The samples at ``rows``: a slice, a boolean mask or an index array."""
-        out = SampleSet(self.frames[rows], self.labels[rows], self.subjects[rows])
-        out._digests = lambda: self.digests[rows]
-        return out
+        """The samples at ``rows``: a slice (a view of these columns), a
+        boolean mask or an index array (one copy of the rows taken)."""
+        columns = self.frames[rows], self.labels[rows], self.subjects[rows]
+        if columns[1].ndim != 1:
+            raise IndexError(f"rows {rows!r} select one sample, not a set")
+        return _adopted(*columns, lambda: self.digests[rows])
 
     def concat(self, other: "SampleSet") -> "SampleSet":
         """This set's samples followed by ``other``'s."""
-        out = SampleSet(
+        return _adopted(
             np.concatenate([self.frames, other.frames]),
             np.concatenate([self.labels, other.labels]),
             np.concatenate([self.subjects, other.subjects]),
+            lambda: np.concatenate([self.digests, other.digests]),
         )
-        out._digests = lambda: np.concatenate([self.digests, other.digests])
-        return out
 
     @cached_property
     def digests(self) -> np.ndarray:
@@ -86,6 +100,12 @@ class SampleSet:
             return self._digests()
         hashes = [hashlib.sha256(f.tobytes()).hexdigest() for f in self.frames]
         return np.array(hashes, dtype=str)
+
+
+def _adopted(frames, labels, subjects, digests=None) -> SampleSet:
+    """A set over checked columns that it alone holds; ``digests``, when
+    given, computes its digests from another set's."""
+    return SampleSet.__new__(SampleSet)._adopt(frames, labels, subjects, digests)
 
 
 def save_samples(samples: SampleSet, path) -> None:
@@ -127,11 +147,22 @@ def _parse_record(record) -> tuple[str, int, np.ndarray]:
 
 
 def load_samples(path) -> SampleSet:
-    """Read UTF-8 JSON-lines samples, skipping blank lines. A malformed
-    line raises ValueError naming ``path:lineno``."""
-    rows: list[tuple[int, str, int, np.ndarray]] = []
+    """Read UTF-8 JSON-lines samples, skipping blank lines, into one frames
+    column sized by a first count of the lines. A malformed line raises
+    ValueError naming ``path:lineno``."""
+    linenos: list[int] = []
+    subjects: list[str] = []
+    labels: list[int] = []
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        if fh.seekable():
+            n = sum(1 for _ in fh)
+            fh.seek(0)
+            lines = islice(fh, n)
+        else:  # a pipe can be read only once: hold its lines to count them
+            lines = fh.readlines()
+            n = len(lines)
+        frames = np.empty((n, N_FRAMES, N_LANDMARKS, 2))
+        for lineno, line in enumerate(lines, start=1):
             try:
                 line = line.decode("utf-8").strip()
                 if not line:
@@ -142,16 +173,21 @@ def load_samples(path) -> SampleSet:
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                rows.append((lineno, *_parse_record(record)))
+                subject, label, frames[len(linenos)] = _parse_record(record)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    linenos, subjects, labels, frames = zip(*rows) if rows else ((),) * 4
-    del rows  # the per-line arrays now live only in the tuple the stack replaces
-    frames = np.reshape(frames, (-1, N_FRAMES, N_LANDMARKS, 2))
+            linenos.append(lineno)
+            subjects.append(subject)
+            labels.append(label)
     try:
-        return SampleSet(frames, labels, subjects)
+        columns = _checked(
+            frames[: len(linenos)],
+            np.array(labels, dtype=np.int64),
+            np.array(subjects, dtype=str),
+        )
     except SampleError as exc:
         raise ValueError(f"{path}:{linenos[exc.index]}: {exc}") from None
+    return _adopted(*columns)
 
 
 def magnify(frames: np.ndarray, alpha: float = DEFAULT_MAGNIFICATION) -> np.ndarray:
@@ -184,11 +220,11 @@ def crop_jitter(
     scale = 1.0 + draws[:, :1, None, None]
     shift = draws[:, None, None, 1:]
     center = frames[:, :1].mean(axis=2, keepdims=True)
-    return SampleSet(
+    return _adopted(*_checked(
         (frames - center) * scale + center + shift,
         np.repeat(samples.labels, copies),
         np.repeat(samples.subjects, copies),
-    )
+    ))
 
 
 def neutral_face_template() -> np.ndarray:
@@ -336,8 +372,8 @@ def synthesize_dataset(
     template = neutral_face_template()
     patterns = [MOTION_PATTERNS[name]() for name in PATTERN_NAMES[:n_classes]]
 
-    frames = []
-    for _ in range(n_subjects):
+    frames = np.empty((n_subjects * samples_per_subject, N_FRAMES, N_LANDMARKS, 2))
+    for si in range(n_subjects):
         # identity: global scale, slight aspect change, smooth per-point warp
         scale = 1.0 + rng.uniform(-0.08, 0.08)
         aspect = 1.0 + rng.uniform(-0.05, 0.05)
@@ -355,10 +391,10 @@ def synthesize_dataset(
             offset = onset + 0.4 * (apex - onset) + rng.normal(
                 0.0, 0.5 * noise_sigma, size=(N_LANDMARKS, 2)
             )
-            frames.append(np.stack([onset, apex, offset]))
+            frames[si * samples_per_subject + k] = onset, apex, offset
     subjects = [f"s{si + 1:02d}" for si in range(n_subjects)]
-    return SampleSet(
-        np.reshape(frames, (-1, N_FRAMES, N_LANDMARKS, 2)),
-        np.tile(np.arange(samples_per_subject) % n_classes, n_subjects),
+    return _adopted(*_checked(
+        frames,
+        np.tile(np.arange(samples_per_subject, dtype=np.int64) % n_classes, n_subjects),
         np.repeat(subjects, samples_per_subject),
-    )
+    ))

@@ -5,11 +5,12 @@ from __future__ import annotations
 import base64
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from .autodiff import Tensor
-from .files import atomic_write_text, read_text
+from .files import atomic_write_text, read_json
 
 CHECKPOINT_FORMAT = "megraph-params-v2"
 
@@ -103,6 +104,20 @@ class ParamStore:
         for t in self._params.values():
             t.grad = None
 
+    @contextmanager
+    def frozen(self):
+        """Switch every parameter's ``requires_grad`` off inside the block, so
+        a forward there records no tape; the flags come back on the way out."""
+        params = list(self._params.values())
+        flags = [p.requires_grad for p in params]
+        for p in params:
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p, flag in zip(params, flags):
+                p.requires_grad = flag
+
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
@@ -145,10 +160,7 @@ def write_checkpoint(state: dict[str, np.ndarray], path) -> None:
 def read_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a :func:`write_checkpoint` file or a v1 one (lists of numbers). A
     malformed file raises ValueError naming the path, and the entry if any."""
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    payload = read_json(path)
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt not in (CHECKPOINT_FORMAT, "megraph-params-v1"):
         raise ValueError(f"not a parameter checkpoint: {path}")

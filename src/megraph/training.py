@@ -216,6 +216,7 @@ def train_fold(
             row["step"] = step
             curves.append(row)
             epoch_total += breakdown.total_value * len(idx)
+            del result, breakdown  # frees this step's tape before the next forward
         epochs_run = epoch + 1
         epoch_mean = epoch_total / n
         if best - epoch_mean > opt.plateau_tol:
@@ -257,13 +258,14 @@ def evaluate(
     if not len(samples):
         raise ValueError("evaluation set is empty")
     chunks = []
-    for start in range(0, len(samples), EVAL_CHUNK):
-        chunk = slice(start, start + EVAL_CHUNK)
-        if graph is None:
-            batch = sample_graph(samples[chunk], magnification, model.selection)
-        else:
-            batch = _rows(graph, chunk)
-        chunks.append(model.forward(batch).logits.data)
+    with model.params.frozen():  # no forward here keeps a tape
+        for start in range(0, len(samples), EVAL_CHUNK):
+            chunk = slice(start, start + EVAL_CHUNK)
+            if graph is None:
+                batch = sample_graph(samples[chunk], magnification, model.selection)
+            else:
+                batch = _rows(graph, chunk)
+            chunks.append(model.forward(batch).logits.data)
     logits = np.concatenate(chunks)
     return samples.labels.tolist(), logits.argmax(axis=1).tolist(), logits.tolist()
 

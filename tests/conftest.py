@@ -1,5 +1,8 @@
 """Shared fixtures: small configurations that keep the unit tests fast."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,25 @@ def unusable_samples():
     frames[first["s02"]] = 1.0
     frames[first["s03"], 1] = 1e308
     return SampleSet(frames, samples.labels, samples.subjects), first
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes traced above the start of
+    the call; numpy reports its array buffers to tracemalloc."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

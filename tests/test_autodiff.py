@@ -451,28 +451,34 @@ class TestBackwardClosedForms:
         h = ad.mul(x, x)  # read twice below
         y = ad.sum_all(ad.add(h, h))  # dy/dh = 2, dy/dx = 4x
         y.backward()
-        np.testing.assert_array_equal(h.grad, [[2.0, 2.0]])
         np.testing.assert_array_equal(x.grad, [[4.0, 8.0]])
         y.backward()
-        # the interior node holds this pass's gradient, the leaf the sum
-        np.testing.assert_array_equal(h.grad, [[2.0, 2.0]])
+        # the leaf holds the sum of both passes; no interior node keeps one
         np.testing.assert_array_equal(x.grad, [[8.0, 16.0]])
+        assert h.grad is None and h._g is None and y._g is None
 
     def test_interrupted_backward_leaves_nothing_behind(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
+        w = Tensor([[3.0, 5.0]], requires_grad=True)
+        w.grad = np.array([[1.0, 1.0]])
         h = ad.mul(x, x)
 
         def fail(g):
             raise RuntimeError("backward rule failed")
 
         broken = ad._node(h.data.copy(), (h,), fail)
-        # h takes add's share of the gradient, then broken's rule raises
+        # w and h take add's share of the gradient, then broken's rule raises
+        loss = ad.sum_all(ad.add(ad.mul(h, w), broken))
         with pytest.raises(RuntimeError):
-            ad.sum_all(ad.add(h, broken)).backward()
-        assert h.grad is None and x.grad is None
+            loss.backward()
+        # a pass that raises changes no leaf gradient and leaves no sum behind
+        assert x.grad is None
+        np.testing.assert_array_equal(w.grad, [[1.0, 1.0]])
+        assert all(t._g is None for t in (x, w, h, broken, loss))
         ad.sum_all(h).backward()
-        np.testing.assert_array_equal(h.grad, [[1.0, 1.0]])
         np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
+        np.testing.assert_array_equal(w.grad, [[1.0, 1.0]])
+        assert h.grad is None
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
@@ -502,6 +508,19 @@ class TestBackwardClosedForms:
         # nothing to differentiate: backward is a no-op
         ad.sum_all(scaled).backward()
         assert scaled.grad is None
+
+    def test_nodes_no_gradient_reaches_keep_no_tape(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        c = ad.constant([[3.0, 4.0]])
+        scaled = ad.relu(ad.scale(c, 2.0))
+        y = ad.mul(x, scaled)
+        assert scaled._parents == () and scaled._backward is None
+        assert y._parents == (x, scaled) and y._backward is not None
+        # with x frozen the same graph keeps nothing below its root
+        x.requires_grad = False
+        frozen = ad.sum_all(ad.mul(x, scaled))
+        assert frozen._parents == () and frozen._backward is None
+        np.testing.assert_array_equal(frozen.data, -10.0)
 
     def test_nodes_carry_their_op_name(self):
         x = ad.constant(np.ones((2, 2)))
@@ -776,14 +795,61 @@ class TestGradCheck:
             forwards.append(graph)
             return forward(self, graph)
 
-        def counting_margin(loss):
+        def counting_margin(loss, *args):
             margins.append(loss)
-            return margin(loss)
+            return margin(loss, *args)
 
         monkeypatch.setattr(checks.ActionRelationNet, "forward", counting_forward)
         monkeypatch.setattr(checks, "kink_margin", counting_margin)
         entries = checks._model_entries(0, h=1e-5, tol=1e-4)
         assert len(forwards) == len(margins) + len(entries)
+
+    def test_model_check_probes_in_chunks_with_parameters_frozen(self, monkeypatch):
+        def run(chunk):
+            monkeypatch.setattr(checks, "PROBE_CHUNK", chunk)
+            tapes = []
+            forward = checks.ActionRelationNet.forward
+
+            def spy(model, graph):
+                tapes.append(any(p.requires_grad for _, p in model.params.items()))
+                return forward(model, graph)
+
+            monkeypatch.setattr(checks.ActionRelationNet, "forward", spy)
+            entries = checks._model_entries(0, h=1e-5, tol=1e-4)
+            monkeypatch.undo()
+            return entries, tapes
+
+        whole, whole_tapes = run(10**6)
+        chunked, chunked_tapes = run(5)
+        assert chunked == whole
+        # probe forwards run frozen; only the forward the backward needs has
+        # parameters that take a gradient
+        assert sum(whole_tapes) == sum(chunked_tapes) >= 1
+        per_tensor = [-(-2 * e.result.n_coords // 5) for e in whole]
+        assert len(chunked_tapes) - sum(chunked_tapes) == sum(per_tensor)
+        assert len(whole_tapes) - sum(whole_tapes) == len(whole)
+
+    def test_kink_margin_leaves_out_the_decomposition_padding_rows(self):
+        # the padding rows of the component block see only the bias, so a
+        # bias near zero put the check point's margin there; they take no
+        # gradient, and the margin must come from the other rows
+        samples = checks.synthesize_dataset(
+            n_subjects=1, samples_per_subject=3, n_classes=3, noise_sigma=0.5, seed=0
+        )
+        model = ActionRelationNet(checks.SMALL_MODEL, seed=0)
+        flat = model.params.flat()
+        flat += np.random.default_rng([0, 0]).normal(0.0, 0.15, size=flat.size)
+        model.params["actions.eyebrow.gc.b"].data[0, 0] = 1e-5
+        logits = model.forward(checks.sample_graph(samples, 3.0, model.selection)).logits
+        assert checks.kink_margin(logits) == 1e-5
+        margin = checks.kink_margin(logits, model.selection)
+        real = model.selection.component_block[0] >= 0
+        inputs = []
+        for node in checks._tape(logits):
+            if node.op in checks.KINKED_OPS:
+                x = node._parents[0].data
+                inputs.append(x[..., real, :] if x.shape[-3:-1] == real.shape else x)
+        assert margin == min(np.abs(x).min() for x in inputs) > 1e-5
 
     def test_invalid_step_is_rejected_before_any_evaluation(self):
         calls = []

@@ -192,6 +192,20 @@ BAD_INPUTS = [
             (3, "3"), (None, "null"), ("", '""'), (["s01"], '["s01"]')
         )
     ),
+    pytest.param(
+        ["config", "show", "--config", "{input}"],
+        "[" * 100_000 + "]" * 100_000,
+        "{input}: invalid JSON: maximum recursion depth exceeded while decoding "
+        "a JSON array from a unicode string",
+        id="config-too-deep",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        '{"format": "megraph-params-v2", "params": ' + "[" * 100_000,
+        "{input}: invalid JSON: maximum recursion depth exceeded while decoding "
+        "a JSON array from a unicode string",
+        id="checkpoint-too-deep",
+    ),
 ]
 
 

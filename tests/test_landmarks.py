@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -106,6 +107,25 @@ class TestLandmarkSample:
         assert samples.digests.tolist() == want
         assert len(calls) == len(samples)
 
+    def test_a_selection_copies_the_frames_once(self, monkeypatch, traced_peak):
+        samples = synthesize_dataset(n_subjects=8, samples_per_subject=25, seed=0)
+        checks = []
+        checked = megraph.landmarks._checked
+        monkeypatch.setattr(
+            megraph.landmarks, "_checked", lambda *c: checks.append(1) or checked(*c)
+        )
+        keep = samples.subjects != "s01"
+        picked, peak = traced_peak(samples.__getitem__, keep)
+        # the fancy index makes the one copy; nothing validates it again
+        assert peak < 1.5 * picked.frames.nbytes
+        assert not np.shares_memory(picked.frames, samples.frames)
+        assert np.shares_memory(samples[10:20].frames, samples.frames)
+        joined = picked.concat(samples[:25])
+        np.testing.assert_array_equal(joined.frames[-25:], samples.frames[:25])
+        assert checks == []
+        with pytest.raises(IndexError, match="select one sample"):
+            samples[3]
+
     def test_rows_and_concat_keep_columns_aligned(self):
         samples = make_samples(("s01", "s02", "s03"), labels=[2, 0, 1])
         picked = samples[np.array([2, 0])]
@@ -117,6 +137,29 @@ class TestLandmarkSample:
 
 
 class TestJsonlFiles:
+    def test_loading_holds_the_frames_once(self, tmp_path, traced_peak):
+        samples = synthesize_dataset(n_subjects=20, samples_per_subject=25, seed=0)
+        path = tmp_path / "data.jsonl"
+        save_samples(samples, path)
+        back, peak = traced_peak(load_samples, path)
+        np.testing.assert_array_equal(back.frames, samples.frames)
+        assert peak <= 1.25 * back.frames.nbytes
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_loads_like_a_file(self, tmp_path):
+        samples = make_samples(("s01", "s02"))
+        path = tmp_path / "data.jsonl"
+        save_samples(samples, path)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, path.read_bytes() + b"\n")  # within the pipe buffer
+            os.close(write_end)
+            back = load_samples(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        np.testing.assert_array_equal(back.frames, samples.frames)
+        assert back.subjects.tolist() == ["s01", "s02"]
+
     def test_save_load_round_trip(self, tmp_path):
         samples = make_samples(("s00", "s01", "s02", "s03"))
         path = tmp_path / "data.jsonl"
@@ -332,6 +375,12 @@ class TestMotionPatterns:
 
 
 class TestSynthesizeDataset:
+    def test_generating_holds_the_frames_once(self, traced_peak):
+        samples, peak = traced_peak(
+            synthesize_dataset, n_subjects=20, samples_per_subject=25, seed=0
+        )
+        assert peak <= 1.25 * samples.frames.nbytes
+
     def test_counts_subjects_and_labels(self):
         samples = synthesize_dataset(
             n_subjects=4, samples_per_subject=6, n_classes=3, seed=0

@@ -5,6 +5,7 @@ import hashlib
 import json
 import resource
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,12 +22,14 @@ from megraph.config import (
 import megraph.autodiff
 import megraph.landmarks
 import megraph.training
+from megraph.checks import _tape
 from megraph.graph import DegenerateFrameError, default_selection
 from megraph.landmarks import SampleSet, save_samples, synthesize_dataset
 from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import read_checkpoint, write_checkpoint
 from megraph.training import (
     CURVE_COLUMNS,
+    EVAL_CHUNK,
     LOSS_ROWS,
     MODULE_ROWS,
     DivergenceError,
@@ -365,6 +368,36 @@ class TestTrainFold:
                     np.random.default_rng(0), np.random.default_rng(1),
                 )
 
+    def test_a_step_frees_the_previous_steps_tape(self, monkeypatch):
+        cfg = self.small_config(
+            optimizer=OptimizerConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=2)
+        )
+        tapes = []
+        forward, total_loss = ActionRelationNet.forward, megraph.training.total_loss
+
+        def checked_forward(model, graph):
+            # no node of an earlier step's tape is alive when a forward starts
+            assert all(ref() is None for tape in tapes for ref in tape)
+            return forward(model, graph)
+
+        def recorded_loss(*args, **kwargs):
+            breakdown = total_loss(*args, **kwargs)
+            # every array on the tape but the parameters dies with it (a 0-d
+            # op on a 0-d operand leaves a numpy scalar, which has no weakref)
+            tapes.append([
+                weakref.ref(node.data) for node in _tape(breakdown.total)
+                if not node.requires_grad and isinstance(node.data, np.ndarray)
+            ])
+            return breakdown
+
+        monkeypatch.setattr(ActionRelationNet, "forward", checked_forward)
+        monkeypatch.setattr(megraph.training, "total_loss", recorded_loss)
+        outcome = train_fold(
+            *fold_inputs(cfg), cfg, np.random.default_rng(0), np.random.default_rng(1)
+        )
+        assert len(tapes) == len(outcome.curves) >= 6
+        assert all(ref() is None for tape in tapes for ref in tape)
+
     def test_plateau_stops_early(self):
         # backbone variant trains on the classification term alone, so a
         # vanishing lr freezes the epoch-mean loss entirely
@@ -383,6 +416,23 @@ class TestTrainFold:
 
 
 class TestEvaluate:
+    def test_holds_the_frames_and_one_chunk(self, monkeypatch, traced_peak):
+        samples = synthesize_dataset(n_subjects=50, samples_per_subject=20, seed=0)
+        model = ActionRelationNet(ModelConfig(), seed=0)
+        _, peak = traced_peak(evaluate, model, samples, 3.0)
+        # the forwards run frozen, so no chunk keeps a tape
+        assert peak <= samples.frames.nbytes + samples.frames[:EVAL_CHUNK].nbytes
+        assert all(p.requires_grad for _, p in model.params.items())
+
+        def fail(graph):
+            assert not any(p.requires_grad for _, p in model.params.items())
+            raise FloatingPointError("forward failed")
+
+        monkeypatch.setattr(model, "forward", fail)
+        with pytest.raises(FloatingPointError):
+            evaluate(model, samples[:3], 3.0)
+        assert all(p.requires_grad for _, p in model.params.items())
+
     def test_pure_and_ordered(self):
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=3,
                                      n_classes=3, seed=0)
