@@ -344,33 +344,37 @@ class BatteryEntry:
 KINKED_OPS = ("relu", "l1_rowsum")
 
 
-def kink_margin(loss: Tensor, selection: NodeSelection | None = None) -> float:
+def kink_margin(loss: Tensor, selection: NodeSelection) -> float:
     """Smallest distance of any rectifier or absolute-value input to its
     kink, found by walking the tape from ``loss`` and picking nodes by
     their op name.
 
     Central differences are only trustworthy when the +-h probe interval
     stays on one side of every kink, so end-to-end checks must run at a
-    point whose margin comfortably exceeds the probe's reach. Given the
-    model's node ``selection``, a kinked op over the decomposition block (a
-    ``graph_affine`` of ``gather_rows``) leaves out the block's zero padding
-    rows: they take no gradient, so their side of the kink changes nothing.
+    point whose margin comfortably exceeds the probe's reach. A kinked op
+    over the decomposition block (a ``graph_affine`` of ``gather_rows``)
+    leaves out the block's zero padding rows, which the model's node
+    ``selection`` marks: they take no gradient, so their side of the kink
+    changes nothing.
     """
-    padding = None if selection is None else selection.component_block[0] < 0
+    padding = selection.component_block[0] < 0
     margin = np.inf
     for node in _tape(loss):
         if node.op in KINKED_OPS:
             x = node._parents[0]
             values = x.data
-            over_block = x.op == "graph_affine" and x._parents[0].op == "gather_rows"
-            if padding is not None and over_block:
+            if x.op == "graph_affine" and x._parents[0].op == "gather_rows":
                 values = values[..., ~padding, :]
             margin = min(margin, float(np.abs(values).min()))
     return margin
 
 
 def _tape(loss: Tensor):
-    """Every node reachable from ``loss``, each once."""
+    """Every node reachable from ``loss`` that a gradient reaches, each once.
+    A ``loss`` no gradient reaches, such as one computed under
+    ``ParamStore.frozen()``, recorded no tape: reading it raises ValueError."""
+    if not (loss.requires_grad or loss._needs):
+        raise ValueError("no gradient reaches this loss, so it recorded no tape")
     seen: set[int] = set()
     stack = [loss]
     while stack:
@@ -378,7 +382,7 @@ def _tape(loss: Tensor):
         if id(node) in seen:
             continue
         seen.add(id(node))
-        stack.extend(node._parents)
+        stack.extend(p for p in node._parents if p.requires_grad or p._needs)
         yield node
 
 

@@ -57,15 +57,19 @@ class SampleSet:
     sets this module builds (loaded, generated, selected or joined) adopt
     the one array they fill, so each holds its frames once."""
 
-    def __init__(self, frames, labels, subjects):
-        self._adopt(*_checked(
+    def __new__(cls, frames, labels, subjects):
+        return cls._from_columns(*_checked(
             np.array(frames, dtype=np.float64),
             np.array(labels, dtype=np.int64),
             np.array(subjects, dtype=str),
         ))
 
-    def _adopt(self, frames, labels, subjects, digests=None) -> "SampleSet":
-        """Take checked columns that nothing else writes to as they are."""
+    @classmethod
+    def _from_columns(cls, frames, labels, subjects, digests=None) -> "SampleSet":
+        """A set over checked columns that nothing else writes to, taken as
+        they are; ``digests``, when given, computes its digests from another
+        set's."""
+        self = super().__new__(cls)
         for column in (frames, labels, subjects):
             column.setflags(write=False)
         self.frames, self.labels, self.subjects = frames, labels, subjects
@@ -81,11 +85,11 @@ class SampleSet:
         columns = self.frames[rows], self.labels[rows], self.subjects[rows]
         if columns[1].ndim != 1:
             raise IndexError(f"rows {rows!r} select one sample, not a set")
-        return _adopted(*columns, lambda: self.digests[rows])
+        return self._from_columns(*columns, lambda: self.digests[rows])
 
     def concat(self, other: "SampleSet") -> "SampleSet":
         """This set's samples followed by ``other``'s."""
-        return _adopted(
+        return self._from_columns(
             np.concatenate([self.frames, other.frames]),
             np.concatenate([self.labels, other.labels]),
             np.concatenate([self.subjects, other.subjects]),
@@ -100,12 +104,6 @@ class SampleSet:
             return self._digests()
         hashes = [hashlib.sha256(f.tobytes()).hexdigest() for f in self.frames]
         return np.array(hashes, dtype=str)
-
-
-def _adopted(frames, labels, subjects, digests=None) -> SampleSet:
-    """A set over checked columns that it alone holds; ``digests``, when
-    given, computes its digests from another set's."""
-    return SampleSet.__new__(SampleSet)._adopt(frames, labels, subjects, digests)
 
 
 def save_samples(samples: SampleSet, path) -> None:
@@ -148,20 +146,20 @@ def _parse_record(record) -> tuple[str, int, np.ndarray]:
 
 def load_samples(path) -> SampleSet:
     """Read UTF-8 JSON-lines samples, skipping blank lines, into one frames
-    column sized by a first count of the lines. A malformed line raises
-    ValueError naming ``path:lineno``."""
+    column sized by a first count of the lines; a pipe, which can be read
+    only once, is stacked from per-line arrays instead. A malformed line
+    raises ValueError naming ``path:lineno``."""
     linenos: list[int] = []
     subjects: list[str] = []
     labels: list[int] = []
+    rows: list[np.ndarray] = []
     with open(path, "rb") as fh:
         if fh.seekable():
             n = sum(1 for _ in fh)
             fh.seek(0)
-            lines = islice(fh, n)
-        else:  # a pipe can be read only once: hold its lines to count them
-            lines = fh.readlines()
-            n = len(lines)
-        frames = np.empty((n, N_FRAMES, N_LANDMARKS, 2))
+            frames, lines = np.empty((n, N_FRAMES, N_LANDMARKS, 2)), islice(fh, n)
+        else:  # a pipe can be read only once: keep each line's frames in rows
+            frames, lines = None, fh
         for lineno, line in enumerate(lines, start=1):
             try:
                 line = line.decode("utf-8").strip()
@@ -173,12 +171,18 @@ def load_samples(path) -> SampleSet:
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                subject, label, frames[len(linenos)] = _parse_record(record)
+                subject, label, row = _parse_record(record)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if frames is None:
+                rows.append(row)
+            else:
+                frames[len(linenos)] = row
             linenos.append(lineno)
             subjects.append(subject)
             labels.append(label)
+    if frames is None:
+        frames = np.array(rows).reshape(-1, N_FRAMES, N_LANDMARKS, 2)
     try:
         columns = _checked(
             frames[: len(linenos)],
@@ -187,7 +191,7 @@ def load_samples(path) -> SampleSet:
         )
     except SampleError as exc:
         raise ValueError(f"{path}:{linenos[exc.index]}: {exc}") from None
-    return _adopted(*columns)
+    return SampleSet._from_columns(*columns)
 
 
 def magnify(frames: np.ndarray, alpha: float = DEFAULT_MAGNIFICATION) -> np.ndarray:
@@ -220,7 +224,7 @@ def crop_jitter(
     scale = 1.0 + draws[:, :1, None, None]
     shift = draws[:, None, None, 1:]
     center = frames[:, :1].mean(axis=2, keepdims=True)
-    return _adopted(*_checked(
+    return SampleSet._from_columns(*_checked(
         (frames - center) * scale + center + shift,
         np.repeat(samples.labels, copies),
         np.repeat(samples.subjects, copies),
@@ -393,7 +397,7 @@ def synthesize_dataset(
             )
             frames[si * samples_per_subject + k] = onset, apex, offset
     subjects = [f"s{si + 1:02d}" for si in range(n_subjects)]
-    return _adopted(*_checked(
+    return SampleSet._from_columns(*_checked(
         frames,
         np.tile(np.arange(samples_per_subject, dtype=np.int64) % n_classes, n_subjects),
         np.repeat(subjects, samples_per_subject),

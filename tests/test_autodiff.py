@@ -840,16 +840,27 @@ class TestGradCheck:
         flat = model.params.flat()
         flat += np.random.default_rng([0, 0]).normal(0.0, 0.15, size=flat.size)
         model.params["actions.eyebrow.gc.b"].data[0, 0] = 1e-5
-        logits = model.forward(checks.sample_graph(samples, 3.0, model.selection)).logits
-        assert checks.kink_margin(logits) == 1e-5
+        graph = checks.sample_graph(samples, 3.0, model.selection)
+        logits = model.forward(graph).logits
         margin = checks.kink_margin(logits, model.selection)
         real = model.selection.component_block[0] >= 0
-        inputs = []
+        inputs, padded = [], []
         for node in checks._tape(logits):
             if node.op in checks.KINKED_OPS:
                 x = node._parents[0].data
-                inputs.append(x[..., real, :] if x.shape[-3:-1] == real.shape else x)
+                if x.shape[-3:-1] == real.shape:
+                    padded.append(x[..., ~real, :])
+                    x = x[..., real, :]
+                inputs.append(x)
+        assert min(np.abs(x).min() for x in padded) == 1e-5
         assert margin == min(np.abs(x).min() for x in inputs) > 1e-5
+        # a forward under frozen parameters recorded no tape to read a margin from
+        with model.params.frozen():
+            frozen = model.forward(graph).logits
+        with pytest.raises(ValueError, match="no tape"):
+            checks.kink_margin(frozen, model.selection)
+        with pytest.raises(ValueError, match="no tape"):
+            checks._batch_axes(frozen)
 
     def test_invalid_step_is_rejected_before_any_evaluation(self):
         calls = []

@@ -123,12 +123,16 @@ def test_kink_margin_of_a_batch_is_the_smallest_per_sample_margin():
         update_table=False,
     ).total
     per_sample = [
-        kink_margin(model.forward(sample_graph(samples[i : i + 1], 3.0,
-                                                model.selection)).logits)
+        kink_margin(
+            model.forward(sample_graph(samples[i : i + 1], 3.0, model.selection)).logits,
+            model.selection,
+        )
         for i in range(len(samples))
     ]
     assert np.isfinite(min(per_sample))
-    np.testing.assert_allclose(kink_margin(loss), min(per_sample), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        kink_margin(loss, model.selection), min(per_sample), rtol=0, atol=1e-12
+    )
 
 
 def test_backward_skips_the_keyframe_input():
