@@ -8,9 +8,9 @@ component into action slots, a relation stage that scores the slots over a
 complete graph and pools them, and a linear classifier head.
 
 The model runs on a stacked batch: graph building takes the samples'
-(B, 3, 68, 2) frames column and gives (B, 3, 31, 2)
-node coordinates over one shared adjacency, and every stage handles all B
-samples in one tape operation.
+(B, 3, 68, 2) frames column and gives a plain (B, 3, 31, 2) array of node
+coordinates over the one fixed landmark graph, and every stage handles all
+B samples in one tape operation.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from megraph.model import ActionRelationNet, ModelConfig
 
 samples = synthesize_dataset(n_subjects=1, samples_per_subject=4, seed=0)
 batch = build_graph(samples.frames)
-print("stacked keyframes:", batch.node_features.shape)
+print("stacked keyframes:", batch.shape)
 
 config = ModelConfig(variant="full", channels=16, n_actions=3,
                      relation_channels=16, n_classes=5)
@@ -52,7 +52,7 @@ print("recognition features:", result.recognition_feature.shape)
 print("logits:", result.logits.shape)
 print(np.round(result.logits.data, 4))
 
-# A one-sample graph runs through the same code; its logits match the
+# One sample's (3, 31, 2) features run through the same code; its logits match the
 # sample's row of the batch.
 single = model.forward(build_graph(samples.frames[0])).logits.data
 print("one-sample logits equal batch row 0:",

@@ -45,7 +45,7 @@ print(f"two-sample feature-center: {value:.6f} "
 # moves it toward each batch by EMA. Weights equal to their centers cost 0.
 table = WeightCenterTable(n_classes=3, n_rows=6, rate=0.5)
 table.update(rng.dirichlet(np.ones(6), size=3), [0, 1, 2])
-weights = ad.constant(np.stack([table.center(l).reshape(6, 1) for l in (0, 1, 2)]))
+weights = ad.constant(np.stack([table.centers[l].reshape(6, 1) for l in (0, 1, 2)]))
 value = float(weight_center_loss(weights, [0, 1, 2], table, update=False).data)
 print(f"weights at their class centers: weight-center={value}")
 

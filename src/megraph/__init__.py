@@ -20,10 +20,7 @@ from .config import (
 )
 from .graph import (
     COMPONENTS,
-    NodeSelection,
-    StGraph,
     build_graph,
-    default_selection,
     normalize_adjacency,
 )
 from .landmarks import (
@@ -71,13 +68,11 @@ __all__ = [
     "LeakageError",
     "LossWeights",
     "ModelConfig",
-    "NodeSelection",
     "OptimizerConfig",
     "ParamStore",
     "RunReport",
     "SampleSet",
     "ShapeError",
-    "StGraph",
     "SynthSpec",
     "Tensor",
     "WeightCenterTable",
@@ -87,7 +82,6 @@ __all__ = [
     "build_graph",
     "classification_loss",
     "confusion_matrix",
-    "default_selection",
     "evaluate",
     "f1_report",
     "feature_center_loss",

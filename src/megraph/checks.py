@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradCheckResult, ShapeError, Tensor
-from .graph import NodeSelection, normalize_adjacency
+from .graph import COMPONENT_BLOCK, normalize_adjacency
 from .landmarks import synthesize_dataset
 from .losses import (
     LossWeights,
@@ -344,7 +344,7 @@ class BatteryEntry:
 KINKED_OPS = ("relu", "l1_rowsum")
 
 
-def kink_margin(loss: Tensor, selection: NodeSelection) -> float:
+def kink_margin(loss: Tensor) -> float:
     """Smallest distance of any rectifier or absolute-value input to its
     kink, found by walking the tape from ``loss`` and picking nodes by
     their op name.
@@ -353,11 +353,11 @@ def kink_margin(loss: Tensor, selection: NodeSelection) -> float:
     stays on one side of every kink, so end-to-end checks must run at a
     point whose margin comfortably exceeds the probe's reach. A kinked op
     over the decomposition block (a ``graph_affine`` of ``gather_rows``)
-    leaves out the block's zero padding rows, which the model's node
-    ``selection`` marks: they take no gradient, so their side of the kink
-    changes nothing.
+    leaves out the block's zero padding rows, which
+    :data:`~megraph.graph.COMPONENT_BLOCK` marks: they take no gradient, so
+    their side of the kink changes nothing.
     """
-    padding = selection.component_block[0] < 0
+    padding = COMPONENT_BLOCK[0] < 0
     margin = np.inf
     for node in _tape(loss):
         if node.op in KINKED_OPS:
@@ -433,7 +433,7 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
         n_subjects=1, samples_per_subject=3, n_classes=3, noise_sigma=0.5, seed=seed
     )
     model = ActionRelationNet(SMALL_MODEL, seed=seed)
-    graph = sample_graph(samples, 3.0, model.selection)
+    features = sample_graph(samples, 3.0)
     labels = samples.labels
     rng = np.random.default_rng(seed)
     table = WeightCenterTable(n_classes=3, n_rows=SMALL_MODEL.n_action_rows)
@@ -442,7 +442,7 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
 
     def objective(_: Tensor) -> Tensor:
         return total_loss(
-            model.forward(graph), labels, weights, table=table, update_table=False
+            model.forward(features), labels, weights, table=table, update_table=False
         ).total
 
     def stacked(p: Tensor, batch_axes: int):
@@ -474,7 +474,7 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
         jitter = np.random.default_rng([seed, attempt])
         model.params.flat()[:] = baseline + jitter.normal(0.0, 0.15, size=baseline.size)
         loss = objective(None)
-        if kink_margin(loss, model.selection) < MIN_KINK_MARGIN:
+        if kink_margin(loss) < MIN_KINK_MARGIN:
             continue
         model.params.zero_grad()
         ad.backward(loss)

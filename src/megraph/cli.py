@@ -18,9 +18,15 @@ from pathlib import Path
 
 from .autodiff import ShapeError
 from .checks import DEFAULT_SEEDS, battery_passed, format_battery, run_battery
-from .config import ExperimentConfig, dumps_config, encode, load_config
+from .config import ExperimentConfig, dumps, encode, load_config
 from .files import atomic_write_text
-from .graph import COMPONENTS, default_selection, spatial_adjacency, template_edges
+from .graph import (
+    BRIDGES,
+    COMPONENT_INDICES,
+    NODE_INDICES,
+    spatial_adjacency,
+    template_edges,
+)
 from .landmarks import save_samples, synthesize_dataset
 from .model import ActionRelationNet, InvariantError
 from .training import (
@@ -128,17 +134,13 @@ def _cmd_synth_data(args) -> int:
 
 
 def _cmd_graph_dump(args) -> int:
-    selection = default_selection()
-    adjacency = spatial_adjacency(selection)
     payload = {
-        "components": {
-            name: list(selection.component_indices[name]) for name in COMPONENTS
-        },
-        "bridges": [list(e) for e in selection.bridges],
-        "n_nodes": selection.n_nodes,
-        "node_order": list(selection.indices),
-        "edges": [list(e) for e in template_edges(selection)],
-        "degrees": adjacency.sum(axis=1).astype(int).tolist(),
+        "components": {name: list(idx) for name, idx in COMPONENT_INDICES.items()},
+        "bridges": [list(e) for e in BRIDGES],
+        "n_nodes": len(NODE_INDICES),
+        "node_order": list(NODE_INDICES),
+        "edges": [list(e) for e in template_edges()],
+        "degrees": spatial_adjacency().sum(axis=1).astype(int).tolist(),
     }
     text = json.dumps(payload, indent=2)
     print(text)
@@ -169,7 +171,7 @@ def _cmd_model_inspect(args) -> int:
 
 
 def _cmd_config_show(args) -> int:
-    print(dumps_config(_resolve_config(args)))
+    print(dumps(_resolve_config(args)), end="")
     return 0
 
 

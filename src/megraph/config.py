@@ -187,12 +187,14 @@ class ExperimentConfig:
             raise ValueError(f"f1_average must be one of {F1_AVERAGES}")
 
 
-def dumps_config(config: ExperimentConfig) -> str:
-    return json.dumps(encode(config), indent=2, sort_keys=True)
+def dumps(obj) -> str:
+    """:func:`encode` of dataclass ``obj`` as the indented, key-sorted JSON
+    text of every artifact: configs, reports and their folds."""
+    return json.dumps(encode(obj), indent=2, sort_keys=True) + "\n"
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    atomic_write_text(path, dumps_config(config) + "\n")
+    atomic_write_text(path, dumps(config))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -128,6 +128,8 @@ def _parse_record(record) -> tuple[str, int, np.ndarray]:
         raise ValueError(
             f"subject must be a non-empty string, got {json.dumps(subject)}"
         )
+    if subject in (".", "..") or any(c in subject for c in "/\\\0"):
+        raise ValueError(f"subject must not name a path, got {json.dumps(subject)}")
     label = record["label"]
     if type(label) is not int:
         raise ValueError(f"label must be an integer, got {json.dumps(label)}")

@@ -84,9 +84,6 @@ class WeightCenterTable:
         self.mode = mode
         self.centers = np.full((n_classes, n_rows), 1.0 / n_rows)
 
-    def center(self, label: int) -> np.ndarray:
-        return self.centers[label].copy()
-
     def update(self, weights: np.ndarray, labels: Sequence[int]) -> None:
         """Fold one batch of (N, n_rows) weight vectors into the centers."""
         weights = np.asarray(weights, dtype=np.float64)

@@ -1,14 +1,19 @@
 """Landmark-graph recognition network.
 
-Three stages, each optional after the first:
+The input is a plain (3, 31, 2) array of node features from
+:func:`~megraph.graph.build_graph`, or a stacked (B, 3, 31, 2) batch; the
+graph itself is the fixed module data of :mod:`megraph.graph`. Three stages,
+each optional after the first:
 
-1. Backbone: two layers of per-frame graph convolution followed by temporal
-   convolution across the three keyframes. Layer 2's valid-width-3 temporal
-   step collapses the frame axis, leaving one feature row per node.
+1. Backbone: two layers of per-frame graph convolution over
+   :data:`~megraph.graph.ADJACENCY` followed by temporal convolution across
+   the three keyframes. Layer 2's valid-width-3 temporal step collapses the
+   frame axis, leaving one feature row per node.
 2. Action decomposition: per facial component, a learned soft assignment
    matrix distributes the component's node features onto a small set of
    action slots; each slot becomes one pooled feature row. The components
-   run as one block, padded to the widest, with their weights stacked.
+   run as one block, :data:`~megraph.graph.COMPONENT_BLOCK`, padded to the
+   widest, with their weights stacked.
 3. Relation reconstruction: a graph convolution over the complete graph of
    action slots scores each slot; the normalized scores weight the action
    features into a single recognition feature.
@@ -17,10 +22,10 @@ A linear head maps the stage output (mean-pooled over the node axis when
 the later stages are disabled) to class logits.
 
 Every stage takes one sample or a stacked batch: the forward pass of B
-samples that share an adjacency is one tape, not B of them. A parameter
-whose value is a member stack (see ``autodiff``) carries its leading member
-axes through every later stage of a stacked batch, down to (P, B, K)
-logits: one forward evaluates P variants of the model.
+samples is one tape, not B of them. A parameter whose value is a member
+stack (see ``autodiff``) carries its leading member axes through every
+later stage of a stacked batch, down to (P, B, K) logits: one forward
+evaluates P variants of the model.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import (
+    ADJACENCY,
+    COMPONENT_BLOCK,
     COMPONENTS,
-    NodeSelection,
-    StGraph,
-    default_selection,
+    NODE_INDICES,
+    SUBGRAPHS,
     normalize_adjacency,
 )
 from .params import ParamStore
@@ -87,7 +93,7 @@ class ModelConfig:
 class ForwardResult:
     """Logits plus the intermediates the auxiliary losses consume.
 
-    Shapes are for a stacked batch of B samples; a one-sample graph gives
+    Shapes are for a stacked batch of B samples; one sample's input gives
     the same shapes without the leading B, except logits and the
     recognition feature, which keep B = 1. A member-stacked parameter puts
     its member axes in front of every output it reaches.
@@ -119,15 +125,8 @@ class ActionRelationNet:
     are plain name -> array maps and the optimizer needs no structure.
     """
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        selection: NodeSelection | None = None,
-        seed: int | np.random.Generator = 0,
-    ):
+    def __init__(self, config: ModelConfig, seed: int | np.random.Generator = 0):
         self.config = config
-        self.selection = selection or default_selection()
-        self.subgraphs = self.selection.subgraphs
         self.relation_adj = relation_adjacency(config.n_action_rows)
         self.params = ParamStore()
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -171,10 +170,9 @@ class ActionRelationNet:
 
     # -- stages ------------------------------------------------------------
 
-    def backbone(self, graph: StGraph) -> Tensor:
+    def backbone(self, frames: np.ndarray) -> Tensor:
         """(..., 3, 31, 2) keyframe coordinates -> (..., 31, C_1) node features."""
-        frames = graph.node_features
-        expected = (3, self.selection.n_nodes, N_FRAME_COORDS)
+        expected = (3, len(NODE_INDICES), N_FRAME_COORDS)
         if frames.ndim not in (3, 4) or frames.shape[-3:] != expected:
             raise ad.ShapeError(
                 f"backbone: expected {expected} or (B, *{expected}) node "
@@ -184,7 +182,7 @@ class ActionRelationNet:
         # width-3 temporal convolutions: layer 1 keeps the three frames
         # (missing neighbors contribute nothing), layer 2 collapses them
         for padding, gc_w, gc_b, taps, tc_b in self._backbone_layers:
-            x = ad.relu(ad.graph_affine(graph.adjacency, x, gc_w, gc_b))
+            x = ad.relu(ad.graph_affine(ADJACENCY, x, gc_w, gc_b))
             x = ad.temporal_conv(x, taps, tc_b, padding)
         return ad.reshape(x, x.shape[:-3] + x.shape[-2:])
 
@@ -196,7 +194,7 @@ class ActionRelationNet:
         unit mass over the slots. All components run as one block whose
         zero padding rows add exact zeros to the slots and take no gradient.
         """
-        p, (rows, adj) = self.params, self.selection.component_block
+        p, (rows, adj) = self.params, COMPONENT_BLOCK
         gc_w, gc_b, mix_w, mix_b = (
             ad.stack([p[f"actions.{comp}.{name}"] for comp in COMPONENTS])
             for name in ("gc.w", "gc.b", "mix.w", "mix.b")
@@ -208,7 +206,7 @@ class ActionRelationNet:
             raise InvariantError("assignment rows do not sum to 1")
         maps = {
             sub.component: ad.constant(assign.data[..., i, : len(sub.indices), :])
-            for i, sub in enumerate(self.subgraphs)
+            for i, sub in enumerate(SUBGRAPHS)
         }
         pooled = ad.matmul(ad.transpose(assign), x)  # (..., 3, N_a, C_1)
         return ad.reshape(pooled, pooled.shape[:-3] + (-1, pooled.shape[-1])), maps
@@ -249,11 +247,11 @@ class ActionRelationNet:
 
     # -- composition ---------------------------------------------------------
 
-    def forward(self, graph: StGraph) -> ForwardResult:
-        """Run every stage of the variant on one sample's graph, whose node
-        features are (3, 31, 2), or on a stacked batch, (B, 3, 31, 2)."""
-        batched = graph.node_features.ndim == 4
-        node_features = self.backbone(graph)
+    def forward(self, features: np.ndarray) -> ForwardResult:
+        """Run every stage of the variant on one sample's node features,
+        (3, 31, 2), or on a stacked batch, (B, 3, 31, 2)."""
+        batched = features.ndim == 4
+        node_features = self.backbone(features)
         if self.config.variant == "backbone":
             pooled = _per_sample(ad.mean_rows(node_features), batched)
             return ForwardResult(

@@ -35,9 +35,6 @@ class ParamStore:
         self._views: list[np.ndarray] = []  # the .data each parameter holds
         self._flat, self._velocity = np.zeros(0), np.zeros(0)
 
-    def create(self, name: str, shape, rng=None, init: str = "glorot") -> Tensor:
-        return self.create_many([(name, shape, init)], rng)[0]
-
     def create_many(self, specs, rng: np.random.Generator | None = None) -> list[Tensor]:
         """Create one parameter per ``(name, shape, init)`` spec, drawing
         from ``rng`` in spec order, and grow the vectors once."""
@@ -77,9 +74,6 @@ class ParamStore:
 
     def __len__(self) -> int:
         return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return self._params.items()

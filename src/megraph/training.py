@@ -5,16 +5,16 @@ machine produce bit-identical reports and checkpoints. All randomness flows
 from seed sequences derived from the config seed; fold order is the sorted
 subject order; wall_time is the only nondeterministic report field and is
 excluded from the canonical report form. A run preprocesses its
-:class:`~megraph.landmarks.SampleSet` once (:func:`sample_graph`); a LOSO
-fold is a held-out mask over that stack, and only its jittered training
-copies are preprocessed and hashed for the leakage check per fold.
+:class:`~megraph.landmarks.SampleSet` once (:func:`sample_graph`) into one
+plain (N, 3, 31, 2) array of node features; a LOSO fold is a held-out mask
+over the samples and their rows, and only its jittered training copies are
+preprocessed and hashed for the leakage check per fold.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
-import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import ExperimentConfig, encode, save_config
+from .config import ExperimentConfig, dumps, encode, save_config
 from .files import atomic_write, atomic_write_text
-from .graph import DegenerateFrameError, StGraph, build_graph, default_selection
+from .graph import DegenerateFrameError, build_graph
 from .landmarks import (
     SampleSet,
     crop_jitter,
@@ -104,36 +104,30 @@ def release_cycles() -> None:
     gc.collect()
 
 
-def sample_graph(samples: SampleSet, magnification: float, selection) -> StGraph:
-    """Preprocessing pipeline: magnify motion, then build one graph with node
-    features (N, 3, 31, 2). A sample whose magnified coordinates overflow or
-    whose onset has no extent is rejected by subject."""
+def sample_graph(samples: SampleSet, magnification: float) -> np.ndarray:
+    """Preprocessing pipeline: magnify motion, then build the (N, 3, 31, 2)
+    node features. A sample whose magnified coordinates overflow or whose
+    onset has no extent is rejected by subject."""
     frames = magnify(samples.frames, magnification)
     finite = np.isfinite(frames).all(axis=(1, 2, 3))
     if not finite.all():
         bad = samples.subjects[finite.argmin()]
         raise ValueError(f"sample '{bad}': non-finite coordinates")
     try:
-        return build_graph(frames, selection=selection)
+        return build_graph(frames)
     except DegenerateFrameError as exc:
         raise DegenerateFrameError(exc.index, samples.subjects[exc.index]) from None
 
 
-def _rows(graph: StGraph, rows) -> StGraph:
-    """The graph of the samples at ``rows`` of a stacked graph."""
-    return replace(graph, node_features=graph.node_features[rows])
-
-
-def _with_copies(samples: SampleSet, graph: StGraph, cfg: ExperimentConfig, rng):
+def _with_copies(samples: SampleSet, features: np.ndarray, cfg: ExperimentConfig, rng):
     """The samples followed by ``cfg.augment.copies`` jittered copies of
-    each, and their graph. ``graph`` holds the originals, so only the
-    copies are preprocessed here."""
+    each, and their node features. ``features`` holds the originals', so
+    only the copies are preprocessed here."""
     if cfg.augment.copies == 0:
-        return samples, graph
+        return samples, features
     copies = crop_jitter(samples, rng, **encode(cfg.augment))
-    extra = sample_graph(copies, cfg.magnification, graph.selection)
-    features = np.concatenate([graph.node_features, extra.node_features])
-    return samples.concat(copies), replace(graph, node_features=features)
+    extra = sample_graph(copies, cfg.magnification)
+    return samples.concat(copies), np.concatenate([features, extra])
 
 
 def _batch_slices(n: int, batch_size: int, merge_tail: bool) -> list[slice]:
@@ -156,7 +150,7 @@ class TrainOutcome:
 
 
 def train_fold(
-    graph: StGraph,
+    features: np.ndarray,
     labels: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
@@ -164,7 +158,7 @@ def train_fold(
     context: str = "training",
 ) -> TrainOutcome:
     """Run epochs of mini-batch descent on one training set, given as its
-    preprocessed graph (see :func:`sample_graph`) and its labels.
+    preprocessed node features (see :func:`sample_graph`) and its labels.
 
     Losses the configured variant cannot produce inputs for are dropped
     before training starts. Stops early once the epoch-mean loss plateaus.
@@ -201,7 +195,7 @@ def train_fold(
         for sl in _batch_slices(n, opt.batch_size, merge_tail=needs_pairs):
             idx = order[sl]
             try:
-                result = model.forward(_rows(graph, idx))
+                result = model.forward(features[idx])
                 breakdown = total_loss(
                     result, labels[idx], eff, table=table, update_table=True
                 )
@@ -248,12 +242,13 @@ def evaluate(
     model: ActionRelationNet,
     samples: SampleSet,
     magnification: float,
-    graph: StGraph | None = None,
+    features: np.ndarray | None = None,
 ):
     """Argmax predictions without augmentation or any state mutation.
 
-    ``graph`` is the samples' stacked graph when the caller has already
-    preprocessed them; otherwise each chunk is preprocessed on its own.
+    ``features`` are the samples' node features when the caller has
+    already preprocessed them; otherwise each chunk is preprocessed on its
+    own.
     """
     if not len(samples):
         raise ValueError("evaluation set is empty")
@@ -261,10 +256,10 @@ def evaluate(
     with model.params.frozen():  # no forward here keeps a tape
         for start in range(0, len(samples), EVAL_CHUNK):
             chunk = slice(start, start + EVAL_CHUNK)
-            if graph is None:
-                batch = sample_graph(samples[chunk], magnification, model.selection)
+            if features is None:
+                batch = sample_graph(samples[chunk], magnification)
             else:
-                batch = _rows(graph, chunk)
+                batch = features[chunk]
             chunks.append(model.forward(batch).logits.data)
     logits = np.concatenate(chunks)
     return samples.labels.tolist(), logits.argmax(axis=1).tolist(), logits.tolist()
@@ -299,9 +294,9 @@ def _without_wall_time(report) -> dict:
     return d
 
 
-def _fold_report(subject, model, samples, config, epochs_run, graph=None):
+def _fold_report(subject, model, samples, config, epochs_run, features=None):
     """Score ``model`` on ``samples`` as one fold of a run."""
-    y_true, y_pred, logits = evaluate(model, samples, config.magnification, graph)
+    y_true, y_pred, logits = evaluate(model, samples, config.magnification, features)
     acc = accuracy(y_true, y_pred)
     return FoldReport(subject, y_true, y_pred, logits, acc, epochs_run)
 
@@ -337,7 +332,7 @@ def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
     samples = prepare_samples(config)
     folds = loso_split(samples)
     children = np.random.SeedSequence(config.seed).spawn(len(folds))
-    graph = sample_graph(samples, config.magnification, default_selection())
+    features = sample_graph(samples, config.magnification)
 
     fold_reports: list[FoldReport] = []
     all_curves: list[tuple[str, dict]] = []
@@ -346,12 +341,12 @@ def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
         data_ss, model_ss = ss.spawn(2)
         rng = np.random.default_rng(data_ss)
         test = samples[held_out]
-        train, train_graph = _with_copies(
-            samples[~held_out], _rows(graph, ~held_out), config, rng
+        train, train_features = _with_copies(
+            samples[~held_out], features[~held_out], config, rng
         )
         check_no_leakage(train, test)
         outcome = train_fold(
-            train_graph,
+            train_features,
             train.labels,
             config,
             rng,
@@ -360,7 +355,7 @@ def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
         )
         fold_reports.append(
             _fold_report(subject, outcome.model, test, config,
-                         outcome.epochs_run, _rows(graph, held_out))
+                         outcome.epochs_run, features[held_out])
         )
         all_curves.extend((subject, row) for row in outcome.curves)
         checkpoints[f"fold_{subject}"] = outcome.model.params.state_dict()
@@ -387,13 +382,13 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunReport:
     master = np.random.SeedSequence(config.seed)
     data_ss, model_ss = master.spawn(2)
     rng = np.random.default_rng(data_ss)
-    graph = sample_graph(samples, config.magnification, default_selection())
-    train, train_graph = _with_copies(samples, graph, config, rng)
+    features = sample_graph(samples, config.magnification)
+    train, train_features = _with_copies(samples, features, config, rng)
     outcome = train_fold(
-        train_graph, train.labels, config, rng, np.random.default_rng(model_ss)
+        train_features, train.labels, config, rng, np.random.default_rng(model_ss)
     )
     report = _fold_report(
-        "(all)", outcome.model, samples, config, outcome.epochs_run, graph
+        "(all)", outcome.model, samples, config, outcome.epochs_run, features
     )
     run = _run_report(config, [report], t0)
     if out_dir is not None:
@@ -469,10 +464,6 @@ def write_curves(path, curves: list[tuple[str, dict]]) -> None:
             writer.writerow([subject] + [repr(row[c]) for c in CURVE_COLUMNS])
 
 
-def _dumps(obj) -> str:
-    return json.dumps(encode(obj), indent=2, sort_keys=True) + "\n"
-
-
 def write_run_dir(out_dir, config, run, curves, checkpoints) -> None:
     """Lay out config.json, folds/, report.json, report.txt, curves.csv,
     checkpoints/ under one directory; each file is written atomically."""
@@ -482,8 +473,8 @@ def write_run_dir(out_dir, config, run, curves, checkpoints) -> None:
     save_config(config, out / "config.json")
     for fr in run.folds:
         name = fr.subject.strip("()") or "fold"
-        atomic_write_text(out / "folds" / f"{name}.json", _dumps(fr))
-    atomic_write_text(out / "report.json", _dumps(run))
+        atomic_write_text(out / "folds" / f"{name}.json", dumps(fr))
+    atomic_write_text(out / "report.json", dumps(run))
     atomic_write_text(out / "report.txt", format_report(run))
     write_curves(out / "curves.csv", curves)
     for name, state in checkpoints.items():
@@ -575,7 +566,7 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_config(config, out / "config.json")
-        atomic_write_text(out / "ablation.json", _dumps(report))
+        atomic_write_text(out / "ablation.json", dumps(report))
         atomic_write_text(out / "ablation.txt", format_ablation(report))
     return report
 

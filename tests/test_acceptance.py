@@ -18,7 +18,7 @@ import numpy as np
 import megraph.autodiff as ad
 from megraph.checks import DEFAULT_SEEDS, battery_passed, run_battery
 from megraph.config import ExperimentConfig, OptimizerConfig, SynthSpec
-from megraph.graph import build_graph
+from megraph.graph import SUBGRAPHS, build_graph
 from megraph.landmarks import (
     crop_jitter,
     load_samples,
@@ -155,7 +155,7 @@ def loop_affine(adj, x, w, b):
 def oracle_decompose(model, x):
     p = model.params
     pooled = []
-    for sub in model.subgraphs:
+    for sub in SUBGRAPHS:
         start, stop = sub.rows
         x_o = x[start:stop]
         hidden = loop_relu(
@@ -261,7 +261,7 @@ class TestAcceptance:
         with criterion(2, "shape fidelity"):
             model = ActionRelationNet(ModelConfig(), seed=3)
             na, c1, k = 3, 16, 5
-            spans = [sub.rows[1] - sub.rows[0] for sub in model.subgraphs]
+            spans = [sub.rows[1] - sub.rows[0] for sub in SUBGRAPHS]
             assert spans == [10, 9, 12]
             for seed in range(10):
                 frames = synthesize_dataset(
@@ -380,7 +380,7 @@ class TestAcceptance:
             table = WeightCenterTable(n_classes=3, n_rows=6)
             table.update(rng.dirichlet(np.ones(6), size=3), [0, 1, 2])
             labels = [0, 1, 2, 1]
-            weights = ad.constant(np.stack([table.center(l).reshape(6, 1)
+            weights = ad.constant(np.stack([table.centers[l].reshape(6, 1)
                                             for l in labels]))
             value = weight_center_loss(weights, labels, table, update=False)
             assert float(value.data) == 0.0

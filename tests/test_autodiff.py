@@ -15,6 +15,7 @@ import pytest
 import megraph.autodiff as ad
 from megraph import checks
 from megraph.autodiff import ShapeError, Tensor
+from megraph.graph import COMPONENT_BLOCK
 from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import ParamStore, read_checkpoint, sgd_step, write_checkpoint
 
@@ -840,10 +841,10 @@ class TestGradCheck:
         flat = model.params.flat()
         flat += np.random.default_rng([0, 0]).normal(0.0, 0.15, size=flat.size)
         model.params["actions.eyebrow.gc.b"].data[0, 0] = 1e-5
-        graph = checks.sample_graph(samples, 3.0, model.selection)
-        logits = model.forward(graph).logits
-        margin = checks.kink_margin(logits, model.selection)
-        real = model.selection.component_block[0] >= 0
+        features = checks.sample_graph(samples, 3.0)
+        logits = model.forward(features).logits
+        margin = checks.kink_margin(logits)
+        real = COMPONENT_BLOCK[0] >= 0
         inputs, padded = [], []
         for node in checks._tape(logits):
             if node.op in checks.KINKED_OPS:
@@ -856,9 +857,9 @@ class TestGradCheck:
         assert margin == min(np.abs(x).min() for x in inputs) > 1e-5
         # a forward under frozen parameters recorded no tape to read a margin from
         with model.params.frozen():
-            frozen = model.forward(graph).logits
+            frozen = model.forward(features).logits
         with pytest.raises(ValueError, match="no tape"):
-            checks.kink_margin(frozen, model.selection)
+            checks.kink_margin(frozen)
         with pytest.raises(ValueError, match="no tape"):
             checks._batch_axes(frozen)
 
@@ -886,7 +887,7 @@ class TestGradCheck:
 
 def assert_views(store: ParamStore) -> None:
     """Every parameter's .data is a view into one vector, in creation order."""
-    base = store[store.names()[0]].data.base
+    base = next(iter(store.items()))[1].data.base
     assert base.ndim == 1 and base.size == store.n_values()
     for _, p in store.items():
         assert p.data.base is base
@@ -899,20 +900,20 @@ class TestParamStore:
     def test_create_and_lookup(self):
         rng = np.random.default_rng(42)
         store = ParamStore()
-        w = store.create("w", (3, 2), rng=rng)
-        b = store.create("b", (1, 2), init="zeros")
-        assert store.names() == ["w", "b"]
+        w = store.create_many([("w", (3, 2), "glorot")], rng)[0]
+        b = store.create_many([("b", (1, 2), "zeros")])[0]
+        assert list(dict(store.items())) == ["w", "b"]
         assert store["w"] is w
         assert "b" in store and len(store) == 2
         assert store.n_values() == 8
         np.testing.assert_array_equal(b.data, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            store.create("w", (3, 2), rng=rng)
+            store.create_many([("w", (3, 2), "glorot")], rng)
 
     def test_state_dict_round_trip_and_mismatch(self):
         rng = np.random.default_rng(42)
         store = ParamStore()
-        store.create("w", (2, 2), rng=rng)
+        store.create_many([("w", (2, 2), "glorot")], rng)
         state = store.state_dict()
         state["w"][0, 0] = 123.0
         store.load_state_dict(state)
@@ -926,8 +927,8 @@ class TestParamStore:
     def test_failed_load_changes_nothing(self):
         rng = np.random.default_rng(42)
         store = ParamStore()
-        store.create("w", (2, 2), rng=rng)
-        store.create("b", (1, 2), rng=rng)
+        store.create_many([("w", (2, 2), "glorot")], rng)
+        store.create_many([("b", (1, 2), "glorot")], rng)
         before = store.state_dict()
         with pytest.raises(ValueError, match="'b'"):
             store.load_state_dict({"w": np.ones((2, 2)), "b": np.ones((2, 1))})
@@ -950,7 +951,7 @@ class TestParamStore:
 
     def test_rebound_data_is_copied_in_or_named(self):
         store = ParamStore()
-        p = store.create("layer.w", (2, 2), init="zeros")
+        p = store.create_many([("layer.w", (2, 2), "zeros")])[0]
         p.data = np.ones((2, 2))
         assert np.array_equal(store.flat(), np.ones(4))
         assert_views(store)
@@ -976,15 +977,15 @@ class TestParamStore:
         specs = [("a.w", (3, 2), "glorot"), ("a.b", (1, 2), "zeros"),
                  ("c.w", (2, 4), "glorot"), ("d", (4,), "glorot")]
         one = ParamStore()
-        one.create("first", (2, 2), rng=np.random.default_rng(5))
+        one.create_many([("first", (2, 2), "glorot")], np.random.default_rng(5))
         made = one.create_many(specs, np.random.default_rng(7))
         seq = ParamStore()
-        seq.create("first", (2, 2), rng=np.random.default_rng(5))
+        seq.create_many([("first", (2, 2), "glorot")], np.random.default_rng(5))
         rng = np.random.default_rng(7)
         for name, shape, init in specs:
-            seq.create(name, shape, rng=rng, init=init)
+            seq.create_many([(name, shape, init)], rng)
         assert made == [one[name] for name, _, _ in specs]
-        assert one.names() == seq.names()
+        assert list(dict(one.items())) == list(dict(seq.items()))
         assert one.flat().tobytes() == seq.flat().tobytes()
         assert one._velocity.size == seq._velocity.size == one.n_values()
         assert_views(one)
@@ -992,7 +993,7 @@ class TestParamStore:
 
     def test_create_many_checks_every_spec_before_changing_anything(self):
         store = ParamStore()
-        store.create("w", (2, 2), rng=np.random.default_rng(0))
+        store.create_many([("w", (2, 2), "glorot")], np.random.default_rng(0))
         before = store.flat().copy()
         rng = np.random.default_rng(1)
         for specs in ([("x", (1, 1), "glorot"), ("w", (1, 1), "zeros")],
@@ -1002,7 +1003,7 @@ class TestParamStore:
                 store.create_many(specs, rng)
         with pytest.raises(ValueError, match="needs an rng"):
             store.create_many([("x", (1, 1), "glorot")])
-        assert store.names() == ["w"]
+        assert list(dict(store.items())) == ["w"]
         assert np.array_equal(store.flat(), before)
         assert_views(store)
 
@@ -1010,9 +1011,9 @@ class TestParamStore:
     def test_glorot_without_fans_names_the_parameter(self, shape):
         store = ParamStore()
         with pytest.raises(ValueError, match="parameter 'layer.w'"):
-            store.create("layer.w", shape, rng=np.random.default_rng(0))
+            store.create_many([("layer.w", shape, "glorot")], np.random.default_rng(0))
         assert len(store) == 0
-        assert store.create("layer.b", shape, init="zeros").shape == shape
+        assert store.create_many([("layer.b", shape, "zeros")])[0].shape == shape
 
     @pytest.mark.parametrize("variant", ["backbone", "actions", "full"])
     def test_a_model_build_allocates_its_vector_once(self, monkeypatch, variant):
@@ -1081,7 +1082,7 @@ class TestParamStore:
 class TestSgd:
     def test_momentum_recurrence_matches_manual_update(self):
         store = ParamStore()
-        p = store.create("p", (1, 1), init="zeros")
+        p = store.create_many([("p", (1, 1), "zeros")])[0]
         p.data = np.array([[1.0]])
         lr, mom = 0.1, 0.9
 
@@ -1101,7 +1102,7 @@ class TestSgd:
         rng = np.random.default_rng(42)
         target = rng.normal(size=(2, 3))
         store = ParamStore()
-        x = store.create("x", (2, 3), rng=rng)
+        x = store.create_many([("x", (2, 3), "glorot")], rng)[0]
         for _ in range(200):
             loss = ad.sq_frobenius(ad.sub(x, ad.constant(target)))
             loss.backward()
@@ -1110,7 +1111,7 @@ class TestSgd:
 
     def test_non_finite_gradient_names_the_parameter(self):
         store = ParamStore()
-        p = store.create("layer.w", (1, 1), init="zeros")
+        p = store.create_many([("layer.w", (1, 1), "zeros")])[0]
         p.grad = np.array([[np.nan]])
         with pytest.raises(FloatingPointError, match="layer.w"):
             sgd_step(store, lr=0.1)

@@ -8,7 +8,7 @@ import pytest
 
 import megraph.autodiff as ad
 from megraph.checks import _batch_axes, kink_margin
-from megraph.graph import StGraph, build_graph
+from megraph.graph import build_graph
 from megraph.landmarks import synthesize_dataset
 from megraph.losses import LossWeights, WeightCenterTable, total_loss
 from megraph.model import VARIANTS, ActionRelationNet, ModelConfig
@@ -23,33 +23,20 @@ def small(variant):
     )
 
 
-def graphs_with_a_dead_sample(n):
-    """n one-sample graphs; for n >= 2 the second is all zero, which drives
-    every relation weight of a fresh full model to zero."""
+def features_with_a_dead_sample(n):
+    """n one-sample node features; for n >= 2 the second is all zero, which
+    drives every relation weight of a fresh full model to zero."""
     samples = synthesize_dataset(n_subjects=1, samples_per_subject=n, seed=3)
-    graphs = [build_graph(f) for f in samples.frames]
+    features = [build_graph(f) for f in samples.frames]
     if n >= 2:
-        graphs[1] = StGraph(
-            selection=graphs[0].selection,
-            adjacency=graphs[0].adjacency,
-            node_features=np.zeros((3, 31, 2)),
-        )
-    return graphs
+        features[1] = np.zeros((3, 31, 2))
+    return features
 
 
-def stacked(graphs):
-    """One batched graph over the shared adjacency of one-sample graphs."""
-    return StGraph(
-        selection=graphs[0].selection,
-        adjacency=graphs[0].adjacency,
-        node_features=np.stack([g.node_features for g in graphs]),
-    )
-
-
-def forward_counting_fallbacks(model, graph):
+def forward_counting_fallbacks(model, features):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = model.forward(graph)
+        result = model.forward(features)
     return result, sum(FALLBACK in str(w.message) for w in caught)
 
 
@@ -57,11 +44,11 @@ def forward_counting_fallbacks(model, graph):
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_batched_forward_equals_one_sample_forwards(variant, n):
     model = ActionRelationNet(small(variant), seed=1)
-    graphs = graphs_with_a_dead_sample(n)
-    batch, batch_fallbacks = forward_counting_fallbacks(model, stacked(graphs))
+    features = features_with_a_dead_sample(n)
+    batch, batch_fallbacks = forward_counting_fallbacks(model, np.stack(features))
     assert batch.logits.shape == (n, 3)
 
-    singles = [forward_counting_fallbacks(model, g) for g in graphs]
+    singles = [forward_counting_fallbacks(model, f) for f in features]
     assert batch_fallbacks == sum(count for _, count in singles)
     if variant == "full" and n >= 2:
         assert batch_fallbacks == 1
@@ -102,7 +89,7 @@ def test_chunked_evaluate_equals_per_sample_logits():
     y_true, y_pred, logits = evaluate(model, samples, magnification=3.0)
     assert y_true == samples.labels.tolist()
     for i, (pred, row) in enumerate(zip(y_pred, logits)):
-        one = model.forward(sample_graph(samples[i : i + 1], 3.0, model.selection))
+        one = model.forward(sample_graph(samples[i : i + 1], 3.0))
         one = one.logits.data[0]
         np.testing.assert_allclose(row, one, atol=1e-12)
         assert pred == int(np.argmax(row))
@@ -116,29 +103,26 @@ def test_kink_margin_of_a_batch_is_the_smallest_per_sample_margin():
     labels = samples.labels
     table = WeightCenterTable(n_classes=3, n_rows=small("full").n_action_rows)
     loss = total_loss(
-        model.forward(sample_graph(samples, 3.0, model.selection)),
+        model.forward(sample_graph(samples, 3.0)),
         labels,
         LossWeights(feature_center=1.0, weight_center=1.0, balance=0.1),
         table=table,
         update_table=False,
     ).total
     per_sample = [
-        kink_margin(
-            model.forward(sample_graph(samples[i : i + 1], 3.0, model.selection)).logits,
-            model.selection,
-        )
+        kink_margin(model.forward(sample_graph(samples[i : i + 1], 3.0)).logits)
         for i in range(len(samples))
     ]
     assert np.isfinite(min(per_sample))
     np.testing.assert_allclose(
-        kink_margin(loss, model.selection), min(per_sample), rtol=0, atol=1e-12
+        kink_margin(loss), min(per_sample), rtol=0, atol=1e-12
     )
 
 
 def test_backward_skips_the_keyframe_input():
     model = ActionRelationNet(small("full"), seed=0)
-    graph = stacked(graphs_with_a_dead_sample(3)[::2])
-    loss = ad.cross_entropy(model.forward(graph).logits, np.array([0, 1]))
+    features = np.stack(features_with_a_dead_sample(3)[::2])
+    loss = ad.cross_entropy(model.forward(features).logits, np.array([0, 1]))
     seen, stack, leaves = set(), [loss], []
     while stack:
         node = stack.pop()
@@ -147,7 +131,7 @@ def test_backward_skips_the_keyframe_input():
             stack.extend(node._parents)
             if not node._parents:
                 leaves.append(node)
-    (frames,) = [t for t in leaves if t.shape == graph.node_features.shape]
+    (frames,) = [t for t in leaves if t.shape == features.shape]
     assert not frames.requires_grad and not frames._needs
     loss.backward()
     assert frames.grad is None
@@ -156,10 +140,8 @@ def test_backward_skips_the_keyframe_input():
 
 def test_backbone_rejects_a_wrong_batch_shape():
     model = ActionRelationNet(small("full"), seed=0)
-    graph = stacked(graphs_with_a_dead_sample(1))
-    graph.node_features = np.zeros((2, 2, 3, 31, 2))
     with pytest.raises(ad.ShapeError):
-        model.backbone(graph)
+        model.backbone(np.zeros((2, 2, 3, 31, 2)))
 
 
 # parameters at every stage, with the batch axes of the operand each meets
@@ -181,7 +163,7 @@ def test_member_stacked_loss_equals_one_evaluation_per_member(name):
     samples = synthesize_dataset(
         n_subjects=1, samples_per_subject=3, n_classes=3, seed=2
     )
-    graph = sample_graph(samples, 3.0, model.selection)
+    features = sample_graph(samples, 3.0)
     labels = samples.labels
     table = WeightCenterTable(n_classes=3, n_rows=6)
     table.update(np.random.default_rng(2).dirichlet(np.ones(6), size=3), [0, 1, 2])
@@ -189,7 +171,7 @@ def test_member_stacked_loss_equals_one_evaluation_per_member(name):
 
     def loss():
         return total_loss(
-            model.forward(graph), labels, weights, table=table, update_table=False
+            model.forward(features), labels, weights, table=table, update_table=False
         )
 
     p = model.params[name]
@@ -211,23 +193,23 @@ def test_member_stacked_loss_equals_one_evaluation_per_member(name):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_one_sample_member_stack_keeps_its_sample_axis(variant):
-    # members of a parameter stack on a one-sample (3, 31, 2) graph are not
+    # members of a parameter stack on one sample's (3, 31, 2) features are not
     # samples: the logits are (P, 1, K), member m equal to its own forward
     model = ActionRelationNet(small(variant), seed=2)
     samples = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=2)
-    graph = build_graph(samples.frames[0])
+    features = build_graph(samples.frames[0])
     p = model.params["backbone.l1.gc.w"]
     base = p.data
-    assert model.forward(graph).logits.shape == (1, 3)
+    assert model.forward(features).logits.shape == (1, 3)
     members = base + np.random.default_rng(5).normal(0.0, 0.3, size=(5,) + base.shape)
     p.data = members[:, None]  # one singleton for the frame axis
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        logits = model.forward(graph).logits.data
+        logits = model.forward(features).logits.data
         assert logits.shape == (5, 1, 3)
         for m in range(5):
             p.data = members[m]
-            assert np.array_equal(logits[m], model.forward(graph).logits.data)
+            assert np.array_equal(logits[m], model.forward(features).logits.data)
 
 
 def test_member_axes_follow_the_operand_each_parameter_meets():
@@ -235,7 +217,7 @@ def test_member_axes_follow_the_operand_each_parameter_meets():
     samples = synthesize_dataset(
         n_subjects=1, samples_per_subject=3, n_classes=3, seed=2
     )
-    logits = model.forward(sample_graph(samples, 3.0, model.selection)).logits
+    logits = model.forward(sample_graph(samples, 3.0)).logits
     axes = _batch_axes(ad.sum_all(logits))
     for name, n in MEMBER_PARAMS.items():
         assert axes[id(model.params[name])] == n

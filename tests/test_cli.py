@@ -24,6 +24,7 @@ from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import read_checkpoint, write_checkpoint
 
 V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.json"
+GRAPH_DUMP = Path(__file__).parent / "data" / "graph_dump.json"
 GOOD_RECORD = {
     "subject": "s01",
     "label": 0,
@@ -133,7 +134,7 @@ BAD_INPUTS = [
         ["evaluate", "--checkpoint", "{input}"],
         CHECKPOINT_V2 % '{"head.w": {"shape": [1], "values": "%s"}}' % _b64(0.5),
         "{input}: parameter name mismatch: missing=%s extra=[]"
-        % sorted(set(ActionRelationNet(ModelConfig()).params.names()) - {"head.w"}),
+        % sorted(set(dict(ActionRelationNet(ModelConfig()).params.items())) - {"head.w"}),
         id="checkpoint-name-mismatch",
     ),
     pytest.param(
@@ -235,6 +236,10 @@ class TestIntrospectionCommands:
         assert len(payload["components"]["mouth"]) == 12
         assert [21, 27] in payload["bridges"]
         assert len(payload["degrees"]) == 31
+
+    def test_graph_dump_is_the_fixed_layout_byte_for_byte(self, capsys):
+        assert main(["graph", "dump"]) == 0
+        assert capsys.readouterr().out == GRAPH_DUMP.read_text()
 
     def test_graph_dump_writes_file(self, tmp_path, capsys):
         out = tmp_path / "g"
@@ -421,6 +426,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == f"error: {message.format(**paths)}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("subject", ["../config", "a/b", "a\\b", "a\0b", ".", ".."])
+    def test_a_subject_that_names_a_path_exits_2_before_any_output(
+        self, tmp_path, capsys, subject
+    ):
+        data = tmp_path / "data.jsonl"
+        data.write_text(_samples(0) + json.dumps({**GOOD_RECORD, "subject": subject}))
+        config = tmp_path / "c.json"
+        save_config(ExperimentConfig(dataset=str(data), synth=None), config)
+        out = tmp_path / "run"
+        assert main(["loso", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {data}:2: subject must not name a path, got {json.dumps(subject)}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("subject", ["s02", "s03"])
     def test_loso_on_an_unusable_sample_exits_2(

@@ -12,7 +12,7 @@ from megraph.config import (
     OptimizerConfig,
     SynthSpec,
     decode,
-    dumps_config,
+    dumps,
     encode,
     load_config,
     save_config,
@@ -101,7 +101,7 @@ class TestRoundTrips:
         save_config(cfg, path)
         assert load_config(path) == cfg
         # serialization is stable: dumping the reloaded config is identical
-        assert dumps_config(load_config(path)) == dumps_config(cfg)
+        assert dumps(load_config(path)) == dumps(cfg)
 
     def test_dataset_path_survives(self, tmp_path):
         cfg = ExperimentConfig(dataset="data/train.jsonl", synth=None)

@@ -1,16 +1,20 @@
-"""Landmark selection, edge template, adjacency, and graph construction."""
+"""The fixed landmark layout, edge template, adjacency, and graph construction."""
 
 import numpy as np
 import pytest
 
 from megraph.graph import (
+    ADJACENCY,
+    BRIDGES,
+    COMPONENT_BLOCK,
+    COMPONENT_INDICES,
     COMPONENTS,
     EYE_REGION,
+    NODE_INDICES,
+    SUBGRAPHS,
     DegenerateFrameError,
-    NodeSelection,
     build_graph,
     component_subgraphs,
-    default_selection,
     normalize_adjacency,
     spatial_adjacency,
     template_edges,
@@ -24,64 +28,33 @@ def neutral_frames():
 
 class TestNodeSelection:
     def test_default_layout(self):
-        sel = default_selection()
-        assert sel.n_nodes == 31
-        assert sel.component_indices["eyebrow"] == tuple(range(17, 27))
-        assert sel.component_indices["nose"] == tuple(range(27, 36))
-        assert sel.component_indices["mouth"] == tuple(range(48, 60))
-        assert sel.rows("eyebrow") == (0, 10)
-        assert sel.rows("nose") == (10, 19)
-        assert sel.rows("mouth") == (19, 31)
-        assert sel.indices == tuple(range(17, 36)) + tuple(range(48, 60))
+        assert len(NODE_INDICES) == 31
+        assert tuple(COMPONENT_INDICES) == COMPONENTS
+        assert COMPONENT_INDICES["eyebrow"] == tuple(range(17, 27))
+        assert COMPONENT_INDICES["nose"] == tuple(range(27, 36))
+        assert COMPONENT_INDICES["mouth"] == tuple(range(48, 60))
+        assert [sub.rows for sub in SUBGRAPHS] == [(0, 10), (10, 19), (19, 31)]
+        # node order is eyebrow + nose + mouth
+        assert NODE_INDICES == tuple(range(17, 36)) + tuple(range(48, 60))
 
     def test_eye_region_is_rejected(self):
-        bad_nose = (27, 28, 29, 30, 31, 32, 33, 34, 36)  # 36 is an eye corner
-        with pytest.raises(ValueError, match="eye-region"):
-            NodeSelection(
-                component_indices={
-                    "eyebrow": tuple(range(17, 27)),
-                    "nose": bad_nose,
-                    "mouth": tuple(range(48, 60)),
-                },
-                bridges=(),
-            )
-        assert not set(default_selection().indices) & set(EYE_REGION)
-
-    def test_wrong_sizes_and_order_rejected(self):
-        with pytest.raises(ValueError, match="must have"):
-            NodeSelection(
-                component_indices={
-                    "eyebrow": tuple(range(17, 26)),
-                    "nose": tuple(range(27, 36)),
-                    "mouth": tuple(range(48, 60)),
-                },
-                bridges=(),
-            )
-        with pytest.raises(ValueError, match="components"):
-            NodeSelection(
-                component_indices={
-                    "nose": tuple(range(27, 36)),
-                    "eyebrow": tuple(range(17, 27)),
-                    "mouth": tuple(range(48, 60)),
-                }
-            )
+        assert not set(NODE_INDICES) & set(EYE_REGION)
 
     def test_bridges_must_use_selected_landmarks(self):
-        with pytest.raises(ValueError, match="bridge"):
-            NodeSelection(
-                component_indices={
-                    "eyebrow": tuple(range(17, 27)),
-                    "nose": tuple(range(27, 36)),
-                    "mouth": tuple(range(48, 60)),
-                },
-                bridges=((21, 40),),
-            )
+        for a, b in BRIDGES:
+            assert a in NODE_INDICES and b in NODE_INDICES
+
+    def test_layout_is_read_only(self):
+        with pytest.raises(TypeError):
+            COMPONENT_INDICES["nose"] = tuple(range(27, 35))
+        for a in (ADJACENCY, *COMPONENT_BLOCK, *(s.adjacency for s in SUBGRAPHS)):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 5.0
 
 
 class TestEdgeTemplate:
     def test_chains_loop_and_bridges(self):
-        sel = default_selection()
-        edges = set(template_edges(sel))
+        edges = set(template_edges())
         # chains: 9 eyebrow + 8 nose + 11 mouth, mouth loop closure, 2 bridges
         assert len(edges) == 9 + 8 + 11 + 1 + 2
         assert (17, 18) in edges and (25, 26) in edges
@@ -91,19 +64,18 @@ class TestEdgeTemplate:
         assert (26, 27) not in edges  # components only meet via bridges
 
     def test_adjacency_matches_edges(self):
-        sel = default_selection()
-        a = spatial_adjacency(sel)
+        a = spatial_adjacency()
         assert a.shape == (31, 31)
         np.testing.assert_array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
         assert set(np.unique(a)) <= {0.0, 1.0}
-        row_of = {landmark: i for i, landmark in enumerate(sel.indices)}
+        row_of = {landmark: i for i, landmark in enumerate(NODE_INDICES)}
         expected = np.zeros((31, 31))
-        for u, v in template_edges(sel):
+        for u, v in template_edges():
             expected[row_of[u], row_of[v]] = 1.0
             expected[row_of[v], row_of[u]] = 1.0
         np.testing.assert_array_equal(a, expected)
-        assert a.sum() == 2 * len(template_edges(sel))
+        assert a.sum() == 2 * len(template_edges())
 
 
 class TestNormalizeAdjacency:
@@ -135,9 +107,8 @@ class TestNormalizeAdjacency:
 
 class TestComponentSubgraphs:
     def test_induced_blocks_renormalized(self):
-        sel = default_selection()
-        full = spatial_adjacency(sel)
-        subs = component_subgraphs(sel)
+        full = spatial_adjacency()
+        subs = component_subgraphs()
         assert tuple(s.component for s in subs) == COMPONENTS
         for sub in subs:
             start, stop = sub.rows
@@ -151,18 +122,14 @@ class TestComponentSubgraphs:
     def test_bridge_edges_do_not_leak_into_subgraphs(self):
         # The eyebrow-nose bridge connects rows 4 and 10 of the full graph;
         # neither induced block may contain it.
-        sel = default_selection()
-        full = spatial_adjacency(sel)
+        full = spatial_adjacency()
         assert full[4, 10] == 1.0  # landmarks 21 and 27
-        subs = {s.component: s for s in component_subgraphs(sel)}
+        subs = {s.component: s for s in component_subgraphs()}
         assert subs["eyebrow"].adjacency.shape == (10, 10)
         assert subs["nose"].adjacency.shape == (9, 9)
 
     def test_selection_builds_its_subgraphs_once_read_only(self):
-        sel = default_selection()
-        subs = sel.subgraphs
-        assert sel.subgraphs is subs
-        for cached, fresh in zip(subs, component_subgraphs(sel)):
+        for cached, fresh in zip(SUBGRAPHS, component_subgraphs()):
             assert (cached.component, cached.rows) == (fresh.component, fresh.rows)
             np.testing.assert_array_equal(cached.adjacency, fresh.adjacency)
             with pytest.raises(ValueError):
@@ -171,10 +138,9 @@ class TestComponentSubgraphs:
 
 class TestBuildGraph:
     def test_shapes_and_normalization(self):
-        graph = build_graph(neutral_frames())
-        assert graph.node_features.shape == (3, 31, 2)
-        assert graph.adjacency.shape == (31, 31)
-        onset = graph.node_features[0]
+        features = build_graph(neutral_frames())
+        assert features.shape == (3, 31, 2)
+        onset = features[0]
         np.testing.assert_allclose(onset.mean(axis=0), 0.0, atol=1e-12)
         rms = np.sqrt((onset**2).sum(axis=1).mean())
         np.testing.assert_allclose(rms, 1.0, atol=1e-12)
@@ -182,17 +148,9 @@ class TestBuildGraph:
     def test_translation_and_scale_invariance(self):
         base = neutral_frames()
         moved = base * 2.5 + np.array([40.0, -7.0])
-        a = build_graph(base).node_features
-        b = build_graph(moved).node_features
+        a = build_graph(base)
+        b = build_graph(moved)
         np.testing.assert_allclose(a, b, atol=1e-9)
-
-    def test_unnormalized_keeps_raw_coordinates(self):
-        frames = neutral_frames()
-        graph = build_graph(frames, normalize=False)
-        sel = default_selection()
-        np.testing.assert_array_equal(
-            graph.node_features, frames[:, list(sel.indices), :]
-        )
 
     def test_degenerate_onset_rejected(self):
         frames = np.ones((3, 68, 2))
@@ -205,8 +163,8 @@ class TestBuildGraph:
         frames = neutral_frames()
         frames[1] += 1.0
         frames[2] += 3.0
-        raw = build_graph(frames, normalize=False).node_features
-        d = np.diff(build_graph(frames).node_features, axis=-3)
+        raw = frames[:, list(NODE_INDICES), :]
+        d = np.diff(build_graph(frames), axis=-3)
         assert d.shape == (2, 31, 2)
         onset = raw[0]
         spread = np.sqrt(((onset - onset.mean(axis=0)) ** 2).sum(axis=1).mean())
@@ -214,24 +172,20 @@ class TestBuildGraph:
         np.testing.assert_allclose(d[1], 2.0 / spread, atol=1e-12)
 
     def test_adjacency_is_shared_and_read_only(self):
-        sel = default_selection()
-        a = build_graph(neutral_frames())
-        b = build_graph(neutral_frames() + 1.0)
-        assert default_selection() is sel
-        assert a.adjacency is b.adjacency
+        assert ADJACENCY.shape == (31, 31)
         np.testing.assert_array_equal(
-            a.adjacency, normalize_adjacency(spatial_adjacency(sel))
+            ADJACENCY, normalize_adjacency(spatial_adjacency())
         )
         with pytest.raises(ValueError):
-            a.adjacency[0, 0] = 5.0
+            ADJACENCY[0, 0] = 5.0
 
 
-def one_sample_oracle(frames, alpha, selection):
+def one_sample_oracle(frames, alpha):
     """The preprocessing of one sample, written as a plain per-sample loop
     body: magnify, select the nodes, normalize by the onset frame."""
     onset = frames[0]
     magnified = onset[None, :, :] + alpha * (frames - onset[None, :, :])
-    coords = magnified[:, list(selection.indices), :]
+    coords = magnified[:, list(NODE_INDICES), :]
     first = coords[0]
     centroid = first.mean(axis=0)
     spread = np.sqrt(((first - centroid) ** 2).sum(axis=1).mean())
@@ -240,36 +194,31 @@ def one_sample_oracle(frames, alpha, selection):
 
 class TestStackGraphs:
     def test_stacks_node_features_over_a_shared_adjacency(self):
-        sel = default_selection()
         stack = np.stack([neutral_frames() * (i + 1) for i in range(3)])
-        batch = build_graph(stack, selection=sel)
-        assert batch.node_features.shape == (3, 3, 31, 2)
-        assert batch.adjacency is sel.adjacency
+        batch = build_graph(stack)
+        assert batch.shape == (3, 3, 31, 2)
         for i, frames in enumerate(stack):
-            one = build_graph(frames, selection=sel)
-            assert one.adjacency is batch.adjacency
-            np.testing.assert_array_equal(batch.node_features[i], one.node_features)
+            np.testing.assert_array_equal(batch[i], build_graph(frames))
 
 
 class TestArrayPath:
     @pytest.mark.parametrize("n", [1, 2, 60])
     def test_stack_equals_the_per_sample_loop(self, n):
-        sel = default_selection()
         samples = synthesize_dataset(n_subjects=10, samples_per_subject=6, seed=n)[:n]
         stack = samples.frames
-        want = np.stack([one_sample_oracle(f, 3.0, sel) for f in stack])
+        want = np.stack([one_sample_oracle(f, 3.0) for f in stack])
 
-        got = build_graph(magnify(stack, 3.0), selection=sel).node_features
+        got = build_graph(magnify(stack, 3.0))
         assert got.shape == (n, 3, 31, 2)
         assert np.array_equal(got, want)
 
         # a fold gathers its rows with a fancy index, which copies
         rows = np.random.default_rng(n).permutation(n)[: max(1, n // 2)]
-        gathered = build_graph(magnify(stack[rows], 3.0), selection=sel)
-        assert np.array_equal(gathered.node_features, want[rows])
+        gathered = build_graph(magnify(stack[rows], 3.0))
+        assert np.array_equal(gathered, want[rows])
 
-        single = build_graph(magnify(stack[0], 3.0), selection=sel)
-        assert np.array_equal(single.node_features, want[0])
+        single = build_graph(magnify(stack[0], 3.0))
+        assert np.array_equal(single, want[0])
 
     def test_degenerate_sample_in_a_stack_is_located(self):
         stack = np.stack([neutral_frames()] * 4)

@@ -183,17 +183,17 @@ class TestCenterTable:
     def test_ema_recurrence(self):
         table = WeightCenterTable(n_classes=2, n_rows=2, rate=0.5)
         table.update(np.array([[1.0, 0.0]]), [0])
-        np.testing.assert_allclose(table.center(0), [0.75, 0.25])
-        np.testing.assert_allclose(table.center(1), [0.5, 0.5])  # untouched
+        np.testing.assert_allclose(table.centers[0], [0.75, 0.25])
+        np.testing.assert_allclose(table.centers[1], [0.5, 0.5])  # untouched
         table.update(np.array([[1.0, 0.0]]), [0])
-        np.testing.assert_allclose(table.center(0), [0.875, 0.125])
+        np.testing.assert_allclose(table.centers[0], [0.875, 0.125])
 
     def test_batch_mode_recomputes(self):
         table = WeightCenterTable(n_classes=2, n_rows=2, mode="batch")
         table.update(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 0])
-        np.testing.assert_allclose(table.center(0), [0.5, 0.5])
+        np.testing.assert_allclose(table.centers[0], [0.5, 0.5])
         table.update(np.array([[0.8, 0.2]]), [0])
-        np.testing.assert_allclose(table.center(0), [0.8, 0.2])
+        np.testing.assert_allclose(table.centers[0], [0.8, 0.2])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 
 import megraph.autodiff as ad
 from megraph.config import decode, encode
-from megraph.graph import StGraph, build_graph, default_selection
+from megraph.graph import ADJACENCY, SUBGRAPHS, build_graph
 from megraph.landmarks import synthesize_dataset
 from megraph.losses import LossWeights, WeightCenterTable, total_loss
 from megraph.model import (
@@ -69,7 +69,7 @@ def oracle_decompose(model, x):
     p = model.params
     pooled = []
     maps = {}
-    for sub in model.subgraphs:
+    for sub in SUBGRAPHS:
         start, stop = sub.rows
         x_o = x[start:stop]
         hidden = loop_relu(
@@ -174,13 +174,13 @@ class TestShapes:
 
     def test_variant_dataflow(self):
         samples = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=0)
-        graph = build_graph(samples.frames[0])
+        features = build_graph(samples.frames[0])
         for variant in VARIANTS:
             cfg = ModelConfig(
                 variant=variant, channels=4, n_actions=2,
                 relation_channels=3, n_classes=3,
             )
-            result = ActionRelationNet(cfg, seed=0).forward(graph)
+            result = ActionRelationNet(cfg, seed=0).forward(features)
             assert result.logits.shape == (1, 3)
             if variant == "backbone":
                 assert result.action_features is None
@@ -193,13 +193,14 @@ class TestShapes:
 
     def test_param_sets_differ_by_variant(self):
         names = {
-            v: set(
-                ActionRelationNet(
+            v: {
+                name
+                for name, _ in ActionRelationNet(
                     ModelConfig(variant=v, channels=4, n_actions=2,
                                 relation_channels=3, n_classes=3),
                     seed=0,
-                ).params.names()
-            )
+                ).params.items()
+            }
             for v in VARIANTS
         }
         assert any(n.startswith("backbone.") for n in names["backbone"])
@@ -213,10 +214,10 @@ class TestShapes:
         # per-component decomposition chains made it 89
         model = ActionRelationNet(ModelConfig(), seed=0)
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=8, seed=0)
-        graph = sample_graph(samples, 3.0, model.selection)
+        features = sample_graph(samples, 3.0)
         table = WeightCenterTable(n_classes=5, n_rows=9)
         loss = total_loss(
-            model.forward(graph), samples.labels, LossWeights(), table=table
+            model.forward(features), samples.labels, LossWeights(), table=table
         ).total
         seen, stack = set(), [loss]
         while stack:
@@ -260,17 +261,10 @@ class TestLoopOracles:
         for i in range(5):
             model = ActionRelationNet(SMALL, seed=200 + i)
             frames = rng.normal(size=(3, 31, 2))
-            graph = StGraph(
-                selection=model.selection,
-                adjacency=build_graph(
-                    synthesize_dataset(1, 1, seed=0).frames[0]
-                ).adjacency,
-                node_features=frames,
-            )
-            got = model.backbone(graph).data
+            got = model.backbone(frames).data
 
             p = model.params
-            adj = graph.adjacency
+            adj = ADJACENCY
             xs = [frames[t] for t in range(3)]
             for name in ("l1", "l2"):
                 w, b = p[f"backbone.{name}.gc.w"].data, p[f"backbone.{name}.gc.b"].data
@@ -323,7 +317,7 @@ class TestDegenerateAlgebra:
         # uniform pooling: every slot of a component holds that component's
         # column sum divided by the slot count
         start = 0
-        for sub in model.subgraphs:
+        for sub in SUBGRAPHS:
             a, b = sub.rows
             block = f_a.data[start : start + SMALL.n_actions]
             expected = np.repeat(
@@ -353,13 +347,8 @@ class TestDegenerateAlgebra:
     def test_zero_input_forward_returns_head_bias(self):
         model = ActionRelationNet(SMALL, seed=0)
         model.params["head.b"].data = np.array([[0.5, -1.0, 2.0]])
-        graph = StGraph(
-            selection=model.selection,
-            adjacency=np.eye(31),
-            node_features=np.zeros((3, 31, 2)),
-        )
         with pytest.warns(RuntimeWarning, match="uniform"):
-            result = model.forward(graph)
+            result = model.forward(np.zeros((3, 31, 2)))
         np.testing.assert_allclose(result.logits.data, [[0.5, -1.0, 2.0]])
 
     def test_unnormalized_weights_keep_raw_mass(self):
@@ -385,17 +374,13 @@ class TestDeterminism:
             np.testing.assert_array_equal(a[name], b[name])
         assert any(not np.array_equal(a[n], c[n]) for n in a)
 
-    def test_models_of_one_selection_share_its_subgraphs(self):
-        a, b = ActionRelationNet(SMALL, seed=5), ActionRelationNet(SMALL, seed=6)
-        assert a.subgraphs is b.subgraphs is default_selection().subgraphs
-
     def test_forward_is_pure(self):
         samples = synthesize_dataset(n_subjects=1, samples_per_subject=1, seed=0)
-        graph = build_graph(samples.frames[0])
+        features = build_graph(samples.frames[0])
         model = ActionRelationNet(SMALL, seed=0)
         before = model.params.state_dict()
-        first = model.forward(graph).logits.data.copy()
-        second = model.forward(graph).logits.data.copy()
+        first = model.forward(features).logits.data.copy()
+        second = model.forward(features).logits.data.copy()
         np.testing.assert_array_equal(first, second)
         after = model.params.state_dict()
         for name in before:
@@ -403,10 +388,5 @@ class TestDeterminism:
 
     def test_rejects_wrong_feature_shape(self):
         model = ActionRelationNet(SMALL, seed=0)
-        graph = StGraph(
-            selection=model.selection,
-            adjacency=np.eye(31),
-            node_features=np.zeros((3, 30, 2)),
-        )
         with pytest.raises(ad.ShapeError):
-            model.backbone(graph)
+            model.backbone(np.zeros((3, 30, 2)))

@@ -23,7 +23,7 @@ import megraph.autodiff
 import megraph.landmarks
 import megraph.training
 from megraph.checks import _tape
-from megraph.graph import DegenerateFrameError, default_selection
+from megraph.graph import DegenerateFrameError
 from megraph.landmarks import SampleSet, save_samples, synthesize_dataset
 from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import read_checkpoint, write_checkpoint
@@ -169,13 +169,12 @@ class TestLeakage:
 class TestPreprocessing:
     def test_bad_samples_in_a_batch_are_rejected_by_subject(self, unusable_samples):
         samples, first = unusable_samples
-        sel = default_selection()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="sample 's03': non-finite"):
-                sample_graph(samples, 3.0, sel)
+                sample_graph(samples, 3.0)
         samples = samples[np.arange(len(samples)) != first["s03"]]
         with pytest.raises(DegenerateFrameError, match="sample 's02': onset"):
-            sample_graph(samples, 3.0, sel)
+            sample_graph(samples, 3.0)
 
     @pytest.mark.parametrize("copies", [0, 1])
     def test_loso_preprocesses_once_per_run(self, monkeypatch, copies):
@@ -256,9 +255,9 @@ class TestAugmentation:
     def test_copy_count_and_identity(self):
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=2, seed=0)
         cfg = ExperimentConfig(augment=AugmentConfig(copies=2))
-        graph = sample_graph(samples, cfg.magnification, default_selection())
-        train, train_graph = _with_copies(samples, graph, cfg,
-                                          np.random.default_rng(0))
+        features = sample_graph(samples, cfg.magnification)
+        train, train_features = _with_copies(samples, features, cfg,
+                                             np.random.default_rng(0))
         assert len(train) == len(samples) * 3
         np.testing.assert_array_equal(train.frames[: len(samples)], samples.frames)
         assert train.subjects.tolist() == samples.subjects.tolist() + [
@@ -270,19 +269,18 @@ class TestAugmentation:
         for i, frames in enumerate(train.frames[len(samples):]):
             assert not np.array_equal(frames, samples.frames[i // 2])
         copies = train[len(samples):]
-        want = sample_graph(copies, cfg.magnification, graph.selection)
+        want = sample_graph(copies, cfg.magnification)
         np.testing.assert_array_equal(
-            train_graph.node_features,
-            np.concatenate([graph.node_features, want.node_features]),
+            train_features, np.concatenate([features, want])
         )
 
     def test_zero_copies_is_identity(self):
         samples = synthesize_dataset(n_subjects=1, samples_per_subject=2, seed=0)
-        graph = sample_graph(samples, 3.0, default_selection())
+        features = sample_graph(samples, 3.0)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        train, train_graph = _with_copies(samples, graph, ExperimentConfig(), rng)
-        assert train is samples and train_graph is graph
+        train, train_features = _with_copies(samples, features, ExperimentConfig(), rng)
+        assert train is samples and train_features is features
         assert rng.bit_generator.state == state
 
 
@@ -301,9 +299,10 @@ class TestBatchSlices:
 
 
 def fold_inputs(cfg):
-    """The configured dataset's graph and labels, as train_fold takes them."""
+    """The configured dataset's node features and labels, as train_fold
+    takes them."""
     samples = prepare_samples(cfg)
-    return sample_graph(samples, cfg.magnification, default_selection()), samples.labels
+    return sample_graph(samples, cfg.magnification), samples.labels
 
 
 class TestTrainFold:
@@ -351,10 +350,9 @@ class TestTrainFold:
 
     def test_empty_training_set_rejected(self):
         cfg = self.small_config()
-        graph, labels = fold_inputs(cfg)
-        empty = replace(graph, node_features=graph.node_features[:0])
+        features, labels = fold_inputs(cfg)
         with pytest.raises(ValueError, match="empty"):
-            train_fold(empty, labels[:0], cfg, np.random.default_rng(0), 0)
+            train_fold(features[:0], labels[:0], cfg, np.random.default_rng(0), 0)
 
     def test_divergence_is_reported_with_position(self):
         cfg = self.small_config(
@@ -375,10 +373,10 @@ class TestTrainFold:
         tapes = []
         forward, total_loss = ActionRelationNet.forward, megraph.training.total_loss
 
-        def checked_forward(model, graph):
+        def checked_forward(model, features):
             # no node of an earlier step's tape is alive when a forward starts
             assert all(ref() is None for tape in tapes for ref in tape)
-            return forward(model, graph)
+            return forward(model, features)
 
         def recorded_loss(*args, **kwargs):
             breakdown = total_loss(*args, **kwargs)
@@ -424,7 +422,7 @@ class TestEvaluate:
         assert peak <= samples.frames.nbytes + samples.frames[:EVAL_CHUNK].nbytes
         assert all(p.requires_grad for _, p in model.params.items())
 
-        def fail(graph):
+        def fail(features):
             assert not any(p.requires_grad for _, p in model.params.items())
             raise FloatingPointError("forward failed")
 
@@ -641,10 +639,10 @@ class TestKeepHeap:
             optimizer=OptimizerConfig(epochs=2, batch_size=16),
             seed=0,
         )
-        graph, labels = fold_inputs(cfg)
+        features, labels = fold_inputs(cfg)
 
         def train():
-            train_fold(graph, labels, cfg, np.random.default_rng(0),
+            train_fold(features, labels, cfg, np.random.default_rng(0),
                        np.random.default_rng(1))
 
         train()
