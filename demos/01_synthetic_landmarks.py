@@ -54,7 +54,8 @@ stacked = magnify(samples.frames, alpha=3.0)
 np.testing.assert_array_equal(stacked[0], louder)
 print("stacked magnification:", stacked.shape)
 
-# Datasets round-trip through JSON lines bit-exactly.
+# Datasets round-trip through JSON lines bit-exactly: each sample's frames
+# are written as the base64 of their float64 bytes.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo_dataset.jsonl"
     save_samples(samples, path)

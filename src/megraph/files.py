@@ -1,9 +1,14 @@
-"""Artifact files: atomic UTF-8 writes, and reads that name an undecodable file."""
+"""Artifact files: atomic UTF-8 writes, reads that name an undecodable file,
+and the exact base64 text of float64 arrays."""
 
+import base64
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 
 @contextmanager
@@ -41,3 +46,23 @@ def read_json(path):
         return json.loads(read_text(path))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def encode_float64(values) -> str:
+    """The base64 of ``values`` as C-order little-endian float64 bytes: exact,
+    and about 1.35 characters per byte."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def decode_float64(text, shape, where: str) -> np.ndarray:
+    """The float64 array of ``shape`` that :func:`encode_float64` wrote as
+    ``text``. Anything but strict base64 (only the alphabet, padding only at
+    the end) is a ValueError naming ``where``, as are bytes that do not fill
+    ``shape``."""
+    try:
+        raw = base64.b64decode(text, validate=True)  # a list is a TypeError
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: values must be a strict base64 string") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{where}: {len(raw)} bytes do not fill float64 shape {shape}")
+    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)

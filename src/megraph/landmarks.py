@@ -3,7 +3,8 @@ and a synthetic corpus generator.
 
 A sample is three frames of 68 facial landmarks (onset, apex, offset) in a
 standard 68-point layout, plus a subject id and a class label. A dataset is
-one :class:`SampleSet`, stored one JSON object per sample and line.
+one :class:`SampleSet`, stored one JSON object per sample and line, with the
+frames as base64 float64 bytes or as nested lists of numbers.
 :func:`magnify` works on keyframe arrays of shape (..., 3, 68, 2), so a
 stack of samples is magnified in one call.
 """
@@ -17,10 +18,11 @@ from itertools import islice
 
 import numpy as np
 
-from .files import atomic_write
+from .files import atomic_write, decode_float64, encode_float64
 
 N_LANDMARKS = 68
 N_FRAMES = 3
+FRAME_SHAPE = (N_FRAMES, N_LANDMARKS, 2)
 
 DEFAULT_MAGNIFICATION = 3.0
 
@@ -36,7 +38,7 @@ class SampleError(ValueError):
 def _checked(frames: np.ndarray, labels: np.ndarray, subjects: np.ndarray):
     """The three columns of a set, once their shapes, coordinates and labels
     pass; a failing sample raises :class:`SampleError` with its row."""
-    if frames.shape[1:] != (N_FRAMES, N_LANDMARKS, 2):
+    if frames.shape[1:] != FRAME_SHAPE:
         raise ValueError(f"frames must have shape (N, 3, 68, 2), got {frames.shape}")
     if not labels.shape == subjects.shape == (len(frames),):
         raise ValueError("every sample needs one label and one subject")
@@ -107,17 +109,21 @@ class SampleSet:
 
 
 def save_samples(samples: SampleSet, path) -> None:
-    """Write samples as JSON lines."""
+    """Write samples as JSON lines, each sample's frames as the base64 of
+    their C-order little-endian float64 bytes, which load back exactly."""
     columns = samples.subjects.tolist(), samples.labels.tolist(), samples.frames
     with atomic_write(path) as fh:
         for subject, label, frames in zip(*columns):
-            record = {"subject": subject, "label": label, "frames": frames.tolist()}
+            record = {"subject": subject, "label": label,
+                      "frames": encode_float64(frames)}
             fh.write(json.dumps(record) + "\n")
 
 
 def _parse_record(record) -> tuple[str, int, np.ndarray]:
-    """Subject, label and frames of one decoded JSON record; the label must
-    be a JSON integer, so neither 1.7 nor true passes as a class."""
+    """Subject, label and frames of one decoded JSON record. The frames are
+    a strict base64 string of float64 bytes, or nested lists of JSON
+    numbers; the label is a JSON integer. Neither 1.7 nor true passes as a
+    class, and neither "1.5" nor true as a coordinate."""
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
     missing = [k for k in ("subject", "label", "frames") if k not in record]
@@ -135,14 +141,21 @@ def _parse_record(record) -> tuple[str, int, np.ndarray]:
         raise ValueError(f"label must be an integer, got {json.dumps(label)}")
     if label.bit_length() > 63:
         raise ValueError(f"label does not fit in int64, got {label}")
+    given = record["frames"]
+    if isinstance(given, str):
+        return subject, label, decode_float64(given, FRAME_SHAPE, "frames")
     try:
-        frames = np.asarray(record["frames"], dtype=np.float64)
+        frames = np.asarray(given, dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError("frames must be nested lists of numbers") from None
     except OverflowError:
         raise ValueError("frames: a value is too large for float64") from None
-    if frames.shape != (N_FRAMES, N_LANDMARKS, 2):
+    if frames.shape != FRAME_SHAPE:
         raise ValueError(f"frames must have shape (3, 68, 2), got {frames.shape}")
+    # the cast above also reads "1.5" and true as numbers
+    leaves = {type(v) for frame in given for point in frame for v in point}
+    if not leaves <= {int, float}:
+        raise ValueError("frames must be nested lists of numbers")
     return subject, label, frames
 
 
@@ -159,7 +172,7 @@ def load_samples(path) -> SampleSet:
         if fh.seekable():
             n = sum(1 for _ in fh)
             fh.seek(0)
-            frames, lines = np.empty((n, N_FRAMES, N_LANDMARKS, 2)), islice(fh, n)
+            frames, lines = np.empty((n, *FRAME_SHAPE)), islice(fh, n)
         else:  # a pipe can be read only once: keep each line's frames in rows
             frames, lines = None, fh
         for lineno, line in enumerate(lines, start=1):
@@ -184,7 +197,7 @@ def load_samples(path) -> SampleSet:
             subjects.append(subject)
             labels.append(label)
     if frames is None:
-        frames = np.array(rows).reshape(-1, N_FRAMES, N_LANDMARKS, 2)
+        frames = np.array(rows).reshape(-1, *FRAME_SHAPE)
     try:
         columns = _checked(
             frames[: len(linenos)],

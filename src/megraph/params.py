@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from contextlib import contextmanager
@@ -10,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .autodiff import Tensor
-from .files import atomic_write_text, read_json
+from .files import atomic_write_text, decode_float64, encode_float64, read_json
 
 CHECKPOINT_FORMAT = "megraph-params-v2"
 
@@ -143,7 +142,7 @@ def write_checkpoint(state: dict[str, np.ndarray], path) -> None:
         "params": {
             name: {
                 "shape": list(np.shape(values)),
-                "values": base64.b64encode(np.asarray(values, "<f8").tobytes()).decode(),
+                "values": encode_float64(values),
             }
             for name, values in state.items()
         },
@@ -173,7 +172,7 @@ def _checkpoint_entry(entry, where: str, fmt: str) -> np.ndarray:
     if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
         raise ValueError(f"{where}: shape must be a list of non-negative integers")
     if fmt == CHECKPOINT_FORMAT:
-        values = _v2_values(entry["values"], shape, where)
+        values = decode_float64(entry["values"], shape, where)
     else:
         try:
             values = np.asarray(entry["values"], dtype=np.float64)
@@ -186,16 +185,6 @@ def _checkpoint_entry(entry, where: str, fmt: str) -> np.ndarray:
     if values.size != math.prod(shape):
         raise ValueError(f"{where}: {values.size} values do not fill shape {shape}")
     return values.reshape(shape)
-
-
-def _v2_values(values, shape, where: str) -> np.ndarray:
-    try:
-        raw = base64.b64decode(values, validate=True)  # a list is a TypeError
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}: values must be a strict base64 string") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{where}: {len(raw)} bytes do not fill float64 shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def sgd_step(store: ParamStore, lr: float, momentum: float = 0.0) -> None:

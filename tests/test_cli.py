@@ -46,6 +46,9 @@ def _b64(*values) -> str:
     return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
 
 
+_FRAME_VALUES = np.ravel(GOOD_RECORD["frames"]).tolist()
+
+
 # command ({input} is the bad file, {data} a config reading it as the
 # dataset), the bad file's text, and the one-line message it must produce
 BAD_INPUTS = [
@@ -170,6 +173,28 @@ BAD_INPUTS = [
         "{input}:2: expected a JSON object, got list",
         id="samples-not-an-object",
     ),
+    *(
+        pytest.param(
+            ["train", "--config", "{data}"],
+            _samples(0) + json.dumps({**GOOD_RECORD, "frames": [[[x, 0.5]] * 68] * 3}),
+            "{input}:2: frames must be nested lists of numbers",
+            id=f"samples-{kind}-coordinate",
+        )
+        for kind, x in (("string", "1.5"), ("bool", True))
+    ),
+    pytest.param(
+        ["train", "--config", "{data}"],
+        # lenient decoding would drop the newline and read the same bytes
+        _samples(0) + json.dumps({**GOOD_RECORD, "frames": "\n" + _b64(*_FRAME_VALUES)}),
+        "{input}:2: frames: values must be a strict base64 string",
+        id="samples-frames-not-base64",
+    ),
+    pytest.param(
+        ["train", "--config", "{data}"],
+        _samples(0) + json.dumps({**GOOD_RECORD, "frames": _b64(*_FRAME_VALUES[1:])}),
+        "{input}:2: frames: 3256 bytes do not fill float64 shape (3, 68, 2)",
+        id="samples-frames-wrong-byte-count",
+    ),
     pytest.param(
         ["train", "--config", "{data}"],
         _samples(0, 1.7),
@@ -279,6 +304,10 @@ class TestDataCommands:
         samples = load_samples(out / "dataset.jsonl")
         assert len(samples) == 4
         assert "wrote 4 samples" in capsys.readouterr().out
+        lines = (out / "dataset.jsonl").read_text().splitlines()
+        assert [json.loads(line)["frames"] for line in lines] == [
+            _b64(*f.ravel()) for f in samples.frames
+        ]
 
 
 class TestRunCommands:

@@ -1,16 +1,27 @@
 """Artifact files: atomic writes leave the old file or the whole new one,
-and no module writes a file any other way."""
+no module writes a file any other way, and float64 text is exact and
+strict."""
 
 import ast
+import base64
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import megraph.files
 import megraph.landmarks
 from megraph.config import ExperimentConfig, load_config, save_config
-from megraph.files import atomic_write, atomic_write_text, read_text
+from megraph.files import (
+    atomic_write,
+    atomic_write_text,
+    decode_float64,
+    encode_float64,
+    read_text,
+)
 from megraph.landmarks import load_samples, save_samples, synthesize_dataset
 from megraph.params import read_checkpoint, write_checkpoint
 from megraph.training import CURVE_COLUMNS, write_curves
@@ -120,6 +131,39 @@ class TestUndecodableBytes:
         path = tmp_path / "t.json"
         path.write_bytes(json.dumps({"name": "é"}, ensure_ascii=False).encode())
         assert json.loads(read_text(path)) == {"name": "é"}
+
+
+class TestFloat64Text:
+    def test_values_round_trip_bit_for_bit(self):
+        values = np.array([[-0.0, 5e-324], [1.5, -1.7976931348623157e308]])
+        text = encode_float64(values)
+        assert text == base64.b64encode(values.astype("<f8").tobytes()).decode()
+        back = decode_float64(text, (2, 2), "here")
+        assert back.tobytes() == values.tobytes()
+        assert back.dtype == np.float64 and back.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.text(alphabet="AQgw+/=\n -_é", max_size=24)
+        | st.binary(max_size=24).map(lambda raw: base64.b64encode(raw).decode())
+    )
+    def test_decoding_is_as_strict_as_validated_b64decode(self, text):
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError:
+            with pytest.raises(ValueError) as info:
+                decode_float64(text, (0,), "here")
+            assert str(info.value) == "here: values must be a strict base64 string"
+            return
+        shape = (len(raw) // 8,)
+        if len(raw) % 8:
+            with pytest.raises(ValueError) as info:
+                decode_float64(text, shape, "here")
+            assert str(info.value) == (
+                f"here: {len(raw)} bytes do not fill float64 shape {shape}"
+            )
+        else:
+            assert decode_float64(text, shape, "here").tobytes() == raw
 
 
 WRITE_ATTRS = {"write_text", "write_bytes"}

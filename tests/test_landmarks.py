@@ -1,9 +1,11 @@
 """Keyframe samples: validation, serialization, motion ops, synthesis."""
 
+import base64
 import hashlib
 import json
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,22 @@ def make_samples(subjects=("s01",), labels=None, seed=42):
 
 
 GOOD_RECORD = {"subject": "s01", "label": 0, "frames": make_frames().tolist()}
+V1_SAMPLES = Path(__file__).parent / "data" / "samples_v1.jsonl"
+
+
+def b64(values) -> str:
+    """base64 of C-order little-endian float64 values, as save_samples
+    writes a sample's frames."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def nested_jsonl(samples) -> str:
+    """JSONL text of ``samples`` with each sample's frames as nested lists."""
+    columns = samples.subjects.tolist(), samples.labels.tolist(), samples.frames
+    return "".join(
+        json.dumps({"subject": s, "label": y, "frames": f.tolist()}) + "\n"
+        for s, y, f in zip(*columns)
+    )
 
 
 class TestLandmarkSample:
@@ -84,7 +102,8 @@ class TestLandmarkSample:
         path = tmp_path / "one.jsonl"
         save_samples(s, path)
         record = json.loads(path.read_text())
-        assert record == {"subject": "s01", "label": 3, "frames": s.frames[0].tolist()}
+        assert record == {"subject": "s01", "label": 3, "frames": b64(s.frames[0])}
+        assert len(record["frames"]) == 4 * 3 * 68 * 2 * 8 // 3
         back = load_samples(path)
         assert back.subjects.tolist() == ["s01"] and back.labels.tolist() == [3]
         np.testing.assert_array_equal(back.frames, s.frames)
@@ -146,12 +165,10 @@ class TestJsonlFiles:
         np.testing.assert_array_equal(back.frames, samples.frames)
         assert peak <= 1.25 * back.frames.nbytes
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_a_pipe_loads_like_a_file(self, tmp_path, traced_peak):
-        samples = synthesize_dataset(n_subjects=20, samples_per_subject=25, seed=0)
-        path = tmp_path / "data.jsonl"
-        save_samples(samples, path)
-        text = path.read_bytes() + b"\n"
+    @staticmethod
+    def _load_through_pipe(text: bytes, traced_peak):
+        """The samples loaded from ``text`` written to a pipe, and the peak
+        bytes traced while loading them."""
         read_end, write_end = os.pipe()
 
         def write():
@@ -161,15 +178,64 @@ class TestJsonlFiles:
         writer = threading.Thread(target=write)
         writer.start()
         try:
-            back, peak = traced_peak(load_samples, f"/dev/fd/{read_end}")
+            return traced_peak(load_samples, f"/dev/fd/{read_end}")
         finally:
             writer.join()
             os.close(read_end)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_loads_like_a_file(self, traced_peak):
+        samples = synthesize_dataset(n_subjects=20, samples_per_subject=25, seed=0)
+        text = nested_jsonl(samples).encode() + b"\n"
+        back, peak = self._load_through_pipe(text, traced_peak)
         np.testing.assert_array_equal(back.frames, samples.frames)
         assert back.subjects.tolist() == samples.subjects.tolist()
         # a pipe is read once, so its frames are held per line and then
         # stacked: two copies, and never its text, which is 2.5x their bytes
         assert peak <= 2.5 * back.frames.nbytes < len(text)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_of_base64_frames_loads_like_a_file(self, tmp_path, traced_peak):
+        samples = synthesize_dataset(n_subjects=20, samples_per_subject=25, seed=0)
+        path = tmp_path / "data.jsonl"
+        save_samples(samples, path)
+        back, peak = self._load_through_pipe(path.read_bytes() + b"\n", traced_peak)
+        np.testing.assert_array_equal(back.frames, samples.frames)
+        assert back.subjects.tolist() == samples.subjects.tolist()
+        # the decoded bytes of each line are dropped once its row is held
+        assert peak <= 2.5 * back.frames.nbytes
+
+    def test_the_nested_list_fixture_loads_pinned_frames(self):
+        samples = load_samples(V1_SAMPLES)
+        assert samples.subjects.tolist() == ["s01", "s01", "s02", "s02", "s03", "s03"]
+        assert samples.labels.tolist() == [0, 1, 0, 1, 0, 1]
+        # the first point is written as JSON integers, the rest as decimals
+        assert samples.frames[0, 0, 0].tolist() == [45.0, 122.0]
+        assert samples.frames[-1, 2, -1].tolist() == [107.437, 118.272]
+        assert samples.digests.tolist() == [
+            "a02e71aed0a7d9c04cb9956952937bd7321d1397470c3a3162efebc3c8f1902a",
+            "168391f3ee2123c2970c82977f649feb1e8249a65b3baa613dba6a18e2d9bfb0",
+            "db2ca1951b859faa7e894a3181633573bedde7934972a8454c71c90eb6f64f38",
+            "05e3a2acb0e1b8f4cb57bc27a96d90f1b10ab6d2a4e493e457130ee4c596e454",
+            "3fcc83eb50ad3afe0d40a2e2f43e130f04aadad6ebdb94b72c8dca96704d936b",
+            "c001dcee1ac3dcc180e430ed0d06daa460f27e92122ac9da57c040188846a516",
+        ]
+        assert all(
+            isinstance(json.loads(line)["frames"], list)
+            for line in V1_SAMPLES.read_text().splitlines()
+        )
+
+    def test_nested_lists_rewrite_to_base64_bit_identically(self, tmp_path):
+        nested = load_samples(V1_SAMPLES)
+        path = tmp_path / "data.jsonl"
+        save_samples(nested, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["frames"] for r in records] == [b64(f) for f in nested.frames]
+        back = load_samples(path)
+        assert back.frames.tobytes() == nested.frames.tobytes()
+        assert back.digests.tolist() == nested.digests.tolist()
+        assert back.subjects.tolist() == nested.subjects.tolist()
+        assert back.labels.tolist() == nested.labels.tolist()
 
     def test_save_load_round_trip(self, tmp_path):
         samples = make_samples(("s00", "s01", "s02", "s03"))
@@ -211,6 +277,21 @@ class TestJsonlFiles:
             ({**GOOD_RECORD, "subject": "s07",
               "frames": [[[float("nan"), 0.0]] * 68] * 3},
              "sample 's07': non-finite coordinates"),
+            # a cast to float64 alone would read these as 1.5 and 1.0
+            ({**GOOD_RECORD, "frames": [[["1.5", 0.0]] * 68] * 3},
+             "frames must be nested lists of numbers"),
+            ({**GOOD_RECORD, "frames": [[[True, 0.0]] * 68] * 3},
+             "frames must be nested lists of numbers"),
+            ({**GOOD_RECORD, "frames": [[[None, 0.0]] * 68] * 3},
+             "frames must be nested lists of numbers"),
+            # lenient decoding would skip the "!" and read the same bytes
+            ({**GOOD_RECORD, "frames": "!" + b64(GOOD_RECORD["frames"])},
+             "frames: values must be a strict base64 string"),
+            ({**GOOD_RECORD, "frames": b64(GOOD_RECORD["frames"])[:-4]},
+             r"frames: 3261 bytes do not fill float64 shape \(3, 68, 2\)"),
+            ({**GOOD_RECORD, "subject": "s07",
+              "frames": b64([[[float("inf"), 0.0]] * 68] * 3)},
+             "sample 's07': non-finite coordinates"),
         ],
     )
     def test_malformed_record_reports_line_number(self, tmp_path, record, message):
@@ -236,8 +317,9 @@ class TestJsonlFiles:
             load_samples(path)
 
 
-# Any JSON value, and records whose fields take any JSON value or a frames
-# array of the wrong nesting, shape or size.
+# Any JSON value, and records whose fields take any JSON value, a frames
+# array of the wrong nesting, shape or size, or frames text that is not the
+# strict base64 of 408 finite float64 values.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.text(max_size=3)
     | st.integers(min_value=-(10**30), max_value=10**30)
@@ -247,9 +329,37 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 NUMBERS = st.integers(min_value=-(10**400), max_value=10**400) | st.floats()
+GOOD_TEXT = b64(GOOD_RECORD["frames"])
+
+
+def _inserted(at_char):
+    at, char = at_char
+    return GOOD_TEXT[:at] + char + GOOD_TEXT[at:]
+
+
+def _with_value(at_value):
+    at, value = at_value
+    frames = np.array(GOOD_RECORD["frames"])
+    frames.flat[at] = value
+    return b64(frames)
+
+
+# base64 frames: any text, valid text with a character inserted (never
+# strict), the base64 of too few or too many bytes, and of non-finite values
+TEXT_FRAMES = (
+    st.text(max_size=20)
+    | st.tuples(st.integers(0, len(GOOD_TEXT)), st.sampled_from(list("!=\n -_.é\0")))
+    .map(_inserted)
+    | st.binary(max_size=64).map(lambda raw: base64.b64encode(raw).decode())
+    | st.integers(-24, 24).map(lambda k: b64(np.resize(GOOD_RECORD["frames"], 408 + k)))
+    | st.tuples(
+        st.integers(0, 407), st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    ).map(_with_value)
+)
 FRAMES = (
     JSON_VALUES
-    | st.sampled_from([GOOD_RECORD["frames"], [[[float("nan"), 0.0]] * 68] * 3])
+    | TEXT_FRAMES
+    | st.sampled_from([GOOD_RECORD["frames"], [[[float("nan"), 0.0]] * 68] * 3, GOOD_TEXT])
     | st.lists(
         st.lists(st.lists(NUMBERS, min_size=1, max_size=3), min_size=1, max_size=3),
         min_size=1, max_size=4,
@@ -279,6 +389,13 @@ RECORDS = (
 @example(record={**GOOD_RECORD, "label": True})
 @example(record={**GOOD_RECORD, "subject": ""})
 @example(record={**GOOD_RECORD, "frames": [[[float("nan"), 0.0]] * 68] * 3})
+@example(record={**GOOD_RECORD, "frames": [[[False, 0.0]] * 68] * 3})
+@example(record={**GOOD_RECORD, "frames": GOOD_TEXT})
+@example(record={**GOOD_RECORD, "frames": GOOD_TEXT + "="})
+@example(record={**GOOD_RECORD, "frames": GOOD_TEXT[:-2] + "=="})
+@example(record={**GOOD_RECORD, "frames": GOOD_TEXT.replace("+", "-")})
+@example(record={**GOOD_RECORD, "frames": b64(np.resize(GOOD_RECORD["frames"], 409))})
+@example(record={**GOOD_RECORD, "frames": _with_value((7, float("nan")))})
 @example(record="s01")
 def test_any_malformed_record_is_a_one_line_value_error(tmp_path_factory, record):
     path = tmp_path_factory.mktemp("jsonl") / "data.jsonl"

@@ -7,6 +7,7 @@ import resource
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,9 @@ from megraph.training import (
     sample_graph,
     train_fold,
 )
+
+
+V1_SAMPLES = Path(__file__).parent / "data" / "samples_v1.jsonl"
 
 
 def subject_set(subjects) -> SampleSet:
@@ -519,6 +523,36 @@ class TestRunLoso:
             assert set(a) == set(b)
             for key in a:
                 np.testing.assert_array_equal(a[key], b[key])
+
+    def test_either_frames_encoding_gives_the_same_run(self, tmp_path):
+        """The nested-list fixture and its base64 rewrite, read from one
+        path, give the same canonical reports, checkpoints and scores."""
+        data = tmp_path / "data.jsonl"
+        cfg = tiny_loso_config(
+            dataset=str(data), synth=None,
+            model=ModelConfig(variant="full", channels=4, n_actions=2,
+                              relation_channels=3, n_classes=2),
+        )
+        digests, checkpoints = [], []
+        for encoding in ("nested", "base64"):
+            if encoding == "nested":
+                data.write_bytes(V1_SAMPLES.read_bytes())
+            else:
+                save_samples(megraph.landmarks.load_samples(V1_SAMPLES), data)
+            first = json.loads(data.read_text().splitlines()[0])
+            assert isinstance(first["frames"], list if encoding == "nested" else str)
+            out = tmp_path / encoding
+            runs = [run_loso(cfg, out_dir=out)]
+            runs.append(evaluate_checkpoint(cfg, out / "checkpoints" / "fold_s01.json"))
+            digests.append([
+                hashlib.sha256(json.dumps(r.canonical()).encode()).hexdigest()
+                for r in runs
+            ])
+            checkpoints.append({
+                p.name: p.read_bytes() for p in (out / "checkpoints").iterdir()
+            })
+        assert digests[0] == digests[1]
+        assert len(checkpoints[0]) == 3 and checkpoints[0] == checkpoints[1]
 
     def test_curve_floats_round_trip_exactly(self, tmp_path):
         out = tmp_path / "run"
