@@ -58,11 +58,11 @@ def decode_float64(text, shape, where: str) -> np.ndarray:
     """The float64 array of ``shape`` that :func:`encode_float64` wrote as
     ``text``. Anything but strict base64 (only the alphabet, padding only at
     the end) is a ValueError naming ``where``, as are bytes that do not fill
-    ``shape``."""
+    ``shape``. The array is a read-only view of the decoded bytes."""
     try:
         raw = base64.b64decode(text, validate=True)  # a list is a TypeError
     except (TypeError, ValueError):
         raise ValueError(f"{where}: values must be a strict base64 string") from None
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{where}: {len(raw)} bytes do not fill float64 shape {shape}")
-    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    return np.frombuffer(raw, "<f8").reshape(shape)

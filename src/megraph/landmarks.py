@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -141,10 +141,28 @@ def _parse_record(record) -> tuple[str, int, np.ndarray]:
         raise ValueError(f"label must be an integer, got {json.dumps(label)}")
     if label.bit_length() > 63:
         raise ValueError(f"label does not fit in int64, got {label}")
-    given = record["frames"]
-    if isinstance(given, str):
-        return subject, label, decode_float64(given, FRAME_SHAPE, "frames")
+    frames = record["frames"]
+    if isinstance(frames, str):
+        return subject, label, decode_float64(frames, FRAME_SHAPE, "frames")
+    return subject, label, _nested_frames(frames)
+
+
+def _nested_frames(given) -> np.ndarray:
+    """The (3, 68, 2) frames that nested lists of JSON numbers hold. A regular
+    nest of ints and floats is cast as one flat list; anything else is cast
+    nested only to name the fault, since that cast also reads "1.5" and true
+    as numbers."""
+    flat = []
     try:
+        if list(map(len, given)) == [N_LANDMARKS] * N_FRAMES and set(
+            map(len, chain.from_iterable(given))
+        ) == {2}:
+            flat = list(chain.from_iterable(chain.from_iterable(given)))
+    except TypeError:  # a number where a list belongs
+        pass
+    try:
+        if flat and set(map(type, flat)) <= {int, float}:
+            return np.array(flat, dtype=np.float64).reshape(FRAME_SHAPE)
         frames = np.asarray(given, dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError("frames must be nested lists of numbers") from None
@@ -152,11 +170,7 @@ def _parse_record(record) -> tuple[str, int, np.ndarray]:
         raise ValueError("frames: a value is too large for float64") from None
     if frames.shape != FRAME_SHAPE:
         raise ValueError(f"frames must have shape (3, 68, 2), got {frames.shape}")
-    # the cast above also reads "1.5" and true as numbers
-    leaves = {type(v) for frame in given for point in frame for v in point}
-    if not leaves <= {int, float}:
-        raise ValueError("frames must be nested lists of numbers")
-    return subject, label, frames
+    raise ValueError("frames must be nested lists of numbers")
 
 
 def load_samples(path) -> SampleSet:

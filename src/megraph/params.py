@@ -171,8 +171,8 @@ def _checkpoint_entry(entry, where: str, fmt: str) -> np.ndarray:
     shape = entry["shape"]
     if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
         raise ValueError(f"{where}: shape must be a list of non-negative integers")
-    if fmt == CHECKPOINT_FORMAT:
-        values = decode_float64(entry["values"], shape, where)
+    if fmt == CHECKPOINT_FORMAT:  # a copy, so the arrays are writable as v1's are
+        values = decode_float64(entry["values"], shape, where).copy()
     else:
         try:
             values = np.asarray(entry["values"], dtype=np.float64)
@@ -180,11 +180,12 @@ def _checkpoint_entry(entry, where: str, fmt: str) -> np.ndarray:
             raise ValueError(f"{where}: values must be a list of numbers") from None
         except OverflowError:
             raise ValueError(f"{where}: a value is too large for float64") from None
+        if values.size != math.prod(shape):
+            raise ValueError(f"{where}: {values.size} values do not fill shape {shape}")
+        values = values.reshape(shape)
     if not np.isfinite(values).all():
         raise ValueError(f"{where}: values must be finite")
-    if values.size != math.prod(shape):
-        raise ValueError(f"{where}: {values.size} values do not fill shape {shape}")
-    return values.reshape(shape)
+    return values
 
 
 def sgd_step(store: ParamStore, lr: float, momentum: float = 0.0) -> None:

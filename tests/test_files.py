@@ -140,7 +140,8 @@ class TestFloat64Text:
         assert text == base64.b64encode(values.astype("<f8").tobytes()).decode()
         back = decode_float64(text, (2, 2), "here")
         assert back.tobytes() == values.tobytes()
-        assert back.dtype == np.float64 and back.flags.writeable
+        # a view of the decoded bytes: callers that keep it copy it
+        assert back.dtype == np.float64 and not back.flags.writeable
 
     @settings(max_examples=200, deadline=None)
     @given(

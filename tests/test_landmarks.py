@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import math
 import os
 import threading
 from pathlib import Path
@@ -284,6 +285,15 @@ class TestJsonlFiles:
              "frames must be nested lists of numbers"),
             ({**GOOD_RECORD, "frames": [[[None, 0.0]] * 68] * 3},
              "frames must be nested lists of numbers"),
+            # a regular outline with the wrong leaves keeps the nested cast's message
+            ({**GOOD_RECORD, "frames": [[[[1.0], [2.0]]] * 68] * 3},
+             r"frames must have shape \(3, 68, 2\), got \(3, 68, 2, 1\)"),
+            ({**GOOD_RECORD, "frames": [["12"] * 68] * 3},
+             r"frames must have shape \(3, 68, 2\), got \(3, 68\)"),
+            ({**GOOD_RECORD, "frames": [[[0.0], [0.0, 0.0, 0.0]] * 34] * 3},
+             "frames must be nested lists of numbers"),
+            ({**GOOD_RECORD, "frames": [[[10**400, 0.0]] * 68] * 3},
+             "frames: a value is too large for float64"),
             # lenient decoding would skip the "!" and read the same bytes
             ({**GOOD_RECORD, "frames": "!" + b64(GOOD_RECORD["frames"])},
              "frames: values must be a strict base64 string"),
@@ -408,6 +418,39 @@ def test_any_malformed_record_is_a_one_line_value_error(tmp_path_factory, record
     else:
         # only a record that is a valid sample loads
         assert len(samples) == 2 and samples.labels[1] == record["label"]
+
+
+def _finite_number(value) -> bool:
+    """Whether a JSON value is an int or a float that float64 holds finitely."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    at=st.integers(0, 407),
+    value=st.sampled_from([True, False, None, "1.5", [], [1.0], 2**70, 10**400])
+    | NUMBERS | JSON_VALUES,
+)
+@example(at=0, value=True)
+@example(at=407, value="1.5")
+def test_nested_frames_load_exactly_when_every_leaf_is_a_number(
+    tmp_path_factory, at, value
+):
+    frames = make_frames().tolist()
+    frames[at // 136][at // 2 % 68][at % 2] = value
+    path = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
+    path.write_text(json.dumps({**GOOD_RECORD, "frames": frames}) + "\n")
+    if _finite_number(value):
+        loaded = load_samples(path).frames[0]
+        np.testing.assert_array_equal(loaded, np.asarray(frames, dtype=np.float64))
+    else:
+        with pytest.raises(ValueError) as err:
+            load_samples(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}:1: ") and "\n" not in message
 
 
 class TestMagnify:
