@@ -8,14 +8,14 @@ of shape ``(..., R, C)``: the last two axes are one sample's matrix, any
 leading axes are batch axes, and the one-sample 2-d case is the same code
 path. Where a 2-d operand (a weight, a bias, a constant adjacency) meets a
 batched one, its gradient is summed over the batch axes; a ``(3, K, D)``
-:func:`stack` of weights meets a ``(..., 3, R, K)`` block matrix by matrix.
+weight meets a ``(..., 3, R, K)`` block matrix by matrix.
 
 Weights and biases may also carry a leading member axis: a ``(P, 1..., K, D)``
 weight or ``(P, 1..., 1, D)`` bias holds P variants of one parameter, with
-one singleton per axis by which the operand it (or its stack) meets
-outnumbers it, and its leading axes broadcast against that operand's. One
-forward then evaluates P members at once, each bit-identical to a forward
-with that member alone; the gradient check uses this to run every probe of
+one singleton per axis by which the operand it meets outnumbers it, and
+its leading axes broadcast against that operand's. One forward then
+evaluates P members at once, each bit-identical to a forward with that
+member alone; the gradient check uses this to run every probe of
 a parameter tensor in one pass.
 
 A node records whether any parent needs a gradient. Only a node that does
@@ -58,7 +58,6 @@ __all__ = [
     "transpose",
     "reshape",
     "gather_rows",
-    "stack",
     "softmax_rows",
     "l1_rowsum",
     "normalize_columns",
@@ -422,23 +421,6 @@ def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
 
     shape = a.shape[:-2] + rows.shape + a.shape[-1:]
     return _node(out.reshape(shape), (a,), back, "gather_rows")
-
-
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """(..., K, D) tensors stacked on a new axis -3, their leading (member)
-    axes broadcast; each part's gradient sums over the axes it gained."""
-    shapes, blocks = [p.shape for p in parts], [p.data for p in parts]
-    if shapes.count(shapes[0]) != len(shapes):  # broadcast only when they differ
-        try:
-            lead = np.broadcast_shapes(*[s[:-2] for s in shapes])
-            blocks = [np.broadcast_to(b, lead + shapes[0][-2:]) for b in blocks]
-        except ValueError:
-            raise ShapeError(f"stack: shapes {shapes} do not stack") from None
-
-    def back(g):
-        return tuple(_unbroadcast(g[..., i, :, :], s) for i, s in enumerate(shapes))
-
-    return _node(np.stack(blocks, axis=-3), tuple(parts), back, "stack")
 
 
 def softmax_rows(a: Tensor) -> Tensor:

@@ -179,7 +179,6 @@ def _op_cases() -> dict:
         "relu": (ad.relu, 0, k(4, 5)),
         "transpose": (ad.transpose, 0, n(3, 4)),
         "reshape": (_Whole(lambda x: ad.reshape(x, (2, 6))), 0, n(3, 4)),
-        "stack": (lambda *p: ad.stack(p), 1, n(3, 4), n(3, 4), n(3, 4)),
         "gather_rows": (lambda x: ad.gather_rows(x, _ROWS), 0, n(5, 4)),
         "softmax_rows": (ad.softmax_rows, 0, n(4, 5)),
         "l1_rowsum": (ad.l1_rowsum, 0, k(4, 5)),
@@ -205,7 +204,6 @@ def _op_cases() -> dict:
         "relu.batched": (ad.relu, 0, k(2, 3, 4)),
         "transpose.batched": (ad.transpose, 0, n(2, 3, 4)),
         "reshape.batched": (_Whole(lambda x: ad.reshape(x, (2, -1))), 0, n(2, 3, 4)),
-        "stack.batched": (lambda *p: ad.stack(p), 1, n(2, 3, 4), n(3, 4), n(2, 3, 4)),
         "gather_rows.batched": (lambda x: ad.gather_rows(x, _ROWS), 0, n(2, 5, 4)),
         "softmax_rows.batched": (ad.softmax_rows, 0, n(2, 3, 4)),
         "l1_rowsum.batched": (ad.l1_rowsum, 0, k(2, 3, 4)),
@@ -248,7 +246,6 @@ def _stacked_cases() -> dict:
     specs = {
         "matmul.lhs.stacked": (ad.matmul, 0, n(2, 4, 3), n(3, 1, 3, 5)),
         "matmul.rhs.stacked": (ad.matmul, 1, n(2, 4, 3), n(3, 1, 3, 5)),
-        "stack.stacked": (lambda *p: ad.stack(p), 0, n(2, 3, 4), n(3, 1, 3, 4), n(3, 4)),
         "gather_rows.stacked": (lambda x: ad.gather_rows(x, _ROWS), 0, n(3, 2, 5, 4)),
     }
 
@@ -392,16 +389,13 @@ WEIGHTED_OPS = ("affine", "graph_affine", "temporal_conv")
 
 def _batch_axes(loss: Tensor) -> dict[int, int]:
     """id of every weight and bias on the tape -> the singletons a member stack
-    of it needs: how many more axes the operand it (or its stack) meets has."""
+    of it needs: how many more axes the operand it meets has."""
     axes = {}
     for node in _tape(loss):
         if node.op in WEIGHTED_OPS:
             x, *operands = node._parents
             for p in operands:
                 axes[id(p)] = x.ndim - p.ndim
-        elif node.op == "stack" and id(node) in axes:
-            for part in node._parents:
-                axes[id(part)] = axes[id(node)]
     return axes
 
 

@@ -13,7 +13,8 @@ each optional after the first:
    matrix distributes the component's node features onto a small set of
    action slots; each slot becomes one pooled feature row. The components
    run as one block, :data:`~megraph.graph.COMPONENT_BLOCK`, padded to the
-   widest, with their weights stacked.
+   widest; each weight and bias is one parameter with a leading axis of
+   three, one matrix per component.
 3. Relation reconstruction: a graph convolution over the complete graph of
    action slots scores each slot; the normalized scores weight the action
    features into a single recognition feature.
@@ -45,7 +46,7 @@ from .graph import (
     SUBGRAPHS,
     normalize_adjacency,
 )
-from .params import ParamStore
+from .params import ParamStore, glorot_uniform
 
 VARIANTS = ("backbone", "actions", "full")
 
@@ -141,16 +142,19 @@ class ActionRelationNet:
 
     def _init_params(self, rng: np.random.Generator) -> None:
         c1 = self.config.channels
-        specs = []  # (name, shape, init), in the order rng draws them
+        specs = []  # (name, shape, init), each weight drawn from rng as listed
+
+        def weight(name: str, shape: tuple[int, ...]) -> None:
+            specs.append((name, shape, glorot_uniform(rng, shape)))
 
         def block(prefix: str, d_in: int, d_out: int) -> None:
-            specs.append((f"{prefix}.w", (d_in, d_out), "glorot"))
+            weight(f"{prefix}.w", (d_in, d_out))
             specs.append((f"{prefix}.b", (1, d_out), "zeros"))
 
         def layer(name: str, d_in: int) -> None:
             block(f"backbone.{name}.gc", d_in, c1)
             for tap in range(3):
-                specs.append((f"backbone.{name}.tc.w{tap}", (c1, c1), "glorot"))
+                weight(f"backbone.{name}.tc.w{tap}", (c1, c1))
             specs.append((f"backbone.{name}.tc.b", (1, c1), "zeros"))
 
         layer("l1", N_FRAME_COORDS)
@@ -158,15 +162,19 @@ class ActionRelationNet:
 
         if self.config.variant in ("actions", "full"):
             na = self.config.n_actions
-            for comp in COMPONENTS:
-                block(f"actions.{comp}.gc", c1, na)
-                block(f"actions.{comp}.mix", na, na)
+            # each component's gc.w, then its mix.w: the draw order of the
+            # per-component parameters older checkpoints name, so a seed gives
+            # the same values; each stacks on a leading component axis
+            drawn = [glorot_uniform(rng, s) for s in [(c1, na), (na, na)] * len(COMPONENTS)]
+            for name, w in (("gc", np.stack(drawn[0::2])), ("mix", np.stack(drawn[1::2]))):
+                specs.append((f"actions.{name}.w", w.shape, w))
+                specs.append((f"actions.{name}.b", (len(w), 1, na), "zeros"))
         if self.config.variant == "full":
             c2 = self.config.relation_channels
             block("relation.gc", c1, c2)
             block("relation.mix", c2, c2)
         block("head", c1, self.config.n_classes)
-        self.params.create_many(specs, rng)
+        self.params.create_many(specs)
 
     # -- stages ------------------------------------------------------------
 
@@ -195,20 +203,14 @@ class ActionRelationNet:
         zero padding rows add exact zeros to the slots and take no gradient.
         """
         p, (rows, adj) = self.params, COMPONENT_BLOCK
-        gc_w, gc_b, mix_w, mix_b = (
-            ad.stack([p[f"actions.{comp}.{name}"] for comp in COMPONENTS])
-            for name in ("gc.w", "gc.b", "mix.w", "mix.b")
-        )
         x = ad.gather_rows(node_features, rows)  # (..., 3, W, C_1)
-        hidden = ad.relu(ad.graph_affine(adj, x, gc_w, gc_b))
-        assign = ad.softmax_rows(ad.affine(hidden, mix_w, mix_b))
-        if np.abs(assign.data.sum(axis=-1) - 1.0).max() > 1e-9:
-            raise InvariantError("assignment rows do not sum to 1")
+        hidden = ad.relu(ad.graph_affine(adj, x, p["actions.gc.w"], p["actions.gc.b"]))
+        assign = ad.softmax_rows(ad.affine(hidden, p["actions.mix.w"], p["actions.mix.b"]))
+        pooled = ad.matmul(ad.transpose(assign), x)  # (..., 3, N_a, C_1)
         maps = {
             sub.component: ad.constant(assign.data[..., i, : len(sub.indices), :])
             for i, sub in enumerate(SUBGRAPHS)
         }
-        pooled = ad.matmul(ad.transpose(assign), x)  # (..., 3, N_a, C_1)
         return ad.reshape(pooled, pooled.shape[:-3] + (-1, pooled.shape[-1])), maps
 
     def relate(self, action_features: Tensor):
@@ -286,3 +288,19 @@ def _per_sample(pooled: Tensor, batched: bool) -> Tensor:
     if not batched:
         return pooled
     return ad.reshape(pooled, pooled.shape[:-2] + pooled.shape[-1:])
+
+
+def stack_legacy_names(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Map a checkpoint's per-component decomposition entries onto the stacked
+    parameters: ``actions.<component>.<name>`` of all three components becomes
+    ``actions.<name>``. A partial set, or one beside its stacked name, is left
+    for the name check to reject."""
+    state = dict(state)
+    for name in ("gc.w", "gc.b", "mix.w", "mix.b"):
+        parts = [f"actions.{comp}.{name}" for comp in COMPONENTS]
+        if f"actions.{name}" not in state and all(p in state for p in parts):
+            values = [state.pop(p) for p in parts]
+            if len({v.shape for v in values}) > 1:
+                raise ValueError(f"per-component entries of 'actions.{name}' differ in shape")
+            state[f"actions.{name}"] = np.stack(values)
+    return state

@@ -36,12 +36,15 @@ class ParamStore:
 
     def create_many(self, specs, rng: np.random.Generator | None = None) -> list[Tensor]:
         """Create one parameter per ``(name, shape, init)`` spec, drawing
-        from ``rng`` in spec order, and grow the vectors once."""
+        from ``rng`` in spec order, and grow the vectors once. An ``init``
+        may also be an array of that shape, the caller's own draw."""
         new: dict[str, Tensor] = {}
         for name, shape, init in specs:
             if name in self._params or name in new:
                 raise ValueError(f"parameter '{name}' already exists")
-            if init == "glorot":
+            if isinstance(init, np.ndarray):
+                data = init
+            elif init == "glorot":
                 if rng is None:
                     raise ValueError("glorot init needs an rng")
                 if not shape or shape[0] + shape[-1] == 0:
@@ -174,10 +177,11 @@ def _checkpoint_entry(entry, where: str, fmt: str) -> np.ndarray:
     if fmt == CHECKPOINT_FORMAT:  # a copy, so the arrays are writable as v1's are
         values = decode_float64(entry["values"], shape, where).copy()
     else:
+        values = entry["values"]  # a flat list of JSON numbers: no strings or booleans
+        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+            raise ValueError(f"{where}: values must be a list of numbers")
         try:
-            values = np.asarray(entry["values"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"{where}: values must be a list of numbers") from None
+            values = np.asarray(values, dtype=np.float64)
         except OverflowError:
             raise ValueError(f"{where}: a value is too large for float64") from None
         if values.size != math.prod(shape):

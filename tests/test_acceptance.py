@@ -127,15 +127,6 @@ def loop_gather_rows(x, rows):
     return out
 
 
-def loop_stack(parts):
-    out = np.zeros((len(parts),) + parts[0].shape)
-    for k, part in enumerate(parts):
-        for i in range(part.shape[0]):
-            for j in range(part.shape[1]):
-                out[k, i, j] = part[i, j]
-    return out
-
-
 def loop_crop_jitter(frames, rng, copies, max_scale, max_shift):
     """Per sample and per copy: draw the scale, then the two shifts."""
     out = []
@@ -155,17 +146,16 @@ def loop_affine(adj, x, w, b):
 def oracle_decompose(model, x):
     p = model.params
     pooled = []
-    for sub in SUBGRAPHS:
+    for i, sub in enumerate(SUBGRAPHS):
         start, stop = sub.rows
         x_o = x[start:stop]
         hidden = loop_relu(
             loop_affine(sub.adjacency, x_o,
-                        p[f"actions.{sub.component}.gc.w"].data,
-                        p[f"actions.{sub.component}.gc.b"].data)
+                        p["actions.gc.w"].data[i], p["actions.gc.b"].data[i])
         )
         scores = (
-            loop_matmul(hidden, p[f"actions.{sub.component}.mix.w"].data)
-            + p[f"actions.{sub.component}.mix.b"].data
+            loop_matmul(hidden, p["actions.mix.w"].data[i])
+            + p["actions.mix.b"].data[i]
         )
         pooled.append(loop_matmul(loop_softmax_rows(scores).T, x_o))
     return np.concatenate(pooled, axis=0)
@@ -306,9 +296,6 @@ class TestAcceptance:
                 index = index.reshape(3, 12)
                 got = ad.gather_rows(ad.constant(x), index)
                 np.testing.assert_array_equal(got.data, loop_gather_rows(x, index))
-                parts = [rng.normal(size=(4, 3)) for _ in range(3)]
-                got = ad.stack([ad.constant(p) for p in parts])
-                np.testing.assert_array_equal(got.data, loop_stack(parts))
 
             for seed in range(5):
                 samples = synthesize_dataset(n_subjects=2, samples_per_subject=3,

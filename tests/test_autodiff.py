@@ -15,8 +15,8 @@ import pytest
 import megraph.autodiff as ad
 from megraph import checks
 from megraph.autodiff import ShapeError, Tensor
-from megraph.graph import COMPONENT_BLOCK
-from megraph.model import ActionRelationNet, ModelConfig
+from megraph.graph import COMPONENT_BLOCK, COMPONENTS
+from megraph.model import ActionRelationNet, ModelConfig, stack_legacy_names
 from megraph.params import ParamStore, read_checkpoint, sgd_step, write_checkpoint
 
 
@@ -242,35 +242,6 @@ class TestForwardValues:
             one = ad.temporal_conv(x, [w0, c(w1[m, 0, 0]), w2], c(b[m, 0, 0]), padding)
             assert np.array_equal(got[m], one.data)
 
-    def test_stack_broadcasts_member_axes(self):
-        rng = np.random.default_rng(7)
-        a, mid, z = (rng.normal(size=s) for s in ((2, 3, 4), (3, 1, 3, 4), (3, 4)))
-        parts = [ad.tensor(v, requires_grad=True) for v in (a, mid, z)]
-        out = ad.stack(parts)
-        assert out.shape == (3, 2, 3, 3, 4)
-        for m in range(3):
-            for i in range(2):
-                want = np.stack([a[i], mid[m, 0], z])
-                assert np.array_equal(out.data[m, i], want)
-        ad.backward(ad.sum_all(out))
-        # each part's gradient sums over the axes it was broadcast along
-        np.testing.assert_array_equal(parts[0].grad, np.full(a.shape, 3.0))
-        np.testing.assert_array_equal(parts[1].grad, np.full(mid.shape, 2.0))
-        np.testing.assert_array_equal(parts[2].grad, np.full(z.shape, 6.0))
-
-    def test_stack_of_equal_shapes_skips_broadcasting(self, monkeypatch):
-        # every training step stacks equally shaped parameters: one copy,
-        # no broadcast of the parts
-        def refuse(*args, **kwargs):
-            raise AssertionError("broadcast on equal shapes")
-
-        rng = np.random.default_rng(7)
-        parts = [ad.constant(rng.normal(size=(4, 2))) for _ in range(3)]
-        monkeypatch.setattr(ad.np, "broadcast_shapes", refuse)
-        monkeypatch.setattr(ad.np, "broadcast_to", refuse)
-        out = ad.stack(parts)
-        assert np.array_equal(out.data, np.stack([p.data for p in parts]))
-
     def test_cross_entropy_matches_loop(self):
         rng = np.random.default_rng(42)
         logits = rng.normal(size=(6, 4))
@@ -370,8 +341,6 @@ SHAPE_CONTRACTS = {
         "temporal_conv: member axes",
         _conv((2, 3, 5, 4), ((3, 1, 1, 4, 2),) * 3, b_shape=(2, 1, 1, 1, 2)),
     ),
-    "stack.batch": ("stack: shape", lambda: ad.stack([_c(2, 5, 4), _c(3, 5, 4)])),
-    "stack.matrix": ("stack: shape", lambda: ad.stack([_c(5, 4), _c(4, 5)])),
     "gather_rows.rank": (
         "gather_rows: expected a", lambda: ad.gather_rows(_c(5), np.arange(2))
     ),
@@ -690,6 +659,20 @@ class TestGradCheck:
         assert "(12,) values" in entries[1].result.failure
         assert not checks.battery_passed(entries)
 
+    def test_every_op_has_a_battery_case(self):
+        # each tape op joins the central-difference battery under its own
+        # name, or as "<op>.<variant>"
+        api = {"Tensor", "ShapeError", "GradCheckResult", "tensor", "constant",
+               "backward", "grad_check", "compare_gradient"}
+        ops = [name for name in ad.__all__ if name not in api]
+        assert ops and all(callable(getattr(ad, op)) for op in ops)
+        cases = list(checks._cases())
+        missing = [
+            op for op in ops
+            if not any(c == op or c.startswith(op + ".") for c in cases)
+        ]
+        assert missing == []
+
     @staticmethod
     def battery_calls(monkeypatch, seeds):
         """Run the op and loss battery with every objective and stacked
@@ -840,7 +823,7 @@ class TestGradCheck:
         model = ActionRelationNet(checks.SMALL_MODEL, seed=0)
         flat = model.params.flat()
         flat += np.random.default_rng([0, 0]).normal(0.0, 0.15, size=flat.size)
-        model.params["actions.eyebrow.gc.b"].data[0, 0] = 1e-5
+        model.params["actions.gc.b"].data[0, 0, 0] = 1e-5
         features = checks.sample_graph(samples, 3.0)
         logits = model.forward(features).logits
         margin = checks.kink_margin(logits)
@@ -1063,14 +1046,40 @@ class TestParamStore:
         assert np.signbit(loaded["edge"][0]) and not np.signbit(loaded["edge"][1])
 
     def test_v1_fixture_loads_bit_identically(self):
+        # the fixture holds the per-component names the decomposition's
+        # parameters had before they were stacked; mapped, it equals the
+        # initial values of today's model, so their draw order was kept
         loaded = read_checkpoint(V1_FIXTURE)
+        assert {f"actions.{c}.gc.w" for c in COMPONENTS} <= set(loaded)
+        loaded = stack_legacy_names(loaded)
         expected = ActionRelationNet(checks.SMALL_MODEL, seed=9).params.state_dict()
-        assert list(loaded) == list(expected)
+        assert sorted(loaded) == sorted(expected)
         for name, values in expected.items():
+            assert loaded[name].shape == values.shape, name
             assert loaded[name].tobytes() == values.tobytes(), name
         payload = json.loads(V1_FIXTURE.read_text())
         assert payload["format"] == "megraph-params-v1"
         assert all(isinstance(e["values"], list) for e in payload["params"].values())
+
+    @pytest.mark.parametrize("values", [["1.5", True], [True], [None], [[0.5]], "0.5"])
+    def test_v1_values_must_be_a_flat_list_of_numbers(self, tmp_path, values):
+        # json.loads gives numbers as int or float only; a string or boolean
+        # that numpy would cast is rejected, naming the entry
+        path = tmp_path / "ckpt.json"
+        entry = {"shape": [np.size(values)], "values": values}
+        path.write_text(json.dumps(
+            {"format": "megraph-params-v1", "params": {"head.b": entry}}
+        ))
+        with pytest.raises(ValueError) as err:
+            read_checkpoint(path)
+        assert str(err.value) == (
+            f"{path}: checkpoint entry 'head.b': values must be a list of numbers"
+        )
+        entry.update(shape=[2], values=[1, 0.5])
+        path.write_text(json.dumps(
+            {"format": "megraph-params-v1", "params": {"head.b": entry}}
+        ))
+        assert read_checkpoint(path)["head.b"].tolist() == [1.0, 0.5]
 
     def test_read_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"

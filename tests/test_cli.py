@@ -104,6 +104,21 @@ BAD_INPUTS = [
     ),
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT % ', "params": {"head.b": {"shape": [2], "values": ["1.5", true]}}',
+        "{input}: checkpoint entry 'head.b': values must be a list of numbers",
+        id="checkpoint-v1-string-and-bool",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT % ', "params": {%s}' % ", ".join(
+            f'"actions.{comp}.gc.b": {{"shape": [{n}], "values": {[0.0] * n}}}'
+            for comp, n in (("eyebrow", 1), ("nose", 2), ("mouth", 1))
+        ),
+        "{input}: per-component entries of 'actions.gc.b' differ in shape",
+        id="checkpoint-legacy-shapes-differ",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
         CHECKPOINT % f', "params": {{"head.b": {{"shape": [1], "values": [1{"0" * 400}]}}}}',
         "{input}: checkpoint entry 'head.b': a value is too large for float64",
         id="checkpoint-huge-integer",
@@ -336,20 +351,49 @@ class TestRunCommands:
     def test_evaluate_scores_a_v1_checkpoint_like_its_v2_rewrite(
         self, tmp_path, capsys
     ):
+        # the v1 fixture and its v2 rewrite hold the per-component names the
+        # decomposition's parameters had before they were stacked; a v2 file
+        # of the same model's stacked parameters scores the same
         cfg = ExperimentConfig(
             synth=SynthSpec(n_subjects=2, samples_per_subject=3, n_classes=3),
             model=SMALL_MODEL,
         )
         path = tmp_path / "c.json"
         save_config(cfg, path)
-        v2 = tmp_path / "v2.json"
+        v2, stacked = tmp_path / "v2.json", tmp_path / "stacked.json"
         write_checkpoint(read_checkpoint(V1_FIXTURE), v2)
+        assert "actions.eyebrow.gc.w" in read_checkpoint(v2)
+        write_checkpoint(ActionRelationNet(SMALL_MODEL, seed=9).params.state_dict(), stacked)
+        assert "actions.gc.w" in read_checkpoint(stacked)
         outputs = []
-        for ckpt in (V1_FIXTURE, v2):
+        for ckpt in (V1_FIXTURE, v2, stacked):
             argv = ["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        assert "pooled accuracy" in outputs[0] and outputs[0] == outputs[1]
+        assert "pooled accuracy" in outputs[0]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_evaluate_names_a_stacked_parameter_with_a_missing_component(
+        self, tmp_path, capsys
+    ):
+        # two components' legacy gc.w entries do not make actions.gc.w: the
+        # name check rejects them, and the three complete sets still map
+        path = tmp_path / "c.json"
+        save_config(ExperimentConfig(
+            synth=SynthSpec(n_subjects=2, samples_per_subject=3, n_classes=3),
+            model=SMALL_MODEL,
+        ), path)
+        state = read_checkpoint(V1_FIXTURE)
+        del state["actions.mouth.gc.w"]
+        ckpt = tmp_path / "two.json"
+        write_checkpoint(state, ckpt)
+        argv = ["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {ckpt}: parameter name mismatch: missing=['actions.gc.w'] "
+            "extra=['actions.eyebrow.gc.w', 'actions.nose.gc.w']\n"
+        )
 
     def test_loso_writes_run_dir(self, tiny_config_path, tmp_path, capsys):
         out = tmp_path / "loso"
