@@ -8,15 +8,17 @@ of shape ``(..., R, C)``: the last two axes are one sample's matrix, any
 leading axes are batch axes, and the one-sample 2-d case is the same code
 path. Where a 2-d operand (a weight, a bias, a constant adjacency) meets a
 batched one, its gradient is summed over the batch axes; a ``(3, K, D)``
-weight meets a ``(..., 3, R, K)`` block matrix by matrix.
+weight meets a ``(..., 3, R, K)`` block matrix by matrix. ``temporal_conv``
+takes its k taps as one ``(k, K, D)`` weight, one matrix per frame offset.
 
 Weights and biases may also carry a leading member axis: a ``(P, 1..., K, D)``
 weight or ``(P, 1..., 1, D)`` bias holds P variants of one parameter, with
 one singleton per axis by which the operand it meets outnumbers it, and
-its leading axes broadcast against that operand's. One forward then
-evaluates P members at once, each bit-identical to a forward with that
-member alone; the gradient check uses this to run every probe of
-a parameter tensor in one pass.
+its leading axes broadcast against that operand's; a temporal weight's
+stack is ``(P, 1..., k, K, D)``, its tap axis standing in for the frame
+singleton. One forward then evaluates P members at once, each
+bit-identical to a forward with that member alone; the gradient check
+uses this to run the probes of a parameter tensor as member stacks.
 
 A node records whether any parent needs a gradient. Only a node that does
 keeps its parents and its backward rule, so a graph no gradient can flow
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -555,73 +557,64 @@ def graph_affine(adj: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out, (x, w, b), back, "graph_affine")
 
 
-def temporal_conv(
-    x: Tensor, taps: Sequence[Tensor], b: Tensor, padding: str = "same"
-) -> Tensor:
+def temporal_conv(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
     """Convolution along the frame axis of a (..., T, R, K) input.
 
-    Output frame t is ``b + sum_k x[t + k - p] @ taps[k]`` with (K, D) taps.
-    ``"same"`` pads p = len(taps) // 2 zero frames on each side and keeps T
-    frames; ``"valid"`` pads none and keeps T - len(taps) + 1. Any tap and
-    the bias may be a member stack; a tap's frame axis is a singleton.
+    Output frame t is ``b + sum_j x[t + j - p] @ w[j]`` with a (k, K, D)
+    weight of k taps. ``"same"`` pads p = k // 2 zero frames on each side
+    and keeps T frames; ``"valid"`` pads none and keeps T - k + 1. The weight
+    may be a (P, 1..., k, K, D) member stack, its tap axis standing in for
+    the frame singleton, and the bias a (P, 1..., 1, D) one.
     """
-    xd, xs, bs = x.data, x.data.shape, b.data.shape
+    xd, wd = x.data, w.data
+    xs, ws, bs = xd.shape, wd.shape, b.data.shape
     if len(xs) < 3:
         raise ShapeError(f"temporal_conv: expected (..., T, R, K) input, got {xs}")
     if padding not in ("same", "valid"):
         raise ValueError(
             f"temporal_conv: padding must be 'same' or 'valid', got {padding!r}"
         )
-    k = len(taps)
-    ws = [w.data for w in taps]
-    w_shape = ws[0].shape[-2:] if ws else ()
-    bad, stacked = len(w_shape) != 2, len(bs) > 2
-    for w in ws:
-        bad = bad or w.shape[-2:] != w_shape or (w.ndim > 2 and w.shape[-3] != 1)
-        stacked = stacked or w.ndim > 2
-    if bad:
+    if len(ws) < 3 or ws[-3] < 1:
         raise ShapeError(
-            "temporal_conv: need non-empty, equally shaped 2-d taps, each alone "
-            "or as a (P, 1..., 1, K, D) member stack"
+            f"temporal_conv: weight shape {ws}, expected (k, K, D) or "
+            "(P, 1..., k, K, D) with k >= 1"
         )
-    if w_shape[0] != xs[-1]:
-        raise ShapeError(f"temporal_conv: taps {w_shape} vs features {xs}")
-    _check_bias("temporal_conv", b, w_shape[1])
-    frames = xs[-3]
+    if ws[-2] != xs[-1]:
+        raise ShapeError(f"temporal_conv: weight {ws} vs features {xs}")
+    _check_bias("temporal_conv", b, ws[-1])
+    k, frames = ws[-3], xs[-3]
     pad = k // 2 if padding == "same" else 0
     t_out = frames + 2 * pad - k + 1
     if t_out < 1:
         raise ShapeError(f"temporal_conv: {k} taps exceed {frames} frames")
-    lead = xs[:-3]
-    if stacked:
-        try:
-            lead = np.broadcast_shapes(lead, bs[:-3], *[w.shape[:-3] for w in ws])
-        except ValueError:
-            raise ShapeError(
-                f"temporal_conv: member axes of taps or bias {bs} vs features {xs}"
-            ) from None
+    try:
+        lead = np.broadcast_shapes(xs[:-3], ws[:-3], bs[:-3])
+    except ValueError:
+        raise ShapeError(
+            f"temporal_conv: member axes of weight {ws} or bias {bs} vs features {xs}"
+        ) from None
     # tap j maps input frames lo+d:hi+d onto output frames lo:hi, d = j - pad;
-    # the zero padding frames are never materialized
+    # the zero padding frames are never materialized. A plain weight's tap is
+    # its (K, D) matrix, which keeps the 2-d kernel paths; a stacked weight's
+    # keeps its tap axis as the frame singleton.
+    taps = [np.s_[j] if len(ws) == 3 else np.s_[..., j : j + 1, :, :] for j in range(k)]
     spans = [(max(0, pad - j), min(t_out, frames + pad - j), j - pad) for j in range(k)]
-    out = np.zeros(lead + (t_out, xs[-2], w_shape[1]))
-    for (lo, hi, d), w in zip(spans, ws):
+    out = np.zeros(lead + (t_out, xs[-2], ws[-1]))
+    for (lo, hi, d), tap in zip(spans, taps):
         if lo < hi:
-            out[..., lo:hi, :, :] += xd[..., lo + d : hi + d, :, :] @ w
+            out[..., lo:hi, :, :] += xd[..., lo + d : hi + d, :, :] @ wd[tap]
     out += b.data
 
     def back(g):
-        gx = np.zeros(g.shape[:-3] + xs[-3:])
-        gws = []
-        for (lo, hi, d), w in zip(spans, ws):
-            if lo >= hi:
-                gws.append(np.zeros_like(w))
-                continue
-            g_span = g[..., lo:hi, :, :]
-            gx[..., lo + d : hi + d, :, :] += g_span @ _transposed(w)
-            gws.append(_weight_grad(xd[..., lo + d : hi + d, :, :], g_span, w.shape))
-        return (_unbroadcast(gx, xs), *gws, _bias_grad(g, bs))
+        gx, gw = np.zeros(g.shape[:-3] + xs[-3:]), np.zeros(ws)
+        for (lo, hi, d), tap in zip(spans, taps):
+            if lo < hi:
+                g_span, x_span = g[..., lo:hi, :, :], xd[..., lo + d : hi + d, :, :]
+                gx[..., lo + d : hi + d, :, :] += g_span @ _transposed(wd[tap])
+                gw[tap] = _weight_grad(x_span, g_span, gw[tap].shape)
+        return _unbroadcast(gx, xs), gw, _bias_grad(g, bs)
 
-    return _node(out, (x, *taps, b), back, "temporal_conv")
+    return _node(out, (x, w, b), back, "temporal_conv")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

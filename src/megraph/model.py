@@ -7,8 +7,9 @@ each optional after the first:
 
 1. Backbone: two layers of per-frame graph convolution over
    :data:`~megraph.graph.ADJACENCY` followed by temporal convolution across
-   the three keyframes. Layer 2's valid-width-3 temporal step collapses the
-   frame axis, leaving one feature row per node.
+   the three keyframes, each layer's three taps one (3, C, C) parameter.
+   Layer 2's valid-width-3 temporal step collapses the frame axis, leaving
+   one feature row per node.
 2. Action decomposition: per facial component, a learned soft assignment
    matrix distributes the component's node features onto a small set of
    action slots; each slot becomes one pooled feature row. The components
@@ -27,6 +28,9 @@ samples is one tape, not B of them. A parameter whose value is a member
 stack (see ``autodiff``) carries its leading member axes through every
 later stage of a stacked batch, down to (P, B, K) logits: one forward
 evaluates P variants of the model.
+
+Checkpoints written before the stacked parameters existed name their
+slices; :func:`stack_legacy_names` maps them through :data:`LEGACY_PARTS`.
 """
 
 from __future__ import annotations
@@ -132,30 +136,28 @@ class ActionRelationNet:
         self.params = ParamStore()
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         self._init_params(rng)
-        # per backbone layer: padding, gc.w, gc.b, tc taps, tc.b, looked up once
+        # per backbone layer: padding, gc.w, gc.b, tc.w, tc.b, looked up once
         p = self.params
         self._backbone_layers = [
             (padding, p[f"backbone.{n}.gc.w"], p[f"backbone.{n}.gc.b"],
-             [p[f"backbone.{n}.tc.w{k}"] for k in range(3)], p[f"backbone.{n}.tc.b"])
+             p[f"backbone.{n}.tc.w"], p[f"backbone.{n}.tc.b"])
             for n, padding in (("l1", "same"), ("l2", "valid"))
         ]
 
     def _init_params(self, rng: np.random.Generator) -> None:
         c1 = self.config.channels
-        specs = []  # (name, shape, init), each weight drawn from rng as listed
-
-        def weight(name: str, shape: tuple[int, ...]) -> None:
-            specs.append((name, shape, glorot_uniform(rng, shape)))
+        specs = []  # (name, initial values), each weight drawn from rng as listed
 
         def block(prefix: str, d_in: int, d_out: int) -> None:
-            weight(f"{prefix}.w", (d_in, d_out))
-            specs.append((f"{prefix}.b", (1, d_out), "zeros"))
+            specs.append((f"{prefix}.w", glorot_uniform(rng, (d_in, d_out))))
+            specs.append((f"{prefix}.b", np.zeros((1, d_out))))
 
         def layer(name: str, d_in: int) -> None:
             block(f"backbone.{name}.gc", d_in, c1)
-            for tap in range(3):
-                weight(f"backbone.{name}.tc.w{tap}", (c1, c1))
-            specs.append((f"backbone.{name}.tc.b", (1, c1), "zeros"))
+            # each tap drawn as its own (C, C) weight, stacked on a tap axis
+            taps = np.stack([glorot_uniform(rng, (c1, c1)) for _ in range(3)])
+            specs.append((f"backbone.{name}.tc.w", taps))
+            specs.append((f"backbone.{name}.tc.b", np.zeros((1, c1))))
 
         layer("l1", N_FRAME_COORDS)
         layer("l2", c1)
@@ -167,8 +169,8 @@ class ActionRelationNet:
             # the same values; each stacks on a leading component axis
             drawn = [glorot_uniform(rng, s) for s in [(c1, na), (na, na)] * len(COMPONENTS)]
             for name, w in (("gc", np.stack(drawn[0::2])), ("mix", np.stack(drawn[1::2]))):
-                specs.append((f"actions.{name}.w", w.shape, w))
-                specs.append((f"actions.{name}.b", (len(w), 1, na), "zeros"))
+                specs.append((f"actions.{name}.w", w))
+                specs.append((f"actions.{name}.b", np.zeros((len(w), 1, na))))
         if self.config.variant == "full":
             c2 = self.config.relation_channels
             block("relation.gc", c1, c2)
@@ -189,9 +191,9 @@ class ActionRelationNet:
         x = ad.constant(frames)
         # width-3 temporal convolutions: layer 1 keeps the three frames
         # (missing neighbors contribute nothing), layer 2 collapses them
-        for padding, gc_w, gc_b, taps, tc_b in self._backbone_layers:
+        for padding, gc_w, gc_b, tc_w, tc_b in self._backbone_layers:
             x = ad.relu(ad.graph_affine(ADJACENCY, x, gc_w, gc_b))
-            x = ad.temporal_conv(x, taps, tc_b, padding)
+            x = ad.temporal_conv(x, tc_w, tc_b, padding)
         return ad.reshape(x, x.shape[:-3] + x.shape[-2:])
 
     def decompose(self, node_features: Tensor):
@@ -290,17 +292,26 @@ def _per_sample(pooled: Tensor, batched: bool) -> Tensor:
     return ad.reshape(pooled, pooled.shape[:-2] + pooled.shape[-1:])
 
 
+# stacked parameter -> the slices older checkpoints name, in stacking order:
+# the decomposition's per-component entries and the backbone's per-tap ones
+LEGACY_PARTS = {
+    **{f"actions.{name}": tuple(f"actions.{comp}.{name}" for comp in COMPONENTS)
+       for name in ("gc.w", "gc.b", "mix.w", "mix.b")},
+    **{f"backbone.{n}.tc.w": tuple(f"backbone.{n}.tc.w{k}" for k in range(3))
+       for n in ("l1", "l2")},
+}
+
+
 def stack_legacy_names(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Map a checkpoint's per-component decomposition entries onto the stacked
-    parameters: ``actions.<component>.<name>`` of all three components becomes
-    ``actions.<name>``. A partial set, or one beside its stacked name, is left
-    for the name check to reject."""
+    """Map a checkpoint's legacy entries onto the stacked parameters: each
+    complete set of :data:`LEGACY_PARTS` becomes its stacked name. A partial
+    set, or one beside its stacked name, is left for the name check to
+    reject."""
     state = dict(state)
-    for name in ("gc.w", "gc.b", "mix.w", "mix.b"):
-        parts = [f"actions.{comp}.{name}" for comp in COMPONENTS]
-        if f"actions.{name}" not in state and all(p in state for p in parts):
+    for name, parts in LEGACY_PARTS.items():
+        if name not in state and all(p in state for p in parts):
             values = [state.pop(p) for p in parts]
             if len({v.shape for v in values}) > 1:
-                raise ValueError(f"per-component entries of 'actions.{name}' differ in shape")
-            state[f"actions.{name}"] = np.stack(values)
+                raise ValueError(f"legacy entries of '{name}' differ in shape")
+            state[name] = np.stack(values)
     return state

@@ -34,29 +34,14 @@ class ParamStore:
         self._views: list[np.ndarray] = []  # the .data each parameter holds
         self._flat, self._velocity = np.zeros(0), np.zeros(0)
 
-    def create_many(self, specs, rng: np.random.Generator | None = None) -> list[Tensor]:
-        """Create one parameter per ``(name, shape, init)`` spec, drawing
-        from ``rng`` in spec order, and grow the vectors once. An ``init``
-        may also be an array of that shape, the caller's own draw."""
+    def create_many(self, specs) -> list[Tensor]:
+        """Create one parameter per ``(name, initial array)`` pair, in order,
+        and grow the vectors once."""
         new: dict[str, Tensor] = {}
-        for name, shape, init in specs:
+        for name, init in specs:
             if name in self._params or name in new:
                 raise ValueError(f"parameter '{name}' already exists")
-            if isinstance(init, np.ndarray):
-                data = init
-            elif init == "glorot":
-                if rng is None:
-                    raise ValueError("glorot init needs an rng")
-                if not shape or shape[0] + shape[-1] == 0:
-                    raise ValueError(
-                        f"parameter '{name}': glorot init needs fans, got shape {shape}"
-                    )
-                data = glorot_uniform(rng, shape)
-            elif init == "zeros":
-                data = np.zeros(shape)
-            else:
-                raise ValueError(f"unknown init '{init}'")
-            new[name] = Tensor(data, requires_grad=True)
+            new[name] = Tensor(init, requires_grad=True)
         grown = [t.data.ravel() for t in new.values()]
         self._flat = np.concatenate([self.flat(), *grown])
         self._velocity = np.concatenate([self._velocity, np.zeros(sum(map(len, grown)))])

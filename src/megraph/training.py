@@ -406,8 +406,8 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunReport:
 def evaluate_checkpoint(
     config: ExperimentConfig, checkpoint_path, out_dir=None
 ) -> RunReport:
-    """Score a saved checkpoint on the configured dataset. Per-component
-    decomposition entries load through :func:`~megraph.model.stack_legacy_names`."""
+    """Score a saved checkpoint on the configured dataset. Per-component and
+    per-tap legacy entries load through :func:`~megraph.model.stack_legacy_names`."""
     t0 = time.perf_counter()
     release_cycles()
     samples = prepare_samples(config)

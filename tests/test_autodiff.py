@@ -16,8 +16,14 @@ import megraph.autodiff as ad
 from megraph import checks
 from megraph.autodiff import ShapeError, Tensor
 from megraph.graph import COMPONENT_BLOCK, COMPONENTS
-from megraph.model import ActionRelationNet, ModelConfig, stack_legacy_names
-from megraph.params import ParamStore, read_checkpoint, sgd_step, write_checkpoint
+from megraph.model import LEGACY_PARTS, ActionRelationNet, ModelConfig, stack_legacy_names
+from megraph.params import (
+    ParamStore,
+    glorot_uniform,
+    read_checkpoint,
+    sgd_step,
+    write_checkpoint,
+)
 
 
 V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.json"
@@ -166,9 +172,9 @@ class TestForwardValues:
     def test_temporal_conv_matches_loop(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(2, 3, 4, 3))
-        taps = [rng.normal(size=(3, 2)) for _ in range(3)]
+        w = rng.normal(size=(3, 3, 2))
         b = rng.normal(size=(1, 2))
-        args = ([ad.constant(w) for w in taps], ad.constant(b))
+        args = (ad.constant(w), ad.constant(b))
         for padding, pad in (("same", 1), ("valid", 0)):
             got = ad.temporal_conv(ad.constant(x), *args, padding).data
             t_out = 3 + 2 * pad - 2
@@ -179,7 +185,7 @@ class TestForwardValues:
                     for k in range(3):
                         src = t + k - pad
                         if 0 <= src < 3:
-                            want = want + x[n, src] @ taps[k]
+                            want = want + x[n, src] @ w[k]
                     np.testing.assert_allclose(got[n, t], want, atol=1e-12)
 
     def test_batched_ops_match_per_matrix_calls(self):
@@ -230,17 +236,27 @@ class TestForwardValues:
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_stacked_temporal_conv_matches_per_member_calls(self, padding):
+        # a (P, 1, k, K, D) weight: its tap axis stands in for the frame
+        # singleton that a stacked affine weight has
         rng = np.random.default_rng(7)
         c = ad.constant
         x = c(rng.normal(size=(2, 3, 4, 3)))
-        w0, w2 = c(rng.normal(size=(3, 2))), c(rng.normal(size=(3, 2)))
-        w1 = rng.normal(size=(4, 1, 1, 3, 2))
-        b = rng.normal(size=(4, 1, 1, 1, 2))
-        got = ad.temporal_conv(x, [w0, c(w1), w2], c(b), padding).data
-        assert got.shape[:2] == (4, 2)
+        w, b = rng.normal(size=(4, 1, 3, 3, 2)), rng.normal(size=(4, 1, 1, 1, 2))
+        w2, b2 = rng.normal(size=(3, 3, 2)), rng.normal(size=(1, 2))
+        stacked = {
+            "both": ad.temporal_conv(x, c(w), c(b), padding).data,
+            "weight": ad.temporal_conv(x, c(w), c(b2), padding).data,
+            "bias": ad.temporal_conv(x, c(w2), c(b), padding).data,
+        }
         for m in range(4):
-            one = ad.temporal_conv(x, [w0, c(w1[m, 0, 0]), w2], c(b[m, 0, 0]), padding)
-            assert np.array_equal(got[m], one.data)
+            one = {
+                "both": ad.temporal_conv(x, c(w[m, 0]), c(b[m, 0, 0]), padding).data,
+                "weight": ad.temporal_conv(x, c(w[m, 0]), c(b2), padding).data,
+                "bias": ad.temporal_conv(x, c(w2), c(b[m, 0, 0]), padding).data,
+            }
+            for name, got in stacked.items():
+                assert got.shape[:2] == (4, 2), name
+                assert np.array_equal(got[m], one[name]), name
 
     def test_cross_entropy_matches_loop(self):
         rng = np.random.default_rng(42)
@@ -270,9 +286,8 @@ def _c(*shape):
     return ad.constant(np.zeros(shape))
 
 
-def _conv(x_shape, tap_shapes=((4, 2),) * 3, b_shape=(1, 2), padding="same"):
-    taps = [_c(*s) for s in tap_shapes]
-    return lambda: ad.temporal_conv(_c(*x_shape), taps, _c(*b_shape), padding)
+def _conv(x_shape, w_shape=(3, 4, 2), b_shape=(1, 2), padding="same"):
+    return lambda: ad.temporal_conv(_c(*x_shape), _c(*w_shape), _c(*b_shape), padding)
 
 
 # case -> (start of the message it must raise, a call with one bad operand)
@@ -312,17 +327,15 @@ SHAPE_CONTRACTS = {
         lambda: ad.graph_affine(np.eye(5), _c(5, 3), _c(3, 2), _c(1, 3)),
     ),
     "temporal_conv.rank": ("temporal_conv: expected", _conv((5, 4))),
-    "temporal_conv.no_taps": ("equally shaped 2-d taps", _conv((3, 5, 4), ())),
-    "temporal_conv.unequal_taps": (
-        "equally shaped 2-d taps", _conv((3, 5, 4), ((4, 2), (4, 3), (4, 2)))
+    # a lone (K, D) tap is not a (k, K, D) weight
+    "temporal_conv.tap_rank": ("temporal_conv: weight shape", _conv((3, 5, 4), (4, 2))),
+    "temporal_conv.weight_rank": ("temporal_conv: weight shape", _conv((3, 5, 4), (8,))),
+    "temporal_conv.tap_width": (
+        "temporal_conv: weight shape", _conv((3, 5, 4), (0, 4, 2))
     ),
-    "temporal_conv.tap_rank": (
-        "equally shaped 2-d taps", _conv((3, 5, 4), ((4, 2, 1),) * 3)
+    "temporal_conv.features": (
+        r"temporal_conv: weight \(3, 4, 2\) vs features", _conv((3, 5, 3))
     ),
-    "temporal_conv.later_tap_rank": (
-        "equally shaped 2-d taps", _conv((3, 5, 4), ((4, 2), (4, 2), (4,)))
-    ),
-    "temporal_conv.features": ("temporal_conv: taps", _conv((3, 5, 3))),
     "temporal_conv.bias": ("temporal_conv: bias shape", _conv((3, 5, 4), b_shape=(2,))),
     "temporal_conv.too_few_frames": (
         "taps exceed 2 frames", _conv((2, 5, 4), padding="valid")
@@ -334,12 +347,9 @@ SHAPE_CONTRACTS = {
         "graph_affine: shapes",
         lambda: ad.graph_affine(np.eye(5), _c(2, 5, 3), _c(3, 2), _c(3, 3, 1, 2)),
     ),
-    "temporal_conv.stacked_frames": (
-        "equally shaped 2-d taps", _conv((3, 5, 4), ((4, 2), (2, 3, 4, 2), (4, 2)))
-    ),
     "temporal_conv.members": (
         "temporal_conv: member axes",
-        _conv((2, 3, 5, 4), ((3, 1, 1, 4, 2),) * 3, b_shape=(2, 1, 1, 1, 2)),
+        _conv((2, 3, 5, 4), (3, 1, 3, 4, 2), b_shape=(2, 1, 1, 1, 2)),
     ),
     "gather_rows.rank": (
         "gather_rows: expected a", lambda: ad.gather_rows(_c(5), np.arange(2))
@@ -562,17 +572,21 @@ class TestKernelEquivalences:
     def test_temporal_conv_backward_matches_swapaxes_form(self, padding):
         rng = np.random.default_rng(42)
         x = Tensor(rng.normal(size=(16, 3, 31, 16)), requires_grad=True)
-        taps = [Tensor(rng.normal(size=(16, 16)), requires_grad=True) for _ in range(3)]
+        w = Tensor(rng.normal(size=(3, 16, 16)), requires_grad=True)
         b = Tensor(np.zeros((1, 16)), requires_grad=True)
-        out = ad.temporal_conv(x, taps, b, padding)
+        out = ad.temporal_conv(x, w, b, padding)
         g = _wide_range(rng, *out.shape)
         pad, t_out = (1, 3) if padding == "same" else (0, 1)
-        want = np.zeros(x.shape)
-        for j, w in enumerate(taps):  # output frames lo:hi read input frames lo+d:hi+d
+        want_x, want_w = np.zeros(x.shape), np.zeros(w.shape)
+        for j in range(3):  # output frames lo:hi read input frames lo+d:hi+d
             lo, hi, d = max(0, pad - j), min(t_out, 3 + pad - j), j - pad
-            wt = w.data.swapaxes(-1, -2)
-            want[..., lo + d : hi + d, :, :] += g[..., lo:hi, :, :] @ wt
-        assert np.array_equal(out._backward(g)[0], want)
+            wt = w.data[j].swapaxes(-1, -2)
+            want_x[..., lo + d : hi + d, :, :] += g[..., lo:hi, :, :] @ wt
+            x_span = x.data[..., lo + d : hi + d, :, :].reshape(-1, 16)
+            want_w[j] = x_span.T @ g[..., lo:hi, :, :].reshape(-1, 16)
+        gx, gw, _ = out._backward(g)
+        assert np.array_equal(gx, want_x)
+        assert np.array_equal(gw, want_w)
 
 
 class TestGradCheck:
@@ -771,7 +785,9 @@ class TestGradCheck:
             assert entry.result.n_coords == want.n_coords
             assert entry.result.worst_coord == want.worst_coord
 
-    def test_model_check_runs_one_forward_per_parameter_tensor(self, monkeypatch):
+    def test_model_check_runs_ceil_2n_over_probe_chunk_forwards_per_tensor(
+        self, monkeypatch
+    ):
         forwards, margins = [], []
         forward, margin = checks.ActionRelationNet.forward, checks.kink_margin
 
@@ -786,7 +802,9 @@ class TestGradCheck:
         monkeypatch.setattr(checks.ActionRelationNet, "forward", counting_forward)
         monkeypatch.setattr(checks, "kink_margin", counting_margin)
         entries = checks._model_entries(0, h=1e-5, tol=1e-4)
-        assert len(forwards) == len(margins) + len(entries)
+        per_tensor = [-(-2 * e.result.n_coords // checks.PROBE_CHUNK) for e in entries]
+        assert max(per_tensor) > 1  # the (3, C, C) taps span several chunks
+        assert len(forwards) == len(margins) + sum(per_tensor)
 
     def test_model_check_probes_in_chunks_with_parameters_frozen(self, monkeypatch):
         def run(chunk):
@@ -883,20 +901,22 @@ class TestParamStore:
     def test_create_and_lookup(self):
         rng = np.random.default_rng(42)
         store = ParamStore()
-        w = store.create_many([("w", (3, 2), "glorot")], rng)[0]
-        b = store.create_many([("b", (1, 2), "zeros")])[0]
+        init = glorot_uniform(rng, (3, 2))
+        w = store.create_many([("w", init)])[0]
+        b = store.create_many([("b", np.zeros((1, 2)))])[0]
         assert list(dict(store.items())) == ["w", "b"]
         assert store["w"] is w
         assert "b" in store and len(store) == 2
         assert store.n_values() == 8
+        assert w.data.tobytes() == init.tobytes()
         np.testing.assert_array_equal(b.data, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            store.create_many([("w", (3, 2), "glorot")], rng)
+            store.create_many([("w", glorot_uniform(rng, (3, 2)))])
 
     def test_state_dict_round_trip_and_mismatch(self):
         rng = np.random.default_rng(42)
         store = ParamStore()
-        store.create_many([("w", (2, 2), "glorot")], rng)
+        store.create_many([("w", glorot_uniform(rng, (2, 2)))])
         state = store.state_dict()
         state["w"][0, 0] = 123.0
         store.load_state_dict(state)
@@ -910,8 +930,8 @@ class TestParamStore:
     def test_failed_load_changes_nothing(self):
         rng = np.random.default_rng(42)
         store = ParamStore()
-        store.create_many([("w", (2, 2), "glorot")], rng)
-        store.create_many([("b", (1, 2), "glorot")], rng)
+        store.create_many([("w", glorot_uniform(rng, (2, 2)))])
+        store.create_many([("b", glorot_uniform(rng, (1, 2)))])
         before = store.state_dict()
         with pytest.raises(ValueError, match="'b'"):
             store.load_state_dict({"w": np.ones((2, 2)), "b": np.ones((2, 1))})
@@ -934,7 +954,7 @@ class TestParamStore:
 
     def test_rebound_data_is_copied_in_or_named(self):
         store = ParamStore()
-        p = store.create_many([("layer.w", (2, 2), "zeros")])[0]
+        p = store.create_many([("layer.w", np.zeros((2, 2)))])[0]
         p.data = np.ones((2, 2))
         assert np.array_equal(store.flat(), np.ones(4))
         assert_views(store)
@@ -957,17 +977,21 @@ class TestParamStore:
             np.testing.assert_array_equal(loaded[name], state[name])
 
     def test_create_many_equals_a_sequence_of_creates(self):
-        specs = [("a.w", (3, 2), "glorot"), ("a.b", (1, 2), "zeros"),
-                 ("c.w", (2, 4), "glorot"), ("d", (4,), "glorot")]
-        one = ParamStore()
-        one.create_many([("first", (2, 2), "glorot")], np.random.default_rng(5))
-        made = one.create_many(specs, np.random.default_rng(7))
-        seq = ParamStore()
-        seq.create_many([("first", (2, 2), "glorot")], np.random.default_rng(5))
         rng = np.random.default_rng(7)
-        for name, shape, init in specs:
-            seq.create_many([(name, shape, init)], rng)
-        assert made == [one[name] for name, _, _ in specs]
+        specs = [("a.w", glorot_uniform(rng, (3, 2))), ("a.b", np.zeros((1, 2))),
+                 ("c.w", glorot_uniform(rng, (2, 4))), ("d", glorot_uniform(rng, (4,)))]
+        first = ("first", glorot_uniform(np.random.default_rng(5), (2, 2)))
+        one = ParamStore()
+        one.create_many([first])
+        made = one.create_many(specs)
+        seq = ParamStore()
+        seq.create_many([first])
+        for spec in specs:
+            seq.create_many([spec])
+        assert made == [one[name] for name, _ in specs]
+        assert one.flat().tobytes() == np.concatenate(
+            [first[1].ravel()] + [init.ravel() for _, init in specs]
+        ).tobytes()
         assert list(dict(one.items())) == list(dict(seq.items()))
         assert one.flat().tobytes() == seq.flat().tobytes()
         assert one._velocity.size == seq._velocity.size == one.n_values()
@@ -976,36 +1000,24 @@ class TestParamStore:
 
     def test_create_many_checks_every_spec_before_changing_anything(self):
         store = ParamStore()
-        store.create_many([("w", (2, 2), "glorot")], np.random.default_rng(0))
+        store.create_many([("w", glorot_uniform(np.random.default_rng(0), (2, 2)))])
         before = store.flat().copy()
-        rng = np.random.default_rng(1)
-        for specs in ([("x", (1, 1), "glorot"), ("w", (1, 1), "zeros")],
-                      [("x", (1, 1), "zeros"), ("x", (1, 1), "zeros")],
-                      [("x", (1, 1), "zeros"), ("y", (1, 1), "uniform")]):
-            with pytest.raises(ValueError):
-                store.create_many(specs, rng)
-        with pytest.raises(ValueError, match="needs an rng"):
-            store.create_many([("x", (1, 1), "glorot")])
+        for specs in ([("x", np.ones((1, 1))), ("w", np.zeros((1, 1)))],
+                      [("x", np.zeros((1, 1))), ("x", np.zeros((1, 1)))]):
+            with pytest.raises(ValueError, match="already exists"):
+                store.create_many(specs)
         assert list(dict(store.items())) == ["w"]
         assert np.array_equal(store.flat(), before)
         assert_views(store)
-
-    @pytest.mark.parametrize("shape", [(), (0, 0)])
-    def test_glorot_without_fans_names_the_parameter(self, shape):
-        store = ParamStore()
-        with pytest.raises(ValueError, match="parameter 'layer.w'"):
-            store.create_many([("layer.w", shape, "glorot")], np.random.default_rng(0))
-        assert len(store) == 0
-        assert store.create_many([("layer.b", shape, "zeros")])[0].shape == shape
 
     @pytest.mark.parametrize("variant", ["backbone", "actions", "full"])
     def test_a_model_build_allocates_its_vector_once(self, monkeypatch, variant):
         calls = []
         create_many = ParamStore.create_many
 
-        def counted(store, specs, rng=None):
+        def counted(store, specs):
             calls.append(len(specs))
-            return create_many(store, specs, rng)
+            return create_many(store, specs)
 
         monkeypatch.setattr(ParamStore, "create_many", counted)
         model = ActionRelationNet(ModelConfig(variant=variant), seed=3)
@@ -1046,11 +1058,12 @@ class TestParamStore:
         assert np.signbit(loaded["edge"][0]) and not np.signbit(loaded["edge"][1])
 
     def test_v1_fixture_loads_bit_identically(self):
-        # the fixture holds the per-component names the decomposition's
+        # the fixture holds the per-component and per-tap names the stacked
         # parameters had before they were stacked; mapped, it equals the
         # initial values of today's model, so their draw order was kept
         loaded = read_checkpoint(V1_FIXTURE)
         assert {f"actions.{c}.gc.w" for c in COMPONENTS} <= set(loaded)
+        assert {f"backbone.l2.tc.w{k}" for k in range(3)} <= set(loaded)
         loaded = stack_legacy_names(loaded)
         expected = ActionRelationNet(checks.SMALL_MODEL, seed=9).params.state_dict()
         assert sorted(loaded) == sorted(expected)
@@ -1060,6 +1073,28 @@ class TestParamStore:
         payload = json.loads(V1_FIXTURE.read_text())
         assert payload["format"] == "megraph-params-v1"
         assert all(isinstance(e["values"], list) for e in payload["params"].values())
+
+    @pytest.mark.parametrize("variant", ["backbone", "actions", "full"])
+    def test_legacy_names_map_back_bit_identically(self, variant):
+        # split a fresh state dict into the legacy names of LEGACY_PARTS;
+        # mapped back, it equals the original bit for bit
+        state = ActionRelationNet(ModelConfig(variant=variant), seed=4).params.state_dict()
+        legacy = dict(state)
+        for name, parts in LEGACY_PARTS.items():
+            if name in legacy:
+                legacy.update(zip(parts, legacy.pop(name)))
+        assert "backbone.l1.tc.w0" in legacy and not set(LEGACY_PARTS) & set(legacy)
+        mapped = stack_legacy_names(legacy)
+        assert sorted(mapped) == sorted(state)
+        for name, values in state.items():
+            assert mapped[name].shape == values.shape, name
+            assert mapped[name].tobytes() == values.tobytes(), name
+
+    def test_every_stacked_legacy_name_is_a_parameter(self):
+        params = ActionRelationNet(ModelConfig(variant="full"), seed=0).params
+        assert [name for name in LEGACY_PARTS if name not in params] == []
+        for name, parts in LEGACY_PARTS.items():  # one part per stacked slice
+            assert len(parts) == len(params[name].data), name
 
     @pytest.mark.parametrize("values", [["1.5", True], [True], [None], [[0.5]], "0.5"])
     def test_v1_values_must_be_a_flat_list_of_numbers(self, tmp_path, values):
@@ -1091,7 +1126,7 @@ class TestParamStore:
 class TestSgd:
     def test_momentum_recurrence_matches_manual_update(self):
         store = ParamStore()
-        p = store.create_many([("p", (1, 1), "zeros")])[0]
+        p = store.create_many([("p", np.zeros((1, 1)))])[0]
         p.data = np.array([[1.0]])
         lr, mom = 0.1, 0.9
 
@@ -1111,7 +1146,7 @@ class TestSgd:
         rng = np.random.default_rng(42)
         target = rng.normal(size=(2, 3))
         store = ParamStore()
-        x = store.create_many([("x", (2, 3), "glorot")], rng)[0]
+        x = store.create_many([("x", glorot_uniform(rng, (2, 3)))])[0]
         for _ in range(200):
             loss = ad.sq_frobenius(ad.sub(x, ad.constant(target)))
             loss.backward()
@@ -1120,7 +1155,7 @@ class TestSgd:
 
     def test_non_finite_gradient_names_the_parameter(self):
         store = ParamStore()
-        p = store.create_many([("layer.w", (1, 1), "zeros")])[0]
+        p = store.create_many([("layer.w", np.zeros((1, 1)))])[0]
         p.grad = np.array([[np.nan]])
         with pytest.raises(FloatingPointError, match="layer.w"):
             sgd_step(store, lr=0.1)

@@ -147,7 +147,7 @@ def test_backbone_rejects_a_wrong_batch_shape():
 # parameters at every stage, with the batch axes of the operand each meets
 MEMBER_PARAMS = {
     "backbone.l1.gc.w": 2,
-    "backbone.l2.tc.w1": 2,
+    "backbone.l2.tc.w": 1,
     "actions.gc.b": 1,
     "actions.mix.w": 1,
     "relation.mix.w": 1,

@@ -114,7 +114,7 @@ BAD_INPUTS = [
             f'"actions.{comp}.gc.b": {{"shape": [{n}], "values": {[0.0] * n}}}'
             for comp, n in (("eyebrow", 1), ("nose", 2), ("mouth", 1))
         ),
-        "{input}: per-component entries of 'actions.gc.b' differ in shape",
+        "{input}: legacy entries of 'actions.gc.b' differ in shape",
         id="checkpoint-legacy-shapes-differ",
     ),
     pytest.param(
@@ -351,27 +351,34 @@ class TestRunCommands:
     def test_evaluate_scores_a_v1_checkpoint_like_its_v2_rewrite(
         self, tmp_path, capsys
     ):
-        # the v1 fixture and its v2 rewrite hold the per-component names the
-        # decomposition's parameters had before they were stacked; a v2 file
-        # of the same model's stacked parameters scores the same
+        # the v1 fixture and its v2 rewrite hold the per-component and per-tap
+        # names the stacked parameters had before they were stacked; a v2
+        # file with stacked components but per-tap names, and one of the same
+        # model's stacked parameters, score the same
         cfg = ExperimentConfig(
             synth=SynthSpec(n_subjects=2, samples_per_subject=3, n_classes=3),
             model=SMALL_MODEL,
         )
         path = tmp_path / "c.json"
         save_config(cfg, path)
-        v2, stacked = tmp_path / "v2.json", tmp_path / "stacked.json"
+        v2, taps, stacked = (tmp_path / f"{n}.json" for n in ("v2", "taps", "stacked"))
         write_checkpoint(read_checkpoint(V1_FIXTURE), v2)
         assert "actions.eyebrow.gc.w" in read_checkpoint(v2)
-        write_checkpoint(ActionRelationNet(SMALL_MODEL, seed=9).params.state_dict(), stacked)
+        state = ActionRelationNet(SMALL_MODEL, seed=9).params.state_dict()
+        write_checkpoint(state, stacked)
         assert "actions.gc.w" in read_checkpoint(stacked)
+        for layer in ("l1", "l2"):
+            w = state.pop(f"backbone.{layer}.tc.w")
+            state.update({f"backbone.{layer}.tc.w{k}": w[k] for k in range(3)})
+        write_checkpoint(state, taps)
+        assert {"actions.gc.w", "backbone.l2.tc.w2"} <= set(read_checkpoint(taps))
         outputs = []
-        for ckpt in (V1_FIXTURE, v2, stacked):
+        for ckpt in (V1_FIXTURE, v2, taps, stacked):
             argv = ["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
         assert "pooled accuracy" in outputs[0]
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
     def test_evaluate_names_a_stacked_parameter_with_a_missing_component(
         self, tmp_path, capsys
@@ -393,6 +400,27 @@ class TestRunCommands:
         assert err == (
             f"error: {ckpt}: parameter name mismatch: missing=['actions.gc.w'] "
             "extra=['actions.eyebrow.gc.w', 'actions.nose.gc.w']\n"
+        )
+
+    def test_evaluate_names_a_stacked_tap_weight_with_a_missing_tap(
+        self, tmp_path, capsys
+    ):
+        # tc.w0 and tc.w1 without tc.w2 do not make backbone.l1.tc.w
+        path = tmp_path / "c.json"
+        save_config(ExperimentConfig(
+            synth=SynthSpec(n_subjects=2, samples_per_subject=3, n_classes=3),
+            model=SMALL_MODEL,
+        ), path)
+        state = read_checkpoint(V1_FIXTURE)
+        del state["backbone.l1.tc.w2"]
+        ckpt = tmp_path / "two.json"
+        write_checkpoint(state, ckpt)
+        argv = ["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {ckpt}: parameter name mismatch: missing=['backbone.l1.tc.w'] "
+            "extra=['backbone.l1.tc.w0', 'backbone.l1.tc.w1']\n"
         )
 
     def test_loso_writes_run_dir(self, tiny_config_path, tmp_path, capsys):
