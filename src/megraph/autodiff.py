@@ -468,19 +468,41 @@ def normalize_columns(a: Tensor) -> Tensor:
     return _node(out, (a,), back, "normalize_columns")
 
 
-def sq_frobenius(a: Tensor, keep: int = 0) -> Tensor:
-    """Sum of squared entries over all but the first ``keep`` axes: a 0-d
-    scalar by default, one sum per member when ``keep`` axes are members."""
-    sq = a.data * a.data
+def sq_frobenius(
+    a: Tensor, keep: int = 0, center: np.ndarray | None = None, factor: float = 1.0
+) -> Tensor:
+    """``factor`` times the sum of squared entries of ``a - center`` over all
+    but the first ``keep`` axes: a 0-d scalar by default, one sum per member
+    when ``keep`` axes are members.
+
+    ``center`` is a constant array that broadcasts against ``a`` and
+    ``factor`` a constant; neither is differentiated. One node gives the
+    bits of ``scale(sq_frobenius(sub(a, constant(center))), factor)``.
+    """
+    d = a.data
+    if center is not None:
+        try:
+            d = np.subtract(d, center)
+        except ValueError:
+            d = None
+        if d is None or d.shape != a.shape:
+            raise ShapeError(
+                f"sq_frobenius: center {np.shape(center)} does not broadcast "
+                f"against {a.shape}"
+            )
+    sq = d * d
     if keep:
         out = sq.reshape(a.shape[:keep] + (-1,)).sum(axis=-1)
     else:
         out = np.asarray(sq.sum())
+    c = float(factor)
+    if c != 1.0:
+        out = out * c
 
     per_member = out.shape + (1,) * (a.ndim - keep)
 
     def back(g):
-        return (2.0 * a.data * g.reshape(per_member),)
+        return (2.0 * d * (g * c).reshape(per_member),)
 
     return _node(out, (a,), back, "sq_frobenius")
 
@@ -549,9 +571,12 @@ def graph_affine(adj: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         out = out + b.data if len(bs) > 2 else np.add(out, b.data, out=out)
     except ValueError:
         raise ShapeError(f"graph_affine: shapes {xs} @ {ws} + {bs}") from None
+    x_needs = x.requires_grad or x._needs  # False for constant input features
 
     def back(g):
-        gx = _unbroadcast(adj.swapaxes(-1, -2) @ (g @ _transposed(w.data)), xs)
+        gx = None
+        if x_needs:
+            gx = _unbroadcast(adj.swapaxes(-1, -2) @ (g @ _transposed(w.data)), xs)
         return gx, _weight_grad(pooled, g, ws), _bias_grad(g, bs)
 
     return _node(out, (x, w, b), back, "graph_affine")

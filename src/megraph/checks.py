@@ -316,12 +316,36 @@ def _loss_cases() -> dict:
     }
 
 
+def _centered(batch_axes: int, factor: float):
+    """sq_frobenius of x against a constant center, times ``factor``, with one
+    sum per (R, C) matrix, or per (B, R, C) batch when ``batch_axes`` is 1.
+    Every axis in front is kept, as the losses keep their member axes, so a
+    probe stack passes through as one more."""
+
+    def op(x, center):
+        return ad.sq_frobenius(x, x.ndim - 2 - batch_axes, center.data, factor)
+
+    return op
+
+
+def _center_cases() -> dict:
+    """sq_frobenius with a center broadcast along rows or along the batch,
+    a factor, and member axes that each keep their own sum."""
+    n = _normal
+    specs = {
+        "sq_frobenius.center": (_centered(0, -0.7), 0, n(3, 4), n(1, 4)),
+        "sq_frobenius.center.batched": (_centered(1, 0.3), 0, n(2, 3, 4), n(3, 4)),
+        "sq_frobenius.members": (_centered(0, 1.6), 0, n(2, 3, 4), n(1, 4)),
+    }
+    return {name: _op_case(*spec) for name, spec in specs.items()}
+
+
 def _cases() -> dict:
     """Every op and loss case by name, each a ``build(rng) -> (f, x,
     stacked)`` with ``stacked`` None for a case that runs the loop."""
     # each case draws from a generator keyed by its position: new cases go
     # last so that earlier ones keep their draws
-    return {**_op_cases(), **_loss_cases(), **_stacked_cases()}
+    return {**_op_cases(), **_loss_cases(), **_stacked_cases(), **_center_cases()}
 
 
 @dataclass

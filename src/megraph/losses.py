@@ -74,6 +74,8 @@ class WeightCenterTable:
     ):
         if n_classes < 2:
             raise ValueError("n_classes must be >= 2")
+        if n_rows < 2:  # one row always weighs 1; and see update's row order
+            raise ValueError("n_rows must be >= 2")
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"update rate must be in (0, 1], got {rate}")
         if mode not in CENTER_MODES:
@@ -84,23 +86,41 @@ class WeightCenterTable:
         self.mode = mode
         self.centers = np.full((n_classes, n_rows), 1.0 / n_rows)
 
+    def check_labels(self, labels: Sequence[int]) -> np.ndarray:
+        """``labels`` as int64 class indices; any outside [0, n_classes) is a
+        ValueError naming it, since numpy would wrap a negative one."""
+        labels = np.asarray(labels, dtype=np.int64)
+        outside = (labels < 0) | (labels >= self.n_classes)
+        if outside.any():
+            raise ValueError(
+                f"center label {labels[outside][0]} is outside "
+                f"[0, {self.n_classes})"
+            )
+        return labels
+
     def update(self, weights: np.ndarray, labels: Sequence[int]) -> None:
-        """Fold one batch of (N, n_rows) weight vectors into the centers."""
+        """Fold one batch of (N, n_rows) weight vectors into the centers of
+        the classes present, in one pass: each class's rows are summed in
+        row order, then divided by its count, as ``mean(axis=0)`` of its rows
+        would. (On a lone column numpy sums pairwise instead.)"""
         weights = np.asarray(weights, dtype=np.float64)
-        labels = np.asarray(labels)
+        labels = self.check_labels(labels)
         if weights.shape != (len(labels), self.n_rows):
             raise ValueError(
                 f"expected weights shape {(len(labels), self.n_rows)}, "
                 f"got {weights.shape}"
             )
-        for k in np.unique(labels):
-            batch_mean = weights[labels == k].mean(axis=0)
-            if self.mode == "batch":
-                self.centers[k] = batch_mean
-            else:
-                self.centers[k] = (1.0 - self.rate) * self.centers[k] + (
-                    self.rate * batch_mean
-                )
+        counts = np.bincount(labels, minlength=self.n_classes)
+        sums = np.zeros(self.centers.shape)  # numpy's sums start at +0.0 too
+        np.add.at(sums, labels, weights)
+        present = counts > 0
+        means = sums[present] / counts[present, None]
+        if self.mode == "batch":
+            self.centers[present] = means
+        else:
+            self.centers[present] = (1.0 - self.rate) * self.centers[present] + (
+                self.rate * means
+            )
 
 
 def _require_batch(name: str, t: Tensor) -> int:
@@ -124,10 +144,8 @@ def feature_center_loss(action_features: Tensor) -> Tensor:
     """
     members = _require_batch("feature_center_loss", action_features)
     n = action_features.shape[-3]
-    center = ad.constant(action_features.data.mean(axis=-3, keepdims=True))
-    return ad.scale(
-        ad.sq_frobenius(ad.sub(action_features, center), members), 1.0 / (2.0 * n)
-    )
+    center = action_features.data.mean(axis=-3, keepdims=True)
+    return ad.sq_frobenius(action_features, members, center, 1.0 / (2.0 * n))
 
 
 def weight_center_loss(
@@ -150,9 +168,9 @@ def weight_center_loss(
             f"member axes {weights.shape[:members]} (shape {weights.shape})"
         )
     n = weights.shape[-3]
-    labels = np.asarray(labels, dtype=np.int64)
-    targets = ad.constant(table.centers[labels].reshape(weights.shape[-3:]))
-    loss = ad.scale(ad.sq_frobenius(ad.sub(weights, targets), members), 1.0 / n)
+    labels = table.check_labels(labels)
+    targets = table.centers[labels].reshape(weights.shape[-3:])
+    loss = ad.sq_frobenius(weights, members, targets, 1.0 / n)
     if update:
         table.update(weights.data.reshape(n, -1), labels)
     return loss
@@ -167,8 +185,8 @@ def balance_loss(weights: Tensor) -> Tensor:
     """
     members = _require_batch("balance_loss", weights)
     mean = ad.mean_rows(ad.reshape(weights, weights.shape[:-2] + (-1,)))
-    target = ad.constant(np.full(mean.shape[-2:], 1.0 / mean.shape[-1]))
-    return ad.sq_frobenius(ad.sub(mean, target), members)
+    uniform = np.full(mean.shape[-2:], 1.0 / mean.shape[-1])
+    return ad.sq_frobenius(mean, members, uniform)
 
 
 @dataclass

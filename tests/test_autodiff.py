@@ -131,6 +131,29 @@ class TestForwardValues:
         b = ad.softmax_rows(ad.constant(shifted)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "keep, center_shape, factor",
+        [(0, (1, 4), 0.3), (1, (3, 3, 4), 1.0), (2, (3, 1), 1 / 48), (0, (), -2.0)],
+    )
+    def test_centered_sq_frobenius_is_the_composed_form_bit_for_bit(
+        self, keep, center_shape, factor
+    ):
+        # one node against scale(sq_frobenius(sub(a, constant(center))), factor)
+        rng = np.random.default_rng(42)
+        data = _wide_range(rng, 2, 3, 3, 4)
+        center = rng.normal(size=center_shape)
+        g = _wide_range(rng, *data.shape[:keep])
+        one = Tensor(data, requires_grad=True)
+        composed = Tensor(data, requires_grad=True)
+        fused = ad.sq_frobenius(one, keep, center, factor)
+        chain = ad.sq_frobenius(ad.sub(composed, ad.constant(center)), keep)
+        if factor != 1.0:
+            chain = ad.scale(chain, factor)
+        assert np.array_equal(fused.data, chain.data)
+        ad.sum_all(ad.mul(fused, ad.constant(g))).backward()
+        ad.sum_all(ad.mul(chain, ad.constant(g))).backward()
+        assert np.array_equal(one.grad, composed.grad)
+
     def test_reductions_match_loops(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(4, 3))
@@ -376,6 +399,15 @@ SHAPE_CONTRACTS = {
     "cross_entropy.label_dtype": (
         "cross_entropy: labels must", lambda: ad.cross_entropy(_c(2, 3), [0.5, 1.5])
     ),
+    "sq_frobenius.center": (
+        r"sq_frobenius: center \(4,\) does not broadcast",
+        lambda: ad.sq_frobenius(_c(2, 3), center=np.zeros(4)),
+    ),
+    # a center that would widen the operand
+    "sq_frobenius.center_axes": (
+        r"sq_frobenius: center \(2, 1, 3\) does not broadcast",
+        lambda: ad.sq_frobenius(_c(2, 3), center=np.zeros((2, 1, 3))),
+    ),
 }
 
 
@@ -567,6 +599,24 @@ class TestKernelEquivalences:
         assert np.array_equal(gx, g @ w.data.swapaxes(-1, -2))
         gx = ad.graph_affine(adj, x, w, b)._backward(g)[0]
         assert np.array_equal(gx, adj.T @ (g @ w.data.swapaxes(-1, -2)))
+
+    def test_graph_affine_backward_skips_x_when_it_needs_no_gradient(self):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(16, 3, 31, 2))
+        w = Tensor(rng.normal(size=(2, 16)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 16)), requires_grad=True)
+        adj = checks._adjacency(31)(rng)
+        g = _wide_range(rng, 16, 3, 31, 16)
+        want_x = adj.T @ (g @ w.data.T.copy())
+        leaf = Tensor(x, requires_grad=True)
+        for differentiable in (leaf, ad.scale(leaf, 1.0)):
+            gx, gw, gb = ad.graph_affine(adj, differentiable, w, b)._backward(g)
+            assert np.array_equal(gx, want_x)
+        const_x, const_w, const_b = ad.graph_affine(
+            adj, ad.constant(x), w, b
+        )._backward(g)
+        assert const_x is None
+        assert np.array_equal(const_w, gw) and np.array_equal(const_b, gb)
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_temporal_conv_backward_matches_swapaxes_form(self, padding):

@@ -1,26 +1,33 @@
 """Command-line interface: exit codes, artifacts, and error reporting."""
 
 import base64
+import contextlib
+import io
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from megraph.checks import SMALL_MODEL
 from megraph.cli import main
 from megraph.config import (
+    AugmentConfig,
     ExperimentConfig,
     OptimizerConfig,
     SynthSpec,
+    dumps,
     load_config,
     save_config,
 )
 from megraph.landmarks import load_samples, save_samples, synthesize_dataset
-from megraph.model import ActionRelationNet, ModelConfig
+from megraph.losses import LossWeights
+from megraph.model import LEGACY_PARTS, ActionRelationNet, ModelConfig
 from megraph.params import read_checkpoint, write_checkpoint
 
 V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.json"
@@ -573,3 +580,159 @@ class TestEntryPoint:
         for command in ("train", "evaluate", "loso", "ablate", "gradcheck",
                         "synth-data", "graph", "model"):
             assert command in result.stdout
+
+
+# -- generated malformed configs and checkpoints -----------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+SECTIONS = {
+    "synth": SynthSpec,
+    "model": ModelConfig,
+    "loss_weights": LossWeights,
+    "optimizer": OptimizerConfig,
+    "augment": AugmentConfig,
+}
+# a config object whose fields, top-level or in a section, take any JSON value
+CONFIG_OBJECTS = st.fixed_dictionaries({}, optional={
+    f.name: JSON_VALUES | (
+        st.fixed_dictionaries(
+            {}, optional={g.name: JSON_VALUES for g in fields(SECTIONS[f.name])}
+        ) if f.name in SECTIONS else st.nothing()
+    )
+    for f in fields(ExperimentConfig)
+})
+GOOD_CONFIG = dumps(ExperimentConfig(seed=3))
+
+
+def _mutated(text: str):
+    """``text`` cut short, or with one character inserted."""
+    return st.integers(0, len(text)).flatmap(
+        lambda at: st.just(text[:at])
+        | st.text(min_size=1, max_size=1).map(lambda c: text[:at] + c + text[at:])
+    )
+
+
+def _exits_2_with_one_line_or_succeeds(argv) -> int:
+    """Run the CLI; a failure must be exit 2 with one ``error:`` line on
+    stderr, never an exception past ``main``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:
+        assert code == 2
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.one_of(
+        JSON_VALUES.map(json.dumps),
+        CONFIG_OBJECTS.map(json.dumps),
+        _mutated(GOOD_CONFIG),
+    )
+    | st.binary(max_size=32)
+)
+@example(text='{"seed": %s}' % (10**400))
+@example(text='{"optimizer": {"lr": 1e400}}')
+@example(text='{"synth": {"n_classes": 99}}')
+@example(text=GOOD_CONFIG[:-3])
+@example(text=b"\xff")
+def test_any_malformed_config_exits_2_with_one_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv = ["config", "show", "--config", str(path)]
+    if _exits_2_with_one_line_or_succeeds(argv) == 0:
+        load_config(path)  # only a valid config is shown
+
+
+EVAL_CONFIG = ExperimentConfig(
+    synth=SynthSpec(n_subjects=1, samples_per_subject=2, n_classes=3),
+    model=SMALL_MODEL,
+)
+GOOD_STATE = ActionRelationNet(SMALL_MODEL, seed=0).params.state_dict()
+CHECKPOINT_NAMES = sorted(GOOD_STATE) + [
+    part for parts in LEGACY_PARTS.values() for part in parts
+]
+FORMATS = st.sampled_from(["megraph-params-v1", "megraph-params-v2"])
+
+
+def _v1_text(state) -> str:
+    return json.dumps({"format": "megraph-params-v1", "params": {
+        name: {"shape": list(v.shape), "values": v.ravel().tolist()}
+        for name, v in state.items()
+    }})
+
+
+def _v2_text(state) -> str:
+    return json.dumps({"format": "megraph-params-v2", "params": {
+        name: {"shape": list(v.shape), "values": _b64(*v.ravel())}
+        for name, v in state.items()
+    }})
+
+
+SHAPES = JSON_VALUES | st.lists(
+    st.integers(-2, 4) | st.sampled_from([2**31, 2**63, 2**64, 10**30]), max_size=4
+)
+VALUES = (
+    JSON_VALUES
+    | st.lists(st.floats() | st.integers(-(10**400), 10**400), max_size=6)
+    | st.binary(max_size=48).map(lambda raw: base64.b64encode(raw).decode())
+)
+ENTRIES = JSON_VALUES | st.fixed_dictionaries(
+    {}, optional={"shape": SHAPES, "values": VALUES}
+)
+PARAMS = JSON_VALUES | st.dictionaries(
+    st.sampled_from(CHECKPOINT_NAMES) | st.text(max_size=4), ENTRIES, max_size=4
+)
+
+
+def _one_entry_replaced(fmt_name_entry):
+    """A good checkpoint of either format with one entry replaced."""
+    fmt, name, entry = fmt_name_entry
+    payload = json.loads(
+        (_v1_text if fmt.endswith("v1") else _v2_text)(GOOD_STATE)
+    )
+    payload["params"][name] = entry
+    return json.dumps(payload)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.one_of(
+        JSON_VALUES.map(json.dumps),
+        st.fixed_dictionaries(
+            {}, optional={"format": FORMATS | JSON_VALUES, "params": PARAMS}
+        ).map(json.dumps),
+        st.tuples(FORMATS, st.sampled_from(CHECKPOINT_NAMES), ENTRIES).map(
+            _one_entry_replaced
+        ),
+        _mutated(_v1_text({"head.b": GOOD_STATE["head.b"]})),
+        _mutated(_v2_text({"head.b": GOOD_STATE["head.b"]})),
+    )
+)
+@example(text=_v1_text(GOOD_STATE))
+@example(text=_v2_text(GOOD_STATE))
+@example(text=CHECKPOINT_V2 % '{"head.b": {"shape": [0, %d], "values": ""}}' % 2**64)
+@example(text=CHECKPOINT % ', "params": {"head.b": {"shape": [0, %d], "values": []}}'
+         % 2**63)
+@example(text=_one_entry_replaced(
+    ("megraph-params-v1", "head.b", {"shape": [2], "values": [0.5, 10**400]})
+))
+def test_any_malformed_checkpoint_exits_2_with_one_line(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("checkpoint")
+    config, path = folder / "config.json", folder / "checkpoint.json"
+    save_config(EVAL_CONFIG, config)
+    path.write_text(text)
+    argv = ["evaluate", "--config", str(config), "--checkpoint", str(path)]
+    if _exits_2_with_one_line_or_succeeds(argv) == 0:
+        # only a checkpoint that names and shapes every parameter is scored
+        assert read_checkpoint(path).keys() == GOOD_STATE.keys()

@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import megraph.autodiff as ad
 from megraph.config import decode, encode
 from megraph.losses import (
+    CENTER_MODES,
     LossWeights,
     WeightCenterTable,
     balance_loss,
@@ -198,6 +201,8 @@ class TestCenterTable:
     def test_validation(self):
         with pytest.raises(ValueError):
             WeightCenterTable(n_classes=1, n_rows=2)
+        with pytest.raises(ValueError, match="n_rows must be >= 2"):
+            WeightCenterTable(n_classes=2, n_rows=1)
         with pytest.raises(ValueError):
             WeightCenterTable(n_classes=2, n_rows=2, rate=0.0)
         with pytest.raises(ValueError):
@@ -205,6 +210,73 @@ class TestCenterTable:
         table = WeightCenterTable(n_classes=2, n_rows=2)
         with pytest.raises(ValueError):
             table.update(np.zeros((1, 3)), [0])
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_a_label_outside_the_classes_is_named(self, label):
+        # numpy would wrap -1 onto the last class's center
+        table = WeightCenterTable(n_classes=3, n_rows=2)
+        message = rf"center label {label} is outside \[0, 3\)"
+        with pytest.raises(ValueError, match=message):
+            table.update(np.array([[1.0, 0.0]]), [label])
+        np.testing.assert_array_equal(table.centers, 0.5)
+        w = ad.constant(np.array([[[1.0], [0.0]], [[0.5], [0.5]]]))
+        for update in (False, True):
+            with pytest.raises(ValueError, match=message):
+                weight_center_loss(w, [0, label], table, update=update)
+        np.testing.assert_array_equal(table.centers, 0.5)
+
+
+def _loop_update(table, weights, labels):
+    """The per-class loop the one-pass update replaced: a masked mean per
+    class present, then the EMA or batch rule."""
+    for k in sorted(set(labels.tolist())):
+        batch_mean = weights[labels == k].mean(axis=0)
+        if table.mode == "batch":
+            table.centers[k] = batch_mean
+        else:
+            table.centers[k] = (1.0 - table.rate) * table.centers[k] + (
+                table.rate * batch_mean
+            )
+
+
+@st.composite
+def _center_updates(draw):
+    """A table's shape, mode and rate, and one to three batches for it."""
+    n_classes, n_rows = draw(st.integers(2, 6)), draw(st.integers(2, 10))
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        labels = draw(st.lists(st.integers(0, n_classes - 1), max_size=12))
+        size = len(labels) * n_rows
+        values = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
+        batches.append((np.reshape(values, (len(labels), n_rows)), labels))
+    mode = draw(st.sampled_from(CENTER_MODES))
+    rate = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return n_classes, n_rows, mode, rate, batches
+
+
+# n_rows = 1 is left out because the table rejects it: numpy sums a lone
+# column of rows pairwise, so the loop's mean would differ in the last bit
+@settings(max_examples=200, deadline=None)
+@given(case=_center_updates())
+@example(case=(4, 3, "ema", 0.5, [
+    # class 1 has one row, -0.0 in its first column; 2 and 3 are absent
+    (np.array([[-0.0, 0.25, 0.75], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.2, 0.7, 0.1]]),
+     [0, 1, 0, 0]),
+]))
+@example(case=(4, 3, "batch", 1.0, [
+    (np.array([[-0.0, 0.25, 0.75], [0.1, 0.2, 0.7]]), [2, 0]),
+    (np.zeros((0, 3)), []),
+]))
+def test_one_pass_update_matches_the_per_class_loop_bit_for_bit(case):
+    n_classes, n_rows, mode, rate, batches = case
+    table = WeightCenterTable(n_classes, n_rows, rate=rate, mode=mode)
+    oracle = WeightCenterTable(n_classes, n_rows, rate=rate, mode=mode)
+    for weights, labels in batches:
+        table.update(weights, labels)
+        _loop_update(oracle, weights, np.asarray(labels, dtype=np.int64))
+        np.testing.assert_array_equal(
+            table.centers.view(np.uint64), oracle.centers.view(np.uint64)
+        )
 
 
 class TestTotalLoss:

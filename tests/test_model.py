@@ -209,7 +209,7 @@ class TestShapes:
         assert not any(n.startswith("relation.") for n in names["actions"])
         assert any(n.startswith("relation.") for n in names["full"])
 
-    def test_default_step_tape_has_at_most_63_nodes(self):
+    def test_default_step_tape_has_at_most_55_nodes(self):
         # one training step of the default model at B = 16
         model = ActionRelationNet(ModelConfig(), seed=0)
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=8, seed=0)
@@ -224,7 +224,7 @@ class TestShapes:
             if id(node) not in seen:
                 seen.add(id(node))
                 stack.extend(node._parents)
-        assert len(seen) <= 63
+        assert len(seen) <= 55
 
 
 class TestLoopOracles:

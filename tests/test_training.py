@@ -3,7 +3,10 @@
 import ctypes
 import hashlib
 import json
+import os
 import resource
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import replace
@@ -19,6 +22,7 @@ from megraph.config import (
     ExperimentConfig,
     OptimizerConfig,
     SynthSpec,
+    save_config,
 )
 import megraph.autodiff
 import megraph.landmarks
@@ -605,6 +609,26 @@ class TestRunTraining:
         run = run_training(cfg, out_dir=out)
         scored = evaluate_checkpoint(cfg, out / "checkpoints" / "final.json")
         assert scored.pooled_accuracy == run.pooled_accuracy
+
+    def test_full_model_training_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma and its submodules (over 1 MiB resident),
+        # so no step of a full-model run, center update included, may call it
+        path = tmp_path / "config.json"
+        save_config(tiny_loso_config(), path)
+        script = (
+            "import sys\n"
+            "from megraph.config import load_config\n"
+            "from megraph.training import run_training\n"
+            f"run_training(load_config({str(path)!r}))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(megraph.training.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.stdout == "False\n"
 
 
 class TestAblation:
