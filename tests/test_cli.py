@@ -632,7 +632,7 @@ def _exits_2_with_one_line_or_succeeds(argv) -> int:
     return code
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     text=st.one_of(
         JSON_VALUES.map(json.dumps),
@@ -705,7 +705,7 @@ def _one_entry_replaced(fmt_name_entry):
     return json.dumps(payload)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     text=st.one_of(
         JSON_VALUES.map(json.dumps),
