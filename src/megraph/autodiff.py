@@ -201,21 +201,10 @@ def _require_matrix(op: str, *tensors: Tensor) -> None:
             raise _not_matrix(op, t.data.shape)
 
 
-def backward(loss: Tensor) -> None:
-    """Add the gradient of a scalar loss to every ``requires_grad`` leaf
-    reachable from it.
-
-    Only nodes that lead to such a leaf are visited. Leaf gradients
-    accumulate across calls; they change only once the whole pass has
-    succeeded.
-    """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not (loss.requires_grad or loss._needs):
-        return
-
-    # Iterative post-order DFS; the call's token marks first visit so each
-    # node is appended exactly once, after all of its parents' subtrees.
+def _tape(loss: Tensor) -> list[Tensor]:
+    """Every node reachable from ``loss`` that leads to a ``requires_grad``
+    leaf, each once and after all of its parents: an iterative post-order
+    DFS in which a token new to the call marks each node's first visit."""
     token = object()
     topo: list[Tensor] = []
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -231,7 +220,23 @@ def backward(loss: Tensor) -> None:
         for parent in node._parents:
             if parent._mark is not token and (parent.requires_grad or parent._needs):
                 stack.append((parent, False))
+    return topo
 
+
+def backward(loss: Tensor) -> None:
+    """Add the gradient of a scalar loss to every ``requires_grad`` leaf
+    reachable from it.
+
+    Only nodes that lead to such a leaf are visited. Leaf gradients
+    accumulate across calls; they change only once the whole pass has
+    succeeded.
+    """
+    if loss.data.size != 1:
+        raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if not (loss.requires_grad or loss._needs):
+        return
+
+    topo = _tape(loss)
     loss._g = np.ones_like(loss.data)
     try:
         for node in reversed(topo):

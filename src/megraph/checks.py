@@ -388,21 +388,14 @@ def kink_margin(loss: Tensor) -> float:
     return margin
 
 
-def _tape(loss: Tensor):
-    """Every node reachable from ``loss`` that a gradient reaches, each once.
-    A ``loss`` no gradient reaches, such as one computed under
-    ``ParamStore.frozen()``, recorded no tape: reading it raises ValueError."""
+def _tape(loss: Tensor) -> list[Tensor]:
+    """Every node reachable from ``loss`` that a gradient reaches, each once,
+    as :func:`~megraph.autodiff.backward` walks them. A ``loss`` no gradient
+    reaches, such as one computed under ``ParamStore.frozen()``, recorded no
+    tape: reading it raises ValueError."""
     if not (loss.requires_grad or loss._needs):
         raise ValueError("no gradient reaches this loss, so it recorded no tape")
-    seen: set[int] = set()
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(p for p in node._parents if p.requires_grad or p._needs)
-        yield node
+    return ad._tape(loss)
 
 
 # ops whose weight and bias operands broadcast against their first operand

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Commands: train, evaluate, loso, ablate, gradcheck, synth-data,
+Commands: train, evaluate, loso, ablate, gradcheck, synth-data, config show,
 graph dump, model inspect. Every command accepts --config (JSON), --seed
 (overrides the config seed), and --out (directory for artifacts). Exit code
 0 on success, 1 on a failed check, 2 on invalid input or a violated runtime
@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .autodiff import ShapeError
@@ -68,36 +69,35 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_train(args) -> int:
-    run = run_training(_resolve_config(args), out_dir=args.out)
-    print(format_report(run), end="")
+def _cmd_run(run, summary, args) -> int:
+    print(summary(run(_resolve_config(args), args)), end="")
     if args.out:
         print(f"artifacts written to {args.out}")
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    run = evaluate_checkpoint(
-        _resolve_config(args), args.checkpoint, out_dir=args.out
-    )
-    print(format_report(run), end="")
-    return 0
+# command -> help, run(config, args) -> report, summary formatter, extra flags
+RUN_COMMANDS = {
+    "train": ("train one model on the whole dataset",
+              lambda cfg, a: run_training(cfg, out_dir=a.out), format_report, {}),
+    "evaluate": ("score a checkpoint on a dataset",
+                 lambda cfg, a: evaluate_checkpoint(cfg, a.checkpoint, out_dir=a.out),
+                 format_report,
+                 {"--checkpoint": {"metavar": "PATH", "required": True}}),
+    "loso": ("leave-one-subject-out cross-validation",
+             lambda cfg, a: run_loso(cfg, out_dir=a.out), format_report, {}),
+    "ablate": ("module and loss ablation tables",
+               lambda cfg, a: run_ablation(cfg, out_dir=a.out), format_ablation, {}),
+}
 
 
-def _cmd_loso(args) -> int:
-    run = run_loso(_resolve_config(args), out_dir=args.out)
-    print(format_report(run), end="")
-    if args.out:
-        print(f"artifacts written to {args.out}")
-    return 0
-
-
-def _cmd_ablate(args) -> int:
-    report = run_ablation(_resolve_config(args), out_dir=args.out)
-    print(format_ablation(report), end="")
-    if args.out:
-        print(f"artifacts written to {args.out}")
-    return 0
+def _print_and_save(text: str, out_dir, name: str) -> None:
+    """Print ``text``; with ``--out``, also write it atomically to out_dir/name."""
+    print(text)
+    if out_dir:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(out / name, text + "\n")
 
 
 def _cmd_gradcheck(args) -> int:
@@ -107,11 +107,7 @@ def _cmd_gradcheck(args) -> int:
     entries = run_battery(seeds=seeds)
     text = format_battery(entries)
     text += f"\nelapsed: {time.perf_counter() - t0:.1f}s"
-    print(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / "gradcheck.txt", text + "\n")
+    _print_and_save(text, args.out, "gradcheck.txt")
     return 0 if battery_passed(entries) else 1
 
 
@@ -142,12 +138,7 @@ def _cmd_graph_dump(args) -> int:
         "edges": [list(e) for e in template_edges()],
         "degrees": spatial_adjacency().sum(axis=1).astype(int).tolist(),
     }
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / "graph.json", text + "\n")
+    _print_and_save(json.dumps(payload, indent=2), args.out, "graph.json")
     return 0
 
 
@@ -161,12 +152,7 @@ def _cmd_model_inspect(args) -> int:
         },
         "n_parameters": model.params.n_values(),
     }
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / "model.json", text + "\n")
+    _print_and_save(json.dumps(payload, indent=2), args.out, "model.json")
     return 0
 
 
@@ -182,22 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train one model on the whole dataset")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_train)
-
-    p = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
-    _add_common(p)
-    p.add_argument("--checkpoint", metavar="PATH", required=True)
-    p.set_defaults(fn=_cmd_evaluate)
-
-    p = sub.add_parser("loso", help="leave-one-subject-out cross-validation")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_loso)
-
-    p = sub.add_parser("ablate", help="module and loss ablation tables")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_ablate)
+    for name, (help_text, run, summary, extra) in RUN_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        for flag, options in extra.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=partial(_cmd_run, run, summary))
 
     p = sub.add_parser("gradcheck", help="run the gradient-check battery")
     _add_common(p)
@@ -207,23 +183,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_synth_data)
 
-    p = sub.add_parser("config", help="configuration utilities")
-    config_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = config_sub.add_parser("show", help="print the resolved config")
-    _add_common(q)
-    q.set_defaults(fn=_cmd_config_show)
-
-    p = sub.add_parser("graph", help="landmark graph utilities")
-    graph_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = graph_sub.add_parser("dump", help="dump the node selection and edges")
-    _add_common(q)
-    q.set_defaults(fn=_cmd_graph_dump)
-
-    p = sub.add_parser("model", help="model utilities")
-    model_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = model_sub.add_parser("inspect", help="list parameters and shapes")
-    _add_common(q)
-    q.set_defaults(fn=_cmd_model_inspect)
+    # groups of one command each: group, its help, command, its help, handler
+    for group, group_help, name, help_text, fn in (
+        ("config", "configuration utilities",
+         "show", "print the resolved config", _cmd_config_show),
+        ("graph", "landmark graph utilities",
+         "dump", "dump the node selection and edges", _cmd_graph_dump),
+        ("model", "model utilities",
+         "inspect", "list parameters and shapes", _cmd_model_inspect),
+    ):
+        commands = sub.add_parser(group, help=group_help).add_subparsers(
+            dest="subcommand", required=True
+        )
+        p = commands.add_parser(name, help=help_text)
+        _add_common(p)
+        p.set_defaults(fn=fn)
 
     return parser
 
@@ -232,10 +206,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except USAGE_ERRORS as exc:
+    except RUNTIME_ERRORS + USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

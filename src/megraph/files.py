@@ -58,11 +58,21 @@ def decode_float64(text, shape, where: str) -> np.ndarray:
     """The float64 array of ``shape`` that :func:`encode_float64` wrote as
     ``text``. Anything but strict base64 (only the alphabet, padding only at
     the end) is a ValueError naming ``where``, as are bytes that do not fill
-    ``shape``. The array is a read-only view of the decoded bytes."""
+    ``shape`` and a shape numpy cannot hold. The array is a read-only view
+    of the decoded bytes."""
     try:
         raw = base64.b64decode(text, validate=True)  # a list is a TypeError
     except (TypeError, ValueError):
         raise ValueError(f"{where}: values must be a strict base64 string") from None
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{where}: {len(raw)} bytes do not fill float64 shape {shape}")
-    return np.frombuffer(raw, "<f8").reshape(shape)
+    return reshaped(np.frombuffer(raw, "<f8"), shape, where)
+
+
+def reshaped(values: np.ndarray, shape, where: str) -> np.ndarray:
+    """``values.reshape(shape)``; a shape numpy cannot hold, such as one with
+    a zero and a dimension past its limit, is a ValueError naming ``where``."""
+    try:
+        return values.reshape(shape)
+    except ValueError:
+        raise ValueError(f"{where}: numpy cannot hold shape {shape}") from None

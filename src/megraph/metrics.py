@@ -52,21 +52,15 @@ def f1_report(y_true, y_pred, n_classes: int) -> F1Report:
     fp = counts.sum(axis=0) - tp
     fn = counts.sum(axis=1) - tp
 
-    per_class = []
-    undefined = []
-    for k in range(n_classes):
-        denom = 2.0 * tp[k] + fp[k] + fn[k]
-        if denom == 0.0:
-            per_class.append(0.0)
-            undefined.append(k)
-        else:
-            per_class.append(float(2.0 * tp[k] / denom))
+    denom = 2.0 * tp + fp + fn
+    defined = denom != 0.0
+    per_class = np.divide(2.0 * tp, denom, out=np.zeros(n_classes), where=defined)
 
     micro_denom = 2.0 * tp.sum() + fp.sum() + fn.sum()
     micro = float(2.0 * tp.sum() / micro_denom) if micro_denom > 0 else 0.0
     return F1Report(
-        per_class=per_class,
+        per_class=per_class.tolist(),
         macro=float(np.mean(per_class)),
         micro=micro,
-        undefined_classes=undefined,
+        undefined_classes=np.flatnonzero(~defined).tolist(),
     )

@@ -9,7 +9,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from .autodiff import Tensor
-from .files import atomic_write_text, decode_float64, encode_float64, read_json
+from .files import (
+    atomic_write_text, decode_float64, encode_float64, read_json, reshaped,
+)
 
 CHECKPOINT_FORMAT = "megraph-params-v2"
 
@@ -148,7 +150,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
     if not isinstance(payload.get("params"), dict):
         raise ValueError(f"{path}: checkpoint has no 'params' object")
     return {
-        name: _checkpoint_entry(entry, f"{path}: checkpoint entry '{name}'", fmt)
+        name: _checkpoint_entry(entry, f"{path}: checkpoint entry {name!r}", fmt)
         for name, entry in payload["params"].items()
     }
 
@@ -171,7 +173,7 @@ def _checkpoint_entry(entry, where: str, fmt: str) -> np.ndarray:
             raise ValueError(f"{where}: a value is too large for float64") from None
         if values.size != math.prod(shape):
             raise ValueError(f"{where}: {values.size} values do not fill shape {shape}")
-        values = values.reshape(shape)
+        values = reshaped(values, shape, where)
     if not np.isfinite(values).all():
         raise ValueError(f"{where}: values must be finite")
     return values

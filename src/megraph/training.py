@@ -393,13 +393,8 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunReport:
     run = _run_report(config, [report], t0)
     if out_dir is not None:
         curves = [("(all)", row) for row in outcome.curves]
-        write_run_dir(
-            out_dir,
-            config,
-            run,
-            curves,
-            {"final": outcome.model.params.state_dict()},
-        )
+        checkpoints = {"final": outcome.model.params.state_dict()}
+        write_run_dir(out_dir, config, run, curves, checkpoints, fold_name="all")
     return run
 
 
@@ -419,7 +414,7 @@ def evaluate_checkpoint(
         raise ValueError(f"{checkpoint_path}: {exc}") from None
     run = _run_report(config, [_fold_report("(eval)", model, samples, config, 0)], t0)
     if out_dir is not None:
-        write_run_dir(out_dir, config, run, [], {})
+        write_run_dir(out_dir, config, run, [], {}, fold_name="eval")
     return run
 
 
@@ -465,16 +460,17 @@ def write_curves(path, curves: list[tuple[str, dict]]) -> None:
             writer.writerow([subject] + [repr(row[c]) for c in CURVE_COLUMNS])
 
 
-def write_run_dir(out_dir, config, run, curves, checkpoints) -> None:
+def write_run_dir(out_dir, config, run, curves, checkpoints, fold_name=None) -> None:
     """Lay out config.json, folds/, report.json, report.txt, curves.csv,
-    checkpoints/ under one directory; each file is written atomically."""
+    checkpoints/ under one directory; each file is written atomically. Each
+    LOSO fold is filed as folds/<subject>.json; a one-fold run passes its
+    file's ``fold_name``."""
     out = Path(out_dir)
     (out / "folds").mkdir(parents=True, exist_ok=True)
     (out / "checkpoints").mkdir(exist_ok=True)
     save_config(config, out / "config.json")
     for fr in run.folds:
-        name = fr.subject.strip("()") or "fold"
-        atomic_write_text(out / "folds" / f"{name}.json", dumps(fr))
+        atomic_write_text(out / "folds" / f"{fold_name or fr.subject}.json", dumps(fr))
     atomic_write_text(out / "report.json", dumps(run))
     atomic_write_text(out / "report.txt", format_report(run))
     write_curves(out / "curves.csv", curves)

@@ -521,6 +521,22 @@ class TestBackwardClosedForms:
         ad.sum_all(scaled).backward()
         assert scaled.grad is None
 
+    def test_the_tape_lists_each_reached_node_once_after_its_parents(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        c = ad.constant([[3.0, 4.0]])
+        h = ad.relu(ad.mul(x, x))
+        y = ad.sum_all(ad.add(ad.mul(h, c), h))  # h is shared, c is constant
+        tape = ad._tape(y)
+        assert len(tape) == len({id(n) for n in tape}) == 6
+        position = {id(n): i for i, n in enumerate(tape)}
+        assert tape[-1] is y and id(c) not in position
+        for node in tape:
+            for parent in node._parents:
+                if parent is not c:
+                    assert position[id(parent)] < position[id(node)]
+        # the gradient checks read the same walk
+        assert [id(n) for n in checks._tape(y)] == [id(n) for n in tape]
+
     def test_nodes_no_gradient_reaches_keep_no_tape(self):
         x = Tensor([[1.0, -2.0]], requires_grad=True)
         c = ad.constant([[3.0, 4.0]])

@@ -105,6 +105,13 @@ BAD_INPUTS = [
     ),
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
+        # the name is quoted as a Python string, so the message stays one line
+        CHECKPOINT % ', "params": {"a\\nb": {"values": [0.5]}}',
+        "{input}: checkpoint entry 'a\\nb' needs 'shape' and 'values'",
+        id="checkpoint-entry-name-with-a-newline",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
         CHECKPOINT % ', "params": {"head.b": {"shape": [1], "values": [NaN]}}',
         "{input}: checkpoint entry 'head.b': values must be finite",
         id="checkpoint-nan",
@@ -148,6 +155,22 @@ BAD_INPUTS = [
         CHECKPOINT_V2 % '{"head.b": {"shape": [2], "values": "%s"}}' % _b64(0.5, "nan"),
         "{input}: checkpoint entry 'head.b': values must be finite",
         id="checkpoint-v2-nan",
+    ),
+    # no values fill a shape with a zero, but numpy cannot hold these shapes
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT % ', "params": {"head.b": {"shape": [0, %d], "values": []}}' % 2**64,
+        "{input}: checkpoint entry 'head.b': numpy cannot hold shape "
+        f"[0, {2**64}]",
+        id="checkpoint-v1-shape-too-large",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        CHECKPOINT_V2 % '{"head.b": {"shape": [0, %d, %d, 4], "values": ""}}'
+        % (2**31, 2**31),
+        "{input}: checkpoint entry 'head.b': numpy cannot hold shape "
+        f"[0, {2**31}, {2**31}, 4]",
+        id="checkpoint-v2-shape-too-large",
     ),
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
@@ -354,6 +377,20 @@ class TestRunCommands:
         )
         assert code == 0
         assert "pooled accuracy" in capsys.readouterr().out
+
+    def test_evaluate_out_names_the_run_directory(
+        self, tiny_config_path, tmp_path, capsys
+    ):
+        train, scored = tmp_path / "train", tmp_path / "eval"
+        assert main(["train", "--config", str(tiny_config_path), "--out", str(train)]) == 0
+        assert capsys.readouterr().out.endswith(f"artifacts written to {train}\n")
+        ckpt = train / "checkpoints" / "final.json"
+        argv = ["evaluate", "--config", str(tiny_config_path), "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        summary = capsys.readouterr().out
+        assert main(argv + ["--out", str(scored)]) == 0
+        assert capsys.readouterr().out == summary + f"artifacts written to {scored}\n"
+        assert (scored / "report.txt").read_text() == summary
 
     def test_evaluate_scores_a_v1_checkpoint_like_its_v2_rewrite(
         self, tmp_path, capsys
@@ -569,7 +606,21 @@ class TestErrorPaths:
         assert f"sample '{subject}'" in capsys.readouterr().err
 
 
+COMMANDS = ["train", "evaluate", "loso", "ablate", "gradcheck", "synth-data",
+            "config show", "graph dump", "model inspect"]
+
+
 class TestEntryPoint:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_has_help(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(command.split() + ["--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: megraph {command} [-h] [--config PATH]")
+        # evaluate alone adds a flag to the options every command shares
+        assert ("--checkpoint PATH" in text) == (command == "evaluate")
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "megraph", "--help"],
@@ -727,6 +778,7 @@ def _one_entry_replaced(fmt_name_entry):
 @example(text=_one_entry_replaced(
     ("megraph-params-v1", "head.b", {"shape": [2], "values": [0.5, 10**400]})
 ))
+@example(text=CHECKPOINT % ', "params": {"\\n": null}')
 def test_any_malformed_checkpoint_exits_2_with_one_line(tmp_path_factory, text):
     folder = tmp_path_factory.mktemp("checkpoint")
     config, path = folder / "config.json", folder / "checkpoint.json"

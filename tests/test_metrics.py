@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from megraph.metrics import accuracy, confusion_matrix, f1_report
 
@@ -109,3 +111,47 @@ class TestF1:
             np.testing.assert_allclose(
                 report.macro, np.mean(report.per_class), atol=1e-12
             )
+
+
+def f1_loop_oracle(y_true, y_pred, n_classes):
+    """Per-class F1 one class at a time, then the macro and micro averages."""
+    counts = confusion_matrix(y_true, y_pred, n_classes)
+    tp = np.diag(counts).astype(np.float64)
+    fp = counts.sum(axis=0) - tp
+    fn = counts.sum(axis=1) - tp
+    per_class, undefined = [], []
+    for k in range(n_classes):
+        denom = 2.0 * tp[k] + fp[k] + fn[k]
+        if denom == 0.0:
+            per_class.append(0.0)
+            undefined.append(k)
+        else:
+            per_class.append(float(2.0 * tp[k] / denom))
+    micro_denom = 2.0 * tp.sum() + fp.sum() + fn.sum()
+    micro = float(2.0 * tp.sum() / micro_denom) if micro_denom > 0 else 0.0
+    return per_class, float(np.mean(per_class)), micro, undefined
+
+
+@st.composite
+def predictions(draw):
+    """2-7 classes, 1-59 samples; a third of the cases predict perfectly."""
+    k = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 59))
+    y_true = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    if draw(st.integers(0, 2)) == 0:
+        return y_true, list(y_true), k
+    y_pred = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return y_true, y_pred, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(predictions())
+def test_f1_report_equals_the_per_class_loop_bit_for_bit(case):
+    report = f1_report(*case)
+    per_class, macro, micro, undefined = f1_loop_oracle(*case)
+    bits = lambda values: np.asarray(values, dtype=np.float64).view(np.uint64)
+    assert np.array_equal(bits(report.per_class), bits(per_class))
+    assert bits(report.macro) == bits(macro) and bits(report.micro) == bits(micro)
+    assert report.undefined_classes == undefined
+    assert all(type(v) is float for v in report.per_class)
+    assert all(type(k) is int for k in report.undefined_classes)

@@ -516,6 +516,26 @@ class TestRunLoso:
         report = json.loads((out / "report.json").read_text())
         assert report["pooled_accuracy"] == run.pooled_accuracy
 
+    def test_each_subject_has_its_own_fold_file(self, tmp_path):
+        # subjects that differ only by parentheses, or that are "()" and
+        # "fold", are distinct folds and must not share a file
+        samples = synthesize_dataset(n_subjects=4, samples_per_subject=2, n_classes=3)
+        renamed = {"s01": "(s02)", "s03": "()", "s04": "fold"}
+        subjects = [renamed.get(s, s) for s in samples.subjects]
+        data = tmp_path / "data.jsonl"
+        save_samples(SampleSet(samples.frames, samples.labels, subjects), data)
+        out = tmp_path / "run"
+        cfg = tiny_loso_config(dataset=str(data), synth=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # relation fallbacks
+            run = run_loso(cfg, out_dir=out)
+        files = sorted(p.name for p in (out / "folds").iterdir())
+        assert files == sorted(f"{s}.json" for s in run.fold_subjects)
+        assert len(files) == 4
+        for subject in run.fold_subjects:
+            fold = json.loads((out / "folds" / f"{subject}.json").read_text())
+            assert fold["subject"] == subject
+
     def test_checkpoints_round_trip_through_json(self, tmp_path):
         out = tmp_path / "run"
         run_loso(tiny_loso_config(), out_dir=out)
@@ -580,6 +600,9 @@ class TestRunTraining:
         assert run.fold_subjects == ["(all)"]
         assert len(run.folds[0].y_true) == 9
         state = read_checkpoint(out / "checkpoints" / "final.json")
+        assert [p.name for p in (out / "folds").iterdir()] == ["all.json"]
+        evaluate_checkpoint(cfg, out / "checkpoints" / "final.json", out_dir=out / "eval")
+        assert [p.name for p in (out / "eval" / "folds").iterdir()] == ["eval.json"]
         model = ActionRelationNet(cfg.model, seed=0)
         model.params.load_state_dict(state)
         y_true, y_pred, _ = evaluate(
