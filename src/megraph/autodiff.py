@@ -8,8 +8,9 @@ of shape ``(..., R, C)``: the last two axes are one sample's matrix, any
 leading axes are batch axes, and the one-sample 2-d case is the same code
 path. Where a 2-d operand (a weight, a bias, a constant adjacency) meets a
 batched one, its gradient is summed over the batch axes; a ``(3, K, D)``
-weight meets a ``(..., 3, R, K)`` block matrix by matrix. ``temporal_conv``
-takes its k taps as one ``(k, K, D)`` weight, one matrix per frame offset.
+weight meets a ``(..., 3, R, K)`` block matrix by matrix. ``st_conv``, one
+backbone layer, takes its k temporal taps as one ``(k, K, D)`` weight, one
+matrix per frame offset, and works frame-major inside.
 
 Weights and biases may also carry a leading member axis: a ``(P, 1..., K, D)``
 weight or ``(P, 1..., 1, D)`` bias holds P variants of one parameter, with
@@ -68,7 +69,7 @@ __all__ = [
     "mean_rows",
     "affine",
     "graph_affine",
-    "temporal_conv",
+    "st_conv",
     "cross_entropy",
 ]
 
@@ -430,15 +431,40 @@ def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     return _node(out.reshape(shape), (a,), back, "gather_rows")
 
 
+# numpy's reduce over a last axis this short costs more per row than the
+# columns it combines, so fewer columns are folded one by one
+_FOLD_COLUMNS = 8
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``; 1-7 columns folded with
+    ``np.maximum`` from the first, which gives the same bits."""
+    if not 0 < a.shape[-1] < _FOLD_COLUMNS:
+        return a.max(axis=-1, keepdims=True)
+    out = a[..., :1]
+    for j in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., j : j + 1])
+    return out
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1, keepdims=True)``; 1-7 columns folded with ``np.add``
+    from the first plus 0.0, as numpy's sum starts from +0.0: the same bits."""
+    if not 0 < a.shape[-1] < _FOLD_COLUMNS:
+        return a.sum(axis=-1, keepdims=True)
+    out = a[..., :1] + 0.0
+    for j in range(1, a.shape[-1]):
+        out += a[..., j : j + 1]
+    return out
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     _require_matrix("softmax_rows", a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(a.data - _row_max(a.data))
+    out = e / _row_sum(e)
 
     def back(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        return (out * (g - _row_sum(g * out)),)
 
     return _node(out, (a,), back, "softmax_rows")
 
@@ -587,64 +613,152 @@ def graph_affine(adj: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out, (x, w, b), back, "graph_affine")
 
 
-def temporal_conv(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
-    """Convolution along the frame axis of a (..., T, R, K) input.
+def _frames_front(a: np.ndarray) -> np.ndarray:
+    """The frame-major (T, ..., R, C) view of a (..., T, R, C) array."""
+    n = a.ndim
+    return a.transpose((n - 3, *range(n - 3), n - 2, n - 1))
 
-    Output frame t is ``b + sum_j x[t + j - p] @ w[j]`` with a (k, K, D)
-    weight of k taps. ``"same"`` pads p = k // 2 zero frames on each side
-    and keeps T frames; ``"valid"`` pads none and keeps T - k + 1. The weight
-    may be a (P, 1..., k, K, D) member stack, its tap axis standing in for
-    the frame singleton, and the bias a (P, 1..., 1, D) one.
+
+def _frames_back(a: np.ndarray) -> np.ndarray:
+    """The batch-major (..., T, R, C) view of a (T, ..., R, C) array."""
+    n = a.ndim
+    return a.transpose((*range(1, n - 2), 0, n - 2, n - 1))
+
+
+def _drop_frames(a: np.ndarray) -> np.ndarray:
+    """A member-stacked weight or bias without its frame singleton, so that
+    its member axes line up with a frame-major operand's; a 2-d one as is."""
+    return a if a.ndim == 2 else a.reshape(a.shape[:-3] + a.shape[-2:])
+
+
+def _rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w; a C-contiguous a meets a 2-d w in one 2-d product of its rows,
+    which gives the bits of the batched product."""
+    if w.ndim == 2 and a.flags.c_contiguous:
+        return (a.reshape(-1, a.shape[-1]) @ w).reshape(a.shape[:-1] + w.shape[-1:])
+    return a @ w
+
+
+def _tap_sum(src: np.ndarray, taps, moves, frames: int) -> np.ndarray:
+    """Frame-major ``out[c:c + n] += src[a:a + n] @ taps[j]`` over the moves
+    (j, a, c, n), into a new ``frames``-frame ``out``. A move over every
+    frame goes first and is assigned, so it needs no zero fill; the others
+    follow in order, which leaves each frame's sum in tap order for k <= 3."""
+    out = None
+    for j, a, c, n in sorted(moves, key=lambda move: move[3] != frames):
+        part = _rows_matmul(src[a : a + n], taps[j])
+        if out is None and n == frames:
+            out = part
+            continue
+        if out is None:
+            out = np.zeros((frames,) + part.shape[1:])
+        out[c : c + n] += part
+        del part  # one product alive at a time
+    return out
+
+
+def st_conv(
+    adj: np.ndarray, x: Tensor, gc_w: Tensor, gc_b: Tensor, tc_w: Tensor, tc_b: Tensor,
+    padding: str = "same",
+) -> Tensor:
+    """One backbone layer as one node: h = ``relu(adj @ x @ gc_w + gc_b)`` on
+    each frame of a (..., T, R, K) input, with a constant (R', R) ``adj``,
+    then output frame t = ``tc_b + sum_j h[t + j - p] @ tc_w[j]`` for a
+    (k, D, E) weight of k taps. ``"same"`` pads p = k // 2 zero frames on
+    each side and keeps T frames; ``"valid"`` pads none and keeps T - k + 1.
+    A weight or bias may be a (P, 1..., K, D) or (P, 1..., 1, D) member
+    stack, with one singleton per axis of x before its last two; the taps'
+    stack is (P, 1..., k, D, E), the tap axis standing in for the frames.
+
+    Inside, every array is frame-major, (T, ..., R, C): a tap's frames are
+    one contiguous block of rows, which meets a 2-d weight in one 2-d
+    product. The output and the gradient of x are batch-major views of
+    frame-major buffers, so two layers hand over their data without a copy.
     """
-    xd, wd = x.data, w.data
-    xs, ws, bs = xd.shape, wd.shape, b.data.shape
+    xs, gws, gbs = x.data.shape, gc_w.data.shape, gc_b.data.shape
+    tws, tbs = tc_w.data.shape, tc_b.data.shape
     if len(xs) < 3:
-        raise ShapeError(f"temporal_conv: expected (..., T, R, K) input, got {xs}")
+        raise ShapeError(f"st_conv: expected (..., T, R, K) input, got {xs}")
+    if adj.ndim != 2 or adj.shape[1] != xs[-2]:
+        raise ShapeError(f"st_conv: adjacency {adj.shape} vs features {xs}")
+    if len(gws) < 2 or xs[-1] != gws[-2]:
+        raise ShapeError(f"st_conv: shapes {xs} @ {gws} + {gbs}")
+    _check_bias("st_conv", gc_b, gws[-1])
     if padding not in ("same", "valid"):
-        raise ValueError(
-            f"temporal_conv: padding must be 'same' or 'valid', got {padding!r}"
-        )
-    if len(ws) < 3 or ws[-3] < 1:
+        raise ValueError(f"st_conv: padding must be 'same' or 'valid', got {padding!r}")
+    if len(tws) < 3 or tws[-3] < 1:
         raise ShapeError(
-            f"temporal_conv: weight shape {ws}, expected (k, K, D) or "
-            "(P, 1..., k, K, D) with k >= 1"
+            f"st_conv: temporal weight shape {tws}, expected (k, D, E) or "
+            "(P, 1..., k, D, E) with k >= 1"
         )
-    if ws[-2] != xs[-1]:
-        raise ShapeError(f"temporal_conv: weight {ws} vs features {xs}")
-    _check_bias("temporal_conv", b, ws[-1])
-    k, frames = ws[-3], xs[-3]
+    if tws[-2] != gws[-1]:
+        raise ShapeError(f"st_conv: temporal weight {tws} vs graph weight {gws}")
+    _check_bias("st_conv", tc_b, tws[-1])
+    k, frames = tws[-3], xs[-3]
     pad = k // 2 if padding == "same" else 0
     t_out = frames + 2 * pad - k + 1
     if t_out < 1:
-        raise ShapeError(f"temporal_conv: {k} taps exceed {frames} frames")
-    try:
-        lead = np.broadcast_shapes(xs[:-3], ws[:-3], bs[:-3])
-    except ValueError:
-        raise ShapeError(
-            f"temporal_conv: member axes of weight {ws} or bias {bs} vs features {xs}"
-        ) from None
+        raise ShapeError(f"st_conv: {k} taps exceed {frames} frames")
+    lead = xs[:-3]
+    stacked = [s for s in (gws, gbs, tbs) if len(s) > 2]
+    if stacked or len(tws) > 3:
+        try:
+            if any(s[-3] != 1 for s in stacked):
+                raise ValueError
+            lead = np.broadcast_shapes(lead, tws[:-3], *(s[:-3] for s in stacked))
+        except ValueError:
+            raise ShapeError(
+                f"st_conv: member axes of {gws}, {gbs}, {tws} or {tbs} vs features {xs}"
+            ) from None
+
+    # frame-major x, with a singleton for each member axis only a weight has
+    xf = _frames_front(x.data)
+    if len(lead) > len(xs) - 3:
+        xf = xf.reshape(xf.shape[:1] + (1,) * (len(lead) + 3 - len(xs)) + xf.shape[1:])
+    xf = np.ascontiguousarray(xf)
+    gw, gb, tb = _drop_frames(gc_w.data), _drop_frames(gc_b.data), _drop_frames(tc_b.data)
+    taps = [tc_w.data[..., j, :, :] for j in range(k)]
+    pooled = adj @ xf
+    pre = _rows_matmul(pooled, gw)
+    if not any(t.requires_grad or t._needs for t in (x, gc_w, gc_b, tc_w, tc_b)):
+        del pooled  # no tape will read it: free it before the taps run
+    pre = pre + gb if gb.ndim > 2 else np.add(pre, gb, out=pre)
+    hidden = np.fmax(pre, 0.0, out=pre)  # relu's bits: NaN and -0.0 go to +0.0
     # tap j maps input frames lo+d:hi+d onto output frames lo:hi, d = j - pad;
-    # the zero padding frames are never materialized. A plain weight's tap is
-    # its (K, D) matrix, which keeps the 2-d kernel paths; a stacked weight's
-    # keeps its tap axis as the frame singleton.
-    taps = [np.s_[j] if len(ws) == 3 else np.s_[..., j : j + 1, :, :] for j in range(k)]
-    spans = [(max(0, pad - j), min(t_out, frames + pad - j), j - pad) for j in range(k)]
-    out = np.zeros(lead + (t_out, xs[-2], ws[-1]))
-    for (lo, hi, d), tap in zip(spans, taps):
-        if lo < hi:
-            out[..., lo:hi, :, :] += xd[..., lo + d : hi + d, :, :] @ wd[tap]
-    out += b.data
+    # the zero padding frames are never materialized
+    spans = [(j, max(0, pad - j), min(t_out, frames + pad - j)) for j in range(k)]
+    spans = [(j, lo, hi, j - pad) for j, lo, hi in spans if lo < hi]
+    out = _tap_sum(hidden, taps, [(j, lo + d, lo, hi - lo) for j, lo, hi, d in spans], t_out)
+    out = out + tb if tb.ndim > 2 else np.add(out, tb, out=out)
+    x_needs = x.requires_grad or x._needs  # False for constant input features
+    xf_shape = xf.shape
 
     def back(g):
-        gx, gw = np.zeros(g.shape[:-3] + xs[-3:]), np.zeros(ws)
-        for (lo, hi, d), tap in zip(spans, taps):
-            if lo < hi:
-                g_span, x_span = g[..., lo:hi, :, :], xd[..., lo + d : hi + d, :, :]
-                gx[..., lo + d : hi + d, :, :] += g_span @ _transposed(wd[tap])
-                gw[tap] = _weight_grad(x_span, g_span, gw[tap].shape)
-        return _unbroadcast(gx, xs), gw, _bias_grad(g, bs)
+        gf = np.ascontiguousarray(_frames_front(g))
+        g_tw = np.zeros(tws)
+        for j, lo, hi, d in spans:
+            g_tw[..., j, :, :] = _weight_grad(
+                hidden[lo + d : hi + d], gf[lo:hi], taps[j].shape
+            )
+        moves = [(j, lo, lo + d, hi - lo) for j, lo, hi, d in spans]
+        g_pre = _tap_sum(gf, [_transposed(w) for w in taps], moves, frames)
+        g_pre = _unbroadcast(g_pre, hidden.shape)
+        np.multiply(g_pre, hidden > 0, out=g_pre)
+        gx = None
+        if x_needs:
+            gxf = _unbroadcast(adj.T @ _rows_matmul(g_pre, _transposed(gw)), xf_shape)
+            gx = _frames_back(gxf.reshape((frames,) + xs[:-3] + xs[-2:]))
+        return (
+            gx,
+            _weight_grad(pooled, g_pre, gw.shape).reshape(gws),
+            _bias_grad(g_pre, gb.shape).reshape(gbs),
+            g_tw,
+            _bias_grad(gf, tb.shape).reshape(tbs),
+        )
 
-    return _node(out, (x, w, b), back, "temporal_conv")
+    # the rectifier's input, as the forward computed it, for checks.kink_margin
+    back.rectifier_input = lambda: _rows_matmul(pooled, gw) + gb
+    return _node(_frames_back(out), (x, gc_w, gc_b, tc_w, tc_b), back, "st_conv")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -103,25 +103,32 @@ def _members(apply, lead: int = 0, readout: np.ndarray | None = None):
     return values
 
 
-def _op_case(op, wrt: int, *draws):
+def _op_case(op, wrt: int, *draws, off_kink: bool = False):
     """Check d readout(op(*args)) / d args[wrt] with every argument drawn
     at random and all but ``args[wrt]`` held constant; the readout is a
     random linear functional, so output gradients are non-trivial. Scalar
     outputs are checked as they are.
 
     The probes of ``args[wrt]`` run as one member stack placed in front of
-    every batch axis of the output, unless ``op`` is a :class:`_Whole`."""
+    every batch axis of the output, unless ``op`` is a :class:`_Whole`.
+    With ``off_kink``, for an op that rectifies inside, the arguments are
+    drawn again, up to :data:`_JITTER_ATTEMPTS` times, until
+    :func:`kink_margin` of the output puts every rectifier input at least
+    :data:`MIN_KINK_MARGIN` from its kink, as the model check does."""
     loop = isinstance(op, _Whole)
     op = op.op if loop else op
 
     def build(rng):
-        args = [ad.constant(draw(rng)) for draw in draws]
-        x = ad.tensor(args[wrt].data)
+        for _ in range(_JITTER_ATTEMPTS if off_kink else 1):
+            args = [ad.constant(draw(rng)) for draw in draws]
+            x = ad.tensor(args[wrt].data)
 
-        def apply(t):
-            return op(*args[:wrt], t, *args[wrt + 1 :])
+            def apply(t):
+                return op(*args[:wrt], t, *args[wrt + 1 :])
 
-        y = apply(x)
+            y = apply(ad.tensor(x.data, requires_grad=True) if off_kink else x)
+            if not off_kink or kink_margin(y) >= MIN_KINK_MARGIN:
+                break
         if not y.shape:
             return apply, x, None if loop else _members(apply)
         readout = rng.normal(size=y.shape)
@@ -138,6 +145,33 @@ def _op_case(op, wrt: int, *draws):
 
 def _graph_affine(adj, x, w, b):
     return ad.graph_affine(adj.data, x, w, b)
+
+
+def _st_conv(adj, x, gc_w, gc_b, tc_w, tc_b, padding):
+    return ad.st_conv(adj.data, x, gc_w, gc_b, tc_w, tc_b, padding)
+
+
+# st_conv's operands after the adjacency, by position: (B, T, R, K) =
+# (2, 3, 4, 2) frames, a (2, 3) graph weight and a (3, 3, 2) temporal one;
+# beside member stacks of three, one sample's (1, 3, 4, 2) frames
+_ST_TARGETS = ("x", "gc.w", "gc.b", "tc.w", "tc.b")
+_ST_PLAIN = (_normal(2, 3, 4, 2), _normal(2, 3), _normal(1, 3), _normal(3, 3, 2), _normal(1, 2))
+_ST_STACKED = (
+    _normal(1, 3, 4, 2), _normal(3, 1, 1, 2, 3), _normal(3, 1, 1, 1, 3),
+    _normal(3, 1, 3, 3, 2), _normal(3, 1, 1, 1, 2),
+)
+
+
+def _st_conv_case(padding: str, wrt: int, stacked=()):
+    """st_conv with respect to operand ``wrt`` (0 for x), the weights and
+    biases at the ``stacked`` positions drawn as member stacks, every draw
+    off the kink."""
+    x = (_ST_STACKED if stacked else _ST_PLAIN)[0]
+    params = [(_ST_STACKED if i in stacked else _ST_PLAIN)[i] for i in range(1, 5)]
+    return _op_case(
+        partial(_st_conv, padding=padding), wrt + 1, _adjacency(4), x, *params,
+        off_kink=True,
+    )
 
 
 def _cross_entropy(logits, labels):
@@ -224,15 +258,11 @@ def _op_cases() -> dict:
             _cross_entropy, 0, n(2, 3, 4), _labels(4, 2, 3)
         ),
     }
-    # temporal_conv over (B, T, R, C) frames: the input, the (3, K, D) weight
-    # and the bias, under both paddings
+    cases = {name: _op_case(*spec) for name, spec in specs.items()}
     for padding in ("same", "valid"):
-        for target, wrt in (("x", 0), ("w", 1), ("b", 2)):
-            specs[f"temporal_conv.{padding}.{target}"] = (
-                partial(ad.temporal_conv, padding=padding), wrt,
-                n(2, 3, 4, 3), n(3, 3, 2), n(1, 2),
-            )
-    return {name: _op_case(*spec) for name, spec in specs.items()}
+        for wrt, target in enumerate(_ST_TARGETS):
+            cases[f"st_conv.{padding}.{target}"] = _st_conv_case(padding, wrt)
+    return cases
 
 
 def _stacked_cases() -> dict:
@@ -265,26 +295,27 @@ def _stacked_cases() -> dict:
             _graph_affine, wrt + 1, _adjacency(5), n(2, 5, 3),
             *operands(3, 4, w_stacked, b_stacked),
         )
-    # temporal_conv over (B, T, R, C) frames with a (P, 1, 3, K, D) weight and
-    # a (P, 1, 1, 1, D) bias; "w.shared" is a (3, K, D) weight beside a
-    # stacked bias
-    cw, cw_p, cb, cb_p = n(3, 3, 2), n(3, 1, 3, 3, 2), n(1, 2), n(3, 1, 1, 1, 2)
-    for padding in ("same", "valid"):
-        for target, wrt, draws in (
-            ("x", 0, (cw_p, cb_p)),
-            ("w", 1, (cw_p, cb)),
-            ("b", 2, (cw, cb_p)),
-            ("w.shared", 1, (cw, cb_p)),
-        ):
-            specs[f"temporal_conv.{padding}.{target}.stacked"] = (
-                partial(ad.temporal_conv, padding=padding), wrt, n(2, 3, 4, 3), *draws
-            )
     # a (3, R, R) block of adjacencies with (3, K, D) weights, as in decompose
     for target, wrt in (("x", 1), ("w", 2), ("b", 3)):
         specs[f"graph_affine.{target}.block"] = (
             _graph_affine, wrt, n(3, 5, 5), n(2, 3, 5, 3), n(3, 3, 4), n(3, 1, 4)
         )
-    return {name: _op_case(*spec) for name, spec in specs.items()}
+    cases = {name: _op_case(*spec) for name, spec in specs.items()}
+    # st_conv with member stacks of three: "<target>.stacked" stacks the
+    # target and one more operand (every weight and bias for x); ".shared" is
+    # a plain target beside a stacked operand, its gradient summed over members
+    for padding, target, stacked in (
+        ("same", "x", (1, 2, 3, 4)),
+        ("valid", "gc.w", (1, 4)),
+        ("same", "gc.b", (2, 3)),
+        ("valid", "tc.w", (3, 1)),
+        ("same", "tc.b", (4, 2)),
+        ("valid", "gc.w.shared", (3,)),
+    ):
+        kind = "" if target.endswith(".shared") else ".stacked"
+        wrt = _ST_TARGETS.index(target.removesuffix(".shared"))
+        cases[f"st_conv.{padding}.{target}{kind}"] = _st_conv_case(padding, wrt, stacked)
+    return cases
 
 
 def _loss_cases() -> dict:
@@ -366,7 +397,7 @@ KINKED_OPS = ("relu", "l1_rowsum")
 def kink_margin(loss: Tensor) -> float:
     """Smallest distance of any rectifier or absolute-value input to its
     kink, found by walking the tape from ``loss`` and picking nodes by
-    their op name.
+    their op name; an ``st_conv`` node gives the input of its rectifier.
 
     Central differences are only trustworthy when the +-h probe interval
     stays on one side of every kink, so end-to-end checks must run at a
@@ -379,12 +410,16 @@ def kink_margin(loss: Tensor) -> float:
     padding = COMPONENT_BLOCK[0] < 0
     margin = np.inf
     for node in _tape(loss):
-        if node.op in KINKED_OPS:
+        if node.op == "st_conv":
+            values = node._backward.rectifier_input()
+        elif node.op in KINKED_OPS:
             x = node._parents[0]
             values = x.data
             if x.op == "graph_affine" and x._parents[0].op == "gather_rows":
                 values = values[..., ~padding, :]
-            margin = min(margin, float(np.abs(values).min()))
+        else:
+            continue
+        margin = min(margin, float(np.abs(values).min()))
     return margin
 
 
@@ -399,7 +434,7 @@ def _tape(loss: Tensor) -> list[Tensor]:
 
 
 # ops whose weight and bias operands broadcast against their first operand
-WEIGHTED_OPS = ("affine", "graph_affine", "temporal_conv")
+WEIGHTED_OPS = ("affine", "graph_affine", "st_conv")
 
 
 def _batch_axes(loss: Tensor) -> dict[int, int]:

@@ -5,7 +5,7 @@ import base64
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,8 @@ def atomic_write(path, newline: str | None = None):
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # a name too long to open is too long to unlink
+            tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename == str(tmp):
             exc.filename = str(path)  # name the target, not the temporary file
         raise

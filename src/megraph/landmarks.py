@@ -119,6 +119,12 @@ def save_samples(samples: SampleSet, path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+# the longest subject, in UTF-8 bytes, whose fold checkpoint can be written:
+# its temporary file ".fold_<subject>.json.<pid>.tmp", with a pid of up to
+# 7 digits, must fit the 255 bytes of a file name
+MAX_SUBJECT_BYTES = 255 - len(".fold_") - len(".json") - len(".1234567.tmp")
+
+
 def _parse_record(record) -> tuple[str, int, np.ndarray]:
     """Subject, label and frames of one decoded JSON record. The frames are
     a strict base64 string of float64 bytes, or nested lists of JSON
@@ -136,6 +142,12 @@ def _parse_record(record) -> tuple[str, int, np.ndarray]:
         )
     if subject in (".", "..") or any(c in subject for c in "/\\\0"):
         raise ValueError(f"subject must not name a path, got {json.dumps(subject)}")
+    size = len(subject.encode("utf-8", "surrogatepass"))
+    if size > MAX_SUBJECT_BYTES:
+        raise ValueError(
+            f"subject is {size} UTF-8 bytes, more than the {MAX_SUBJECT_BYTES} "
+            "its run files' names can hold"
+        )
     label = record["label"]
     if type(label) is not int:
         raise ValueError(f"label must be an integer, got {json.dumps(label)}")

@@ -7,7 +7,8 @@ each optional after the first:
 
 1. Backbone: two layers of per-frame graph convolution over
    :data:`~megraph.graph.ADJACENCY` followed by temporal convolution across
-   the three keyframes, each layer's three taps one (3, C, C) parameter.
+   the three keyframes, each layer's three taps one (3, C, C) parameter
+   and each layer one ``st_conv`` tape node.
    Layer 2's valid-width-3 temporal step collapses the frame axis, leaving
    one feature row per node.
 2. Action decomposition: per facial component, a learned soft assignment
@@ -136,11 +137,11 @@ class ActionRelationNet:
         self.params = ParamStore()
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         self._init_params(rng)
-        # per backbone layer: padding, gc.w, gc.b, tc.w, tc.b, looked up once
+        # per backbone layer: gc.w, gc.b, tc.w, tc.b and padding, looked up once
         p = self.params
         self._backbone_layers = [
-            (padding, p[f"backbone.{n}.gc.w"], p[f"backbone.{n}.gc.b"],
-             p[f"backbone.{n}.tc.w"], p[f"backbone.{n}.tc.b"])
+            (p[f"backbone.{n}.gc.w"], p[f"backbone.{n}.gc.b"],
+             p[f"backbone.{n}.tc.w"], p[f"backbone.{n}.tc.b"], padding)
             for n, padding in (("l1", "same"), ("l2", "valid"))
         ]
 
@@ -191,9 +192,8 @@ class ActionRelationNet:
         x = ad.constant(frames)
         # width-3 temporal convolutions: layer 1 keeps the three frames
         # (missing neighbors contribute nothing), layer 2 collapses them
-        for padding, gc_w, gc_b, tc_w, tc_b in self._backbone_layers:
-            x = ad.relu(ad.graph_affine(ADJACENCY, x, gc_w, gc_b))
-            x = ad.temporal_conv(x, tc_w, tc_b, padding)
+        for layer in self._backbone_layers:
+            x = ad.st_conv(ADJACENCY, x, *layer)
         return ad.reshape(x, x.shape[:-3] + x.shape[-2:])
 
     def decompose(self, node_features: Tensor):

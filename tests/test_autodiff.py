@@ -11,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import megraph.autodiff as ad
 from megraph import checks
 from megraph.autodiff import ShapeError, Tensor
-from megraph.graph import COMPONENT_BLOCK, COMPONENTS
+from megraph.graph import ADJACENCY, COMPONENT_BLOCK, COMPONENTS
 from megraph.model import LEGACY_PARTS, ActionRelationNet, ModelConfig, stack_legacy_names
 from megraph.params import (
     ParamStore,
@@ -131,6 +134,20 @@ class TestForwardValues:
         b = ad.softmax_rows(ad.constant(shifted)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(16, 3, 12, 3), (4, 7), (2, 8), (5, 1)])
+    def test_softmax_rows_keeps_the_bits_of_numpys_reductions(self, shape):
+        # short rows are folded column by column, long ones reduced by numpy
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.normal(size=shape) * 30.0, requires_grad=True)
+        g = rng.normal(size=shape)
+        e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        out = ad.softmax_rows(x)
+        assert np.array_equal(out.data.view(np.uint64), want.view(np.uint64))
+        (got,) = out._backward(g)
+        want_g = want * (g - (g * want).sum(axis=-1, keepdims=True))
+        assert np.array_equal(got.view(np.uint64), want_g.view(np.uint64))
+
     @pytest.mark.parametrize(
         "keep, center_shape, factor",
         [(0, (1, 4), 0.3), (1, (3, 3, 4), 1.0), (2, (3, 1), 1 / 48), (0, (), -2.0)],
@@ -193,13 +210,16 @@ class TestForwardValues:
                 np.testing.assert_allclose(got[n, i], adj[i] @ x[n, i] @ w[i] + b[i])
 
     def test_temporal_conv_matches_loop(self):
+        # st_conv's temporal half alone: an identity graph step passes
+        # positive frames through the rectifier unchanged
         rng = np.random.default_rng(42)
-        x = rng.normal(size=(2, 3, 4, 3))
+        x = rng.uniform(0.1, 1.0, size=(2, 3, 4, 3))
         w = rng.normal(size=(3, 3, 2))
         b = rng.normal(size=(1, 2))
+        graph = (ad.constant(np.eye(3)), ad.constant(np.zeros((1, 3))))
         args = (ad.constant(w), ad.constant(b))
         for padding, pad in (("same", 1), ("valid", 0)):
-            got = ad.temporal_conv(ad.constant(x), *args, padding).data
+            got = ad.st_conv(np.eye(4), ad.constant(x), *graph, *args, padding).data
             t_out = 3 + 2 * pad - 2
             assert got.shape == (2, t_out, 4, 2)
             for n in range(2):
@@ -259,27 +279,59 @@ class TestForwardValues:
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_stacked_temporal_conv_matches_per_member_calls(self, padding):
-        # a (P, 1, k, K, D) weight: its tap axis stands in for the frame
-        # singleton that a stacked affine weight has
+        # st_conv's (P, 1, k, K, D) taps: the tap axis stands in for the frame
+        # singleton that its stacked (P, 1, 1, K, D) graph weight has
         rng = np.random.default_rng(7)
         c = ad.constant
         x = c(rng.normal(size=(2, 3, 4, 3)))
+        adj = rng.normal(size=(4, 4))
+        gw, gb = rng.normal(size=(4, 1, 1, 3, 3)), rng.normal(size=(4, 1, 1, 1, 3))
         w, b = rng.normal(size=(4, 1, 3, 3, 2)), rng.normal(size=(4, 1, 1, 1, 2))
+        gw2, gb2 = rng.normal(size=(3, 3)), rng.normal(size=(1, 3))
         w2, b2 = rng.normal(size=(3, 3, 2)), rng.normal(size=(1, 2))
+
+        def conv(*args):
+            return ad.st_conv(adj, x, *map(c, args), padding).data
+
         stacked = {
-            "both": ad.temporal_conv(x, c(w), c(b), padding).data,
-            "weight": ad.temporal_conv(x, c(w), c(b2), padding).data,
-            "bias": ad.temporal_conv(x, c(w2), c(b), padding).data,
+            "both": conv(gw2, gb2, w, b),
+            "weight": conv(gw2, gb2, w, b2),
+            "bias": conv(gw2, gb2, w2, b),
+            "graph": conv(gw, gb, w2, b2),
+            "all": conv(gw, gb, w, b),
         }
         for m in range(4):
             one = {
-                "both": ad.temporal_conv(x, c(w[m, 0]), c(b[m, 0, 0]), padding).data,
-                "weight": ad.temporal_conv(x, c(w[m, 0]), c(b2), padding).data,
-                "bias": ad.temporal_conv(x, c(w2), c(b[m, 0, 0]), padding).data,
+                "both": conv(gw2, gb2, w[m, 0], b[m, 0, 0]),
+                "weight": conv(gw2, gb2, w[m, 0], b2),
+                "bias": conv(gw2, gb2, w2, b[m, 0, 0]),
+                "graph": conv(gw[m, 0, 0], gb[m, 0, 0], w2, b2),
+                "all": conv(gw[m, 0, 0], gb[m, 0, 0], w[m, 0], b[m, 0, 0]),
             }
             for name, got in stacked.items():
                 assert got.shape[:2] == (4, 2), name
                 assert np.array_equal(got[m], one[name]), name
+
+    def test_st_conv_forward_equals_the_three_op_composition_bit_for_bit(self):
+        # relu(graph_affine(...)) and a tap-by-tap temporal convolution with
+        # the products batch-major, as the backbone ran before it was one node
+        rng = np.random.default_rng(3)
+        adj = checks._adjacency(31)(rng)
+        for lead, padding, k in (((), "same", 2), ((16,), "same", 16), ((64,), "valid", 16)):
+            x = rng.normal(size=lead + (3, 31, k))
+            gw, gb = rng.normal(size=(k, 16)), 0.1 * rng.normal(size=(1, 16))
+            w, b = rng.normal(size=(3, 16, 16)), rng.normal(size=(1, 16))
+            c = ad.constant
+            h = ad.relu(ad.graph_affine(adj, c(x), c(gw), c(gb))).data
+            pad = 1 if padding == "same" else 0
+            t_out = 3 + 2 * pad - 2
+            want = np.zeros(lead + (t_out, 31, 16))
+            for j in range(3):
+                lo, hi, d = max(0, pad - j), min(t_out, 3 + pad - j), j - pad
+                want[..., lo:hi, :, :] += h[..., lo + d : hi + d, :, :] @ w[j]
+            want += b
+            got = ad.st_conv(adj, c(x), c(gw), c(gb), c(w), c(b), padding).data
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_cross_entropy_matches_loop(self):
         rng = np.random.default_rng(42)
@@ -305,12 +357,41 @@ class TestForwardValues:
         assert ad.gather_rows(x, np.array([-1, -1])).shape == (2, 2)
 
 
+@settings(max_examples=300, deadline=None)
+@example(a=np.array([[-0.0], [0.0]]))  # numpy's sum of -0.0 alone is +0.0
+@example(a=np.array([[-0.0, -0.0, -0.0], [np.inf, -np.inf, 1.0]]))
+@given(
+    a=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, ad._FOLD_COLUMNS - 1)),
+        elements=st.floats(allow_nan=True, allow_infinity=True),
+    )
+)
+def test_short_row_folds_give_the_bits_of_numpys_reductions(a):
+    # compared on the uint64 bits, so +0.0 and -0.0 differ; the one freedom
+    # is which NaN an addition of two NaNs keeps, which depends on operand
+    # order inside the machine instruction
+    with np.errstate(all="ignore"):
+        for fold, reduce in ((ad._row_max, np.max), (ad._row_sum, np.sum)):
+            got, want = fold(a), reduce(a, axis=-1, keepdims=True)
+            same = got.view(np.uint64) == want.view(np.uint64)
+            assert np.all(same | (np.isnan(got) & np.isnan(want))), fold.__name__
+
+
 def _c(*shape):
     return ad.constant(np.zeros(shape))
 
 
-def _conv(x_shape, w_shape=(3, 4, 2), b_shape=(1, 2), padding="same"):
-    return lambda: ad.temporal_conv(_c(*x_shape), _c(*w_shape), _c(*b_shape), padding)
+def _conv(
+    x_shape, w_shape=(3, 4, 2), b_shape=(1, 2), padding="same", gw_shape=(4, 4),
+    gb_shape=(1, 4), adj=np.eye(5),
+):
+    """An st_conv call over (..., T, 5, K) features; the temporal_conv cases
+    keep the names of the contracts of st_conv's temporal half."""
+    return lambda: ad.st_conv(
+        adj, _c(*x_shape), _c(*gw_shape), _c(*gb_shape), _c(*w_shape), _c(*b_shape),
+        padding,
+    )
 
 
 # case -> (start of the message it must raise, a call with one bad operand)
@@ -349,19 +430,37 @@ SHAPE_CONTRACTS = {
         "graph_affine: bias shape",
         lambda: ad.graph_affine(np.eye(5), _c(5, 3), _c(3, 2), _c(1, 3)),
     ),
-    "temporal_conv.rank": ("temporal_conv: expected", _conv((5, 4))),
+    "temporal_conv.rank": ("st_conv: expected", _conv((5, 4))),
     # a lone (K, D) tap is not a (k, K, D) weight
-    "temporal_conv.tap_rank": ("temporal_conv: weight shape", _conv((3, 5, 4), (4, 2))),
-    "temporal_conv.weight_rank": ("temporal_conv: weight shape", _conv((3, 5, 4), (8,))),
+    "temporal_conv.tap_rank": (
+        "st_conv: temporal weight shape", _conv((3, 5, 4), (4, 2))
+    ),
+    "temporal_conv.weight_rank": (
+        "st_conv: temporal weight shape", _conv((3, 5, 4), (8,))
+    ),
     "temporal_conv.tap_width": (
-        "temporal_conv: weight shape", _conv((3, 5, 4), (0, 4, 2))
+        "st_conv: temporal weight shape", _conv((3, 5, 4), (0, 4, 2))
     ),
     "temporal_conv.features": (
-        r"temporal_conv: weight \(3, 4, 2\) vs features", _conv((3, 5, 3))
+        r"st_conv: temporal weight \(3, 4, 2\) vs graph weight \(4, 3\)",
+        _conv((3, 5, 4), gw_shape=(4, 3), gb_shape=(1, 3)),
     ),
-    "temporal_conv.bias": ("temporal_conv: bias shape", _conv((3, 5, 4), b_shape=(2,))),
+    "temporal_conv.bias": ("st_conv: bias shape", _conv((3, 5, 4), b_shape=(2,))),
     "temporal_conv.too_few_frames": (
-        "taps exceed 2 frames", _conv((2, 5, 4), padding="valid")
+        "st_conv: 3 taps exceed 2 frames", _conv((2, 5, 4), padding="valid")
+    ),
+    "st_conv.adjacency": (
+        "st_conv: adjacency", _conv((3, 5, 4), adj=np.eye(4))
+    ),
+    # one adjacency for every frame and sample
+    "st_conv.adjacency_rank": (
+        "st_conv: adjacency", _conv((3, 5, 4), adj=np.ones((3, 5, 5)))
+    ),
+    "st_conv.inner": ("st_conv: shapes", _conv((3, 5, 3))),
+    "st_conv.graph_bias": ("st_conv: bias shape", _conv((3, 5, 4), gb_shape=(1, 3))),
+    # a stacked graph weight needs a singleton for the frame axis
+    "st_conv.frame_singleton": (
+        "st_conv: member axes", _conv((2, 3, 5, 4), gw_shape=(2, 3, 4, 4))
     ),
     "affine.members": (
         "affine: shapes", lambda: ad.affine(_c(2, 3, 4), _c(3, 4, 2), _c(1, 2))
@@ -371,7 +470,7 @@ SHAPE_CONTRACTS = {
         lambda: ad.graph_affine(np.eye(5), _c(2, 5, 3), _c(3, 2), _c(3, 3, 1, 2)),
     ),
     "temporal_conv.members": (
-        "temporal_conv: member axes",
+        "st_conv: member axes",
         _conv((2, 3, 5, 4), (3, 1, 3, 4, 2), b_shape=(2, 1, 1, 1, 2)),
     ),
     "gather_rows.rank": (
@@ -636,11 +735,15 @@ class TestKernelEquivalences:
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_temporal_conv_backward_matches_swapaxes_form(self, padding):
+        # st_conv's temporal half behind an identity graph step, which passes
+        # positive frames and their gradient through unchanged: each tap's
+        # weight gradient sums its frame-major rows, frame by frame
         rng = np.random.default_rng(42)
-        x = Tensor(rng.normal(size=(16, 3, 31, 16)), requires_grad=True)
+        x = Tensor(rng.uniform(0.1, 1.0, size=(16, 3, 31, 16)), requires_grad=True)
+        graph = (ad.constant(np.eye(16)), ad.constant(np.zeros((1, 16))))
         w = Tensor(rng.normal(size=(3, 16, 16)), requires_grad=True)
         b = Tensor(np.zeros((1, 16)), requires_grad=True)
-        out = ad.temporal_conv(x, w, b, padding)
+        out = ad.st_conv(np.eye(31), x, *graph, w, b, padding)
         g = _wide_range(rng, *out.shape)
         pad, t_out = (1, 3) if padding == "same" else (0, 1)
         want_x, want_w = np.zeros(x.shape), np.zeros(w.shape)
@@ -648,11 +751,135 @@ class TestKernelEquivalences:
             lo, hi, d = max(0, pad - j), min(t_out, 3 + pad - j), j - pad
             wt = w.data[j].swapaxes(-1, -2)
             want_x[..., lo + d : hi + d, :, :] += g[..., lo:hi, :, :] @ wt
-            x_span = x.data[..., lo + d : hi + d, :, :].reshape(-1, 16)
-            want_w[j] = x_span.T @ g[..., lo:hi, :, :].reshape(-1, 16)
-        gx, gw, _ = out._backward(g)
+            x_span = np.moveaxis(x.data[..., lo + d : hi + d, :, :], 1, 0)
+            g_span = np.moveaxis(g[..., lo:hi, :, :], 1, 0)
+            want_w[j] = x_span.reshape(-1, 16).T @ g_span.reshape(-1, 16)
+        gx, _, _, gw, _ = out._backward(g)
         assert np.array_equal(gx, want_x)
         assert np.array_equal(gw, want_w)
+
+
+def loop_st_conv(adj, x, gw, gb, tw, tb, padding, g):
+    """One sample's st_conv and its gradients for the output gradient ``g``,
+    by loops over frames, taps and rows: (out, gx, g_gw, g_gb, g_tw, g_tb)."""
+    frames, rows, k_in = x.shape
+    nodes, d_hid = adj.shape[0], gw.shape[1]
+    k, _, d_out = tw.shape
+    pad = k // 2 if padding == "same" else 0
+    t_out = frames + 2 * pad - k + 1
+    pooled = np.zeros((frames, nodes, k_in))
+    pre = np.zeros((frames, nodes, d_hid))
+    for t in range(frames):
+        for r in range(nodes):
+            for c in range(k_in):
+                pooled[t, r, c] = sum(adj[r, q] * x[t, q, c] for q in range(rows))
+            for d in range(d_hid):
+                pre[t, r, d] = gb[0, d] + sum(
+                    pooled[t, r, c] * gw[c, d] for c in range(k_in)
+                )
+    hidden = np.where(pre > 0, pre, 0.0)
+    out = np.zeros((t_out, nodes, d_out))
+    g_hidden, g_tw = np.zeros(hidden.shape), np.zeros(tw.shape)
+    g_tb = np.zeros(tb.shape)
+    for t in range(t_out):
+        for r in range(nodes):
+            for e in range(d_out):
+                out[t, r, e] = tb[0, e]
+                g_tb[0, e] += g[t, r, e]
+                for j in range(k):
+                    src = t + j - pad
+                    if not 0 <= src < frames:
+                        continue
+                    for d in range(d_hid):
+                        out[t, r, e] += hidden[src, r, d] * tw[j, d, e]
+                        g_tw[j, d, e] += hidden[src, r, d] * g[t, r, e]
+                        g_hidden[src, r, d] += g[t, r, e] * tw[j, d, e]
+    g_pre = np.where(pre > 0, g_hidden, 0.0)
+    gx, g_gw, g_gb = np.zeros(x.shape), np.zeros(gw.shape), np.zeros(gb.shape)
+    for t in range(frames):
+        for r in range(nodes):
+            for d in range(d_hid):
+                g_gb[0, d] += g_pre[t, r, d]
+                for c in range(k_in):
+                    g_gw[c, d] += pooled[t, r, c] * g_pre[t, r, d]
+                    for q in range(rows):
+                        gx[t, q, c] += adj[r, q] * gw[c, d] * g_pre[t, r, d]
+    return out, gx, g_gw, g_gb, g_tw, g_tb
+
+
+@st.composite
+def st_conv_cases(draw):
+    """Random st_conv shapes: one sample or a batch, either padding, and
+    each weight and bias plain or a stack of two or three members."""
+    batch = draw(st.sampled_from([None, 1, 2]))
+    frames, rows, nodes = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k_in, d_hid, d_out = (draw(st.integers(1, 3)) for _ in range(3))
+    padding = draw(st.sampled_from(["same", "valid"]))
+    k = draw(st.integers(1, 3 if padding == "same" else frames))
+    members = draw(st.sampled_from([0, 2, 3]))
+    stacked = draw(st.lists(st.booleans(), min_size=4, max_size=4)) if members else [False] * 4
+    return batch, frames, rows, nodes, k_in, d_hid, d_out, padding, k, members, stacked, draw(
+        st.integers(0, 2**32 - 1)
+    )
+
+
+class TestStConvOracle:
+    """st_conv against :func:`loop_st_conv`, per sample and per member."""
+
+    @staticmethod
+    def check(batch, frames, rows, nodes, k_in, d_hid, d_out, padding, k, members, stacked, seed):
+        rng = np.random.default_rng(seed)
+        members = members if any(stacked) else 0
+        lead = () if batch is None else (batch,)
+        x = rng.normal(size=lead + (frames, rows, k_in))
+        adj = rng.normal(size=(nodes, rows))
+        single = [(k_in, d_hid), (1, d_hid), (k, d_hid, d_out), (1, d_out)]
+        # a stack has one singleton per axis of x before its last two; the
+        # temporal weight's tap axis stands in for the frame singleton
+        ones = (1,) * (x.ndim - 2)
+        shapes = [
+            ((members,) + ones[: len(ones) - (len(s) == 3)] + s) if on else s
+            for s, on in zip(single, stacked)
+        ]
+        values = [rng.normal(size=s) for s in shapes]
+        tensors = [Tensor(x, requires_grad=True)] + [Tensor(v, requires_grad=True) for v in values]
+        out = ad.st_conv(adj, *tensors, padding)
+        g = rng.normal(size=out.shape)
+        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+
+        def per_member(i, array):  # (members, *single[i]) view of a stack
+            return array.reshape((members,) + single[i])
+
+        want = [np.zeros(out.shape)] + [np.zeros(t.shape) for t in tensors]
+        for m in range(members or 1):
+            params = [
+                per_member(i, v)[m] if on else v
+                for i, (v, on) in enumerate(zip(values, stacked))
+            ]
+            for b in range(batch or 1):
+                sample = (b,) * (batch is not None)
+                one = loop_st_conv(adj, x[sample], *params, padding, g[(m,) * bool(members) + sample])
+                want[0][(m,) * bool(members) + sample] = one[0]
+                want[1][sample] += one[1]
+                for i, on in enumerate(stacked):
+                    if on:
+                        per_member(i, want[2 + i])[m] += one[2 + i]
+                    else:
+                        want[2 + i] += one[2 + i]
+        np.testing.assert_allclose(out.data, want[0], rtol=0, atol=1e-12)
+        for t, w in zip(tensors, want[1:]):
+            np.testing.assert_allclose(t.grad, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("members", [0, 3])
+    def test_backbone_shapes(self, padding, members):
+        # a (2, 3, 6, 2) batch through a (5, 3, 3) temporal weight
+        self.check(2, 3, 6, 6, 2, 3, 3, padding, 3, members, [members > 0] * 4, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st_conv_cases())
+    def test_matches_the_loop_oracle_on_random_shapes(self, case):
+        self.check(*case)
 
 
 class TestGradCheck:
@@ -914,7 +1141,10 @@ class TestGradCheck:
         real = COMPONENT_BLOCK[0] >= 0
         inputs, padded = [], []
         for node in checks._tape(logits):
-            if node.op in checks.KINKED_OPS:
+            if node.op == "st_conv":  # a backbone layer's rectifier input
+                x, w, b = node._parents[:3]
+                inputs.append(ad.graph_affine(ADJACENCY, x, w, b).data)
+            elif node.op in checks.KINKED_OPS:
                 x = node._parents[0].data
                 if x.shape[-3:-1] == real.shape:
                     padded.append(x[..., ~real, :])
@@ -929,6 +1159,37 @@ class TestGradCheck:
             checks.kink_margin(frozen)
         with pytest.raises(ValueError, match="no tape"):
             checks._batch_axes(frozen)
+
+    @pytest.mark.parametrize("layer", ["l1", "l2"])
+    def test_kink_margin_reads_each_backbone_layers_rectifier_input(self, layer):
+        # a zero column of gc.w and a zero bias entry put one channel's
+        # pre-activation exactly at the kink, in every row of every frame
+        samples = checks.synthesize_dataset(
+            n_subjects=1, samples_per_subject=3, n_classes=3, noise_sigma=0.5, seed=0
+        )
+        features = checks.sample_graph(samples, 3.0)
+        model = ActionRelationNet(checks.SMALL_MODEL, seed=0)
+        flat = model.params.flat()
+        flat += np.random.default_rng([0, 0]).normal(0.0, 0.15, size=flat.size)
+        assert checks.kink_margin(model.forward(features).logits) > 0.0
+        model.params[f"backbone.{layer}.gc.w"].data[:, 1] = 0.0
+        model.params[f"backbone.{layer}.gc.b"].data[0, 1] = 0.0
+        assert checks.kink_margin(model.forward(features).logits) == 0.0
+
+    def test_st_conv_cases_are_drawn_off_the_kink(self):
+        # every st_conv case of the battery, under every default seed, keeps
+        # its rectifier inputs out of the probes' reach
+        cases = list(checks._cases().items())
+        drawn = 0
+        for index, (name, build) in enumerate(cases):
+            if not name.startswith("st_conv."):
+                continue
+            for seed in checks.DEFAULT_SEEDS:
+                f, x, _ = build(np.random.default_rng([index, seed]))
+                loss = f(Tensor(x.data, requires_grad=True))
+                assert checks.kink_margin(loss) >= checks.MIN_KINK_MARGIN, (name, seed)
+                drawn += 1
+        assert drawn == 16 * len(checks.DEFAULT_SEEDS)
 
     def test_invalid_step_is_rejected_before_any_evaluation(self):
         calls = []

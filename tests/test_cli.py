@@ -588,6 +588,46 @@ class TestErrorPaths:
         )
         assert not out.exists()
 
+    def test_a_subject_too_long_for_a_file_name_exits_2_before_any_output(
+        self, tmp_path, capsys
+    ):
+        subject = "\u00e9" * 116 + "a"  # 117 characters, 233 UTF-8 bytes
+        data = tmp_path / "data.jsonl"
+        data.write_text(_samples(0) + json.dumps({**GOOD_RECORD, "subject": subject}))
+        config = tmp_path / "c.json"
+        save_config(ExperimentConfig(dataset=str(data), synth=None), config)
+        out = tmp_path / "run"
+        assert main(["loso", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {data}:2: subject is 233 UTF-8 bytes, more than the 232 its "
+            "run files' names can hold\n"
+        )
+        assert not out.exists()
+
+    def test_the_longest_subject_writes_its_fold_files(self, tmp_path, capsys):
+        subject = "\u00e9" * 116  # 232 UTF-8 bytes
+        samples = synthesize_dataset(n_subjects=2, samples_per_subject=2, n_classes=2)
+        names = {"s01": "s01", "s02": subject}
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(
+            json.dumps({"subject": names[s], "label": int(y), "frames": f.tolist()}) + "\n"
+            for s, y, f in zip(samples.subjects, samples.labels, samples.frames)
+        ))
+        config = tmp_path / "c.json"
+        save_config(
+            ExperimentConfig(
+                dataset=str(data), synth=None, model=SMALL_MODEL,
+                optimizer=OptimizerConfig(epochs=1, batch_size=4),
+            ),
+            config,
+        )
+        out = tmp_path / "run"
+        assert main(["loso", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "checkpoints" / f"fold_{subject}.json").is_file()
+        assert (out / "folds" / f"{subject}.json").is_file()
+        assert not list(out.rglob("*.tmp"))
+
     @pytest.mark.parametrize("subject", ["s02", "s03"])
     def test_loso_on_an_unusable_sample_exits_2(
         self, tiny_config_path, unusable_samples, tmp_path, capsys, subject

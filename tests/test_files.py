@@ -81,6 +81,15 @@ class TestAtomicWrite:
             atomic_write_text(path, "new\n")
         assert info.value.filename == str(path) and str(path) in str(info.value)
 
+    def test_a_name_too_long_names_the_target_and_leaves_nothing(self, tmp_path):
+        # the temporary ".<name>.<pid>.tmp" cannot be opened, nor unlinked;
+        # the first error is the one raised, naming the target
+        path = tmp_path / ("x" * 250)
+        with pytest.raises(OSError) as info:
+            atomic_write_text(path, "new\n")
+        assert info.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_writers_fail_without_touching_their_file(self, tmp_path, monkeypatch):
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=2)
         data, curves, ckpt = (tmp_path / n for n in ("d.jsonl", "c.csv", "w.json"))

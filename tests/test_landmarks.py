@@ -312,6 +312,32 @@ class TestJsonlFiles:
         with pytest.raises(ValueError, match=f"data.jsonl:2: {message}"):
             load_samples(path)
 
+    @pytest.mark.parametrize(
+        "subject", ["s" * 232, "\u00e9" * 116, "\U0001f600" * 58],
+        ids=["one-byte", "two-byte", "four-byte"],
+    )
+    def test_a_subject_of_232_utf8_bytes_loads(self, tmp_path, subject):
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps({**GOOD_RECORD, "subject": subject}) + "\n")
+        assert load_samples(path).subjects.tolist() == [subject]
+
+    @pytest.mark.parametrize(
+        "subject", ["s" * 233, "\u00e9" * 116 + "s", "\ud800" * 78],
+        ids=["one-byte", "two-byte", "lone-surrogates"],
+    )
+    def test_a_longer_subject_reports_its_line(self, tmp_path, subject):
+        # a checkpoint's temporary name for it would pass 255 bytes
+        path = tmp_path / "data.jsonl"
+        save_samples(make_samples(), path)
+        path.write_text(path.read_text() + json.dumps({**GOOD_RECORD, "subject": subject}))
+        size = len(subject.encode("utf-8", "surrogatepass"))
+        with pytest.raises(ValueError) as info:
+            load_samples(path)
+        assert str(info.value) == (
+            f"{path}:2: subject is {size} UTF-8 bytes, more than the 232 its run "
+            "files' names can hold"
+        )
+
     def test_bad_line_reports_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"
         save_samples(make_samples(), path)

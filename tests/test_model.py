@@ -13,7 +13,7 @@ import megraph.autodiff as ad
 from megraph.config import decode, encode
 from megraph.graph import ADJACENCY, SUBGRAPHS, build_graph
 from megraph.landmarks import synthesize_dataset
-from megraph.losses import LossWeights, WeightCenterTable, total_loss
+from megraph.losses import LossWeights, WeightCenterTable, for_variant, total_loss
 from megraph.model import (
     VARIANTS,
     ActionRelationNet,
@@ -209,14 +209,17 @@ class TestShapes:
         assert not any(n.startswith("relation.") for n in names["actions"])
         assert any(n.startswith("relation.") for n in names["full"])
 
-    def test_default_step_tape_has_at_most_55_nodes(self):
-        # one training step of the default model at B = 16
-        model = ActionRelationNet(ModelConfig(), seed=0)
+    @staticmethod
+    def step_tape_nodes(variant):
+        # every node of one training step's tape, constants and parameters
+        # included, for the default model at B = 16 with its variant's losses
+        model = ActionRelationNet(ModelConfig(variant=variant), seed=0)
         samples = synthesize_dataset(n_subjects=2, samples_per_subject=8, seed=0)
         features = sample_graph(samples, 3.0)
         table = WeightCenterTable(n_classes=5, n_rows=9)
+        weights = for_variant(LossWeights(), variant)
         loss = total_loss(
-            model.forward(features), samples.labels, LossWeights(), table=table
+            model.forward(features), samples.labels, weights, table=table
         ).total
         seen, stack = set(), [loss]
         while stack:
@@ -224,7 +227,14 @@ class TestShapes:
             if id(node) not in seen:
                 seen.add(id(node))
                 stack.extend(node._parents)
-        assert len(seen) <= 55
+        return len(seen)
+
+    def test_default_step_tape_has_at_most_51_nodes(self):
+        assert self.step_tape_nodes("full") <= 51
+
+    @pytest.mark.parametrize("variant, nodes", [("actions", 33), ("backbone", 18)])
+    def test_variant_step_tape_has_at_most(self, variant, nodes):
+        assert self.step_tape_nodes(variant) <= nodes
 
 
 class TestLoopOracles:
