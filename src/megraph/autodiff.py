@@ -728,7 +728,8 @@ def st_conv(
     # the zero padding frames are never materialized
     spans = [(j, max(0, pad - j), min(t_out, frames + pad - j)) for j in range(k)]
     spans = [(j, lo, hi, j - pad) for j, lo, hi in spans if lo < hi]
-    out = _tap_sum(hidden, taps, [(j, lo + d, lo, hi - lo) for j, lo, hi, d in spans], t_out)
+    moves = [(j, lo + d, lo, hi - lo) for j, lo, hi, d in spans]
+    out = _tap_sum(hidden, taps, moves, t_out)
     out = out + tb if tb.ndim > 2 else np.add(out, tb, out=out)
     x_needs = x.requires_grad or x._needs  # False for constant input features
     xf_shape = xf.shape

@@ -155,7 +155,9 @@ def _st_conv(adj, x, gc_w, gc_b, tc_w, tc_b, padding):
 # (2, 3, 4, 2) frames, a (2, 3) graph weight and a (3, 3, 2) temporal one;
 # beside member stacks of three, one sample's (1, 3, 4, 2) frames
 _ST_TARGETS = ("x", "gc.w", "gc.b", "tc.w", "tc.b")
-_ST_PLAIN = (_normal(2, 3, 4, 2), _normal(2, 3), _normal(1, 3), _normal(3, 3, 2), _normal(1, 2))
+_ST_PLAIN = (
+    _normal(2, 3, 4, 2), _normal(2, 3), _normal(1, 3), _normal(3, 3, 2), _normal(1, 2),
+)
 _ST_STACKED = (
     _normal(1, 3, 4, 2), _normal(3, 1, 1, 2, 3), _normal(3, 1, 1, 1, 3),
     _normal(3, 1, 3, 3, 2), _normal(3, 1, 1, 1, 2),

@@ -142,7 +142,12 @@ def _parse_record(record) -> tuple[str, int, np.ndarray]:
         )
     if subject in (".", "..") or any(c in subject for c in "/\\\0"):
         raise ValueError(f"subject must not name a path, got {json.dumps(subject)}")
-    size = len(subject.encode("utf-8", "surrogatepass"))
+    try:
+        size = len(subject.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate: no file name can hold it
+        raise ValueError(
+            f"subject must be Unicode text, got {json.dumps(subject)}"
+        ) from None
     if size > MAX_SUBJECT_BYTES:
         raise ValueError(
             f"subject is {size} UTF-8 bytes, more than the {MAX_SUBJECT_BYTES} "

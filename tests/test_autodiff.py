@@ -317,7 +317,8 @@ class TestForwardValues:
         # the products batch-major, as the backbone ran before it was one node
         rng = np.random.default_rng(3)
         adj = checks._adjacency(31)(rng)
-        for lead, padding, k in (((), "same", 2), ((16,), "same", 16), ((64,), "valid", 16)):
+        cases = (((), "same", 2), ((16,), "same", 16), ((64,), "valid", 16))
+        for lead, padding, k in cases:
             x = rng.normal(size=lead + (3, 31, k))
             gw, gb = rng.normal(size=(k, 16)), 0.1 * rng.normal(size=(1, 16))
             w, b = rng.normal(size=(3, 16, 16)), rng.normal(size=(1, 16))
@@ -812,22 +813,24 @@ def st_conv_cases(draw):
     """Random st_conv shapes: one sample or a batch, either padding, and
     each weight and bias plain or a stack of two or three members."""
     batch = draw(st.sampled_from([None, 1, 2]))
-    frames, rows, nodes = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    frames, rows, nodes = (draw(st.integers(1, 4)) for _ in range(3))
     k_in, d_hid, d_out = (draw(st.integers(1, 3)) for _ in range(3))
     padding = draw(st.sampled_from(["same", "valid"]))
     k = draw(st.integers(1, 3 if padding == "same" else frames))
     members = draw(st.sampled_from([0, 2, 3]))
-    stacked = draw(st.lists(st.booleans(), min_size=4, max_size=4)) if members else [False] * 4
-    return batch, frames, rows, nodes, k_in, d_hid, d_out, padding, k, members, stacked, draw(
-        st.integers(0, 2**32 - 1)
-    )
+    stacked = [draw(st.booleans()) if members else False for _ in range(4)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    shape = (batch, frames, rows, nodes, k_in, d_hid, d_out)
+    return (*shape, padding, k, members, stacked, seed)
 
 
 class TestStConvOracle:
     """st_conv against :func:`loop_st_conv`, per sample and per member."""
 
     @staticmethod
-    def check(batch, frames, rows, nodes, k_in, d_hid, d_out, padding, k, members, stacked, seed):
+    def check(
+        batch, frames, rows, nodes, k_in, d_hid, d_out, padding, k, members, stacked, seed
+    ):
         rng = np.random.default_rng(seed)
         members = members if any(stacked) else 0
         lead = () if batch is None else (batch,)
@@ -842,7 +845,7 @@ class TestStConvOracle:
             for s, on in zip(single, stacked)
         ]
         values = [rng.normal(size=s) for s in shapes]
-        tensors = [Tensor(x, requires_grad=True)] + [Tensor(v, requires_grad=True) for v in values]
+        tensors = [Tensor(v, requires_grad=True) for v in [x] + values]
         out = ad.st_conv(adj, *tensors, padding)
         g = rng.normal(size=out.shape)
         ad.sum_all(ad.mul(out, ad.constant(g))).backward()
@@ -858,8 +861,9 @@ class TestStConvOracle:
             ]
             for b in range(batch or 1):
                 sample = (b,) * (batch is not None)
-                one = loop_st_conv(adj, x[sample], *params, padding, g[(m,) * bool(members) + sample])
-                want[0][(m,) * bool(members) + sample] = one[0]
+                at = (m,) * bool(members) + sample
+                one = loop_st_conv(adj, x[sample], *params, padding, g[at])
+                want[0][at] = one[0]
                 want[1][sample] += one[1]
                 for i, on in enumerate(stacked):
                     if on:
@@ -873,7 +877,7 @@ class TestStConvOracle:
     @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("members", [0, 3])
     def test_backbone_shapes(self, padding, members):
-        # a (2, 3, 6, 2) batch through a (5, 3, 3) temporal weight
+        # a (2, 3, 6, 2) batch, three taps, three hidden and output channels
         self.check(2, 3, 6, 6, 2, 3, 3, padding, 3, members, [members > 0] * 4, 7)
 
     @settings(max_examples=60, deadline=None)
