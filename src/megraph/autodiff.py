@@ -54,7 +54,6 @@ __all__ = [
     "GradCheckResult",
     "matmul",
     "add",
-    "sub",
     "mul",
     "scale",
     "relu",
@@ -348,15 +347,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), back, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _pairwise("sub", np.subtract, a, b)
-
-    def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _node(out, (a, b), back, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _pairwise("mul", np.multiply, a, b)
 
@@ -507,8 +497,9 @@ def sq_frobenius(
     when ``keep`` axes are members.
 
     ``center`` is a constant array that broadcasts against ``a`` and
-    ``factor`` a constant; neither is differentiated. One node gives the
-    bits of ``scale(sq_frobenius(sub(a, constant(center))), factor)``.
+    ``factor`` a constant; neither is differentiated. In numpy terms, with
+    ``d = a - center``, the value is ``factor * sum(d * d)`` and the gradient
+    ``2 * d`` times ``factor`` and the incoming gradient.
     """
     d = a.data
     if center is not None:

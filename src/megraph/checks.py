@@ -13,6 +13,7 @@ returns the wrong number of values is a failed entry, not a fallback.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -202,8 +203,6 @@ def _op_cases() -> dict:
         "matmul.rhs": (ad.matmul, 1, n(4, 3), n(3, 5)),
         "add.lhs": (ad.add, 0, n(3, 4), n(3, 4)),
         "add.scalar_rhs": (ad.add, 1, n(3, 4), n(1, 1)),
-        "sub.lhs": (ad.sub, 0, n(3, 4), n(3, 4)),
-        "sub.rhs": (ad.sub, 1, n(3, 4), n(3, 4)),
         "mul.lhs": (ad.mul, 0, n(3, 4), n(3, 4)),
         "mul.rhs": (ad.mul, 1, n(3, 4), n(3, 4)),
         "mul.scalar_rhs": (ad.mul, 1, n(3, 4), n(1, 1)),
@@ -230,7 +229,6 @@ def _op_cases() -> dict:
         "matmul.rhs.batched": (ad.matmul, 1, n(2, 4, 3), n(3, 5)),
         "matmul.both.batched": (ad.matmul, 1, n(2, 4, 3), n(2, 3, 5)),
         "add.broadcast_rhs": (ad.add, 1, n(2, 3, 4), n(3, 4)),
-        "sub.broadcast_rhs": (ad.sub, 1, n(2, 3, 4), n(3, 4)),
         "mul.broadcast_rhs": (ad.mul, 1, n(2, 3, 4), n(1, 4)),
         "scale.batched": (lambda x: ad.scale(x, 0.6), 0, n(2, 3, 4)),
         "relu.batched": (ad.relu, 0, k(2, 3, 4)),
@@ -376,9 +374,13 @@ def _center_cases() -> dict:
 def _cases() -> dict:
     """Every op and loss case by name, each a ``build(rng) -> (f, x,
     stacked)`` with ``stacked`` None for a case that runs the loop."""
-    # each case draws from a generator keyed by its position: new cases go
-    # last so that earlier ones keep their draws
     return {**_op_cases(), **_loss_cases(), **_stacked_cases(), **_center_cases()}
+
+
+def case_rng(name: str, seed: int) -> np.random.Generator:
+    """The generator a case draws from under ``seed``, keyed by the case's
+    name, so adding or deleting a case leaves every other case's draws."""
+    return np.random.default_rng([zlib.crc32(name.encode()), seed])
 
 
 @dataclass
@@ -560,9 +562,9 @@ def run_battery(
     two seeds (they dominate runtime and cover every op again)."""
     release_cycles()
     entries: list[BatteryEntry] = []
-    for index, (name, build) in enumerate(_cases().items()):
+    for name, build in _cases().items():
         for seed in seeds:
-            f, x, stacked = build(np.random.default_rng([index, seed]))
+            f, x, stacked = build(case_rng(name, seed))
             try:
                 result = ad.grad_check(f, x, h=h, tol=tol, stacked=stacked)
             except ShapeError as exc:

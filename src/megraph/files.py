@@ -67,13 +67,7 @@ def decode_float64(text, shape, where: str) -> np.ndarray:
         raise ValueError(f"{where}: values must be a strict base64 string") from None
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{where}: {len(raw)} bytes do not fill float64 shape {shape}")
-    return reshaped(np.frombuffer(raw, "<f8"), shape, where)
-
-
-def reshaped(values: np.ndarray, shape, where: str) -> np.ndarray:
-    """``values.reshape(shape)``; a shape numpy cannot hold, such as one with
-    a zero and a dimension past its limit, is a ValueError naming ``where``."""
-    try:
-        return values.reshape(shape)
+    try:  # such as a shape with a zero and a dimension past numpy's limit
+        return np.frombuffer(raw, "<f8").reshape(shape)
     except ValueError:
         raise ValueError(f"{where}: numpy cannot hold shape {shape}") from None

@@ -29,9 +29,6 @@ samples is one tape, not B of them. A parameter whose value is a member
 stack (see ``autodiff``) carries its leading member axes through every
 later stage of a stacked batch, down to (P, B, K) logits: one forward
 evaluates P variants of the model.
-
-Checkpoints written before the stacked parameters existed name their
-slices; :func:`stack_legacy_names` maps them through :data:`LEGACY_PARTS`.
 """
 
 from __future__ import annotations
@@ -165,9 +162,8 @@ class ActionRelationNet:
 
         if self.config.variant in ("actions", "full"):
             na = self.config.n_actions
-            # each component's gc.w, then its mix.w: the draw order of the
-            # per-component parameters older checkpoints name, so a seed gives
-            # the same values; each stacks on a leading component axis
+            # each component's gc.w, then its mix.w, interleaved: this draw
+            # order fixes what each seed gives; each stacks on a component axis
             drawn = [glorot_uniform(rng, s) for s in [(c1, na), (na, na)] * len(COMPONENTS)]
             for name, w in (("gc", np.stack(drawn[0::2])), ("mix", np.stack(drawn[1::2]))):
                 specs.append((f"actions.{name}.w", w))
@@ -290,28 +286,3 @@ def _per_sample(pooled: Tensor, batched: bool) -> Tensor:
     if not batched:
         return pooled
     return ad.reshape(pooled, pooled.shape[:-2] + pooled.shape[-1:])
-
-
-# stacked parameter -> the slices older checkpoints name, in stacking order:
-# the decomposition's per-component entries and the backbone's per-tap ones
-LEGACY_PARTS = {
-    **{f"actions.{name}": tuple(f"actions.{comp}.{name}" for comp in COMPONENTS)
-       for name in ("gc.w", "gc.b", "mix.w", "mix.b")},
-    **{f"backbone.{n}.tc.w": tuple(f"backbone.{n}.tc.w{k}" for k in range(3))
-       for n in ("l1", "l2")},
-}
-
-
-def stack_legacy_names(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Map a checkpoint's legacy entries onto the stacked parameters: each
-    complete set of :data:`LEGACY_PARTS` becomes its stacked name. A partial
-    set, or one beside its stacked name, is left for the name check to
-    reject."""
-    state = dict(state)
-    for name, parts in LEGACY_PARTS.items():
-        if name not in state and all(p in state for p in parts):
-            values = [state.pop(p) for p in parts]
-            if len({v.shape for v in values}) > 1:
-                raise ValueError(f"legacy entries of '{name}' differ in shape")
-            state[name] = np.stack(values)
-    return state

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 
 import numpy as np
 
 from .autodiff import Tensor
-from .files import (
-    atomic_write_text, decode_float64, encode_float64, read_json, reshaped,
-)
+from .files import atomic_write_text, decode_float64, encode_float64, read_json
 
 CHECKPOINT_FORMAT = "megraph-params-v2"
 
@@ -141,39 +138,29 @@ def write_checkpoint(state: dict[str, np.ndarray], path) -> None:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a :func:`write_checkpoint` file or a v1 one (lists of numbers). A
-    malformed file raises ValueError naming the path, and the entry if any."""
+    """Read a :func:`write_checkpoint` file. Any other ``format``, or a
+    malformed file, raises ValueError naming the path, and the entry if any."""
     payload = read_json(path)
     fmt = payload.get("format") if isinstance(payload, dict) else None
-    if fmt not in (CHECKPOINT_FORMAT, "megraph-params-v1"):
-        raise ValueError(f"not a parameter checkpoint: {path}")
+    if fmt != CHECKPOINT_FORMAT:
+        found = f" (format {fmt!r})" if isinstance(fmt, str) else ""
+        raise ValueError(f"not a parameter checkpoint: {path}{found}")
     if not isinstance(payload.get("params"), dict):
         raise ValueError(f"{path}: checkpoint has no 'params' object")
     return {
-        name: _checkpoint_entry(entry, f"{path}: checkpoint entry {name!r}", fmt)
+        name: _checkpoint_entry(entry, f"{path}: checkpoint entry {name!r}")
         for name, entry in payload["params"].items()
     }
 
 
-def _checkpoint_entry(entry, where: str, fmt: str) -> np.ndarray:
+def _checkpoint_entry(entry, where: str) -> np.ndarray:
     if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
         raise ValueError(f"{where} needs 'shape' and 'values'")
     shape = entry["shape"]
     if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
         raise ValueError(f"{where}: shape must be a list of non-negative integers")
-    if fmt == CHECKPOINT_FORMAT:  # a copy, so the arrays are writable as v1's are
-        values = decode_float64(entry["values"], shape, where).copy()
-    else:
-        values = entry["values"]  # a flat list of JSON numbers: no strings or booleans
-        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-            raise ValueError(f"{where}: values must be a list of numbers")
-        try:
-            values = np.asarray(values, dtype=np.float64)
-        except OverflowError:
-            raise ValueError(f"{where}: a value is too large for float64") from None
-        if values.size != math.prod(shape):
-            raise ValueError(f"{where}: {values.size} values do not fill shape {shape}")
-        values = reshaped(values, shape, where)
+    # a copy: callers get writable arrays, not read-only views of the bytes
+    values = decode_float64(entry["values"], shape, where).copy()
     if not np.isfinite(values).all():
         raise ValueError(f"{where}: values must be finite")
     return values

@@ -34,7 +34,7 @@ from .landmarks import (
 )
 from .losses import WeightCenterTable, for_variant, total_loss
 from .metrics import accuracy, f1_report
-from .model import ActionRelationNet, InvariantError, stack_legacy_names
+from .model import ActionRelationNet, InvariantError
 from .params import read_checkpoint, sgd_step, write_checkpoint
 
 CURVE_COLUMNS = ("step", "ce", "feature_center", "weight_center", "balance", "total")
@@ -401,15 +401,16 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunReport:
 def evaluate_checkpoint(
     config: ExperimentConfig, checkpoint_path, out_dir=None
 ) -> RunReport:
-    """Score a saved checkpoint on the configured dataset. Per-component and
-    per-tap legacy entries load through :func:`~megraph.model.stack_legacy_names`."""
+    """Score a :func:`~megraph.params.write_checkpoint` file on the configured
+    dataset. An entry set or shape other than the model's ``state_dict`` is a
+    ValueError naming the file and the missing and extra names."""
     t0 = time.perf_counter()
     release_cycles()
     samples = prepare_samples(config)
     model = ActionRelationNet(config.model, seed=0)
     state = read_checkpoint(checkpoint_path)
     try:
-        model.params.load_state_dict(stack_legacy_names(state))
+        model.params.load_state_dict(state)
     except ValueError as exc:
         raise ValueError(f"{checkpoint_path}: {exc}") from None
     run = _run_report(config, [_fold_report("(eval)", model, samples, config, 0)], t0)

@@ -5,6 +5,7 @@ against closed forms and central differences, and the checker itself
 against a deliberately wrong gradient (it must fail).
 """
 
+import ast
 import base64
 import json
 from pathlib import Path
@@ -18,8 +19,8 @@ from hypothesis.extra import numpy as hnp
 import megraph.autodiff as ad
 from megraph import checks
 from megraph.autodiff import ShapeError, Tensor
-from megraph.graph import ADJACENCY, COMPONENT_BLOCK, COMPONENTS
-from megraph.model import LEGACY_PARTS, ActionRelationNet, ModelConfig, stack_legacy_names
+from megraph.graph import ADJACENCY, COMPONENT_BLOCK
+from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import (
     ParamStore,
     glorot_uniform,
@@ -29,7 +30,7 @@ from megraph.params import (
 )
 
 
-V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.json"
+SEED9_FIXTURE = Path(__file__).parent / "data" / "checkpoint_seed9.json"
 
 
 def softmax_rows_oracle(x: np.ndarray) -> np.ndarray:
@@ -70,7 +71,6 @@ class TestForwardValues:
         b = rng.normal(size=(3, 3))
         ta, tb = ad.constant(a), ad.constant(b)
         np.testing.assert_allclose(ad.add(ta, tb).data, a + b)
-        np.testing.assert_allclose(ad.sub(ta, tb).data, a - b)
         np.testing.assert_allclose(ad.mul(ta, tb).data, a * b)
 
     def test_scalar_operands_broadcast(self):
@@ -155,21 +155,22 @@ class TestForwardValues:
     def test_centered_sq_frobenius_is_the_composed_form_bit_for_bit(
         self, keep, center_shape, factor
     ):
-        # one node against scale(sq_frobenius(sub(a, constant(center))), factor)
+        # one node against the numpy form of the composed chain: d = a - center,
+        # factor times the sum of d * d, and 2 * d times factor and the
+        # incoming gradient
         rng = np.random.default_rng(42)
         data = _wide_range(rng, 2, 3, 3, 4)
         center = rng.normal(size=center_shape)
         g = _wide_range(rng, *data.shape[:keep])
         one = Tensor(data, requires_grad=True)
-        composed = Tensor(data, requires_grad=True)
         fused = ad.sq_frobenius(one, keep, center, factor)
-        chain = ad.sq_frobenius(ad.sub(composed, ad.constant(center)), keep)
-        if factor != 1.0:
-            chain = ad.scale(chain, factor)
-        assert np.array_equal(fused.data, chain.data)
+        d = data - center
+        sq = d * d
+        summed = sq.sum() if keep == 0 else sq.reshape(data.shape[:keep] + (-1,)).sum(-1)
+        assert np.array_equal(fused.data, summed * factor)
         ad.sum_all(ad.mul(fused, ad.constant(g))).backward()
-        ad.sum_all(ad.mul(chain, ad.constant(g))).backward()
-        assert np.array_equal(one.grad, composed.grad)
+        per_member = (g * factor).reshape(g.shape + (1,) * (data.ndim - keep))
+        assert np.array_equal(one.grad, 2.0 * d * per_member)
 
     def test_reductions_match_loops(self):
         rng = np.random.default_rng(42)
@@ -970,19 +971,39 @@ class TestGradCheck:
         assert "(12,) values" in entries[1].result.failure
         assert not checks.battery_passed(entries)
 
-    def test_every_op_has_a_battery_case(self):
-        # each tape op joins the central-difference battery under its own
-        # name, or as "<op>.<variant>"
+    @staticmethod
+    def tape_ops() -> list[str]:
         api = {"Tensor", "ShapeError", "GradCheckResult", "tensor", "constant",
                "backward", "grad_check", "compare_gradient"}
         ops = [name for name in ad.__all__ if name not in api]
         assert ops and all(callable(getattr(ad, op)) for op in ops)
+        return ops
+
+    def test_every_op_has_a_battery_case(self):
+        # each tape op joins the central-difference battery under its own
+        # name, or as "<op>.<variant>"
         cases = list(checks._cases())
         missing = [
-            op for op in ops
+            op for op in self.tape_ops()
             if not any(c == op or c.startswith(op + ".") for c in cases)
         ]
         assert missing == []
+
+    def test_every_op_has_a_caller(self):
+        # each tape op is called as ad.<op> by a module of the package other
+        # than autodiff.py, or by a demo; a battery spec such as
+        # (ad.matmul, 0, ...) only names the op, so it is not a call
+        root = Path(__file__).parents[1]
+        files = [*(root / "src" / "megraph").glob("*.py"), *(root / "demos").glob("*.py")]
+        called = {
+            node.func.attr
+            for path in files if path.name != "autodiff.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "ad"
+        }
+        assert [op for op in self.tape_ops() if op not in called] == []
 
     @staticmethod
     def battery_calls(monkeypatch, seeds):
@@ -1183,13 +1204,12 @@ class TestGradCheck:
     def test_st_conv_cases_are_drawn_off_the_kink(self):
         # every st_conv case of the battery, under every default seed, keeps
         # its rectifier inputs out of the probes' reach
-        cases = list(checks._cases().items())
         drawn = 0
-        for index, (name, build) in enumerate(cases):
+        for name, build in checks._cases().items():
             if not name.startswith("st_conv."):
                 continue
             for seed in checks.DEFAULT_SEEDS:
-                f, x, _ = build(np.random.default_rng([index, seed]))
+                f, x, _ = build(checks.case_rng(name, seed))
                 loss = f(Tensor(x.data, requires_grad=True))
                 assert checks.kink_margin(loss) >= checks.MIN_KINK_MARGIN, (name, seed)
                 drawn += 1
@@ -1388,64 +1408,17 @@ class TestParamStore:
             assert got.tobytes() == np.ascontiguousarray(values).tobytes()
         assert np.signbit(loaded["edge"][0]) and not np.signbit(loaded["edge"][1])
 
-    def test_v1_fixture_loads_bit_identically(self):
-        # the fixture holds the per-component and per-tap names the stacked
-        # parameters had before they were stacked; mapped, it equals the
-        # initial values of today's model, so their draw order was kept
-        loaded = read_checkpoint(V1_FIXTURE)
-        assert {f"actions.{c}.gc.w" for c in COMPONENTS} <= set(loaded)
-        assert {f"backbone.l2.tc.w{k}" for k in range(3)} <= set(loaded)
-        loaded = stack_legacy_names(loaded)
+    def test_seed_fixture_loads_bit_identically(self):
+        # the fixture holds the initial values an earlier release drew for
+        # this model and seed; today's model draws the same bits
+        payload = json.loads(SEED9_FIXTURE.read_text())
+        assert payload["format"] == "megraph-params-v2"
+        loaded = read_checkpoint(SEED9_FIXTURE)
         expected = ActionRelationNet(checks.SMALL_MODEL, seed=9).params.state_dict()
         assert sorted(loaded) == sorted(expected)
         for name, values in expected.items():
             assert loaded[name].shape == values.shape, name
             assert loaded[name].tobytes() == values.tobytes(), name
-        payload = json.loads(V1_FIXTURE.read_text())
-        assert payload["format"] == "megraph-params-v1"
-        assert all(isinstance(e["values"], list) for e in payload["params"].values())
-
-    @pytest.mark.parametrize("variant", ["backbone", "actions", "full"])
-    def test_legacy_names_map_back_bit_identically(self, variant):
-        # split a fresh state dict into the legacy names of LEGACY_PARTS;
-        # mapped back, it equals the original bit for bit
-        state = ActionRelationNet(ModelConfig(variant=variant), seed=4).params.state_dict()
-        legacy = dict(state)
-        for name, parts in LEGACY_PARTS.items():
-            if name in legacy:
-                legacy.update(zip(parts, legacy.pop(name)))
-        assert "backbone.l1.tc.w0" in legacy and not set(LEGACY_PARTS) & set(legacy)
-        mapped = stack_legacy_names(legacy)
-        assert sorted(mapped) == sorted(state)
-        for name, values in state.items():
-            assert mapped[name].shape == values.shape, name
-            assert mapped[name].tobytes() == values.tobytes(), name
-
-    def test_every_stacked_legacy_name_is_a_parameter(self):
-        params = ActionRelationNet(ModelConfig(variant="full"), seed=0).params
-        assert [name for name in LEGACY_PARTS if name not in params] == []
-        for name, parts in LEGACY_PARTS.items():  # one part per stacked slice
-            assert len(parts) == len(params[name].data), name
-
-    @pytest.mark.parametrize("values", [["1.5", True], [True], [None], [[0.5]], "0.5"])
-    def test_v1_values_must_be_a_flat_list_of_numbers(self, tmp_path, values):
-        # json.loads gives numbers as int or float only; a string or boolean
-        # that numpy would cast is rejected, naming the entry
-        path = tmp_path / "ckpt.json"
-        entry = {"shape": [np.size(values)], "values": values}
-        path.write_text(json.dumps(
-            {"format": "megraph-params-v1", "params": {"head.b": entry}}
-        ))
-        with pytest.raises(ValueError) as err:
-            read_checkpoint(path)
-        assert str(err.value) == (
-            f"{path}: checkpoint entry 'head.b': values must be a list of numbers"
-        )
-        entry.update(shape=[2], values=[1, 0.5])
-        path.write_text(json.dumps(
-            {"format": "megraph-params-v1", "params": {"head.b": entry}}
-        ))
-        assert read_checkpoint(path)["head.b"].tolist() == [1.0, 0.5]
 
     def test_read_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
@@ -1479,7 +1452,7 @@ class TestSgd:
         store = ParamStore()
         x = store.create_many([("x", glorot_uniform(rng, (2, 3)))])[0]
         for _ in range(200):
-            loss = ad.sq_frobenius(ad.sub(x, ad.constant(target)))
+            loss = ad.sq_frobenius(x, center=target)
             loss.backward()
             sgd_step(store, lr=0.05, momentum=0.9)
         assert np.abs(x.data - target).max() < 1e-3

@@ -25,12 +25,13 @@ from megraph.config import (
     load_config,
     save_config,
 )
+from megraph.graph import COMPONENTS
 from megraph.landmarks import load_samples, save_samples, synthesize_dataset
 from megraph.losses import LossWeights
-from megraph.model import LEGACY_PARTS, ActionRelationNet, ModelConfig
+from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import read_checkpoint, write_checkpoint
 
-V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.json"
+SEED9_FIXTURE = Path(__file__).parent / "data" / "checkpoint_seed9.json"
 GRAPH_DUMP = Path(__file__).parent / "data" / "graph_dump.json"
 GOOD_RECORD = {
     "subject": "s01",
@@ -44,7 +45,6 @@ def _samples(*labels):
     return "".join(json.dumps({**GOOD_RECORD, "label": y}) + "\n" for y in labels)
 
 
-CHECKPOINT = '{"format": "megraph-params-v1"%s}'
 CHECKPOINT_V2 = '{"format": "megraph-params-v2", "params": %s}'
 
 
@@ -81,7 +81,7 @@ BAD_INPUTS = [
     ),
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
-        '{"format": "megraph-params-v1", "params": {"head.w": {"shape": [1',
+        '{"format": "megraph-params-v2", "params": {"head.w": {"shape": [1',
         "{input}: invalid JSON: Expecting ',' delimiter: line 1 column 66 (char 65)",
         id="checkpoint-truncated",
     ),
@@ -93,49 +93,34 @@ BAD_INPUTS = [
     ),
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
-        CHECKPOINT % "",
+        '{"format": "megraph-params-v1", "params": {"head.b": {"shape": [1], "values": [0.5]}}}',
+        "not a parameter checkpoint: {input} (format 'megraph-params-v1')",
+        id="checkpoint-v1",
+    ),
+    pytest.param(
+        ["evaluate", "--checkpoint", "{input}"],
+        '{"format": "megraph-params-v2"}',
         "{input}: checkpoint has no 'params' object",
         id="checkpoint-without-params",
     ),
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
-        CHECKPOINT % ', "params": {"head.w": {"values": [0.5]}}',
+        CHECKPOINT_V2 % '{"head.w": {"values": "%s"}}' % _b64(0.5),
         "{input}: checkpoint entry 'head.w' needs 'shape' and 'values'",
         id="checkpoint-entry-without-shape",
     ),
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
         # the name is quoted as a Python string, so the message stays one line
-        CHECKPOINT % ', "params": {"a\\nb": {"values": [0.5]}}',
+        CHECKPOINT_V2 % '{"a\\nb": {"values": "%s"}}' % _b64(0.5),
         "{input}: checkpoint entry 'a\\nb' needs 'shape' and 'values'",
         id="checkpoint-entry-name-with-a-newline",
     ),
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
-        CHECKPOINT % ', "params": {"head.b": {"shape": [1], "values": [NaN]}}',
+        CHECKPOINT_V2 % '{"head.b": {"shape": [1], "values": "%s"}}' % _b64("nan"),
         "{input}: checkpoint entry 'head.b': values must be finite",
         id="checkpoint-nan",
-    ),
-    pytest.param(
-        ["evaluate", "--checkpoint", "{input}"],
-        CHECKPOINT % ', "params": {"head.b": {"shape": [2], "values": ["1.5", true]}}',
-        "{input}: checkpoint entry 'head.b': values must be a list of numbers",
-        id="checkpoint-v1-string-and-bool",
-    ),
-    pytest.param(
-        ["evaluate", "--checkpoint", "{input}"],
-        CHECKPOINT % ', "params": {%s}' % ", ".join(
-            f'"actions.{comp}.gc.b": {{"shape": [{n}], "values": {[0.0] * n}}}'
-            for comp, n in (("eyebrow", 1), ("nose", 2), ("mouth", 1))
-        ),
-        "{input}: legacy entries of 'actions.gc.b' differ in shape",
-        id="checkpoint-legacy-shapes-differ",
-    ),
-    pytest.param(
-        ["evaluate", "--checkpoint", "{input}"],
-        CHECKPOINT % f', "params": {{"head.b": {{"shape": [1], "values": [1{"0" * 400}]}}}}',
-        "{input}: checkpoint entry 'head.b': a value is too large for float64",
-        id="checkpoint-huge-integer",
     ),
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
@@ -156,14 +141,7 @@ BAD_INPUTS = [
         "{input}: checkpoint entry 'head.b': values must be finite",
         id="checkpoint-v2-nan",
     ),
-    # no values fill a shape with a zero, but numpy cannot hold these shapes
-    pytest.param(
-        ["evaluate", "--checkpoint", "{input}"],
-        CHECKPOINT % ', "params": {"head.b": {"shape": [0, %d], "values": []}}' % 2**64,
-        "{input}: checkpoint entry 'head.b': numpy cannot hold shape "
-        f"[0, {2**64}]",
-        id="checkpoint-v1-shape-too-large",
-    ),
+    # no values fill a shape with a zero, but numpy cannot hold this shape
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
         CHECKPOINT_V2 % '{"head.b": {"shape": [0, %d, %d, 4], "values": ""}}'
@@ -392,58 +370,30 @@ class TestRunCommands:
         assert capsys.readouterr().out == summary + f"artifacts written to {scored}\n"
         assert (scored / "report.txt").read_text() == summary
 
-    def test_evaluate_scores_a_v1_checkpoint_like_its_v2_rewrite(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize("split, parts", [
+        ("actions.gc.w", [f"actions.{comp}.gc.w" for comp in COMPONENTS]),
+        ("backbone.l2.tc.w", [f"backbone.l2.tc.w{k}" for k in range(3)]),
+    ], ids=["components", "taps"])
+    def test_evaluate_rejects_a_stacked_parameter_split_into_slices(
+        self, split, parts, tmp_path, capsys
     ):
-        # the v1 fixture and its v2 rewrite hold the per-component and per-tap
-        # names the stacked parameters had before they were stacked; a v2
-        # file with stacked components but per-tap names, and one of the same
-        # model's stacked parameters, score the same
-        cfg = ExperimentConfig(
-            synth=SynthSpec(n_subjects=2, samples_per_subject=3, n_classes=3),
-            model=SMALL_MODEL,
-        )
-        path = tmp_path / "c.json"
-        save_config(cfg, path)
-        v2, taps, stacked = (tmp_path / f"{n}.json" for n in ("v2", "taps", "stacked"))
-        write_checkpoint(read_checkpoint(V1_FIXTURE), v2)
-        assert "actions.eyebrow.gc.w" in read_checkpoint(v2)
-        state = ActionRelationNet(SMALL_MODEL, seed=9).params.state_dict()
-        write_checkpoint(state, stacked)
-        assert "actions.gc.w" in read_checkpoint(stacked)
-        for layer in ("l1", "l2"):
-            w = state.pop(f"backbone.{layer}.tc.w")
-            state.update({f"backbone.{layer}.tc.w{k}": w[k] for k in range(3)})
-        write_checkpoint(state, taps)
-        assert {"actions.gc.w", "backbone.l2.tc.w2"} <= set(read_checkpoint(taps))
-        outputs = []
-        for ckpt in (V1_FIXTURE, v2, taps, stacked):
-            argv = ["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]
-            assert main(argv) == 0
-            outputs.append(capsys.readouterr().out)
-        assert "pooled accuracy" in outputs[0]
-        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
-
-    def test_evaluate_names_a_stacked_parameter_with_a_missing_component(
-        self, tmp_path, capsys
-    ):
-        # two components' legacy gc.w entries do not make actions.gc.w: the
-        # name check rejects them, and the three complete sets still map
+        # the per-component and per-tap names of older releases are not
+        # stacked on load: the name check names the file, the stacked name as
+        # missing and the slices as extra
         path = tmp_path / "c.json"
         save_config(ExperimentConfig(
             synth=SynthSpec(n_subjects=2, samples_per_subject=3, n_classes=3),
             model=SMALL_MODEL,
         ), path)
-        state = read_checkpoint(V1_FIXTURE)
-        del state["actions.mouth.gc.w"]
-        ckpt = tmp_path / "two.json"
+        state = read_checkpoint(SEED9_FIXTURE)
+        state.update(zip(parts, state.pop(split)))
+        ckpt = tmp_path / "slices.json"
         write_checkpoint(state, ckpt)
         argv = ["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            f"error: {ckpt}: parameter name mismatch: missing=['actions.gc.w'] "
-            "extra=['actions.eyebrow.gc.w', 'actions.nose.gc.w']\n"
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: parameter name mismatch: missing=['{split}'] "
+            f"extra={sorted(parts)}\n"
         )
 
     def test_evaluate_names_a_stacked_tap_weight_with_a_missing_tap(
@@ -455,8 +405,9 @@ class TestRunCommands:
             synth=SynthSpec(n_subjects=2, samples_per_subject=3, n_classes=3),
             model=SMALL_MODEL,
         ), path)
-        state = read_checkpoint(V1_FIXTURE)
-        del state["backbone.l1.tc.w2"]
+        state = read_checkpoint(SEED9_FIXTURE)
+        taps = state.pop("backbone.l1.tc.w")
+        state.update({"backbone.l1.tc.w0": taps[0], "backbone.l1.tc.w1": taps[1]})
         ckpt = tmp_path / "two.json"
         write_checkpoint(state, ckpt)
         argv = ["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]
@@ -750,17 +701,8 @@ EVAL_CONFIG = ExperimentConfig(
     model=SMALL_MODEL,
 )
 GOOD_STATE = ActionRelationNet(SMALL_MODEL, seed=0).params.state_dict()
-CHECKPOINT_NAMES = sorted(GOOD_STATE) + [
-    part for parts in LEGACY_PARTS.values() for part in parts
-]
+CHECKPOINT_NAMES = sorted(GOOD_STATE)
 FORMATS = st.sampled_from(["megraph-params-v1", "megraph-params-v2"])
-
-
-def _v1_text(state) -> str:
-    return json.dumps({"format": "megraph-params-v1", "params": {
-        name: {"shape": list(v.shape), "values": v.ravel().tolist()}
-        for name, v in state.items()
-    }})
 
 
 def _v2_text(state) -> str:
@@ -786,12 +728,10 @@ PARAMS = JSON_VALUES | st.dictionaries(
 )
 
 
-def _one_entry_replaced(fmt_name_entry):
-    """A good checkpoint of either format with one entry replaced."""
-    fmt, name, entry = fmt_name_entry
-    payload = json.loads(
-        (_v1_text if fmt.endswith("v1") else _v2_text)(GOOD_STATE)
-    )
+def _one_entry_replaced(name_entry):
+    """A good checkpoint with one entry replaced."""
+    name, entry = name_entry
+    payload = json.loads(_v2_text(GOOD_STATE))
     payload["params"][name] = entry
     return json.dumps(payload)
 
@@ -803,22 +743,14 @@ def _one_entry_replaced(fmt_name_entry):
         st.fixed_dictionaries(
             {}, optional={"format": FORMATS | JSON_VALUES, "params": PARAMS}
         ).map(json.dumps),
-        st.tuples(FORMATS, st.sampled_from(CHECKPOINT_NAMES), ENTRIES).map(
-            _one_entry_replaced
-        ),
-        _mutated(_v1_text({"head.b": GOOD_STATE["head.b"]})),
+        st.tuples(st.sampled_from(CHECKPOINT_NAMES), ENTRIES).map(_one_entry_replaced),
         _mutated(_v2_text({"head.b": GOOD_STATE["head.b"]})),
     )
 )
-@example(text=_v1_text(GOOD_STATE))
 @example(text=_v2_text(GOOD_STATE))
 @example(text=CHECKPOINT_V2 % '{"head.b": {"shape": [0, %d], "values": ""}}' % 2**64)
-@example(text=CHECKPOINT % ', "params": {"head.b": {"shape": [0, %d], "values": []}}'
-         % 2**63)
-@example(text=_one_entry_replaced(
-    ("megraph-params-v1", "head.b", {"shape": [2], "values": [0.5, 10**400]})
-))
-@example(text=CHECKPOINT % ', "params": {"\\n": null}')
+@example(text=_one_entry_replaced(("head.b", {"shape": [2], "values": [0.5, 10**400]})))
+@example(text=CHECKPOINT_V2 % '{"\\n": null}')
 def test_any_malformed_checkpoint_exits_2_with_one_line(tmp_path_factory, text):
     folder = tmp_path_factory.mktemp("checkpoint")
     config, path = folder / "config.json", folder / "checkpoint.json"
