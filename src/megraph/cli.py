@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Commands: train, evaluate, loso, ablate, gradcheck, synth-data, config show,
-graph dump, model inspect. Every command accepts --config (JSON), --seed
-(overrides the config seed), and --out (directory for artifacts). Exit code
+graph dump, model inspect. Every command accepts --out (directory for
+artifacts) and all but graph dump, whose layout is fixed, accept --config
+(JSON) and --seed (overrides the config seed). Exit code
 0 on success, 1 on a failed check, 2 on invalid input or a violated runtime
 invariant.
 """
@@ -56,9 +57,10 @@ RUNTIME_ERRORS = (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON experiment config")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+def _add_common(parser: argparse.ArgumentParser, configured: bool = True) -> None:
+    if configured:
+        parser.add_argument("--config", metavar="PATH", help="JSON experiment config")
+        parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", metavar="DIR", help="directory for run artifacts")
 
 
@@ -101,7 +103,7 @@ def _print_and_save(text: str, out_dir, name: str) -> None:
 
 
 def _cmd_gradcheck(args) -> int:
-    base = args.seed if args.seed is not None else DEFAULT_SEEDS[0]
+    base = _resolve_config(args).seed  # the config's seed is the first battery seed
     seeds = tuple(base + i for i in range(len(DEFAULT_SEEDS)))
     t0 = time.perf_counter()
     entries = run_battery(seeds=seeds)
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
             dest="subcommand", required=True
         )
         p = commands.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_common(p, configured=fn is not _cmd_graph_dump)
         p.set_defaults(fn=fn)
 
     return parser

@@ -105,6 +105,8 @@ class SynthSpec:
             )
         if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
+        if not self.seed >= 0:
+            raise ValueError("synth.seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset is None and self.synth is None:
             raise ValueError("config needs a dataset path or a synth spec")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
         if not self.magnification > 0:
             raise ValueError("magnification must be > 0")
         if not 0.0 < self.center_rate <= 1.0:

@@ -109,14 +109,16 @@ class SampleSet:
 
 
 def save_samples(samples: SampleSet, path) -> None:
-    """Write samples as JSON lines, each sample's frames as the base64 of
-    their C-order little-endian float64 bytes, which load back exactly."""
-    columns = samples.subjects.tolist(), samples.labels.tolist(), samples.frames
+    """Write samples as JSON lines, each exactly ``json.dumps({"subject": s,
+    "label": l, "frames": b64}) + "\\n"``, ``b64`` the base64 of the frames'
+    C-order little-endian float64 bytes, which load back exactly. Base64
+    needs no JSON escapes, so only the subject goes through json.dumps."""
+    subjects, labels = samples.subjects.tolist(), samples.labels.tolist()
+    quoted = {s: json.dumps(s) for s in set(subjects)}
     with atomic_write(path) as fh:
-        for subject, label, frames in zip(*columns):
-            record = {"subject": subject, "label": label,
-                      "frames": encode_float64(frames)}
-            fh.write(json.dumps(record) + "\n")
+        for s, y, frames in zip(subjects, labels, samples.frames):
+            fh.write(f'{{"subject": {quoted[s]}, "label": {y}, '
+                     f'"frames": "{encode_float64(frames)}"}}\n')
 
 
 # the longest subject, in UTF-8 bytes, whose fold checkpoint can be written:
@@ -413,6 +415,12 @@ def synthesize_dataset(
     pattern plus coordinate noise; the offset frame returns roughly 60% of
     the way back to onset. Class assignment cycles so every subject sees
     every class.
+
+    The draws are the data contract, so a seed fixes every bit. Per
+    subject: a scale and an aspect offset (two uniform draws), then a
+    (68, 2) normal warp. Per sample after it: a strength uniform in
+    [0.8, 1.2), then (3, 68, 2) standard normals scaled by 0.3,
+    noise_sigma and noise_sigma / 2 as the onset, apex and offset noise.
     """
     if not 2 <= n_classes <= len(PATTERN_NAMES):
         raise ValueError(
@@ -420,31 +428,39 @@ def synthesize_dataset(
         )
     rng = np.random.default_rng(seed)
     template = neutral_face_template()
-    patterns = [MOTION_PATTERNS[name]() for name in PATTERN_NAMES[:n_classes]]
+    center = template.mean(axis=0)
+    labels = np.arange(samples_per_subject, dtype=np.int64) % n_classes
+    patterns = np.array([MOTION_PATTERNS[name]() for name in PATTERN_NAMES])[labels]
+    # numpy's normal(0, s) is 0.0 + s * z and uniform(a, b) is a + (b - a) * u,
+    # so the arithmetic below gives the bits of one such call per draw
+    noise_scale = np.array([0.3, noise_sigma, 0.5 * noise_sigma])[:, None, None]
 
-    frames = np.empty((n_subjects * samples_per_subject, N_FRAMES, N_LANDMARKS, 2))
-    for si in range(n_subjects):
+    frames = np.empty((n_subjects, samples_per_subject, *FRAME_SHAPE))
+    uniform = np.empty((samples_per_subject, 1, 1))
+    for block in frames:
         # identity: global scale, slight aspect change, smooth per-point warp
-        scale = 1.0 + rng.uniform(-0.08, 0.08)
-        aspect = 1.0 + rng.uniform(-0.05, 0.05)
+        scale, aspect = 1.0 + rng.uniform([-0.08, -0.05], [0.08, 0.05])
         warp = rng.normal(0.0, 1.2, size=(N_LANDMARKS, 2))
-        base = template.copy()
-        center = base.mean(axis=0)
-        base = (base - center) * np.array([scale, scale * aspect]) + center + warp
-
+        base = (template - center) * np.array([scale, scale * aspect]) + center + warp
         for k in range(samples_per_subject):
-            label = k % n_classes
-            strength = rng.uniform(0.8, 1.2)
-            motion = patterns[label] * strength
-            onset = base + rng.normal(0.0, 0.3, size=(N_LANDMARKS, 2))
-            apex = onset + motion + rng.normal(0.0, noise_sigma, size=(N_LANDMARKS, 2))
-            offset = onset + 0.4 * (apex - onset) + rng.normal(
-                0.0, 0.5 * noise_sigma, size=(N_LANDMARKS, 2)
-            )
-            frames[si * samples_per_subject + k] = onset, apex, offset
+            uniform[k] = rng.random()
+            rng.standard_normal(out=block[k])
+        # in place, with one (samples, 68, 2) temporary; the sums group their
+        # terms as (onset + motion) + n1 and (onset + 0.4 * (apex - onset)) + n2
+        block *= noise_scale
+        block += 0.0
+        onset, apex, offset = block.swapaxes(0, 1)
+        onset += base
+        step = patterns * (0.8 + (1.2 - 0.8) * uniform)
+        step += onset
+        apex += step
+        np.subtract(apex, onset, out=step)
+        step *= 0.4
+        step += onset
+        offset += step
     subjects = [f"s{si + 1:02d}" for si in range(n_subjects)]
     return SampleSet._from_columns(*_checked(
-        frames,
-        np.tile(np.arange(samples_per_subject, dtype=np.int64) % n_classes, n_subjects),
+        frames.reshape(-1, *FRAME_SHAPE),
+        np.tile(labels, n_subjects),
         np.repeat(subjects, samples_per_subject),
     ))

@@ -358,7 +358,8 @@ def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
                          outcome.epochs_run, features[held_out])
         )
         all_curves.extend((subject, row) for row in outcome.curves)
-        checkpoints[f"fold_{subject}"] = outcome.model.params.state_dict()
+        if out_dir is not None:
+            checkpoints[f"fold_{subject}"] = outcome.model.params.state_dict()
 
     run = _run_report(config, fold_reports, t0)
     if sum(len(f.y_true) for f in fold_reports) != len(samples):

@@ -601,6 +601,18 @@ COMMANDS = ["train", "evaluate", "loso", "ablate", "gradcheck", "synth-data",
             "config show", "graph dump", "model inspect"]
 
 
+def _exit_code(command: str, *flags: str) -> int:
+    """The exit code of ``megraph <command> <flags>``, whether the command
+    returns it or argparse exits; evaluate gets the checkpoint it needs."""
+    argv = command.split() + list(flags)
+    if command == "evaluate":
+        argv += ["--checkpoint", str(SEED9_FIXTURE)]
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestEntryPoint:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_command_has_help(self, command, capsys):
@@ -608,9 +620,50 @@ class TestEntryPoint:
             main(command.split() + ["--help"])
         assert info.value.code == 0
         text = capsys.readouterr().out
-        assert text.startswith(f"usage: megraph {command} [-h] [--config PATH]")
+        # graph dump's layout is fixed: it reads no config and no seed
+        flags = "[--out DIR]" if command == "graph dump" else "[--config PATH]"
+        assert text.startswith(f"usage: megraph {command} [-h] {flags}")
         # evaluate alone adds a flag to the options every command shares
         assert ("--checkpoint PATH" in text) == (command == "evaluate")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("text", [None, "{broken"], ids=["missing", "malformed"])
+    def test_a_bad_config_never_exits_0(self, command, text, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        assert _exit_code(command, "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        if command == "graph dump":
+            assert "unrecognized arguments: --config" in err
+        else:
+            assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_negative_seed_exits_2_naming_the_field(self, command, capsys):
+        assert _exit_code(command, "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        if command == "graph dump":
+            assert "unrecognized arguments: --seed" in err
+        else:
+            assert err == "error: seed must be >= 0\n"
+
+    def test_gradcheck_seeds_start_at_the_config_seed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+
+        def run_battery(seeds):
+            calls.append(seeds)
+            return []
+
+        monkeypatch.setattr("megraph.cli.run_battery", run_battery)
+        path = tmp_path / "c.json"
+        save_config(ExperimentConfig(seed=7), path)
+        main(["gradcheck", "--config", str(path)])
+        main(["gradcheck", "--config", str(path), "--seed", "2"])
+        main(["gradcheck"])
+        assert calls == [(7, 8, 9, 10, 11), (2, 3, 4, 5, 6), (0, 1, 2, 3, 4)]
 
     def test_module_invocation(self):
         result = subprocess.run(

@@ -52,6 +52,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             AugmentConfig(max_scale=1.0)
 
+    def test_negative_seeds_are_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^synth.seed must be >= 0$"):
+            SynthSpec(seed=-1)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            ExperimentConfig(seed=-2)
+        assert SynthSpec(seed=0).seed == ExperimentConfig(seed=0).seed == 0
+
     def test_experiment_needs_a_data_source(self):
         with pytest.raises(ValueError, match="dataset path or a synth"):
             ExperimentConfig(dataset=None, synth=None)

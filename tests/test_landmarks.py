@@ -248,6 +248,22 @@ class TestJsonlFiles:
         assert loaded.labels.tolist() == samples.labels.tolist()
         np.testing.assert_array_equal(loaded.frames, samples.frames)
 
+    def test_each_line_is_the_json_dumps_of_its_record(self, tmp_path):
+        subjects = ['say "hi"', "back\\slash", "é 田 \U0001f600", "s01"] * 9
+        samples = make_samples(subjects, labels=list(range(len(subjects))))
+        path = tmp_path / "data.jsonl"
+        save_samples(samples, path)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps({"subject": s, "label": y, "frames": b64(f)}) + "\n"
+            for s, y, f in zip(subjects, range(len(subjects)), samples.frames)
+        )
+
+    def test_saving_holds_no_copy_of_the_file_text(self, tmp_path, traced_peak):
+        samples = synthesize_dataset(n_subjects=10, samples_per_subject=100, seed=0)
+        path = tmp_path / "data.jsonl"
+        _, peak = traced_peak(save_samples, samples, path)
+        assert peak <= path.stat().st_size / 4
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"
         save_samples(make_samples(), path)
@@ -583,6 +599,23 @@ class TestSynthesizeDataset:
             synthesize_dataset, n_subjects=20, samples_per_subject=25, seed=0
         )
         assert peak <= 1.25 * samples.frames.nbytes
+
+    # sha256 of the frame bytes, fixed by the draw order the docstring states
+    @pytest.mark.parametrize("spec, digest", [
+        ({"seed": 0},
+         "6bc9fb7cb9998a1139a3c4c9b1804d93bbd5cd1f4abedcb3b742594e8c9f02b7"),
+        ({"seed": 1},
+         "4bfc4a9d12f7efcd21a2f5069ebbb92a2c68bc4083d920875d06b0e9e73fd893"),
+        ({"n_subjects": 50, "samples_per_subject": 20},
+         "08a573a6553b9665da8591169ec0998d3167859432dcd230cd970751a3b220fd"),
+        ({"noise_sigma": 0.0},
+         "9a806faf229c99a0bb93501b084d3313d9ed81dc1574ee08403047ea63e71b33"),
+        ({"n_subjects": 1, "samples_per_subject": 1},
+         "9041acaa5ee9f0d63764029e942b68a917df12b824b4ce7aba6fb90e0ed9153e"),
+    ])
+    def test_frames_are_pinned_bit_for_bit(self, spec, digest):
+        frames = synthesize_dataset(**spec).frames
+        assert hashlib.sha256(frames.tobytes()).hexdigest() == digest
 
     def test_counts_subjects_and_labels(self):
         samples = synthesize_dataset(

@@ -26,6 +26,7 @@ from megraph.config import (
 )
 import megraph.autodiff
 import megraph.landmarks
+import megraph.params
 import megraph.training
 from megraph.checks import _tape
 from megraph.graph import DegenerateFrameError
@@ -499,6 +500,20 @@ class TestRunLoso:
             warnings.simplefilter("ignore", RuntimeWarning)
             b = run_loso(tiny_loso_config(seed=1))
         assert json.dumps(a.canonical()) != json.dumps(b.canonical())
+
+    def test_fold_parameters_are_copied_only_for_a_run_dir(self, monkeypatch, tmp_path):
+        copies = []
+        state_dict = megraph.params.ParamStore.state_dict
+
+        def counting(store):
+            copies.append(store)
+            return state_dict(store)
+
+        monkeypatch.setattr(megraph.params.ParamStore, "state_dict", counting)
+        run_loso(tiny_loso_config())
+        assert copies == []
+        run_loso(tiny_loso_config(), out_dir=tmp_path / "run")
+        assert len(copies) == 3
 
     def test_run_dir_layout(self, tmp_path):
         out = tmp_path / "run"
