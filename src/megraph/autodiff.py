@@ -7,10 +7,10 @@ topological order. Scalars are 0-d tensors. Every other op works on arrays
 of shape ``(..., R, C)``: the last two axes are one sample's matrix, any
 leading axes are batch axes, and the one-sample 2-d case is the same code
 path. Where a 2-d operand (a weight, a bias, a constant adjacency) meets a
-batched one, its gradient is summed over the batch axes; a ``(3, K, D)``
-weight meets a ``(..., 3, R, K)`` block matrix by matrix. ``st_conv``, one
+batched one, its gradient is summed over the batch axes. ``st_conv``, one
 backbone layer, takes its k temporal taps as one ``(k, K, D)`` weight, one
-matrix per frame offset, and works frame-major inside.
+matrix per frame offset, and works frame-major inside; ``decompose`` takes
+one ``(G, K, D)`` weight, one matrix per group of rows.
 
 Weights and biases may also carry a leading member axis: a ``(P, 1..., K, D)``
 weight or ``(P, 1..., 1, D)`` bias holds P variants of one parameter, with
@@ -59,8 +59,6 @@ __all__ = [
     "relu",
     "transpose",
     "reshape",
-    "gather_rows",
-    "softmax_rows",
     "l1_rowsum",
     "normalize_columns",
     "sq_frobenius",
@@ -69,6 +67,7 @@ __all__ = [
     "affine",
     "graph_affine",
     "st_conv",
+    "decompose",
     "cross_entropy",
 ]
 
@@ -400,27 +399,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(out, (a,), back, "reshape")
 
 
-def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """(..., *S, C) rows of a (..., R, C) tensor by an integer index of shape
-    S; -1 picks a zero row, and no row may be picked twice."""
-    _require_matrix("gather_rows", a)
-    n, flat = a.shape[-2], rows.ravel()
-    kept = np.flatnonzero(flat >= 0)
-    bad = flat.min(initial=-1) < -1 or flat.max(initial=-1) >= n
-    if bad or np.bincount(flat[kept]).max(initial=0) > 1:
-        raise ShapeError(f"gather_rows: rows {rows.tolist()} not unique in [-1, {n})")
-    out = np.take(a.data, flat, axis=-2)
-    out[..., flat < 0, :] = 0.0
-
-    def back(g):
-        ga = np.zeros(a.shape)
-        ga[..., flat[kept], :] = g.reshape(out.shape)[..., kept, :]
-        return (ga,)
-
-    shape = a.shape[:-2] + rows.shape + a.shape[-1:]
-    return _node(out.reshape(shape), (a,), back, "gather_rows")
-
-
 # numpy's reduce over a last axis this short costs more per row than the
 # columns it combines, so fewer columns are folded one by one
 _FOLD_COLUMNS = 8
@@ -446,17 +424,6 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         out += a[..., j : j + 1]
     return out
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    _require_matrix("softmax_rows", a)
-    e = np.exp(a.data - _row_max(a.data))
-    out = e / _row_sum(e)
-
-    def back(g):
-        return (out * (g - _row_sum(g * out)),)
-
-    return _node(out, (a,), back, "softmax_rows")
 
 
 def l1_rowsum(a: Tensor) -> Tensor:
@@ -557,51 +524,93 @@ def mean_rows(a: Tensor) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for (..., R, K) x, (K, D) weight and (1, D) bias, either of
     them possibly a member stack."""
-    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
-    if len(xs) < 2:
-        raise _not_matrix("affine", xs)
-    if len(ws) < 2 or xs[-1] != ws[-2]:
-        raise ShapeError(f"affine: shapes {xs} @ {ws} + {bs}")
-    _check_bias("affine", b, ws[-1])
-    try:
-        out = x.data @ w.data  # + b in place, unless a stacked bias widens it
-        out = out + b.data if len(bs) > 2 else np.add(out, b.data, out=out)
-    except ValueError:
-        raise ShapeError(f"affine: shapes {xs} @ {ws} + {bs}") from None
-
-    def back(g):
-        gx = _unbroadcast(g @ _transposed(w.data), xs)
-        return gx, _weight_grad(x.data, g, ws), _bias_grad(g, bs)
-
-    return _node(out, (x, w, b), back, "affine")
+    return _affine("affine", None, x, w, b)
 
 
 def graph_affine(adj: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """adj @ x @ w + b with a constant (non-differentiated) (..., R, R)
-    adjacency broadcast against a (..., R, K) x; w and b as in :func:`affine`."""
+    """adj @ x @ w + b with a constant (non-differentiated) (R, R) adjacency
+    and a (..., R, K) x; w and b as in :func:`affine`."""
+    return _affine("graph_affine", adj, x, w, b)
+
+
+def _affine(op: str, adj: np.ndarray | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """[adj @] x @ w + b, the one body of affine and graph_affine."""
     xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
     if len(xs) < 2:
-        raise _not_matrix("graph_affine", xs)
-    if adj.ndim < 2 or adj.shape[-1] != xs[-2]:
-        raise ShapeError(f"graph_affine: adjacency {adj.shape} vs features {xs}")
+        raise _not_matrix(op, xs)
+    if adj is not None and (adj.ndim != 2 or adj.shape[-1] != xs[-2]):
+        raise ShapeError(f"{op}: adjacency {adj.shape} vs features {xs}")
     if len(ws) < 2 or xs[-1] != ws[-2]:
-        raise ShapeError(f"graph_affine: shapes {xs} @ {ws} + {bs}")
-    _check_bias("graph_affine", b, ws[-1])
+        raise ShapeError(f"{op}: shapes {xs} @ {ws} + {bs}")
+    _check_bias(op, b, ws[-1])
+    pooled = x.data if adj is None else adj @ x.data
     try:
-        pooled = adj @ x.data
-        out = pooled @ w.data
+        out = pooled @ w.data  # + b in place, unless a stacked bias widens it
         out = out + b.data if len(bs) > 2 else np.add(out, b.data, out=out)
     except ValueError:
-        raise ShapeError(f"graph_affine: shapes {xs} @ {ws} + {bs}") from None
-    x_needs = x.requires_grad or x._needs  # False for constant input features
+        raise ShapeError(f"{op}: shapes {xs} @ {ws} + {bs}") from None
 
     def back(g):
-        gx = None
-        if x_needs:
-            gx = _unbroadcast(adj.swapaxes(-1, -2) @ (g @ _transposed(w.data)), xs)
-        return gx, _weight_grad(pooled, g, ws), _bias_grad(g, bs)
+        gx = g @ _transposed(w.data)
+        gx = gx if adj is None else adj.T @ gx
+        return _unbroadcast(gx, xs), _weight_grad(pooled, g, ws), _bias_grad(g, bs)
 
-    return _node(out, (x, w, b), back, "graph_affine")
+    return _node(out, (x, w, b), back, op)
+
+
+def decompose(
+    x: Tensor, rows: np.ndarray, adj: np.ndarray,
+    gc_w: Tensor, gc_b: Tensor, mix_w: Tensor, mix_b: Tensor,
+) -> tuple[Tensor, np.ndarray]:
+    """The action decomposition as one node. A constant (G, W) ``rows``
+    index lifts the (..., R, C) rows of x into G groups of W rows, xg (-1
+    gives a zero padding row; no row is picked twice). Each group's rows
+    are assigned to N_a slots by the row softmax of ``relu(adj @ xg @ gc_w
+    + gc_b) @ mix_w + mix_b``, with a constant (G, W, W) ``adj`` and (G, K,
+    D) weights as in :func:`affine`; its slots are ``assign.T @ xg``. Returns
+    the (..., G * N_a, C) slots and the (..., G, W, N_a) assignment, a plain
+    array. Padding rows add exact zeros to the slots and take no gradient."""
+    _require_matrix("decompose", x, gc_w, mix_w)
+    _check_bias("decompose", gc_b, gc_w.shape[-1])
+    _check_bias("decompose", mix_b, mix_w.shape[-1])
+    n, real = x.shape[-2], rows >= 0
+    bad = rows.ndim != 2 or rows.min(initial=-1) < -1 or rows.max(initial=-1) >= n
+    if bad or np.bincount(rows[real]).max(initial=0) > 1:
+        raise ShapeError(f"decompose: rows {rows.tolist()} not (G, W), unique in [-1, {n})")
+    xg = np.take(x.data, rows, axis=-2)  # (..., G, W, C)
+    xg[..., ~real, :] = 0.0
+    try:
+        pooled = adj @ xg
+        pre = pooled @ gc_w.data + gc_b.data
+        hidden = np.fmax(pre, 0.0)  # relu's bits
+        scores = hidden @ mix_w.data + mix_b.data
+        e = np.exp(scores - _row_max(scores))
+        assign = e / _row_sum(e)
+        out = np.swapaxes(assign, -1, -2) @ xg  # (..., G, N_a, C)
+    except ValueError:
+        shapes = f"{x.shape}, {adj.shape}, {gc_w.shape}, {mix_w.shape}"
+        raise ShapeError(f"decompose: shapes {shapes}") from None
+
+    def back(g):
+        g = g.reshape(out.shape)
+        g_assign = np.swapaxes(g @ np.swapaxes(xg, -1, -2), -1, -2)
+        g_scores = assign * (g_assign - _row_sum(g_assign * assign))
+        g_pre = _unbroadcast(g_scores @ _transposed(mix_w.data), hidden.shape)
+        g_pre *= hidden > 0
+        g_xg = _unbroadcast(assign @ g, xg.shape) + _unbroadcast(
+            _transposed(adj) @ (g_pre @ _transposed(gc_w.data)), xg.shape
+        )
+        gx = np.zeros(x.shape)
+        gx[..., rows[real], :] = g_xg[..., real, :]
+        return (
+            gx, _weight_grad(pooled, g_pre, gc_w.shape), _bias_grad(g_pre, gc_b.shape),
+            _weight_grad(hidden, g_scores, mix_w.shape), _bias_grad(g_scores, mix_b.shape),
+        )
+
+    # the rectifier's input on the real rows, for checks.kink_margin
+    back.rectifier_input = lambda: pre[..., real, :]
+    features = out.reshape(out.shape[:-3] + (-1, out.shape[-1]))
+    return _node(features, (x, gc_w, gc_b, mix_w, mix_b), back, "decompose"), assign
 
 
 def _frames_front(a: np.ndarray) -> np.ndarray:
@@ -801,6 +810,11 @@ class GradCheckResult:
     worst_coord: tuple[int, ...] | None = None
     failure: str | None = None
 
+    @classmethod
+    def failed(cls, n_coords: int, failure: str, coord=None) -> GradCheckResult:
+        """A check that failed before any finite error could be measured."""
+        return cls(np.inf, False, n_coords, coord, failure)
+
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
         detail = f"max_rel_err={self.max_rel_err:.3e}"
@@ -857,17 +871,15 @@ def compare_gradient(
     if h <= 0:
         raise ValueError("grad_check: h must be positive")
     n = x.data.size
+
+    def non_finite(finite: np.ndarray, what: str) -> GradCheckResult:
+        coord = np.unravel_index(int(np.argmin(finite)), x.shape)
+        return GradCheckResult.failed(n, f"non-finite {what} at {coord}", coord)
+
     if analytic is None:
         analytic = np.zeros_like(x.data)
     if not np.all(np.isfinite(analytic)):
-        bad = np.unravel_index(int(np.argmin(np.isfinite(analytic))), x.shape)
-        return GradCheckResult(
-            max_rel_err=np.inf,
-            passed=False,
-            n_coords=n,
-            worst_coord=bad,
-            failure=f"non-finite analytic gradient at {bad}",
-        )
+        return non_finite(np.isfinite(analytic), "analytic gradient")
 
     values = np.empty(2 * n)
     if stacked is not None:
@@ -895,14 +907,7 @@ def compare_gradient(
     fp, fm = values[0::2], values[1::2]
     finite = np.isfinite(fp) & np.isfinite(fm)
     if not finite.all():
-        coord = np.unravel_index(int(np.argmin(finite)), x.shape)
-        return GradCheckResult(
-            max_rel_err=np.inf,
-            passed=False,
-            n_coords=n,
-            worst_coord=coord,
-            failure=f"non-finite finite-difference value at {coord}",
-        )
+        return non_finite(finite, "finite-difference value")
     numeric = ((fp - fm) / (2.0 * h)).reshape(x.shape)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradCheckResult, ShapeError, Tensor
-from .graph import COMPONENT_BLOCK, normalize_adjacency
+from .graph import normalize_adjacency
 from .landmarks import synthesize_dataset
 from .losses import (
     LossWeights,
@@ -185,6 +185,35 @@ def _cross_entropy(logits, labels):
 _ROWS = np.array([[3, -1, 0], [4, 1, -1]])
 
 
+def _decompose(adj, x, gc_w, gc_b, mix_w, mix_b):
+    """decompose over the groups of _ROWS, its slots split (..., G, N_a, C)
+    so that a weight's group axis lines up with an axis of the output."""
+    out, _ = ad.decompose(x, _ROWS, adj.data, gc_w, gc_b, mix_w, mix_b)
+    return ad.reshape(out, out.shape[:-2] + (len(_ROWS), -1, out.shape[-1]))
+
+
+def _decompose_cases() -> dict:
+    """decompose with respect to each operand, every draw off the kink: two
+    (5, 3) samples in the groups of _ROWS, per group a (3, 2) graph weight,
+    a (2, 2) mixing weight and their biases. "<target>.stacked" takes one
+    sample, with the target and the next weight or bias (every one for x)
+    drawn as member stacks of three."""
+    shapes = ((2, 3, 2), (2, 1, 2), (2, 2, 2), (2, 1, 2))
+    cases = {}
+    for wrt, target in enumerate(("x", "gc.w", "gc.b", "mix.w", "mix.b")):
+        partners = (wrt, wrt % 4 + 1) if wrt else (1, 2, 3, 4)
+        for kind, stacked in (("", ()), (".stacked", partners)):
+            params = [
+                _normal(*((3, 1) if i in stacked else ()), *s)
+                for i, s in enumerate(shapes, 1)
+            ]
+            cases[f"decompose.{target}{kind}"] = _op_case(
+                _decompose, wrt + 1, _normal(2, 3, 3), _normal(1 if stacked else 2, 5, 3),
+                *params, off_kink=True,
+            )
+    return cases
+
+
 def _dead_middle(x):
     """normalize_columns of a (3, R, C) batch whose middle sample is zeroed:
     it falls back to uniform, passing no gradient, while the others
@@ -210,8 +239,6 @@ def _op_cases() -> dict:
         "relu": (ad.relu, 0, k(4, 5)),
         "transpose": (ad.transpose, 0, n(3, 4)),
         "reshape": (_Whole(lambda x: ad.reshape(x, (2, 6))), 0, n(3, 4)),
-        "gather_rows": (lambda x: ad.gather_rows(x, _ROWS), 0, n(5, 4)),
-        "softmax_rows": (ad.softmax_rows, 0, n(4, 5)),
         "l1_rowsum": (ad.l1_rowsum, 0, k(4, 5)),
         "normalize_columns": (ad.normalize_columns, 0, pos(5, 2)),
         "sq_frobenius": (_Whole(ad.sq_frobenius), 0, n(3, 4)),
@@ -234,8 +261,6 @@ def _op_cases() -> dict:
         "relu.batched": (ad.relu, 0, k(2, 3, 4)),
         "transpose.batched": (ad.transpose, 0, n(2, 3, 4)),
         "reshape.batched": (_Whole(lambda x: ad.reshape(x, (2, -1))), 0, n(2, 3, 4)),
-        "gather_rows.batched": (lambda x: ad.gather_rows(x, _ROWS), 0, n(2, 5, 4)),
-        "softmax_rows.batched": (ad.softmax_rows, 0, n(2, 3, 4)),
         "l1_rowsum.batched": (ad.l1_rowsum, 0, k(2, 3, 4)),
         "normalize_columns.batched": (ad.normalize_columns, 0, pos(3, 5, 1)),
         "normalize_columns.fallback": (_dead_middle, 0, pos(3, 5, 1)),
@@ -262,18 +287,17 @@ def _op_cases() -> dict:
     for padding in ("same", "valid"):
         for wrt, target in enumerate(_ST_TARGETS):
             cases[f"st_conv.{padding}.{target}"] = _st_conv_case(padding, wrt)
-    return cases
+    return {**cases, **_decompose_cases()}
 
 
 def _stacked_cases() -> dict:
-    """Ops whose weight, bias or row block carries a leading member axis of
-    three, each with respect to the stacked operand, to x, whose gradient
-    sums over the members, and to a 2-d operand beside a stacked one."""
+    """Ops whose weight or bias carries a leading member axis of three, each
+    with respect to the stacked operand, to x, whose gradient sums over the
+    members, and to a 2-d operand beside a stacked one."""
     n = _normal
     specs = {
         "matmul.lhs.stacked": (ad.matmul, 0, n(2, 4, 3), n(3, 1, 3, 5)),
         "matmul.rhs.stacked": (ad.matmul, 1, n(2, 4, 3), n(3, 1, 3, 5)),
-        "gather_rows.stacked": (lambda x: ad.gather_rows(x, _ROWS), 0, n(3, 2, 5, 4)),
     }
 
     def operands(k, d, w_stacked, b_stacked):
@@ -294,11 +318,6 @@ def _stacked_cases() -> dict:
         specs[f"graph_affine.{target}.stacked"] = (
             _graph_affine, wrt + 1, _adjacency(5), n(2, 5, 3),
             *operands(3, 4, w_stacked, b_stacked),
-        )
-    # a (3, R, R) block of adjacencies with (3, K, D) weights, as in decompose
-    for target, wrt in (("x", 1), ("w", 2), ("b", 3)):
-        specs[f"graph_affine.{target}.block"] = (
-            _graph_affine, wrt, n(3, 5, 5), n(2, 3, 5, 3), n(3, 3, 4), n(3, 1, 4)
         )
     cases = {name: _op_case(*spec) for name, spec in specs.items()}
     # st_conv with member stacks of three: "<target>.stacked" stacks the
@@ -400,27 +419,21 @@ KINKED_OPS = ("relu", "l1_rowsum")
 
 def kink_margin(loss: Tensor) -> float:
     """Smallest distance of any rectifier or absolute-value input to its
-    kink, found by walking the tape from ``loss`` and picking nodes by
-    their op name; an ``st_conv`` node gives the input of its rectifier.
+    kink, found by walking the tape from ``loss``: the ``rectifier_input``
+    of a node whose backward rule has one (``st_conv``, ``decompose``), and
+    the input of a kinked op.
 
     Central differences are only trustworthy when the +-h probe interval
     stays on one side of every kink, so end-to-end checks must run at a
-    point whose margin comfortably exceeds the probe's reach. A kinked op
-    over the decomposition block (a ``graph_affine`` of ``gather_rows``)
-    leaves out the block's zero padding rows, which
-    :data:`~megraph.graph.COMPONENT_BLOCK` marks: they take no gradient, so
-    their side of the kink changes nothing.
+    point whose margin comfortably exceeds the probe's reach.
     """
-    padding = COMPONENT_BLOCK[0] < 0
     margin = np.inf
     for node in _tape(loss):
-        if node.op == "st_conv":
-            values = node._backward.rectifier_input()
+        rectifier_input = getattr(node._backward, "rectifier_input", None)
+        if rectifier_input is not None:
+            values = rectifier_input()
         elif node.op in KINKED_OPS:
-            x = node._parents[0]
-            values = x.data
-            if x.op == "graph_affine" and x._parents[0].op == "gather_rows":
-                values = values[..., ~padding, :]
+            values = node._parents[0].data
         else:
             continue
         margin = min(margin, float(np.abs(values).min()))
@@ -437,8 +450,9 @@ def _tape(loss: Tensor) -> list[Tensor]:
     return ad._tape(loss)
 
 
-# ops whose weight and bias operands broadcast against their first operand
-WEIGHTED_OPS = ("affine", "graph_affine", "st_conv")
+# ops whose weight and bias operands broadcast against their first operand,
+# and the axes that operand gains inside first: decompose's a group axis
+WEIGHTED_OPS = {"affine": 0, "graph_affine": 0, "st_conv": 0, "decompose": 1}
 
 
 def _batch_axes(loss: Tensor) -> dict[int, int]:
@@ -449,7 +463,7 @@ def _batch_axes(loss: Tensor) -> dict[int, int]:
         if node.op in WEIGHTED_OPS:
             x, *operands = node._parents
             for p in operands:
-                axes[id(p)] = x.ndim - p.ndim
+                axes[id(p)] = x.ndim + WEIGHTED_OPS[node.op] - p.ndim
     return axes
 
 
@@ -543,12 +557,7 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
             return entries
     if entries:
         return entries
-    result = GradCheckResult(
-        max_rel_err=np.inf,
-        passed=False,
-        n_coords=0,
-        failure="no kink-free check point found",
-    )
+    result = GradCheckResult.failed(0, "no kink-free check point found")
     return [BatteryEntry(name="model.full[setup]", seed=seed, result=result)]
 
 
@@ -570,10 +579,7 @@ def run_battery(
             except ShapeError as exc:
                 # an op that cannot take the member stack fails its entry;
                 # nothing falls back to the loop
-                result = GradCheckResult(
-                    max_rel_err=np.inf, passed=False, n_coords=x.data.size,
-                    failure=str(exc),
-                )
+                result = GradCheckResult.failed(x.data.size, str(exc))
             entries.append(BatteryEntry(name=name, seed=seed, result=result))
     if include_model:
         for seed in seeds[:2]:
@@ -592,15 +598,12 @@ def format_battery(entries: list[BatteryEntry]) -> str:
         held = worst.get(e.name)
         if held is None or e.result.max_rel_err > held.result.max_rel_err:
             worst[e.name] = e
-    lines = []
-    for name, e in worst.items():
-        status = "pass" if all(
-            x.passed for x in entries if x.name == name
-        ) else "FAIL"
-        lines.append(
-            f"{status}  {name:<40} max_rel_err={e.result.max_rel_err:.3e} "
-            f"(seed {e.seed}, {e.result.n_coords} coords)"
-        )
+    failed = {e.name for e in entries if not e.passed}
+    lines = [
+        f"{'FAIL' if name in failed else 'pass'}  {name:<40} max_rel_err="
+        f"{e.result.max_rel_err:.3e} (seed {e.seed}, {e.result.n_coords} coords)"
+        for name, e in worst.items()
+    ]
     n_pass = sum(1 for e in entries if e.passed)
     lines.append(f"{n_pass}/{len(entries)} checks passed")
     return "\n".join(lines)

@@ -35,6 +35,13 @@ class SampleError(ValueError):
         super().__init__(message)
 
 
+def finite_samples(frames: np.ndarray) -> np.ndarray:
+    """Whether each sample's coordinates are all finite, read off the max and
+    min of its row, which NaN reaches: no bool array of every coordinate."""
+    flat = frames.reshape(-1, np.prod(FRAME_SHAPE))
+    return np.isfinite(flat.max(axis=1)) & np.isfinite(flat.min(axis=1))
+
+
 def _checked(frames: np.ndarray, labels: np.ndarray, subjects: np.ndarray):
     """The three columns of a set, once their shapes, coordinates and labels
     pass; a failing sample raises :class:`SampleError` with its row."""
@@ -42,7 +49,7 @@ def _checked(frames: np.ndarray, labels: np.ndarray, subjects: np.ndarray):
         raise ValueError(f"frames must have shape (N, 3, 68, 2), got {frames.shape}")
     if not labels.shape == subjects.shape == (len(frames),):
         raise ValueError("every sample needs one label and one subject")
-    finite = np.isfinite(frames).all(axis=(1, 2, 3))
+    finite = finite_samples(frames)
     bad = ~finite | (labels < 0)
     if bad.any():
         i = int(bad.argmax())

@@ -16,7 +16,8 @@ each optional after the first:
    action slots; each slot becomes one pooled feature row. The components
    run as one block, :data:`~megraph.graph.COMPONENT_BLOCK`, padded to the
    widest; each weight and bias is one parameter with a leading axis of
-   three, one matrix per component.
+   three, one matrix per component, and the stage is one ``decompose``
+   tape node.
 3. Relation reconstruction: a graph convolution over the complete graph of
    action slots scores each slot; the normalized scores weight the action
    features into a single recognition feature.
@@ -200,16 +201,16 @@ class ActionRelationNet:
         unit mass over the slots. All components run as one block whose
         zero padding rows add exact zeros to the slots and take no gradient.
         """
-        p, (rows, adj) = self.params, COMPONENT_BLOCK
-        x = ad.gather_rows(node_features, rows)  # (..., 3, W, C_1)
-        hidden = ad.relu(ad.graph_affine(adj, x, p["actions.gc.w"], p["actions.gc.b"]))
-        assign = ad.softmax_rows(ad.affine(hidden, p["actions.mix.w"], p["actions.mix.b"]))
-        pooled = ad.matmul(ad.transpose(assign), x)  # (..., 3, N_a, C_1)
+        p = self.params
+        features, assign = ad.decompose(
+            node_features, *COMPONENT_BLOCK, p["actions.gc.w"], p["actions.gc.b"],
+            p["actions.mix.w"], p["actions.mix.b"],
+        )
         maps = {
-            sub.component: ad.constant(assign.data[..., i, : len(sub.indices), :])
+            sub.component: ad.constant(assign[..., i, : len(sub.indices), :])
             for i, sub in enumerate(SUBGRAPHS)
         }
-        return ad.reshape(pooled, pooled.shape[:-3] + (-1, pooled.shape[-1])), maps
+        return features, maps
 
     def relate(self, action_features: Tensor):
         """Score action slots over their complete graph and pool.

@@ -28,6 +28,7 @@ from .graph import DegenerateFrameError, build_graph
 from .landmarks import (
     SampleSet,
     crop_jitter,
+    finite_samples,
     load_samples,
     magnify,
     synthesize_dataset,
@@ -109,7 +110,7 @@ def sample_graph(samples: SampleSet, magnification: float) -> np.ndarray:
     node features. A sample whose magnified coordinates overflow or whose
     onset has no extent is rejected by subject."""
     frames = magnify(samples.frames, magnification)
-    finite = np.isfinite(frames).all(axis=(1, 2, 3))
+    finite = finite_samples(frames)
     if not finite.all():
         bad = samples.subjects[finite.argmin()]
         raise ValueError(f"sample '{bad}': non-finite coordinates")

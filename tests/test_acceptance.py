@@ -127,6 +127,18 @@ def loop_gather_rows(x, rows):
     return out
 
 
+def loop_decompose(x, rows, adj, gw, gb, mw, mb):
+    """One sample's decompose: the groups of rows gathered, then each
+    assigned to its slots and pooled as oracle_decompose does a component."""
+    xg = loop_gather_rows(x, rows)
+    pooled, assign = [], []
+    for i in range(rows.shape[0]):
+        hidden = loop_relu(loop_affine(adj[i], xg[i], gw[i], gb[i]))
+        assign.append(loop_softmax_rows(loop_matmul(hidden, mw[i]) + mb[i]))
+        pooled.append(loop_matmul(assign[-1].T, xg[i]))
+    return np.concatenate(pooled, axis=0), np.stack(assign)
+
+
 def loop_crop_jitter(frames, rng, copies, max_scale, max_shift):
     """Per sample and per copy: draw the scale, then the two shifts."""
     out = []
@@ -290,12 +302,19 @@ class TestAcceptance:
                 np.testing.assert_allclose(w.data, want_w, rtol=0, atol=1e-10)
 
             for trial in range(20):
-                # 31 rows and five -1 (zero-row) entries in a random (3, 12) layout
+                # 31 rows and five -1 (zero-row) entries in a random (3, 12)
+                # layout, with random (3, 12, 12) adjacencies
                 x = rng.normal(size=(31, 4))
                 index = rng.permutation(np.r_[np.arange(31), np.full(5, -1)])
                 index = index.reshape(3, 12)
-                got = ad.gather_rows(ad.constant(x), index)
-                np.testing.assert_array_equal(got.data, loop_gather_rows(x, index))
+                adj = rng.normal(size=(3, 12, 12)) / 4.0
+                params = [rng.normal(size=s) for s in ((3, 4, 2), (3, 1, 2),
+                                                       (3, 2, 3), (3, 1, 3))]
+                got, assign = ad.decompose(ad.constant(x), index, adj,
+                                           *map(ad.constant, params))
+                want, want_assign = loop_decompose(x, index, adj, *params)
+                np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(assign, want_assign, rtol=0, atol=1e-10)
 
             for seed in range(5):
                 samples = synthesize_dataset(n_subjects=2, samples_per_subject=3,

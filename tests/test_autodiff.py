@@ -8,6 +8,7 @@ against a deliberately wrong gradient (it must fail).
 import ast
 import base64
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -91,62 +92,51 @@ class TestForwardValues:
         x = ad.constant([[-2.0, 0.0, 3.0]])
         np.testing.assert_array_equal(ad.relu(x).data, [[0.0, 0.0, 3.0]])
 
-    def test_transpose_and_slice_round_trip(self):
+    def test_transpose_round_trip(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(4, 3))
         t = ad.constant(x)
         np.testing.assert_array_equal(ad.transpose(ad.transpose(t)).data, x)
-        np.testing.assert_array_equal(ad.gather_rows(t, np.arange(1, 3)).data, x[1:3])
 
-    def test_gather_rows_matches_loop(self):
-        rng = np.random.default_rng(42)
-        x = rng.normal(size=(2, 6, 3))
-        rows = np.array([[4, 0, -1], [-1, 2, 5]])
-        t = Tensor(x, requires_grad=True)
-        out = ad.gather_rows(t, rows)
-        assert out.shape == (2, 2, 3, 3)
-        g = rng.normal(size=out.shape)
-        want, want_grad = np.zeros(out.shape), np.zeros(x.shape)
-        for n in range(2):
-            for i in range(2):
-                for j in range(3):
-                    if rows[i, j] >= 0:
-                        want[n, i, j] = x[n, rows[i, j]]
-                        want_grad[n, rows[i, j]] = g[n, i, j]
-        assert np.array_equal(out.data, want)
-        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
-        # rows 1 and 3 are never taken, and a -1 position passes nothing back
-        assert np.array_equal(t.grad, want_grad)
+    @staticmethod
+    def row_softmax(scores: np.ndarray) -> np.ndarray:
+        """decompose's assignment for (..., G, W, N_a) ``scores``: the rows of
+        each group picked out one-hot and passed through identity graph
+        weights, so that the scores are exactly a mixing weight stack."""
+        *lead, groups, width, _ = scores.shape
+        eye = np.broadcast_to(np.eye(width), (groups, width, width))
+        x = ad.constant(eye.reshape(-1, width))
+        rows = np.arange(groups * width).reshape(groups, width)
+        gc = (ad.constant(eye), ad.constant(np.zeros((groups, 1, width))))
+        mix = (ad.constant(scores), ad.constant(np.zeros((groups, 1, scores.shape[-1]))))
+        return ad.decompose(x, rows, eye, *gc, *mix)[1]
 
     def test_softmax_rows_matches_loop_and_sums_to_one(self):
+        # decompose's assignment is the row softmax of its scores
         rng = np.random.default_rng(42)
         for _ in range(10):
             x = rng.normal(size=(5, 4)) * rng.uniform(0.1, 50)
-            s = ad.softmax_rows(ad.constant(x)).data
+            s = self.row_softmax(x[None])[0]
             np.testing.assert_allclose(s, softmax_rows_oracle(x), atol=1e-12)
             np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
     def test_softmax_rows_shift_invariant(self):
         rng = np.random.default_rng(42)
-        x = rng.normal(size=(3, 4))
-        shifted = x + rng.normal(size=(3, 1)) * 100
-        a = ad.softmax_rows(ad.constant(x)).data
-        b = ad.softmax_rows(ad.constant(shifted)).data
+        x = rng.normal(size=(1, 3, 4))
+        shifted = x + rng.normal(size=(1, 3, 1)) * 100
+        a, b = self.row_softmax(x), self.row_softmax(shifted)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(16, 3, 12, 3), (4, 7), (2, 8), (5, 1)])
+    @pytest.mark.parametrize("shape", [(16, 3, 12, 3), (1, 4, 7), (1, 2, 8), (1, 5, 1)])
     def test_softmax_rows_keeps_the_bits_of_numpys_reductions(self, shape):
-        # short rows are folded column by column, long ones reduced by numpy
+        # short rows are folded column by column, long ones reduced by numpy;
+        # the first shape is the default model's assignment at B = 16
         rng = np.random.default_rng(42)
-        x = Tensor(rng.normal(size=shape) * 30.0, requires_grad=True)
-        g = rng.normal(size=shape)
-        e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+        x = rng.normal(size=shape) * 30.0
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
-        out = ad.softmax_rows(x)
-        assert np.array_equal(out.data.view(np.uint64), want.view(np.uint64))
-        (got,) = out._backward(g)
-        want_g = want * (g - (g * want).sum(axis=-1, keepdims=True))
-        assert np.array_equal(got.view(np.uint64), want_g.view(np.uint64))
+        got = self.row_softmax(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize(
         "keep, center_shape, factor",
@@ -200,15 +190,6 @@ class TestForwardValues:
         np.testing.assert_allclose(
             ad.graph_affine(adj, tx, tw, tb).data, adj @ x @ w + b
         )
-        # a (3, R, R) block of adjacencies, one per (3, K, D) weight and
-        # (3, 1, D) bias, over (B, 3, R, K) features
-        adj, x = rng.normal(size=(3, 5, 5)), rng.normal(size=(2, 3, 5, 3))
-        w, b = rng.normal(size=(3, 3, 2)), rng.normal(size=(3, 1, 2))
-        got = ad.graph_affine(adj, ad.constant(x), ad.constant(w), ad.constant(b)).data
-        assert got.shape == (2, 3, 5, 2)
-        for n in range(2):
-            for i in range(3):
-                np.testing.assert_allclose(got[n, i], adj[i] @ x[n, i] @ w[i] + b[i])
 
     def test_temporal_conv_matches_loop(self):
         # st_conv's temporal half alone: an identity graph step passes
@@ -242,9 +223,6 @@ class TestForwardValues:
         for i in range(3):
             one = ad.graph_affine(adj, ad.constant(x[i]), w, b).data
             np.testing.assert_allclose(batched[i], one, atol=1e-12)
-        np.testing.assert_array_equal(
-            ad.gather_rows(ad.constant(x), np.arange(1, 3)).data, x[:, 1:3]
-        )
         np.testing.assert_array_equal(
             ad.transpose(ad.constant(x)).data, np.swapaxes(x, 1, 2)
         )
@@ -351,14 +329,6 @@ class TestForwardValues:
         with pytest.raises(ValueError):
             ad.cross_entropy(logits, np.array([0, 3]))
 
-    def test_gather_rows_index_checked(self):
-        x = ad.constant(np.zeros((3, 2)))
-        for rows in ([0, 3], [-2, 0], [[1, -1], [-1, 1]]):
-            with pytest.raises(ShapeError, match="not unique in"):
-                ad.gather_rows(x, np.array(rows))
-        assert ad.gather_rows(x, np.array([-1, -1])).shape == (2, 2)
-
-
 @settings(max_examples=300, deadline=None)
 @example(a=np.array([[-0.0], [0.0]]))  # numpy's sum of -0.0 alone is +0.0
 @example(a=np.array([[-0.0, -0.0, -0.0], [np.inf, -np.inf, 1.0]]))
@@ -394,6 +364,42 @@ def _conv(
         adj, _c(*x_shape), _c(*gw_shape), _c(*gb_shape), _c(*w_shape), _c(*b_shape),
         padding,
     )
+
+
+def _decompose(
+    x_shape=(5, 4), rows=((3, -1, 0), (4, 1, -1)), adj_shape=(2, 3, 3),
+    gw_shape=(2, 4, 2), gb_shape=(2, 1, 2), mw_shape=(2, 2, 3), mb_shape=(2, 1, 3),
+):
+    """A decompose call over two groups of (5, 4) rows: row 2 left out, two
+    padding rows."""
+    return lambda: ad.decompose(
+        _c(*x_shape), np.array(rows), np.zeros(adj_shape),
+        _c(*gw_shape), _c(*gb_shape), _c(*mw_shape), _c(*mb_shape),
+    )
+
+
+BAD_ROWS = r"decompose: rows .* not \(G, W\), unique in \[-1, 5\)"
+DECOMPOSE_CONTRACTS = {
+    "decompose.rank": ("decompose: expected a", _decompose(x_shape=(4,))),
+    "decompose.weight_rank": ("decompose: expected a", _decompose(gw_shape=(2,))),
+    "decompose.rows_repeated": (BAD_ROWS, _decompose(rows=((3, -1, 0), (4, 3, -1)))),
+    "decompose.rows_range": (BAD_ROWS, _decompose(rows=((5, 0),))),
+    "decompose.rows_below": (BAD_ROWS, _decompose(rows=((-2, 0),))),
+    "decompose.rows_rank": (BAD_ROWS, _decompose(rows=(0, 1, 2))),
+    "decompose.adjacency": ("decompose: shapes", _decompose(adj_shape=(2, 4, 4))),
+    "decompose.inner": ("decompose: shapes", _decompose(gw_shape=(2, 3, 2))),
+    "decompose.mix_inner": ("decompose: shapes", _decompose(mw_shape=(2, 3, 3))),
+    "decompose.groups": (
+        "decompose: shapes", _decompose(gw_shape=(3, 4, 2), gb_shape=(3, 1, 2))
+    ),
+    "decompose.bias": ("decompose: bias shape", _decompose(gb_shape=(2, 3, 2))),
+    "decompose.mix_bias": ("decompose: bias shape", _decompose(mb_shape=(2, 1, 2))),
+    # a member stack needs a singleton for the batch axis of x
+    "decompose.members": (
+        "decompose: shapes",
+        _decompose(x_shape=(2, 5, 4), gw_shape=(3, 2, 4, 2), gb_shape=(3, 2, 1, 2)),
+    ),
+}
 
 
 # case -> (start of the message it must raise, a call with one bad operand)
@@ -475,17 +481,17 @@ SHAPE_CONTRACTS = {
         "st_conv: member axes",
         _conv((2, 3, 5, 4), (3, 1, 3, 4, 2), b_shape=(2, 1, 1, 1, 2)),
     ),
-    "gather_rows.rank": (
-        "gather_rows: expected a", lambda: ad.gather_rows(_c(5), np.arange(2))
-    ),
+    # one (R, R) adjacency for every sample, as for st_conv: a block of them
+    # is decompose's
     "graph_affine.block_adjacency": (
         "graph_affine: adjacency",
         lambda: ad.graph_affine(np.ones((3, 5, 4)), _c(3, 5, 3), _c(3, 2), _c(1, 2)),
     ),
     "graph_affine.block_members": (
-        "graph_affine: shapes",
+        "graph_affine: adjacency",
         lambda: ad.graph_affine(np.ones((3, 5, 5)), _c(2, 5, 3), _c(3, 2), _c(1, 2)),
     ),
+    **DECOMPOSE_CONTRACTS,
     "cross_entropy.label_rank": (
         "cross_entropy: labels shape",
         lambda: ad.cross_entropy(_c(2, 3), np.zeros((1, 2), dtype=int)),
@@ -717,24 +723,6 @@ class TestKernelEquivalences:
         gx = ad.graph_affine(adj, x, w, b)._backward(g)[0]
         assert np.array_equal(gx, adj.T @ (g @ w.data.swapaxes(-1, -2)))
 
-    def test_graph_affine_backward_skips_x_when_it_needs_no_gradient(self):
-        rng = np.random.default_rng(42)
-        x = rng.normal(size=(16, 3, 31, 2))
-        w = Tensor(rng.normal(size=(2, 16)), requires_grad=True)
-        b = Tensor(rng.normal(size=(1, 16)), requires_grad=True)
-        adj = checks._adjacency(31)(rng)
-        g = _wide_range(rng, 16, 3, 31, 16)
-        want_x = adj.T @ (g @ w.data.T.copy())
-        leaf = Tensor(x, requires_grad=True)
-        for differentiable in (leaf, ad.scale(leaf, 1.0)):
-            gx, gw, gb = ad.graph_affine(adj, differentiable, w, b)._backward(g)
-            assert np.array_equal(gx, want_x)
-        const_x, const_w, const_b = ad.graph_affine(
-            adj, ad.constant(x), w, b
-        )._backward(g)
-        assert const_x is None
-        assert np.array_equal(const_w, gw) and np.array_equal(const_b, gb)
-
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_temporal_conv_backward_matches_swapaxes_form(self, padding):
         # st_conv's temporal half behind an identity graph step, which passes
@@ -887,6 +875,220 @@ class TestStConvOracle:
         self.check(*case)
 
 
+def loop_decompose(x, rows, adj, gw, gb, mw, mb, g):
+    """One sample's decompose and its gradients for the output gradient
+    ``g``, by loops over groups, rows, channels and slots: (out, assign, gx,
+    g_gw, g_gb, g_mw, g_mb)."""
+    groups, width = rows.shape
+    k_in, d_hid, n_a = gw.shape[1], gw.shape[2], mw.shape[2]
+    xg = np.zeros((groups, width, k_in))
+    for i in range(groups):
+        for j in range(width):
+            if rows[i, j] >= 0:
+                xg[i, j] = x[rows[i, j]]
+    pooled, pre = np.zeros(xg.shape), np.zeros((groups, width, d_hid))
+    for i in range(groups):
+        for r in range(width):
+            for c in range(k_in):
+                pooled[i, r, c] = sum(adj[i, r, q] * xg[i, q, c] for q in range(width))
+            for d in range(d_hid):
+                pre[i, r, d] = gb[i, 0, d] + sum(
+                    pooled[i, r, c] * gw[i, c, d] for c in range(k_in)
+                )
+    hidden = np.where(pre > 0, pre, 0.0)
+    assign = np.zeros((groups, width, n_a))
+    for i in range(groups):
+        for r in range(width):
+            scores = [
+                mb[i, 0, a] + sum(hidden[i, r, d] * mw[i, d, a] for d in range(d_hid))
+                for a in range(n_a)
+            ]
+            e = [np.exp(v - max(scores)) for v in scores]
+            assign[i, r] = [v / sum(e) for v in e]
+    out = np.zeros((groups * n_a, k_in))
+    g_assign, g_xg = np.zeros(assign.shape), np.zeros(xg.shape)
+    for i in range(groups):
+        for a in range(n_a):
+            for c in range(k_in):
+                for r in range(width):
+                    out[i * n_a + a, c] += assign[i, r, a] * xg[i, r, c]
+                    g_assign[i, r, a] += g[i * n_a + a, c] * xg[i, r, c]
+                    g_xg[i, r, c] += assign[i, r, a] * g[i * n_a + a, c]
+    g_gw, g_gb = np.zeros(gw.shape), np.zeros(gb.shape)
+    g_mw, g_mb = np.zeros(mw.shape), np.zeros(mb.shape)
+    for i in range(groups):
+        for r in range(width):
+            dot = sum(g_assign[i, r, b] * assign[i, r, b] for b in range(n_a))
+            g_hidden = np.zeros(d_hid)
+            for a in range(n_a):
+                g_score = assign[i, r, a] * (g_assign[i, r, a] - dot)
+                g_mb[i, 0, a] += g_score
+                for d in range(d_hid):
+                    g_mw[i, d, a] += hidden[i, r, d] * g_score
+                    g_hidden[d] += g_score * mw[i, d, a]
+            for d in range(d_hid):
+                if pre[i, r, d] <= 0:  # the rectifier passes nothing back
+                    continue
+                g_gb[i, 0, d] += g_hidden[d]
+                for c in range(k_in):
+                    g_gw[i, c, d] += pooled[i, r, c] * g_hidden[d]
+                    for q in range(width):
+                        g_xg[i, q, c] += adj[i, r, q] * gw[i, c, d] * g_hidden[d]
+    gx = np.zeros(x.shape)
+    for i in range(groups):
+        for j in range(width):
+            if rows[i, j] >= 0:
+                gx[rows[i, j]] += g_xg[i, j]
+    return out, assign, gx, g_gw, g_gb, g_mw, g_mb
+
+
+def old_decompose_chain(x, rows, adj, gw, gb, mw, mb, g):
+    """The eight-node chain that decompose replaced (gather_rows,
+    graph_affine, relu, affine, softmax_rows, transpose, matmul, reshape),
+    transcribed into numpy with each backward rule as the tape ran it:
+    (out, assign, gx, g_gw, g_gb, g_mw, g_mb)."""
+    unbroadcast, swap = ad._unbroadcast, partial(np.swapaxes, axis1=-1, axis2=-2)
+    flat = rows.ravel()
+    xg = np.take(x, flat, axis=-2)
+    xg[..., flat < 0, :] = 0.0
+    xg = xg.reshape(x.shape[:-2] + rows.shape + x.shape[-1:])
+    pooled = adj @ xg
+    pre = pooled @ gw + gb
+    hidden = np.where(pre > 0, pre, 0.0)
+    scores = hidden @ mw + mb
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    assign = e / e.sum(axis=-1, keepdims=True)
+    t = swap(assign)
+    slots = t @ xg
+    out = slots.reshape(slots.shape[:-3] + (-1, x.shape[-1]))
+    g = g.reshape(slots.shape)
+    g_assign = swap(unbroadcast(g @ swap(xg), t.shape))
+    g_scores = assign * (g_assign - (g_assign * assign).sum(axis=-1, keepdims=True))
+    g_pre = unbroadcast(g_scores @ swap(mw), hidden.shape) * (hidden > 0)
+    from_matmul = unbroadcast(swap(t) @ g, xg.shape)
+    from_graph = unbroadcast(swap(adj) @ (g_pre @ swap(gw)), xg.shape)
+    g_xg = from_matmul + from_graph
+    kept = np.flatnonzero(flat >= 0)
+    gx = np.zeros(x.shape)
+    gx[..., flat[kept], :] = g_xg.reshape(x.shape[:-2] + (-1,) + x.shape[-1:])[..., kept, :]
+    return (
+        out, assign, gx,
+        unbroadcast(swap(pooled) @ g_pre, gw.shape), unbroadcast(g_pre, gb.shape),
+        unbroadcast(swap(hidden) @ g_scores, mw.shape), unbroadcast(g_scores, mb.shape),
+    )
+
+
+@st.composite
+def decompose_cases(draw):
+    """Random decompose shapes: one sample or a batch, groups of rows with
+    padding rows and rows left out, and each weight and bias plain or a
+    stack of two or three members."""
+    batch = draw(st.sampled_from([None, 1, 2]))
+    groups, width = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    padding = draw(st.integers(0, groups * width - 1))
+    left_out = draw(st.integers(0, 2))
+    k_in, d_hid, n_a = (draw(st.integers(1, 3)) for _ in range(3))
+    members = draw(st.sampled_from([0, 2, 3]))
+    stacked = [draw(st.booleans()) if members else False for _ in range(4)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    shape = (batch, groups, width, padding, left_out, k_in, d_hid, n_a)
+    return (*shape, members, stacked, seed)
+
+
+class TestDecomposeOracle:
+    """decompose against :func:`loop_decompose`, per sample and per member,
+    and against the chain of ops it replaced, bit for bit."""
+
+    @staticmethod
+    def check(
+        batch, groups, width, padding, left_out, k_in, d_hid, n_a, members, stacked,
+        seed,
+    ):
+        rng = np.random.default_rng(seed)
+        members = members if any(stacked) else 0
+        real = groups * width - padding
+        n_rows = real + left_out
+        picked = rng.permutation(n_rows)[:real]
+        rows = rng.permutation(np.r_[picked, np.full(padding, -1)]).reshape(groups, width)
+        lead = () if batch is None else (batch,)
+        x = rng.normal(size=lead + (n_rows, k_in))
+        adj = rng.normal(size=(groups, width, width))
+        single = [(groups, k_in, d_hid), (groups, 1, d_hid), (groups, d_hid, n_a),
+                  (groups, 1, n_a)]
+        # a stack has one singleton per axis of x before its last two
+        shapes = [
+            (members,) + (1,) * len(lead) + s if on else s
+            for s, on in zip(single, stacked)
+        ]
+        values = [rng.normal(size=s) for s in shapes]
+        tensors = [Tensor(v, requires_grad=True) for v in [x] + values]
+        out, assign = ad.decompose(tensors[0], rows, adj, *tensors[1:])
+        g = rng.normal(size=out.shape)
+        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+
+        def per_member(i, array):  # (members, *single[i]) view of a stack
+            return array.reshape((members,) + single[i])
+
+        want_out, want_assign = np.zeros(out.shape), np.zeros(assign.shape)
+        want = [np.zeros(t.shape) for t in tensors]
+        for m in range(members or 1):
+            params = [
+                per_member(i, v)[m] if on else v
+                for i, (v, on) in enumerate(zip(values, stacked))
+            ]
+            for b in range(batch or 1):
+                sample = (b,) * (batch is not None)
+                at = (m,) * bool(members) + sample
+                one = loop_decompose(x[sample], rows, adj, *params, g[at])
+                want_out[at], want_assign[at] = one[:2]
+                want[0][sample] += one[2]
+                for i, on in enumerate(stacked):
+                    if on:
+                        per_member(i, want[1 + i])[m] += one[3 + i]
+                    else:
+                        want[1 + i] += one[3 + i]
+        np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(assign, want_assign, rtol=0, atol=1e-12)
+        for t, w in zip(tensors, want):
+            np.testing.assert_allclose(t.grad, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("members", [0, 3])
+    def test_component_block_shapes(self, members):
+        # a (2, 11, 3) batch in three groups of four rows, three of them
+        # padding and one row left out, as the model's block runs
+        self.check(2, 3, 4, 3, 2, 3, 3, 3, members, [members > 0] * 4, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=decompose_cases())
+    def test_matches_the_loop_oracle_on_random_shapes(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize(
+        "lead, members, stacked",
+        [((), 0, ()), ((16,), 0, ()), ((2,), 4, (0, 1, 2, 3)), ((3,), 2, (0, 3))],
+    )
+    def test_equals_the_eight_node_chain_bit_for_bit(self, lead, members, stacked):
+        # the model's block at its default widths; a stack is (P, 1..., G, K, D)
+        rng = np.random.default_rng(5)
+        rows, adj = COMPONENT_BLOCK
+        x = rng.normal(size=lead + (31, 16))
+        single = ((3, 16, 3), (3, 1, 3), (3, 3, 3), (3, 1, 3))
+        params = [
+            rng.normal(size=((members,) + (1,) * len(lead)) * (i in stacked) + s)
+            for i, s in enumerate(single)
+        ]
+        tensors = [Tensor(v, requires_grad=True) for v in [x] + params]
+        out, assign = ad.decompose(tensors[0], rows, adj, *tensors[1:])
+        g = _wide_range(rng, *out.shape)
+        got = (out.data, assign, *out._backward(g))
+        for name, a, b in zip(
+            ("out", "assign", "x", "gc.w", "gc.b", "mix.w", "mix.b"),
+            got, old_decompose_chain(x, rows, adj, *params, g),
+        ):
+            assert a.shape == b.shape, name
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+
 class TestGradCheck:
     """The finite-difference checker on smooth ops, plus negative controls."""
 
@@ -896,9 +1098,7 @@ class TestGradCheck:
         readout = ad.constant(rng.normal(size=(3, 4)))
         cases = {
             "matmul": lambda t: ad.sum_all(ad.matmul(t, rhs)),
-            "softmax": lambda t: ad.sum_all(
-                ad.mul(ad.softmax_rows(t), readout)
-            ),
+            "square": lambda t: ad.sum_all(ad.mul(ad.mul(t, t), readout)),
             "cross_entropy": lambda t: ad.cross_entropy(
                 t, np.array([0, 2, 1])
             ),
@@ -1152,7 +1352,7 @@ class TestGradCheck:
     def test_kink_margin_leaves_out_the_decomposition_padding_rows(self):
         # the padding rows of the component block see only the bias, so a
         # bias near zero put the check point's margin there; they take no
-        # gradient, and the margin must come from the other rows
+        # gradient, so decompose's rectifier input is its real rows alone
         samples = checks.synthesize_dataset(
             n_subjects=1, samples_per_subject=3, n_classes=3, noise_sigma=0.5, seed=0
         )
@@ -1163,19 +1363,23 @@ class TestGradCheck:
         features = checks.sample_graph(samples, 3.0)
         logits = model.forward(features).logits
         margin = checks.kink_margin(logits)
-        real = COMPONENT_BLOCK[0] >= 0
-        inputs, padded = [], []
+        rows, adj = COMPONENT_BLOCK
+        real = rows >= 0
+        inputs = []
         for node in checks._tape(logits):
             if node.op == "st_conv":  # a backbone layer's rectifier input
                 x, w, b = node._parents[:3]
                 inputs.append(ad.graph_affine(ADJACENCY, x, w, b).data)
+            elif node.op == "decompose":
+                x, w, b = (p.data for p in node._parents[:3])
+                block = np.where(real[..., None], x[..., rows, :], 0.0)
+                pre = adj @ block @ w + b
+                assert np.abs(pre[..., ~real, :]).min() == 1e-5
+                got = node._backward.rectifier_input()
+                assert np.array_equal(got, pre[..., real, :])
+                inputs.append(got)
             elif node.op in checks.KINKED_OPS:
-                x = node._parents[0].data
-                if x.shape[-3:-1] == real.shape:
-                    padded.append(x[..., ~real, :])
-                    x = x[..., real, :]
-                inputs.append(x)
-        assert min(np.abs(x).min() for x in padded) == 1e-5
+                inputs.append(node._parents[0].data)
         assert margin == min(np.abs(x).min() for x in inputs) > 1e-5
         # a forward under frozen parameters recorded no tape to read a margin from
         with model.params.frozen():
@@ -1201,19 +1405,27 @@ class TestGradCheck:
         model.params[f"backbone.{layer}.gc.b"].data[0, 1] = 0.0
         assert checks.kink_margin(model.forward(features).logits) == 0.0
 
-    def test_st_conv_cases_are_drawn_off_the_kink(self):
-        # every st_conv case of the battery, under every default seed, keeps
+    @staticmethod
+    def cases_drawn_off_the_kink(op: str) -> int:
+        # every case of the op in the battery, under every default seed, keeps
         # its rectifier inputs out of the probes' reach
         drawn = 0
         for name, build in checks._cases().items():
-            if not name.startswith("st_conv."):
+            if not name.startswith(op + "."):
                 continue
             for seed in checks.DEFAULT_SEEDS:
                 f, x, _ = build(checks.case_rng(name, seed))
                 loss = f(Tensor(x.data, requires_grad=True))
                 assert checks.kink_margin(loss) >= checks.MIN_KINK_MARGIN, (name, seed)
                 drawn += 1
-        assert drawn == 16 * len(checks.DEFAULT_SEEDS)
+        return drawn
+
+    def test_st_conv_cases_are_drawn_off_the_kink(self):
+        assert self.cases_drawn_off_the_kink("st_conv") == 16 * len(checks.DEFAULT_SEEDS)
+
+    def test_decompose_cases_are_drawn_off_the_kink(self):
+        # each of the five operands plain and stacked
+        assert self.cases_drawn_off_the_kink("decompose") == 10 * len(checks.DEFAULT_SEEDS)
 
     def test_invalid_step_is_rejected_before_any_evaluation(self):
         calls = []

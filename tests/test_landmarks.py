@@ -22,6 +22,7 @@ from megraph.landmarks import (
     SampleError,
     SampleSet,
     crop_jitter,
+    finite_samples,
     load_samples,
     magnify,
     neutral_face_template,
@@ -80,6 +81,25 @@ class TestLandmarkSample:
         with pytest.raises(SampleError, match="sample 's02': non-finite") as info:
             SampleSet(frames, [0, 0, 0], ["s01", "s02", "s03"])
         assert info.value.index == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_each_kind_of_non_finite_value_names_its_sample(self, bad):
+        frames = np.zeros((4, 3, 68, 2))
+        frames[2, 2, 67, 1] = bad
+        frames[3, 0, 0, 0] = bad
+        assert finite_samples(frames).tolist() == [True, True, False, False]
+        message = "^sample 's03': non-finite coordinates$"
+        with pytest.raises(SampleError, match=message) as info:
+            SampleSet(frames, [0, 0, 0, 0], ["s01", "s02", "s03", "s04"])
+        assert info.value.index == 2
+
+    def test_the_finite_check_holds_no_bool_per_coordinate(self, traced_peak):
+        frames = synthesize_dataset(n_subjects=10, samples_per_subject=100, seed=0).frames
+        finite, peak = traced_peak(finite_samples, frames)
+        assert finite.shape == (1000,) and finite.all()
+        # a (1000, 3, 68, 2) bool array would take 400 KiB
+        assert peak < 32 * 1024
+        assert finite_samples(frames[:0]).shape == (0,)
 
     def test_negative_label_rejected(self):
         with pytest.raises(SampleError, match="label must be >= 0, got -1") as info:

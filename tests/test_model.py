@@ -229,10 +229,10 @@ class TestShapes:
                 stack.extend(node._parents)
         return len(seen)
 
-    def test_default_step_tape_has_at_most_51_nodes(self):
-        assert self.step_tape_nodes("full") <= 51
+    def test_default_step_tape_has_at_most_44_nodes(self):
+        assert self.step_tape_nodes("full") <= 44
 
-    @pytest.mark.parametrize("variant, nodes", [("actions", 33), ("backbone", 18)])
+    @pytest.mark.parametrize("variant, nodes", [("actions", 26), ("backbone", 18)])
     def test_variant_step_tape_has_at_most(self, variant, nodes):
         assert self.step_tape_nodes(variant) <= nodes
 

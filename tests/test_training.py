@@ -185,6 +185,19 @@ class TestPreprocessing:
         with pytest.raises(DegenerateFrameError, match="sample 's02': onset"):
             sample_graph(samples, 3.0)
 
+    @pytest.mark.parametrize("bad", [1e308, -1e308], ids=["inf", "-inf"])
+    def test_each_overflow_names_the_first_subject(self, unusable_samples, bad):
+        # an apex (s03) and an earlier sample's offset (s02) whose magnified
+        # coordinates overflow to +inf or -inf; NaN cannot come out of
+        # finite input, and SampleSet rejects non-finite input
+        samples, first = unusable_samples
+        frames = samples.frames.copy()
+        frames[first["s03"], 1] = frames[first["s02"] + 1, 2] = bad
+        samples = SampleSet(frames, samples.labels, samples.subjects)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^sample 's02': non-finite coordinates$"):
+                sample_graph(samples, 3.0)
+
     @pytest.mark.parametrize("copies", [0, 1])
     def test_loso_preprocesses_once_per_run(self, monkeypatch, copies):
         # The dataset is preprocessed once and each fold adds at most one
