@@ -38,6 +38,7 @@ and ``params.sgd_step`` a non-finite gradient.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -284,13 +285,10 @@ def _weight_grad(x: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.nda
 
 
 def _bias_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """g summed down to a bias of ``shape``: over every axis but the last
-    for a (1, D) bias."""
+    """g summed down to a bias of ``shape``: a (1, D) bias as the product of
+    a ones row with g's rows, as st_conv sums its biases."""
     if len(shape) == 2:
-        g = g.reshape(-1, g.shape[-1])  # einsum adds C-ordered rows in .sum's order
-        if g.flags.c_contiguous:
-            return np.einsum("ij->j", g).reshape(shape)
-        return g.sum(axis=0, keepdims=True)  # may add pairwise: keep its bits
+        return (_ones(g.size // g.shape[-1]) @ g.reshape(-1, g.shape[-1])).reshape(shape)
     return _unbroadcast(g, shape)
 
 
@@ -558,6 +556,15 @@ def _affine(op: str, adj: np.ndarray | None, x: Tensor, w: Tensor, b: Tensor) ->
     return _node(out, (x, w, b), back, op)
 
 
+@functools.lru_cache(maxsize=16)
+def _check_rows(dtype: str, shape: tuple[int, ...], data: bytes, n: int) -> None:
+    """decompose's index check, once per index (given by its bytes) and n."""
+    rows = np.frombuffer(data, dtype).reshape(shape)
+    bad = rows.ndim != 2 or rows.min(initial=-1) < -1 or rows.max(initial=-1) >= n
+    if bad or np.bincount(rows[rows >= 0]).max(initial=0) > 1:
+        raise ShapeError(f"decompose: rows {rows.tolist()} not (G, W), unique in [-1, {n})")
+
+
 def decompose(
     x: Tensor, rows: np.ndarray, adj: np.ndarray,
     gc_w: Tensor, gc_b: Tensor, mix_w: Tensor, mix_b: Tensor,
@@ -573,10 +580,8 @@ def decompose(
     _require_matrix("decompose", x, gc_w, mix_w)
     _check_bias("decompose", gc_b, gc_w.shape[-1])
     _check_bias("decompose", mix_b, mix_w.shape[-1])
-    n, real = x.shape[-2], rows >= 0
-    bad = rows.ndim != 2 or rows.min(initial=-1) < -1 or rows.max(initial=-1) >= n
-    if bad or np.bincount(rows[real]).max(initial=0) > 1:
-        raise ShapeError(f"decompose: rows {rows.tolist()} not (G, W), unique in [-1, {n})")
+    real = rows >= 0
+    _check_rows(rows.dtype.str, rows.shape, rows.tobytes(), x.shape[-2])
     xg = np.take(x.data, rows, axis=-2)  # (..., G, W, C)
     xg[..., ~real, :] = 0.0
     try:
@@ -613,48 +618,57 @@ def decompose(
     return _node(features, (x, gc_w, gc_b, mix_w, mix_b), back, "decompose"), assign
 
 
-def _frames_front(a: np.ndarray) -> np.ndarray:
-    """The frame-major (T, ..., R, C) view of a (..., T, R, C) array."""
+def _frames_front(a: np.ndarray, q: int) -> np.ndarray:
+    """The (*M, T, ..., R, C) view of a (*M, ..., T, R, C) array, M q axes."""
     n = a.ndim
-    return a.transpose((n - 3, *range(n - 3), n - 2, n - 1))
+    return a.transpose((*range(q), n - 3, *range(q, n - 3), n - 2, n - 1))
 
 
-def _frames_back(a: np.ndarray) -> np.ndarray:
-    """The batch-major (..., T, R, C) view of a (T, ..., R, C) array."""
+def _frames_back(a: np.ndarray, q: int) -> np.ndarray:
+    """The (*M, ..., T, R, C) view of a (*M, T, ..., R, C) array."""
     n = a.ndim
-    return a.transpose((*range(1, n - 2), 0, n - 2, n - 1))
+    return a.transpose((*range(q), *range(q + 1, n - 2), q, n - 2, n - 1))
 
 
-def _drop_frames(a: np.ndarray) -> np.ndarray:
-    """A member-stacked weight or bias without its frame singleton, so that
-    its member axes line up with a frame-major operand's; a 2-d one as is."""
-    return a if a.ndim == 2 else a.reshape(a.shape[:-3] + a.shape[-2:])
+@functools.lru_cache(maxsize=None)
+def _tap_plan(k: int, frames: int, pad: int, t_out: int):
+    """st_conv's spans (j, lo, hi, d), tap j taking input frames lo+d:hi+d to
+    output frames lo:hi (d = j - pad), and its runs (j, a, c, m, add) forward
+    and back: m frames from a times tap j go to m frames from c, added where
+    an earlier run wrote. The full-span tap goes first: sums run in tap order."""
+    spans = [(j, max(0, pad - j), min(t_out, frames + pad - j), j - pad) for j in range(k)]
+    spans = [span for span in spans if span[1] < span[2]]
+
+    def runs(moves, n):
+        done, seen = [], set()
+        for j, a, c, m in sorted(moves, key=lambda move: move[3] != n):
+            for i in range(m):
+                if done and done[-1][0] == j and done[-1][4] == (c + i in seen):
+                    done[-1][3] += 1
+                else:
+                    done.append([j, a + i, c + i, 1, c + i in seen])
+                seen.add(c + i)
+        return done
+
+    moves = [((j, lo + d, lo, hi - lo), (j, lo, lo + d, hi - lo)) for j, lo, hi, d in spans]
+    return spans, runs([f for f, _ in moves], t_out), runs([b for _, b in moves], frames)
 
 
-def _rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a @ w; a C-contiguous a meets a 2-d w in one 2-d product of its rows,
-    which gives the bits of the batched product."""
-    if w.ndim == 2 and a.flags.c_contiguous:
-        return (a.reshape(-1, a.shape[-1]) @ w).reshape(a.shape[:-1] + w.shape[-1:])
-    return a @ w
-
-
-def _tap_sum(src: np.ndarray, taps, moves, frames: int) -> np.ndarray:
-    """Frame-major ``out[c:c + n] += src[a:a + n] @ taps[j]`` over the moves
-    (j, a, c, n), into a new ``frames``-frame ``out``. A move over every
-    frame goes first and is assigned, so it needs no zero fill; the others
-    follow in order, which leaves each frame's sum in tap order for k <= 3."""
-    out = None
-    for j, a, c, n in sorted(moves, key=lambda move: move[3] != frames):
-        part = _rows_matmul(src[a : a + n], taps[j])
-        if out is None and n == frames:
-            out = part
-            continue
-        if out is None:
-            out = np.zeros((frames,) + part.shape[1:])
-        out[c : c + n] += part
-        del part  # one product alive at a time
+def _tap_runs(src: np.ndarray, taps: np.ndarray, runs, n: int, frames: int) -> np.ndarray:
+    """A new ``frames``-frame array of member rows, n rows a frame, whose frames
+    c:c+m get src's frames a:a+m @ taps[..., j, :, :] over the runs."""
+    members = tuple(map(max, src.shape[:-2], taps.shape[:-3]))  # the two broadcast
+    out = np.empty(members + (frames * n, taps.shape[-1]))
+    for j, a, c, m, add in runs:
+        part, into = src[..., a * n : (a + m) * n, :], out[..., c * n : (c + m) * n, :]
+        if add:
+            into += part @ taps[..., j, :, :]
+        else:
+            np.matmul(part, taps[..., j, :, :], out=into)
     return out
+
+
+_ones = functools.lru_cache(maxsize=None)(np.ones)  # shared: never written to
 
 
 def st_conv(
@@ -670,10 +684,11 @@ def st_conv(
     stack, with one singleton per axis of x before its last two; the taps'
     stack is (P, 1..., k, D, E), the tap axis standing in for the frames.
 
-    Inside, every array is frame-major, (T, ..., R, C): a tap's frames are
-    one contiguous block of rows, which meets a 2-d weight in one 2-d
-    product. The output and the gradient of x are batch-major views of
-    frame-major buffers, so two layers hand over their data without a copy.
+    Inside, each array has its frame axis after the member axes a weight
+    varies along, (*M, T, ..., R, C), frame-major without members: a member's
+    rows are one block, which meets a weight in one product, forward and
+    back. The output and the gradient of x are batch-major views of those
+    buffers, so two layers hand over their data without a copy.
     """
     xs, gws, gbs = x.data.shape, gc_w.data.shape, gc_b.data.shape
     tws, tbs = tc_w.data.shape, tc_b.data.shape
@@ -699,7 +714,8 @@ def st_conv(
     t_out = frames + 2 * pad - k + 1
     if t_out < 1:
         raise ShapeError(f"st_conv: {k} taps exceed {frames} frames")
-    lead = xs[:-3]
+    lead, q, aligned = xs[:-3], 0, [()] * 4
+    gw, gb, w, tb = gc_w.data, gc_b.data, tc_w.data, tc_b.data
     stacked = [s for s in (gws, gbs, tbs) if len(s) > 2]
     if stacked or len(tws) > 3:
         try:
@@ -710,56 +726,58 @@ def st_conv(
             raise ShapeError(
                 f"st_conv: member axes of {gws}, {gbs}, {tws} or {tbs} vs features {xs}"
             ) from None
+        # q member axes, the leading batch axes a weight or bias varies along
+        aligned = [((1,) * len(lead) + s[:-3])[len(s[:-3]) :] for s in (gws, gbs, tws, tbs)]
+        q = max([i + 1 for axes in aligned for i, n in enumerate(axes) if n > 1], default=0)
+        cores = (gws[-2:], gbs[-2:], tws[-3:], tbs[-2:])
+        gw, gb, w, tb = (
+            p.reshape(axes[:q] + core) for p, axes, core in zip((gw, gb, w, tb), aligned, cores)
+        )
 
-    # frame-major x, with a singleton for each member axis only a weight has
-    xf = _frames_front(x.data)
-    if len(lead) > len(xs) - 3:
-        xf = xf.reshape(xf.shape[:1] + (1,) * (len(lead) + 3 - len(xs)) + xf.shape[1:])
-    xf = np.ascontiguousarray(xf)
-    gw, gb, tb = _drop_frames(gc_w.data), _drop_frames(gc_b.data), _drop_frames(tc_b.data)
-    taps = [tc_w.data[..., j, :, :] for j in range(k)]
+    # x with a singleton for each member axis only a weight has, as (*M, T, ..., R, K)
+    xf = x.data.reshape((1,) * (len(lead) + 3 - len(xs)) + xs)
+    xf = _frames_front(xf, q)
     pooled = adj @ xf
-    pre = _rows_matmul(pooled, gw)
+    rest = pooled.shape[q + 1 : -1]  # the batch axes after the members, and the rows
+    pooled = pooled.reshape(pooled.shape[:q] + (-1, xs[-1]))
+    pre = pooled @ gw
     if not any(t.requires_grad or t._needs for t in (x, gc_w, gc_b, tc_w, tc_b)):
         del pooled  # no tape will read it: free it before the taps run
     pre = pre + gb if gb.ndim > 2 else np.add(pre, gb, out=pre)
     hidden = np.fmax(pre, 0.0, out=pre)  # relu's bits: NaN and -0.0 go to +0.0
-    # tap j maps input frames lo+d:hi+d onto output frames lo:hi, d = j - pad;
-    # the zero padding frames are never materialized
-    spans = [(j, max(0, pad - j), min(t_out, frames + pad - j)) for j in range(k)]
-    spans = [(j, lo, hi, j - pad) for j, lo, hi in spans if lo < hi]
-    moves = [(j, lo + d, lo, hi - lo) for j, lo, hi, d in spans]
-    out = _tap_sum(hidden, taps, moves, t_out)
+    spans, runs, back_runs = _tap_plan(k, frames, pad, t_out)
+    n = hidden.shape[-2] // frames  # rows per frame
+    out = _tap_runs(hidden, w, runs, n, t_out)
     out = out + tb if tb.ndim > 2 else np.add(out, tb, out=out)
-    x_needs = x.requires_grad or x._needs  # False for constant input features
-    xf_shape = xf.shape
 
     def back(g):
-        gf = np.ascontiguousarray(_frames_front(g))
-        g_tw = np.zeros(tws)
-        for j, lo, hi, d in spans:
-            g_tw[..., j, :, :] = _weight_grad(
-                hidden[lo + d : hi + d], gf[lo:hi], taps[j].shape
-            )
-        moves = [(j, lo, lo + d, hi - lo) for j, lo, hi, d in spans]
-        g_pre = _tap_sum(gf, [_transposed(w) for w in taps], moves, frames)
-        g_pre = _unbroadcast(g_pre, hidden.shape)
+        gf = _frames_front(g, q)
+        gf = gf.reshape(gf.shape[:q] + (-1, tws[-1]))
+        w_t = np.ascontiguousarray(np.swapaxes(w, -1, -2))
+        g_pre = _unbroadcast(_tap_runs(gf, w_t, back_runs, n, frames), hidden.shape)
         np.multiply(g_pre, hidden > 0, out=g_pre)
         gx = None
-        if x_needs:
-            gxf = _unbroadcast(adj.T @ _rows_matmul(g_pre, _transposed(gw)), xf_shape)
-            gx = _frames_back(gxf.reshape((frames,) + xs[:-3] + xs[-2:]))
-        return (
-            gx,
-            _weight_grad(pooled, g_pre, gw.shape).reshape(gws),
-            _bias_grad(g_pre, gb.shape).reshape(gbs),
-            g_tw,
-            _bias_grad(gf, tb.shape).reshape(tbs),
+        if x.requires_grad or x._needs:  # not for constant input features
+            y = g_pre @ _transposed(gw)
+            y = adj.T @ y.reshape(y.shape[:q] + (frames,) + rest + xs[-1:])
+            gx = _frames_back(_unbroadcast(y, xf.shape), q).reshape(xs)
+        g_tw = np.zeros(gf.shape[:-2] + tws[-3:])
+        for j, lo, hi, d in spans:
+            h = hidden[..., (lo + d) * n : (hi + d) * n, :].swapaxes(-1, -2)
+            np.matmul(h, gf[..., lo * n : hi * n, :], out=g_tw[..., j, :, :])
+        grads = (
+            pooled.swapaxes(-1, -2) @ g_pre, _ones(g_pre.shape[-2]) @ g_pre,
+            g_tw, _ones(gf.shape[-2]) @ gf,
+        )
+        return (gx,) + tuple(
+            _unbroadcast(r, axes[:q] + r.shape[q:]).reshape(shape)
+            for r, axes, shape in zip(grads, aligned, (gws, gbs, tws, tbs))
         )
 
     # the rectifier's input, as the forward computed it, for checks.kink_margin
-    back.rectifier_input = lambda: _rows_matmul(pooled, gw) + gb
-    return _node(_frames_back(out), (x, gc_w, gc_b, tc_w, tc_b), back, "st_conv")
+    back.rectifier_input = lambda: pooled @ gw + gb
+    out = _frames_back(out.reshape(out.shape[:q] + (t_out,) + rest + tws[-1:]), q)
+    return _node(out, (x, gc_w, gc_b, tc_w, tc_b), back, "st_conv")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -7,6 +7,7 @@ against a deliberately wrong gradient (it must fail).
 
 import ast
 import base64
+import hashlib
 import json
 from functools import partial
 from pathlib import Path
@@ -706,9 +707,36 @@ class TestKernelEquivalences:
     def test_bias_grad_matches_row_sum(self, shape):
         rng = np.random.default_rng(42)
         g = _wide_range(rng, *shape)
+        # the product of a ones row with the C-ordered rows, for either layout
         for layout in (g, np.asfortranarray(g)):
-            want = layout.reshape(-1, shape[-1]).sum(axis=0, keepdims=True)
+            rows = layout.reshape(-1, shape[-1])
+            want = (np.ones(len(rows)) @ rows)[None]
             assert np.array_equal(ad._bias_grad(layout, (1, shape[-1])), want)
+            np.testing.assert_allclose(want, rows.sum(axis=0, keepdims=True), rtol=1e-12)
+
+    # sha256 prefixes of st_conv's forward at the default backbone's shapes,
+    # bits its forward keeps whatever its backward does: (layer, members) ->
+    # digest; a 2-member stack stacks every weight and bias
+    ST_CONV_FORWARD_DIGESTS = {
+        ("l1", 0): "70cd70404b5bc044", ("l1", 2): "c5f8353e2b08e328",
+        ("l2", 0): "5c0c63a99470989b", ("l2", 2): "4ad054c0093c9621",
+    }
+
+    @pytest.mark.parametrize("layer, members", list(ST_CONV_FORWARD_DIGESTS))
+    def test_st_conv_forward_bits_are_pinned(self, layer, members):
+        k_in, padding, seed = {"l1": (2, "same", 11), "l2": (16, "valid", 12)}[layer]
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(16, 3, 31, k_in))
+        lead = (members, 1) if members else ()
+        params = [
+            0.5 * rng.normal(size=lead + (1,) * (len(s) == 2 and members > 0) + s)
+            for s in [(k_in, 16), (1, 16), (3, 16, 16), (1, 16)]
+        ]
+        c = ad.constant
+        y = ad.st_conv(ADJACENCY, c(x), *map(c, params), padding).data
+        assert y.shape == lead[:1] + (16, 3 if padding == "same" else 1, 31, 16)
+        digest = hashlib.sha256(y.tobytes()).hexdigest()[:16]
+        assert digest == self.ST_CONV_FORWARD_DIGESTS[layer, members]
 
     @pytest.mark.parametrize("x_shape", [(31, 16), (16, 3, 31, 16)])
     def test_weight_op_backward_matches_swapaxes_form(self, x_shape):
@@ -871,6 +899,96 @@ class TestStConvOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(case=st_conv_cases())
+    def test_matches_the_loop_oracle_on_random_shapes(self, case):
+        self.check(*case)
+
+
+def loop_affine(adj, x, w, b, g):
+    """One sample's ``[adj @] x @ w + b`` and its gradients for the output
+    gradient ``g``, by loops over rows and channels: (out, gx, gw, gb); no
+    ``adj`` is the identity."""
+    rows, k_in = x.shape
+    d_out = w.shape[1]
+    adj = np.eye(rows) if adj is None else adj
+    pooled = np.zeros((adj.shape[0], k_in))
+    for r in range(adj.shape[0]):
+        for c in range(k_in):
+            pooled[r, c] = sum(adj[r, q] * x[q, c] for q in range(rows))
+    out = np.zeros((adj.shape[0], d_out))
+    gx, gw, gb = np.zeros(x.shape), np.zeros(w.shape), np.zeros(b.shape)
+    for r in range(adj.shape[0]):
+        for d in range(d_out):
+            out[r, d] = b[0, d] + sum(pooled[r, c] * w[c, d] for c in range(k_in))
+            gb[0, d] += g[r, d]
+            for c in range(k_in):
+                gw[c, d] += pooled[r, c] * g[r, d]
+                for q in range(rows):
+                    gx[q, c] += adj[r, q] * w[c, d] * g[r, d]
+    return out, gx, gw, gb
+
+
+@st.composite
+def affine_cases(draw):
+    """Random affine and graph_affine shapes: one matrix or up to two batch
+    axes, and the weight and bias each plain or a stack of two or three."""
+    graph = draw(st.booleans())
+    batch = draw(st.lists(st.integers(1, 3), max_size=2))
+    rows, k_in, d_out = (draw(st.integers(1, 4)) for _ in range(3))
+    members = draw(st.sampled_from([0, 2, 3]))
+    stacked = [draw(st.booleans()) if members else False for _ in range(2)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    return graph, tuple(batch), rows, k_in, d_out, members, stacked, seed
+
+
+class TestAffineOracle:
+    """affine and graph_affine (one body, ``_affine``, with the bias and weight
+    reductions of ``_bias_grad`` and ``_weight_grad``) against
+    :func:`loop_affine`, per sample and per member."""
+
+    @staticmethod
+    def check(graph, batch, rows, k_in, d_out, members, stacked, seed):
+        rng = np.random.default_rng(seed)
+        members = members if any(stacked) else 0
+        x = rng.normal(size=batch + (rows, k_in))
+        adj = rng.normal(size=(rows, rows)) if graph else None
+        # a stack has one singleton per axis of x before its last two
+        single = [(k_in, d_out), (1, d_out)]
+        ones = (1,) * len(batch)
+        shapes = [(members,) + ones + s if on else s for s, on in zip(single, stacked)]
+        values = [rng.normal(size=s) for s in shapes]
+        tensors = [Tensor(v, requires_grad=True) for v in [x] + values]
+        out = ad.graph_affine(adj, *tensors) if graph else ad.affine(*tensors)
+        g = rng.normal(size=out.shape)
+        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+
+        want = [np.zeros(out.shape)] + [np.zeros(t.shape) for t in tensors]
+        for m in range(members or 1):
+            params = [
+                v.reshape((members,) + single[i])[m] if on else v
+                for i, (v, on) in enumerate(zip(values, stacked))
+            ]
+            for sample in np.ndindex(*batch):
+                at = (m,) * bool(members) + sample
+                one = loop_affine(adj, x[sample], *params, g[at])
+                want[0][at] = one[0]
+                want[1][sample] += one[1]
+                for i, on in enumerate(stacked):
+                    if on:
+                        want[2 + i].reshape((members,) + single[i])[m] += one[2 + i]
+                    else:
+                        want[2 + i] += one[2 + i]
+        np.testing.assert_allclose(out.data, want[0], rtol=0, atol=1e-12)
+        for t, w in zip(tensors, want[1:]):
+            np.testing.assert_allclose(t.grad, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("graph", [False, True])
+    @pytest.mark.parametrize("members", [0, 3])
+    def test_head_and_relation_shapes(self, graph, members):
+        # a (4, 6, 5) batch into three outputs, as the head and relation stage
+        self.check(graph, (4,), 6, 5, 3, members, [members > 0] * 2, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=affine_cases())
     def test_matches_the_loop_oracle_on_random_shapes(self, case):
         self.check(*case)
 
