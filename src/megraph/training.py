@@ -9,14 +9,29 @@ excluded from the canonical report form. A run preprocesses its
 plain (N, 3, 31, 2) array of node features; a LOSO fold is a held-out mask
 over the samples and their rows, and only its jittered training copies are
 preprocessed and hashed for the leakage check per fold.
+
+:func:`run_loso` trains a contiguous share of folds per usable CPU, the first
+in the caller and each other in a forked child, or serially for ``workers=1``,
+without ``os.fork`` or beside threads. Folds draw only on their own seeds and
+children send exact pickles: reports, curves and checkpoints are bit-identical
+for any worker count, and a child's errors and warnings reach the caller as in
+a serial run. The caller's ``ru_maxrss`` (the benchmark's ``peak_rss_mb``) and
+per-layer counts cover only its own share.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import os
+import pickle
+import signal
+import sys
+import threading
 import time
+import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -326,41 +341,118 @@ def _run_report(config: ExperimentConfig, folds: list[FoldReport], t0: float):
     )
 
 
-def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
-    """Train and score one model per held-out subject; pool the predictions."""
+def _loso_fold(config, samples, features, subject, held_out, seeds, keep_state):
+    """Train and score the fold that holds out ``subject``: its report, its
+    curve rows and, when ``keep_state``, its parameters' state dict."""
+    data_ss, model_ss = seeds.spawn(2)
+    rng = np.random.default_rng(data_ss)
+    test = samples[held_out]
+    train, train_features = _with_copies(samples[~held_out], features[~held_out],
+                                         config, rng)
+    check_no_leakage(train, test)
+    outcome = train_fold(train_features, train.labels, config, rng,
+                         np.random.default_rng(model_ss), context=f"fold {subject}")
+    report = _fold_report(subject, outcome.model, test, config,
+                          outcome.epochs_run, features[held_out])
+    state = outcome.model.params.state_dict() if keep_state else None
+    return report, [(subject, row) for row in outcome.curves], state
+
+
+def _map_folds(fold_fn, folds, workers):
+    """``[fold_fn(*fold) for fold in folds]`` (a fold's first item is its
+    subject), the caller running the first of ``workers`` contiguous shares
+    and a forked child each other share. The first fold to fail raises, as
+    in a serial run; every child is reaped, and killed if the caller fails."""
+    w, n = min(workers, len(folds)), len(folds)
+    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fold_fn(*fold) for fold in folds]  # no fork beside threads: unsafe
+    shares = [folds[n * i // w:n * (i + 1) // w] for i in range(w)]
+    pending = []  # (pid, pipe's read end, share) of children not yet reaped
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _run_share(fold_fn, share, write_fd)
+            os.close(write_fd)
+            pending.append((pid, open(read_fd, "rb"), share))
+        results = [fold_fn(*fold) for fold in shares[0]]
+        while pending:
+            pid, pipe, share = pending[0]
+            payload = pipe.read()  # to EOF: the child has sent all or ended
+            pipe.close()
+            del pending[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                how = f"signal {-code}" if code < 0 else f"exit code {code}"
+                raise ChildProcessError(
+                    f"the worker for folds {', '.join(f[0] for f in share)} ended "
+                    f"({how}) before sending its results")
+            done, caught, error = pickle.loads(payload)
+            # each warning is raised again as warnings.warn raised it in the child:
+            # under its module's name and once-per-place registry
+            by_file = {getattr(m, "__file__", None): vars(m)
+                       for m in list(sys.modules.values())}
+            for msg, category, filename, lineno in caught:
+                g = by_file.get(filename, {"__name__": None})
+                warnings.warn_explicit(msg, category, filename, lineno, g["__name__"],
+                                       g.setdefault("__warningregistry__", {}))
+            if error is not None:
+                cls, args, attrs = error
+                exc = cls.__new__(cls, *args)  # skips a custom __init__
+                vars(exc).update(attrs)
+                raise exc
+            results += done
+        return results
+    finally:
+        for pid, pipe, _ in pending:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _run_share(fold_fn, share, write_fd) -> None:
+    """A forked child's life: run a share of folds, send what came of it down
+    ``write_fd`` (results, warnings, error) and exit, 0 once all is sent."""
+    code, done, error = 1, [], None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # the parent's filters decide
+            try:
+                for fold in share:
+                    done.append(fold_fn(*fold))
+            except BaseException as exc:
+                error = (type(exc), exc.args, vars(exc))
+        caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        view = memoryview(pickle.dumps((done, caught, error)))
+        while view:
+            view = view[os.write(write_fd, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def run_loso(config: ExperimentConfig, out_dir=None, workers=None) -> RunReport:
+    """Train and score one model per held-out subject; pool the predictions.
+    ``workers`` processes (default: one per usable CPU) train the folds."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     t0 = time.perf_counter()
     release_cycles()
     samples = prepare_samples(config)
     folds = loso_split(samples)
     children = np.random.SeedSequence(config.seed).spawn(len(folds))
     features = sample_graph(samples, config.magnification)
-
-    fold_reports: list[FoldReport] = []
-    all_curves: list[tuple[str, dict]] = []
-    checkpoints: dict[str, dict] = {}
-    for (subject, held_out), ss in zip(folds, children):
-        data_ss, model_ss = ss.spawn(2)
-        rng = np.random.default_rng(data_ss)
-        test = samples[held_out]
-        train, train_features = _with_copies(
-            samples[~held_out], features[~held_out], config, rng
-        )
-        check_no_leakage(train, test)
-        outcome = train_fold(
-            train_features,
-            train.labels,
-            config,
-            rng,
-            np.random.default_rng(model_ss),
-            context=f"fold {subject}",
-        )
-        fold_reports.append(
-            _fold_report(subject, outcome.model, test, config,
-                         outcome.epochs_run, features[held_out])
-        )
-        all_curves.extend((subject, row) for row in outcome.curves)
-        if out_dir is not None:
-            checkpoints[f"fold_{subject}"] = outcome.model.params.state_dict()
+    results = _map_folds(
+        partial(_loso_fold, config, samples, features),
+        [(subject, held_out, ss, out_dir is not None)
+         for (subject, held_out), ss in zip(folds, children)],
+        workers or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1),
+    )
+    fold_reports = [report for report, _, _ in results]
+    all_curves = [row for _, rows, _ in results for row in rows]
 
     run = _run_report(config, fold_reports, t0)
     if sum(len(f.y_true) for f in fold_reports) != len(samples):
@@ -368,6 +460,7 @@ def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
             "held-out samples do not partition the dataset exactly once"
         )
     if out_dir is not None:
+        checkpoints = {f"fold_{report.subject}": state for report, _, state in results}
         write_run_dir(out_dir, config, run, all_curves, checkpoints)
     return run
 
@@ -506,15 +599,17 @@ def _loss_row_weights(name: str, base):
     return replace(base, **{field: 0.0})
 
 
-def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
+def run_ablation(config: ExperimentConfig, out_dir=None,
+                 workers=None) -> AblationReport:
     """Module rows (backbone, actions, full) and loss-removal rows, all on
-    identical splits and seeds; the two "full" rows share one run."""
+    identical splits and seeds, each a :func:`run_loso` with ``workers``;
+    the two "full" rows share one run."""
     t0 = time.perf_counter()
     subjects_ref: list[str] | None = None
 
     def one_row(cfg: ExperimentConfig) -> RunReport:
         nonlocal subjects_ref
-        run = run_loso(cfg)
+        run = run_loso(cfg, workers=workers)
         if subjects_ref is None:
             subjects_ref = run.fold_subjects
         elif run.fold_subjects != subjects_ref:

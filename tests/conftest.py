@@ -1,6 +1,7 @@
 """Shared fixtures: small configurations that keep the unit tests fast."""
 
 import gc
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,18 @@ import pytest
 from megraph.config import ExperimentConfig, OptimizerConfig, SynthSpec
 from megraph.landmarks import SampleSet, synthesize_dataset
 from megraph.model import ModelConfig
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a child process running or un-reaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no children at all
+    state = "still running" if pid == 0 else f"pid {pid} exited, status {status}"
+    pytest.fail(f"the test left a child process un-reaped ({state})")
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ import base64
 import contextlib
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import megraph.training
 from megraph.checks import SMALL_MODEL
 from megraph.cli import main
 from megraph.config import (
@@ -254,6 +257,11 @@ BAD_INPUTS = [
         "{input}: invalid JSON: maximum recursion depth exceeded while decoding "
         "a JSON array from a unicode string",
         id="checkpoint-too-deep",
+    ),
+    *(
+        pytest.param([command, "--workers", n], "",
+                     f"workers must be at least 1, got {n}", id=f"{command}-workers-{n}")
+        for command, n in (("loso", "0"), ("ablate", "-2"))
     ),
 ]
 
@@ -578,6 +586,25 @@ class TestErrorPaths:
         assert (out / "checkpoints" / f"fold_{subject}.json").is_file()
         assert (out / "folds" / f"{subject}.json").is_file()
         assert not list(out.rglob("*.tmp"))
+
+    def test_a_killed_fold_worker_exits_2_naming_its_folds(
+        self, tiny_config_path, monkeypatch, capsys
+    ):
+        parent = os.getpid()
+        real = megraph.training.train_fold
+
+        def train_fold(*args, context, **kwargs):
+            if context == "fold s03" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, context=context, **kwargs)
+
+        monkeypatch.setattr(megraph.training, "train_fold", train_fold)
+        argv = ["loso", "--config", str(tiny_config_path), "--workers", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the worker for folds s03 ended (signal 9) before sending "
+            "its results\n"
+        )
 
     @pytest.mark.parametrize("subject", ["s02", "s03"])
     def test_loso_on_an_unusable_sample_exits_2(

@@ -5,8 +5,11 @@ import hashlib
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 import weakref
 from dataclasses import replace
@@ -221,7 +224,8 @@ class TestPreprocessing:
                     model=ModelConfig(variant="backbone", channels=2, n_classes=2),
                     optimizer=OptimizerConfig(epochs=1, batch_size=4),
                     augment=AugmentConfig(copies=copies),
-                )
+                ),
+                workers=1,  # a forked fold's calls are not counted here
             )
             counts.append(len(calls))
         assert counts == [1 + copies * k] * 2
@@ -247,7 +251,8 @@ class TestPreprocessing:
                 model=ModelConfig(variant="backbone", channels=2, n_classes=2),
                 optimizer=OptimizerConfig(epochs=1, batch_size=4),
                 augment=AugmentConfig(copies=copies),
-            )
+            ),
+            workers=1,  # a forked fold's calls are not counted here
         )
         n = k * per_subject
         assert len(calls) == n + k * copies * (n - per_subject)
@@ -523,9 +528,10 @@ class TestRunLoso:
             return state_dict(store)
 
         monkeypatch.setattr(megraph.params.ParamStore, "state_dict", counting)
-        run_loso(tiny_loso_config())
+        # a forked fold's calls are not counted here
+        run_loso(tiny_loso_config(), workers=1)
         assert copies == []
-        run_loso(tiny_loso_config(), out_dir=tmp_path / "run")
+        run_loso(tiny_loso_config(), out_dir=tmp_path / "run", workers=1)
         assert len(copies) == 3
 
     def test_run_dir_layout(self, tmp_path):
@@ -618,6 +624,145 @@ class TestRunLoso:
             # total was written from the same floats; re-reading is exact
             assert total == float(repr(total))
             assert all(np.isfinite(parts))
+
+
+def _run_files(root: Path) -> dict:
+    """Every file under ``root`` by relative path, report.json without its
+    wall time."""
+    files = {p.relative_to(root).as_posix(): p.read_bytes()
+             for p in root.rglob("*") if p.is_file()}
+    report = json.loads(files.pop("report.json"))
+    del report["wall_time"]
+    return {**files, "report.json": report}
+
+
+def _patch_train_fold(monkeypatch, before):
+    """Make ``train_fold`` call ``before(subject)`` first; forked workers
+    inherit the patch."""
+    real = megraph.training.train_fold
+
+    def patched(*args, context, **kwargs):
+        before(context.removeprefix("fold "))
+        return real(*args, context=context, **kwargs)
+
+    monkeypatch.setattr(megraph.training, "train_fold", patched)
+
+
+class TestForkedFolds:
+    """Folds trained in forked workers give what a serial run gives: the
+    same files, errors and warnings, and no child left behind. With 3
+    subjects, ``workers=2`` runs s01 in the caller and s02, s03 in one
+    child; ``workers=3`` gives each fold its own process."""
+
+    def test_every_worker_count_writes_the_same_run_dir(self, tmp_path):
+        cfg = tiny_loso_config(synth=SynthSpec(n_subjects=5, samples_per_subject=3,
+                                               n_classes=3, noise_sigma=1.0, seed=0))
+        runs = []
+        for workers in (1, 2, 3, 8):
+            run_loso(cfg, out_dir=tmp_path / str(workers), workers=workers)
+            runs.append(_run_files(tmp_path / str(workers)))
+        assert len([n for n in runs[0] if n.startswith("checkpoints/")]) == 5
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+
+    @pytest.mark.parametrize("error", [
+        DivergenceError("fold s03: diverged at epoch 1, step 2: overflow"),
+        LeakageError("held-out subject 's03' has samples in the training set"),
+        ValueError("fold s03: training set is empty"),
+        DegenerateFrameError(4, "s03"),
+    ], ids=lambda error: type(error).__name__)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_fold_error_is_raised_unchanged(self, monkeypatch, error, workers):
+        def before(subject):
+            if subject == "s03":
+                raise error
+
+        _patch_train_fold(monkeypatch, before)
+        with pytest.raises(type(error)) as info:
+            run_loso(tiny_loso_config(), workers=workers)
+        assert type(info.value) is type(error)
+        assert str(info.value) == str(error)
+        assert vars(info.value) == vars(error)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_first_failing_fold_wins(self, monkeypatch, workers):
+        errors = {"s02": LeakageError("fold s02 first"), "s03": ValueError("fold s03")}
+
+        def before(subject):
+            if subject in errors:
+                raise errors[subject]
+
+        _patch_train_fold(monkeypatch, before)
+        with pytest.raises(LeakageError, match="^fold s02 first$"):
+            run_loso(tiny_loso_config(), workers=workers)
+
+    def test_a_killed_worker_raises_one_line_naming_its_folds(self, monkeypatch):
+        parent = os.getpid()
+
+        def before(subject):
+            if subject == "s03" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _patch_train_fold(monkeypatch, before)
+        with pytest.raises(ChildProcessError) as info:
+            run_loso(tiny_loso_config(), workers=2)
+        assert str(info.value) == (
+            "the worker for folds s02, s03 ended (signal 9) before sending its results"
+        )
+
+    def test_a_failing_caller_kills_and_reaps_its_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        def before(subject):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ValueError(f"fold {subject}: planted")
+
+        _patch_train_fold(monkeypatch, before)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="^fold s01: planted$"):
+            run_loso(tiny_loso_config(), workers=3)
+        assert time.perf_counter() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("action, count", [("always", 6), ("default", 4)])
+    def test_workers_warnings_reach_the_caller_in_fold_order(
+        self, monkeypatch, action, count
+    ):
+        # each fold warns once in its own words and once in shared words;
+        # under "default" the shared warning shows once per run
+        def before(subject):
+            warnings.warn(f"fold {subject} warns", RuntimeWarning)
+            warnings.warn("relation weights are all zero; falling back to uniform",
+                          RuntimeWarning)
+
+        _patch_train_fold(monkeypatch, before)
+        seen = []
+        for workers in (1, 2, 3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                run_loso(tiny_loso_config(), workers=workers)
+            seen.append([(str(w.message), w.category, w.filename, w.lineno)
+                         for w in caught])
+        assert seen[0] == seen[1] == seen[2]
+        assert len(seen[0]) == count
+        assert [m for m, *_ in seen[0] if m.startswith("fold")] == [
+            "fold s01 warns", "fold s02 warns", "fold s03 warns"
+        ]
+
+    def test_a_warning_whose_source_cannot_be_pickled_still_arrives(self, monkeypatch):
+        lock = threading.Lock()  # as a ResourceWarning's source may be
+
+        def before(subject):
+            warnings.warn(f"fold {subject} leaks", ResourceWarning, source=lock)
+
+        _patch_train_fold(monkeypatch, before)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_loso(tiny_loso_config(), workers=3)
+        assert [str(w.message) for w in caught] == [
+            "fold s01 leaks", "fold s02 leaks", "fold s03 leaks"
+        ]
 
 
 class TestRunTraining:
