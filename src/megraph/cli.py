@@ -78,9 +78,6 @@ def _cmd_run(run, summary, args) -> int:
     return 0
 
 
-WORKERS = {"--workers": {"type": int, "metavar": "N",
-                         "help": "processes that train folds (default: one per CPU)"}}
-
 # command -> help, run(config, args) -> report, summary formatter, extra flags
 RUN_COMMANDS = {
     "train": ("train one model on the whole dataset",
@@ -90,11 +87,9 @@ RUN_COMMANDS = {
                  format_report,
                  {"--checkpoint": {"metavar": "PATH", "required": True}}),
     "loso": ("leave-one-subject-out cross-validation",
-             lambda cfg, a: run_loso(cfg, out_dir=a.out, workers=a.workers),
-             format_report, WORKERS),
+             lambda cfg, a: run_loso(cfg, out_dir=a.out), format_report, {}),
     "ablate": ("module and loss ablation tables",
-               lambda cfg, a: run_ablation(cfg, out_dir=a.out, workers=a.workers),
-               format_ablation, WORKERS),
+               lambda cfg, a: run_ablation(cfg, out_dir=a.out), format_ablation, {}),
 }
 
 

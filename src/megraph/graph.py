@@ -39,9 +39,12 @@ class DegenerateFrameError(ValueError):
     ``index`` is the sample's position in the flattened stack."""
 
     def __init__(self, index: int, name: str | None = None):
-        self.index = index
+        self.index, self.name = index, name
         who = index if name is None else f"'{name}'"
         super().__init__(f"sample {who}: onset frame has zero spatial extent")
+
+    def __reduce__(self):  # pickle calls __init__ with these, not with args
+        return type(self), (self.index, self.name)
 
 
 def template_edges() -> tuple[tuple[int, int], ...]:

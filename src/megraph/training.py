@@ -10,13 +10,11 @@ plain (N, 3, 31, 2) array of node features; a LOSO fold is a held-out mask
 over the samples and their rows, and only its jittered training copies are
 preprocessed and hashed for the leakage check per fold.
 
-:func:`run_loso` trains a contiguous share of folds per usable CPU, the first
-in the caller and each other in a forked child, or serially for ``workers=1``,
-without ``os.fork`` or beside threads. Folds draw only on their own seeds and
-children send exact pickles: reports, curves and checkpoints are bit-identical
-for any worker count, and a child's errors and warnings reach the caller as in
-a serial run. The caller's ``ru_maxrss`` (the benchmark's ``peak_rss_mb``) and
-per-layer counts cover only its own share.
+:func:`run_loso` trains one contiguous share of folds per usable CPU, the first
+in the caller and each other in a forked child, and runs serially on one CPU,
+without ``os.fork`` or beside other threads. Reports, curves and checkpoints
+are bit-identical for any worker count. The caller's ``ru_maxrss`` (the
+benchmark's ``peak_rss_mb``) and per-layer counts cover only its own share.
 """
 
 from __future__ import annotations
@@ -25,10 +23,12 @@ import csv
 import gc
 import os
 import pickle
+import select
 import signal
 import sys
 import threading
 import time
+import traceback
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -358,11 +358,23 @@ def _loso_fold(config, samples, features, subject, held_out, seeds, keep_state):
     return report, [(subject, row) for row in outcome.curves], state
 
 
+WORKER_GRACE_S = 60.0  # a child's wait before it counts as hung: see _map_folds
+
+
+def _workers() -> int:
+    """Processes that train a run's folds: one per usable CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_folds(fold_fn, folds, workers):
     """``[fold_fn(*fold) for fold in folds]`` (a fold's first item is its
     subject), the caller running the first of ``workers`` contiguous shares
-    and a forked child each other share. The first fold to fail raises, as
-    in a serial run; every child is reaped, and killed if the caller fails."""
+    and a forked child each other share. The first fold to fail raises, as in
+    a serial run. Every child is reaped; one is killed if the caller fails, or
+    if it sends nothing for :data:`WORKER_GRACE_S` plus ten times the time of
+    the caller's share once that ends."""
     w, n = min(workers, len(folds)), len(folds)
     if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fold_fn(*fold) for fold in folds]  # no fork beside threads: unsafe
@@ -376,22 +388,26 @@ def _map_folds(fold_fn, folds, workers):
                 os.close(read_fd)
                 _run_share(fold_fn, share, write_fd)
             os.close(write_fd)
-            pending.append((pid, open(read_fd, "rb"), share))
+            pending.append((pid, read_fd, share))
+        t0 = time.monotonic()
         results = [fold_fn(*fold) for fold in shares[0]]
+        wait = WORKER_GRACE_S + 10 * (time.monotonic() - t0)
+        deadline = time.monotonic() + wait
         while pending:
-            pid, pipe, share = pending[0]
-            payload = pipe.read()  # to EOF: the child has sent all or ended
-            pipe.close()
+            pid, fd, share = pending[0]
+            payload = _read_by(fd, deadline)
+            if payload is None:
+                os.kill(pid, signal.SIGKILL)
+            os.close(fd)
             del pending[0]
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code != 0:
-                how = f"signal {-code}" if code < 0 else f"exit code {code}"
-                raise ChildProcessError(
-                    f"the worker for folds {', '.join(f[0] for f in share)} ended "
-                    f"({how}) before sending its results")
-            done, caught, error = pickle.loads(payload)
-            # each warning is raised again as warnings.warn raised it in the child:
-            # under its module's name and once-per-place registry
+            who = f"the worker for folds {', '.join(f[0] for f in share)}"
+            if payload is None or code != 0:
+                how = (f"killed after {wait:.0f} s" if payload is None
+                       else f"signal {-code}" if code < 0 else f"exit code {code}")
+                raise ChildProcessError(f"{who} ended ({how}) before sending its results")
+            done, caught, error, trace = pickle.loads(payload)
+            # raise each warning again under its module's name and registry
             by_file = {getattr(m, "__file__", None): vars(m)
                        for m in list(sys.modules.values())}
             for msg, category, filename, lineno in caught:
@@ -399,23 +415,32 @@ def _map_folds(fold_fn, folds, workers):
                 warnings.warn_explicit(msg, category, filename, lineno, g["__name__"],
                                        g.setdefault("__warningregistry__", {}))
             if error is not None:
-                cls, args, attrs = error
-                exc = cls.__new__(cls, *args)  # skips a custom __init__
-                vars(exc).update(attrs)
-                raise exc
+                error.add_note(f"raised in {who}:\n{trace}")
+                raise error
             results += done
         return results
     finally:
-        for pid, pipe, _ in pending:
+        for pid, fd, _ in pending:
             os.kill(pid, signal.SIGKILL)
-            pipe.close()
+            os.close(fd)
             os.waitpid(pid, 0)
 
 
+def _read_by(fd, deadline):
+    """All bytes from pipe ``fd`` up to its end, or None at ``deadline``."""
+    poll, chunks = select.poll(), []
+    poll.register(fd, select.POLLIN)
+    while poll.poll(max(0.0, deadline - time.monotonic()) * 1000):
+        chunks.append(os.read(fd, 1 << 20))
+        if not chunks[-1]:
+            return b"".join(chunks)
+    return None
+
+
 def _run_share(fold_fn, share, write_fd) -> None:
-    """A forked child's life: run a share of folds, send what came of it down
-    ``write_fd`` (results, warnings, error) and exit, 0 once all is sent."""
-    code, done, error = 1, [], None
+    """A forked child's life: run a share of folds, send the results, warnings,
+    error and traceback down ``write_fd``, and exit, 0 once all is sent."""
+    code, done, error, trace = 1, [], None, None
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # the parent's filters decide
@@ -423,9 +448,9 @@ def _run_share(fold_fn, share, write_fd) -> None:
                 for fold in share:
                     done.append(fold_fn(*fold))
             except BaseException as exc:
-                error = (type(exc), exc.args, vars(exc))
+                error, trace = exc, "".join(traceback.format_exception(exc))
         caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-        view = memoryview(pickle.dumps((done, caught, error)))
+        view = memoryview(pickle.dumps((done, caught, error, trace)))
         while view:
             view = view[os.write(write_fd, view):]
         code = 0
@@ -433,11 +458,8 @@ def _run_share(fold_fn, share, write_fd) -> None:
         os._exit(code)
 
 
-def run_loso(config: ExperimentConfig, out_dir=None, workers=None) -> RunReport:
-    """Train and score one model per held-out subject; pool the predictions.
-    ``workers`` processes (default: one per usable CPU) train the folds."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+def run_loso(config: ExperimentConfig, out_dir=None) -> RunReport:
+    """Train and score one model per held-out subject; pool the predictions."""
     t0 = time.perf_counter()
     release_cycles()
     samples = prepare_samples(config)
@@ -448,8 +470,7 @@ def run_loso(config: ExperimentConfig, out_dir=None, workers=None) -> RunReport:
         partial(_loso_fold, config, samples, features),
         [(subject, held_out, ss, out_dir is not None)
          for (subject, held_out), ss in zip(folds, children)],
-        workers or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1),
+        _workers(),
     )
     fold_reports = [report for report, _, _ in results]
     all_curves = [row for _, rows, _ in results for row in rows]
@@ -599,17 +620,15 @@ def _loss_row_weights(name: str, base):
     return replace(base, **{field: 0.0})
 
 
-def run_ablation(config: ExperimentConfig, out_dir=None,
-                 workers=None) -> AblationReport:
+def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
     """Module rows (backbone, actions, full) and loss-removal rows, all on
-    identical splits and seeds, each a :func:`run_loso` with ``workers``;
-    the two "full" rows share one run."""
+    identical splits and seeds; the two "full" rows share one run."""
     t0 = time.perf_counter()
     subjects_ref: list[str] | None = None
 
     def one_row(cfg: ExperimentConfig) -> RunReport:
         nonlocal subjects_ref
-        run = run_loso(cfg, workers=workers)
+        run = run_loso(cfg)
         if subjects_ref is None:
             subjects_ref = run.fold_subjects
         elif run.fold_subjects != subjects_ref:

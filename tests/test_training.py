@@ -213,6 +213,7 @@ class TestPreprocessing:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(megraph.training, "build_graph", counting)
+        _set_workers(monkeypatch, 1)  # a forked fold's calls are not counted here
         k = 3
         counts = []
         for per_subject in (2, 5):
@@ -224,8 +225,7 @@ class TestPreprocessing:
                     model=ModelConfig(variant="backbone", channels=2, n_classes=2),
                     optimizer=OptimizerConfig(epochs=1, batch_size=4),
                     augment=AugmentConfig(copies=copies),
-                ),
-                workers=1,  # a forked fold's calls are not counted here
+                )
             )
             counts.append(len(calls))
         assert counts == [1 + copies * k] * 2
@@ -243,6 +243,7 @@ class TestPreprocessing:
             return real(data)
 
         monkeypatch.setattr(megraph.landmarks.hashlib, "sha256", counting)
+        _set_workers(monkeypatch, 1)  # a forked fold's calls are not counted here
         k, per_subject = 3, 4
         run_loso(
             ExperimentConfig(
@@ -251,8 +252,7 @@ class TestPreprocessing:
                 model=ModelConfig(variant="backbone", channels=2, n_classes=2),
                 optimizer=OptimizerConfig(epochs=1, batch_size=4),
                 augment=AugmentConfig(copies=copies),
-            ),
-            workers=1,  # a forked fold's calls are not counted here
+            )
         )
         n = k * per_subject
         assert len(calls) == n + k * copies * (n - per_subject)
@@ -528,10 +528,10 @@ class TestRunLoso:
             return state_dict(store)
 
         monkeypatch.setattr(megraph.params.ParamStore, "state_dict", counting)
-        # a forked fold's calls are not counted here
-        run_loso(tiny_loso_config(), workers=1)
+        _set_workers(monkeypatch, 1)  # a forked fold's calls are not counted here
+        run_loso(tiny_loso_config())
         assert copies == []
-        run_loso(tiny_loso_config(), out_dir=tmp_path / "run", workers=1)
+        run_loso(tiny_loso_config(), out_dir=tmp_path / "run")
         assert len(copies) == 3
 
     def test_run_dir_layout(self, tmp_path):
@@ -636,6 +636,11 @@ def _run_files(root: Path) -> dict:
     return {**files, "report.json": report}
 
 
+def _set_workers(monkeypatch, workers: int) -> None:
+    """Make LOSO runs train their folds in ``workers`` processes."""
+    monkeypatch.setattr(megraph.training, "_workers", lambda: workers)
+
+
 def _patch_train_fold(monkeypatch, before):
     """Make ``train_fold`` call ``before(subject)`` first; forked workers
     inherit the patch."""
@@ -651,15 +656,16 @@ def _patch_train_fold(monkeypatch, before):
 class TestForkedFolds:
     """Folds trained in forked workers give what a serial run gives: the
     same files, errors and warnings, and no child left behind. With 3
-    subjects, ``workers=2`` runs s01 in the caller and s02, s03 in one
-    child; ``workers=3`` gives each fold its own process."""
+    subjects, 2 workers run s01 in the caller and s02, s03 in one child;
+    3 workers give each fold its own process."""
 
-    def test_every_worker_count_writes_the_same_run_dir(self, tmp_path):
+    def test_every_worker_count_writes_the_same_run_dir(self, monkeypatch, tmp_path):
         cfg = tiny_loso_config(synth=SynthSpec(n_subjects=5, samples_per_subject=3,
                                                n_classes=3, noise_sigma=1.0, seed=0))
         runs = []
         for workers in (1, 2, 3, 8):
-            run_loso(cfg, out_dir=tmp_path / str(workers), workers=workers)
+            _set_workers(monkeypatch, workers)
+            run_loso(cfg, out_dir=tmp_path / str(workers))
             runs.append(_run_files(tmp_path / str(workers)))
         assert len([n for n in runs[0] if n.startswith("checkpoints/")]) == 5
         assert runs[0] == runs[1] == runs[2] == runs[3]
@@ -677,11 +683,19 @@ class TestForkedFolds:
                 raise error
 
         _patch_train_fold(monkeypatch, before)
+        _set_workers(monkeypatch, workers)
         with pytest.raises(type(error)) as info:
-            run_loso(tiny_loso_config(), workers=workers)
+            run_loso(tiny_loso_config())
         assert type(info.value) is type(error)
         assert str(info.value) == str(error)
+        # a child's error carries the child's traceback as a note
+        notes = vars(info.value).pop("__notes__", [])
         assert vars(info.value) == vars(error)
+        if workers == 1:
+            assert notes == []
+        else:
+            assert len(notes) == 1 and notes[0].startswith("raised in the worker for")
+            assert "in before\n" in notes[0] and str(error) in notes[0]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_the_first_failing_fold_wins(self, monkeypatch, workers):
@@ -692,8 +706,10 @@ class TestForkedFolds:
                 raise errors[subject]
 
         _patch_train_fold(monkeypatch, before)
-        with pytest.raises(LeakageError, match="^fold s02 first$"):
-            run_loso(tiny_loso_config(), workers=workers)
+        _set_workers(monkeypatch, workers)
+        with pytest.raises(LeakageError) as info:
+            run_loso(tiny_loso_config())
+        assert str(info.value) == "fold s02 first"
 
     def test_a_killed_worker_raises_one_line_naming_its_folds(self, monkeypatch):
         parent = os.getpid()
@@ -703,11 +719,30 @@ class TestForkedFolds:
                 os.kill(os.getpid(), signal.SIGKILL)
 
         _patch_train_fold(monkeypatch, before)
+        _set_workers(monkeypatch, 2)
         with pytest.raises(ChildProcessError) as info:
-            run_loso(tiny_loso_config(), workers=2)
+            run_loso(tiny_loso_config())
         assert str(info.value) == (
             "the worker for folds s02, s03 ended (signal 9) before sending its results"
         )
+
+    def test_a_hung_worker_is_killed_and_named(self, monkeypatch):
+        parent = os.getpid()
+
+        def before(subject):
+            if subject == "s03" and os.getpid() != parent:
+                time.sleep(60)
+
+        _patch_train_fold(monkeypatch, before)
+        _set_workers(monkeypatch, 3)
+        monkeypatch.setattr(megraph.training, "WORKER_GRACE_S", 1.0)
+        t0 = time.perf_counter()
+        with pytest.raises(ChildProcessError, match=(
+            r"^the worker for folds s03 ended \(killed after \d+ s\) before sending "
+            r"its results$"
+        )):
+            run_loso(tiny_loso_config())
+        assert time.perf_counter() - t0 < 30
 
     def test_a_failing_caller_kills_and_reaps_its_workers(self, monkeypatch):
         parent = os.getpid()
@@ -718,9 +753,10 @@ class TestForkedFolds:
             raise ValueError(f"fold {subject}: planted")
 
         _patch_train_fold(monkeypatch, before)
+        _set_workers(monkeypatch, 3)
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="^fold s01: planted$"):
-            run_loso(tiny_loso_config(), workers=3)
+            run_loso(tiny_loso_config())
         assert time.perf_counter() - t0 < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -739,9 +775,10 @@ class TestForkedFolds:
         _patch_train_fold(monkeypatch, before)
         seen = []
         for workers in (1, 2, 3):
+            _set_workers(monkeypatch, workers)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter(action)
-                run_loso(tiny_loso_config(), workers=workers)
+                run_loso(tiny_loso_config())
             seen.append([(str(w.message), w.category, w.filename, w.lineno)
                          for w in caught])
         assert seen[0] == seen[1] == seen[2]
@@ -757,9 +794,10 @@ class TestForkedFolds:
             warnings.warn(f"fold {subject} leaks", ResourceWarning, source=lock)
 
         _patch_train_fold(monkeypatch, before)
+        _set_workers(monkeypatch, 3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_loso(tiny_loso_config(), workers=3)
+            run_loso(tiny_loso_config())
         assert [str(w.message) for w in caught] == [
             "fold s01 leaks", "fold s02 leaks", "fold s03 leaks"
         ]
