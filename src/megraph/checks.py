@@ -468,7 +468,7 @@ def _batch_axes(loss: Tensor) -> dict[int, int]:
 
 
 MIN_KINK_MARGIN = 2e-4
-_JITTER_ATTEMPTS = 12
+_JITTER_ATTEMPTS = 48
 
 # most probes of one parameter tensor that a model check stacks into one
 # forward: the (3, 4, 4) taps of SMALL_MODEL have 96, and 64-member stacks
@@ -482,13 +482,14 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
     Central differences are valid only at points where no rectifier input
     sits within the probe's reach of its kink, and zero-initialized biases
     even pin some inputs exactly at it (a dead node row propagates an
-    exactly-zero preactivation). The check therefore jitters all parameters
-    and accepts the first sufficiently kink-distant point where every
-    parameter passes. A wrong backward rule fails at every point, so the
-    redraws cannot hide one; they only steer the probe onto valid ground.
-    At a point that clears the kink margin, one backward over the tape the
-    margin was read from gives every parameter's analytic gradient, and
-    forwards with the parameters frozen, each stacking up to
+    exactly-zero preactivation). The check therefore jitters all parameters,
+    up to :data:`_JITTER_ATTEMPTS` times, and checks every parameter at the
+    first point that clears :data:`MIN_KINK_MARGIN`; only about a third of
+    the draws do. Those entries stand, passed or not: the draws are chosen
+    by the kink margin alone, never by the check's outcome, so a redraw
+    cannot hide a wrong backward rule. At that point, one backward over the
+    tape the margin was read from gives every parameter's analytic gradient,
+    and forwards with the parameters frozen, each stacking up to
     :data:`PROBE_CHUNK` of a tensor's probes on a leading member axis, give
     all of its central differences.
     """
@@ -532,7 +533,6 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
         return chunked
 
     baseline = model.params.flat().copy()
-    entries: list[BatteryEntry] = []
     for attempt in range(_JITTER_ATTEMPTS):
         jitter = np.random.default_rng([seed, attempt])
         model.params.flat()[:] = baseline + jitter.normal(0.0, 0.15, size=baseline.size)
@@ -542,7 +542,7 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
         model.params.zero_grad()
         ad.backward(loss)
         batch_axes = _batch_axes(loss)
-        entries = [
+        return [
             BatteryEntry(
                 name=f"model.full[{name}]",
                 seed=seed,
@@ -553,10 +553,6 @@ def _model_entries(seed: int, h: float, tol: float) -> list[BatteryEntry]:
             )
             for name, p in model.params.items()
         ]
-        if all(e.passed for e in entries):
-            return entries
-    if entries:
-        return entries
     result = GradCheckResult.failed(0, "no kink-free check point found")
     return [BatteryEntry(name="model.full[setup]", seed=seed, result=result)]
 
@@ -565,7 +561,6 @@ def run_battery(
     seeds=DEFAULT_SEEDS,
     h: float = 1e-5,
     tol: float = 1e-4,
-    include_model: bool = True,
 ) -> list[BatteryEntry]:
     """Check every case under every seed; model parameters under the first
     two seeds (they dominate runtime and cover every op again)."""
@@ -581,9 +576,8 @@ def run_battery(
                 # nothing falls back to the loop
                 result = GradCheckResult.failed(x.data.size, str(exc))
             entries.append(BatteryEntry(name=name, seed=seed, result=result))
-    if include_model:
-        for seed in seeds[:2]:
-            entries.extend(_model_entries(seed, h=h, tol=tol))
+    for seed in seeds[:2]:
+        entries.extend(_model_entries(seed, h=h, tol=tol))
     return entries
 
 

@@ -17,10 +17,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from .files import atomic_write_text, read_json
 from .landmarks import DEFAULT_MAGNIFICATION, PATTERN_NAMES
-from .losses import CENTER_MODES, LossWeights
+from .losses import LossWeights
 from .model import ModelConfig
-
-F1_AVERAGES = ("macro", "micro")
 
 # JSON value types each field type accepts: bool is not an int, str is not a
 # number, and an int is a valid float.
@@ -173,8 +171,6 @@ class ExperimentConfig:
     seed: int = 0
     magnification: float = DEFAULT_MAGNIFICATION
     center_rate: float = 0.5
-    center_mode: str = "ema"
-    f1_average: str = "macro"
 
     def __post_init__(self):
         if self.dataset is None and self.synth is None:
@@ -185,10 +181,6 @@ class ExperimentConfig:
             raise ValueError("magnification must be > 0")
         if not 0.0 < self.center_rate <= 1.0:
             raise ValueError("center_rate must be in (0, 1]")
-        if self.center_mode not in CENTER_MODES:
-            raise ValueError(f"center_mode must be one of {CENTER_MODES}")
-        if self.f1_average not in F1_AVERAGES:
-            raise ValueError(f"f1_average must be one of {F1_AVERAGES}")
 
 
 def dumps(obj) -> str:

@@ -20,8 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-CENTER_MODES = ("ema", "batch")
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -61,29 +59,21 @@ class WeightCenterTable:
     """Per-class centers for the slot-weight vectors.
 
     Centers start uniform on the simplex and move toward observed weights by
-    exponential moving average (or are recomputed from each batch when mode
-    is "batch"). Convex updates of simplex points stay on the simplex.
+    exponential moving average; a rate of 1 recomputes each present class's
+    center from the batch. Convex updates of simplex points stay on the
+    simplex.
     """
 
-    def __init__(
-        self,
-        n_classes: int,
-        n_rows: int,
-        rate: float = 0.5,
-        mode: str = "ema",
-    ):
+    def __init__(self, n_classes: int, n_rows: int, rate: float = 0.5):
         if n_classes < 2:
             raise ValueError("n_classes must be >= 2")
         if n_rows < 2:  # one row always weighs 1; and see update's row order
             raise ValueError("n_rows must be >= 2")
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"update rate must be in (0, 1], got {rate}")
-        if mode not in CENTER_MODES:
-            raise ValueError(f"mode must be one of {CENTER_MODES}, got {mode!r}")
         self.n_classes = n_classes
         self.n_rows = n_rows
         self.rate = rate
-        self.mode = mode
         self.centers = np.full((n_classes, n_rows), 1.0 / n_rows)
 
     def check_labels(self, labels: Sequence[int]) -> np.ndarray:
@@ -115,12 +105,9 @@ class WeightCenterTable:
         np.add.at(sums, labels, weights)
         present = counts > 0
         means = sums[present] / counts[present, None]
-        if self.mode == "batch":
-            self.centers[present] = means
-        else:
-            self.centers[present] = (1.0 - self.rate) * self.centers[present] + (
-                self.rate * means
-            )
+        self.centers[present] = (1.0 - self.rate) * self.centers[present] + (
+            self.rate * means
+        )
 
 
 def _require_batch(name: str, t: Tensor) -> int:

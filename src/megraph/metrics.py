@@ -42,7 +42,6 @@ class F1Report:
 
     per_class: list[float]
     macro: float
-    micro: float
     undefined_classes: list[int]
 
 
@@ -55,12 +54,8 @@ def f1_report(y_true, y_pred, n_classes: int) -> F1Report:
     denom = 2.0 * tp + fp + fn
     defined = denom != 0.0
     per_class = np.divide(2.0 * tp, denom, out=np.zeros(n_classes), where=defined)
-
-    micro_denom = 2.0 * tp.sum() + fp.sum() + fn.sum()
-    micro = float(2.0 * tp.sum() / micro_denom) if micro_denom > 0 else 0.0
     return F1Report(
         per_class=per_class.tolist(),
         macro=float(np.mean(per_class)),
-        micro=micro,
         undefined_classes=np.flatnonzero(~defined).tolist(),
     )

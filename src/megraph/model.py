@@ -74,7 +74,6 @@ class ModelConfig:
     n_actions: int = 3
     relation_channels: int = 16
     n_classes: int = 5
-    normalize_weights: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -217,8 +216,8 @@ class ActionRelationNet:
 
         Returns (recognition_feature (..., 1, C_1), weights (..., 3*N_a, 1)).
         Weights are each slot's L1 feature mass, normalized per sample to
-        sum 1 by default; a sample whose slots all carry zero mass falls
-        back to uniform weights, with one warning per such sample.
+        sum 1; a sample whose slots all carry zero mass falls back to
+        uniform weights, with one warning per such sample.
         """
         p = self.params
         hidden = ad.relu(
@@ -231,14 +230,13 @@ class ActionRelationNet:
         )
         scored = ad.affine(hidden, p["relation.mix.w"], p["relation.mix.b"])
         weights = ad.l1_rowsum(scored)
-        if self.config.normalize_weights:
-            dead = int(np.count_nonzero(weights.data.sum(axis=-2) <= 0.0))
-            for _ in range(dead):
-                warnings.warn(
-                    "relation weights are all zero; falling back to uniform",
-                    RuntimeWarning,
-                )
-            weights = ad.normalize_columns(weights)
+        dead = int(np.count_nonzero(weights.data.sum(axis=-2) <= 0.0))
+        for _ in range(dead):
+            warnings.warn(
+                "relation weights are all zero; falling back to uniform",
+                RuntimeWarning,
+            )
+        weights = ad.normalize_columns(weights)
         pooled = ad.matmul(ad.transpose(weights), action_features)
         return pooled, weights
 

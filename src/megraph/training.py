@@ -195,7 +195,6 @@ def train_fold(
             n_classes=config.model.n_classes,
             n_rows=config.model.n_action_rows,
             rate=config.center_rate,
-            mode=config.center_mode,
         )
 
     opt = config.optimizer
@@ -288,15 +287,9 @@ class RunReport:
     fold_subjects: list[str]
     pooled_accuracy: float
     f1_macro: float
-    f1_micro: float
     f1_per_class: list[float]
     f1_undefined_classes: list[int]
     wall_time: float
-
-    @property
-    def f1_selected(self) -> float:
-        avg = self.config.get("f1_average", "macro")
-        return self.f1_micro if avg == "micro" else self.f1_macro
 
     def canonical(self) -> dict:
         """Report content minus wall time; bit-stable across repeated runs."""
@@ -334,7 +327,6 @@ def _run_report(config: ExperimentConfig, folds: list[FoldReport], t0: float):
         fold_subjects=[r.subject for r in folds],
         pooled_accuracy=pooled_acc,
         f1_macro=f1.macro,
-        f1_micro=f1.micro,
         f1_per_class=f1.per_class,
         f1_undefined_classes=f1.undefined_classes,
         wall_time=time.perf_counter() - t0,
@@ -554,11 +546,10 @@ def format_report(run: RunReport) -> str:
             f"  {f.subject:<10} {len(f.y_true):>4} {f.accuracy:>8.4f} "
             f"{f.epochs_run:>7}"
         )
-    avg = cfg.get("f1_average", "macro")
     lines += [
         "",
         f"  pooled accuracy: {run.pooled_accuracy:.4f}",
-        f"  f1 ({avg}): {run.f1_selected:.4f}",
+        f"  f1 (macro): {run.f1_macro:.4f}",
         f"  f1 per class: {', '.join(f'{v:.4f}' for v in run.f1_per_class)}",
     ]
     if run.f1_undefined_classes:
@@ -646,7 +637,6 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
                 "variant": variant,
                 "accuracy": run.pooled_accuracy,
                 "f1_macro": run.f1_macro,
-                "f1_micro": run.f1_micro,
             }
         )
 
@@ -665,7 +655,6 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
                 "loss_weights": encode(weights),
                 "accuracy": run.pooled_accuracy,
                 "f1_macro": run.f1_macro,
-                "f1_micro": run.f1_micro,
             }
         )
 

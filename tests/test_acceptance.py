@@ -183,12 +183,11 @@ def oracle_relate(model, f_a):
     raw = np.zeros((scored.shape[0], 1))
     for i in range(scored.shape[0]):
         raw[i, 0] = sum(abs(v) for v in scored[i])
-    if model.config.normalize_weights:
-        total = raw.sum()
-        if total <= 0.0:  # all slots dead: the contract says uniform fallback
-            raw = np.full_like(raw, 1.0 / raw.shape[0])
-        else:
-            raw = raw / total
+    total = raw.sum()
+    if total <= 0.0:  # all slots dead: the contract says uniform fallback
+        raw = np.full_like(raw, 1.0 / raw.shape[0])
+    else:
+        raw = raw / total
     return loop_matmul(raw.T, f_a), raw
 
 

@@ -1281,7 +1281,8 @@ class TestGradCheck:
             checks, "_cases",
             lambda: {"raises": case(raises), "short": case(lambda probes: np.zeros(3))},
         )
-        entries = checks.run_battery(seeds=(0,), include_model=False)
+        monkeypatch.setattr(checks, "_model_entries", lambda *a, **k: [])
+        entries = checks.run_battery(seeds=(0,))
         assert [(e.name, e.passed) for e in entries] == [
             ("raises", False), ("short", False)
         ]
@@ -1346,7 +1347,8 @@ class TestGradCheck:
             return result
 
         monkeypatch.setattr(ad, "grad_check", spy_check)
-        entries = checks.run_battery(seeds=seeds, include_model=False)
+        monkeypatch.setattr(checks, "_model_entries", lambda *a, **k: [])
+        entries = checks.run_battery(seeds=seeds)
         monkeypatch.undo()
         assert len(entries) == len(calls)
         return [(e, *c) for e, c in zip(entries, calls)]
@@ -1420,6 +1422,29 @@ class TestGradCheck:
             assert entry.result.max_rel_err == want.max_rel_err
             assert entry.result.n_coords == want.n_coords
             assert entry.result.worst_coord == want.worst_coord
+
+    def test_model_check_finds_a_check_point_at_a_base_with_few_clear_draws(self):
+        # base 373's first twelve jitter draws all sit within MIN_KINK_MARGIN
+        # of a kink
+        entries = checks._model_entries(373, h=1e-5, tol=1e-4)
+        model = ActionRelationNet(checks.SMALL_MODEL, seed=373)
+        assert [e.name for e in entries] == [
+            f"model.full[{name}]" for name, _ in model.params.items()
+        ]
+        assert all(e.passed for e in entries), [str(e.result) for e in entries]
+
+    def test_model_check_entries_at_the_first_clear_point_stand(self, monkeypatch):
+        # a failing comparison is reported, not redrawn until it passes
+        calls = []
+
+        def failing(f, x, analytic, h, tol, stacked=None):
+            calls.append(x)
+            return ad.GradCheckResult.failed(x.data.size, "wrong rule")
+
+        monkeypatch.setattr(ad, "compare_gradient", failing)
+        entries = checks._model_entries(0, h=1e-5, tol=1e-4)
+        assert len(entries) == len(calls) > 1
+        assert not any(e.passed for e in entries)
 
     def test_model_check_runs_ceil_2n_over_probe_chunk_forwards_per_tensor(
         self, monkeypatch

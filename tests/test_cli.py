@@ -82,6 +82,25 @@ BAD_INPUTS = [
         "quotes: line 1 column 26 (char 25)",
         id="config-truncated",
     ),
+    # fields that older configs carried and the program no longer has
+    pytest.param(
+        ["loso", "--config", "{input}"],
+        '{"center_mode": "batch", "center_rate": 0.5}',
+        "unknown config fields in config: ['center_mode']",
+        id="config-center-mode",
+    ),
+    pytest.param(
+        ["train", "--config", "{input}"],
+        '{"f1_average": "macro"}',
+        "unknown config fields in config: ['f1_average']",
+        id="config-f1-average",
+    ),
+    pytest.param(
+        ["config", "show", "--config", "{input}"],
+        '{"model": {"variant": "full", "normalize_weights": true}}',
+        "unknown config fields in config.model: ['normalize_weights']",
+        id="config-normalize-weights",
+    ),
     pytest.param(
         ["evaluate", "--checkpoint", "{input}"],
         '{"format": "megraph-params-v2", "params": {"head.w": {"shape": [1',

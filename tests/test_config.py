@@ -66,10 +66,9 @@ class TestValidation:
     def test_experiment_field_bounds(self):
         with pytest.raises(ValueError):
             ExperimentConfig(magnification=0.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(center_mode="other")
-        with pytest.raises(ValueError):
-            ExperimentConfig(f1_average="weighted")
+        for rate in (0.0, 1.5):
+            with pytest.raises(ValueError, match="center_rate"):
+                ExperimentConfig(center_rate=rate)
 
     @pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
     def test_nan_fails_every_float_bound(self, cls, name):
@@ -94,8 +93,6 @@ class TestRoundTrips:
             seed=9,
             magnification=2.5,
             center_rate=0.25,
-            center_mode="batch",
-            f1_average="micro",
         )
 
     def test_dict_round_trip_compares_equal(self):
@@ -170,8 +167,8 @@ FULL = TestRoundTrips().full_config()
         pytest.param(OptimizerConfig(lr=0.02, epochs=40, plateau_tol=1e-3),
                      id="optimizer"),
         pytest.param(AugmentConfig(copies=2, max_scale=0.03), id="augment"),
-        pytest.param(ModelConfig(variant="actions", channels=8,
-                                 normalize_weights=False), id="model"),
+        pytest.param(ModelConfig(variant="actions", channels=8, n_actions=4),
+                     id="model"),
         pytest.param(LossWeights(0.5, 1.5, 0.05), id="loss_weights"),
         pytest.param(ExperimentConfig(), id="experiment_defaults"),
         pytest.param(FULL, id="experiment_full"),
@@ -191,8 +188,7 @@ class TestEncode:
         payload = encode(FULL)
         assert list(payload) == [
             "dataset", "synth", "model", "loss_weights", "optimizer",
-            "augment", "seed", "magnification", "center_rate", "center_mode",
-            "f1_average",
+            "augment", "seed", "magnification", "center_rate",
         ]
         assert payload["synth"] == {
             "n_subjects": 4, "samples_per_subject": 4, "n_classes": 3,

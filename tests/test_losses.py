@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import megraph.autodiff as ad
 from megraph.config import decode, encode
 from megraph.losses import (
-    CENTER_MODES,
     LossWeights,
     WeightCenterTable,
     balance_loss,
@@ -191,12 +190,15 @@ class TestCenterTable:
         table.update(np.array([[1.0, 0.0]]), [0])
         np.testing.assert_allclose(table.centers[0], [0.875, 0.125])
 
-    def test_batch_mode_recomputes(self):
-        table = WeightCenterTable(n_classes=2, n_rows=2, mode="batch")
-        table.update(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 0])
-        np.testing.assert_allclose(table.centers[0], [0.5, 0.5])
-        table.update(np.array([[0.8, 0.2]]), [0])
-        np.testing.assert_allclose(table.centers[0], [0.8, 0.2])
+    def test_rate_one_recomputes_from_the_batch(self):
+        table = WeightCenterTable(n_classes=3, n_rows=3, rate=1.0)
+        rng = np.random.default_rng(7)
+        for labels in map(np.array, ([0, 0, 2], [2], [0, 2, 2, 0])):
+            weights = rng.dirichlet(np.ones(3), size=len(labels))
+            table.update(weights, labels)
+            for k in set(labels.tolist()):
+                assert (table.centers[k] == weights[labels == k].mean(axis=0)).all()
+        np.testing.assert_array_equal(table.centers[1], 1.0 / 3)  # never present
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -205,8 +207,6 @@ class TestCenterTable:
             WeightCenterTable(n_classes=2, n_rows=1)
         with pytest.raises(ValueError):
             WeightCenterTable(n_classes=2, n_rows=2, rate=0.0)
-        with pytest.raises(ValueError):
-            WeightCenterTable(n_classes=2, n_rows=2, mode="running")
         table = WeightCenterTable(n_classes=2, n_rows=2)
         with pytest.raises(ValueError):
             table.update(np.zeros((1, 3)), [0])
@@ -228,20 +228,17 @@ class TestCenterTable:
 
 def _loop_update(table, weights, labels):
     """The per-class loop the one-pass update replaced: a masked mean per
-    class present, then the EMA or batch rule."""
+    class present, then the EMA rule."""
     for k in sorted(set(labels.tolist())):
         batch_mean = weights[labels == k].mean(axis=0)
-        if table.mode == "batch":
-            table.centers[k] = batch_mean
-        else:
-            table.centers[k] = (1.0 - table.rate) * table.centers[k] + (
-                table.rate * batch_mean
-            )
+        table.centers[k] = (1.0 - table.rate) * table.centers[k] + (
+            table.rate * batch_mean
+        )
 
 
 @st.composite
 def _center_updates(draw):
-    """A table's shape, mode and rate, and one to three batches for it."""
+    """A table's shape and rate, and one to three batches for it."""
     n_classes, n_rows = draw(st.integers(2, 6)), draw(st.integers(2, 10))
     batches = []
     for _ in range(draw(st.integers(1, 3))):
@@ -249,28 +246,27 @@ def _center_updates(draw):
         size = len(labels) * n_rows
         values = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
         batches.append((np.reshape(values, (len(labels), n_rows)), labels))
-    mode = draw(st.sampled_from(CENTER_MODES))
     rate = draw(st.floats(0.0, 1.0, exclude_min=True))
-    return n_classes, n_rows, mode, rate, batches
+    return n_classes, n_rows, rate, batches
 
 
 # n_rows = 1 is left out because the table rejects it: numpy sums a lone
 # column of rows pairwise, so the loop's mean would differ in the last bit
 @settings(max_examples=200, deadline=None)
 @given(case=_center_updates())
-@example(case=(4, 3, "ema", 0.5, [
+@example(case=(4, 3, 0.5, [
     # class 1 has one row, -0.0 in its first column; 2 and 3 are absent
     (np.array([[-0.0, 0.25, 0.75], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.2, 0.7, 0.1]]),
      [0, 1, 0, 0]),
 ]))
-@example(case=(4, 3, "batch", 1.0, [
+@example(case=(4, 3, 1.0, [
     (np.array([[-0.0, 0.25, 0.75], [0.1, 0.2, 0.7]]), [2, 0]),
     (np.zeros((0, 3)), []),
 ]))
 def test_one_pass_update_matches_the_per_class_loop_bit_for_bit(case):
-    n_classes, n_rows, mode, rate, batches = case
-    table = WeightCenterTable(n_classes, n_rows, rate=rate, mode=mode)
-    oracle = WeightCenterTable(n_classes, n_rows, rate=rate, mode=mode)
+    n_classes, n_rows, rate, batches = case
+    table = WeightCenterTable(n_classes, n_rows, rate=rate)
+    oracle = WeightCenterTable(n_classes, n_rows, rate=rate)
     for weights, labels in batches:
         table.update(weights, labels)
         _loop_update(oracle, weights, np.asarray(labels, dtype=np.int64))

@@ -72,19 +72,7 @@ class TestF1:
         report = f1_report(y_true, y_pred, 2)
         np.testing.assert_allclose(report.per_class, [2 / 3, 2 / 3])
         np.testing.assert_allclose(report.macro, 2 / 3)
-        np.testing.assert_allclose(report.micro, 2 / 3)
         assert report.undefined_classes == []
-
-    def test_micro_equals_accuracy_when_every_sample_has_one_label(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            n = int(rng.integers(2, 60))
-            y_true = rng.integers(0, 5, size=n)
-            y_pred = rng.integers(0, 5, size=n)
-            report = f1_report(y_true, y_pred, 5)
-            np.testing.assert_allclose(
-                report.micro, accuracy(y_true, y_pred), atol=1e-12
-            )
 
     def test_absent_class_flagged_and_scored_zero(self):
         report = f1_report([0, 0, 1], [0, 0, 1], 3)
@@ -114,7 +102,7 @@ class TestF1:
 
 
 def f1_loop_oracle(y_true, y_pred, n_classes):
-    """Per-class F1 one class at a time, then the macro and micro averages."""
+    """Per-class F1 one class at a time, then their macro average."""
     counts = confusion_matrix(y_true, y_pred, n_classes)
     tp = np.diag(counts).astype(np.float64)
     fp = counts.sum(axis=0) - tp
@@ -127,9 +115,7 @@ def f1_loop_oracle(y_true, y_pred, n_classes):
             undefined.append(k)
         else:
             per_class.append(float(2.0 * tp[k] / denom))
-    micro_denom = 2.0 * tp.sum() + fp.sum() + fn.sum()
-    micro = float(2.0 * tp.sum() / micro_denom) if micro_denom > 0 else 0.0
-    return per_class, float(np.mean(per_class)), micro, undefined
+    return per_class, float(np.mean(per_class)), undefined
 
 
 @st.composite
@@ -148,10 +134,10 @@ def predictions(draw):
 @given(predictions())
 def test_f1_report_equals_the_per_class_loop_bit_for_bit(case):
     report = f1_report(*case)
-    per_class, macro, micro, undefined = f1_loop_oracle(*case)
+    per_class, macro, undefined = f1_loop_oracle(*case)
     bits = lambda values: np.asarray(values, dtype=np.float64).view(np.uint64)
     assert np.array_equal(bits(report.per_class), bits(per_class))
-    assert bits(report.macro) == bits(macro) and bits(report.micro) == bits(micro)
+    assert bits(report.macro) == bits(macro)
     assert report.undefined_classes == undefined
     assert all(type(v) is float for v in report.per_class)
     assert all(type(k) is int for k in report.undefined_classes)

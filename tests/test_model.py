@@ -104,12 +104,11 @@ def oracle_relate(model, f_a):
     raw = np.zeros((scored.shape[0], 1))
     for i in range(scored.shape[0]):
         raw[i, 0] = sum(abs(v) for v in scored[i])
-    if model.config.normalize_weights:
-        total = raw.sum()
-        if total <= 0.0:  # all slots dead: contract says uniform fallback
-            raw = np.full_like(raw, 1.0 / raw.shape[0])
-        else:
-            raw = raw / total
+    total = raw.sum()
+    if total <= 0.0:  # all slots dead: contract says uniform fallback
+        raw = np.full_like(raw, 1.0 / raw.shape[0])
+    else:
+        raw = raw / total
     return loop_matmul(raw.T, f_a), raw
 
 
@@ -144,7 +143,7 @@ class TestModelConfig:
     def test_round_trip(self):
         cfg = ModelConfig(
             variant="actions", channels=8, n_actions=4,
-            relation_channels=6, n_classes=4, normalize_weights=False,
+            relation_channels=6, n_classes=4,
         )
         assert decode(ModelConfig, encode(cfg)) == cfg
         assert cfg.n_action_rows == 12
@@ -354,19 +353,6 @@ class TestDegenerateAlgebra:
         with pytest.warns(RuntimeWarning, match="uniform"):
             result = model.forward(np.zeros((3, 31, 2)))
         np.testing.assert_allclose(result.logits.data, [[0.5, -1.0, 2.0]])
-
-    def test_unnormalized_weights_keep_raw_mass(self):
-        rng = np.random.default_rng(42)
-        cfg = ModelConfig(
-            variant="full", channels=4, n_actions=2,
-            relation_channels=3, n_classes=3, normalize_weights=False,
-        )
-        model = ActionRelationNet(cfg, seed=0)
-        f_a = rng.normal(size=(cfg.n_action_rows, cfg.channels))
-        _, weights = model.relate(ad.constant(f_a))
-        _, want = oracle_relate(model, f_a)
-        np.testing.assert_allclose(weights.data, want, atol=1e-10)
-        assert not np.isclose(weights.data.sum(), 1.0)
 
 
 class TestDeterminism:

@@ -905,7 +905,7 @@ class TestAblation:
         report = run_ablation(cfg)
         assert len(configs) == len(MODULE_ROWS) + len(LOSS_ROWS) - 1 == 6
         assert len(set(configs)) == 6
-        metrics = ("accuracy", "f1_macro", "f1_micro")
+        metrics = ("accuracy", "f1_macro")
         module_full, loss_full = report.modules[-1], report.losses[0]
         assert module_full["name"] == loss_full["name"] == "full"
         assert [module_full[m] for m in metrics] == [loss_full[m] for m in metrics]
