@@ -199,54 +199,74 @@ def _nested_frames(given) -> np.ndarray:
     raise ValueError("frames must be nested lists of numbers")
 
 
-def load_samples(path) -> SampleSet:
+def sample_lines(fh) -> list[tuple[int, int]]:
+    """(byte offset, line number) of each line of binary file ``fh`` that
+    :func:`load_samples` reads as a sample: not blank, or not UTF-8."""
+    found, offset = [], 0
+    for lineno, line in enumerate(fh, start=1):
+        # a first "{" settles it without decoding; a bad byte decodes to U+FFFD
+        if line[:1] == b"{" or line.decode("utf-8", "replace").strip():
+            found.append((offset, lineno))
+        offset += len(line)
+    return found
+
+
+def load_samples(path, lines=None) -> SampleSet:
     """Read UTF-8 JSON-lines samples, skipping blank lines, into one frames
-    column sized by a first count of the lines; a pipe, which can be read
-    only once, is stacked from per-line arrays instead. A malformed line
-    raises ValueError naming ``path:lineno``."""
+    column sized by :func:`sample_lines`; given ``lines``, a run of its
+    entries, only those. A pipe, which can be read only once, is stacked from
+    per-line arrays instead. The first malformed line in file order raises
+    ValueError naming ``path:lineno``."""
     linenos: list[int] = []
     subjects: list[str] = []
     labels: list[int] = []
     rows: list[np.ndarray] = []
+
+    def checked():  # the columns read so far, once every row passes
+        try:
+            return _checked(
+                np.array(rows).reshape(-1, *FRAME_SHAPE) if frames is None
+                else frames[: len(linenos)],
+                np.array(labels, dtype=np.int64),
+                np.array(subjects, dtype=str),
+            )
+        except SampleError as exc:
+            raise ValueError(f"{path}:{linenos[exc.index]}: {exc}") from None
+
     with open(path, "rb") as fh:
-        if fh.seekable():
-            n = sum(1 for _ in fh)
-            fh.seek(0)
-            frames, lines = np.empty((n, *FRAME_SHAPE)), islice(fh, n)
-        else:  # a pipe can be read only once: keep each line's frames in rows
-            frames, lines = None, fh
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                subject, label, row = _parse_record(record)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if frames is None:
-                rows.append(row)
-            else:
-                frames[len(linenos)] = row
-            linenos.append(lineno)
-            subjects.append(subject)
-            labels.append(label)
-    if frames is None:
-        frames = np.array(rows).reshape(-1, *FRAME_SHAPE)
-    try:
-        columns = _checked(
-            frames[: len(linenos)],
-            np.array(labels, dtype=np.int64),
-            np.array(subjects, dtype=str),
-        )
-    except SampleError as exc:
-        raise ValueError(f"{path}:{linenos[exc.index]}: {exc}") from None
-    return SampleSet._from_columns(*columns)
+        if lines is None and fh.seekable():
+            lines = sample_lines(fh)
+        if lines is None:  # a pipe can be read only once: keep each line's frames
+            frames, first, todo = None, 1, fh
+        else:
+            offset, first = lines[0] if lines else (0, 1)
+            fh.seek(offset)
+            frames = np.empty((len(lines), *FRAME_SHAPE))
+            todo = islice(fh, lines[-1][1] + 1 - first if lines else 0)
+        try:
+            for lineno, line in enumerate(todo, start=first):
+                try:
+                    line = line.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    subject, label, row = _parse_record(json.loads(line))
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                except ValueError as exc:  # the record's fields
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if frames is None:
+                    rows.append(row)
+                else:
+                    frames[len(linenos)] = row
+                linenos.append(lineno)
+                subjects.append(subject)
+                labels.append(label)
+        except ValueError:
+            checked()  # a bad row on an earlier line is reported first
+            raise
+    return SampleSet._from_columns(*checked())
 
 
 def magnify(frames: np.ndarray, alpha: float = DEFAULT_MAGNIFICATION) -> np.ndarray:

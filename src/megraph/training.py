@@ -10,16 +10,18 @@ plain (N, 3, 31, 2) array of node features; a LOSO fold is a held-out mask
 over the samples and their rows, and only its jittered training copies are
 preprocessed and hashed for the leakage check per fold.
 
-:func:`run_loso` trains one contiguous share of folds per usable CPU, the first
-in the caller and each other in a forked child, and runs serially on one CPU,
-without ``os.fork`` or beside other threads. Reports, curves and checkpoints
-are bit-identical for any worker count. The caller's ``ru_maxrss`` (the
-benchmark's ``peak_rss_mb``) and per-layer counts cover only its own share.
+:func:`run_loso` trains one contiguous share of folds per usable CPU, and
+:func:`evaluate_checkpoint` scores one share of a dataset file's lines per
+usable CPU: the first in the caller and each other in a forked child, serially
+on one CPU, without ``os.fork`` or beside other threads. Reports, curves and
+checkpoints are bit-identical for any worker count. The caller's ``ru_maxrss``
+(the benchmark's ``peak_rss_mb``) and per-layer counts cover only its share.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import gc
 import os
 import pickle
@@ -31,7 +33,8 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,7 @@ from .landmarks import (
     finite_samples,
     load_samples,
     magnify,
+    sample_lines,
     synthesize_dataset,
 )
 from .losses import WeightCenterTable, for_variant, total_loss
@@ -70,15 +74,19 @@ def prepare_samples(config: ExperimentConfig) -> SampleSet:
         samples = load_samples(config.dataset)
     else:
         samples = synthesize_dataset(**encode(config.synth))
-    if not len(samples):
+    _check_labels(samples.labels, config)
+    return samples
+
+
+def _check_labels(labels: np.ndarray, config: ExperimentConfig) -> None:
+    if not len(labels):
         raise ValueError("dataset is empty")
-    max_label = int(samples.labels.max())
+    max_label = int(labels.max())
     if max_label >= config.model.n_classes:
         raise ValueError(
             f"dataset has label {max_label} but the model is configured "
             f"for {config.model.n_classes} classes"
         )
-    return samples
 
 
 def loso_split(samples: SampleSet) -> list[tuple[str, np.ndarray]]:
@@ -354,24 +362,50 @@ WORKER_GRACE_S = 60.0  # a child's wait before it counts as hung: see _map_folds
 
 
 def _workers() -> int:
-    """Processes that train a run's folds: one per usable CPU."""
+    """Processes that run a run's shares: one per usable CPU, and one where
+    forking is impossible or unsafe (beside other threads)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _map_folds(fold_fn, folds, workers):
-    """``[fold_fn(*fold) for fold in folds]`` (a fold's first item is its
-    subject), the caller running the first of ``workers`` contiguous shares
-    and a forked child each other share. The first fold to fail raises, as in
-    a serial run. Every child is reaped; one is killed if the caller fails, or
-    if it sends nothing for :data:`WORKER_GRACE_S` plus ten times the time of
-    the caller's share once that ends."""
+@cache
+def _blas_threads():
+    """A function that sets numpy's OpenBLAS thread count and returns the
+    count it replaces, looked up on first use (importing pays nothing); where
+    OpenBLAS is not found, one that sets nothing and returns None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        libs = []
+    for lib, name in product(libs, ("scipy_openblas_%s_num_threads64_",
+                                    "openblas_%s_num_threads64_", "openblas_%s_num_threads")):
+        if hasattr(lib, name % "set"):
+            get, put = getattr(lib, name % "get"), getattr(lib, name % "set")
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return lambda n: (get(), put(n))[0]
+    return lambda n: None
+
+
+def _map_folds(fold_fn, folds, workers, what="folds"):
+    """``[fold_fn(*fold) for fold in folds]`` (a fold's first item names it
+    among the ``what`` a worker holds), the caller running the first of
+    ``workers`` contiguous shares and a forked child each other share, all on
+    one BLAS thread. The first fold to fail raises, as in a serial run. Every
+    child is reaped; one is killed if the caller fails, or if it sends
+    nothing for :data:`WORKER_GRACE_S` plus ten times the time of the
+    caller's share once that ends."""
     w, n = min(workers, len(folds)), len(folds)
-    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [fold_fn(*fold) for fold in folds]  # no fork beside threads: unsafe
+    if w < 2:
+        return [fold_fn(*fold) for fold in folds]
     shares = [folds[n * i // w:n * (i + 1) // w] for i in range(w)]
     pending = []  # (pid, pipe's read end, share) of children not yet reaped
+    threads = _blas_threads()(1)  # at these sizes a second thread only slows
     try:
         for share in shares[1:]:
             read_fd, write_fd = os.pipe()
@@ -393,7 +427,7 @@ def _map_folds(fold_fn, folds, workers):
             os.close(fd)
             del pending[0]
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            who = f"the worker for folds {', '.join(f[0] for f in share)}"
+            who = f"the worker for {what} {', '.join(f[0] for f in share)}"
             if payload is None or code != 0:
                 how = (f"killed after {wait:.0f} s" if payload is None
                        else f"signal {-code}" if code < 0 else f"exit code {code}")
@@ -416,6 +450,7 @@ def _map_folds(fold_fn, folds, workers):
             os.kill(pid, signal.SIGKILL)
             os.close(fd)
             os.waitpid(pid, 0)
+        _blas_threads()(threads)
 
 
 def _read_by(fd, deadline):
@@ -506,22 +541,54 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunReport:
     return run
 
 
+def _eval_share(config, model, name, lines):
+    """Load and score one share of the dataset (all of it when ``lines`` is
+    None): its labels, and :func:`evaluate`'s result or the error it raised,
+    which waits for the whole set's label checks, as in a serial run."""
+    samples = prepare_samples(config) if lines is None else load_samples(
+        config.dataset, lines)
+    try:
+        return samples.labels, evaluate(model, samples, config.magnification)
+    except (ValueError, FloatingPointError, InvariantError) as exc:
+        return samples.labels, exc  # raised once every share has loaded
+
+
 def evaluate_checkpoint(
     config: ExperimentConfig, checkpoint_path, out_dir=None
 ) -> RunReport:
     """Score a :func:`~megraph.params.write_checkpoint` file on the configured
     dataset. An entry set or shape other than the model's ``state_dict`` is a
-    ValueError naming the file and the missing and extra names."""
+    ValueError naming the file and the missing and extra names, raised before
+    the dataset is read. A regular file is scored in one share of its sample
+    lines per worker (see :func:`_map_folds`), each but the last a whole
+    number of :data:`EVAL_CHUNK` chunks; a synthetic set, a pipe or a file of
+    one chunk is one share."""
     t0 = time.perf_counter()
     release_cycles()
-    samples = prepare_samples(config)
     model = ActionRelationNet(config.model, seed=0)
     state = read_checkpoint(checkpoint_path)
     try:
         model.params.load_state_dict(state)
     except ValueError as exc:
         raise ValueError(f"{checkpoint_path}: {exc}") from None
-    run = _run_report(config, [_fold_report("(eval)", model, samples, config, 0)], t0)
+    w, lines, shares = _workers(), [], [("all", None)]
+    if w > 1 and config.dataset is not None and os.path.isfile(config.dataset):
+        with open(config.dataset, "rb") as fh:
+            lines = sample_lines(fh)
+    chunks = -(-len(lines) // EVAL_CHUNK)
+    w = min(w, chunks)
+    if w > 1:
+        cuts = [EVAL_CHUNK * (chunks * i // w) for i in range(w)] + [len(lines)]
+        shares = [(f"{lines[a][1]}-{lines[b - 1][1]}", lines[a:b])
+                  for a, b in zip(cuts, cuts[1:])]
+    parts = _map_folds(partial(_eval_share, config, model), shares, len(shares), "lines")
+    _check_labels(np.concatenate([labels for labels, _ in parts]), config)
+    for _, scored in parts:
+        if isinstance(scored, Exception):
+            raise scored
+    y_true, y_pred, logits = (sum(column, []) for column in zip(*(s for _, s in parts)))
+    fold = FoldReport("(eval)", y_true, y_pred, logits, accuracy(y_true, y_pred), 0)
+    run = _run_report(config, [fold], t0)
     if out_dir is not None:
         write_run_dir(out_dir, config, run, [], {}, fold_name="eval")
     return run

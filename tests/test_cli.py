@@ -392,6 +392,21 @@ class TestRunCommands:
         assert capsys.readouterr().out == summary + f"artifacts written to {scored}\n"
         assert (scored / "report.txt").read_text() == summary
 
+    def test_evaluate_reports_a_bad_checkpoint_before_a_bad_dataset(
+        self, tmp_path, capsys
+    ):
+        # the model is loaded before the dataset's shares are read
+        data, config, ckpt = (tmp_path / n for n in ("d.jsonl", "c.json", "k.json"))
+        data.write_text(_samples(0) + "{not json\n")
+        save_config(ExperimentConfig(dataset=str(data), synth=None), config)
+        ckpt.write_text('{"format": "megraph-params-v2", "params": {')
+        argv = ["evaluate", "--config", str(config), "--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: invalid JSON")
+        write_checkpoint(ActionRelationNet(ModelConfig()).params.state_dict(), ckpt)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}:2: invalid JSON")
+
     @pytest.mark.parametrize("split, parts", [
         ("actions.gc.w", [f"actions.{comp}.gc.w" for comp in COMPONENTS]),
         ("backbone.l2.tc.w", [f"backbone.l2.tc.w{k}" for k in range(3)]),

@@ -26,6 +26,7 @@ from megraph.landmarks import (
     load_samples,
     magnify,
     neutral_face_template,
+    sample_lines,
     save_samples,
     synthesize_dataset,
 )
@@ -385,6 +386,35 @@ class TestJsonlFiles:
         save_samples(make_samples(), path)
         path.write_text(path.read_text() + "{not json\n")
         with pytest.raises(ValueError, match=":2:"):
+            load_samples(path)
+
+    def test_the_first_bad_line_in_file_order_wins(self, tmp_path):
+        # a row check fails on line 3, a parse on line 9: line 3 is reported
+        path = tmp_path / "data.jsonl"
+        lines = [json.dumps(GOOD_RECORD)] * 10
+        lines[2] = json.dumps({**GOOD_RECORD, "label": -1})
+        lines[8] = "{not json"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_samples(path)
+        assert str(info.value) == f"{path}:3: label must be >= 0, got -1"
+
+    def test_a_run_of_sample_lines_loads_only_those_samples(self, tmp_path):
+        samples = synthesize_dataset(n_subjects=3, samples_per_subject=4, seed=0)
+        path = tmp_path / "data.jsonl"
+        save_samples(samples, path)
+        # blank lines, one of them Unicode whitespace, and a line that is
+        # not UTF-8 after the run: only the run's lines are read
+        text = path.read_bytes().splitlines(keepends=True)
+        text[4:4] = [b"\n", "\u3000 \t\n".encode()]
+        path.write_bytes(b"".join(text) + b"\xff\n")
+        with open(path, "rb") as fh:
+            lines = sample_lines(fh)
+        assert [n for _, n in lines] == [1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15]
+        part = load_samples(path, lines[3:7])
+        np.testing.assert_array_equal(part.frames, samples.frames[3:7])
+        assert part.subjects.tolist() == samples.subjects[3:7].tolist()
+        with pytest.raises(ValueError, match=":15: not UTF-8 text"):
             load_samples(path)
 
     def test_too_deeply_nested_line_reports_line_number(self, tmp_path):

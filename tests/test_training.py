@@ -20,11 +20,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from megraph.cli import main
 from megraph.config import (
     AugmentConfig,
     ExperimentConfig,
     OptimizerConfig,
     SynthSpec,
+    load_config,
     save_config,
 )
 import megraph.autodiff
@@ -32,8 +34,9 @@ import megraph.landmarks
 import megraph.params
 import megraph.training
 from megraph.checks import _tape
+from megraph.files import encode_float64
 from megraph.graph import DegenerateFrameError
-from megraph.landmarks import SampleSet, save_samples, synthesize_dataset
+from megraph.landmarks import SampleSet, load_samples, save_samples, synthesize_dataset
 from megraph.model import ActionRelationNet, ModelConfig
 from megraph.params import read_checkpoint, write_checkpoint
 from megraph.training import (
@@ -801,6 +804,276 @@ class TestForkedFolds:
         assert [str(w.message) for w in caught] == [
             "fold s01 leaks", "fold s02 leaks", "fold s03 leaks"
         ]
+
+    def test_the_caller_and_its_workers_run_one_blas_thread(self, monkeypatch):
+        set_threads = megraph.training._blas_threads()
+        before = set_threads(2)
+        if before is None:
+            pytest.skip("numpy's OpenBLAS cannot be asked here")
+        two = set_threads(2)  # what OpenBLAS made of the request
+
+        def before_fold(subject):  # a warning carries a child's count back
+            warnings.warn(f"{subject} ran {set_threads(1)} BLAS threads", RuntimeWarning)
+
+        _patch_train_fold(monkeypatch, before_fold)
+        _set_workers(monkeypatch, 2)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_loso(tiny_loso_config())
+            restored = set_threads(before)
+        finally:
+            set_threads(before)
+        assert [str(w.message) for w in caught] == [
+            f"s0{k} ran 1 BLAS threads" for k in (1, 2, 3)
+        ]
+        assert restored == two
+
+    def test_without_openblas_the_workers_run_as_before(self, monkeypatch, tmp_path):
+        def no_library(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        megraph.training._blas_threads.cache_clear()
+        monkeypatch.setattr(megraph.training.ctypes, "CDLL", no_library)
+        try:
+            assert megraph.training._blas_threads()(1) is None
+            _set_workers(monkeypatch, 2)
+            run_loso(tiny_loso_config(), out_dir=tmp_path / "2")
+        finally:
+            megraph.training._blas_threads.cache_clear()
+        _set_workers(monkeypatch, 1)
+        run_loso(tiny_loso_config(), out_dir=tmp_path / "1")
+        assert _run_files(tmp_path / "2") == _run_files(tmp_path / "1")
+
+    def test_no_fork_beside_other_threads(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert megraph.training._workers() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+SHARD_MODEL = ModelConfig(variant="full", channels=4, n_actions=2,
+                          relation_channels=3, n_classes=3)
+
+
+def _eval_inputs(tmp_path, text: str, state=None):
+    """A config file reading ``text`` as its dataset, and a checkpoint of
+    ``state`` (a seeded model's, when None)."""
+    data, config, ckpt = (tmp_path / n for n in ("data.jsonl", "config.json", "c.json"))
+    data.write_text(text, encoding="utf-8")
+    save_config(ExperimentConfig(dataset=str(data), synth=None, model=SHARD_MODEL,
+                                 seed=0), config)
+    if state is None:
+        state = ActionRelationNet(SHARD_MODEL, seed=3).params.state_dict()
+    write_checkpoint(state, ckpt)
+    return config, ckpt
+
+
+def _shard_text(n_subjects=5, nested=True, blank_before=()):
+    """JSONL of a 3-class synthetic set of 6 samples per subject, frames as
+    nested lists or base64, with a blank line (a space, a tab and U+3000)
+    before each sample index in ``blank_before`` and one at the end."""
+    samples = synthesize_dataset(n_subjects=n_subjects, samples_per_subject=6,
+                                 n_classes=3, seed=1)
+    lines = []
+    for i, (s, y, f) in enumerate(zip(samples.subjects.tolist(),
+                                      samples.labels.tolist(), samples.frames)):
+        if i in blank_before:
+            lines.append(" \t\u3000")
+        frames = f.tolist() if nested else encode_float64(f)
+        lines.append(json.dumps({"subject": s, "label": y, "frames": frames}))
+    return "\n".join(lines) + "\n\n"
+
+
+class TestShardedEvaluate:
+    """Scoring a dataset file in forked shares of its lines gives what one
+    process gives. With EVAL_CHUNK 4, the 30 samples of ``_shard_text`` are 8
+    chunks, the last of 2: 2 workers split them at sample 16, 3 at samples 8
+    and 20, and 8 give each chunk its own process."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(megraph.training, "EVAL_CHUNK", 4)
+
+    @staticmethod
+    def _caller_loads(monkeypatch):
+        """The sample count of each share the calling process loads."""
+        real, parent, loads = megraph.training.load_samples, os.getpid(), []
+
+        def counted(path, lines=None):
+            if os.getpid() == parent:
+                loads.append(None if lines is None else len(lines))
+            return real(path, lines)
+
+        monkeypatch.setattr(megraph.training, "load_samples", counted)
+        return loads
+
+    @pytest.mark.parametrize("text, caller_shares", [
+        # blank lines before a share's first sample, at the start and the end
+        (_shard_text(nested=False, blank_before=(0, 8, 16, 20)),
+         {1: [None], 2: [16], 3: [8], 8: [4]}),
+        # 18 samples as nested lists: 5 chunks, so 8 workers make 5 shares
+        (_shard_text(n_subjects=3), {1: [None], 2: [8], 3: [4], 8: [4]}),
+    ], ids=["base64-blank-lines", "nested-lists"])
+    def test_every_worker_count_writes_the_same_run_dir(
+        self, monkeypatch, tmp_path, text, caller_shares
+    ):
+        config, ckpt = _eval_inputs(tmp_path, text)
+        loads = self._caller_loads(monkeypatch)
+        runs = []
+        for workers in (1, 2, 3, 8):
+            _set_workers(monkeypatch, workers)
+            out = tmp_path / str(workers)
+            argv = ["evaluate", "--config", str(config), "--checkpoint", str(ckpt)]
+            assert main(argv + ["--out", str(out)]) == 0
+            runs.append(_run_files(out))
+            assert loads == caller_shares[workers]
+            loads.clear()
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+        n = text.count('"subject"')
+        assert len(json.loads(runs[0]["folds/eval.json"])["y_true"]) == n
+
+    def test_a_pipe_is_scored_in_one_process(self, monkeypatch, tmp_path):
+        config, ckpt = _eval_inputs(tmp_path, _shard_text())
+        cfg = load_config(config)
+        _set_workers(monkeypatch, 2)
+        from_file = evaluate_checkpoint(cfg, ckpt)
+
+        def no_fork():
+            raise AssertionError("a pipe was cut into shares")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        read_end, write_end = os.pipe()
+
+        def write():
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write((tmp_path / "data.jsonl").read_bytes())
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            piped = evaluate_checkpoint(replace(cfg, dataset=f"/dev/fd/{read_end}"), ckpt)
+        finally:
+            writer.join(timeout=30)
+            os.close(read_end)
+        assert piped.folds == from_file.folds
+
+    @staticmethod
+    def _patch_child_load(monkeypatch, act):
+        """Make a forked worker call ``act()`` before it loads its share."""
+        real, parent = megraph.training.load_samples, os.getpid()
+
+        def patched(path, lines=None):
+            if os.getpid() != parent:
+                act()
+            return real(path, lines)
+
+        monkeypatch.setattr(megraph.training, "load_samples", patched)
+
+    def test_a_killed_worker_is_named_by_its_lines(self, monkeypatch, tmp_path):
+        config, ckpt = _eval_inputs(tmp_path, _shard_text())
+        self._patch_child_load(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        _set_workers(monkeypatch, 2)
+        with pytest.raises(ChildProcessError) as info:
+            evaluate_checkpoint(load_config(config), ckpt)
+        assert str(info.value) == (
+            "the worker for lines 17-30 ended (signal 9) before sending its results"
+        )
+
+    def test_a_hung_worker_is_killed_and_named_by_its_lines(self, monkeypatch, tmp_path):
+        config, ckpt = _eval_inputs(tmp_path, _shard_text())
+        self._patch_child_load(monkeypatch, lambda: time.sleep(60))
+        _set_workers(monkeypatch, 3)
+        monkeypatch.setattr(megraph.training, "WORKER_GRACE_S", 1.0)
+        t0 = time.perf_counter()
+        with pytest.raises(ChildProcessError, match=(
+            r"^the worker for lines 9-20 ended \(killed after \d+ s\) before "
+            r"sending its results$"
+        )):
+            evaluate_checkpoint(load_config(config), ckpt)
+        assert time.perf_counter() - t0 < 30
+
+    @pytest.mark.parametrize("action, count", [("always", 60), ("default", 31)])
+    def test_workers_warnings_reach_the_caller_in_file_order(
+        self, monkeypatch, tmp_path, action, count
+    ):
+        # a dead relation stage warns once per sample in the same words, and
+        # each sample also warns in its own
+        state = ActionRelationNet(SHARD_MODEL, seed=3).params.state_dict()
+        state["relation.mix.w"][:] = 0.0
+        state["relation.mix.b"][:] = 0.0
+        config, ckpt = _eval_inputs(tmp_path, _shard_text(), state)
+        real = megraph.training.sample_graph
+
+        def announced(samples, magnification):  # called once per chunk
+            for x in samples.frames[:, 0, 0, 0]:
+                warnings.warn(f"scoring the sample at {x!r}", RuntimeWarning)
+            return real(samples, magnification)
+
+        monkeypatch.setattr(megraph.training, "sample_graph", announced)
+        seen = []
+        for workers in (1, 2, 3):
+            _set_workers(monkeypatch, workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                evaluate_checkpoint(load_config(config), ckpt)
+            seen.append([(str(w.message), w.category, w.filename, w.lineno)
+                         for w in caught])
+        assert seen[0] == seen[1] == seen[2]
+        assert len(seen[0]) == count
+        frames = load_samples(tmp_path / "data.jsonl").frames
+        assert [m for m, *_ in seen[0] if m.startswith("scoring")] == [
+            f"scoring the sample at {x!r}" for x in frames[:, 0, 0, 0]
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_whole_set_checks_keep_their_messages(self, monkeypatch, tmp_path, workers):
+        _set_workers(monkeypatch, workers)
+        records = [json.loads(line) for line in _shard_text().splitlines() if line]
+        records[2]["label"], records[25]["label"] = 5, 7
+        config, ckpt = _eval_inputs(
+            tmp_path, "".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError) as info:
+            evaluate_checkpoint(load_config(config), ckpt)
+        assert str(info.value) == (
+            "dataset has label 7 but the model is configured for 3 classes"
+        )
+        config, ckpt = _eval_inputs(tmp_path, "\n \n")
+        with pytest.raises(ValueError) as info:
+            evaluate_checkpoint(load_config(config), ckpt)
+        assert str(info.value) == "dataset is empty"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("fault, message", [
+        ("label", "dataset has label 9 but the model is configured for 3 classes"),
+        ("json", "data.jsonl:26: invalid JSON"),
+    ])
+    def test_a_scoring_error_waits_for_every_shares_loading(
+        self, monkeypatch, tmp_path, workers, fault, message
+    ):
+        # sample 2 has an onset without extent, which only scoring finds
+        records = [json.loads(line) for line in _shard_text().splitlines() if line]
+        records[2]["frames"] = [[[1.0, 1.0]] * 68] * 3
+        lines = [json.dumps(r) for r in records]
+        if fault == "label":
+            records[25]["label"] = 9
+            lines[25] = json.dumps(records[25])
+        else:
+            lines[25] = "{not json"
+        config, ckpt = _eval_inputs(tmp_path, "\n".join(lines) + "\n")
+        _set_workers(monkeypatch, workers)
+        with pytest.raises(ValueError, match=message):
+            evaluate_checkpoint(load_config(config), ckpt)
+        records[25] = json.loads(_shard_text().splitlines()[25])
+        config, ckpt = _eval_inputs(
+            tmp_path, "".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DegenerateFrameError):
+            evaluate_checkpoint(load_config(config), ckpt)
 
 
 class TestRunTraining:
