@@ -199,50 +199,42 @@ def _nested_frames(given) -> np.ndarray:
     raise ValueError("frames must be nested lists of numbers")
 
 
-def sample_lines(fh) -> list[tuple[int, int]]:
-    """(byte offset, line number) of each line of binary file ``fh`` that
-    :func:`load_samples` reads as a sample: not blank, or not UTF-8."""
+def sample_lines(path) -> list[tuple[int, int]]:
+    """(byte offset, line number) of each line of file ``path`` that
+    :func:`load_samples` reads as a sample: one starting "{", not blank or not UTF-8."""
     found, offset = [], 0
-    for lineno, line in enumerate(fh, start=1):
-        # a first "{" settles it without decoding; a bad byte decodes to U+FFFD
-        if line[:1] == b"{" or line.decode("utf-8", "replace").strip():
-            found.append((offset, lineno))
-        offset += len(line)
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line[:1] == b"{" or line.decode("utf-8", "replace").strip():
+                found.append((offset, lineno))
+            offset += len(line)
     return found
 
 
 def load_samples(path, lines=None) -> SampleSet:
-    """Read UTF-8 JSON-lines samples, skipping blank lines, into one frames
-    column sized by :func:`sample_lines`; given ``lines``, a run of its
-    entries, only those. A pipe, which can be read only once, is stacked from
-    per-line arrays instead. The first malformed line in file order raises
-    ValueError naming ``path:lineno``."""
-    linenos: list[int] = []
-    subjects: list[str] = []
-    labels: list[int] = []
-    rows: list[np.ndarray] = []
+    """Read UTF-8 JSON-lines samples, skipping blank lines, into one frames column
+    sized by :func:`sample_lines` (given ``lines``, a run of its entries, only those);
+    a pipe, which can be read only once, is stacked from per-line arrays instead.
+    The first malformed line in file order raises ValueError naming ``path:lineno``."""
+    linenos, subjects, labels, rows = [], [], [], []  # rows: a pipe's frames
 
     def checked():  # the columns read so far, once every row passes
         try:
-            return _checked(
-                np.array(rows).reshape(-1, *FRAME_SHAPE) if frames is None
-                else frames[: len(linenos)],
-                np.array(labels, dtype=np.int64),
-                np.array(subjects, dtype=str),
-            )
+            return _checked(np.array(rows).reshape(-1, *FRAME_SHAPE) if frames is None
+                            else frames[: len(linenos)], np.array(labels, dtype=np.int64),
+                            np.array(subjects, dtype=str))
         except SampleError as exc:
             raise ValueError(f"{path}:{linenos[exc.index]}: {exc}") from None
 
     with open(path, "rb") as fh:
         if lines is None and fh.seekable():
-            lines = sample_lines(fh)
-        if lines is None:  # a pipe can be read only once: keep each line's frames
-            frames, first, todo = None, 1, fh
-        else:
-            offset, first = lines[0] if lines else (0, 1)
+            lines = sample_lines(path)
+        frames, first, todo = None, 1, fh  # a pipe can be read only once
+        if lines:  # from the first given line's offset to the last given line
+            (offset, first), last = lines[0], lines[-1][1]
             fh.seek(offset)
             frames = np.empty((len(lines), *FRAME_SHAPE))
-            todo = islice(fh, lines[-1][1] + 1 - first if lines else 0)
+            todo = islice(fh, last + 1 - first)
         try:
             for lineno, line in enumerate(todo, start=first):
                 try:

@@ -10,12 +10,11 @@ plain (N, 3, 31, 2) array of node features; a LOSO fold is a held-out mask
 over the samples and their rows, and only its jittered training copies are
 preprocessed and hashed for the leakage check per fold.
 
-:func:`run_loso` trains one contiguous share of folds per usable CPU, and
-:func:`evaluate_checkpoint` scores one share of a dataset file's lines per
-usable CPU: the first in the caller and each other in a forked child, serially
-on one CPU, without ``os.fork`` or beside other threads. Reports, curves and
-checkpoints are bit-identical for any worker count. The caller's ``ru_maxrss``
-(the benchmark's ``peak_rss_mb``) and per-layer counts cover only its share.
+:func:`run_loso` trains, and :func:`evaluate_checkpoint` scores, one share of folds or
+of a file's lines per usable CPU, the first in the caller and each other in a forked
+child; serially on one CPU, without ``os.fork`` or beside other threads. Reports are
+bit-identical for any worker count. The caller's ``ru_maxrss`` (the benchmark's
+``peak_rss_mb``) and per-layer counts cover only its own share.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ import threading
 import time
 import traceback
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -68,25 +67,21 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
 
 
-def prepare_samples(config: ExperimentConfig) -> SampleSet:
-    """Load the configured dataset or synthesize one; validate labels."""
+def prepare_samples(config: ExperimentConfig, lines=None) -> SampleSet:
+    """Load the dataset (given ``lines``, only those) or synthesize one; validate labels."""
     if config.dataset is not None:
-        samples = load_samples(config.dataset)
+        samples = load_samples(config.dataset, lines)
     else:
         samples = synthesize_dataset(**encode(config.synth))
-    _check_labels(samples.labels, config)
-    return samples
-
-
-def _check_labels(labels: np.ndarray, config: ExperimentConfig) -> None:
-    if not len(labels):
+    if not len(samples):
         raise ValueError("dataset is empty")
-    max_label = int(labels.max())
+    max_label = int(samples.labels.max())
     if max_label >= config.model.n_classes:
         raise ValueError(
             f"dataset has label {max_label} but the model is configured "
             f"for {config.model.n_classes} classes"
         )
+    return samples
 
 
 def loso_split(samples: SampleSet) -> list[tuple[str, np.ndarray]]:
@@ -362,10 +357,7 @@ WORKER_GRACE_S = 60.0  # a child's wait before it counts as hung: see _map_folds
 
 
 def _workers() -> int:
-    """Processes that run a run's shares: one per usable CPU, and one where
-    forking is impossible or unsafe (beside other threads)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
+    """Processes that run a run's shares: one per usable CPU."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -373,39 +365,29 @@ def _workers() -> int:
 
 @cache
 def _blas_threads():
-    """A function that sets numpy's OpenBLAS thread count and returns the
-    count it replaces, looked up on first use (importing pays nothing); where
-    OpenBLAS is not found, one that sets nothing and returns None."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-        libs = [ctypes.CDLL(path) for path in paths]
-    except OSError:
-        libs = []
-    for lib, name in product(libs, ("scipy_openblas_%s_num_threads64_",
-                                    "openblas_%s_num_threads64_", "openblas_%s_num_threads")):
-        if hasattr(lib, name % "set"):
-            get, put = getattr(lib, name % "get"), getattr(lib, name % "set")
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return lambda n: (get(), put(n))[0]
+    """numpy's OpenBLAS thread count setter, returning the old count, or a no-op."""
+    with suppress(OSError, StopIteration, AttributeError), open("/proc/self/maps") as fh:
+        lib = ctypes.CDLL(next(ln.split()[-1] for ln in fh if "libscipy_openblas64_" in ln))
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+        get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+        return lambda n: (get(), put(n))[0]
     return lambda n: None
 
 
 def _map_folds(fold_fn, folds, workers, what="folds"):
     """``[fold_fn(*fold) for fold in folds]`` (a fold's first item names it
-    among the ``what`` a worker holds), the caller running the first of
-    ``workers`` contiguous shares and a forked child each other share, all on
-    one BLAS thread. The first fold to fail raises, as in a serial run. Every
-    child is reaped; one is killed if the caller fails, or if it sends
-    nothing for :data:`WORKER_GRACE_S` plus ten times the time of the
-    caller's share once that ends."""
+    after ``what``), the caller running the first of ``workers`` contiguous shares
+    and a forked child each other share. The first fold to fail raises, as in
+    a serial run. Every child is reaped; one is killed if the caller fails, or
+    if it sends nothing for :data:`WORKER_GRACE_S` plus ten times the time of
+    the caller's share once that ends."""
     w, n = min(workers, len(folds)), len(folds)
-    if w < 2:
-        return [fold_fn(*fold) for fold in folds]
+    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fold_fn(*fold) for fold in folds]  # no fork beside threads: unsafe
     shares = [folds[n * i // w:n * (i + 1) // w] for i in range(w)]
     pending = []  # (pid, pipe's read end, share) of children not yet reaped
-    threads = _blas_threads()(1)  # at these sizes a second thread only slows
+    threads = _blas_threads()(1)  # every process on one: more threads than CPUs crawl
     try:
         for share in shares[1:]:
             read_fd, write_fd = os.pipe()
@@ -541,28 +523,13 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunReport:
     return run
 
 
-def _eval_share(config, model, name, lines):
-    """Load and score one share of the dataset (all of it when ``lines`` is
-    None): its labels, and :func:`evaluate`'s result or the error it raised,
-    which waits for the whole set's label checks, as in a serial run."""
-    samples = prepare_samples(config) if lines is None else load_samples(
-        config.dataset, lines)
-    try:
-        return samples.labels, evaluate(model, samples, config.magnification)
-    except (ValueError, FloatingPointError, InvariantError) as exc:
-        return samples.labels, exc  # raised once every share has loaded
-
-
 def evaluate_checkpoint(
     config: ExperimentConfig, checkpoint_path, out_dir=None
 ) -> RunReport:
     """Score a :func:`~megraph.params.write_checkpoint` file on the configured
-    dataset. An entry set or shape other than the model's ``state_dict`` is a
-    ValueError naming the file and the missing and extra names, raised before
-    the dataset is read. A regular file is scored in one share of its sample
-    lines per worker (see :func:`_map_folds`), each but the last a whole
-    number of :data:`EVAL_CHUNK` chunks; a synthetic set, a pipe or a file of
-    one chunk is one share."""
+    dataset, a regular file in one share of lines per worker. An entry set or
+    shape other than the model's ``state_dict`` is a ValueError naming the
+    file and the missing and extra names, raised before the dataset is read."""
     t0 = time.perf_counter()
     release_cycles()
     model = ActionRelationNet(config.model, seed=0)
@@ -571,24 +538,22 @@ def evaluate_checkpoint(
         model.params.load_state_dict(state)
     except ValueError as exc:
         raise ValueError(f"{checkpoint_path}: {exc}") from None
-    w, lines, shares = _workers(), [], [("all", None)]
-    if w > 1 and config.dataset is not None and os.path.isfile(config.dataset):
-        with open(config.dataset, "rb") as fh:
-            lines = sample_lines(fh)
-    chunks = -(-len(lines) // EVAL_CHUNK)
-    w = min(w, chunks)
-    if w > 1:
-        cuts = [EVAL_CHUNK * (chunks * i // w) for i in range(w)] + [len(lines)]
-        shares = [(f"{lines[a][1]}-{lines[b - 1][1]}", lines[a:b])
-                  for a, b in zip(cuts, cuts[1:])]
-    parts = _map_folds(partial(_eval_share, config, model), shares, len(shares), "lines")
-    _check_labels(np.concatenate([labels for labels, _ in parts]), config)
-    for _, scored in parts:
-        if isinstance(scored, Exception):
-            raise scored
-    y_true, y_pred, logits = (sum(column, []) for column in zip(*(s for _, s in parts)))
-    fold = FoldReport("(eval)", y_true, y_pred, logits, accuracy(y_true, y_pred), 0)
-    run = _run_report(config, [fold], t0)
+    regular = config.dataset is not None and os.path.isfile(config.dataset)
+    lines = sample_lines(config.dataset) if regular else None  # else serial
+    chunks = -(-len(lines or ()) // EVAL_CHUNK)
+    w, scored = min(_workers(), chunks), None
+    cuts = [EVAL_CHUNK * (chunks * i // w) for i in range(w)] + [len(lines or ())]
+    shares = [(f"{lines[a][1]}-{lines[b - 1][1]}", lines[a:b])
+              for a, b in zip(cuts, cuts[1:])]
+    if w > 1:  # a data error in any share is left to the serial scoring below
+        with suppress(ValueError, FloatingPointError, InvariantError):
+            parts = _map_folds(lambda _, part: evaluate(model, load_samples(
+                config.dataset, part), config.magnification), shares, w, "lines")
+            scored = [sum(c, []) for c in zip(*parts)]  # in file order
+            if max(scored[0]) >= config.model.n_classes:  # prepare_samples names it
+                scored = None
+    scored = scored or evaluate(model, prepare_samples(config, lines), config.magnification)
+    run = _run_report(config, [FoldReport("(eval)", *scored, accuracy(*scored[:2]), 0)], t0)
     if out_dir is not None:
         write_run_dir(out_dir, config, run, [], {}, fold_name="eval")
     return run

@@ -408,8 +408,7 @@ class TestJsonlFiles:
         text = path.read_bytes().splitlines(keepends=True)
         text[4:4] = [b"\n", "\u3000 \t\n".encode()]
         path.write_bytes(b"".join(text) + b"\xff\n")
-        with open(path, "rb") as fh:
-            lines = sample_lines(fh)
+        lines = sample_lines(path)
         assert [n for _, n in lines] == [1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15]
         part = load_samples(path, lines[3:7])
         np.testing.assert_array_equal(part.frames, samples.frames[3:7])

@@ -845,16 +845,23 @@ class TestForkedFolds:
         run_loso(tiny_loso_config(), out_dir=tmp_path / "1")
         assert _run_files(tmp_path / "2") == _run_files(tmp_path / "1")
 
-    def test_no_fork_beside_other_threads(self):
+    def test_no_fork_beside_other_threads(self, monkeypatch, tmp_path):
+        def no_fork():
+            raise AssertionError("forked beside another thread")
+
+        _set_workers(monkeypatch, 3)
+        run_loso(tiny_loso_config(), out_dir=tmp_path / "forked")
+        monkeypatch.setattr(os, "fork", no_fork)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert megraph.training._workers() == 1
+            run_loso(tiny_loso_config(), out_dir=tmp_path / "serial")
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+        assert _run_files(tmp_path / "serial") == _run_files(tmp_path / "forked")
 
 
 SHARD_MODEL = ModelConfig(variant="full", channels=4, n_actions=2,
@@ -916,9 +923,9 @@ class TestShardedEvaluate:
     @pytest.mark.parametrize("text, caller_shares", [
         # blank lines before a share's first sample, at the start and the end
         (_shard_text(nested=False, blank_before=(0, 8, 16, 20)),
-         {1: [None], 2: [16], 3: [8], 8: [4]}),
+         {1: [30], 2: [16], 3: [8], 8: [4]}),
         # 18 samples as nested lists: 5 chunks, so 8 workers make 5 shares
-        (_shard_text(n_subjects=3), {1: [None], 2: [8], 3: [4], 8: [4]}),
+        (_shard_text(n_subjects=3), {1: [18], 2: [8], 3: [4], 8: [4]}),
     ], ids=["base64-blank-lines", "nested-lists"])
     def test_every_worker_count_writes_the_same_run_dir(
         self, monkeypatch, tmp_path, text, caller_shares
@@ -1074,6 +1081,26 @@ class TestShardedEvaluate:
             tmp_path, "".join(json.dumps(r) + "\n" for r in records))
         with pytest.raises(DegenerateFrameError):
             evaluate_checkpoint(load_config(config), ckpt)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_workers_data_error_is_raised_by_a_serial_rescoring(
+        self, monkeypatch, tmp_path, workers
+    ):
+        # sample 26, on line 27, has an onset without extent: the last share's
+        records = [json.loads(line) for line in _shard_text().splitlines() if line]
+        records[26]["frames"] = [[[1.0, 1.0]] * 68] * 3
+        config, ckpt = _eval_inputs(
+            tmp_path, "".join(json.dumps(r) + "\n" for r in records))
+        _set_workers(monkeypatch, 1)
+        with pytest.raises(DegenerateFrameError) as serial:
+            evaluate_checkpoint(load_config(config), ckpt)
+        loads = self._caller_loads(monkeypatch)
+        _set_workers(monkeypatch, workers)
+        with pytest.raises(DegenerateFrameError) as info:
+            evaluate_checkpoint(load_config(config), ckpt)
+        assert str(info.value) == str(serial.value)
+        assert not hasattr(info.value, "__notes__")  # raised in this process
+        assert loads == [{2: 16, 3: 8}[workers], 30]  # its share, then all lines
 
 
 class TestRunTraining:
