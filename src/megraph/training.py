@@ -547,11 +547,9 @@ def evaluate_checkpoint(
               for a, b in zip(cuts, cuts[1:])]
     if w > 1:  # a data error in any share is left to the serial scoring below
         with suppress(ValueError, FloatingPointError, InvariantError):
-            parts = _map_folds(lambda _, part: evaluate(model, load_samples(
-                config.dataset, part), config.magnification), shares, w, "lines")
+            parts = _map_folds(lambda _, part: evaluate(model, prepare_samples(
+                config, part), config.magnification), shares, w, "lines")
             scored = [sum(c, []) for c in zip(*parts)]  # in file order
-            if max(scored[0]) >= config.model.n_classes:  # prepare_samples names it
-                scored = None
     scored = scored or evaluate(model, prepare_samples(config, lines), config.magnification)
     run = _run_report(config, [FoldReport("(eval)", *scored, accuracy(*scored[:2]), 0)], t0)
     if out_dir is not None:
@@ -636,65 +634,35 @@ class AblationReport:
         return _without_wall_time(self)
 
 
-def _loss_row_weights(name: str, base):
-    if name == "full":
-        return base
-    field = name.removeprefix("no_")
-    return replace(base, **{field: 0.0})
-
-
 def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
     """Module rows (backbone, actions, full) and loss-removal rows, all on
-    identical splits and seeds; the two "full" rows share one run."""
+    identical splits and seeds. Each distinct configuration trains once: the
+    two "full" rows share a run, as does a row whose removed term weighs zero."""
     t0 = time.perf_counter()
-    subjects_ref: list[str] | None = None
+    runs: dict[ExperimentConfig, RunReport] = {}
 
-    def one_row(cfg: ExperimentConfig) -> RunReport:
-        nonlocal subjects_ref
-        run = run_loso(cfg)
-        if subjects_ref is None:
-            subjects_ref = run.fold_subjects
-        elif run.fold_subjects != subjects_ref:
-            raise InvariantError("ablation rows saw different LOSO splits")
-        return run
+    def row(cfg: ExperimentConfig, **fields) -> dict:
+        if cfg not in runs:
+            run = runs[cfg] = run_loso(cfg)
+            if run.fold_subjects != next(iter(runs.values())).fold_subjects:
+                raise InvariantError("ablation rows saw different LOSO splits")
+        run = runs[cfg]
+        return {**fields, "accuracy": run.pooled_accuracy, "f1_macro": run.f1_macro}
 
-    modules = []
-    module_runs = {}
-    for variant in MODULE_ROWS:
-        cfg = replace(config, model=replace(config.model, variant=variant))
-        run = module_runs[variant] = one_row(cfg)
-        modules.append(
-            {
-                "name": variant,
-                "variant": variant,
-                "accuracy": run.pooled_accuracy,
-                "f1_macro": run.f1_macro,
-            }
-        )
-
+    modules = [row(replace(config, model=replace(config.model, variant=variant)),
+                   name=variant, variant=variant) for variant in MODULE_ROWS]
     losses = []
-    full_cfg = replace(config, model=replace(config.model, variant="full"))
+    full = replace(config, model=replace(config.model, variant="full"))
     for name in LOSS_ROWS:
-        weights = _loss_row_weights(name, full_cfg.loss_weights)
-        # the "full" loss row is the "full" module row's configuration
-        if name == "full":
-            run = module_runs["full"]
-        else:
-            run = one_row(replace(full_cfg, loss_weights=weights))
-        losses.append(
-            {
-                "name": name,
-                "loss_weights": encode(weights),
-                "accuracy": run.pooled_accuracy,
-                "f1_macro": run.f1_macro,
-            }
-        )
+        removed = {} if name == "full" else {name.removeprefix("no_"): 0.0}
+        w = replace(full.loss_weights, **removed)
+        losses.append(row(replace(full, loss_weights=w), name=name, loss_weights=encode(w)))
 
     report = AblationReport(
         config=encode(config),
         modules=modules,
         losses=losses,
-        fold_subjects=subjects_ref or [],
+        fold_subjects=next(iter(runs.values())).fold_subjects,
         wall_time=time.perf_counter() - t0,
     )
     if out_dir is not None:
@@ -707,14 +675,11 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> AblationReport:
 
 
 def format_ablation(report: AblationReport) -> str:
-    lines = ["module ablation", f"  {'row':<20} {'acc':>8} {'f1':>8}"]
-    for row in report.modules:
-        lines.append(
-            f"  {row['name']:<20} {row['accuracy']:>8.4f} {row['f1_macro']:>8.4f}"
-        )
-    lines += ["", "loss ablation", f"  {'row':<20} {'acc':>8} {'f1':>8}"]
-    for row in report.losses:
-        lines.append(
-            f"  {row['name']:<20} {row['accuracy']:>8.4f} {row['f1_macro']:>8.4f}"
-        )
-    return "\n".join(lines) + "\n"
+    lines = []
+    for title, rows in (("module ablation", report.modules),
+                        ("loss ablation", report.losses)):
+        lines += [title, f"  {'row':<20} {'acc':>8} {'f1':>8}"]
+        for r in rows:
+            lines.append(f"  {r['name']:<20} {r['accuracy']:>8.4f} {r['f1_macro']:>8.4f}")
+        lines.append("")
+    return "\n".join(lines)

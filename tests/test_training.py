@@ -14,6 +14,7 @@ import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,13 +38,15 @@ from megraph.checks import _tape
 from megraph.files import encode_float64
 from megraph.graph import DegenerateFrameError
 from megraph.landmarks import SampleSet, load_samples, save_samples, synthesize_dataset
-from megraph.model import ActionRelationNet, ModelConfig
+from megraph.losses import LossWeights
+from megraph.model import ActionRelationNet, InvariantError, ModelConfig
 from megraph.params import read_checkpoint, write_checkpoint
 from megraph.training import (
     CURVE_COLUMNS,
     EVAL_CHUNK,
     LOSS_ROWS,
     MODULE_ROWS,
+    AblationReport,
     DivergenceError,
     LeakageError,
     _batch_slices,
@@ -52,6 +55,7 @@ from megraph.training import (
     check_no_leakage,
     evaluate,
     evaluate_checkpoint,
+    format_ablation,
     loso_split,
     prepare_samples,
     run_ablation,
@@ -1189,8 +1193,11 @@ class TestAblation:
         assert len(payload["losses"]) == 4
         assert (out / "ablation.txt").read_text().startswith("module ablation")
 
-    def test_full_configuration_trains_once(self, monkeypatch):
-        # the module row "full" and the loss row "full" are one configuration
+    METRICS = ("accuracy", "f1_macro")
+
+    @staticmethod
+    def _counted_runs(monkeypatch):
+        """The configuration of each ``run_loso`` call the ablation makes."""
         configs = []
         run_loso = megraph.training.run_loso
 
@@ -1199,16 +1206,70 @@ class TestAblation:
             return run_loso(cfg, *args, **kwargs)
 
         monkeypatch.setattr(megraph.training, "run_loso", counting_run_loso)
+        return configs
+
+    def test_full_configuration_trains_once(self, monkeypatch):
+        # the module row "full" and the loss row "full" are one configuration
+        configs = self._counted_runs(monkeypatch)
         cfg = tiny_loso_config(
             optimizer=OptimizerConfig(lr=0.05, momentum=0.9, epochs=1, batch_size=4)
         )
         report = run_ablation(cfg)
         assert len(configs) == len(MODULE_ROWS) + len(LOSS_ROWS) - 1 == 6
         assert len(set(configs)) == 6
-        metrics = ("accuracy", "f1_macro")
         module_full, loss_full = report.modules[-1], report.losses[0]
         assert module_full["name"] == loss_full["name"] == "full"
-        assert [module_full[m] for m in metrics] == [loss_full[m] for m in metrics]
+        assert [module_full[m] for m in self.METRICS] == [loss_full[m] for m in self.METRICS]
+
+    def test_equal_configurations_share_one_run(self, monkeypatch):
+        # with feature_center already 0, "no_feature_center" is the "full" row
+        configs = self._counted_runs(monkeypatch)
+        cfg = tiny_loso_config(
+            loss_weights=LossWeights(feature_center=0.0),
+            optimizer=OptimizerConfig(lr=0.05, momentum=0.9, epochs=1, batch_size=4),
+        )
+        report = run_ablation(cfg)
+        assert len(configs) == len(set(configs)) == 5
+        rows = {row["name"]: row for row in report.losses}
+        assert ([rows["no_feature_center"][m] for m in self.METRICS]
+                == [rows["full"][m] for m in self.METRICS])
+
+    def test_rows_on_different_splits_raise(self, monkeypatch):
+        configs = []
+
+        def run_loso(cfg, out_dir=None):
+            configs.append(cfg)
+            subjects = ["s01", "s02", "s03"] if len(configs) == 1 else ["s01", "s02"]
+            return SimpleNamespace(fold_subjects=subjects, pooled_accuracy=0.5,
+                                   f1_macro=0.5)
+
+        monkeypatch.setattr(megraph.training, "run_loso", run_loso)
+        with pytest.raises(InvariantError, match="^ablation rows saw different LOSO splits$"):
+            run_ablation(tiny_loso_config())
+        assert len(configs) == 2
+
+    def test_format_ablation_text(self):
+        report = AblationReport(
+            config={},
+            modules=[{"name": "backbone", "variant": "backbone", "accuracy": 0.5,
+                      "f1_macro": 0.25},
+                     {"name": "full", "variant": "full", "accuracy": 1.0,
+                      "f1_macro": 0.123456}],
+            losses=[{"name": "no_feature_center", "loss_weights": {},
+                     "accuracy": 0.0, "f1_macro": 2 / 3}],
+            fold_subjects=["s01", "s02"],
+            wall_time=1.0,
+        )
+        assert format_ablation(report) == (
+            "module ablation\n"
+            "  row                       acc       f1\n"
+            "  backbone               0.5000   0.2500\n"
+            "  full                   1.0000   0.1235\n"
+            "\n"
+            "loss ablation\n"
+            "  row                       acc       f1\n"
+            "  no_feature_center      0.0000   0.6667\n"
+        )
 
 
 def _no_libc(name):
