@@ -55,7 +55,6 @@ __all__ = [
     "GradCheckResult",
     "matmul",
     "add",
-    "mul",
     "scale",
     "relu",
     "transpose",
@@ -63,7 +62,6 @@ __all__ = [
     "l1_rowsum",
     "normalize_columns",
     "sq_frobenius",
-    "sum_all",
     "mean_rows",
     "affine",
     "graph_affine",
@@ -121,8 +119,9 @@ class Tensor:
     """Array value plus an optional gradient accumulator.
 
     Leaves created with ``requires_grad=True`` accumulate gradients across
-    ``backward`` calls until :meth:`zero_grad`; interior nodes never hold
-    one. ``op`` names the operation that made an interior node ("" for
+    ``backward`` calls until ``grad`` is set back to None, as
+    ``ParamStore.zero_grad`` does for every parameter; interior nodes never
+    hold one. ``op`` names the operation that made an interior node ("" for
     leaves). An interior node keeps its parents, and with them the tape
     below it, only while a gradient can flow through it.
     """
@@ -150,17 +149,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item: tensor has shape {self.shape}, not scalar")
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -223,21 +211,29 @@ def _tape(loss: Tensor) -> list[Tensor]:
     return topo
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, seed=None) -> None:
     """Add the gradient of a scalar loss to every ``requires_grad`` leaf
-    reachable from it.
+    reachable from it. Given a ``seed`` of the loss's shape, the gradient
+    propagated is that seed, so each leaf gets the vector-Jacobian product
+    of ``seed`` with ``loss``; the seed is copied, so no ``grad`` aliases it.
 
     Only nodes that lead to such a leaf are visited. Leaf gradients
     accumulate across calls; they change only once the whole pass has
     succeeded.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if seed is None:
+        if loss.data.size != 1:
+            raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+        seed = np.ones_like(loss.data)
+    else:
+        seed = np.array(seed, dtype=np.float64)
+        if seed.shape != loss.shape:
+            raise ShapeError(f"backward: seed shape {seed.shape} vs loss {loss.shape}")
     if not (loss.requires_grad or loss._needs):
         return
 
     topo = _tape(loss)
-    loss._g = np.ones_like(loss.data)
+    loss._g = seed
     try:
         for node in reversed(topo):
             g = node._g
@@ -328,29 +324,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), back, "matmul")
 
 
-def _pairwise(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
-    try:
-        return fn(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _pairwise("add", np.add, a, b)
+    try:
+        out = np.add(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
 
     def back(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _node(out, (a, b), back, "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _pairwise("mul", np.multiply, a, b)
-
-    def back(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _node(out, (a, b), back, "mul")
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -492,15 +475,6 @@ def sq_frobenius(
         return (2.0 * d * (g * c).reshape(per_member),)
 
     return _node(out, (a,), back, "sq_frobenius")
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-
-    def back(g):
-        return (np.broadcast_to(g, a.shape).astype(np.float64),)
-
-    return _node(out, (a,), back, "sum_all")
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -842,12 +816,14 @@ class GradCheckResult:
 
 
 def grad_check(
-    f, x: Tensor, h: float = 1e-5, tol: float = 1e-4, stacked=None
+    f, x: Tensor, h: float = 1e-5, tol: float = 1e-4, stacked=None, readout=None
 ) -> GradCheckResult:
-    """Compare the tape gradient of scalar-valued ``f`` at ``x`` to central
-    differences, by one backward and then :func:`compare_gradient`, which
-    takes the probe values from ``stacked`` when given and from the
-    reference loop over ``f`` otherwise."""
+    """Compare the tape gradient of ``f`` at ``x`` to central differences, by
+    one backward and then :func:`compare_gradient`, which takes the probe
+    values from ``stacked`` when given and from the reference loop over
+    ``f`` otherwise. ``f`` is scalar-valued, or, given a ``readout`` array
+    of its output's shape, checked through the scalar ``sum(f(x) *
+    readout)``: the readout is the backward's seed."""
     if h <= 0:
         raise ValueError("grad_check: h must be positive")
     was_leaf = x.requires_grad
@@ -855,29 +831,30 @@ def grad_check(
     saved_grad = x.grad
     x.grad = None
     try:
-        out = f(x)
-        if out.data.size != 1:
-            raise ShapeError(f"grad_check: f must be scalar-valued, got {out.shape}")
-        backward(out)
+        backward(f(x), readout)
         analytic = x.grad
     finally:
         x.grad = saved_grad
         x.requires_grad = was_leaf
-    return compare_gradient(f, x, analytic, h=h, tol=tol, stacked=stacked)
+    return compare_gradient(
+        f, x, analytic, h=h, tol=tol, stacked=stacked, readout=readout
+    )
 
 
 def compare_gradient(
-    f, x: Tensor, analytic, h: float, tol: float, stacked=None
+    f, x: Tensor, analytic, h: float, tol: float, stacked=None, readout=None
 ) -> GradCheckResult:
-    """Compare ``analytic``, the tape gradient of scalar-valued ``f`` at ``x``
-    (None for zero), to central differences ``(f(x + h e_i) - f(x - h e_i)) / 2h``.
+    """Compare ``analytic``, the tape gradient at ``x`` (None for zero) of
+    scalar-valued ``f``, or of ``sum(f(x) * readout)`` given a ``readout``
+    array of ``f``'s output shape, to central differences ``(f(x + h e_i) -
+    f(x - h e_i)) / 2h`` of that scalar.
 
     By default each coordinate in turn is moved to ``x_i + h`` and
     ``x_i - h`` in place and ``f(x)`` evaluated, then restored: the
     reference loop, which a plain :func:`grad_check` uses. ``stacked``, when
     given, takes all 2n probes at once as one ``(2n, *x.shape)`` stack,
     member 2i being ``x + h e_i`` and member 2i + 1 ``x - h e_i``, and
-    returns their 2n values of ``f`` from one evaluation, such as an op or a
+    returns their 2n scalar values from one evaluation, such as an op or a
     forward whose operand carries the stack on a leading member axis; each
     value must be the one the loop would give, and any result other than
     ``(2n,)`` values is a :class:`ShapeError`. The battery in ``checks``
@@ -899,6 +876,10 @@ def compare_gradient(
     if not np.all(np.isfinite(analytic)):
         return non_finite(np.isfinite(analytic), "analytic gradient")
 
+    def value() -> float:
+        y = f(x).data
+        return float(y if readout is None else (y * readout).sum())
+
     values = np.empty(2 * n)
     if stacked is not None:
         probes = np.repeat(x.data.reshape(1, n), 2 * n, axis=0)
@@ -917,9 +898,9 @@ def compare_gradient(
             original = x.data[coord]
             try:
                 x.data[coord] = original + h
-                values[2 * i] = float(f(x).data)
+                values[2 * i] = value()
                 x.data[coord] = original - h
-                values[2 * i + 1] = float(f(x).data)
+                values[2 * i + 1] = value()
             finally:
                 x.data[coord] = original
     fp, fm = values[0::2], values[1::2]

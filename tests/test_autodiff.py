@@ -73,13 +73,12 @@ class TestForwardValues:
         b = rng.normal(size=(3, 3))
         ta, tb = ad.constant(a), ad.constant(b)
         np.testing.assert_allclose(ad.add(ta, tb).data, a + b)
-        np.testing.assert_allclose(ad.mul(ta, tb).data, a * b)
 
     def test_scalar_operands_broadcast(self):
         a = ad.constant([[1.0, 2.0], [3.0, 4.0]])
         s = ad.constant(2.0)
         np.testing.assert_allclose(ad.add(a, s).data, [[3, 4], [5, 6]])
-        np.testing.assert_allclose(ad.mul(s, a).data, [[2, 4], [6, 8]])
+        np.testing.assert_allclose(ad.add(s, a).data, [[3, 4], [5, 6]])
 
     def test_mismatched_shapes_rejected(self):
         a = ad.constant(np.zeros((2, 3)))
@@ -159,7 +158,7 @@ class TestForwardValues:
         sq = d * d
         summed = sq.sum() if keep == 0 else sq.reshape(data.shape[:keep] + (-1,)).sum(-1)
         assert np.array_equal(fused.data, summed * factor)
-        ad.sum_all(ad.mul(fused, ad.constant(g))).backward()
+        ad.backward(fused, g)
         per_member = (g * factor).reshape(g.shape + (1,) * (data.ndim - keep))
         assert np.array_equal(one.grad, 2.0 * d * per_member)
 
@@ -174,7 +173,6 @@ class TestForwardValues:
             ad.sq_frobenius(ad.constant(x)).data,
             sum(v * v for v in x.ravel()),
         )
-        np.testing.assert_allclose(ad.sum_all(ad.constant(x)).data, x.sum())
         np.testing.assert_allclose(
             ad.mean_rows(ad.constant(x)).data,
             x.mean(axis=0, keepdims=True),
@@ -318,7 +316,7 @@ class TestForwardValues:
         rng = np.random.default_rng(42)
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=6)
-        out = ad.cross_entropy(ad.constant(logits), labels).item()
+        out = float(ad.cross_entropy(ad.constant(logits), labels).data)
         np.testing.assert_allclose(
             out, cross_entropy_oracle(logits, labels), atol=1e-12
         )
@@ -529,24 +527,25 @@ class TestBackwardClosedForms:
     """Hand-derived gradients for a few ops with known closed forms."""
 
     def test_matmul_gradients(self):
+        # a seeded backward is the vector-Jacobian product g @ b^T, a^T @ g
         rng = np.random.default_rng(42)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        ad.sum_all(ad.matmul(a, b)).backward()
-        g = np.ones((3, 2))
-        np.testing.assert_allclose(a.grad, g @ b.data.T, atol=1e-12)
-        np.testing.assert_allclose(b.grad, a.data.T @ g, atol=1e-12)
+        g = rng.normal(size=(3, 2))
+        ad.backward(ad.matmul(a, b), g)
+        assert np.array_equal(a.grad, g @ b.data.T)
+        assert np.array_equal(b.grad, a.data.T @ g)
 
     def test_relu_masks_gradient(self):
         x = Tensor([[-1.0, 2.0, -3.0, 4.0]], requires_grad=True)
-        ad.sum_all(ad.relu(x)).backward()
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0, 1.0]])
+        ad.backward(ad.relu(x), np.array([[5.0, 6.0, 7.0, 8.0]]))
+        np.testing.assert_array_equal(x.grad, [[0.0, 6.0, 0.0, 8.0]])
 
     def test_cross_entropy_gradient_is_prob_minus_onehot(self):
         rng = np.random.default_rng(42)
         logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         labels = np.array([0, 2, 1, 2])
-        ad.cross_entropy(logits, labels).backward()
+        ad.backward(ad.cross_entropy(logits, labels))
         p = softmax_rows_oracle(logits.data)
         onehot = np.zeros_like(p)
         onehot[np.arange(4), labels] = 1.0
@@ -554,86 +553,99 @@ class TestBackwardClosedForms:
 
     def test_reused_tensor_accumulates_within_one_pass(self):
         x = Tensor([[3.0]], requires_grad=True)
-        y = ad.add(ad.mul(x, x), x)  # y = x^2 + x, dy/dx = 2x + 1
-        ad.sum_all(y).backward()
+        y = ad.add(ad.matmul(x, x), x)  # y = x^2 + x, dy/dx = 2x + 1
+        ad.backward(y)
         np.testing.assert_allclose(x.grad, [[7.0]])
 
     def test_leaf_grads_accumulate_across_passes(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
-        ad.sum_all(x).backward()
-        ad.sum_all(x).backward()
-        np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
-        x.zero_grad()
-        assert x.grad is None
+        ad.backward(ad.sq_frobenius(x))  # d/dx = 2x
+        ad.backward(ad.sq_frobenius(x))
+        np.testing.assert_array_equal(x.grad, [[4.0, 8.0]])
 
     def test_repeated_backward_through_a_shared_node(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
-        h = ad.mul(x, x)  # read twice below
-        y = ad.sum_all(ad.add(h, h))  # dy/dh = 2, dy/dx = 4x
-        y.backward()
-        np.testing.assert_array_equal(x.grad, [[4.0, 8.0]])
-        y.backward()
-        # the leaf holds the sum of both passes; no interior node keeps one
+        h = ad.relu(x)  # read twice below
+        y = ad.sq_frobenius(ad.add(h, h))  # y = 4 |h|^2, dy/dx = 8x
+        ad.backward(y)
         np.testing.assert_array_equal(x.grad, [[8.0, 16.0]])
+        ad.backward(y)
+        # the leaf holds the sum of both passes; no interior node keeps one
+        np.testing.assert_array_equal(x.grad, [[16.0, 32.0]])
         assert h.grad is None and h._g is None and y._g is None
 
     def test_interrupted_backward_leaves_nothing_behind(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
         w = Tensor([[3.0, 5.0]], requires_grad=True)
         w.grad = np.array([[1.0, 1.0]])
-        h = ad.mul(x, x)
+        h = ad.relu(x)
 
         def fail(g):
             raise RuntimeError("backward rule failed")
 
         broken = ad._node(h.data.copy(), (h,), fail)
         # w and h take add's share of the gradient, then broken's rule raises
-        loss = ad.sum_all(ad.add(ad.mul(h, w), broken))
+        loss = ad.sq_frobenius(ad.add(ad.add(h, w), broken))
         with pytest.raises(RuntimeError):
-            loss.backward()
+            ad.backward(loss)
         # a pass that raises changes no leaf gradient and leaves no sum behind
         assert x.grad is None
         np.testing.assert_array_equal(w.grad, [[1.0, 1.0]])
         assert all(t._g is None for t in (x, w, h, broken, loss))
-        ad.sum_all(h).backward()
+        ad.backward(ad.sq_frobenius(h))
         np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
         np.testing.assert_array_equal(w.grad, [[1.0, 1.0]])
         assert h.grad is None
 
     def test_backward_requires_scalar(self):
+        # a non-scalar output needs a seed, and the seed its shape
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
-        with pytest.raises(ShapeError):
-            ad.relu(x).backward()
+        with pytest.raises(ShapeError, match="must be scalar"):
+            ad.backward(ad.relu(x))
+        for seed in (np.ones((2, 1)), np.ones((1, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ShapeError, match="seed shape"):
+                ad.backward(ad.relu(x), seed)
+        with pytest.raises(ShapeError, match="seed shape"):
+            ad.backward(ad.sq_frobenius(x), np.ones((1, 1)))
+        assert x.grad is None
+
+    def test_seed_is_copied(self):
+        # the leaf's gradient is the caller's seed at the call, not a view of it
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        seed = np.arange(6.0).reshape(2, 3)
+        ad.backward(x, seed)
+        seed[:] = -1.0
+        np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(2, 3))
 
     def test_weight_gradient_sums_over_batch_axes(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(3, 5, 4))
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        ad.sum_all(ad.matmul(ad.constant(x), w)).backward()
+        ad.backward(ad.matmul(ad.constant(x), w), np.ones((3, 5, 2)))
         want = sum(x[i].T @ np.ones((5, 2)) for i in range(3))
         np.testing.assert_allclose(w.grad, want, atol=1e-12)
         bias = Tensor(np.zeros((1, 4)), requires_grad=True)
-        ad.sum_all(ad.add(ad.constant(x), bias)).backward()
+        ad.backward(ad.add(ad.constant(x), bias), np.ones((3, 5, 4)))
         np.testing.assert_array_equal(bias.grad, np.full((1, 4), 15.0))
 
     def test_backward_skips_constant_branches(self):
         x = Tensor([[1.0, -2.0]], requires_grad=True)
         c = ad.constant([[3.0, 4.0]])
         scaled = ad.scale(c, 2.0)
-        y = ad.sum_all(ad.mul(x, scaled))
+        y = ad.matmul(x, ad.transpose(scaled))  # (1, 1)
         assert not scaled._needs and y._needs
-        y.backward()
+        ad.backward(y)
         np.testing.assert_array_equal(x.grad, [[6.0, 8.0]])
         assert scaled.grad is None and c.grad is None
         # nothing to differentiate: backward is a no-op
-        ad.sum_all(scaled).backward()
+        ad.backward(ad.sq_frobenius(scaled))
         assert scaled.grad is None
 
     def test_the_tape_lists_each_reached_node_once_after_its_parents(self):
-        x = Tensor([[1.0, -2.0]], requires_grad=True)
-        c = ad.constant([[3.0, 4.0]])
-        h = ad.relu(ad.mul(x, x))
-        y = ad.sum_all(ad.add(ad.mul(h, c), h))  # h is shared, c is constant
+        x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        c = ad.constant([[3.0, 4.0], [-1.0, 2.0]])
+        h = ad.relu(ad.matmul(x, x))
+        y = ad.sq_frobenius(ad.add(ad.matmul(h, c), h))  # h is shared, c is constant
         tape = ad._tape(y)
         assert len(tape) == len({id(n) for n in tape}) == 6
         position = {id(n): i for i, n in enumerate(tape)}
@@ -649,14 +661,14 @@ class TestBackwardClosedForms:
         x = Tensor([[1.0, -2.0]], requires_grad=True)
         c = ad.constant([[3.0, 4.0]])
         scaled = ad.relu(ad.scale(c, 2.0))
-        y = ad.mul(x, scaled)
+        y = ad.add(x, scaled)
         assert scaled._parents == () and scaled._backward is None
         assert y._parents == (x, scaled) and y._backward is not None
         # with x frozen the same graph keeps nothing below its root
         x.requires_grad = False
-        frozen = ad.sum_all(ad.mul(x, scaled))
+        frozen = ad.sq_frobenius(ad.add(x, scaled))
         assert frozen._parents == () and frozen._backward is None
-        np.testing.assert_array_equal(frozen.data, -10.0)
+        np.testing.assert_array_equal(frozen.data, 85.0)
 
     def test_nodes_carry_their_op_name(self):
         x = ad.constant(np.ones((2, 2)))
@@ -671,7 +683,7 @@ class TestBackwardClosedForms:
         def run():
             x = Tensor(data.copy(), requires_grad=True)
             h = ad.relu(ad.affine(x, w, b))
-            ad.cross_entropy(h, np.array([0, 1, 2, 0])).backward()
+            ad.backward(ad.cross_entropy(h, np.array([0, 1, 2, 0])))
             return x.grad.copy()
 
         w = ad.constant(rng.normal(size=(3, 3)))
@@ -700,7 +712,7 @@ class TestKernelEquivalences:
             assert np.array_equal(np.signbit(got), np.signbit(want))
             x = Tensor(a, requires_grad=True)
             g = rng.normal(size=a.shape)
-            ad.sum_all(ad.mul(ad.relu(x), ad.constant(g))).backward()
+            ad.backward(ad.relu(x), g)
             assert np.array_equal(x.grad, g * (a > 0))
 
     @pytest.mark.parametrize("shape", [(1, 16), (496, 16), (16, 3, 31, 16)])
@@ -865,7 +877,7 @@ class TestStConvOracle:
         tensors = [Tensor(v, requires_grad=True) for v in [x] + values]
         out = ad.st_conv(adj, *tensors, padding)
         g = rng.normal(size=out.shape)
-        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        ad.backward(out, g)
 
         def per_member(i, array):  # (members, *single[i]) view of a stack
             return array.reshape((members,) + single[i])
@@ -959,7 +971,7 @@ class TestAffineOracle:
         tensors = [Tensor(v, requires_grad=True) for v in [x] + values]
         out = ad.graph_affine(adj, *tensors) if graph else ad.affine(*tensors)
         g = rng.normal(size=out.shape)
-        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        ad.backward(out, g)
 
         want = [np.zeros(out.shape)] + [np.zeros(t.shape) for t in tensors]
         for m in range(members or 1):
@@ -1142,7 +1154,7 @@ class TestDecomposeOracle:
         tensors = [Tensor(v, requires_grad=True) for v in [x] + values]
         out, assign = ad.decompose(tensors[0], rows, adj, *tensors[1:])
         g = rng.normal(size=out.shape)
-        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        ad.backward(out, g)
 
         def per_member(i, array):  # (members, *single[i]) view of a stack
             return array.reshape((members,) + single[i])
@@ -1213,18 +1225,17 @@ class TestGradCheck:
     def test_smooth_ops_pass(self):
         rng = np.random.default_rng(42)
         rhs = ad.constant(rng.normal(size=(4, 2)))
-        readout = ad.constant(rng.normal(size=(3, 4)))
+        center = rng.normal(size=(1, 4))
+        # each f with the readout of its non-scalar output (None for a scalar)
         cases = {
-            "matmul": lambda t: ad.sum_all(ad.matmul(t, rhs)),
-            "square": lambda t: ad.sum_all(ad.mul(ad.mul(t, t), readout)),
-            "cross_entropy": lambda t: ad.cross_entropy(
-                t, np.array([0, 2, 1])
-            ),
-            "mean": lambda t: ad.sq_frobenius(ad.mean_rows(t)),
+            "matmul": (lambda t: ad.matmul(t, rhs), rng.normal(size=(3, 2))),
+            "square": (lambda t: ad.sq_frobenius(t, 1, center), rng.normal(size=3)),
+            "cross_entropy": (lambda t: ad.cross_entropy(t, np.array([0, 2, 1])), None),
+            "mean": (lambda t: ad.sq_frobenius(ad.mean_rows(t)), None),
         }
-        for name, f in cases.items():
+        for name, (f, readout) in cases.items():
             x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-            result = ad.grad_check(f, x)
+            result = ad.grad_check(f, x, readout=readout)
             assert result.passed, f"{name}: {result}"
 
     def test_wrong_gradient_is_caught(self):
@@ -1236,11 +1247,10 @@ class TestGradCheck:
             return ad._node(t.data * 2.0, (t,), back)
 
         x = Tensor(np.random.default_rng(42).normal(size=(2, 2)))
+        readout = np.ones((2, 2))
         # the reference loop, then every probe as one member stack
-        for stacked in (None, checks._members(buggy_double, readout=np.ones((2, 2)))):
-            result = ad.grad_check(
-                lambda t: ad.sum_all(buggy_double(t)), x, stacked=stacked
-            )
+        for stacked in (None, checks._members(buggy_double, readout=readout)):
+            result = ad.grad_check(buggy_double, x, stacked=stacked, readout=readout)
             assert not result.passed
             assert result.max_rel_err > 0.1
 
@@ -1248,10 +1258,9 @@ class TestGradCheck:
         # A coordinate exactly at the rectifier kink has no two-sided
         # derivative; the checker must report the disagreement, not hide it.
         x = Tensor([[0.0, 1.0]])
-        for stacked in (None, checks._members(ad.relu, readout=np.ones((1, 2)))):
-            result = ad.grad_check(
-                lambda t: ad.sum_all(ad.relu(t)), x, stacked=stacked
-            )
+        readout = np.ones((1, 2))
+        for stacked in (None, checks._members(ad.relu, readout=readout)):
+            result = ad.grad_check(ad.relu, x, stacked=stacked, readout=readout)
             assert not result.passed
             assert result.worst_coord == (0, 0)
 
@@ -1261,7 +1270,7 @@ class TestGradCheck:
         for wrong in (np.zeros((6, 1)), np.zeros(3), np.float64(0.0), [0.0] * 7):
             with pytest.raises(ShapeError, match=r"\(6,\) values, got shape"):
                 ad.compare_gradient(
-                    ad.sum_all, x, np.ones((1, 3)), h=1e-5, tol=1e-4,
+                    ad.sq_frobenius, x, 2.0 * x.data, h=1e-5, tol=1e-4,
                     stacked=lambda probes, wrong=wrong: wrong,
                 )
 
@@ -1270,7 +1279,7 @@ class TestGradCheck:
         # its entry; nothing falls back to the loop
         def case(stacked):
             def build(rng):
-                return ad.sum_all, ad.tensor(rng.normal(size=(2, 3))), stacked
+                return ad.sq_frobenius, ad.tensor(rng.normal(size=(2, 3))), stacked, None
 
             return build
 
@@ -1327,7 +1336,7 @@ class TestGradCheck:
     @staticmethod
     def battery_calls(monkeypatch, seeds):
         """Run the op and loss battery with every objective and stacked
-        evaluator counted: (entry, f, x, stacked, calls) per entry."""
+        evaluator counted: (entry, f, x, stacked, readout, calls) per entry."""
         calls, check = [], ad.grad_check
 
         def counted(fn, tally, key):
@@ -1337,13 +1346,13 @@ class TestGradCheck:
 
             return wrapped
 
-        def spy_check(f, x, h, tol, stacked=None):
+        def spy_check(f, x, h, tol, stacked=None, readout=None):
             tally = {"f": 0, "stacked": 0}
             f = counted(f, tally, "f")
             if stacked is not None:
                 stacked = counted(stacked, tally, "stacked")
-            result = check(f, x, h=h, tol=tol, stacked=stacked)
-            calls.append((f, x, stacked, tally))
+            result = check(f, x, h=h, tol=tol, stacked=stacked, readout=readout)
+            calls.append((f, x, stacked, readout, tally))
             return result
 
         monkeypatch.setattr(ad, "grad_check", spy_check)
@@ -1359,26 +1368,28 @@ class TestGradCheck:
         # equals a grad_check of the same objective and operand through the
         # reference loop, bit for bit
         stacked_entries = 0
-        for entry, f, x, stacked, _ in self.battery_calls(monkeypatch, (seed,)):
+        calls = self.battery_calls(monkeypatch, (seed,))
+        for entry, f, x, stacked, readout, _ in calls:
             if stacked is None:
                 continue
             stacked_entries += 1
-            want = ad.grad_check(f, x, h=1e-5, tol=1e-4)
+            want = ad.grad_check(f, x, h=1e-5, tol=1e-4, readout=readout)
             assert entry.result.passed, entry.name
             assert entry.result.max_rel_err == want.max_rel_err, entry.name
             assert entry.result.n_coords == want.n_coords, entry.name
             assert entry.result.worst_coord == want.worst_coord, entry.name
-        assert stacked_entries == len(checks._cases()) - 6
+        assert stacked_entries == len(checks._cases()) - 4
 
     def test_stacked_case_evaluates_its_objective_twice(self, monkeypatch):
-        # once for the analytic side and once for all probes; the six
-        # whole-array cases run 1 + 2n scalar evaluations
+        # once for the analytic side and once for all probes; the four
+        # whole-array cases run 1 + 2n evaluations
         loop_cases = {
             f"{op}{suffix}"
-            for op in ("sum_all", "sq_frobenius", "reshape")
+            for op in ("sq_frobenius", "reshape")
             for suffix in ("", ".batched")
         }
-        for entry, _, x, stacked, tally in self.battery_calls(monkeypatch, (0,)):
+        assert loop_cases <= set(checks._cases())
+        for entry, _, x, stacked, _, tally in self.battery_calls(monkeypatch, (0,)):
             if entry.name in loop_cases:
                 assert stacked is None
                 assert tally == {"f": 1 + 2 * x.data.size, "stacked": 0}
@@ -1557,7 +1568,7 @@ class TestGradCheck:
             if not name.startswith(op + "."):
                 continue
             for seed in checks.DEFAULT_SEEDS:
-                f, x, _ = build(checks.case_rng(name, seed))
+                f, x, _, _ = build(checks.case_rng(name, seed))
                 loss = f(Tensor(x.data, requires_grad=True))
                 assert checks.kink_margin(loss) >= checks.MIN_KINK_MARGIN, (name, seed)
                 drawn += 1
@@ -1808,7 +1819,7 @@ class TestSgd:
         x = store.create_many([("x", glorot_uniform(rng, (2, 3)))])[0]
         for _ in range(200):
             loss = ad.sq_frobenius(x, center=target)
-            loss.backward()
+            ad.backward(loss)
             sgd_step(store, lr=0.05, momentum=0.9)
         assert np.abs(x.data - target).max() < 1e-3
 

@@ -384,7 +384,7 @@ class TestTotalLoss:
             result, labels, LossWeights(1.0, 1.0, 0.1),
             table=table, update_table=False,
         )
-        breakdown.total.backward()
+        ad.backward(breakdown.total)
         assert result.logits.grad is not None
         for row in result.logits.grad:
             assert np.abs(row).max() > 0
