@@ -15,7 +15,7 @@ B samples in one tape operation.
 
 import numpy as np
 
-from megraph.graph import build_graph
+from megraph.graph import SUBGRAPHS, build_graph
 from megraph.landmarks import synthesize_dataset
 from megraph.model import ActionRelationNet, ModelConfig
 
@@ -36,8 +36,11 @@ print("node features:", result.node_features.shape)
 
 # Decomposition: each component's nodes spread unit mass over 3 action
 # slots. The assignment rows are softmax outputs, so they sum to one.
-for comp, assign in result.action_maps.items():
-    row_sums = assign.data.sum(axis=-1)
+# The assignment is one (B, 3, W, N_a) array, each component's rows padded
+# to the widest; a component's real rows are its first len(sub.indices).
+for i, sub in enumerate(SUBGRAPHS):
+    comp, assign = sub.component, result.assignment[:, i, : len(sub.indices)]
+    row_sums = assign.sum(axis=-1)
     print(f"  {comp:<8} assignment {assign.shape}, "
           f"row sums in [{row_sums.min():.9f}, {row_sums.max():.9f}]")
 print("action features:", result.action_features.shape)

@@ -54,8 +54,7 @@ __all__ = [
     "compare_gradient",
     "GradCheckResult",
     "matmul",
-    "add",
-    "scale",
+    "weighted_sum",
     "relu",
     "transpose",
     "reshape",
@@ -324,27 +323,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), back, "matmul")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = np.add(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
+def weighted_sum(terms, factors) -> Tensor:
+    """The left fold ``((t0 * c0 + t1 * c1) + t2 * c2) + ...`` of tensors
+    under numpy broadcasting, with constant, non-differentiated factors; a
+    factor of 1.0 passes its term through unscaled. Each term's gradient is
+    ``g * c`` summed down to its shape."""
+    terms, factors = tuple(terms), tuple(map(float, factors))
+    if not terms or len(terms) != len(factors):
+        raise ShapeError(f"weighted_sum: {len(terms)} terms, {len(factors)} factors")
+    out = None
+    for t, c in zip(terms, factors):
+        part = t.data if c == 1.0 else t.data * c
+        try:
+            out = part if out is None else out + part
+        except ValueError:
+            shapes = ", ".join(str(term.shape) for term in terms)
+            raise ShapeError(f"weighted_sum: incompatible shapes {shapes}") from None
 
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return tuple(
+            _unbroadcast(g if c == 1.0 else g * c, t.shape)
+            for t, c in zip(terms, factors)
+        )
 
-    return _node(out, (a, b), back, "add")
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    """Multiply by a non-differentiated python constant."""
-    c = float(factor)
-    out = a.data * c
-
-    def back(g):
-        return (g * c,)
-
-    return _node(out, (a,), back, "scale")
+    return _node(np.asarray(out), terms, back, "weighted_sum")
 
 
 def relu(a: Tensor) -> Tensor:

@@ -43,25 +43,11 @@ SMALL_MODEL = ModelConfig(
     variant="full", channels=4, n_actions=2, relation_channels=3, n_classes=3
 )
 
-# keep inputs of kinked ops (relu, |.|) at least this far from the kink so a
-# +-h probe cannot cross it
-KINK_MARGIN = 0.05
-
-
-def _off_kink(rng: np.random.Generator, shape) -> np.ndarray:
-    x = rng.normal(size=shape)
-    return x + np.where(x >= 0.0, KINK_MARGIN, -KINK_MARGIN)
-
-
 # -- random operands: each helper returns a draw(rng) -> array function
 
 
 def _normal(*shape):
     return lambda rng: rng.normal(size=shape)
-
-
-def _kinkless(*shape):
-    return lambda rng: _off_kink(rng, shape)
 
 
 def _positive(*shape):
@@ -113,10 +99,10 @@ def _op_case(op, wrt: int, *draws, off_kink: bool = False):
 
     The probes of ``args[wrt]`` run as one member stack placed in front of
     every batch axis of the output, unless ``op`` is a :class:`_Whole`.
-    With ``off_kink``, for an op that rectifies inside, the arguments are
-    drawn again, up to :data:`_JITTER_ATTEMPTS` times, until
-    :func:`kink_margin` of the output puts every rectifier input at least
-    :data:`MIN_KINK_MARGIN` from its kink, as the model check does."""
+    With ``off_kink``, for an op with a kink (a rectifier or an absolute
+    value), the arguments are drawn again, up to :data:`_JITTER_ATTEMPTS`
+    times, until :func:`kink_margin` of the output puts every input of a
+    kink at least :data:`MIN_KINK_MARGIN` from it, as the model check does."""
     loop = isinstance(op, _Whole)
     op = op.op if loop else op
 
@@ -136,6 +122,11 @@ def _op_case(op, wrt: int, *draws, off_kink: bool = False):
         return apply, x, None if loop else stacked, readout
 
     return build
+
+
+def _weighted_sum(*factors):
+    """weighted_sum of the tensors it is called with, under ``factors``."""
+    return lambda *terms: ad.weighted_sum(terms, factors)
 
 
 def _graph_affine(adj, x, w, b):
@@ -219,18 +210,17 @@ def _dead_middle(rng) -> np.ndarray:
 def _op_cases() -> dict:
     """Every tape op on one-sample 2-d operands, then on batched ones: a
     2-d operand broadcast over batch axes must get its gradient summed
-    over them."""
-    n, k, pos = _normal, _kinkless, _positive
+    over them. The kinked ops' operands are drawn off the kink."""
+    n, pos = _normal, _positive
     specs = {
         "matmul.lhs": (ad.matmul, 0, n(4, 3), n(3, 5)),
         "matmul.rhs": (ad.matmul, 1, n(4, 3), n(3, 5)),
-        "add.lhs": (ad.add, 0, n(3, 4), n(3, 4)),
-        "add.scalar_rhs": (ad.add, 1, n(3, 4), n(1, 1)),
-        "scale": (lambda x: ad.scale(x, -1.7), 0, n(3, 4)),
-        "relu": (ad.relu, 0, k(4, 5)),
+        "weighted_sum": (_weighted_sum(1.0, -1.7), 0, n(3, 4), n(3, 4)),
+        "weighted_sum.broadcast": (_weighted_sum(1.0, -1.7), 1, n(3, 4), n(1, 4)),
+        "relu": (ad.relu, 0, n(4, 5)),
         "transpose": (ad.transpose, 0, n(3, 4)),
         "reshape": (_Whole(lambda x: ad.reshape(x, (2, 6))), 0, n(3, 4)),
-        "l1_rowsum": (ad.l1_rowsum, 0, k(4, 5)),
+        "l1_rowsum": (ad.l1_rowsum, 0, n(4, 5)),
         "normalize_columns": (ad.normalize_columns, 0, pos(5, 2)),
         "sq_frobenius": (_Whole(ad.sq_frobenius), 0, n(3, 4)),
         "mean_rows": (ad.mean_rows, 0, n(6, 4)),
@@ -245,12 +235,11 @@ def _op_cases() -> dict:
         "matmul.lhs.batched": (ad.matmul, 0, n(2, 4, 3), n(3, 5)),
         "matmul.rhs.batched": (ad.matmul, 1, n(2, 4, 3), n(3, 5)),
         "matmul.both.batched": (ad.matmul, 1, n(2, 4, 3), n(2, 3, 5)),
-        "add.broadcast_rhs": (ad.add, 1, n(2, 3, 4), n(3, 4)),
-        "scale.batched": (lambda x: ad.scale(x, 0.6), 0, n(2, 3, 4)),
-        "relu.batched": (ad.relu, 0, k(2, 3, 4)),
+        "weighted_sum.batched": (_weighted_sum(0.6, 1.0), 0, n(2, 3, 4), n(3, 4)),
+        "relu.batched": (ad.relu, 0, n(2, 3, 4)),
         "transpose.batched": (ad.transpose, 0, n(2, 3, 4)),
         "reshape.batched": (_Whole(lambda x: ad.reshape(x, (2, -1))), 0, n(2, 3, 4)),
-        "l1_rowsum.batched": (ad.l1_rowsum, 0, k(2, 3, 4)),
+        "l1_rowsum.batched": (ad.l1_rowsum, 0, n(2, 3, 4)),
         "normalize_columns.batched": (ad.normalize_columns, 0, pos(3, 5, 1)),
         "normalize_columns.fallback": (ad.normalize_columns, 0, _dead_middle),
         "sq_frobenius.batched": (_Whole(ad.sq_frobenius), 0, n(2, 3, 4)),
@@ -271,7 +260,10 @@ def _op_cases() -> dict:
             _cross_entropy, 0, n(2, 3, 4), _labels(4, 2, 3)
         ),
     }
-    cases = {name: _op_case(*spec) for name, spec in specs.items()}
+    cases = {
+        name: _op_case(*spec, off_kink=name.split(".")[0] in KINKED_OPS)
+        for name, spec in specs.items()
+    }
     for padding in ("same", "valid"):
         for wrt, target in enumerate(_ST_TARGETS):
             cases[f"st_conv.{padding}.{target}"] = _st_conv_case(padding, wrt)

@@ -224,53 +224,43 @@ def total_loss(
     update_table: bool = True,
 ) -> LossBreakdown:
     """Weighted sum of the four terms over one batched forward result: a
-    0-d total, or one total per member of a member-stacked result.
+    0-d total, or one total per member of a member-stacked result, as one
+    ``weighted_sum`` node over the classification, feature-center,
+    weight-center and balance terms, in that order.
 
-    Terms with zero weight are skipped outright, so the total is exactly the
-    classification loss when all three auxiliary weights are zero.
+    Terms with zero weight are skipped outright, so the total is the
+    classification loss itself when all three auxiliary weights are zero.
+    Each term is checked as it is computed; a non-finite one raises
+    FloatingPointError naming it.
     """
-    ce = _check_finite(classification_loss(result.logits, labels), "classification")
-    total = ce
-    mc_value = wc_value = b_value = 0.0
-
-    if weights.feature_center != 0.0:
-        if result.action_features is None:
-            raise ValueError(
-                "feature-center loss requires action features; "
-                "use a variant that produces them or zero its weight"
-            )
-        mc = _check_finite(
-            feature_center_loss(result.action_features), "feature-center"
+    if weights.feature_center != 0.0 and result.action_features is None:
+        raise ValueError(
+            "feature-center loss requires action features; "
+            "use a variant that produces them or zero its weight"
         )
-        mc_value = _value(mc)
-        total = ad.add(total, ad.scale(mc, weights.feature_center))
-
     needs_w = weights.weight_center != 0.0 or weights.balance != 0.0
     if needs_w and result.weights is None:
         raise ValueError(
             "weight-center and balance losses require slot weights; "
             "use the full variant or zero their weights"
         )
+    if weights.weight_center != 0.0 and table is None:
+        raise ValueError("weight-center loss requires a center table")
 
-    if weights.weight_center != 0.0:
-        if table is None:
-            raise ValueError("weight-center loss requires a center table")
-        wc = _check_finite(
-            weight_center_loss(result.weights, labels, table, update=update_table),
-            "weight-center",
-        )
-        wc_value = _value(wc)
-        total = ad.add(total, ad.scale(wc, weights.weight_center))
-
-    if weights.balance != 0.0:
-        b = _check_finite(balance_loss(result.weights), "balance")
-        b_value = _value(b)
-        total = ad.add(total, ad.scale(b, weights.balance))
-
-    return LossBreakdown(
-        total=total,
-        ce=_value(ce),
-        feature_center=mc_value,
-        weight_center=wc_value,
-        balance=b_value,
-    )
+    kernels = {
+        "feature_center": lambda: feature_center_loss(result.action_features),
+        "weight_center": lambda: weight_center_loss(
+            result.weights, labels, table, update=update_table
+        ),
+        "balance": lambda: balance_loss(result.weights),
+    }
+    ce = _check_finite(classification_loss(result.logits, labels), "classification")
+    terms, factors = {"ce": ce}, [1.0]
+    for name, kernel in kernels.items():
+        factor = getattr(weights, name)
+        if factor != 0.0:
+            terms[name] = _check_finite(kernel(), name.replace("_", "-"))
+            factors.append(factor)
+    total = ce if len(terms) == 1 else ad.weighted_sum(terms.values(), factors)
+    values = {name: _value(t) for name, t in terms.items()}
+    return LossBreakdown(total, **{name: 0.0 for name in kernels} | values)

@@ -35,7 +35,7 @@ evaluates P variants of the model.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .graph import (
     COMPONENT_BLOCK,
     COMPONENTS,
     NODE_INDICES,
-    SUBGRAPHS,
     normalize_adjacency,
 )
 from .params import ParamStore, glorot_uniform
@@ -104,8 +103,9 @@ class ForwardResult:
 
     logits: Tensor  # (B, K)
     node_features: Tensor  # (B, 31, C_1)
-    # comp -> (B, N_f, N_a), a constant view of the padded assignment
-    action_maps: dict[str, Tensor] = field(default_factory=dict)
+    # (B, 3, W, N_a) assignment of each component's nodes to its slots, in
+    # graph.SUBGRAPHS order; rows past a component's node count are padding
+    assignment: np.ndarray | None = None
     action_features: Tensor | None = None  # (B, 3*N_a, C_1)
     weights: Tensor | None = None  # (B, 3*N_a, 1), on the simplex when normalized
     recognition_feature: Tensor | None = None  # (B, C_1)
@@ -193,7 +193,8 @@ class ActionRelationNet:
         return ad.reshape(x, x.shape[:-3] + x.shape[-2:])
 
     def decompose(self, node_features: Tensor):
-        """Map (..., 31, C_1) node features to (..., 3*N_a, C_1) action features.
+        """Map (..., 31, C_1) node features to (..., 3*N_a, C_1) action
+        features, returned with the plain (..., 3, W, N_a) assignment.
 
         Each component's nodes are softly assigned to N_a action slots; the
         assignment matrix rows are softmax-normalized so every node spreads
@@ -201,15 +202,10 @@ class ActionRelationNet:
         zero padding rows add exact zeros to the slots and take no gradient.
         """
         p = self.params
-        features, assign = ad.decompose(
+        return ad.decompose(
             node_features, *COMPONENT_BLOCK, p["actions.gc.w"], p["actions.gc.b"],
             p["actions.mix.w"], p["actions.mix.b"],
         )
-        maps = {
-            sub.component: ad.constant(assign[..., i, : len(sub.indices), :])
-            for i, sub in enumerate(SUBGRAPHS)
-        }
-        return features, maps
 
     def relate(self, action_features: Tensor):
         """Score action slots over their complete graph and pool.
@@ -257,13 +253,13 @@ class ActionRelationNet:
                 logits=self.classify(pooled),
                 node_features=node_features,
             )
-        action_features, maps = self.decompose(node_features)
+        action_features, assignment = self.decompose(node_features)
         if self.config.variant == "actions":
             pooled = _per_sample(ad.mean_rows(action_features), batched)
             return ForwardResult(
                 logits=self.classify(pooled),
                 node_features=node_features,
-                action_maps=maps,
+                assignment=assignment,
                 action_features=action_features,
             )
         pooled, weights = self.relate(action_features)
@@ -271,7 +267,7 @@ class ActionRelationNet:
         return ForwardResult(
             logits=self.classify(recognition),
             node_features=node_features,
-            action_maps=maps,
+            assignment=assignment,
             action_features=action_features,
             weights=weights,
             recognition_feature=recognition,

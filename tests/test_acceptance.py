@@ -274,11 +274,12 @@ class TestAcceptance:
                 assert result.action_features.shape == (3 * na, c1)
                 assert result.weights.shape == (3 * na, 1)
                 assert result.recognition_feature.shape == (1, c1)
-                for rows, comp in zip(spans, ("eyebrow", "nose", "mouth")):
-                    assign = result.action_maps[comp]
+                for c, (rows, comp) in enumerate(zip(spans, ("eyebrow", "nose", "mouth"))):
+                    assert SUBGRAPHS[c].component == comp
+                    assign = result.assignment[c, : len(SUBGRAPHS[c].indices)]
                     assert assign.shape == (rows, na)
                     np.testing.assert_allclose(
-                        assign.data.sum(axis=1), 1.0, atol=1e-9
+                        assign.sum(axis=1), 1.0, atol=1e-9
                     )
 
     def test_criterion_3_oracle_equivalence(self):

@@ -72,19 +72,20 @@ class TestForwardValues:
         a = rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3))
         ta, tb = ad.constant(a), ad.constant(b)
-        np.testing.assert_allclose(ad.add(ta, tb).data, a + b)
+        np.testing.assert_allclose(ad.weighted_sum((ta, tb), (1.0, 1.0)).data, a + b)
 
     def test_scalar_operands_broadcast(self):
         a = ad.constant([[1.0, 2.0], [3.0, 4.0]])
         s = ad.constant(2.0)
-        np.testing.assert_allclose(ad.add(a, s).data, [[3, 4], [5, 6]])
-        np.testing.assert_allclose(ad.add(s, a).data, [[3, 4], [5, 6]])
+        for terms in ((a, s), (s, a)):
+            got = ad.weighted_sum(terms, (1.0, 1.0)).data
+            np.testing.assert_allclose(got, [[3, 4], [5, 6]])
 
     def test_mismatched_shapes_rejected(self):
         a = ad.constant(np.zeros((2, 3)))
         b = ad.constant(np.zeros((3, 2)))
         with pytest.raises(ShapeError):
-            ad.add(a, b)
+            ad.weighted_sum((a, b), (1.0, 1.0))
         with pytest.raises(ShapeError):
             ad.matmul(a, ad.constant(np.zeros((2, 2))))
 
@@ -349,6 +350,78 @@ def test_short_row_folds_give_the_bits_of_numpys_reductions(a):
             assert np.all(same | (np.isnan(got) & np.isnan(want))), fold.__name__
 
 
+@st.composite
+def weighted_sum_cases(draw):
+    """Terms of mutually broadcastable shapes, with leading member axes and
+    singleton broadcast axes among them, their factors, 1.0 among them, and
+    a seed of the sum's shape."""
+    k = draw(st.integers(1, 4))
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=k, max_dims=3, max_side=3))
+    values = st.floats(-10.0, 10.0)
+    terms = [draw(hnp.arrays(np.float64, s, elements=values)) for s in shapes.input_shapes]
+    factors = draw(st.lists(st.just(1.0) | st.floats(-4.0, 4.0), min_size=k, max_size=k))
+    seed = draw(hnp.arrays(np.float64, shapes.result_shape, elements=values))
+    return terms, factors, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=weighted_sum_cases())
+def test_weighted_sum_is_the_left_fold_of_numpy_products(case):
+    terms, factors, seed = case
+    leaves = [Tensor(t, requires_grad=True) for t in terms]
+    out = ad.weighted_sum(leaves, factors)
+    want = terms[0] * factors[0]
+    for t, c in zip(terms[1:], factors[1:]):
+        want = want + t * c
+    want = np.asarray(want)
+    assert out.shape == want.shape
+    assert np.array_equal(out.data.view(np.uint64), want.view(np.uint64))
+    # each term's gradient is the seed times its factor, summed over the
+    # axes the term was broadcast along
+    ad.backward(out, seed)
+    for leaf, t, c in zip(leaves, terms, factors):
+        lead = seed.ndim - t.ndim
+        axes = tuple(range(lead)) + tuple(
+            lead + i for i, n in enumerate(t.shape) if n == 1 and seed.shape[lead + i] != 1
+        )
+        want_grad = (seed * c).sum(axis=axes).reshape(t.shape)
+        np.testing.assert_allclose(leaf.grad, want_grad, rtol=1e-12, atol=1e-10)
+
+
+@st.composite
+def cross_entropy_cases(draw):
+    """(M..., B..., N, K) logits, (B..., N) labels and an (M...,) seed:
+    member axes, batch axes and rows of every small size."""
+    members = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+    rows = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+    k = draw(st.integers(1, 5))
+    logits = draw(hnp.arrays(np.float64, members + rows + (k,), elements=st.floats(-30, 30)))
+    labels = draw(hnp.arrays(np.int64, rows, elements=st.integers(0, k - 1)))
+    seed = draw(hnp.arrays(np.float64, members, elements=st.floats(-2.0, 2.0)))
+    return logits, labels, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cross_entropy_cases())
+def test_cross_entropy_matches_the_loop_oracle_per_member(case):
+    logits, labels, seed = case
+    k = logits.shape[-1]
+    members = logits.shape[: logits.ndim - 1 - labels.ndim]
+    x = Tensor(logits, requires_grad=True)
+    out = ad.cross_entropy(x, labels)
+    assert out.shape == members
+    ad.backward(out, seed)
+    flat = labels.reshape(-1)
+    onehot = np.eye(k)[flat]
+    per_member = logits.reshape(members + flat.shape + (k,))
+    grads = x.grad.reshape(per_member.shape)
+    for m in np.ndindex(members):
+        rows = per_member[m]
+        np.testing.assert_allclose(out.data[m], cross_entropy_oracle(rows, flat), atol=1e-12)
+        want = (softmax_rows_oracle(rows) - onehot) / flat.size * seed[m]
+        np.testing.assert_allclose(grads[m], want, atol=1e-12)
+
+
 def _c(*shape):
     return ad.constant(np.zeros(shape))
 
@@ -409,6 +482,15 @@ SHAPE_CONTRACTS = {
     "matmul.batch": (
         "matmul: batch axes", lambda: ad.matmul(_c(2, 2, 3), _c(3, 3, 4))
     ),
+    "weighted_sum.shapes": (
+        r"weighted_sum: incompatible shapes \(2, 3\), \(2, 3\), \(3, 2\)",
+        lambda: ad.weighted_sum((_c(2, 3), _c(2, 3), _c(3, 2)), (1.0, 2.0, 1.0)),
+    ),
+    "weighted_sum.factors": (
+        "weighted_sum: 2 terms, 1 factors",
+        lambda: ad.weighted_sum((_c(2, 3), _c(2, 3)), (1.0,)),
+    ),
+    "weighted_sum.empty": ("weighted_sum: 0 terms", lambda: ad.weighted_sum((), ())),
     "affine.rank": ("affine: expected a", lambda: ad.affine(_c(3), _c(3, 2), _c(1, 2))),
     "affine.weight_rank": (
         "affine: shapes", lambda: ad.affine(_c(2, 3), _c(3, 2, 1), _c(1, 2))
@@ -553,7 +635,7 @@ class TestBackwardClosedForms:
 
     def test_reused_tensor_accumulates_within_one_pass(self):
         x = Tensor([[3.0]], requires_grad=True)
-        y = ad.add(ad.matmul(x, x), x)  # y = x^2 + x, dy/dx = 2x + 1
+        y = ad.weighted_sum((ad.matmul(x, x), x), (1.0, 1.0))  # y = x^2 + x, dy/dx = 2x + 1
         ad.backward(y)
         np.testing.assert_allclose(x.grad, [[7.0]])
 
@@ -566,7 +648,7 @@ class TestBackwardClosedForms:
     def test_repeated_backward_through_a_shared_node(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
         h = ad.relu(x)  # read twice below
-        y = ad.sq_frobenius(ad.add(h, h))  # y = 4 |h|^2, dy/dx = 8x
+        y = ad.sq_frobenius(ad.weighted_sum((h, h), (1.0, 1.0)))  # y = 4 |h|^2, dy/dx = 8x
         ad.backward(y)
         np.testing.assert_array_equal(x.grad, [[8.0, 16.0]])
         ad.backward(y)
@@ -584,8 +666,8 @@ class TestBackwardClosedForms:
             raise RuntimeError("backward rule failed")
 
         broken = ad._node(h.data.copy(), (h,), fail)
-        # w and h take add's share of the gradient, then broken's rule raises
-        loss = ad.sq_frobenius(ad.add(ad.add(h, w), broken))
+        # w and h take the sum's share of the gradient, then broken's rule raises
+        loss = ad.sq_frobenius(ad.weighted_sum((h, w, broken), (1.0, 1.0, 1.0)))
         with pytest.raises(RuntimeError):
             ad.backward(loss)
         # a pass that raises changes no leaf gradient and leaves no sum behind
@@ -625,13 +707,13 @@ class TestBackwardClosedForms:
         want = sum(x[i].T @ np.ones((5, 2)) for i in range(3))
         np.testing.assert_allclose(w.grad, want, atol=1e-12)
         bias = Tensor(np.zeros((1, 4)), requires_grad=True)
-        ad.backward(ad.add(ad.constant(x), bias), np.ones((3, 5, 4)))
+        ad.backward(ad.weighted_sum((ad.constant(x), bias), (1.0, 1.0)), np.ones((3, 5, 4)))
         np.testing.assert_array_equal(bias.grad, np.full((1, 4), 15.0))
 
     def test_backward_skips_constant_branches(self):
         x = Tensor([[1.0, -2.0]], requires_grad=True)
         c = ad.constant([[3.0, 4.0]])
-        scaled = ad.scale(c, 2.0)
+        scaled = ad.weighted_sum((c,), (2.0,))
         y = ad.matmul(x, ad.transpose(scaled))  # (1, 1)
         assert not scaled._needs and y._needs
         ad.backward(y)
@@ -645,7 +727,7 @@ class TestBackwardClosedForms:
         x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
         c = ad.constant([[3.0, 4.0], [-1.0, 2.0]])
         h = ad.relu(ad.matmul(x, x))
-        y = ad.sq_frobenius(ad.add(ad.matmul(h, c), h))  # h is shared, c is constant
+        y = ad.sq_frobenius(ad.weighted_sum((ad.matmul(h, c), h), (1, 1)))  # h is shared
         tape = ad._tape(y)
         assert len(tape) == len({id(n) for n in tape}) == 6
         position = {id(n): i for i, n in enumerate(tape)}
@@ -660,13 +742,13 @@ class TestBackwardClosedForms:
     def test_nodes_no_gradient_reaches_keep_no_tape(self):
         x = Tensor([[1.0, -2.0]], requires_grad=True)
         c = ad.constant([[3.0, 4.0]])
-        scaled = ad.relu(ad.scale(c, 2.0))
-        y = ad.add(x, scaled)
+        scaled = ad.relu(ad.weighted_sum((c,), (2.0,)))
+        y = ad.weighted_sum((x, scaled), (1.0, 1.0))
         assert scaled._parents == () and scaled._backward is None
         assert y._parents == (x, scaled) and y._backward is not None
         # with x frozen the same graph keeps nothing below its root
         x.requires_grad = False
-        frozen = ad.sq_frobenius(ad.add(x, scaled))
+        frozen = ad.sq_frobenius(ad.weighted_sum((x, scaled), (1.0, 1.0)))
         assert frozen._parents == () and frozen._backward is None
         np.testing.assert_array_equal(frozen.data, 85.0)
 
@@ -1565,7 +1647,7 @@ class TestGradCheck:
         # its rectifier inputs out of the probes' reach
         drawn = 0
         for name, build in checks._cases().items():
-            if not name.startswith(op + "."):
+            if name != op and not name.startswith(op + "."):
                 continue
             for seed in checks.DEFAULT_SEEDS:
                 f, x, _, _ = build(checks.case_rng(name, seed))
@@ -1580,6 +1662,11 @@ class TestGradCheck:
     def test_decompose_cases_are_drawn_off_the_kink(self):
         # each of the five operands plain and stacked
         assert self.cases_drawn_off_the_kink("decompose") == 10 * len(checks.DEFAULT_SEEDS)
+
+    @pytest.mark.parametrize("op", checks.KINKED_OPS)
+    def test_kinked_op_cases_are_drawn_off_the_kink(self, op):
+        # the one-sample and the batched case
+        assert self.cases_drawn_off_the_kink(op) == 2 * len(checks.DEFAULT_SEEDS)
 
     def test_invalid_step_is_rejected_before_any_evaluation(self):
         calls = []

@@ -8,7 +8,7 @@ import pytest
 
 import megraph.autodiff as ad
 from megraph.checks import _batch_axes, kink_margin
-from megraph.graph import build_graph
+from megraph.graph import SUBGRAPHS, build_graph
 from megraph.landmarks import synthesize_dataset
 from megraph.losses import LossWeights, WeightCenterTable, total_loss
 from megraph.model import VARIANTS, ActionRelationNet, ModelConfig
@@ -63,9 +63,10 @@ def test_batched_forward_equals_one_sample_forwards(variant, n):
         np.testing.assert_allclose(
             batch.action_features.data[i], one.action_features.data, atol=1e-12
         )
-        for comp, assign in one.action_maps.items():
+        for c, sub in enumerate(SUBGRAPHS):
+            real = slice(0, len(sub.indices))
             np.testing.assert_allclose(
-                batch.action_maps[comp].data[i], assign.data, atol=1e-12
+                batch.assignment[i, c, real], one.assignment[c, real], atol=1e-12
             )
         if variant == "full":
             np.testing.assert_allclose(

@@ -373,6 +373,23 @@ class TestTotalLoss:
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError, match="classification"):
                 total_loss(result, [0, 1], LossWeights(0.0, 0.0, 0.0))
+        # each auxiliary term, with the classification term finite
+        rng = np.random.default_rng(0)
+        finite = fake_result(rng, n=3)
+        broken = replace(
+            finite,
+            action_features=ad.constant(np.full(finite.action_features.shape, np.inf)),
+            weights=ad.constant(np.full(finite.weights.shape, np.inf)),
+        )
+        table = WeightCenterTable(n_classes=3, n_rows=4)
+        for name, weights in (
+            ("feature-center", LossWeights(1.0, 0.0, 0.0)),
+            ("weight-center", LossWeights(0.0, 1.0, 0.0)),
+            ("balance", LossWeights(0.0, 0.0, 1.0)),
+        ):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(FloatingPointError, match=f"^{name} loss is not finite"):
+                    total_loss(broken, [0, 1, 2], weights, table=table, update_table=False)
 
     def test_backward_reaches_logits(self):
         rng = np.random.default_rng(42)

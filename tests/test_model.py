@@ -163,11 +163,13 @@ class TestShapes:
         assert result.action_features.shape == (9, 6)
         assert result.weights.shape == (9, 1)
         assert result.recognition_feature.shape == (1, 6)
-        for comp, rows in (("eyebrow", 10), ("nose", 9), ("mouth", 12)):
-            assign = result.action_maps[comp]
+        assert result.assignment.shape == (3, 12, 3)
+        for c, (comp, rows) in enumerate((("eyebrow", 10), ("nose", 9), ("mouth", 12))):
+            assert SUBGRAPHS[c].component == comp
+            assign = result.assignment[c, : len(SUBGRAPHS[c].indices)]
             assert assign.shape == (rows, 3)
             np.testing.assert_allclose(
-                assign.data.sum(axis=1), 1.0, atol=1e-9
+                assign.sum(axis=1), 1.0, atol=1e-9
             )
         np.testing.assert_allclose(result.weights.data.sum(), 1.0, atol=1e-12)
 
@@ -228,10 +230,10 @@ class TestShapes:
                 stack.extend(node._parents)
         return len(seen)
 
-    def test_default_step_tape_has_at_most_44_nodes(self):
-        assert self.step_tape_nodes("full") <= 44
+    def test_default_step_tape_has_at_most_39_nodes(self):
+        assert self.step_tape_nodes("full") <= 39
 
-    @pytest.mark.parametrize("variant, nodes", [("actions", 26), ("backbone", 18)])
+    @pytest.mark.parametrize("variant, nodes", [("actions", 25), ("backbone", 18)])
     def test_variant_step_tape_has_at_most(self, variant, nodes):
         assert self.step_tape_nodes(variant) <= nodes
 
@@ -242,12 +244,13 @@ class TestLoopOracles:
         for i in range(20):
             model = ActionRelationNet(SMALL, seed=i)
             x = rng.normal(size=(31, SMALL.channels))
-            got, got_maps = model.decompose(ad.constant(x))
+            got, got_assign = model.decompose(ad.constant(x))
             want, want_maps = oracle_decompose(model, x)
             np.testing.assert_allclose(got.data, want, atol=1e-10)
-            for comp in want_maps:
+            for c, sub in enumerate(SUBGRAPHS):
                 np.testing.assert_allclose(
-                    got_maps[comp].data, want_maps[comp], atol=1e-10
+                    got_assign[c, : len(sub.indices)], want_maps[sub.component],
+                    atol=1e-10,
                 )
 
     def test_relate_matches_loops(self):
@@ -312,10 +315,10 @@ class TestDegenerateAlgebra:
             [f"actions.{blk}" for blk in ("gc.w", "gc.b", "mix.w", "mix.b")], model
         )
         x = rng.normal(size=(31, SMALL.channels))
-        f_a, maps = model.decompose(ad.constant(x))
-        for comp, assign in maps.items():
+        f_a, assignment = model.decompose(ad.constant(x))
+        for c, sub in enumerate(SUBGRAPHS):
             np.testing.assert_allclose(
-                assign.data, 1.0 / SMALL.n_actions, atol=1e-12
+                assignment[c, : len(sub.indices)], 1.0 / SMALL.n_actions, atol=1e-12
             )
         # uniform pooling: every slot of a component holds that component's
         # column sum divided by the slot count
