@@ -45,10 +45,10 @@ for i, sub in enumerate(SUBGRAPHS):
           f"row sums in [{row_sums.min():.9f}, {row_sums.max():.9f}]")
 print("action features:", result.action_features.shape)
 
-# Relation: every slot gets a scalar weight, normalized to the simplex per
-# sample by default, and each sample's recognition feature is its weighted
-# slot mean.
-w = result.weights.data[..., 0]
+# Relation: every slot gets a scalar weight, one (1, 3 * N_a) row per sample
+# normalized to sum 1, and each sample's recognition feature is its
+# weighted slot mean.
+w = result.weights.data[:, 0]
 print("slot weights of sample 0:", np.round(w[0], 4))
 print("weight sums per sample:", np.round(w.sum(axis=1), 12))
 print("recognition features:", result.recognition_feature.shape)

@@ -9,7 +9,7 @@ toward a running per-class center, and a balance term that keeps the
 batch-mean weights spread across slots.
 
 Every term reads one stacked batch: (B, K) logits, (B, R, C) action
-features and (B, R, 1) slot weights.
+features and (B, 1, R) slot weights.
 """
 
 import numpy as np
@@ -45,14 +45,14 @@ print(f"two-sample feature-center: {value:.6f} "
 # moves it toward each batch by EMA. Weights equal to their centers cost 0.
 table = WeightCenterTable(n_classes=3, n_rows=6, rate=0.5)
 table.update(rng.dirichlet(np.ones(6), size=3), [0, 1, 2])
-weights = ad.constant(np.stack([table.centers[l].reshape(6, 1) for l in (0, 1, 2)]))
+weights = ad.constant(np.stack([table.centers[l].reshape(1, 6) for l in (0, 1, 2)]))
 value = float(weight_center_loss(weights, [0, 1, 2], table, update=False).data)
 print(f"weights at their class centers: weight-center={value}")
 
 # Balance loss vanishes when the batch-mean weight vector is uniform and
 # grows as mass collapses onto fewer slots.
-uniform = np.full((1, 6, 1), 1.0 / 6)
-collapsed = np.zeros((1, 6, 1))
+uniform = np.full((1, 1, 6), 1.0 / 6)
+collapsed = np.zeros((1, 1, 6))
 collapsed[0, 0, 0] = 1.0
 print(f"balance(uniform):   {float(balance_loss(ad.constant(uniform)).data):.6f}")
 print(f"balance(collapsed): {float(balance_loss(ad.constant(collapsed)).data):.6f}")
@@ -64,7 +64,7 @@ result = ForwardResult(
     logits=ad.constant(rng.normal(size=(4, 3))),
     node_features=None,
     action_features=ad.constant(rng.normal(size=(4, 6, 4))),
-    weights=ad.constant(rng.dirichlet(np.ones(6), size=4).reshape(4, 6, 1)),
+    weights=ad.constant(rng.dirichlet(np.ones(6), size=4).reshape(4, 1, 6)),
 )
 labels = [0, 1, 2, 1]
 breakdown = total_loss(result, labels, LossWeights(0.001, 1.0, 0.1),

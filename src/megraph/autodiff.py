@@ -56,16 +56,14 @@ __all__ = [
     "matmul",
     "weighted_sum",
     "relu",
-    "transpose",
     "reshape",
-    "l1_rowsum",
-    "normalize_columns",
     "sq_frobenius",
     "mean_rows",
     "affine",
     "graph_affine",
     "st_conv",
     "decompose",
+    "slot_weights",
     "cross_entropy",
 ]
 
@@ -356,18 +354,8 @@ def relu(a: Tensor) -> Tensor:
     def back(g):
         return (g * (out > 0),)
 
+    back.rectifier_input = lambda: a.data  # for checks.kink_margin
     return _node(out, (a,), back, "relu")
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    _require_matrix("transpose", a)
-    out = np.swapaxes(a.data, -1, -2)
-
-    def back(g):
-        return (np.swapaxes(g, -1, -2),)
-
-    return _node(out, (a,), back, "transpose")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -407,36 +395,6 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         out += a[..., j : j + 1]
     return out
-
-
-def l1_rowsum(a: Tensor) -> Tensor:
-    """Row-wise L1 norm: (..., R, C) -> (..., R, 1)."""
-    _require_matrix("l1_rowsum", a)
-    out = np.abs(a.data).sum(axis=-1, keepdims=True)
-
-    def back(g):
-        return (np.sign(a.data) * g,)
-
-    return _node(out, (a,), back, "l1_rowsum")
-
-
-def normalize_columns(a: Tensor) -> Tensor:
-    """Scale each column of every (R, C) matrix to sum 1 over its rows.
-
-    A column whose sum is not positive becomes uniform, 1 / R, and passes
-    no gradient back; the others are ``a / sum``.
-    """
-    _require_matrix("normalize_columns", a)
-    total = a.data.sum(axis=-2, keepdims=True)
-    dead = total <= 0.0
-    safe = np.where(dead, 1.0, total)
-    out = np.where(dead, 1.0 / a.shape[-2], a.data / safe)
-
-    def back(g):
-        dot = (g * out).sum(axis=-2, keepdims=True)
-        return (np.where(dead, 0.0, (g - dot) / safe),)
-
-    return _node(out, (a,), back, "normalize_columns")
 
 
 def sq_frobenius(
@@ -592,6 +550,30 @@ def decompose(
     back.rectifier_input = lambda: pre[..., real, :]
     features = out.reshape(out.shape[:-3] + (-1, out.shape[-1]))
     return _node(features, (x, gc_w, gc_b, mix_w, mix_b), back, "decompose"), assign
+
+
+def slot_weights(scores: Tensor) -> tuple[Tensor, np.ndarray]:
+    """The relation weights as one node: each row's L1 mass over its (R, C)
+    matrix's total, as a (..., 1, R) row per matrix. A matrix whose total is
+    not positive falls back to uniform, 1 / R, and passes no gradient back;
+    the (..., 1, 1) bool mask of those matrices is returned beside the
+    weights as a plain array."""
+    _require_matrix("slot_weights", scores)
+    s = scores.data
+    mass = np.abs(s).sum(axis=-1, keepdims=True)  # (..., R, 1)
+    total = mass.sum(axis=-2, keepdims=True)
+    fallen = total <= 0.0
+    safe = np.where(fallen, 1.0, total)
+    column = np.where(fallen, 1.0 / s.shape[-2], mass / safe)
+
+    def back(g):
+        g = np.swapaxes(g, -1, -2)
+        dot = (g * column).sum(axis=-2, keepdims=True)
+        return (np.sign(s) * np.where(fallen, 0.0, (g - dot) / safe),)
+
+    # |.| has its kink where a score is zero, for checks.kink_margin
+    back.rectifier_input = lambda: s
+    return _node(np.swapaxes(column, -1, -2), (scores,), back, "slot_weights"), fallen
 
 
 def _frames_front(a: np.ndarray, q: int) -> np.ndarray:
@@ -862,8 +844,11 @@ def compare_gradient(
     ``(2n,)`` values is a :class:`ShapeError`. The battery in ``checks``
     runs its op, loss and model entries stacked.
 
-    Relative error per coordinate is ``|a - n| / max(|a|, |n|, 1)``; the floor
-    keeps near-zero gradients from inflating rounding noise.
+    Relative error per coordinate is ``|a - n|`` over one floor per tensor,
+    ``min(1, max(max|a|, max|n|, 64 eps max|f| / (h tol)))``: a small
+    gradient is judged against the tensor's largest, never more loosely
+    than against 1, and the last term, the central differences' round-off
+    in the values f, keeps an exactly-zero gradient from failing on noise.
     """
     if h <= 0:
         raise ValueError("grad_check: h must be positive")
@@ -911,8 +896,10 @@ def compare_gradient(
         return non_finite(finite, "finite-difference value")
     numeric = ((fp - fm) / (2.0 * h)).reshape(x.shape)
 
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-    rel = np.abs(analytic - numeric) / denom
+    noise = 64.0 * np.finfo(np.float64).eps * np.abs(values).max() / (h * tol)
+    floor = min(1.0, max(np.abs(analytic).max(), np.abs(numeric).max(), noise))
+    # an all-zero tensor has nothing to compare: its error is 0, not 0 / 0
+    rel = np.abs(analytic - numeric) / (floor or 1.0)
     worst = int(np.argmax(rel))
     max_rel = float(rel.reshape(-1)[worst])
     return GradCheckResult(

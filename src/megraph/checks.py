@@ -50,10 +50,6 @@ def _normal(*shape):
     return lambda rng: rng.normal(size=shape)
 
 
-def _positive(*shape):
-    return lambda rng: rng.uniform(0.2, 1.0, size=shape)
-
-
 def _labels(k: int, *shape):
     return lambda rng: rng.integers(0, k, size=shape)
 
@@ -162,6 +158,10 @@ def _st_conv_case(padding: str, wrt: int, stacked=()):
     )
 
 
+def _slot_weights(scores):
+    return ad.slot_weights(scores)[0]
+
+
 def _cross_entropy(logits, labels):
     return ad.cross_entropy(logits, labels.data.astype(np.int64))
 
@@ -199,31 +199,21 @@ def _decompose_cases() -> dict:
     return cases
 
 
-def _dead_middle(rng) -> np.ndarray:
-    """A positive (3, 5, 1) batch with its middle sample negated: that
-    sample's column sums stay below -1 under every +-h probe, so
-    normalize_columns falls back to uniform there, passing no gradient,
-    while the others normalize."""
-    return _positive(3, 5, 1)(rng) * np.array([1.0, -1.0, 1.0])[:, None, None]
-
-
 def _op_cases() -> dict:
     """Every tape op on one-sample 2-d operands, then on batched ones: a
     2-d operand broadcast over batch axes must get its gradient summed
     over them. The kinked ops' operands are drawn off the kink."""
-    n, pos = _normal, _positive
+    n = _normal
     specs = {
         "matmul.lhs": (ad.matmul, 0, n(4, 3), n(3, 5)),
         "matmul.rhs": (ad.matmul, 1, n(4, 3), n(3, 5)),
         "weighted_sum": (_weighted_sum(1.0, -1.7), 0, n(3, 4), n(3, 4)),
         "weighted_sum.broadcast": (_weighted_sum(1.0, -1.7), 1, n(3, 4), n(1, 4)),
         "relu": (ad.relu, 0, n(4, 5)),
-        "transpose": (ad.transpose, 0, n(3, 4)),
         "reshape": (_Whole(lambda x: ad.reshape(x, (2, 6))), 0, n(3, 4)),
-        "l1_rowsum": (ad.l1_rowsum, 0, n(4, 5)),
-        "normalize_columns": (ad.normalize_columns, 0, pos(5, 2)),
         "sq_frobenius": (_Whole(ad.sq_frobenius), 0, n(3, 4)),
         "mean_rows": (ad.mean_rows, 0, n(6, 4)),
+        "slot_weights": (_slot_weights, 0, n(4, 5)),
         "affine.x": (ad.affine, 0, n(4, 3), n(3, 5), n(1, 5)),
         "affine.w": (ad.affine, 1, n(4, 3), n(3, 5), n(1, 5)),
         "affine.b": (ad.affine, 2, n(4, 3), n(3, 5), n(1, 5)),
@@ -237,13 +227,10 @@ def _op_cases() -> dict:
         "matmul.both.batched": (ad.matmul, 1, n(2, 4, 3), n(2, 3, 5)),
         "weighted_sum.batched": (_weighted_sum(0.6, 1.0), 0, n(2, 3, 4), n(3, 4)),
         "relu.batched": (ad.relu, 0, n(2, 3, 4)),
-        "transpose.batched": (ad.transpose, 0, n(2, 3, 4)),
         "reshape.batched": (_Whole(lambda x: ad.reshape(x, (2, -1))), 0, n(2, 3, 4)),
-        "l1_rowsum.batched": (ad.l1_rowsum, 0, n(2, 3, 4)),
-        "normalize_columns.batched": (ad.normalize_columns, 0, pos(3, 5, 1)),
-        "normalize_columns.fallback": (ad.normalize_columns, 0, _dead_middle),
         "sq_frobenius.batched": (_Whole(ad.sq_frobenius), 0, n(2, 3, 4)),
         "mean_rows.batched": (ad.mean_rows, 0, n(2, 3, 4)),
+        "slot_weights.batched": (_slot_weights, 0, n(2, 3, 4)),
         "affine.x.batched": (ad.affine, 0, n(2, 3, 4), n(4, 5), n(1, 5)),
         "affine.w.batched": (ad.affine, 1, n(2, 3, 4), n(4, 5), n(1, 5)),
         "affine.b.batched": (ad.affine, 2, n(2, 3, 4), n(4, 5), n(1, 5)),
@@ -341,8 +328,8 @@ def _loss_cases() -> dict:
     return {
         "loss.classification": case(classification, (n, 5)),
         "loss.feature_center": case(lambda rng: feature_center_loss, (n, rows, chans)),
-        "loss.weight_center": case(weight_center, (n, rows, 1)),
-        "loss.balance": case(lambda rng: balance_loss, (n, rows, 1)),
+        "loss.weight_center": case(weight_center, (n, 1, rows)),
+        "loss.balance": case(lambda rng: balance_loss, (n, 1, rows)),
     }
 
 
@@ -394,15 +381,16 @@ class BatteryEntry:
         return self.result.passed
 
 
-# ops whose derivative jumps where their input crosses zero
-KINKED_OPS = ("relu", "l1_rowsum")
+# ops whose derivative jumps where their input crosses zero, besides the
+# fused st_conv and decompose: their battery cases are drawn off the kink
+KINKED_OPS = ("relu", "slot_weights")
 
 
 def kink_margin(loss: Tensor) -> float:
     """Smallest distance of any rectifier or absolute-value input to its
     kink, found by walking the tape from ``loss``: the ``rectifier_input``
-    of a node whose backward rule has one (``st_conv``, ``decompose``), and
-    the input of a kinked op.
+    of every node whose backward rule has one (``relu``, ``st_conv``,
+    ``decompose``, ``slot_weights``).
 
     Central differences are only trustworthy when the +-h probe interval
     stays on one side of every kink, so end-to-end checks must run at a
@@ -412,12 +400,7 @@ def kink_margin(loss: Tensor) -> float:
     for node in _tape(loss):
         rectifier_input = getattr(node._backward, "rectifier_input", None)
         if rectifier_input is not None:
-            values = rectifier_input()
-        elif node.op in KINKED_OPS:
-            values = node._parents[0].data
-        else:
-            continue
-        margin = min(margin, float(np.abs(values).min()))
+            margin = min(margin, float(np.abs(rectifier_input()).min()))
     return margin
 
 

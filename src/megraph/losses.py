@@ -4,7 +4,7 @@ All four terms are differentiable through the tape; the centers they pull
 toward (batch feature mean, per-class weight centers) are held constant
 during differentiation and maintained outside the tape, so gradients flow
 only through the model outputs. Every term reads one stacked batch: (B, K)
-logits, (B, R, C) action features, (B, R, 1) slot weights, and reduces
+logits, (B, R, C) action features, (B, 1, R) slot weights, and reduces
 over those sample axes alone. Inputs with leading member axes, from a
 member-stacked parameter, give one value per member: batch statistics are
 taken over B within each member, never across members.
@@ -141,7 +141,7 @@ def weight_center_loss(
     table: WeightCenterTable,
     update: bool = True,
 ) -> Tensor:
-    """Mean squared distance of each (B, R, 1) weight vector to its class
+    """Mean squared distance of each (B, 1, R) weight row to its class
     center.
 
     Uses the centers as they stand, then (when update is set) folds the
@@ -165,7 +165,7 @@ def weight_center_loss(
 
 def balance_loss(weights: Tensor) -> Tensor:
     """Squared distance between the batch-mean weight vector and uniform,
-    for (B, R, 1) weights.
+    for (B, 1, R) weights.
 
     Pushes the model to spread relation mass across action slots on average
     rather than collapsing onto a few.

@@ -107,7 +107,7 @@ class ForwardResult:
     # graph.SUBGRAPHS order; rows past a component's node count are padding
     assignment: np.ndarray | None = None
     action_features: Tensor | None = None  # (B, 3*N_a, C_1)
-    weights: Tensor | None = None  # (B, 3*N_a, 1), on the simplex when normalized
+    weights: Tensor | None = None  # (B, 1, 3*N_a), each row summing to 1
     recognition_feature: Tensor | None = None  # (B, C_1)
 
 
@@ -210,8 +210,8 @@ class ActionRelationNet:
     def relate(self, action_features: Tensor):
         """Score action slots over their complete graph and pool.
 
-        Returns (recognition_feature (..., 1, C_1), weights (..., 3*N_a, 1)).
-        Weights are each slot's L1 feature mass, normalized per sample to
+        Returns (recognition_feature (..., 1, C_1), weights (..., 1, 3*N_a)).
+        Weights are each slot's L1 score mass, normalized per sample to
         sum 1; a sample whose slots all carry zero mass falls back to
         uniform weights, with one warning per such sample.
         """
@@ -225,16 +225,13 @@ class ActionRelationNet:
             )
         )
         scored = ad.affine(hidden, p["relation.mix.w"], p["relation.mix.b"])
-        weights = ad.l1_rowsum(scored)
-        dead = int(np.count_nonzero(weights.data.sum(axis=-2) <= 0.0))
-        for _ in range(dead):
+        weights, fallen = ad.slot_weights(scored)
+        for _ in range(int(np.count_nonzero(fallen))):
             warnings.warn(
                 "relation weights are all zero; falling back to uniform",
                 RuntimeWarning,
             )
-        weights = ad.normalize_columns(weights)
-        pooled = ad.matmul(ad.transpose(weights), action_features)
-        return pooled, weights
+        return ad.matmul(weights, action_features), weights
 
     def classify(self, features: Tensor) -> Tensor:
         """(B, C_1) pooled features -> (B, K) logits."""

@@ -3,7 +3,8 @@
 Each test prints a single pass/fail verdict line (run with -s to see them
 alongside pytest's own output). The checks lean on independent loop oracles
 and rely on nothing from the other test files, so this file alone decides
-whether a build is acceptable.
+whether a build is acceptable. A hypothesis property at the end holds the
+relation op, ``slot_weights``, to its loop oracle over random shapes.
 """
 
 import hashlib
@@ -14,6 +15,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import megraph.autodiff as ad
 from megraph.checks import DEFAULT_SEEDS, battery_passed, run_battery
@@ -137,6 +140,24 @@ def loop_decompose(x, rows, adj, gw, gb, mw, mb):
         assign.append(loop_softmax_rows(loop_matmul(hidden, mw[i]) + mb[i]))
         pooled.append(loop_matmul(assign[-1].T, xg[i]))
     return np.concatenate(pooled, axis=0), np.stack(assign)
+
+
+def loop_slot_weights(scores, g):
+    """One (R, C) matrix's relation weights, each row's L1 mass over the
+    total (uniform when the total is not positive), and the gradient of
+    sum_r g[r] * w[r] with respect to the scores (zero on the fallback)."""
+    n_rows, n_cols = scores.shape
+    mass = [sum(abs(v) for v in row) for row in scores]
+    total = sum(mass)
+    if total <= 0.0:
+        return np.full(n_rows, 1.0 / n_rows), np.zeros((n_rows, n_cols))
+    w = np.array([m / total for m in mass])
+    dot = sum(g[r] * w[r] for r in range(n_rows))
+    grad = np.zeros((n_rows, n_cols))
+    for r in range(n_rows):
+        for c in range(n_cols):
+            grad[r, c] = np.sign(scores[r, c]) * (g[r] - dot) / total
+    return w, grad
 
 
 def loop_crop_jitter(frames, rng, copies, max_scale, max_shift):
@@ -272,7 +293,7 @@ class TestAcceptance:
                 result = model.forward(build_graph(frames))
                 assert result.logits.shape == (1, k)
                 assert result.action_features.shape == (3 * na, c1)
-                assert result.weights.shape == (3 * na, 1)
+                assert result.weights.shape == (1, 3 * na)
                 assert result.recognition_feature.shape == (1, c1)
                 for c, (rows, comp) in enumerate(zip(spans, ("eyebrow", "nose", "mouth"))):
                     assert SUBGRAPHS[c].component == comp
@@ -299,7 +320,7 @@ class TestAcceptance:
                 want_pooled, want_w = oracle_relate(model, f_a)
                 np.testing.assert_allclose(pooled.data, want_pooled,
                                            rtol=0, atol=1e-10)
-                np.testing.assert_allclose(w.data, want_w, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(w.data, want_w.T, rtol=0, atol=1e-10)
 
             for trial in range(20):
                 # 31 rows and five -1 (zero-row) entries in a random (3, 12)
@@ -527,3 +548,30 @@ class TestAcceptance:
                 report = run_ablation(cfg)
             assert tuple(r["name"] for r in report.modules) == MODULE_ROWS
             assert tuple(r["name"] for r in report.losses) == LOSS_ROWS
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    n_rows=st.integers(1, 5),
+    n_cols=st.integers(1, 4),
+    zeroed=st.lists(st.booleans(), min_size=9, max_size=9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slot_weights_matches_the_loop_oracle(lead, n_rows, n_cols, zeroed, seed):
+    # per (R, C) matrix of any batch and member axes, some all zero
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=(*lead, n_rows, n_cols))
+    g = rng.normal(size=(*lead, 1, n_rows))
+    for at, zero in zip(np.ndindex(*lead), zeroed):
+        if zero:
+            scores[at] = 0.0
+    x = ad.tensor(scores, requires_grad=True)
+    weights, fallen = ad.slot_weights(x)
+    ad.backward(weights, g)
+    assert weights.shape == (*lead, 1, n_rows) and fallen.shape == (*lead, 1, 1)
+    for at in np.ndindex(*lead):
+        want_w, want_grad = loop_slot_weights(scores[at], g[at][0])
+        assert fallen[at][0, 0] == (not np.abs(scores[at]).any())
+        np.testing.assert_allclose(weights.data[at][0], want_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad[at], want_grad, rtol=0, atol=1e-12)

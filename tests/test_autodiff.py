@@ -93,12 +93,6 @@ class TestForwardValues:
         x = ad.constant([[-2.0, 0.0, 3.0]])
         np.testing.assert_array_equal(ad.relu(x).data, [[0.0, 0.0, 3.0]])
 
-    def test_transpose_round_trip(self):
-        rng = np.random.default_rng(42)
-        x = rng.normal(size=(4, 3))
-        t = ad.constant(x)
-        np.testing.assert_array_equal(ad.transpose(ad.transpose(t)).data, x)
-
     @staticmethod
     def row_softmax(scores: np.ndarray) -> np.ndarray:
         """decompose's assignment for (..., G, W, N_a) ``scores``: the rows of
@@ -167,10 +161,6 @@ class TestForwardValues:
         rng = np.random.default_rng(42)
         x = rng.normal(size=(4, 3))
         np.testing.assert_allclose(
-            ad.l1_rowsum(ad.constant(x)).data,
-            np.array([[sum(abs(v) for v in row)] for row in x]),
-        )
-        np.testing.assert_allclose(
             ad.sq_frobenius(ad.constant(x)).data,
             sum(v * v for v in x.ravel()),
         )
@@ -223,9 +213,11 @@ class TestForwardValues:
         for i in range(3):
             one = ad.graph_affine(adj, ad.constant(x[i]), w, b).data
             np.testing.assert_allclose(batched[i], one, atol=1e-12)
-        np.testing.assert_array_equal(
-            ad.transpose(ad.constant(x)).data, np.swapaxes(x, 1, 2)
-        )
+        weights, fallen = ad.slot_weights(ad.constant(x))
+        assert weights.shape == (3, 1, 5) and fallen.shape == (3, 1, 1)
+        for i in range(3):
+            one, _ = ad.slot_weights(ad.constant(x[i]))
+            np.testing.assert_array_equal(weights.data[i], one.data)
 
     def test_stacked_operands_match_per_member_calls(self):
         # a (P, 1..., K, D) weight or (P, 1..., 1, D) bias evaluates P
@@ -712,9 +704,9 @@ class TestBackwardClosedForms:
 
     def test_backward_skips_constant_branches(self):
         x = Tensor([[1.0, -2.0]], requires_grad=True)
-        c = ad.constant([[3.0, 4.0]])
+        c = ad.constant([[3.0], [4.0]])
         scaled = ad.weighted_sum((c,), (2.0,))
-        y = ad.matmul(x, ad.transpose(scaled))  # (1, 1)
+        y = ad.matmul(x, scaled)  # (1, 1)
         assert not scaled._needs and y._needs
         ad.backward(y)
         np.testing.assert_array_equal(x.grad, [[6.0, 8.0]])
@@ -756,7 +748,7 @@ class TestBackwardClosedForms:
         x = ad.constant(np.ones((2, 2)))
         assert x.op == ""
         assert ad.relu(x).op == "relu"
-        assert ad.l1_rowsum(ad.relu(x)).op == "l1_rowsum"
+        assert ad.slot_weights(ad.relu(x))[0].op == "slot_weights"
 
     def test_backward_is_deterministic(self):
         rng = np.random.default_rng(42)
@@ -1301,6 +1293,68 @@ class TestDecomposeOracle:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
 
 
+def old_slot_weights_chain(scores, g):
+    """The three-node chain that slot_weights replaced (l1_rowsum,
+    normalize_columns, transpose), transcribed into numpy with each backward
+    rule as the tape ran it: (weights, fallen, g_scores) for an incoming
+    (..., 1, R) gradient g."""
+    mass = np.abs(scores).sum(axis=-1, keepdims=True)
+    total = mass.sum(axis=-2, keepdims=True)
+    dead = total <= 0.0
+    safe = np.where(dead, 1.0, total)
+    column = np.where(dead, 1.0 / scores.shape[-2], mass / safe)
+    weights = np.swapaxes(column, -1, -2)
+    g_column = np.swapaxes(g, -1, -2)
+    dot = (g_column * column).sum(axis=-2, keepdims=True)
+    g_column = np.where(dead, 0.0, (g_column - dot) / safe)
+    return weights, dead, np.sign(scores) * g_column
+
+
+class TestSlotWeights:
+    """slot_weights against the chain of ops it replaced, bit for bit, and
+    its uniform fallback in closed form."""
+
+    @pytest.mark.parametrize("lead", [(), (16,), (3, 4)])
+    def test_equals_the_three_node_chain_bit_for_bit(self, lead):
+        # the default model's (9, 16) scores, one sample, a batch, and member
+        # stacks of a batch; every batch has one all-zero matrix, which falls
+        # back to uniform
+        rng = np.random.default_rng(11)
+        scores = _wide_range(rng, *lead, 9, 16)
+        if lead:
+            scores[(1,) * len(lead)] = 0.0
+        g = _wide_range(rng, *lead, 1, 9)
+        x = Tensor(scores, requires_grad=True)
+        weights, fallen = ad.slot_weights(x)
+        ad.backward(weights, g)
+        want_weights, want_fallen, want_grad = old_slot_weights_chain(scores, g)
+        assert np.array_equal(fallen, want_fallen)
+        assert fallen.sum() == (1 if lead else 0)
+        for got, want in ((weights.data, want_weights), (x.grad, want_grad)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_fallen_matrix_is_uniform_and_passes_no_gradient(self):
+        rng = np.random.default_rng(3)
+        scores = rng.normal(size=(4, 6, 5))
+        scores[2] = 0.0
+        g = rng.normal(size=(4, 1, 6))
+        x = Tensor(scores, requires_grad=True)
+        weights, fallen = ad.slot_weights(x)
+        ad.backward(weights, g)
+        assert fallen.dtype == bool and fallen.shape == (4, 1, 1)
+        assert fallen.ravel().tolist() == [False, False, True, False]
+        assert np.all(weights.data[2] == 1.0 / 6) and np.all(x.grad[2] == 0.0)
+        # the other matrices are those of the batch without the fallen one
+        kept = [0, 1, 3]
+        rest = Tensor(scores[kept], requires_grad=True)
+        rest_weights, rest_fallen = ad.slot_weights(rest)
+        ad.backward(rest_weights, g[kept])
+        assert not rest_fallen.any()
+        assert np.array_equal(weights.data[kept], rest_weights.data)
+        assert np.array_equal(x.grad[kept], rest.grad)
+
+
 class TestGradCheck:
     """The finite-difference checker on smooth ops, plus negative controls."""
 
@@ -1625,6 +1679,15 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="no tape"):
             checks._batch_axes(frozen)
 
+    def test_kink_margin_reads_the_kinked_ops_rectifier_inputs(self):
+        # relu and slot_weights show their inputs as their rules'
+        # rectifier_input; a tape without a kink has an infinite margin
+        x = Tensor([[0.5, -0.003], [2.0, -1.0]], requires_grad=True)
+        assert checks.kink_margin(ad.relu(x)) == 0.003
+        scores = Tensor([[0.5, 4.0], [-0.002, 1.0]], requires_grad=True)
+        assert checks.kink_margin(ad.slot_weights(scores)[0]) == 0.002
+        assert checks.kink_margin(ad.mean_rows(x)) == np.inf
+
     @pytest.mark.parametrize("layer", ["l1", "l2"])
     def test_kink_margin_reads_each_backbone_layers_rectifier_input(self, layer):
         # a zero column of gc.w and a zero bias entry put one channel's
@@ -1667,6 +1730,54 @@ class TestGradCheck:
     def test_kinked_op_cases_are_drawn_off_the_kink(self, op):
         # the one-sample and the batched case
         assert self.cases_drawn_off_the_kink(op) == 2 * len(checks.DEFAULT_SEEDS)
+
+    def test_the_floor_scales_with_the_tensor(self, monkeypatch):
+        # st_conv's tap-weight gradients scaled by 1.001: at model-check seed
+        # 216 the taps' gradients are all well below 1, so a floor of
+        # max(|a|, |n|, 1) per coordinate read every entry under tol; the
+        # floor per tensor fails both tap weights
+        real_conv, real_compare = ad.st_conv, ad.compare_gradient
+
+        def scaled_taps(*args, **kwargs):
+            out = real_conv(*args, **kwargs)
+            back = out._backward
+            if back is not None:
+                def mutant(g):
+                    gx, g_gw, g_gb, g_tw, g_tb = back(g)
+                    return gx, g_gw, g_gb, g_tw * 1.001, g_tb
+
+                mutant.rectifier_input = back.rectifier_input
+                out._backward = mutant
+            return out
+
+        old_floor = []
+
+        def compare(f, x, analytic, h, tol, stacked):
+            n, coords = x.data.size, np.arange(x.data.size)
+            probes = np.repeat(x.data.reshape(1, n), 2 * n, axis=0)
+            probes[2 * coords, coords] += h
+            probes[2 * coords + 1, coords] -= h
+            values = stacked(probes.reshape((2 * n,) + x.shape))
+            numeric = ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(x.shape)
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
+            old_floor.append(float((np.abs(analytic - numeric) / denom).max()))
+            return real_compare(f, x, analytic, h=h, tol=tol, stacked=stacked)
+
+        monkeypatch.setattr(ad, "st_conv", scaled_taps)
+        monkeypatch.setattr(ad, "compare_gradient", compare)
+        entries = checks._model_entries(216, h=1e-5, tol=1e-4)
+        assert len(old_floor) == len(entries) and max(old_floor) < 1e-4
+        assert [e.name for e in entries if not e.passed] == [
+            "model.full[backbone.l1.tc.w]", "model.full[backbone.l2.tc.w]"
+        ]
+
+    def test_all_zero_gradients_read_an_error_of_zero(self):
+        x = Tensor(np.ones((2, 3)))
+        result = ad.compare_gradient(
+            lambda t: ad.sq_frobenius(ad.constant(np.zeros((2, 3)))), x, None,
+            h=1e-5, tol=1e-4,
+        )
+        assert result.max_rel_err == 0.0 and result.passed
 
     def test_invalid_step_is_rejected_before_any_evaluation(self):
         calls = []

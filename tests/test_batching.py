@@ -79,7 +79,7 @@ def test_batched_forward_equals_one_sample_forwards(variant, n):
             )
     if variant == "full" and n >= 2:
         rows = small(variant).n_action_rows
-        uniform = np.full((rows, 1), 1.0 / rows)
+        uniform = np.full((1, rows), 1.0 / rows)
         np.testing.assert_array_equal(batch.weights.data[1], uniform)
 
 
