@@ -5,11 +5,10 @@ The battery is the single source of truth for gradient correctness; both the
 command-line `gradcheck` entry point and the test suite run it. Each op and
 loss entry takes its analytic gradient from one backward, seeded with a
 random readout when the op's output is not a scalar, and evaluates all 2n
-+-h probes of its operand as one member stack; the four whole-array cases
-(`sq_frobenius` and `reshape`, each also batched) run the reference loop of
-:func:`autodiff.compare_gradient`, which the stacked path must match bit for
-bit. A stacked evaluation that raises a shape error or returns the wrong
-number of values is a failed entry, not a fallback.
++-h probes of its operand as one member stack, which must give the values of
+the reference loop of :func:`autodiff.compare_gradient` bit for bit. A
+stacked evaluation that raises a shape error or returns the wrong number of
+values is a failed entry, not a fallback.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -62,15 +60,6 @@ def _adjacency(n: int):
     return draw
 
 
-@dataclass(frozen=True)
-class _Whole:
-    """Marks an op that reads its operand as one whole array (a full sum, or
-    a reshape to a fixed shape), so a member stack of probes cannot pass
-    through it: its case runs the reference loop."""
-
-    op: Callable
-
-
 def _members(apply, lead: int = 0, readout: np.ndarray | None = None):
     """Evaluator of all 2n probes in one call: ``apply`` receives them as a
     member stack in front of ``lead`` singleton batch axes, and ``readout``
@@ -94,13 +83,12 @@ def _op_case(op, wrt: int, *draws, off_kink: bool = False):
     output gradients are non-trivial. Scalar outputs are checked as they are.
 
     The probes of ``args[wrt]`` run as one member stack placed in front of
-    every batch axis of the output, unless ``op`` is a :class:`_Whole`.
-    With ``off_kink``, for an op with a kink (a rectifier or an absolute
-    value), the arguments are drawn again, up to :data:`_JITTER_ATTEMPTS`
-    times, until :func:`kink_margin` of the output puts every input of a
-    kink at least :data:`MIN_KINK_MARGIN` from it, as the model check does."""
-    loop = isinstance(op, _Whole)
-    op = op.op if loop else op
+    every batch axis of the output, so ``op`` keeps every leading axis of
+    its operands. With ``off_kink``, for an op with a kink (a rectifier or
+    an absolute value), the arguments are drawn again, up to
+    :data:`_JITTER_ATTEMPTS` times, until :func:`kink_margin` of the output
+    puts every input of a kink at least :data:`MIN_KINK_MARGIN` from it, as
+    the model check does."""
 
     def build(rng):
         for _ in range(_JITTER_ATTEMPTS if off_kink else 1):
@@ -114,8 +102,7 @@ def _op_case(op, wrt: int, *draws, off_kink: bool = False):
             if not off_kink or kink_margin(y) >= MIN_KINK_MARGIN:
                 break
         readout = rng.normal(size=y.shape) if y.shape else None
-        stacked = _members(apply, max(0, y.ndim - x.ndim), readout)
-        return apply, x, None if loop else stacked, readout
+        return apply, x, _members(apply, max(0, y.ndim - x.ndim), readout), readout
 
     return build
 
@@ -210,8 +197,8 @@ def _op_cases() -> dict:
         "weighted_sum": (_weighted_sum(1.0, -1.7), 0, n(3, 4), n(3, 4)),
         "weighted_sum.broadcast": (_weighted_sum(1.0, -1.7), 1, n(3, 4), n(1, 4)),
         "relu": (ad.relu, 0, n(4, 5)),
-        "reshape": (_Whole(lambda x: ad.reshape(x, (2, 6))), 0, n(3, 4)),
-        "sq_frobenius": (_Whole(ad.sq_frobenius), 0, n(3, 4)),
+        "reshape": (lambda x: ad.reshape(x, x.shape[:-2] + (2, 6)), 0, n(3, 4)),
+        "sq_frobenius": (lambda x: ad.sq_frobenius(x, x.ndim - 2), 0, n(3, 4)),
         "mean_rows": (ad.mean_rows, 0, n(6, 4)),
         "slot_weights": (_slot_weights, 0, n(4, 5)),
         "affine.x": (ad.affine, 0, n(4, 3), n(3, 5), n(1, 5)),
@@ -227,8 +214,8 @@ def _op_cases() -> dict:
         "matmul.both.batched": (ad.matmul, 1, n(2, 4, 3), n(2, 3, 5)),
         "weighted_sum.batched": (_weighted_sum(0.6, 1.0), 0, n(2, 3, 4), n(3, 4)),
         "relu.batched": (ad.relu, 0, n(2, 3, 4)),
-        "reshape.batched": (_Whole(lambda x: ad.reshape(x, (2, -1))), 0, n(2, 3, 4)),
-        "sq_frobenius.batched": (_Whole(ad.sq_frobenius), 0, n(2, 3, 4)),
+        "reshape.batched": (lambda x: ad.reshape(x, x.shape[:-3] + (2, -1)), 0, n(2, 3, 4)),
+        "sq_frobenius.batched": (lambda x: ad.sq_frobenius(x, x.ndim - 3), 0, n(2, 3, 4)),
         "mean_rows.batched": (ad.mean_rows, 0, n(2, 3, 4)),
         "slot_weights.batched": (_slot_weights, 0, n(2, 3, 4)),
         "affine.x.batched": (ad.affine, 0, n(2, 3, 4), n(4, 5), n(1, 5)),
@@ -359,8 +346,8 @@ def _center_cases() -> dict:
 
 def _cases() -> dict:
     """Every op and loss case by name, each a ``build(rng) -> (f, x,
-    stacked, readout)`` with ``stacked`` None for a case that runs the loop
-    and ``readout`` None for a scalar-valued ``f``."""
+    stacked, readout)``: ``stacked`` evaluates every probe of ``x`` as one
+    member stack, and ``readout`` is None for a scalar-valued ``f``."""
     return {**_op_cases(), **_loss_cases(), **_stacked_cases(), **_center_cases()}
 
 

@@ -101,8 +101,8 @@ class ForwardResult:
     its member axes in front of every output it reaches.
     """
 
-    logits: Tensor  # (B, K)
     node_features: Tensor  # (B, 31, C_1)
+    logits: Tensor | None = None  # (B, K), set last, by the head
     # (B, 3, W, N_a) assignment of each component's nodes to its slots, in
     # graph.SUBGRAPHS order; rows past a component's node count are padding
     assignment: np.ndarray | None = None
@@ -241,34 +241,21 @@ class ActionRelationNet:
 
     def forward(self, features: np.ndarray) -> ForwardResult:
         """Run every stage of the variant on one sample's node features,
-        (3, 31, 2), or on a stacked batch, (B, 3, 31, 2)."""
+        (3, 31, 2), or on a stacked batch, (B, 3, 31, 2): the result starts
+        from the backbone's output and each later stage fills its fields."""
         batched = features.ndim == 4
-        node_features = self.backbone(features)
-        if self.config.variant == "backbone":
-            pooled = _per_sample(ad.mean_rows(node_features), batched)
-            return ForwardResult(
-                logits=self.classify(pooled),
-                node_features=node_features,
-            )
-        action_features, assignment = self.decompose(node_features)
-        if self.config.variant == "actions":
-            pooled = _per_sample(ad.mean_rows(action_features), batched)
-            return ForwardResult(
-                logits=self.classify(pooled),
-                node_features=node_features,
-                assignment=assignment,
-                action_features=action_features,
-            )
-        pooled, weights = self.relate(action_features)
-        recognition = _per_sample(pooled, batched)
-        return ForwardResult(
-            logits=self.classify(recognition),
-            node_features=node_features,
-            assignment=assignment,
-            action_features=action_features,
-            weights=weights,
-            recognition_feature=recognition,
-        )
+        out = ForwardResult(node_features=self.backbone(features))
+        rows = out.node_features  # the rows the head's input is pooled from
+        if self.config.variant != "backbone":
+            out.action_features, out.assignment = self.decompose(rows)
+            rows = out.action_features
+        if self.config.variant == "full":
+            pooled, out.weights = self.relate(rows)
+            out.recognition_feature = pooled = _per_sample(pooled, batched)
+        else:
+            pooled = _per_sample(ad.mean_rows(rows), batched)
+        out.logits = self.classify(pooled)
+        return out
 
 
 def _per_sample(pooled: Tensor, batched: bool) -> Tensor:

@@ -163,7 +163,6 @@ def _batch_slices(n: int, batch_size: int, merge_tail: bool) -> list[slice]:
 @dataclass
 class TrainOutcome:
     model: ActionRelationNet
-    table: WeightCenterTable | None
     curves: list[dict]
     epochs_run: int
 
@@ -238,7 +237,7 @@ def train_fold(
             stall += 1
             if stall >= opt.plateau_patience:
                 break
-    return TrainOutcome(model=model, table=table, curves=curves, epochs_run=epochs_run)
+    return TrainOutcome(model=model, curves=curves, epochs_run=epochs_run)
 
 
 @dataclass
@@ -306,11 +305,10 @@ def _without_wall_time(report) -> dict:
     return d
 
 
-def _fold_report(subject, model, samples, config, epochs_run, features=None):
-    """Score ``model`` on ``samples`` as one fold of a run."""
-    y_true, y_pred, logits = evaluate(model, samples, config.magnification, features)
-    acc = accuracy(y_true, y_pred)
-    return FoldReport(subject, y_true, y_pred, logits, acc, epochs_run)
+def _fold_report(subject: str, scored, epochs_run: int) -> FoldReport:
+    """One fold of a run from ``scored``, the (labels, predictions, logits)
+    triple of :func:`evaluate`."""
+    return FoldReport(subject, *scored, accuracy(*scored[:2]), epochs_run)
 
 
 def _run_report(config: ExperimentConfig, folds: list[FoldReport], t0: float):
@@ -347,8 +345,8 @@ def _loso_fold(config, samples, features, subject, held_out, seeds, keep_state):
     check_no_leakage(train, test)
     outcome = train_fold(train_features, train.labels, config, rng,
                          np.random.default_rng(model_ss), context=f"fold {subject}")
-    report = _fold_report(subject, outcome.model, test, config,
-                          outcome.epochs_run, features[held_out])
+    scored = evaluate(outcome.model, test, config.magnification, features[held_out])
+    report = _fold_report(subject, scored, outcome.epochs_run)
     state = outcome.model.params.state_dict() if keep_state else None
     return report, [(subject, row) for row in outcome.curves], state
 
@@ -512,10 +510,8 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunReport:
     outcome = train_fold(
         train_features, train.labels, config, rng, np.random.default_rng(model_ss)
     )
-    report = _fold_report(
-        "(all)", outcome.model, samples, config, outcome.epochs_run, features
-    )
-    run = _run_report(config, [report], t0)
+    scored = evaluate(outcome.model, samples, config.magnification, features)
+    run = _run_report(config, [_fold_report("(all)", scored, outcome.epochs_run)], t0)
     if out_dir is not None:
         curves = [("(all)", row) for row in outcome.curves]
         checkpoints = {"final": outcome.model.params.state_dict()}
@@ -551,7 +547,7 @@ def evaluate_checkpoint(
                 config, part), config.magnification), shares, w, "lines")
             scored = [sum(c, []) for c in zip(*parts)]  # in file order
     scored = scored or evaluate(model, prepare_samples(config, lines), config.magnification)
-    run = _run_report(config, [FoldReport("(eval)", *scored, accuracy(*scored[:2]), 0)], t0)
+    run = _run_report(config, [_fold_report("(eval)", scored, 0)], t0)
     if out_dir is not None:
         write_run_dir(out_dir, config, run, [], {}, fold_name="eval")
     return run

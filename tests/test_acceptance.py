@@ -4,7 +4,8 @@ Each test prints a single pass/fail verdict line (run with -s to see them
 alongside pytest's own output). The checks lean on independent loop oracles
 and rely on nothing from the other test files, so this file alone decides
 whether a build is acceptable. A hypothesis property at the end holds the
-relation op, ``slot_weights``, to its loop oracle over random shapes.
+relation op, ``slot_weights``, and the ops ``matmul`` and ``sq_frobenius`` to
+their loop oracles over random shapes.
 """
 
 import hashlib
@@ -158,6 +159,18 @@ def loop_slot_weights(scores, g):
         for c in range(n_cols):
             grad[r, c] = np.sign(scores[r, c]) * (g[r] - dot) / total
     return w, grad
+
+
+def loop_sq_frobenius(x, center, factor, g):
+    """One member's ``factor`` times the sum of squared entries of x - center
+    (center of x's shape), and the gradient of g times it."""
+    total = 0.0
+    grad = np.zeros(x.shape)
+    for at in np.ndindex(*x.shape):
+        d = x[at] - center[at]
+        total += d * d
+        grad[at] = 2.0 * d * factor * g
+    return factor * total, grad
 
 
 def loop_crop_jitter(frames, rng, copies, max_scale, max_shift):
@@ -574,4 +587,80 @@ def test_slot_weights_matches_the_loop_oracle(lead, n_rows, n_cols, zeroed, seed
         want_w, want_grad = loop_slot_weights(scores[at], g[at][0])
         assert fallen[at][0, 0] == (not np.abs(scores[at]).any())
         np.testing.assert_allclose(weights.data[at][0], want_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad[at], want_grad, rtol=0, atol=1e-12)
+
+
+def lead_shape(lead, dropped, ones):
+    """``lead`` without its first ``dropped`` axes, the axes marked in
+    ``ones`` set to 1: an operand's leading axes that broadcast to ``lead``."""
+    return tuple(1 if one else n for n, one in zip(lead, ones))[dropped:]
+
+
+def operand_index(at, shape):
+    """The index of an operand of leading ``shape`` that the broadcast
+    index ``at`` reads."""
+    at = at[len(at) - len(shape):]
+    return tuple(0 if n == 1 else i for i, n in zip(at, shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=3),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    dropped=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    ones=st.tuples(*[st.lists(st.booleans(), min_size=3, max_size=3)] * 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_matches_the_loop_oracle(lead, dims, dropped, ones, seed):
+    # per matrix of any batch and member axes, each operand broadcast along
+    # some of them, its gradient summed over the matrices that read it
+    m, k, n = dims
+    rng = np.random.default_rng(seed)
+    lead_a, lead_b = (lead_shape(lead, d, o) for d, o in zip(dropped, ones))
+    a = ad.tensor(rng.normal(size=(*lead_a, m, k)), requires_grad=True)
+    b = ad.tensor(rng.normal(size=(*lead_b, k, n)), requires_grad=True)
+    g = rng.normal(size=(*np.broadcast_shapes(lead_a, lead_b), m, n))
+    out = ad.matmul(a, b)
+    ad.backward(out, g)
+    assert out.shape == g.shape
+    grad_a, grad_b = np.zeros(a.shape), np.zeros(b.shape)
+    for at in np.ndindex(*g.shape[:-2]):
+        ia, ib = operand_index(at, lead_a), operand_index(at, lead_b)
+        want = loop_matmul(a.data[ia], b.data[ib])
+        np.testing.assert_allclose(out.data[at], want, rtol=0, atol=1e-12)
+        grad_a[ia] += loop_matmul(g[at], b.data[ib].T)
+        grad_b[ib] += loop_matmul(a.data[ia].T, g[at])
+    np.testing.assert_allclose(a.grad, grad_a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, grad_b, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=3),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    keep=st.integers(0, 3),
+    center=st.one_of(st.none(), st.tuples(
+        st.integers(0, 5), st.lists(st.booleans(), min_size=5, max_size=5)
+    )),
+    factor=st.sampled_from([1.0, -0.7, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sq_frobenius_matches_the_loop_oracle(lead, dims, keep, center, factor, seed):
+    # one sum per member of the first ``keep`` axes, with and without a
+    # center that broadcasts along some trailing axes, under a factor
+    keep = min(keep, len(lead))
+    rng = np.random.default_rng(seed)
+    x = ad.tensor(rng.normal(size=(*lead, *dims)), requires_grad=True)
+    c = None
+    if center is not None:
+        dropped, ones = center
+        c = rng.normal(size=lead_shape(x.shape, min(dropped, x.ndim), ones))
+    g = rng.normal(size=tuple(lead[:keep]))
+    out = ad.sq_frobenius(x, keep, c, factor)
+    ad.backward(out, g)
+    assert out.shape == g.shape
+    full_center = np.broadcast_to(0.0 if c is None else c, x.shape)
+    for at in np.ndindex(*g.shape):
+        want, want_grad = loop_sq_frobenius(x.data[at], full_center[at], factor, g[at])
+        np.testing.assert_allclose(out.data[at], want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(x.grad[at], want_grad, rtol=0, atol=1e-12)

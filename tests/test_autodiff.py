@@ -1500,37 +1500,26 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_stacked_entries_match_one_loop_grad_check_each(self, monkeypatch, seed):
-        # every op and loss entry that runs its probes as one member stack
+        # every op and loss entry runs its probes as one member stack and
         # equals a grad_check of the same objective and operand through the
         # reference loop, bit for bit
-        stacked_entries = 0
         calls = self.battery_calls(monkeypatch, (seed,))
-        for entry, f, x, stacked, readout, _ in calls:
-            if stacked is None:
-                continue
-            stacked_entries += 1
+        stacked_calls = [call for call in calls if call[3] is not None]
+        for entry, f, x, stacked, readout, _ in stacked_calls:
             want = ad.grad_check(f, x, h=1e-5, tol=1e-4, readout=readout)
             assert entry.result.passed, entry.name
             assert entry.result.max_rel_err == want.max_rel_err, entry.name
             assert entry.result.n_coords == want.n_coords, entry.name
             assert entry.result.worst_coord == want.worst_coord, entry.name
-        assert stacked_entries == len(checks._cases()) - 4
+        assert len(stacked_calls) == len(checks._cases())
 
     def test_stacked_case_evaluates_its_objective_twice(self, monkeypatch):
-        # once for the analytic side and once for all probes; the four
-        # whole-array cases run 1 + 2n evaluations
-        loop_cases = {
-            f"{op}{suffix}"
-            for op in ("sq_frobenius", "reshape")
-            for suffix in ("", ".batched")
-        }
-        assert loop_cases <= set(checks._cases())
-        for entry, _, x, stacked, _, tally in self.battery_calls(monkeypatch, (0,)):
-            if entry.name in loop_cases:
-                assert stacked is None
-                assert tally == {"f": 1 + 2 * x.data.size, "stacked": 0}
-            else:
-                assert tally == {"f": 1, "stacked": 1}, entry.name
+        # once for the analytic side and once for all probes, in every case:
+        # no case builds without a stacked evaluator
+        for name, build in checks._cases().items():
+            assert build(checks.case_rng(name, 0))[2] is not None, name
+        for entry, *_, tally in self.battery_calls(monkeypatch, (0,)):
+            assert tally == {"f": 1, "stacked": 1}, entry.name
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_model_check_matches_one_grad_check_per_parameter(self, monkeypatch, seed):
